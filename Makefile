@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-check bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -13,8 +13,9 @@
 # keeps real time out of simulation code, and the latency soak with its
 # built-in shed/convergence gates, and the storage gate (durable
 # crash-recovery goldens, the residency lint, and the RSS/hydration/
-# recovery soak with its built-in capped-below-uncapped assertion).
-verify: build test clippy fmt lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage
+# recovery soak with its built-in capped-below-uncapped assertion), and
+# the benchmark check (perfbench still builds and its smoke test passes).
+verify: build test clippy fmt lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-check
 
 build:
 	cargo build --release --workspace
@@ -41,6 +42,14 @@ chaos:
 
 bench:
 	cargo bench -p pmware-bench
+
+# The benchmark check: perfbench/ is a cargo workspace of its own, so
+# `cargo test --workspace` never compiles it. This builds it against the
+# current crates and runs its smoke test (every workload at a tiny size,
+# traced and untraced), so a cloud API change that breaks the benchmark
+# fails here instead of going unnoticed.
+bench-check:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Incremental-vs-batch nightly discovery cost and cold-vs-memoized
 # analytics throughput; writes BENCH_gca.json in the repo root.

@@ -9,11 +9,14 @@
 //! seed, and a run replays bit-identically (the same guarantee the fault
 //! injector and the retry backoff already give).
 //!
-//! A denied request costs the server almost nothing: admission sits
-//! *before* auth in the middleware stack, so a 429 is computed from one
-//! token-map read and one bucket update — no token refresh work, no user
-//! store locks, and no "your token expired" answers that would push an
-//! over-budget client into an even more expensive re-registration storm.
+//! A denied request costs the server almost nothing: admission runs
+//! before the auth and relocation checks in `CloudInstance::handle`, so a
+//! 429 is computed from the one token validation the request path makes
+//! anyway and one bucket update — no token refresh work and no user store
+//! locks. Buckets are keyed by the *validated* caller: a request with a
+//! missing, invalid, or expired token has no bucket and is answered 401
+//! by auth, and the public routes (registration, health) are never
+//! throttled, so a client can always get back in the door.
 //! The 429 body carries `retry_after_s`, the exact simulated delay until
 //! the bucket next holds a token, which the client uses to schedule its
 //! retry instead of guessing with blind exponential backoff.

@@ -205,8 +205,8 @@ pub struct Response {
     pub status: u16,
     /// Typed body.
     pub body: Payload,
-    /// Latency annotation `(queue µs, service µs)` stamped by the queue
-    /// layer when the latency model is enabled. Diagnostics only — not
+    /// Latency annotation `(queue µs, service µs)` stamped by the latency
+    /// queue when the model is enabled. Diagnostics only — not
     /// wire state, excluded from equality and serialization.
     latency_us: Option<(u64, u64)>,
 }
@@ -234,7 +234,7 @@ impl Response {
         Response::with_status(200, body)
     }
 
-    /// Stamps the latency annotation (queue layer only).
+    /// Stamps the latency annotation (latency queue only).
     pub fn with_latency(mut self, queue_us: u64, service_us: u64) -> Response {
         self.latency_us = Some((queue_us, service_us));
         self

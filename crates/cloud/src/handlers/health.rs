@@ -2,7 +2,7 @@
 //!
 //! Reaching the handler at all *is* the liveness signal: the route is
 //! public (the topology router probes without a token) and the request
-//! still descends the whole layer stack, so an injected outage
+//! still takes the full request path, so an injected outage
 //! short-circuits to 503 before this handler runs — a dead instance
 //! fails its heartbeat exactly the way it fails client traffic. The body
 //! additionally carries the instance's load view (queue depth and p99

@@ -1,10 +1,10 @@
 //! Endpoint handlers: one small function per route, over a typed [`Ctx`].
 //!
 //! Each submodule owns one endpoint family of §2.3.3 (plus the analytics
-//! queries of §2.3.2). Handlers contain *only* endpoint logic — auth,
-//! outage, admission, and accounting all happened in the layer stack
-//! above — and are wired to paths exclusively through the route table in
-//! [`crate::router`].
+//! queries of §2.3.2). Handlers contain *only* endpoint logic — outage,
+//! admission, auth, and accounting all happened in
+//! `CloudInstance::handle` before dispatch — and are wired to paths
+//! exclusively through the route table in [`crate::router`].
 
 pub(crate) mod analytics;
 pub(crate) mod geolocate;

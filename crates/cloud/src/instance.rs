@@ -1,4 +1,4 @@
-//! The cloud instance: a middleware stack over shared state.
+//! The cloud instance: one request path over shared state.
 //!
 //! §2.3 of the paper: the cloud instance *"is responsible for storing and
 //! managing long-term human mobility patterns, helping mobile service in
@@ -7,24 +7,25 @@
 //! service on Windows Azure; here it is an in-process server speaking the
 //! same REST/JSON shape.
 //!
-//! [`CloudInstance`] no longer contains any endpoint logic. It is:
+//! [`CloudInstance`] contains no endpoint logic. It is:
 //!
-//! * **state** — an `Arc<`[`CloudCore`]`>` (token store, user shards, cell
-//!   database, GCA config, admission controller, metrics), shared with
-//!   every layer;
-//! * **the stack** — outage → request metrics → latency queue →
-//!   admission control → auth → relocation → shard accounting
-//!   ([`crate::layer`]), bottoming out in the route-table dispatcher
+//! * **state** — a [`CloudCore`] (token store, user shards, cell
+//!   database, GCA config, admission controller, metrics);
+//! * **the request path** — [`CloudInstance::handle`] resolves the route
+//!   and validates the caller once, runs the gates (outage → request
+//!   metrics → latency queue → admission control → auth → relocation →
+//!   authenticated-request count) as plain checks over that one
+//!   context, and hands the request to the route-table dispatcher
 //!   ([`crate::router`]);
 //! * **construction and accessors** — builders (`with_obs`,
 //!   `with_admission`) plus the snapshot views tests and benches read.
 //!
-//! Concurrency model (unchanged from the pre-stack revisions): per-user
-//! state lives in [`SHARD_COUNT`] lock shards keyed by `UserId`, the
-//! token registry is behind a read-write lock (validation — the hot path
-//! — takes the read side), the cell database is immutable, and the outage
-//! flag and token RNG use an atomic and a small mutex. All methods take
-//! `&self`; [`SharedCloud`] is the cheap cloneable handle clients hold.
+//! Concurrency model: per-user state lives in [`SHARD_COUNT`] lock
+//! shards keyed by `UserId`, the token registry is behind a read-write
+//! lock (validation — once per request — takes the read side), the cell
+//! database is immutable, and the outage flag and token RNG use an atomic
+//! and a small mutex. All methods take `&self`; [`SharedCloud`] is the
+//! cheap cloneable handle clients hold.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -38,18 +39,16 @@ use pmware_world::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::admission::AdmissionConfig;
+use crate::admission::{Admission, AdmissionConfig, AdmissionControl};
 use crate::api::{Request, Response};
 use crate::auth::{DeviceIdentity, TokenStore, UserId};
 use crate::geolocate::CellDatabase;
-use crate::latency::LatencyProfile;
-use crate::layer::{
-    AdmissionLayer, AuthLayer, Layer, Next, OutageLayer, QueueLayer, RelocationLayer,
-    RequestMetricsLayer, RouterService, ShardAccountingLayer,
-};
+use crate::latency::{LatencyProfile, QueueOutcome};
 use crate::profile::{ContactEntry, MobilityProfile};
+use crate::router::{self, RateClass, Resolution, Route, RouteAuth};
 use crate::state::{CloudCore, CloudMetrics};
 use crate::storage::{StorageConfig, StorageEngine};
+use crate::transport::STATUS_MISDIRECTED;
 
 pub use crate::state::SHARD_COUNT;
 
@@ -77,9 +76,7 @@ pub use crate::state::SHARD_COUNT;
 /// ```
 #[derive(Debug)]
 pub struct CloudInstance {
-    core: Arc<CloudCore>,
-    layers: Vec<Arc<dyn Layer>>,
-    service: RouterService,
+    core: CloudCore,
 }
 
 /// Cloneable, thread-safe handle to a [`CloudInstance`].
@@ -122,66 +119,27 @@ impl std::ops::Deref for SharedCloud {
 impl CloudInstance {
     /// Creates an instance with a 24-hour token TTL.
     pub fn new(cells: CellDatabase, seed: u64) -> Self {
-        Self::assemble(CloudCore {
-            tokens: RwLock::new(TokenStore::new(SimDuration::from_hours(24))),
-            storage: StorageEngine::new(),
-            cells,
-            gca_config: RwLock::new(GcaConfig::default()),
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            outage: AtomicBool::new(false),
-            admission: Default::default(),
-            latency: Default::default(),
-            metrics: CloudMetrics::new(),
-            relocated: RwLock::new(HashSet::new()),
-        })
-    }
-
-    /// Builds the layer stack over a core. Order is load-bearing — see
-    /// DESIGN.md §5f: outage answers before anything is counted (byte
-    /// compatibility with the pre-stack monolith), request metrics sit
-    /// above admission so shed 429s stay visible per endpoint, admission
-    /// sheds before auth spends effort, and shard accounting attributes
-    /// only requests that passed auth.
-    fn assemble(core: CloudCore) -> CloudInstance {
-        let core = Arc::new(core);
-        let layers: Vec<Arc<dyn Layer>> = vec![
-            Arc::new(OutageLayer {
-                core: Arc::clone(&core),
-            }),
-            Arc::new(RequestMetricsLayer {
-                core: Arc::clone(&core),
-            }),
-            Arc::new(QueueLayer {
-                core: Arc::clone(&core),
-            }),
-            Arc::new(AdmissionLayer {
-                core: Arc::clone(&core),
-            }),
-            Arc::new(AuthLayer {
-                core: Arc::clone(&core),
-            }),
-            Arc::new(RelocationLayer {
-                core: Arc::clone(&core),
-            }),
-            Arc::new(ShardAccountingLayer {
-                core: Arc::clone(&core),
-            }),
-        ];
-        let service = RouterService {
-            core: Arc::clone(&core),
-        };
         CloudInstance {
-            core,
-            layers,
-            service,
+            core: CloudCore {
+                tokens: RwLock::new(TokenStore::new(SimDuration::from_hours(24))),
+                storage: StorageEngine::new(),
+                cells,
+                gca_config: RwLock::new(GcaConfig::default()),
+                rng: Mutex::new(StdRng::seed_from_u64(seed)),
+                outage: AtomicBool::new(false),
+                admission: Default::default(),
+                latency: Default::default(),
+                metrics: CloudMetrics::new(),
+                relocated: RwLock::new(HashSet::new()),
+            },
         }
     }
 
     /// Binds the instance's aggregate counters (per-endpoint requests,
     /// replay counts, analytics cache hits, admission denials) to `obs`,
-    /// carrying anything already recorded. Per-shard counts stay private —
-    /// see [`crate::state`]. A builder, meant to run before the instance
-    /// is wrapped in a [`SharedCloud`]:
+    /// carrying anything already recorded. The authenticated-request count
+    /// stays private — see [`crate::state`]. A builder, meant to run
+    /// before the instance is wrapped in a [`SharedCloud`]:
     ///
     /// ```
     /// use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
@@ -190,18 +148,8 @@ impl CloudInstance {
     /// let obs = Obs::new();
     /// let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::new(), 1).with_obs(&obs));
     /// ```
-    pub fn with_obs(self, obs: &Obs) -> CloudInstance {
-        let CloudInstance {
-            core,
-            layers,
-            service,
-        } = self;
-        // The stack holds the only other `Arc`s to the core; drop it so
-        // the core can be unwrapped and its metrics rebound.
-        drop(layers);
-        drop(service);
-        let mut core = Arc::try_unwrap(core)
-            .expect("with_obs is a builder: call it before sharing the instance");
+    pub fn with_obs(mut self, obs: &Obs) -> CloudInstance {
+        let core = &mut self.core;
         let private = core.metrics.private.clone();
         let obs = obs.clone().metrics_or(&private);
         let previous = std::mem::replace(&mut core.metrics, CloudMetrics::resolve(private, obs));
@@ -248,7 +196,7 @@ impl CloudInstance {
                 new.set(v);
             }
         }
-        Self::assemble(core)
+        self
     }
 
     /// Enables the deterministic admission controller with `config`, as a
@@ -399,7 +347,7 @@ impl CloudInstance {
         self.core.latency.health_stats(SimTime::EPOCH).1
     }
 
-    /// Requests shed by the queue layer so far.
+    /// Requests shed by the latency queue so far.
     pub fn queue_shed_count(&self) -> u64 {
         self.core.latency.shed_count()
     }
@@ -450,26 +398,14 @@ impl CloudInstance {
         SHARD_COUNT
     }
 
-    /// Authenticated requests handled so far, broken down by shard — a
-    /// snapshot view over the metrics registry.
+    /// Authenticated requests handled so far.
     ///
-    /// Unauthenticated `/api/v1/registration` requests never reach a
-    /// shard and are **not** counted here; since they still cost the
-    /// server work, they are counted in the metrics registry under
+    /// Unauthenticated `/api/v1/registration` requests are **not** counted
+    /// here; since they still cost the server work, they are counted in
+    /// the metrics registry under
     /// `cloud_requests_total{endpoint="register"}`.
-    pub fn shard_request_counts(&self) -> Vec<u64> {
-        self.core
-            .metrics
-            .shard_requests
-            .iter()
-            .map(|c| c.get())
-            .collect()
-    }
-
-    /// Total authenticated requests handled so far. Registrations are
-    /// excluded — see [`CloudInstance::shard_request_counts`].
     pub fn total_requests(&self) -> u64 {
-        self.shard_request_counts().iter().sum()
+        self.core.metrics.authenticated_requests.get()
     }
 
     /// Admission-control denials so far, summed over rate classes.
@@ -518,7 +454,7 @@ impl CloudInstance {
         store.history.iter().cloned().collect()
     }
 
-    /// Marks `user`'s state as migrated away: the relocation layer will
+    /// Marks `user`'s state as migrated away: the relocation gate will
     /// answer their authenticated requests with
     /// [`crate::STATUS_MISDIRECTED`] until (if ever) the user is adopted
     /// back. Driven by the federation [`crate::topology::TopologyRouter`]
@@ -550,14 +486,114 @@ impl CloudInstance {
     }
 
     /// Handles one request at simulated instant `now` — the single entry
-    /// point, exactly like an HTTP dispatcher: the request runs down the
-    /// middleware stack into the route-table dispatcher.
+    /// point, exactly like an HTTP dispatcher. The route and the caller
+    /// are worked out once; the gates then answer in a fixed order (see
+    /// DESIGN.md §5f):
+    ///
+    /// 1. outage: 503 before anything is counted;
+    /// 2. the endpoint counter, and in bench builds the wall-clock timer
+    ///    around everything below;
+    /// 3. the latency queue: a shed answers 429 before admission can
+    ///    spend a token on a request that was never served;
+    /// 4. admission control, for validated callers on bearer routes;
+    /// 5. auth: 401 before 404/405, so a probe learns nothing;
+    /// 6. relocation: 421 for a caller whose state moved away;
+    /// 7. the authenticated-request count, then dispatch.
     pub fn handle(&self, request: &Request, now: SimTime) -> Response {
+        let core = &self.core;
         // Storage-engine clock tick (accessor-path LRU stamps) and the
         // day-cadence compaction hook; an atomic store + load when the
         // engine is disabled.
-        self.core.storage.tick(now);
-        Next::new(&self.layers, &self.service).run(request, now)
+        core.storage.tick(now);
+        if core.outage() {
+            return Response::error(503, "service unavailable");
+        }
+        let ctx = RequestContext::new(core, request, now);
+        // Counted above admission and auth: shed and rejected requests
+        // cost the server work too.
+        core.metrics.endpoint_requests[ctx.endpoint].inc();
+        #[cfg(feature = "wallclock")]
+        let timer = pmware_obs::profiling::WallTimer::start();
+        let response = match core.latency.process(ctx.endpoint, ctx.user, now) {
+            QueueOutcome::Pass => self.serve(&ctx, request, now),
+            QueueOutcome::Timed {
+                queue_us,
+                service_us,
+            } => self
+                .serve(&ctx, request, now)
+                .with_latency(queue_us, service_us),
+            QueueOutcome::Shed { retry_after } => {
+                let class = ctx
+                    .route()
+                    .map_or(RateClass::Query, |route| route.rate_class);
+                AdmissionControl::deny_response(class, retry_after)
+            }
+        };
+        #[cfg(feature = "wallclock")]
+        timer.record(&core.metrics.endpoint_nanos[ctx.endpoint]);
+        response
+    }
+
+    /// The gates below the latency queue, then dispatch.
+    fn serve(&self, ctx: &RequestContext, request: &Request, now: SimTime) -> Response {
+        let core = &self.core;
+        let route = ctx.route();
+        if route.is_some_and(|route| route.auth == RouteAuth::Public) {
+            return router::dispatch(core, ctx.resolution, None, request, now);
+        }
+        // Admission buckets are keyed by the validated caller, so an
+        // invalid or expired token passes through to the 401 below.
+        if let (Some(route), Some(user)) = (route, ctx.user) {
+            if let Admission::Deny { retry_after } =
+                core.admission.admit(user, route.rate_class, now)
+            {
+                core.metrics.admission_denied(route.rate_class).inc();
+                return AdmissionControl::deny_response(route.rate_class, retry_after);
+            }
+        }
+        let Some(user) = ctx.user else {
+            return Response::unauthorized(match request.token {
+                None => "missing bearer token",
+                Some(_) => "invalid or expired token",
+            });
+        };
+        if core.relocated.read().contains(&user) {
+            return Response::error(STATUS_MISDIRECTED, "user relocated to another instance");
+        }
+        core.metrics.authenticated_requests.inc();
+        router::dispatch(core, ctx.resolution, Some(user), request, now)
+    }
+}
+
+/// What the gates need to know about one request, worked out once: the
+/// route-table resolution, its endpoint metric index, and the validated
+/// caller (on public routes too, so the latency queue can place a
+/// registration that carries a live token in its user's lane).
+struct RequestContext {
+    resolution: Resolution,
+    endpoint: usize,
+    user: Option<UserId>,
+}
+
+impl RequestContext {
+    fn new(core: &CloudCore, request: &Request, now: SimTime) -> RequestContext {
+        let resolution = router::resolve(request.method, &request.path);
+        let user = request
+            .token
+            .as_deref()
+            .and_then(|token| core.tokens.read().validate(token, now));
+        RequestContext {
+            resolution,
+            endpoint: resolution.endpoint(),
+            user,
+        }
+    }
+
+    fn route(&self) -> Option<&'static Route> {
+        match self.resolution {
+            Resolution::Matched { route, .. } => Some(route),
+            _ => None,
+        }
     }
 }
 

@@ -9,7 +9,8 @@
 //! which exercises routing, token auth, and JSON marshalling without a
 //! network.
 //!
-//! The six endpoint families of §2.3.3 are implemented in [`instance`]:
+//! The six endpoint families of §2.3.3 are rows of the route table in
+//! [`router`]:
 //!
 //! | Family | Endpoints |
 //! |---|---|
@@ -24,14 +25,14 @@
 //! [`predict`]): typical arrival time at a place, next-visit prediction,
 //! and visit frequency.
 //!
-//! Since the router/middleware refactor, the service is a *stack*: the
-//! declarative route table in [`router`] is the single source of truth
-//! for dispatch, endpoint metric labels, and 404-vs-405 semantics; the
-//! endpoint bodies live in small per-family handler modules; and
-//! cross-cutting behavior (outage injection, request metrics, the
-//! deterministic [`admission`] controller, token auth, shard accounting)
-//! composes as [`layer::Layer`]s over the same seam the client-side
-//! [`transport::FaultyCloud`] decorator uses.
+//! The declarative route table in [`router`] is the single source of
+//! truth for dispatch, endpoint metric labels, and 404-vs-405 semantics;
+//! the endpoint bodies live in small per-family handler modules; and
+//! [`CloudInstance::handle`] is one straight-line request path: it
+//! resolves the route and validates the caller once, then runs the
+//! cross-cutting checks (outage injection, request metrics, the
+//! [`latency`] queue, the deterministic [`admission`] controller, token
+//! auth, relocation) as plain checks over that context before dispatch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +45,6 @@ pub mod geolocate;
 mod handlers;
 pub mod instance;
 pub mod latency;
-pub mod layer;
 pub mod payload;
 pub mod predict;
 pub mod profile;
@@ -66,7 +66,6 @@ pub use latency::{
     EndpointCost, LatencyControl, LatencyProfile, QueueConfig, QueueMode, QueueOutcome,
     LATENCY_BOUNDS_US,
 };
-pub use layer::{Layer, Next};
 pub use payload::{
     ArrivalBody, DiscoverBody, GeolocateBody, GeolocateSignatureBody, HandshakeBody, LabelBody,
     NextVisitBody, Payload, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody,

@@ -10,6 +10,7 @@
 //! hazard of earlier revisions).
 
 use crate::api::{Method, Request, Response};
+use crate::auth::UserId;
 use crate::handlers::{self, Ctx, Handler};
 use crate::payload::{
     self, ArrivalBody, BodyDecoder, DiscoverBody, GeolocateBody, GeolocateSignatureBody, LabelBody,
@@ -325,8 +326,8 @@ pub const ROUTES: [Route; 21] = [
         payload::decode::<PlaceOnlyBody>,
     ),
     // The federation heartbeat: public so the topology router can probe
-    // an instance without holding any user's token, and it runs through
-    // the full layer stack so an injected outage answers 503 — which is
+    // an instance without holding any user's token, and it takes the
+    // full request path so an injected outage answers 503 — which is
     // exactly how a dead instance is detected.
     route(
         Get,
@@ -411,42 +412,36 @@ pub fn resolve(method: Method, path: &str) -> Resolution {
     }
 }
 
-/// Metric-label index for a request: the matched route's row, or
-/// [`OTHER_ENDPOINT`] for 404/405 paths (bounded cardinality by
-/// construction; a wrong-method request keeps the historical `other`
-/// label).
-pub fn endpoint_index(method: Method, path: &str) -> usize {
-    match resolve(method, path) {
-        Resolution::Matched { index, .. } => index,
-        _ => OTHER_ENDPOINT,
+impl Resolution {
+    /// Metric-label index of the resolved request: the matched route's
+    /// row, or [`OTHER_ENDPOINT`] for 404/405 paths (bounded cardinality
+    /// by construction; a wrong-method request keeps the historical
+    /// `other` label).
+    pub fn endpoint(self) -> usize {
+        match self {
+            Resolution::Matched { index, .. } => index,
+            _ => OTHER_ENDPOINT,
+        }
     }
 }
 
-/// The terminal service of the middleware stack: resolve the route, build
-/// the handler context, and invoke the handler. Auth enforcement happens
-/// in the layers above; the dispatcher only re-derives the caller's
-/// identity for the handler context.
+/// Metric-label index for a request (see [`Resolution::endpoint`]).
+pub fn endpoint_index(method: Method, path: &str) -> usize {
+    resolve(method, path).endpoint()
+}
+
+/// Runs the handler of an already-resolved request. The caller has
+/// passed every gate: `user` is the validated caller on a bearer route
+/// and `None` on the public ones.
 pub(crate) fn dispatch(
     core: &crate::state::CloudCore,
+    resolution: Resolution,
+    user: Option<UserId>,
     request: &Request,
     now: pmware_world::SimTime,
 ) -> Response {
-    match resolve(request.method, request.path.as_str()) {
+    match resolution {
         Resolution::Matched { route, .. } => {
-            let user = match route.auth {
-                RouteAuth::Public => None,
-                RouteAuth::Bearer => {
-                    let Some(token) = request.token.as_deref() else {
-                        return Response::unauthorized("missing bearer token");
-                    };
-                    match core.tokens.read().validate(token, now) {
-                        Some(user) => Some(user),
-                        None => {
-                            return Response::unauthorized("invalid or expired token");
-                        }
-                    }
-                }
-            };
             let ctx = Ctx {
                 core,
                 user,

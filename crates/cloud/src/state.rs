@@ -1,11 +1,6 @@
 //! Shared server state: per-user stores, lock shards, registry-backed
-//! metrics, and the [`CloudCore`] bundle every middleware layer and
-//! handler operates on.
-//!
-//! Splitting this out of `instance.rs` is what lets the service be a
-//! *stack*: layers and the router terminal each hold an `Arc<CloudCore>`
-//! and touch exactly the state they need, instead of one monolith owning
-//! both the state and every behavior.
+//! metrics, and the [`CloudCore`] bundle the request path and every
+//! handler operate on.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,15 +80,14 @@ impl Default for UserStore {
 ///
 /// Two registries are involved on purpose. Per-**endpoint** requests,
 /// idempotent-replay counts, admission denials, and the analytics cache
-/// hit/miss counters are order-independent aggregates, so they may bind
-/// to a study-wide shared registry via `CloudInstance::with_obs`.
-/// Per-**shard** counts stay in the instance's private registry always:
-/// the user-id → shard mapping depends on registration order, which races
-/// across thread schedules, and admitting it into a shared snapshot would
-/// break the byte-identical determinism guarantee.
+/// hit/miss counters bind to a study-wide shared registry via
+/// `CloudInstance::with_obs`. The authenticated-request count behind
+/// `CloudInstance::total_requests` stays in the instance's private
+/// registry always, so binding an instance to a shared registry adds no
+/// key to its exports.
 #[derive(Debug)]
 pub(crate) struct CloudMetrics {
-    /// Private always-on registry backing the legacy snapshot views.
+    /// Private always-on registry backing `total_requests`.
     pub(crate) private: Obs,
     /// The registry aggregate metrics bind to (the shared study registry
     /// after `with_obs`, else the private one). Kept so late enablers —
@@ -101,7 +95,9 @@ pub(crate) struct CloudMetrics {
     /// not construction time — bind to the same registry. Lazy resolution
     /// is what keeps a disabled model from adding metric keys.
     pub(crate) shared: Obs,
-    pub(crate) shard_requests: Vec<Counter>,
+    /// Requests that passed auth; requests to the public routes
+    /// (registration, health) are never counted.
+    pub(crate) authenticated_requests: Counter,
     /// Indexed by [`crate::router::endpoint_index`].
     pub(crate) endpoint_requests: Vec<Counter>,
     pub(crate) replay_discover: Counter,
@@ -127,12 +123,7 @@ impl CloudMetrics {
     }
 
     pub(crate) fn resolve(private: Obs, obs: Obs) -> CloudMetrics {
-        let shard_requests = (0..SHARD_COUNT)
-            .map(|i| {
-                let shard = format!("{i:02}");
-                private.counter("cloud_shard_requests_total", &[("shard", &shard)])
-            })
-            .collect();
+        let authenticated_requests = private.counter("cloud_authenticated_requests_total", &[]);
         let endpoint_requests: Vec<Counter> = ENDPOINT_LABELS
             .iter()
             .map(|label| obs.counter("cloud_requests_total", &[("endpoint", label)]))
@@ -155,7 +146,7 @@ impl CloudMetrics {
             .collect();
         CloudMetrics {
             shared: obs.clone(),
-            shard_requests,
+            authenticated_requests,
             endpoint_requests,
             replay_discover: obs.counter("cloud_replays_total", &[("endpoint", "places_discover")]),
             replay_places_sync: obs.counter("cloud_replays_total", &[("endpoint", "places_sync")]),
@@ -182,9 +173,8 @@ impl CloudMetrics {
     }
 }
 
-/// Everything the middleware stack and the handlers operate on. The
-/// layers each hold an `Arc<CloudCore>`; `CloudInstance` is construction,
-/// public accessors, and the stack itself.
+/// Everything the request path and the handlers operate on, owned by
+/// `CloudInstance`.
 #[derive(Debug)]
 pub(crate) struct CloudCore {
     pub(crate) tokens: RwLock<TokenStore>,
@@ -202,7 +192,7 @@ pub(crate) struct CloudCore {
     pub(crate) latency: LatencyControl,
     pub(crate) metrics: CloudMetrics,
     /// Users whose state has been migrated to another instance during a
-    /// federation failover or drain. The relocation layer answers their
+    /// federation failover or drain. The relocation gate answers their
     /// authenticated requests with 421 so the federated endpoint refreshes
     /// its topology instead of mutating abandoned state. A user re-adopted
     /// by this instance (fail-back) is removed from the set.

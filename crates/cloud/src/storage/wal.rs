@@ -30,7 +30,7 @@ pub(crate) enum WalOp {
     /// (boxed: records outnumber grants and a request dwarfs one).
     Request(Box<Request>),
     /// A token the instance issued for this identity (registration or
-    /// refresh). Never replayed through the stack — adoption grafts it
+    /// refresh). Never replayed through `handle` — adoption grafts it
     /// back so the client's live token keeps validating after recovery.
     TokenGrant {
         /// The opaque token string.

@@ -9,7 +9,7 @@
 //!
 //! Two response statuses re-open the control plane, both of which only
 //! occur around a failover or drain: 421 ([`STATUS_MISDIRECTED`], the
-//! relocation layer's "your state moved") and 503 (the instance died).
+//! relocation gate's "your state moved") and 503 (the instance died).
 //! The endpoint re-handshakes once and, if the assignment actually
 //! changed, re-sends the request to the new instance — invisible to the
 //! client's retry loop in the common case. The chaos fault statuses (599,

@@ -18,17 +18,16 @@
 //! until a failover or drain moves them.
 //!
 //! Failover is deterministic and WAL-driven: the router heartbeats every
-//! instance through its full layer stack ([`TopologyRouter::heartbeat`]),
+//! instance through its full request path ([`TopologyRouter::heartbeat`]),
 //! marks dead instances out of the ring, recomputes placement for the
-//! displaced users, and replays each user's migration log ([`wal`]) into
-//! the new instance. Server-side sequence watermarks make the replay
+//! displaced users, and replays each user's migration log into the new
+//! instance. Server-side sequence watermarks make the replay
 //! idempotent, and session adoption transplants the client's *live*
 //! bearer token onto the new instance — the client never learns it moved
 //! beyond one 421-triggered topology refresh.
 
 mod endpoint;
 mod ring;
-mod wal;
 
 pub use endpoint::FederatedEndpoint;
 
@@ -46,10 +45,10 @@ use crate::handlers::with_body;
 use crate::instance::SharedCloud;
 use crate::payload::{HandshakeBody, Payload, TOPOLOGY_HANDSHAKE_PATH};
 use crate::router::{resolve, RateClass, Resolution};
+use crate::storage::wal::{WalLog, WalOp};
 use crate::transport::CloudEndpoint;
 
 use ring::HashRing;
-use wal::MigrationWal;
 
 /// Identifier of one cloud instance inside a federation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -267,7 +266,16 @@ impl RouterState {
 #[derive(Debug)]
 struct RouterInner {
     state: Mutex<RouterState>,
-    wal: MigrationWal,
+    /// The per-user migration write-ahead log, keyed by identity key:
+    /// every successful mutating request (registration plus the
+    /// `Ingest`-class offloads and syncs) in order. A failover replays it
+    /// into the user's new instance through the same idempotent
+    /// [`crate::storage::wal::replay_session`] path crash recovery uses;
+    /// the server-side sequence watermarks make the rebuilt state
+    /// byte-identical to what the dead instance held. Queries and token
+    /// refreshes are never logged — the live token is transplanted
+    /// separately at adoption time.
+    wal: Mutex<WalLog>,
     /// Requests the router itself has answered — handshakes and
     /// 421/503-triggered refreshes only. The federation matrix pins this
     /// to zero growth at steady state: the router is off the hot path.
@@ -312,7 +320,7 @@ impl TopologyRouter {
                     policy,
                     ..RouterState::default()
                 }),
-                wal: MigrationWal::default(),
+                wal: Mutex::default(),
                 control_requests: AtomicU64::new(0),
                 obs: Mutex::new(Obs::disabled()),
             }),
@@ -436,7 +444,7 @@ impl TopologyRouter {
 
     /// WAL entries logged for a device (tests and capacity accounting).
     pub fn wal_len(&self, imei: &str, email: &str) -> usize {
-        self.shared.wal.len_of(&identity_key(imei, email))
+        self.shared.wal.lock().len_of(&identity_key(imei, email))
     }
 
     /// Injects an outage on `id` — the federation matrix's kill switch.
@@ -481,7 +489,7 @@ impl TopologyRouter {
     }
 
     /// Probes every instance with `GET /api/v1/health` through its full
-    /// layer stack (an injected outage answers 503 exactly like real
+    /// request path (an injected outage answers 503 exactly like real
     /// client traffic would fail). Updates health flags, rebuilds the
     /// ring, and bumps the version when anything changed. The typed
     /// health body also carries each instance's queue depth and p99
@@ -604,7 +612,7 @@ impl TopologyRouter {
         let mut adopted: Vec<(String, InstanceId, UserId)> = Vec::new();
         let sink = self.span_sink();
         for job in &jobs {
-            let records = self.shared.wal.replay_of(&job.key);
+            let records = self.shared.wal.lock().suffix(&job.key, 0);
             // The shared idempotent replay path (also the crash-recovery
             // engine). WAL entries keep the span context of the request
             // that first sent them, so replay work shows up as a child of
@@ -766,7 +774,10 @@ impl TopologyRouter {
                 ));
         if mutating {
             let key = identity_key(&identity.imei, &identity.email);
-            self.shared.wal.append(&key, request.clone());
+            self.shared
+                .wal
+                .lock()
+                .append(&key, WalOp::request(request.clone()).compacted());
         }
     }
 }
@@ -989,7 +1000,7 @@ mod tests {
         let report = router.drain_instance(home, now);
         assert_eq!(report.displaced, 1);
         // A stale direct hit on the drained (still healthy) instance gets
-        // the relocation layer's 421…
+        // the relocation gate's 421…
         let old = router.endpoint_of(home).unwrap();
         let stale = old.send(&Request::get("/api/v1/places").with_token(&token), now);
         assert_eq!(stale.status, STATUS_MISDIRECTED);

@@ -30,12 +30,6 @@
 //! at-least-once delivery plus server-side deduplication (sequence
 //! watermarks) yields exactly-once *absorption* — the invariant the chaos
 //! test-suite pins.
-//!
-//! Since the middleware refactor, [`FaultyCloud`] is implemented as a
-//! [`Layer`]: the fault decision wraps a [`Next`] continuation, the same
-//! seam the server-side stack (outage → admission → auth → …) composes
-//! over. Its [`CloudTransport`] impl is a one-liner that runs that layer
-//! over the wrapped cloud, so existing call sites are untouched.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -49,7 +43,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::api::{Request, Response};
 use crate::instance::SharedCloud;
-use crate::layer::{Layer, Next};
 
 /// Synthetic status for a request (or its response) lost in transit: the
 /// client waited out its timeout without hearing back. Retryable.
@@ -435,17 +428,17 @@ impl FaultyCloud {
         let mut state = self.state.lock();
         while let Some(held) = state.held.pop_front() {
             state.metrics.late_deliveries.inc();
-            let _ = Next::new(&[], &self.inner).run(&held.request, now);
+            let _ = self.inner.handle(&held.request, now);
         }
     }
 
     /// Delivers held requests whose due time has passed.
-    fn flush_due(&self, state: &mut FaultState, now: SimTime, next: Next<'_>) {
+    fn flush_due(&self, state: &mut FaultState, now: SimTime) {
         let mut keep = VecDeque::new();
         while let Some(held) = state.held.pop_front() {
             if !held.after_next && held.due <= now {
                 state.metrics.late_deliveries.inc();
-                let _ = next.run(&held.request, now);
+                let _ = self.inner.handle(&held.request, now);
             } else {
                 keep.push_back(held);
             }
@@ -455,12 +448,12 @@ impl FaultyCloud {
 
     /// Delivers held reordered requests (after their successor went
     /// through).
-    fn flush_after_next(&self, state: &mut FaultState, now: SimTime, next: Next<'_>) {
+    fn flush_after_next(&self, state: &mut FaultState, now: SimTime) {
         let mut keep = VecDeque::new();
         while let Some(held) = state.held.pop_front() {
             if held.after_next {
                 state.metrics.late_deliveries.inc();
-                let _ = next.run(&held.request, now);
+                let _ = self.inner.handle(&held.request, now);
             } else {
                 keep.push_back(held);
             }
@@ -471,14 +464,15 @@ impl FaultyCloud {
     fn timeout_response() -> Response {
         Response::error(STATUS_TIMEOUT, "request timed out")
     }
-}
 
-impl Layer for FaultyCloud {
-    fn call(&self, request: &Request, now: SimTime, next: Next<'_>) -> Response {
+    /// Decides and applies the fault for one (already marshalled)
+    /// request, delivering whatever reaches the server to the wrapped
+    /// cloud.
+    fn deliver(&self, request: &Request, now: SimTime) -> Response {
         let mut state = self.state.lock();
         state.metrics.requests.inc();
         // Held traffic whose due time has passed lands first.
-        self.flush_due(&mut state, now, next);
+        self.flush_due(&mut state, now);
         let decision = state.decide(request);
         if let Some(kind) = decision {
             state.metrics.kind(kind).inc();
@@ -513,9 +507,9 @@ impl Layer for FaultyCloud {
         }
         match decision {
             None => {
-                let response = next.run(request, now);
+                let response = self.inner.handle(request, now);
                 // A reordered predecessor is delivered right behind us.
-                self.flush_after_next(&mut state, now, next);
+                self.flush_after_next(&mut state, now);
                 response
             }
             Some(FaultKind::Drop) => Self::timeout_response(),
@@ -540,8 +534,8 @@ impl Layer for FaultyCloud {
                 Self::timeout_response()
             }
             Some(FaultKind::Duplicate) => {
-                let _first = next.run(request, now);
-                next.run(request, now)
+                let _first = self.inner.handle(request, now);
+                self.inner.handle(request, now)
             }
         }
     }
@@ -552,7 +546,7 @@ impl CloudTransport for FaultyCloud {
         // The fault boundary is where the wire exists: spell the request
         // as JSON bytes (rendered once and cached on the request, so a
         // retry schedule re-sends the same encoding), parse them back,
-        // run the fault layer over the wrapped cloud, and round-trip the
+        // apply the fault decision over the wrapped cloud, and round-trip the
         // response the same way — the full marshalling path the Django
         // service saw. An undecorated [`SharedCloud`] endpoint skips all
         // of this and moves typed payloads end-to-end.
@@ -562,7 +556,7 @@ impl CloudTransport for FaultyCloud {
         let parsed = Request::from_bytes(request.wire_bytes())
             .expect("request round-trips")
             .with_ctx(request.ctx);
-        let response = self.call(&parsed, now, Next::new(&[], &self.inner));
+        let response = self.deliver(&parsed, now);
         let latency = response.latency_us();
         let wire = Response::from_bytes(&response.to_bytes()).expect("response round-trips");
         match latency {

@@ -1,16 +1,16 @@
-//! End-to-end endpoint tests through the full middleware stack.
+//! End-to-end endpoint tests through the full request path.
 //!
 //! These exercise every route family via `CloudInstance::handle` — i.e.
-//! outage, metrics, admission, auth, and shard accounting layers plus the
-//! route-table dispatcher — exactly as a client sees the service. They
-//! were the `instance.rs` unit tests before the router/middleware
-//! refactor; keeping them green, unmodified in substance, is the proof
-//! that the decomposition is behavior-preserving.
+//! the outage, metrics, queue, admission, auth, and relocation gates plus
+//! the route-table dispatcher — exactly as a client sees the service.
 
 use pmware_algorithms::gca::GcaConfig;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
 use pmware_cloud::profile::{ContactEntry, MobilityProfile, PlaceEntry};
-use pmware_cloud::{CellDatabase, CloudInstance, Request, SharedCloud, UserId, SHARD_COUNT};
+use pmware_cloud::{
+    AdmissionConfig, CellDatabase, CloudInstance, LatencyProfile, QueueConfig, QueueMode,
+    RateBudget, Request, SharedCloud, UserId,
+};
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
 use pmware_world::tower::NetworkLayer;
@@ -711,20 +711,16 @@ fn malformed_body_is_400() {
 }
 
 #[test]
-fn request_counters_attribute_to_user_shards() {
+fn total_requests_counts_authenticated_requests() {
     let c = cloud();
     let now = SimTime::EPOCH;
-    let t0 = register(&c, 0, now); // UserId(0) → shard 0
-    let t1 = register(&c, 1, now); // UserId(1) → shard 1
+    let t0 = register(&c, 0, now);
+    let t1 = register(&c, 1, now);
     assert_eq!(c.total_requests(), 0, "registration is unauthenticated");
     for _ in 0..3 {
         c.handle(&Request::get("/api/v1/places").with_token(&t0), now);
     }
     c.handle(&Request::get("/api/v1/places").with_token(&t1), now);
-    let counts = c.shard_request_counts();
-    assert_eq!(counts.len(), SHARD_COUNT);
-    assert_eq!(counts[0], 3);
-    assert_eq!(counts[1], 1);
     assert_eq!(c.total_requests(), 4);
 }
 
@@ -749,9 +745,14 @@ fn registrations_count_under_the_register_endpoint_label() {
         1
     );
     // Shard attribution stays out of the shared registry (its labels
-    // depend on registration order, which is racy under threads).
+    // depend on registration order, which is racy under threads), and so
+    // does the private count behind `total_requests`.
     assert_eq!(
         snap.counter_sum_with_prefix("cloud_shard_requests_total"),
+        0
+    );
+    assert_eq!(
+        snap.counter_sum_with_prefix("cloud_authenticated_requests_total"),
         0
     );
 }
@@ -891,4 +892,296 @@ fn batched_discover_edge_cases_yield_400_not_panics() {
     );
     let resp = c.handle(&Request::get("/api/v1/places").with_token(&token), now);
     assert!(resp.is_success(), "server survived: {resp:?}");
+}
+
+// ---------------------------------------------------------------------
+// Gate precedence: which check answers a request first.
+//
+// Every case starts from a fresh instance bound to its own registry with
+// one registered user, puts it in the state under test, and sends one
+// probe. The probe's status and error text say which gate answered; the
+// counter deltas say which gates it passed on the way (the endpoint
+// counter, the authenticated-request count, admission denials and queue
+// sheds).
+// ---------------------------------------------------------------------
+
+/// A fresh instance with one registered user (`imei-0`).
+struct Scene {
+    cloud: CloudInstance,
+    obs: Obs,
+    token: String,
+    user: UserId,
+}
+
+fn scene() -> Scene {
+    let obs = Obs::new();
+    let cloud = cloud().with_obs(&obs);
+    let resp = cloud.handle(&registration(0), SimTime::EPOCH);
+    assert!(resp.is_success(), "{resp:?}");
+    let body = resp.json();
+    Scene {
+        token: body["token"].as_str().unwrap().to_owned(),
+        user: UserId(body["user"].as_u64().unwrap() as u32),
+        cloud,
+        obs,
+    }
+}
+
+fn registration(n: u32) -> Request {
+    Request::post(
+        "/api/v1/registration",
+        json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
+    )
+}
+
+fn list_places(token: &str) -> Request {
+    Request::get("/api/v1/places").with_token(token)
+}
+
+fn at(seconds: u64) -> SimTime {
+    SimTime::EPOCH + SimDuration::from_seconds(seconds)
+}
+
+/// Enables admission control: `burst` requests per class, one token back
+/// every `refill_s` seconds.
+fn budget(s: &Scene, burst: u32, refill_s: u64) {
+    s.cloud.set_admission(Some(AdmissionConfig::uniform(
+        7,
+        RateBudget::new(burst, SimDuration::from_seconds(refill_s)),
+    )));
+}
+
+/// Admission budget 2, and a latency queue that sheds at depth 1 with a
+/// 5 s service time; one admitted request then holds the user's lane
+/// until `at(5)`.
+fn busy_lane(s: &Scene) {
+    budget(s, 2, 600);
+    let queue = QueueConfig {
+        mode: QueueMode::PerUser,
+        shed_depth: 1,
+    };
+    s.cloud.set_latency(Some(
+        LatencyProfile::uniform(3, 5_000_000, 0).with_queue(queue),
+    ));
+    assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
+}
+
+/// What a probe produced and which counters it moved.
+#[derive(Debug, PartialEq)]
+struct GateOutcome {
+    status: u16,
+    error: Option<String>,
+    allow: Option<Value>,
+    /// `cloud_requests_total{endpoint}` delta for the probe's label.
+    endpoint_requests: u64,
+    /// `total_requests()` delta.
+    authenticated: u64,
+    /// `admission_denials()` delta.
+    denied: u64,
+    /// `queue_shed_count()` delta.
+    shed: u64,
+}
+
+/// The expected outcome, counter deltas in the order
+/// `[endpoint_requests, authenticated, denied, shed]`.
+fn gate(status: u16, error: Option<&str>, deltas: [u64; 4]) -> GateOutcome {
+    GateOutcome {
+        status,
+        error: error.map(str::to_owned),
+        allow: None,
+        endpoint_requests: deltas[0],
+        authenticated: deltas[1],
+        denied: deltas[2],
+        shed: deltas[3],
+    }
+}
+
+struct GateCase {
+    name: &'static str,
+    /// Puts the scene in the state under test; returns the probe and the
+    /// instant it is sent at.
+    arrange: fn(&Scene) -> (Request, SimTime),
+    /// The `cloud_requests_total` label the probe counts under.
+    endpoint: &'static str,
+    expect: GateOutcome,
+}
+
+fn probe(case: &GateCase) -> GateOutcome {
+    let s = scene();
+    let (request, now) = (case.arrange)(&s);
+    let key = format!("cloud_requests_total{{endpoint=\"{}\"}}", case.endpoint);
+    let counted = |s: &Scene| s.obs.metrics().unwrap().snapshot().counter_value(&key);
+    let before = (
+        counted(&s),
+        s.cloud.total_requests(),
+        s.cloud.admission_denials(),
+        s.cloud.queue_shed_count(),
+    );
+    let resp = s.cloud.handle(&request, now);
+    let body = resp.json();
+    GateOutcome {
+        status: resp.status,
+        error: resp.error_message().map(str::to_owned),
+        allow: body.get("allow").cloned(),
+        endpoint_requests: counted(&s) - before.0,
+        authenticated: s.cloud.total_requests() - before.1,
+        denied: s.cloud.admission_denials() - before.2,
+        shed: s.cloud.queue_shed_count() - before.3,
+    }
+}
+
+#[test]
+fn gates_answer_in_a_fixed_order() {
+    const EXPIRED: u64 = 25 * 3600;
+    let unauthorized = Some("invalid or expired token");
+    let cases = vec![
+        GateCase {
+            name: "outage on a routed path",
+            arrange: |s| {
+                s.cloud.set_outage(true);
+                (list_places(&s.token), at(0))
+            },
+            endpoint: "places_list",
+            expect: gate(503, Some("service unavailable"), [0, 0, 0, 0]),
+        },
+        GateCase {
+            name: "outage on an unrouted path",
+            arrange: |s| {
+                s.cloud.set_outage(true);
+                (Request::get("/api/v1/nope").with_token(&s.token), at(0))
+            },
+            endpoint: "other",
+            expect: gate(503, Some("service unavailable"), [0, 0, 0, 0]),
+        },
+        GateCase {
+            name: "missing token on an unrouted path",
+            arrange: |_| (Request::get("/api/v1/nope"), at(0)),
+            endpoint: "other",
+            expect: gate(401, Some("missing bearer token"), [1, 0, 0, 0]),
+        },
+        GateCase {
+            name: "expired token on an unrouted path",
+            arrange: |s| {
+                (
+                    Request::get("/api/v1/nope").with_token(&s.token),
+                    at(EXPIRED),
+                )
+            },
+            endpoint: "other",
+            expect: gate(401, unauthorized, [1, 0, 0, 0]),
+        },
+        GateCase {
+            name: "valid token on an unrouted path",
+            arrange: |s| (Request::get("/api/v1/nope").with_token(&s.token), at(0)),
+            endpoint: "other",
+            expect: gate(404, Some("no route for /api/v1/nope"), [1, 1, 0, 0]),
+        },
+        GateCase {
+            name: "wrong method with a valid token",
+            arrange: |s| {
+                (
+                    Request::get("/api/v1/places/sync").with_token(&s.token),
+                    at(0),
+                )
+            },
+            endpoint: "other",
+            expect: GateOutcome {
+                allow: Some(json!(["POST"])),
+                ..gate(405, Some("method not allowed"), [1, 1, 0, 0])
+            },
+        },
+        GateCase {
+            // The probe is shed by the queue before admission sees it.
+            name: "queue-shed request",
+            arrange: |s| {
+                busy_lane(s);
+                (list_places(&s.token), at(0))
+            },
+            endpoint: "places_list",
+            expect: gate(429, Some("rate limited"), [1, 0, 0, 1]),
+        },
+        GateCase {
+            // A shed, then the lane drains: the shed request took no
+            // admission token, so the second one of the burst is still
+            // there.
+            name: "after a queue shed the admission budget is intact",
+            arrange: |s| {
+                busy_lane(s);
+                let shed = s.cloud.handle(&list_places(&s.token), at(0));
+                assert_eq!(shed.status, 429, "{shed:?}");
+                (list_places(&s.token), at(5))
+            },
+            endpoint: "places_list",
+            expect: gate(200, None, [1, 1, 0, 0]),
+        },
+        GateCase {
+            name: "over budget with a valid token",
+            arrange: |s| {
+                budget(s, 1, 600);
+                assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
+                (list_places(&s.token), at(0))
+            },
+            endpoint: "places_list",
+            expect: gate(429, Some("rate limited"), [1, 0, 1, 0]),
+        },
+        GateCase {
+            // Only validated callers have a bucket: the expired token is
+            // rejected by auth, not throttled.
+            name: "over budget with an expired token",
+            arrange: |s| {
+                budget(s, 1, 2 * EXPIRED);
+                assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
+                (list_places(&s.token), at(EXPIRED))
+            },
+            endpoint: "places_list",
+            expect: gate(401, unauthorized, [1, 0, 0, 0]),
+        },
+        GateCase {
+            name: "relocated user within budget",
+            arrange: |s| {
+                budget(s, 1, 600);
+                s.cloud.mark_relocated(s.user);
+                (list_places(&s.token), at(0))
+            },
+            endpoint: "places_list",
+            expect: gate(
+                421,
+                Some("user relocated to another instance"),
+                [1, 0, 0, 0],
+            ),
+        },
+        GateCase {
+            name: "relocated user over budget",
+            arrange: |s| {
+                budget(s, 1, 600);
+                assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
+                s.cloud.mark_relocated(s.user);
+                (list_places(&s.token), at(0))
+            },
+            endpoint: "places_list",
+            expect: gate(429, Some("rate limited"), [1, 0, 1, 0]),
+        },
+        GateCase {
+            // The refresh spends the user's only `auth`-class token; the
+            // public registration route is never throttled, even when the
+            // caller attaches a valid token.
+            name: "registration while over budget",
+            arrange: |s| {
+                budget(s, 1, 600);
+                let refresh =
+                    Request::post("/api/v1/token/refresh", Value::Null).with_token(&s.token);
+                let resp = s.cloud.handle(&refresh, at(0));
+                assert!(resp.is_success(), "{resp:?}");
+                let token = resp.json()["token"].as_str().unwrap().to_owned();
+                let denied = s.cloud.handle(&refresh.with_token(&token), at(0));
+                assert_eq!(denied.status, 429, "{denied:?}");
+                (registration(0).with_token(&token), at(0))
+            },
+            endpoint: "register",
+            expect: gate(200, None, [1, 0, 0, 0]),
+        },
+    ];
+    for case in &cases {
+        assert_eq!(probe(case), case.expect, "{}", case.name);
+    }
 }
