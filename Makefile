@@ -122,10 +122,13 @@ bench-federation:
 
 # The storage gate: the engine's golden tests — byte-identical durable
 # replay after a crash, deterministic LRU eviction, evicted-user
-# failover, and the capped-vs-uncapped proptest equivalence — plus the
-# durable arm of the chaos matrix.
+# failover, and the capped-vs-uncapped proptest equivalence — the
+# engine's unit tests (snapshot layout, park/hydrate fidelity, failed
+# snapshot writes) and the binary GCA-log codec's, plus the durable arm
+# of the chaos matrix.
 test-storage:
 	cargo test --release -q -p pmware-cloud --test storage
+	cargo test --release -q -p pmware-cloud --lib -- storage:: wire::
 	cargo test --release --test chaos_matrix chaos_matrix_durable_crash_recovery_converges
 
 # Storage soak: capped-RSS-vs-population ladder (each arm in its own

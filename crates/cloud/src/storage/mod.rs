@@ -60,7 +60,7 @@ use crate::payload::{Payload, RegistrationBody, RequestBody, REGISTRATION_PATH};
 use crate::state::{UserStore, SHARD_COUNT};
 
 use residency::{ResidencyState, Shard};
-use snapshot::{SnapshotStore, UserSnapshot};
+use snapshot::{Parked, SnapshotStore};
 use wal::{WalLog, WalOp, WalRecord};
 
 pub(crate) use snapshot::fnv64;
@@ -191,6 +191,10 @@ impl WalState {
 #[derive(Debug)]
 pub(crate) struct EngineInner {
     enabled: AtomicBool,
+    /// Enabled with a store directory: the WAL and snapshots persist.
+    /// Mirrors `WalState::dir` so the per-request tick reads an atomic
+    /// instead of taking the WAL mutex.
+    durable: AtomicBool,
     /// Per-user lock shards — the resident population.
     shards: Vec<Shard>,
     config: RwLock<StorageConfig>,
@@ -252,6 +256,7 @@ impl StorageEngine {
         StorageEngine {
             inner: Arc::new(EngineInner {
                 enabled: AtomicBool::new(false),
+                durable: AtomicBool::new(false),
                 shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
                 config: RwLock::new(StorageConfig::default()),
                 wal: Mutex::new(WalState {
@@ -284,7 +289,7 @@ impl StorageEngine {
 
     /// Whether durable mode (a store directory) is active.
     pub(crate) fn is_durable(&self) -> bool {
-        self.is_enabled() && self.inner.wal.lock().dir.is_some()
+        self.inner.durable.load(Ordering::SeqCst)
     }
 
     /// The shard a user's resident store lives in.
@@ -335,6 +340,9 @@ impl StorageEngine {
                 wal.dir = None;
             }
             wal.files = (0..SHARD_COUNT).map(|_| None).collect();
+            self.inner
+                .durable
+                .store(wal.dir.is_some(), Ordering::SeqCst);
         }
         self.inner.snapshots.set_dir(config.store_dir.as_deref());
         *self.inner.metrics.write() = StorageMetrics {
@@ -367,6 +375,7 @@ impl StorageEngine {
         if !self.inner.enabled.swap(false, Ordering::SeqCst) {
             return;
         }
+        self.inner.durable.store(false, Ordering::SeqCst);
         // Bring every parked user back to RAM: the disabled engine has no
         // hydration path, so state must not stay stranded in snapshots.
         for key in self.inner.snapshots.keys() {
@@ -442,13 +451,11 @@ impl StorageEngine {
             let Some(store) = store else {
                 continue;
             };
-            let json = {
-                let store = store.lock();
-                serde_json::to_string(&UserSnapshot::from_store(&store))
-                    .expect("snapshot serializes")
-            };
+            let parked = Parked::of(&store.lock());
             let wal_seq = self.inner.wal.lock().log.last_seq(&key);
-            self.inner.snapshots.put(&key, wal_seq, json);
+            // A failed write keeps the snapshot resident and out of the
+            // watermarks below, so its WAL records stay on disk.
+            let _ = self.inner.snapshots.put(&key, wal_seq, parked);
         }
         let watermarks = self.inner.snapshots.watermarks();
         let mut wal = self.inner.wal.lock();
@@ -568,13 +575,12 @@ impl StorageEngine {
     /// suffix past the snapshot watermark. Returns `(store, hydrated,
     /// wal records replayed)`; `hydrated` is false for a brand-new user.
     fn hydrate_build(&self, key: &str, config: &GcaConfig) -> (UserStore, bool, u64) {
-        let (mut store, watermark, had_snapshot) = match self.inner.snapshots.get(key) {
-            Some((wal_seq, json)) => match serde_json::from_str::<UserSnapshot>(&json) {
-                Ok(snapshot) => (snapshot.into_store(), wal_seq, true),
-                Err(_) => (UserStore::default(), 0, false),
-            },
-            None => (UserStore::default(), 0, false),
-        };
+        let parked = self.inner.snapshots.get(key);
+        let (mut store, watermark, had_snapshot) =
+            match parked.map(|(wal_seq, parked)| (wal_seq, parked.to_store())) {
+                Some((wal_seq, Ok(store))) => (store, wal_seq, true),
+                _ => (UserStore::default(), 0, false),
+            };
         let suffix: Vec<WalRecord> = self.inner.wal.lock().log.suffix(key, watermark);
         let mut replayed = 0;
         for record in &suffix {
@@ -611,16 +617,15 @@ impl StorageEngine {
         let key = self.key_of(victim);
         let store = self.shard(victim).users.read().get(&victim).cloned();
         if let Some(store) = store {
-            let json = {
-                let store = store.lock();
-                serde_json::to_string(&UserSnapshot::from_store(&store))
-                    .expect("snapshot serializes")
-            };
+            let parked = Parked::of(&store.lock());
             let wal_seq = self.inner.wal.lock().log.last_seq(&key);
-            self.inner.snapshots.put(&key, wal_seq, json);
             // Drop the in-memory records the snapshot now covers — this
             // prune is what keeps capped RSS flat as history accumulates.
-            self.inner.wal.lock().log.compact(&key, wal_seq);
+            // A snapshot that failed to reach disk stays resident, and the
+            // records it covers stay in the log for the on-disk rewrite.
+            if self.inner.snapshots.put(&key, wal_seq, parked).is_ok() {
+                self.inner.wal.lock().log.compact(&key, wal_seq);
+            }
             self.shard(victim).users.write().remove(&victim);
         }
         res.remove(victim);
@@ -812,9 +817,7 @@ impl StorageEngine {
             }
         }
         for key in self.inner.snapshots.keys() {
-            self.inner
-                .snapshots
-                .edit_snapshot(&key, UserSnapshot::clear_gca);
+            self.inner.snapshots.clear_gca(&key);
         }
     }
 }
@@ -822,6 +825,7 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use snapshot::tests::{assert_same_state, multi_day_store};
 
     fn engine() -> StorageEngine {
         StorageEngine::new()
@@ -893,6 +897,92 @@ mod tests {
         drop(pinned);
         let _third = engine.acquire(UserId(3), SimTime::from_seconds(3), &gca);
         assert!(!engine.is_resident(UserId(1)), "unpinned LRU evicted");
+    }
+
+    /// A durable engine with a cap of one over a fresh directory.
+    fn durable_engine(name: &str) -> (StorageEngine, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pmware-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let engine = engine();
+        engine.configure(
+            Some(StorageConfig {
+                resident_cap: Some(1),
+                store_dir: Some(dir.clone()),
+                snapshot_every_days: 0,
+            }),
+            &Obs::new(),
+            &GcaConfig::default(),
+        );
+        (engine, dir)
+    }
+
+    /// A snapshot file that cannot be written must not lose the evicted
+    /// user: the parked bytes stay resident and hydration reads them.
+    #[test]
+    fn failed_snapshot_write_keeps_the_user_hydratable() {
+        let (engine, dir) = durable_engine("snap-fail");
+        let gca = gca_lock();
+        // Snapshot writes now fail: `snapshots/` is a plain file.
+        let snapshots = dir.join("snapshots");
+        fs::remove_dir_all(&snapshots).unwrap();
+        fs::write(&snapshots, b"not a directory").unwrap();
+
+        *engine
+            .acquire(UserId(1), SimTime::from_seconds(1), &gca)
+            .lock() = multi_day_store(3);
+        drop(engine.acquire(UserId(2), SimTime::from_seconds(2), &gca));
+        assert!(!engine.is_resident(UserId(1)), "user 1 was evicted");
+        assert!(
+            engine.inner.snapshots.watermarks().is_empty(),
+            "an unwritten snapshot is not compactable"
+        );
+
+        let guard = engine.acquire(UserId(1), SimTime::from_seconds(3), &gca);
+        let expected = multi_day_store(3);
+        let store = guard.lock();
+        assert_same_state(&store, &expected);
+        assert_eq!(
+            store.gca.as_ref().unwrap().observations(),
+            expected.gca.as_ref().unwrap().observations()
+        );
+        drop(store);
+        let _ = fs::remove_file(&snapshots);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A GCA config change drops the log block of a snapshot parked on
+    /// disk and keeps everything else.
+    #[test]
+    fn invalidate_gca_drops_the_parked_log_block() {
+        let (engine, dir) = durable_engine("snap-gca");
+        let gca = gca_lock();
+        *engine
+            .acquire(UserId(1), SimTime::from_seconds(1), &gca)
+            .lock() = multi_day_store(2);
+        drop(engine.acquire(UserId(2), SimTime::from_seconds(2), &gca));
+        let key = fallback_key(UserId(1));
+        let before = engine.inner.snapshots.get(&key).unwrap().1;
+        assert!(before.to_store().unwrap().gca.is_some());
+
+        engine.invalidate_gca();
+        let files: Vec<PathBuf> = fs::read_dir(dir.join("snapshots"))
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 1, "only user 1 is parked");
+        let text = String::from_utf8_lossy(&fs::read(&files[0]).unwrap()).into_owned();
+        let header = text.lines().next().unwrap();
+        assert!(header.contains("\"log_len\":0,"), "{header}");
+        assert!(text.ends_with('}'), "the file ends with the store JSON");
+        let (_, after) = engine.inner.snapshots.get(&key).unwrap();
+        assert_eq!(after, Parked::of(&after.to_store().unwrap()));
+        let guard = engine.acquire(UserId(1), SimTime::from_seconds(3), &gca);
+        let store = guard.lock();
+        assert!(store.gca.is_none(), "the engine is gone");
+        assert_eq!(Parked::of(&store), after, "nothing but the log block left");
+        assert_same_state(&store, &multi_day_store(2));
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

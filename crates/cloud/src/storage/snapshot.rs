@@ -11,44 +11,58 @@
 //! history generation (deserializing rebuilds the history via upserts, so
 //! the generation counter restarts).
 //!
-//! Residency-cap-only mode parks snapshots in memory (bounding the
+//! A parked store is a [`Parked`] pair. The store JSON holds everything
+//! but the GCA observation log, which dominates a long-lived user's
+//! state; the log goes beside it as the binary column block of
+//! [`ObservationBatch::to_bytes`]. A store without a discovery engine has
+//! an empty log block. On disk, one file per identity key
+//! (`snapshots/<safe key>-<fnv>.snap`) holds three parts back to back:
+//!
+//! ```text
+//! {"key":…,"log_len":…,"store_len":…,"wal_seq":…}\n   one JSON header line
+//! <store_len bytes of store JSON>
+//! <log_len bytes of the GCA log block>
+//! ```
+//!
+//! Crash recovery ([`SnapshotStore::load`]) reads only the header lines;
+//! hydration reads one file whole. Files are written to `<file>.tmp` and
+//! renamed into place, so a crash mid-write leaves the previous snapshot.
+//!
+//! Residency-cap-only mode parks the same pair in memory (bounding the
 //! expensive live state — engines, graphs, indexes — not total RSS).
-//! With a store directory configured, snapshot bytes go to disk under
-//! `<store_dir>/snapshots/` and only the per-key WAL watermark stays
-//! resident, which is what keeps capped RSS flat as the population grows.
+//! With a store directory configured, snapshot bytes go to disk and only
+//! the per-key WAL watermark stays resident, which is what keeps capped
+//! RSS flat as the population grows. A snapshot whose file could not be
+//! written stays resident instead, so hydration still finds it.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
+use std::io::{self, BufRead as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
 use pmware_algorithms::gca::{GcaConfig, IncrementalGca};
 use pmware_algorithms::route::RouteStore;
 use pmware_algorithms::signature::DiscoveredPlace;
-use pmware_world::GsmObservation;
 use serde::{Deserialize, Serialize};
 
 use crate::analytics::ProfileHistory;
 use crate::predict::MarkovPredictor;
 use crate::profile::ContactEntry;
 use crate::state::UserStore;
+use crate::wire::ObservationBatch;
 
-/// The discovery engine's durable form: its config plus the full absorbed
-/// log. Rebuilt on hydration by one batch absorb.
+/// Serialized form of one [`UserStore`], minus the GCA observation log
+/// (the [`Parked`] log block).
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct GcaSnapshot {
-    config: GcaConfig,
-    log: Vec<GsmObservation>,
-}
-
-/// Serialized form of one [`UserStore`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub(crate) struct UserSnapshot {
+struct UserSnapshot {
     places: Vec<DiscoveredPlace>,
     routes: RouteStore,
     history: ProfileHistory,
     contacts: Vec<ContactEntry>,
-    gca: Option<GcaSnapshot>,
+    /// The discovery engine's config, present when the store has an
+    /// engine; its observation log is the log block.
+    gca: Option<GcaConfig>,
     /// Present only when the memo was current at snapshot time.
     next_place: Option<MarkovPredictor>,
     absorbed_upto: u64,
@@ -60,14 +74,18 @@ pub(crate) struct UserSnapshot {
     routes_seq: u64,
 }
 
-impl UserSnapshot {
+/// One parked store: the store JSON and the GCA log block (empty when
+/// the store has no discovery engine).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Parked {
+    store: String,
+    log: Vec<u8>,
+}
+
+impl Parked {
     /// Captures a store. The store is not consumed: eviction serializes
     /// under the store mutex, then drops the live entry.
-    pub(crate) fn from_store(store: &UserStore) -> UserSnapshot {
-        let gca = store.gca.as_ref().map(|engine| GcaSnapshot {
-            config: engine.config().clone(),
-            log: engine.observations().to_vec(),
-        });
+    pub(crate) fn of(store: &UserStore) -> Parked {
         // Persist the memoized predictor only if it is current — a stale
         // memo would be dropped on the next query anyway.
         let next_place = store
@@ -75,63 +93,103 @@ impl UserSnapshot {
             .as_ref()
             .filter(|(generation, _)| *generation == store.history.generation())
             .map(|(_, model)| model.clone());
-        UserSnapshot {
+        let snapshot = UserSnapshot {
             places: store.places.clone(),
             routes: store.routes.clone(),
             history: store.history.clone(),
             contacts: store.contacts.clone(),
-            gca,
+            gca: store.gca.as_ref().map(|engine| engine.config().clone()),
             next_place,
             absorbed_upto: store.absorbed_upto,
             contacts_absorbed: store.contacts_absorbed,
             profile_seq: store.profile_seq.iter().map(|(k, v)| (*k, *v)).collect(),
             places_seq: store.places_seq,
             routes_seq: store.routes_seq,
+        };
+        let log = store.gca.as_ref().map_or_else(Vec::new, |engine| {
+            ObservationBatch::encode(engine.observations()).to_bytes()
+        });
+        Parked {
+            store: serde_json::to_string(&snapshot).expect("snapshot serializes"),
+            log,
         }
     }
 
     /// Rebuilds the live store.
-    pub(crate) fn into_store(self) -> UserStore {
-        let gca = self.gca.map(|snapshot| {
-            let mut engine = IncrementalGca::new(snapshot.config);
-            engine.absorb(&snapshot.log);
-            engine
-        });
-        let history = self.history;
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the defect when the store JSON does not
+    /// parse, the log block does not decode, or the two disagree on
+    /// whether the store has a discovery engine.
+    pub(crate) fn to_store(&self) -> Result<UserStore, String> {
+        let snapshot: UserSnapshot =
+            serde_json::from_str(&self.store).map_err(|e| format!("store JSON: {e}"))?;
+        let gca = match (snapshot.gca, self.log.is_empty()) {
+            (Some(config), false) => {
+                let log = ObservationBatch::from_bytes(&self.log)?.decode()?;
+                let mut engine = IncrementalGca::new(config);
+                engine.absorb(&log);
+                Some(engine)
+            }
+            (None, true) => None,
+            (Some(_), true) => return Err("engine config without a log block".to_owned()),
+            (None, false) => return Err("log block without an engine config".to_owned()),
+        };
+        let history = snapshot.history;
         // Re-tag the memo with the rebuilt history's generation: custom
         // deserialization replays upserts, so the counter restarts at the
         // profile count rather than the original run's value.
-        let next_place = self.next_place.map(|model| (history.generation(), model));
-        UserStore {
-            places: self.places,
-            routes: self.routes,
+        let next_place = snapshot
+            .next_place
+            .map(|model| (history.generation(), model));
+        Ok(UserStore {
+            places: snapshot.places,
+            routes: snapshot.routes,
             history,
-            contacts: self.contacts,
+            contacts: snapshot.contacts,
             gca,
             next_place,
-            absorbed_upto: self.absorbed_upto,
-            contacts_absorbed: self.contacts_absorbed,
-            profile_seq: self.profile_seq.into_iter().collect(),
-            places_seq: self.places_seq,
-            routes_seq: self.routes_seq,
-        }
+            absorbed_upto: snapshot.absorbed_upto,
+            contacts_absorbed: snapshot.contacts_absorbed,
+            profile_seq: snapshot.profile_seq.into_iter().collect(),
+            places_seq: snapshot.places_seq,
+            routes_seq: snapshot.routes_seq,
+        })
     }
 
-    /// Drops the cached discovery engine (the GCA config changed; the
-    /// next offload rebuilds under the new parameters).
-    pub(crate) fn clear_gca(&mut self) {
-        self.gca = None;
+    /// The same snapshot without its discovery engine (the GCA config
+    /// changed; the next offload rebuilds under the new parameters).
+    fn without_gca(&self) -> Result<Parked, String> {
+        let mut snapshot: UserSnapshot =
+            serde_json::from_str(&self.store).map_err(|e| format!("store JSON: {e}"))?;
+        snapshot.gca = None;
+        Ok(Parked {
+            store: serde_json::to_string(&snapshot).expect("snapshot serializes"),
+            log: Vec::new(),
+        })
     }
 }
 
-/// One parked snapshot. `json` is `None` when the bytes live on disk
-/// (durable mode): only the watermark stays resident.
+/// The header line of a snapshot file. The key inside is authoritative
+/// (file names are sanitized); the lengths split the rest of the file.
+#[derive(Debug, Serialize, Deserialize)]
+struct SnapshotHeader {
+    key: String,
+    log_len: u64,
+    store_len: u64,
+    wal_seq: u64,
+}
+
+/// One parked snapshot. `resident` is `None` when the bytes live on
+/// disk (durable mode): only the watermark stays resident.
 #[derive(Debug, Clone)]
 struct StoredSnapshot {
     /// Highest WAL sequence folded into the snapshot.
     wal_seq: u64,
-    /// The serialized [`UserSnapshot`] — in-memory mode only.
-    json: Option<String>,
+    /// The parked pair — always in cap-only mode, and in durable mode
+    /// while the latest file write has failed.
+    resident: Option<Parked>,
 }
 
 #[derive(Debug, Default)]
@@ -157,6 +215,9 @@ pub(crate) fn fnv64(key: &str) -> u64 {
     hash
 }
 
+/// The extension of snapshot files.
+const SNAPSHOT_EXT: &str = "snap";
+
 /// A filesystem-safe spelling of an identity key: alphanumerics survive,
 /// everything else becomes `_`, and an FNV suffix keeps collided
 /// sanitizations apart.
@@ -166,58 +227,112 @@ fn file_name_of(key: &str) -> String {
         .take(48)
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    format!("{safe}-{:016x}.json", fnv64(key))
+    format!("{safe}-{:016x}.{SNAPSHOT_EXT}", fnv64(key))
+}
+
+/// Writes `key`'s snapshot file: header line, store JSON, log block,
+/// into `<file>.tmp`, then renamed over the live file.
+fn write_file(dir: &Path, key: &str, wal_seq: u64, parked: &Parked) -> io::Result<()> {
+    let header = SnapshotHeader {
+        key: key.to_owned(),
+        log_len: parked.log.len() as u64,
+        store_len: parked.store.len() as u64,
+        wal_seq,
+    };
+    let header = serde_json::to_string(&header).expect("header serializes");
+    let path = dir.join(file_name_of(key));
+    let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(header.as_bytes())?;
+    file.write_all(b"\n")?;
+    file.write_all(parked.store.as_bytes())?;
+    file.write_all(&parked.log)?;
+    drop(file);
+    fs::rename(&tmp, &path)
+}
+
+/// Reads a whole snapshot file back into its parked pair. `None` when
+/// the file is missing or its parts do not add up.
+fn read_file(path: &Path) -> Option<Parked> {
+    let mut bytes = fs::read(path).ok()?;
+    let newline = bytes.iter().position(|&b| b == b'\n')?;
+    let header: SnapshotHeader = serde_json::from_slice(&bytes[..newline]).ok()?;
+    let store_end = usize::try_from(header.store_len)
+        .ok()?
+        .checked_add(newline + 1)?;
+    let log_len = usize::try_from(header.log_len).ok()?;
+    if store_end.checked_add(log_len)? != bytes.len() {
+        return None;
+    }
+    let log = bytes.split_off(store_end);
+    bytes.drain(..=newline);
+    let store = String::from_utf8(bytes).ok()?;
+    Some(Parked { store, log })
+}
+
+/// Reads only the header line of a snapshot file.
+fn read_header(path: &Path) -> Option<SnapshotHeader> {
+    let mut line = String::new();
+    io::BufReader::new(fs::File::open(path).ok()?)
+        .read_line(&mut line)
+        .ok()?;
+    serde_json::from_str(line.trim_end_matches('\n')).ok()
 }
 
 impl SnapshotStore {
     /// Points the store at a durability directory (creating
     /// `snapshots/`). Snapshots already parked in memory are flushed to
-    /// disk and their bytes released.
+    /// disk and their bytes released; one whose file cannot be written
+    /// stays resident.
     pub(crate) fn set_dir(&self, dir: Option<&Path>) {
         let mut state = self.inner.lock();
         state.dir = dir.map(|d| d.join("snapshots"));
         if let Some(dir) = state.dir.clone() {
             let _ = fs::create_dir_all(&dir);
             for (key, snapshot) in state.by_key.iter_mut() {
-                if let Some(json) = snapshot.json.take() {
-                    let record = envelope(key, snapshot.wal_seq, &json);
-                    let _ = fs::write(dir.join(file_name_of(key)), record);
+                if let Some(parked) = &snapshot.resident {
+                    if write_file(&dir, key, snapshot.wal_seq, parked).is_ok() {
+                        snapshot.resident = None;
+                    }
                 }
             }
         }
     }
 
     /// Parks (or refreshes) `key`'s snapshot.
-    pub(crate) fn put(&self, key: &str, wal_seq: u64, json: String) {
+    ///
+    /// # Errors
+    ///
+    /// In durable mode, the error writing the file. The snapshot is then
+    /// kept resident, so hydration still finds it, and left out of
+    /// [`SnapshotStore::watermarks`], so compaction keeps the WAL records
+    /// the file on disk does not cover.
+    pub(crate) fn put(&self, key: &str, wal_seq: u64, parked: Parked) -> io::Result<()> {
         let mut state = self.inner.lock();
-        let stored = if let Some(dir) = &state.dir {
-            let _ = fs::write(dir.join(file_name_of(key)), envelope(key, wal_seq, &json));
-            StoredSnapshot {
-                wal_seq,
-                json: None,
-            }
-        } else {
-            StoredSnapshot {
-                wal_seq,
-                json: Some(json),
-            }
+        let (resident, written) = match &state.dir {
+            Some(dir) => match write_file(dir, key, wal_seq, &parked) {
+                Ok(()) => (None, Ok(())),
+                Err(e) => (Some(parked), Err(e)),
+            },
+            None => (Some(parked), Ok(())),
         };
-        state.by_key.insert(key.to_owned(), stored);
+        state
+            .by_key
+            .insert(key.to_owned(), StoredSnapshot { wal_seq, resident });
+        written
     }
 
-    /// The parked snapshot for `key` as `(wal watermark, store JSON)`,
+    /// The parked snapshot for `key` as `(wal watermark, parked pair)`,
     /// reading disk in durable mode.
-    pub(crate) fn get(&self, key: &str) -> Option<(u64, String)> {
+    pub(crate) fn get(&self, key: &str) -> Option<(u64, Parked)> {
         let state = self.inner.lock();
         let snapshot = state.by_key.get(key)?;
-        if let Some(json) = &snapshot.json {
-            return Some((snapshot.wal_seq, json.clone()));
+        if let Some(parked) = &snapshot.resident {
+            return Some((snapshot.wal_seq, parked.clone()));
         }
         let dir = state.dir.as_ref()?;
-        let text = fs::read_to_string(dir.join(file_name_of(key))).ok()?;
-        let value: serde_json::Value = serde_json::from_str(&text).ok()?;
-        let json = value["store"].as_str()?.to_owned();
-        Some((snapshot.wal_seq, json))
+        let parked = read_file(&dir.join(file_name_of(key)))?;
+        Some((snapshot.wal_seq, parked))
     }
 
     /// Whether `key` has a parked snapshot.
@@ -242,19 +357,22 @@ impl SnapshotStore {
         self.inner.lock().by_key.keys().cloned().collect()
     }
 
-    /// Per-key WAL watermarks — what compaction may drop.
+    /// Per-key WAL watermarks of the snapshots whose durable copy is
+    /// current — what compaction may drop.
     pub(crate) fn watermarks(&self) -> HashMap<String, u64> {
         self.inner
             .lock()
             .by_key
             .iter()
+            .filter(|(_, s)| s.resident.is_none())
             .map(|(k, s)| (k.clone(), s.wal_seq))
             .collect()
     }
 
     /// Loads every snapshot found under `dir/snapshots/` (crash
-    /// recovery). Bytes stay on disk; only watermarks come resident.
-    /// Unparseable files are skipped.
+    /// recovery), reading only each file's header line. Bytes stay on
+    /// disk; only watermarks come resident. Unparseable files and
+    /// leftover `.tmp` files are skipped.
     pub(crate) fn load(&self, dir: &Path) {
         let mut state = self.inner.lock();
         let snap_dir = dir.join("snapshots");
@@ -263,73 +381,168 @@ impl SnapshotStore {
             let _ = fs::create_dir_all(&snap_dir);
             return;
         };
-        let mut names: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        let mut names: Vec<PathBuf> = entries
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|path| path.extension().is_some_and(|ext| ext == SNAPSHOT_EXT))
+            .collect();
         names.sort();
         for path in names {
-            let Ok(text) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let Ok(value) = serde_json::from_str::<serde_json::Value>(&text) else {
-                continue;
-            };
-            let (Some(key), Some(wal_seq)) = (value["key"].as_str(), value["wal_seq"].as_u64())
-            else {
+            let Some(header) = read_header(&path) else {
                 continue;
             };
             state.by_key.insert(
-                key.to_owned(),
+                header.key,
                 StoredSnapshot {
-                    wal_seq,
-                    json: None,
+                    wal_seq: header.wal_seq,
+                    resident: None,
                 },
             );
         }
     }
 
-    /// Rewrites `key`'s parked snapshot in place through `edit` (the GCA
-    /// config-change invalidation path). No-op for absent keys.
-    pub(crate) fn edit_snapshot(&self, key: &str, edit: impl FnOnce(&mut UserSnapshot)) {
-        let Some((wal_seq, json)) = self.get(key) else {
+    /// Drops the discovery engine from `key`'s parked snapshot (the GCA
+    /// config changed). No-op for absent keys.
+    pub(crate) fn clear_gca(&self, key: &str) {
+        let Some((wal_seq, parked)) = self.get(key) else {
             return;
         };
-        let Ok(mut parsed) = serde_json::from_str::<UserSnapshot>(&json) else {
+        let Ok(parked) = parked.without_gca() else {
             return;
         };
-        edit(&mut parsed);
-        let json = serde_json::to_string(&parsed).expect("snapshot serializes");
-        self.put(key, wal_seq, json);
+        // A failed write keeps the edited snapshot resident.
+        let _ = self.put(key, wal_seq, parked);
     }
 }
 
-/// The on-disk envelope: the key (files are content-addressed, the key
-/// inside is authoritative), the WAL watermark, and the store JSON.
-fn envelope(key: &str, wal_seq: u64, json: &str) -> String {
-    let mut map = BTreeMap::new();
-    map.insert("key".to_owned(), serde_json::Value::String(key.to_owned()));
-    map.insert(
-        "wal_seq".to_owned(),
-        serde_json::Value::Number(serde_json::Number::PosInt(wal_seq)),
-    );
-    map.insert(
-        "store".to_owned(),
-        serde_json::Value::String(json.to_owned()),
-    );
-    serde_json::to_string(&serde_json::Value::Object(map)).expect("envelope serializes")
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::payload::DiscoverBody;
+    use crate::storage::apply::apply_discover;
+    use pmware_world::tower::NetworkLayer;
+    use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
+
+    fn sample(minute: u64, cid: u32) -> GsmObservation {
+        GsmObservation {
+            time: SimTime::from_seconds(minute * 60),
+            cell: CellGlobalId {
+                plmn: Plmn { mcc: 404, mnc: 45 },
+                lac: Lac(11),
+                cell: CellId(cid),
+            },
+            layer: if cid.is_multiple_of(3) {
+                NetworkLayer::G3
+            } else {
+                NetworkLayer::G2
+            },
+            rssi_dbm: -60.0 - f64::from(cid % 17) - (minute % 7) as f64 * 0.25,
+        }
+    }
+
+    /// A store that has offloaded `days` days of one-per-minute samples:
+    /// nights bouncing between two home cells, days between two work
+    /// cells, an hour of distinct transit cells each way. Each day is its
+    /// own sequenced offload, so the log is absorbed incrementally.
+    pub(crate) fn multi_day_store(days: u64) -> UserStore {
+        let mut store = UserStore::default();
+        let config = GcaConfig::default();
+        let mut start = 0;
+        for day in 0..days {
+            let base = day * 1_440;
+            let observations: Vec<GsmObservation> = (0..1_440)
+                .map(|m| {
+                    let cid = match m {
+                        0..480 | 1_020.. => 1 + (m / 4 % 2) as u32,
+                        480..540 => 100 + (m - 480) as u32 / 6,
+                        540..960 => 20 + (m / 3 % 2) as u32,
+                        _ => 200 + (m - 960) as u32 / 6,
+                    };
+                    sample(base + m, cid)
+                })
+                .collect();
+            let body = DiscoverBody {
+                observations: Vec::new(),
+                batch: Some(ObservationBatch::encode(&observations)),
+                start: Some(start),
+            };
+            apply_discover(&mut store, &config, &body).unwrap();
+            start += observations.len() as u64;
+        }
+        store.contacts_absorbed = 5;
+        store.profile_seq = HashMap::from([(0, 3), (1, 4)]);
+        store.places_seq = 6;
+        store.routes_seq = 7;
+        store
+    }
+
+    /// Every watermark and the client-visible places of two stores.
+    pub(crate) fn assert_same_state(a: &UserStore, b: &UserStore) {
+        assert_eq!(a.places, b.places);
+        assert_eq!(a.absorbed_upto, b.absorbed_upto);
+        assert_eq!(a.contacts_absorbed, b.contacts_absorbed);
+        assert_eq!(a.profile_seq, b.profile_seq);
+        assert_eq!(a.places_seq, b.places_seq);
+        assert_eq!(a.routes_seq, b.routes_seq);
+    }
 
     #[test]
     fn snapshot_round_trips_an_empty_store() {
-        let store = UserStore::default();
-        let json = serde_json::to_string(&UserSnapshot::from_store(&store)).unwrap();
-        let back: UserSnapshot = serde_json::from_str(&json).unwrap();
-        let rebuilt = back.into_store();
+        let parked = Parked::of(&UserStore::default());
+        assert!(parked.log.is_empty(), "no engine, no log block");
+        let rebuilt = parked.to_store().unwrap();
         assert!(rebuilt.places.is_empty());
         assert!(rebuilt.gca.is_none());
         assert_eq!(rebuilt.absorbed_upto, 0);
+    }
+
+    /// Parking and hydrating a store with a multi-day GCA log rebuilds
+    /// the engine over a bit-identical log, with the same places and the
+    /// same watermarks; dropping the engine keeps everything else.
+    #[test]
+    fn parked_multi_day_store_hydrates_with_full_fidelity() {
+        let store = multi_day_store(4);
+        let engine = store.gca.as_ref().unwrap();
+        assert_eq!(engine.observation_count(), 4 * 1_440);
+        assert!(!store.places.is_empty(), "the fixture discovers places");
+
+        let parked = Parked::of(&store);
+        let rebuilt = parked.to_store().unwrap();
+        let back = rebuilt.gca.as_ref().unwrap();
+        assert_eq!(back.config(), engine.config());
+        let bits = |log: &[GsmObservation]| {
+            log.iter()
+                .map(|o| (o.time, o.cell, o.layer, o.rssi_dbm.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(back.observations()), bits(engine.observations()));
+        assert_eq!(back.places().places, engine.places().places);
+        assert_same_state(&rebuilt, &store);
+
+        let cleared = parked.without_gca().unwrap();
+        assert!(cleared.log.is_empty());
+        let rebuilt = cleared.to_store().unwrap();
+        assert!(rebuilt.gca.is_none());
+        assert_same_state(&rebuilt, &store);
+    }
+
+    #[test]
+    fn mismatched_log_block_is_an_error() {
+        let parked = Parked::of(&multi_day_store(1));
+        let headless = Parked {
+            store: Parked::of(&UserStore::default()).store,
+            log: parked.log.clone(),
+        };
+        assert!(headless.to_store().is_err());
+        let logless = Parked {
+            store: parked.store.clone(),
+            log: Vec::new(),
+        };
+        assert!(logless.to_store().is_err());
+        let truncated = Parked {
+            store: parked.store,
+            log: parked.log[..parked.log.len() - 1].to_vec(),
+        };
+        assert!(truncated.to_store().is_err());
     }
 
     #[test]
@@ -345,11 +558,47 @@ mod tests {
     #[test]
     fn memory_store_put_get_remove() {
         let store = SnapshotStore::default();
-        store.put("k", 7, "{}".to_owned());
+        let parked = Parked::of(&UserStore::default());
+        store.put("k", 7, parked.clone()).unwrap();
         assert!(store.contains("k"));
-        assert_eq!(store.get("k").unwrap(), (7, "{}".to_owned()));
-        assert_eq!(store.watermarks().get("k"), Some(&7));
+        assert_eq!(store.get("k").unwrap(), (7, parked));
+        assert_eq!(store.watermarks().get("k"), None, "no durable copy");
         store.remove("k");
         assert!(store.get("k").is_none());
+    }
+
+    /// The file layout: one header line whose lengths split the rest,
+    /// read back whole by `get` and header-only by `load`.
+    #[test]
+    fn disk_store_writes_header_store_and_log() {
+        let dir = std::env::temp_dir().join(format!("pmware-snap-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let parked = Parked::of(&multi_day_store(2));
+        let store = SnapshotStore::default();
+        store.set_dir(Some(&dir));
+        store.put("imei|mail", 9, parked.clone()).unwrap();
+
+        let path = dir.join("snapshots").join(file_name_of("imei|mail"));
+        let bytes = fs::read(&path).unwrap();
+        let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
+        let header: SnapshotHeader = serde_json::from_slice(&bytes[..newline]).unwrap();
+        assert_eq!(header.key, "imei|mail");
+        assert_eq!(header.wal_seq, 9);
+        assert_eq!(header.store_len as usize, parked.store.len());
+        assert_eq!(header.log_len as usize, parked.log.len());
+        assert_eq!(
+            bytes.len(),
+            newline + 1 + parked.store.len() + parked.log.len()
+        );
+        assert_eq!(store.get("imei|mail").unwrap(), (9, parked.clone()));
+        assert_eq!(store.watermarks().get("imei|mail"), Some(&9));
+
+        // A leftover temporary file is not a snapshot.
+        fs::write(path.with_extension("snap.tmp"), b"{}\n").unwrap();
+        let recovered = SnapshotStore::default();
+        recovered.load(&dir);
+        assert_eq!(recovered.keys(), vec!["imei|mail".to_owned()]);
+        assert_eq!(recovered.get("imei|mail").unwrap(), (9, parked));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -57,23 +57,26 @@ impl WalOp {
         WalOp::Request(Box::new(request))
     }
 
-    /// Re-encodes a request op through the pinned wire format before it
-    /// is retained. Logged requests live as long as the log; a raw-JSON
-    /// body tree (plus the caller's cached wire bytes) is an order of
-    /// magnitude heavier than the typed decoding the route table
-    /// produces, so long-lived records keep the compact form. The span
-    /// context is copied back across the round trip (it is not wire
-    /// state) so replayed requests still join their originating trace;
-    /// requests the wire format cannot round-trip are kept as-is.
+    /// The compact form of an op before it is retained. Logged requests
+    /// live as long as the log, and a raw-JSON body tree (plus the
+    /// caller's cached wire bytes) is an order of magnitude heavier than
+    /// the typed decoding the route table produces. A typed body is
+    /// already compact: it only sheds the wire cache, and the durable
+    /// append renders it once, when it writes the record. A raw-JSON body
+    /// is re-encoded through the pinned wire format; the span context is
+    /// copied back across that round trip (it is not wire state) so
+    /// replayed requests still join their originating trace, and a request
+    /// the wire format cannot round-trip is kept as-is.
     pub(crate) fn compacted(self) -> WalOp {
         match self {
-            WalOp::Request(request) => {
+            WalOp::Request(request) if matches!(request.body, Payload::Json(_)) => {
                 let wire = request.to_bytes();
                 match Request::from_bytes(&wire) {
                     Ok(compact) => WalOp::request(compact.with_ctx(request.ctx)),
                     Err(_) => WalOp::Request(request),
                 }
             }
+            WalOp::Request(request) => WalOp::request(request.without_wire_cache()),
             grant @ WalOp::TokenGrant { .. } => grant,
         }
     }

@@ -20,11 +20,33 @@
 //! the plain array. The `start` idempotency key and the server-side
 //! watermark seams are untouched — batching only changes how the suffix
 //! is spelled on the wire, never what it means.
+//!
+//! The same columns also have a binary spelling,
+//! [`ObservationBatch::to_bytes`]/[`ObservationBatch::from_bytes`]: the
+//! storage engine parks a user's whole GCA observation log in it, so
+//! evicting or hydrating a user moves a flat byte block instead of
+//! megabytes of nested JSON. All integers are little-endian:
+//!
+//! ```text
+//! u64 cell count C,  C × (u16 mcc, u16 mnc, u16 lac, u32 cid)
+//! u64 t0
+//! u64 observation count N,  N × i64 dt,  N × u32 symbol,
+//!                           N × u8 layer (0 = 2G, 1 = 3G),  N × u64 rssi bits
+//! ```
+//!
+//! The RSSI column stores `f64::to_bits`, so `-0.0` and NaN payloads
+//! survive bit for bit. Decoding checks every count against the bytes
+//! that remain before it allocates, and rejects trailing bytes.
 
 use pmware_world::intern::Interner;
 use pmware_world::tower::NetworkLayer;
-use pmware_world::{CellGlobalId, GsmObservation, SimTime};
+use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
 use serde::{Deserialize, Serialize};
+
+/// Bytes of one dictionary entry in the binary spelling.
+const CELL_BYTES: usize = 10;
+/// Bytes of one observation across the four binary columns.
+const OBSERVATION_BYTES: usize = 8 + 4 + 1 + 8;
 
 /// A delta-compressed, dictionary-coded slice of a GSM observation
 /// stream. Produced by [`ObservationBatch::encode`]; the columns are
@@ -113,6 +135,104 @@ impl ObservationBatch {
         Ok(observations)
     }
 
+    /// The binary spelling (layout in the module docs). Exact: decoding
+    /// it with [`ObservationBatch::from_bytes`] gives back this batch bit
+    /// for bit, RSSI values included.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a ragged batch (columns of different lengths); batches
+    /// built by [`ObservationBatch::encode`] never are.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let n = self.len();
+        assert!(
+            self.cell.len() == n && self.layer.len() == n && self.rssi_dbm.len() == n,
+            "to_bytes on a ragged batch"
+        );
+        let mut out =
+            Vec::with_capacity(24 + self.cells.len() * CELL_BYTES + n * OBSERVATION_BYTES);
+        out.extend_from_slice(&(self.cells.len() as u64).to_le_bytes());
+        for cell in &self.cells {
+            out.extend_from_slice(&cell.plmn.mcc.to_le_bytes());
+            out.extend_from_slice(&cell.plmn.mnc.to_le_bytes());
+            out.extend_from_slice(&cell.lac.0.to_le_bytes());
+            out.extend_from_slice(&cell.cell.0.to_le_bytes());
+        }
+        out.extend_from_slice(&self.t0.to_le_bytes());
+        out.extend_from_slice(&(n as u64).to_le_bytes());
+        for dt in &self.dt {
+            out.extend_from_slice(&dt.to_le_bytes());
+        }
+        for symbol in &self.cell {
+            out.extend_from_slice(&symbol.to_le_bytes());
+        }
+        out.extend(self.layer.iter().map(|layer| match layer {
+            NetworkLayer::G2 => 0u8,
+            NetworkLayer::G3 => 1u8,
+        }));
+        for rssi in &self.rssi_dbm {
+            out.extend_from_slice(&rssi.to_bits().to_le_bytes());
+        }
+        out
+    }
+
+    /// Parses the binary spelling.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the defect for a truncated block, a
+    /// count larger than the remaining bytes can hold, an unknown layer
+    /// byte, or trailing bytes. Never panics, and never allocates more
+    /// than the input can fill. Symbols are checked later, by
+    /// [`ObservationBatch::decode`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<ObservationBatch, String> {
+        let mut input = ByteReader { bytes };
+        let cell_count = input.count(CELL_BYTES, "cell")?;
+        let mut cells = Vec::with_capacity(cell_count);
+        for _ in 0..cell_count {
+            cells.push(CellGlobalId {
+                plmn: Plmn {
+                    mcc: u16::from_le_bytes(input.take()?),
+                    mnc: u16::from_le_bytes(input.take()?),
+                },
+                lac: Lac(u16::from_le_bytes(input.take()?)),
+                cell: CellId(u32::from_le_bytes(input.take()?)),
+            });
+        }
+        let t0 = u64::from_le_bytes(input.take()?);
+        let n = input.count(OBSERVATION_BYTES, "observation")?;
+        let mut batch = ObservationBatch {
+            cells,
+            t0,
+            dt: Vec::with_capacity(n),
+            cell: Vec::with_capacity(n),
+            layer: Vec::with_capacity(n),
+            rssi_dbm: Vec::with_capacity(n),
+        };
+        for _ in 0..n {
+            batch.dt.push(i64::from_le_bytes(input.take()?));
+        }
+        for _ in 0..n {
+            batch.cell.push(u32::from_le_bytes(input.take()?));
+        }
+        for _ in 0..n {
+            batch.layer.push(match input.take::<1>()? {
+                [0] => NetworkLayer::G2,
+                [1] => NetworkLayer::G3,
+                [other] => return Err(format!("unknown layer byte {other}")),
+            });
+        }
+        for _ in 0..n {
+            batch
+                .rssi_dbm
+                .push(f64::from_bits(u64::from_le_bytes(input.take()?)));
+        }
+        if !input.bytes.is_empty() {
+            return Err(format!("{} trailing bytes", input.bytes.len()));
+        }
+        Ok(batch)
+    }
+
     /// Number of observations in the batch.
     pub fn len(&self) -> usize {
         self.dt.len()
@@ -124,10 +244,44 @@ impl ObservationBatch {
     }
 }
 
+/// A cursor over a binary batch that never reads past the end.
+struct ByteReader<'a> {
+    bytes: &'a [u8],
+}
+
+impl ByteReader<'_> {
+    /// The next `N` bytes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+        let Some((head, rest)) = self.bytes.split_first_chunk::<N>() else {
+            return Err(format!(
+                "truncated: {N} bytes wanted, {} left",
+                self.bytes.len()
+            ));
+        };
+        self.bytes = rest;
+        Ok(*head)
+    }
+
+    /// A `u64` item count, accepted only if the remaining bytes can hold
+    /// that many items of `item_bytes` each.
+    fn count(&mut self, item_bytes: usize, what: &str) -> Result<usize, String> {
+        let count = u64::from_le_bytes(self.take()?);
+        let fits = usize::try_from(count)
+            .ok()
+            .filter(|&count| count <= self.bytes.len() / item_bytes);
+        fits.ok_or_else(|| {
+            format!(
+                "{what} count {count} exceeds the {} bytes left",
+                self.bytes.len()
+            )
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmware_world::{CellId, Lac, Plmn};
+    use proptest::prelude::*;
 
     fn obs(t: u64, cid: u32, rssi: f64) -> GsmObservation {
         GsmObservation {
@@ -260,6 +414,118 @@ mod tests {
         batch.dt = vec![i64::MIN, i64::MAX];
         let decoded = batch.decode().unwrap();
         assert_eq!(decoded.len(), 2);
+    }
+
+    /// Bit-level view of an observation log (`f64` equality would call
+    /// NaN unequal to itself and `-0.0` equal to `0.0`).
+    fn bits(log: &[GsmObservation]) -> Vec<(u64, CellGlobalId, NetworkLayer, u64)> {
+        log.iter()
+            .map(|o| (o.time.as_seconds(), o.cell, o.layer, o.rssi_dbm.to_bits()))
+            .collect()
+    }
+
+    /// One arbitrary observation: any instant (so logs are non-monotonic),
+    /// a small cell space (so the dictionary repeats), and RSSI values that
+    /// include `-0.0`, NaNs with payloads and infinities.
+    fn arbitrary_observation(
+        (time, cid, g3, rssi_kind, rssi_bits): (u64, u32, bool, u8, u64),
+    ) -> GsmObservation {
+        let rssi_dbm = match rssi_kind {
+            0 => -0.0,
+            1 => f64::from_bits(0x7ff8_0000_dead_beef),
+            2 => f64::from_bits(0xfff0_0000_0000_0001),
+            3 => f64::NEG_INFINITY,
+            4 => f64::from_bits(rssi_bits),
+            _ => -50.0 - (rssi_bits % 600) as f64 / 8.0,
+        };
+        GsmObservation {
+            time: SimTime::from_seconds(time),
+            cell: CellGlobalId {
+                plmn: Plmn {
+                    mcc: 404 + (cid % 3) as u16,
+                    mnc: (cid % 5) as u16,
+                },
+                lac: Lac((cid * 7) as u16),
+                cell: CellId(cid.wrapping_mul(2_654_435_761)),
+            },
+            layer: if g3 {
+                NetworkLayer::G3
+            } else {
+                NetworkLayer::G2
+            },
+            rssi_dbm,
+        }
+    }
+
+    fn arbitrary_log() -> impl Strategy<Value = Vec<GsmObservation>> {
+        prop::collection::vec(
+            (any::<u64>(), 0u32..12, any::<bool>(), 0u8..8, any::<u64>()),
+            0..48,
+        )
+        .prop_map(|raw| raw.into_iter().map(arbitrary_observation).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The binary spelling round-trips any stream bit for bit, and
+        /// re-encoding the decoded batch reproduces the same bytes.
+        #[test]
+        fn binary_round_trip_is_bit_exact(log in arbitrary_log()) {
+            let bytes = ObservationBatch::encode(&log).to_bytes();
+            let back = ObservationBatch::from_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.to_bytes(), bytes);
+            prop_assert_eq!(bits(&back.decode().unwrap()), bits(&log));
+        }
+
+        /// Every proper prefix of a valid encoding, and the encoding with
+        /// bytes appended, is an error — never a panic or a short batch.
+        #[test]
+        fn truncated_or_padded_encodings_are_errors(log in arbitrary_log(), pad in 1usize..9) {
+            let bytes = ObservationBatch::encode(&log).to_bytes();
+            for len in 0..bytes.len() {
+                prop_assert!(ObservationBatch::from_bytes(&bytes[..len]).is_err(), "prefix {len}");
+            }
+            let mut padded = bytes.clone();
+            padded.resize(bytes.len() + pad, 0);
+            prop_assert!(ObservationBatch::from_bytes(&padded).is_err());
+        }
+
+        /// Random bytes are rejected without panicking.
+        #[test]
+        fn random_bytes_are_errors(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+            prop_assert!(ObservationBatch::from_bytes(&bytes).is_err());
+        }
+    }
+
+    #[test]
+    fn empty_log_binary_round_trips() {
+        let bytes = ObservationBatch::encode(&[]).to_bytes();
+        assert_eq!(bytes.len(), 24, "two zero counts and t0");
+        let back = ObservationBatch::from_bytes(&bytes).unwrap();
+        assert!(back.is_empty());
+        assert_eq!(back.decode().unwrap(), Vec::new());
+    }
+
+    /// A count the remaining bytes cannot hold is refused before any
+    /// allocation is sized from it.
+    #[test]
+    fn oversized_counts_are_refused_before_allocating() {
+        let mut bytes = u64::MAX.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 16]);
+        let err = ObservationBatch::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("cell count"), "{err}");
+
+        let mut bytes = ObservationBatch::encode(&[obs(60, 1, -60.0)]).to_bytes();
+        let n_at = 8 + CELL_BYTES + 8;
+        bytes[n_at..n_at + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let err = ObservationBatch::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("observation count"), "{err}");
+
+        let mut bytes = ObservationBatch::encode(&[obs(60, 1, -60.0)]).to_bytes();
+        bytes[n_at + 8 + 8 + 4] = 7;
+        let err = ObservationBatch::from_bytes(&bytes).unwrap_err();
+        assert!(err.contains("layer"), "{err}");
     }
 
     #[test]
