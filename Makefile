@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-check bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-check bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage loc obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -73,15 +73,25 @@ bench-wire:
 	cargo run --release -p pmware-bench --bin wire_micro
 
 # The typed-wire-path regression gate: handlers receive typed Payload
-# bodies and the client builds typed payloads, so neither may mention
-# `json!(` or `serde_json::Value` (`#[cfg(test)]` code in the client is
-# exempt — the lint strips everything from its `mod tests` down).
+# bodies, and the client and the CLI build typed payloads, so none of
+# them may mention `json!(` (handlers and CLI: nor `serde_json::Value`).
+# `#[cfg(test)]` code in the client and the CLI is exempt — the lint
+# strips everything from their `mod tests` down.
 lint-wire:
 	@! grep -rn 'json!(\|serde_json::Value' crates/cloud/src/handlers/ \
 		|| { echo 'lint-wire: untyped JSON crept back into crates/cloud/src/handlers/'; exit 1; }
 	@! sed -n '1,/^mod tests {/p' crates/core/src/cloud_client.rs | grep -n 'json!(' \
 		|| { echo 'lint-wire: json! crept back into the CloudClient request builders'; exit 1; }
+	@! sed -n '1,/^mod tests {/p' crates/cli/src/main.rs | grep -n 'json!(\|serde_json::Value' \
+		|| { echo 'lint-wire: untyped JSON crept back into the CLI requests'; exit 1; }
 	@echo 'lint-wire: ok'
+
+# Rust line counts of the workspace crates and of the vendored
+# stand-ins: the workspace size ROADMAP.md asks to drive down.
+loc:
+	@for dir in crates vendor; do \
+		echo "$$dir $$(find $$dir -name '*.rs' -print0 | xargs -0 cat | wc -l)"; \
+	done
 
 # The wall-clock lint: the request latency model (DESIGN.md §5j) is
 # sim-time only, so no simulation code may read a real clock. The only

@@ -67,7 +67,7 @@ fn main() {
         threads,
         obs: pmware_obs::Obs::disabled(),
         offload_batch_days: 0,
-        storage: None,
+        ..Default::default()
     };
 
     let max_threads = resolve_threads(0);

@@ -36,7 +36,7 @@ fn config(obs: Obs, participants: usize, days: u64) -> StudyConfig {
         threads: 1,
         obs,
         offload_batch_days: 0,
-        storage: None,
+        ..Default::default()
     }
 }
 

@@ -60,6 +60,15 @@ pub struct StudyConfig {
     /// bit-identical either way — the engine only changes *where* state
     /// lives.
     pub storage: Option<StorageConfig>,
+    /// Cloud admission-control budgets ([`AdmissionConfig`]): requests
+    /// over a user's token bucket are answered 429 and retried by the
+    /// client. `None` (the default) leaves the controller off.
+    pub admission: Option<AdmissionConfig>,
+    /// The cloud's sim-time latency model ([`LatencyProfile`]). With no
+    /// shedding threshold, discovery/tagging/energy outcomes are
+    /// unchanged — latency only adds sub-second annotations, histograms,
+    /// and spans on top. `None` (the default) leaves the model off.
+    pub latency: Option<LatencyProfile>,
 }
 
 impl Default for StudyConfig {
@@ -73,6 +82,8 @@ impl Default for StudyConfig {
             obs: Obs::disabled(),
             offload_batch_days: 0,
             storage: None,
+            admission: None,
+            latency: None,
         }
     }
 }
@@ -188,38 +199,17 @@ impl StudyResults {
 
 /// Runs the study.
 pub fn run_study(config: &StudyConfig) -> StudyResults {
-    run_study_with_admission(config, None)
-}
-
-/// Runs the study with cloud admission-control budgets. `None` leaves the
-/// controller disabled, which is exactly [`run_study`]: existing studies
-/// stay bit-identical to the pre-admission code.
-pub fn run_study_with_admission(
-    config: &StudyConfig,
-    admission: Option<AdmissionConfig>,
-) -> StudyResults {
-    run_study_with_options(config, admission, None)
-}
-
-/// Runs the study with optional admission control *and* an optional
-/// sim-time latency model on the cloud instance. Both `None` is exactly
-/// [`run_study`]. With a latency profile (and no shedding threshold) the
-/// study's discovery/tagging/energy outcomes are unchanged — latency only
-/// adds sub-second annotations, histograms, and spans on top.
-pub fn run_study_with_options(
-    config: &StudyConfig,
-    admission: Option<AdmissionConfig>,
-    latency: Option<LatencyProfile>,
-) -> StudyResults {
     let world = WorldBuilder::new(config.region.clone())
         .seed(config.seed)
         .build();
-    let cloud = SharedCloud::new(
-        CloudInstance::new(CellDatabase::from_world(&world), config.seed + 1).with_obs(&config.obs),
-    );
-    cloud.set_storage(config.storage.clone());
-    cloud.set_admission(admission);
-    cloud.set_latency(latency);
+    let mut instance =
+        CloudInstance::new(CellDatabase::from_world(&world), config.seed + 1).with_obs(&config.obs);
+    if let Some(storage) = &config.storage {
+        instance = instance.with_storage(storage.clone());
+    }
+    let cloud = SharedCloud::new(instance);
+    cloud.set_admission(config.admission.clone());
+    cloud.set_latency(config.latency.clone());
     let population = Population::generate(&world, config.participants, config.seed + 2);
 
     // Everything a participant needs is derived from per-participant seeds
@@ -396,7 +386,7 @@ mod tests {
             threads: 1,
             obs: Obs::disabled(),
             offload_batch_days: 0,
-            storage: None,
+            ..Default::default()
         };
         let results = run_study(&config);
         assert_eq!(results.participants.len(), 4);

@@ -18,7 +18,7 @@
 //! of state — no wall clock anywhere.
 
 use pmware_algorithms::signature::DiscoveredPlace;
-use pmware_cloud::topology::{BalancePolicy, InstanceId, TopologyRouter};
+use pmware_cloud::topology::{BalancePolicy, TopologyRouter};
 use pmware_cloud::{
     CellDatabase, CloudEndpoint, CloudInstance, ContactEntry, FaultPlan, FaultyCloud,
     MobilityProfile, SharedCloud,
@@ -321,12 +321,6 @@ pub fn run_federation(config: &FederationConfig) -> FederationOutcome {
         population_mean_activity: fanout.population_mean,
         faults: faulties.iter().map(|f| f.stats().faults).sum(),
     }
-}
-
-/// The instance ids currently registered, in id order — lets callers pick
-/// kill targets beyond participant 0's host.
-pub fn instance_ids(router: &TopologyRouter) -> Vec<InstanceId> {
-    router.topology().into_iter().map(|(id, _)| id).collect()
 }
 
 #[cfg(test)]

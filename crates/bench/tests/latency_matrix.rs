@@ -12,10 +12,11 @@
 //! attempt → server-side children during the synchronous send → backoff),
 //! so the tree never depends on cross-participant scheduling.
 
-use pmware_bench::deployment::{run_study, run_study_with_options, StudyConfig, StudyResults};
-use pmware_cloud::LatencyProfile;
+use pmware_bench::deployment::{run_study, StudyConfig, StudyResults};
+use pmware_cloud::{AdmissionConfig, LatencyProfile, RateBudget};
 use pmware_obs::Obs;
 use pmware_world::builder::RegionProfile;
+use pmware_world::SimDuration;
 
 fn config(threads: usize, obs: Obs) -> StudyConfig {
     StudyConfig {
@@ -26,19 +27,23 @@ fn config(threads: usize, obs: Obs) -> StudyConfig {
         threads,
         obs,
         offload_batch_days: 0,
-        storage: None,
+        ..Default::default()
     }
 }
 
-/// Runs one latency-enabled, span-collecting study and returns
-/// (results, metrics JSON, span JSONL, Chrome trace).
-fn modeled(threads: usize) -> (StudyResults, String, String, String) {
+/// Runs one latency-enabled, span-collecting study, under `admission`
+/// budgets when given, and returns (results, metrics JSON, span JSONL,
+/// Chrome trace).
+fn modeled(
+    threads: usize,
+    admission: Option<AdmissionConfig>,
+) -> (StudyResults, String, String, String) {
     let obs = Obs::with_trace(65_536).with_spans();
-    let results = run_study_with_options(
-        &config(threads, obs.clone()),
-        None,
-        Some(LatencyProfile::calibrated(7)),
-    );
+    let results = run_study(&StudyConfig {
+        admission,
+        latency: Some(LatencyProfile::calibrated(7)),
+        ..config(threads, obs.clone())
+    });
     (
         results,
         obs.metrics_json().expect("metrics enabled"),
@@ -50,7 +55,7 @@ fn modeled(threads: usize) -> (StudyResults, String, String, String) {
 #[test]
 fn latency_model_never_perturbs_study_outcomes() {
     let plain = run_study(&config(1, Obs::disabled()));
-    let (timed, metrics, spans, _) = modeled(1);
+    let (timed, metrics, spans, _) = modeled(1, None);
     assert_eq!(
         plain, timed,
         "an unshedded latency profile changed study outcomes"
@@ -72,8 +77,8 @@ fn latency_model_never_perturbs_study_outcomes() {
 
 #[test]
 fn latency_artifacts_are_thread_and_run_deterministic() {
-    let (sequential, metrics_1, spans_1, chrome_1) = modeled(1);
-    let (fanned, metrics_8, spans_8, chrome_8) = modeled(8);
+    let (sequential, metrics_1, spans_1, chrome_1) = modeled(1, None);
+    let (fanned, metrics_8, spans_8, chrome_8) = modeled(8, None);
     assert_eq!(sequential, fanned, "thread count changed study outcomes");
     assert_eq!(
         metrics_1, metrics_8,
@@ -86,12 +91,37 @@ fn latency_artifacts_are_thread_and_run_deterministic() {
     );
     assert!(!spans_1.is_empty(), "span export is empty");
 
-    let (rerun, metrics_again, spans_again, chrome_again) = modeled(8);
+    let (rerun, metrics_again, spans_again, chrome_again) = modeled(8, None);
     assert_eq!(fanned, rerun, "same-seed rerun changed study outcomes");
     assert_eq!(metrics_8, metrics_again, "same-seed metrics bytes differ");
     assert_eq!(spans_8, spans_again, "same-seed span bytes differ");
     assert_eq!(
         chrome_8, chrome_again,
         "same-seed Chrome trace bytes differ"
+    );
+}
+
+/// Admission control rides through `run_study` as a config field: a tight
+/// per-user budget on top of the calibrated model must deny requests (the
+/// clients retry them), count the denials in the metrics export, and
+/// still leave results and metrics byte-identical at 1 and 8 threads.
+#[test]
+fn admission_through_run_study_is_counted_and_thread_deterministic() {
+    let tight = AdmissionConfig::uniform(4242, RateBudget::new(3, SimDuration::from_seconds(60)));
+    let (sequential, metrics_1, _, _) = modeled(1, Some(tight.clone()));
+    let (fanned, metrics_8, _, _) = modeled(8, Some(tight));
+    let export: serde_json::Value = serde_json::from_str(&metrics_1).expect("metrics JSON");
+    let denied: u64 = export
+        .as_object()
+        .expect("metrics export is an object")
+        .iter()
+        .filter(|(key, _)| key.starts_with("cloud_admission_denied_total"))
+        .map(|(_, metric)| metric["value"].as_u64().unwrap_or(0))
+        .sum();
+    assert!(denied > 0, "a tight budget denied nothing:\n{metrics_1}");
+    assert_eq!(sequential, fanned, "thread count changed study outcomes");
+    assert_eq!(
+        metrics_1, metrics_8,
+        "metrics JSON differs across thread counts"
     );
 }

@@ -30,7 +30,7 @@ fn config(threads: usize, obs: Obs) -> StudyConfig {
         threads,
         obs,
         offload_batch_days: 0,
-        storage: None,
+        ..Default::default()
     }
 }
 

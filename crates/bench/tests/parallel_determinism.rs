@@ -9,7 +9,7 @@
 //! field, including the floating-point energy totals.
 
 use pmware_bench::deployment::{run_study, StudyConfig};
-use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
+use pmware_cloud::{CellDatabase, CloudInstance, DiscoverBody, Payload, Request, SharedCloud};
 use pmware_core::CloudClient;
 use pmware_world::builder::RegionProfile;
 use pmware_world::tower::NetworkLayer;
@@ -24,7 +24,7 @@ fn config(threads: usize) -> StudyConfig {
         threads,
         obs: pmware_obs::Obs::disabled(),
         offload_batch_days: 0,
-        storage: None,
+        ..Default::default()
     }
 }
 
@@ -110,7 +110,7 @@ fn batched_offload_coalesces_backlog_into_one_request() {
     for day in 0..6 {
         let chunk = &log[day * day_len..(day + 1) * day_len];
         per_day
-            .discover_places_batched(chunk, (day * day_len) as u64, now)
+            .discover_places(chunk, (day * day_len) as u64, now)
             .expect("per-day offload");
     }
     let per_day_requests = per_day.wire_requests() - before;
@@ -121,7 +121,7 @@ fn batched_offload_coalesces_backlog_into_one_request() {
         CloudClient::register(cloud.clone(), "imei-all", "all@x.y", now).expect("register");
     let before = coalesced.wire_requests();
     let places = coalesced
-        .discover_places_batched(&log, 0, now)
+        .discover_places(&log, 0, now)
         .expect("coalesced offload");
     let coalesced_requests = coalesced.wire_requests() - before;
     assert_eq!(coalesced_requests, 1);
@@ -131,11 +131,22 @@ fn batched_offload_coalesces_backlog_into_one_request() {
          ({coalesced_requests} vs {per_day_requests})"
     );
 
-    // Control: the legacy plain-array protocol. All three spellings must
-    // leave the cloud with byte-identical places.
-    let mut plain =
-        CloudClient::register(cloud.clone(), "imei-old", "old@x.y", now).expect("register");
-    let control = plain.discover_places(&log, 0, now).expect("plain offload");
+    // Control: the plain-array body the server still accepts from outside
+    // callers. All three spellings must leave the cloud with byte-identical
+    // places.
+    let plain = CloudClient::register(cloud.clone(), "imei-old", "old@x.y", now).expect("register");
+    let body = DiscoverBody {
+        observations: log.clone(),
+        batch: None,
+        start: Some(0),
+    };
+    let request = Request::post("/api/v1/places/discover", body).with_token(plain.state().token);
+    let Payload::Discovered {
+        places: control, ..
+    } = cloud.handle(&request, now).body
+    else {
+        panic!("plain offload");
+    };
     assert!(!places.is_empty(), "six days of dwell must mint a place");
     assert_eq!(places, control);
     assert_eq!(

@@ -18,17 +18,17 @@ mod args;
 use std::process::ExitCode;
 
 use args::Args;
-use pmware_apps::{AdInventory, PlaceAdsApp, UserTasteModel};
-use pmware_bench::deployment::{run_study_with_options, StudyConfig};
+use pmware_algorithms::signature::DiscoveredPlaceId;
+use pmware_apps::PlaceAdsApp;
+use pmware_bench::deployment::{run_study, StudyConfig};
 use pmware_cloud::{
-    AdmissionConfig, CellDatabase, CloudInstance, LatencyProfile, RateBudget, SharedCloud,
-    StorageConfig,
+    AdmissionConfig, ArrivalBody, CellDatabase, CloudInstance, LatencyProfile, NextVisitBody,
+    Payload, PlaceOnlyBody, RateBudget, SharedCloud, StorageConfig,
 };
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity};
 use pmware_device::{Device, EnergyModel};
-use pmware_geo::Meters;
 use pmware_mobility::Population;
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
@@ -396,17 +396,18 @@ fn cmd_study(args: &Args) -> Result<(), String> {
             .get("offload-batch-days", 0u32)
             .map_err(|e| e.to_string())?,
         storage: storage(args)?,
+        admission: admission(args, seed)?,
+        latency,
     };
-    let admission = admission(args, config.seed)?;
     if !args.has("quiet") {
         println!(
             "running {} participants x {} days (seed {})...",
             config.participants, config.days, config.seed
         );
-        if admission.is_some() {
+        if config.admission.is_some() {
             println!("admission control: on (per-user token buckets)");
         }
-        if latency.is_some() {
+        if config.latency.is_some() {
             println!("latency model: on (sim-time service draws + FIFO queues)");
         }
         if let Some(storage) = &config.storage {
@@ -422,8 +423,7 @@ fn cmd_study(args: &Args) -> Result<(), String> {
             );
         }
     }
-    let latency_on = latency.is_some();
-    let results = run_study_with_options(&config, admission, latency);
+    let results = run_study(&config);
     println!(
         "places discovered : {:>4}  (paper: 123)",
         results.total_discovered()
@@ -448,7 +448,7 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         results.dislikes(),
         results.like_fraction() * 100.0
     );
-    if latency_on {
+    if config.latency.is_some() {
         let target_us = args.get("slo-p99-ms", 100u64).map_err(|e| e.to_string())? * 1_000;
         let report = obs
             .metrics()
@@ -500,8 +500,6 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         PlaceAdsApp::requirement(),
         PlaceAdsApp::filter(),
     );
-    let _inventory = AdInventory::from_world(&world);
-    let _taste = UserTasteModel::from_agent(agent, seed + 4);
     pms.run(SimTime::from_day_time(days, 0, 0, 0))
         .map_err(|e| e.to_string())?;
     let end = SimTime::from_day_time(days, 0, 0, 0);
@@ -518,16 +516,23 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .ok_or("no places discovered")?
         .id;
     println!("analytics over {days} simulated days (home = {home}):");
+    let place = DiscoveredPlaceId(home.0);
 
     let resp = pms
         .cloud_client_mut()
         .call(
             "/api/v1/analytics/arrival",
-            serde_json::json!({"place": home.0, "window": [15, 24]}),
+            ArrivalBody {
+                place,
+                window: Some((15, 24)),
+            },
             end,
         )
         .map_err(|e| e.to_string())?;
-    let s = resp.body["second_of_day"].as_u64().unwrap_or(0);
+    let s = match resp.body {
+        Payload::ArrivalAt { second_of_day } => second_of_day,
+        _ => 0,
+    };
     println!(
         "  evening home arrival : {:02}:{:02}",
         s / 3600,
@@ -538,38 +543,38 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .cloud_client_mut()
         .call(
             "/api/v1/analytics/next_visit",
-            serde_json::json!({"place": home.0, "now": end}),
+            NextVisitBody { place, now: end },
             end,
         )
         .map_err(|e| e.to_string())?;
-    let next: SimTime =
-        serde_json::from_value(resp.body["time"].clone()).map_err(|e| e.to_string())?;
+    let Payload::VisitAt { time: next } = resp.body else {
+        return Err(format!("next_visit: unexpected reply {}", resp.json()));
+    };
     println!("  next home visit      : {next}");
 
     let resp = pms
         .cloud_client_mut()
-        .call(
-            "/api/v1/analytics/frequency",
-            serde_json::json!({"place": home.0}),
-            end,
-        )
+        .call("/api/v1/analytics/frequency", PlaceOnlyBody { place }, end)
         .map_err(|e| e.to_string())?;
-    println!(
-        "  home visit frequency : {:.1}/week",
-        resp.body["visits_per_week"].as_f64().unwrap_or(0.0)
-    );
+    let visits_per_week = match resp.body {
+        Payload::Frequency {
+            visits_per_week, ..
+        } => visits_per_week,
+        _ => 0.0,
+    };
+    println!("  home visit frequency : {visits_per_week:.1}/week");
 
     let resp = pms
         .cloud_client_mut()
-        .call("/api/v1/analytics/activity", serde_json::json!({}), end)
+        .call("/api/v1/analytics/activity", Payload::Empty, end)
         .map_err(|e| e.to_string())?;
-    println!(
-        "  daily movement       : {:.0} min/day",
-        resp.body["mean_daily_moving_minutes"]
-            .as_f64()
-            .unwrap_or(0.0)
-    );
-    let _ = Meters::ZERO;
+    let moving = match resp.body {
+        Payload::Activity {
+            mean_daily_moving_minutes,
+        } => mean_daily_moving_minutes,
+        _ => 0.0,
+    };
+    println!("  daily movement       : {moving:.0} min/day");
     Ok(())
 }
 

@@ -9,9 +9,8 @@
 //! boundary, in exports, and in golden tests (see the [`crate::payload`]
 //! module docs for the byte-identity contract).
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use bytes::Bytes;
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 
@@ -76,7 +75,7 @@ pub struct Request {
     /// the fault boundary copies it back across).
     pub ctx: SpanCtx,
     /// Lazily rendered wire bytes; retries reuse the first encoding.
-    wire: OnceLock<Bytes>,
+    wire: OnceLock<Arc<[u8]>>,
 }
 
 impl Request {
@@ -128,13 +127,13 @@ impl Request {
     /// The request's wire bytes (JSON envelope), rendered once and
     /// cached — every retry attempt at the fault boundary reuses the
     /// first encoding instead of re-serialising the body.
-    pub fn wire_bytes(&self) -> &Bytes {
+    pub fn wire_bytes(&self) -> &Arc<[u8]> {
         self.wire
-            .get_or_init(|| Bytes::from(serde_json::to_vec(self).expect("request is serializable")))
+            .get_or_init(|| Arc::from(serde_json::to_vec(self).expect("request is serializable")))
     }
 
     /// Serialises the request to wire bytes (JSON envelope).
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Arc<[u8]> {
         self.wire_bytes().clone()
     }
 
@@ -323,8 +322,8 @@ impl Response {
     }
 
     /// Serialises the response to wire bytes.
-    pub fn to_bytes(&self) -> Bytes {
-        Bytes::from(serde_json::to_vec(self).expect("response is serializable"))
+    pub fn to_bytes(&self) -> Arc<[u8]> {
+        Arc::from(serde_json::to_vec(self).expect("response is serializable"))
     }
 
     /// Parses a response from wire bytes. The body stays on the JSON
@@ -398,8 +397,8 @@ mod tests {
     #[test]
     fn wire_bytes_are_cached_across_attempts() {
         let r = Request::post("/api/v1/places/sync", json!({"places": []})).with_token("abc");
-        let first = r.wire_bytes() as *const Bytes;
-        let second = r.wire_bytes() as *const Bytes;
+        let first = r.wire_bytes() as *const Arc<[u8]>;
+        let second = r.wire_bytes() as *const Arc<[u8]>;
         assert_eq!(first, second, "second render must reuse the cache");
     }
 

@@ -14,14 +14,11 @@ use crate::storage::apply;
 /// observation batch into the caller's persistent incremental engine.
 pub(crate) fn discover(ctx: &Ctx<'_>, request: &Request) -> Response {
     with_body::<DiscoverBody>(request, |body| {
-        // Clone the config before taking the user lock (lock order: config
-        // lock is never held across a store lock). Absorbing under the
-        // user lock only serializes this user's own requests — other users
-        // live behind other mutexes.
-        let config = ctx.core.gca_config.read().clone();
+        // Absorbing under the user lock only serializes this user's own
+        // requests — other users live behind other mutexes.
         let store = ctx.store();
         let mut store = store.lock();
-        match apply::apply_discover(&mut store, &config, body) {
+        match apply::apply_discover(&mut store, &ctx.core.gca_config, body) {
             Ok(outcome) => {
                 if outcome.replayed {
                     ctx.core.metrics.replay_discover.inc();

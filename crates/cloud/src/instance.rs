@@ -10,7 +10,8 @@
 //! [`CloudInstance`] contains no endpoint logic. It is:
 //!
 //! * **state** — a [`CloudCore`] (token store, user shards, cell
-//!   database, GCA config, admission controller, metrics);
+//!   database, GCA config, admission controller, metrics). The GCA
+//!   config and the storage engine are fixed at construction;
 //! * **the request path** — [`CloudInstance::handle`] resolves the route
 //!   and validates the caller once, runs the gates (outage → request
 //!   metrics → latency queue → admission control → auth → relocation →
@@ -18,7 +19,8 @@
 //!   context, and hands the request to the route-table dispatcher
 //!   ([`crate::router`]);
 //! * **construction and accessors** — builders (`with_obs`,
-//!   `with_admission`) plus the snapshot views tests and benches read.
+//!   `with_storage`, `with_admission`, `with_latency`) plus the snapshot
+//!   views tests and benches read.
 //!
 //! Concurrency model: per-user state lives in [`SHARD_COUNT`] lock
 //! shards keyed by `UserId`, the token registry is behind a read-write
@@ -124,7 +126,7 @@ impl CloudInstance {
                 tokens: RwLock::new(TokenStore::new(SimDuration::from_hours(24))),
                 storage: StorageEngine::new(),
                 cells,
-                gca_config: RwLock::new(GcaConfig::default()),
+                gca_config: GcaConfig::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 outage: AtomicBool::new(false),
                 admission: Default::default(),
@@ -213,28 +215,23 @@ impl CloudInstance {
         self
     }
 
-    /// Enables the storage engine with `config`, as a builder. Off by
-    /// default; see [`CloudInstance::set_storage`].
-    pub fn with_storage(self, config: StorageConfig) -> CloudInstance {
-        self.set_storage(Some(config));
-        self
-    }
-
-    /// Enables (`Some`) or disables (`None`) the storage engine at
-    /// runtime: LRU residency under `resident_cap`, the durable WAL and
-    /// on-disk snapshots under `store_dir`, and the day-cadence
-    /// snapshot+compaction sweep. Enabling binds the
-    /// `cloud_store_resident_users` gauge and the eviction/hydration
+    /// Runs the storage engine with `config` for the instance's whole
+    /// lifetime, as a builder on a fresh instance: LRU residency under
+    /// `resident_cap`, the durable WAL and on-disk snapshots under
+    /// `store_dir`, and the day-cadence snapshot+compaction sweep. Binds
+    /// the `cloud_store_resident_users` gauge and the eviction/hydration
     /// counters to the instance's registry — call after
     /// [`CloudInstance::with_obs`] so they land in the shared one.
-    /// Disabling re-hydrates every parked snapshot back into RAM.
-    /// Disabled (the default) the engine is byte-identical to the
-    /// historical in-RAM store path.
-    pub fn set_storage(&self, config: Option<StorageConfig>) {
-        let gca = self.core.gca_config.read().clone();
-        self.core
-            .storage
-            .configure(config, &self.core.metrics.shared, &gca);
+    /// Without it (the default) the instance keeps every user in the
+    /// plain in-RAM store map.
+    pub fn with_storage(mut self, config: StorageConfig) -> CloudInstance {
+        debug_assert_eq!(
+            self.resident_users(),
+            0,
+            "storage is set before any request"
+        );
+        self.core.storage = StorageEngine::with_config(config, &self.core.metrics.shared);
+        self
     }
 
     /// Rebuilds an instance from a durable store directory after a crash.
@@ -253,8 +250,7 @@ impl CloudInstance {
         config: StorageConfig,
         now: SimTime,
     ) -> CloudInstance {
-        let instance = CloudInstance::new(cells, seed);
-        instance.set_storage(Some(config));
+        let instance = CloudInstance::new(cells, seed).with_storage(config);
         instance.core.storage.load_dir();
         instance.core.storage.set_replaying(true);
         let mut adoptions: Vec<(UserId, String, SimTime)> = Vec::new();
@@ -296,15 +292,15 @@ impl CloudInstance {
         instance
     }
 
-    /// Stores currently resident in RAM (all touched users while the
-    /// storage engine is disabled).
+    /// Stores currently resident in RAM (all touched users on an instance
+    /// built without [`CloudInstance::with_storage`]).
     pub fn resident_users(&self) -> usize {
         self.core.storage.resident_users()
     }
 
     /// Whether `user`'s store is resident in RAM (as opposed to parked in
-    /// a snapshot). Always true for a touched user while the storage
-    /// engine is disabled.
+    /// a snapshot). Always true for a touched user on an instance built
+    /// without [`CloudInstance::with_storage`].
     pub fn is_resident(&self, user: UserId) -> bool {
         self.core.storage.is_resident(user)
     }
@@ -339,14 +335,6 @@ impl CloudInstance {
         self.core.latency.health_stats(now).0
     }
 
-    /// p99 request latency observed so far, in microseconds (bucket
-    /// bound); 0 while the latency model is disabled.
-    pub fn latency_p99_us(&self) -> u64 {
-        // Depth needs a clock; p99 does not — pass the epoch and take
-        // only the quantile half of the pair.
-        self.core.latency.health_stats(SimTime::EPOCH).1
-    }
-
     /// Requests shed by the latency queue so far.
     pub fn queue_shed_count(&self) -> u64 {
         self.core.latency.shed_count()
@@ -375,27 +363,9 @@ impl CloudInstance {
         self.core.outage()
     }
 
-    /// Overrides the GCA configuration used by the discovery offload.
-    ///
-    /// Per-user incremental engines were built under the old parameters,
-    /// so they are dropped; each user's next offload starts a fresh
-    /// engine (intended as a deployment-setup call, not a hot reconfig).
-    pub fn set_gca_config(&self, config: GcaConfig) {
-        *self.core.gca_config.write() = config;
-        // The config write lock is released before any user lock is taken
-        // (same lock-order rule as the discover endpoint). The engine
-        // invalidates resident *and* parked (snapshotted) engines.
-        self.core.storage.invalidate_gca();
-    }
-
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
         self.core.tokens.read().user_count()
-    }
-
-    /// Number of per-user lock shards.
-    pub fn shard_count(&self) -> usize {
-        SHARD_COUNT
     }
 
     /// Authenticated requests handled so far.
@@ -502,8 +472,8 @@ impl CloudInstance {
     pub fn handle(&self, request: &Request, now: SimTime) -> Response {
         let core = &self.core;
         // Storage-engine clock tick (accessor-path LRU stamps) and the
-        // day-cadence compaction hook; an atomic store + load when the
-        // engine is disabled.
+        // day-cadence compaction hook; one atomic store without a durable
+        // storage config.
         core.storage.tick(now);
         if core.outage() {
             return Response::error(503, "service unavailable");

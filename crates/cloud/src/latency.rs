@@ -149,12 +149,6 @@ impl LatencyProfile {
         profile
     }
 
-    /// Overrides one endpoint's cost (by route-table index).
-    pub fn with_cost(mut self, endpoint: usize, cost: EndpointCost) -> LatencyProfile {
-        self.costs[endpoint] = cost;
-        self
-    }
-
     /// Overrides the queue configuration.
     pub fn with_queue(mut self, queue: QueueConfig) -> LatencyProfile {
         self.queue = queue;

@@ -607,15 +607,6 @@ impl Payload {
         }
     }
 
-    /// Like [`Payload::to_json`] but consumes the payload, so the
-    /// untyped escape hatch hands its `Value` back without a clone.
-    pub fn into_json(self) -> Value {
-        match self {
-            Payload::Json(value) => value,
-            other => other.to_json(),
-        }
-    }
-
     /// Reconstructs the typed payload for a JSON body arriving at the
     /// wire boundary, resolving `(method, path)` against the route table.
     ///

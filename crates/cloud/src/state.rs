@@ -179,11 +179,12 @@ impl CloudMetrics {
 pub(crate) struct CloudCore {
     pub(crate) tokens: RwLock<TokenStore>,
     /// The storage engine every `UserStore` access flows through: the
-    /// sharded resident maps plus (when enabled) the WAL, snapshots, and
-    /// the LRU residency manager. See [`crate::storage`].
+    /// sharded resident maps plus (when configured) the WAL, snapshots,
+    /// and the LRU residency manager. See [`crate::storage`].
     pub(crate) storage: StorageEngine,
     pub(crate) cells: CellDatabase,
-    pub(crate) gca_config: RwLock<GcaConfig>,
+    /// The parameters every user's discovery engine runs under.
+    pub(crate) gca_config: GcaConfig,
     pub(crate) rng: Mutex<StdRng>,
     pub(crate) outage: AtomicBool,
     pub(crate) admission: AdmissionControl,

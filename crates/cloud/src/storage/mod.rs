@@ -1,10 +1,10 @@
 //! The cloud storage engine: WAL, compacted snapshots, LRU residency.
 //!
 //! Every [`UserStore`] access in the cloud flows through this subsystem
-//! (enforced by `make lint-storage`). Disabled — the default — it is the
-//! old sharded in-RAM map behind one atomic load, byte-identical to the
-//! pre-engine behavior. Enabled via [`StorageConfig`] it adds, in
-//! composable pieces:
+//! (enforced by `make lint-storage`). An instance built without a
+//! [`StorageConfig`] — the default — gets the plain sharded in-RAM map.
+//! One built with a config (`CloudInstance::with_storage`, fixed for the
+//! instance's lifetime) adds, in composable pieces:
 //!
 //! * **Residency cap** (`resident_cap`): at most K stores live in RAM.
 //!   Acquiring a non-resident user hydrates it (from snapshot + WAL
@@ -24,14 +24,13 @@
 //!   rewrites the shard files.
 //!
 //! Lock order, engine-wide: residency mutex → shard `RwLock` → store
-//! mutex → WAL mutex → snapshot-store mutex. The GCA config lock is
-//! always cloned *before* any of these is taken. [`StoreGuard::drop`]
+//! mutex → WAL mutex → snapshot-store mutex. [`StoreGuard::drop`]
 //! takes the residency mutex, which is safe because the store mutex a
 //! guard hands out is always released before the guard itself drops
 //! (later bindings and later temporaries drop first).
 //!
-//! Determinism: with the engine disabled, behavior is byte-identical to
-//! the pre-engine cloud. Enabled, the *final* state is schedule-
+//! Determinism: without a config, behavior is byte-identical to the
+//! pre-engine cloud. With one, the *final* state is schedule-
 //! independent (hydration restores exactly what eviction parked), while
 //! eviction/hydration *counter values* are deterministic under
 //! single-threaded driving — the same caveat as the shared-queue latency
@@ -102,9 +101,8 @@ impl Default for StorageConfig {
     }
 }
 
-/// Residency metrics and the span sink, bound at enable time (the lazy
-/// pattern the latency model uses: disabled, the engine adds zero metric
-/// keys).
+/// Residency metrics and the span sink, bound at construction when a
+/// config is given (without one, the engine adds zero metric keys).
 #[derive(Debug)]
 struct StorageMetrics {
     evictions: Counter,
@@ -126,7 +124,7 @@ impl Default for StorageMetrics {
 
 /// The durable half of the WAL: the in-memory log plus lazily opened
 /// per-shard JSONL appenders.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WalState {
     log: WalLog,
     dir: Option<PathBuf>,
@@ -190,22 +188,15 @@ impl WalState {
 /// [`StoreGuard`] pins.
 #[derive(Debug)]
 pub(crate) struct EngineInner {
-    enabled: AtomicBool,
-    /// Enabled with a store directory: the WAL and snapshots persist.
-    /// Mirrors `WalState::dir` so the per-request tick reads an atomic
-    /// instead of taking the WAL mutex.
-    durable: AtomicBool,
+    /// `None`: the plain in-RAM map, with no residency bookkeeping.
+    config: Option<StorageConfig>,
     /// Per-user lock shards — the resident population.
     shards: Vec<Shard>,
-    config: RwLock<StorageConfig>,
     wal: Mutex<WalState>,
     snapshots: SnapshotStore,
     residency: Mutex<ResidencyState>,
     /// User → identity key, bound at registration success.
     keys: RwLock<HashMap<UserId, String>>,
-    /// Identity key → user, the reverse map (re-hydration on disable,
-    /// recovery rebinding).
-    users_of: RwLock<HashMap<String, UserId>>,
     /// Last simulated instant seen by `handle` (seconds): the LRU stamp
     /// for accessor-path acquisitions that carry no clock of their own.
     clock: AtomicU64,
@@ -216,7 +207,7 @@ pub(crate) struct EngineInner {
     compact_day: AtomicU64,
     /// Monotonic hydration-span sequence (trace-id input).
     hydration_seq: AtomicU64,
-    metrics: RwLock<StorageMetrics>,
+    metrics: StorageMetrics,
 }
 
 /// A pinned handle to one user's store. While any guard for a user is
@@ -251,34 +242,49 @@ pub(crate) struct StorageEngine {
 }
 
 impl StorageEngine {
-    /// A disabled engine over empty shards (the default construction).
+    /// The plain in-RAM map: no residency cap, no WAL, no snapshots.
     pub(crate) fn new() -> StorageEngine {
+        StorageEngine::build(None, StorageMetrics::default())
+    }
+
+    /// An engine running `config` for its whole lifetime. Binds the
+    /// residency metrics to `obs` — pass the instance's shared registry.
+    pub(crate) fn with_config(config: StorageConfig, obs: &Obs) -> StorageEngine {
+        let metrics = StorageMetrics {
+            evictions: obs.counter("cloud_store_evictions_total", &[]),
+            hydrations: obs.counter("cloud_store_hydrations_total", &[]),
+            resident: obs.gauge("cloud_store_resident_users", &[]),
+            spans: obs.spans().cloned(),
+        };
+        StorageEngine::build(Some(config), metrics)
+    }
+
+    fn build(config: Option<StorageConfig>, metrics: StorageMetrics) -> StorageEngine {
+        let dir = config.as_ref().and_then(|c| c.store_dir.clone());
         StorageEngine {
             inner: Arc::new(EngineInner {
-                enabled: AtomicBool::new(false),
-                durable: AtomicBool::new(false),
                 shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-                config: RwLock::new(StorageConfig::default()),
                 wal: Mutex::new(WalState {
+                    log: WalLog::default(),
+                    dir: dir.clone(),
                     files: (0..SHARD_COUNT).map(|_| None).collect(),
-                    ..WalState::default()
                 }),
-                snapshots: SnapshotStore::default(),
+                snapshots: SnapshotStore::new(dir.as_deref()),
                 residency: Mutex::new(ResidencyState::default()),
                 keys: RwLock::new(HashMap::new()),
-                users_of: RwLock::new(HashMap::new()),
                 clock: AtomicU64::new(0),
                 replaying: AtomicBool::new(false),
                 compact_day: AtomicU64::new(0),
                 hydration_seq: AtomicU64::new(0),
-                metrics: RwLock::new(StorageMetrics::default()),
+                metrics,
+                config,
             }),
         }
     }
 
-    /// Whether the engine is enabled.
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::SeqCst)
+    /// Whether the engine runs a [`StorageConfig`].
+    fn is_enabled(&self) -> bool {
+        self.inner.config.is_some()
     }
 
     /// The last simulated instant `tick` saw (the accessor-path LRU
@@ -289,7 +295,10 @@ impl StorageEngine {
 
     /// Whether durable mode (a store directory) is active.
     pub(crate) fn is_durable(&self) -> bool {
-        self.inner.durable.load(Ordering::SeqCst)
+        self.inner
+            .config
+            .as_ref()
+            .is_some_and(|c| c.store_dir.is_some())
     }
 
     /// The shard a user's resident store lives in.
@@ -307,126 +316,28 @@ impl StorageEngine {
             .unwrap_or_else(|| fallback_key(user))
     }
 
-    /// Binds `user` ↔ `key` (registration success, recovery rebinding).
+    /// Binds `user` → `key` (registration success, recovery rebinding).
     fn bind_key(&self, user: UserId, key: &str) {
         self.inner.keys.write().insert(user, key.to_owned());
-        self.inner.users_of.write().insert(key.to_owned(), user);
-    }
-
-    /// Enables (`Some`) or disables (`None`) the engine at runtime.
-    /// Enabling binds the residency metrics to `obs` — call after
-    /// `with_obs` so they land in the shared registry. Disabling
-    /// re-hydrates every parked snapshot back into RAM (using
-    /// `gca_config` for engine rebuilds) and clears all engine state.
-    pub(crate) fn configure(
-        &self,
-        config: Option<StorageConfig>,
-        obs: &Obs,
-        gca_config: &GcaConfig,
-    ) {
-        match config {
-            Some(config) => self.enable(config, obs),
-            None => self.disable(gca_config),
-        }
-    }
-
-    fn enable(&self, config: StorageConfig, obs: &Obs) {
-        {
-            let mut wal = self.inner.wal.lock();
-            if let Some(dir) = &config.store_dir {
-                let _ = fs::create_dir_all(dir);
-                wal.dir = Some(dir.clone());
-            } else {
-                wal.dir = None;
-            }
-            wal.files = (0..SHARD_COUNT).map(|_| None).collect();
-            self.inner
-                .durable
-                .store(wal.dir.is_some(), Ordering::SeqCst);
-        }
-        self.inner.snapshots.set_dir(config.store_dir.as_deref());
-        *self.inner.metrics.write() = StorageMetrics {
-            evictions: obs.counter("cloud_store_evictions_total", &[]),
-            hydrations: obs.counter("cloud_store_hydrations_total", &[]),
-            resident: obs.gauge("cloud_store_resident_users", &[]),
-            spans: obs.spans().cloned(),
-        };
-        *self.inner.config.write() = config;
-        let now_s = self.inner.clock.load(Ordering::SeqCst);
-        self.inner
-            .compact_day
-            .store(SimTime::from_seconds(now_s).day(), Ordering::SeqCst);
-        self.inner.enabled.store(true, Ordering::SeqCst);
-        // Register everything already resident with the LRU, then bring
-        // the population under the cap.
-        let mut res = self.inner.residency.lock();
-        for shard in &self.inner.shards {
-            for user in shard.users.read().keys() {
-                if !res.contains(*user) {
-                    res.touch(*user, now_s);
-                }
-            }
-        }
-        self.inner.metrics.read().resident.set(res.len() as i64);
-        self.enforce_cap(&mut res);
-    }
-
-    fn disable(&self, gca_config: &GcaConfig) {
-        if !self.inner.enabled.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        self.inner.durable.store(false, Ordering::SeqCst);
-        // Bring every parked user back to RAM: the disabled engine has no
-        // hydration path, so state must not stay stranded in snapshots.
-        for key in self.inner.snapshots.keys() {
-            let user = self.inner.users_of.read().get(&key).copied().or_else(|| {
-                key.strip_prefix("uid:")
-                    .and_then(|raw| raw.parse::<u32>().ok())
-                    .map(UserId)
-            });
-            let Some(user) = user else {
-                continue;
-            };
-            let shard = self.shard(user);
-            if shard.users.read().contains_key(&user) {
-                continue;
-            }
-            let (store, _, _) = self.hydrate_build(&key, gca_config);
-            shard
-                .users
-                .write()
-                .insert(user, Arc::new(Mutex::new(store)));
-        }
-        for key in self.inner.snapshots.keys() {
-            self.inner.snapshots.remove(&key);
-        }
-        // Keep pin counts: outstanding guards from the enabled era still
-        // unpin on drop.
-        self.inner.residency.lock().reset_lru();
-        {
-            let mut wal = self.inner.wal.lock();
-            *wal = WalState {
-                files: (0..SHARD_COUNT).map(|_| None).collect(),
-                ..WalState::default()
-            };
-        }
-        *self.inner.metrics.write() = StorageMetrics::default();
     }
 
     /// Clock tick + periodic compaction hook, called once per handled
-    /// request. Disabled: one atomic store and one atomic load.
+    /// request. Without a durable config: one atomic store.
     pub(crate) fn tick(&self, now: SimTime) {
         self.inner.clock.store(now.as_seconds(), Ordering::SeqCst);
-        if !self.inner.enabled.load(Ordering::SeqCst) {
-            return;
+        if self.is_durable() {
+            self.maybe_compact(now);
         }
-        self.maybe_compact(now);
     }
 
     /// Day-cadence snapshot + compaction sweep (durable mode).
     fn maybe_compact(&self, now: SimTime) {
-        let every = self.inner.config.read().snapshot_every_days;
-        if every == 0 || !self.is_durable() {
+        let every = self
+            .inner
+            .config
+            .as_ref()
+            .map_or(0, |c| c.snapshot_every_days);
+        if every == 0 {
             return;
         }
         let day = now.day();
@@ -468,13 +379,8 @@ impl StorageEngine {
     /// Acquires `user`'s store, hydrating or creating it as needed and
     /// stamping the LRU with `now`. The returned guard pins the user
     /// against eviction until dropped.
-    pub(crate) fn acquire(
-        &self,
-        user: UserId,
-        now: SimTime,
-        gca_config: &RwLock<GcaConfig>,
-    ) -> StoreGuard {
-        if !self.inner.enabled.load(Ordering::SeqCst) {
+    pub(crate) fn acquire(&self, user: UserId, now: SimTime, gca_config: &GcaConfig) -> StoreGuard {
+        if !self.is_enabled() {
             return StoreGuard {
                 store: self.store_fast(user),
                 pin: None,
@@ -498,11 +404,9 @@ impl StorageEngine {
                 res.remove(user);
             }
         }
-        // Slow path: hydrate or create. The GCA config is cloned with no
-        // engine lock held (lock-order rule).
+        // Slow path: hydrate or create.
         let key = self.key_of(user);
-        let config = gca_config.read().clone();
-        let (store, hydrated, replayed) = self.hydrate_build(&key, &config);
+        let (store, hydrated, replayed) = self.hydrate_build(&key, gca_config);
         let mut res = self.inner.residency.lock();
         if res.contains(user) {
             // Lost the insert race: use the winner's store.
@@ -525,7 +429,7 @@ impl StorageEngine {
         res.touch(user, now_s);
         res.pin(user);
         {
-            let metrics = self.inner.metrics.read();
+            let metrics = &self.inner.metrics;
             metrics.resident.add(1);
             if hydrated {
                 metrics.hydrations.inc();
@@ -556,7 +460,7 @@ impl StorageEngine {
         }
     }
 
-    /// The disabled-mode store lookup: byte-identical to the historical
+    /// The config-less store lookup: byte-identical to the historical
     /// `store_of` (shard read fast path, write lock on first touch).
     fn store_fast(&self, user: UserId) -> Arc<Mutex<UserStore>> {
         let shard = self.shard(user);
@@ -599,7 +503,7 @@ impl StorageEngine {
     /// Called with the residency lock held. Pinned users are skipped, so
     /// the cap is soft while many guards are outstanding.
     fn enforce_cap(&self, res: &mut ResidencyState) {
-        let Some(cap) = self.inner.config.read().resident_cap else {
+        let Some(cap) = self.inner.config.as_ref().and_then(|c| c.resident_cap) else {
             return;
         };
         while res.len() > cap {
@@ -629,7 +533,7 @@ impl StorageEngine {
             self.shard(victim).users.write().remove(&victim);
         }
         res.remove(victim);
-        let metrics = self.inner.metrics.read();
+        let metrics = &self.inner.metrics;
         metrics.evictions.inc();
         metrics.resident.add(-1);
     }
@@ -645,7 +549,7 @@ impl StorageEngine {
         user: Option<UserId>,
         ingest: bool,
     ) {
-        if !self.inner.enabled.load(Ordering::SeqCst)
+        if !self.is_enabled()
             || self.inner.replaying.load(Ordering::SeqCst)
             || !response.is_success()
         {
@@ -711,10 +615,10 @@ impl StorageEngine {
     // ---- recovery (driven by `CloudInstance::recover`) -------------------
 
     /// Loads the WAL shard files and parked snapshots from the configured
-    /// store directory (crash recovery; call on a freshly enabled,
-    /// still-empty engine).
+    /// store directory (crash recovery; call on a fresh, still-empty
+    /// engine).
     pub(crate) fn load_dir(&self) {
-        let dir = {
+        {
             let mut wal = self.inner.wal.lock();
             let Some(dir) = wal.dir.clone() else {
                 return;
@@ -733,9 +637,8 @@ impl StorageEngine {
                 }
             }
             wal.log.sort();
-            dir
-        };
-        self.inner.snapshots.load(&dir);
+        }
+        self.inner.snapshots.load();
     }
 
     /// Keys with recoverable state (WAL records or a parked snapshot), in
@@ -771,7 +674,7 @@ impl StorageEngine {
         if res.contains(user) {
             res.remove(user);
             if removed {
-                self.inner.metrics.read().resident.add(-1);
+                self.inner.metrics.resident.add(-1);
             }
         }
     }
@@ -788,7 +691,7 @@ impl StorageEngine {
     }
 
     /// Whether `user`'s store is resident (always true for a touched user
-    /// while the engine is disabled).
+    /// without a config).
     pub(crate) fn is_resident(&self, user: UserId) -> bool {
         if self.is_enabled() {
             self.inner.residency.lock().contains(user)
@@ -797,28 +700,14 @@ impl StorageEngine {
         }
     }
 
-    /// Users evicted so far (0 while disabled).
+    /// Users evicted so far (0 without a config).
     pub(crate) fn eviction_count(&self) -> u64 {
-        self.inner.metrics.read().evictions.get()
+        self.inner.metrics.evictions.get()
     }
 
-    /// Hydrations performed so far (0 while disabled).
+    /// Hydrations performed so far (0 without a config).
     pub(crate) fn hydration_count(&self) -> u64 {
-        self.inner.metrics.read().hydrations.get()
-    }
-
-    /// Drops every cached discovery engine, resident and parked (GCA
-    /// config change).
-    pub(crate) fn invalidate_gca(&self) {
-        for shard in &self.inner.shards {
-            let stores: Vec<_> = shard.users.read().values().cloned().collect();
-            for store in stores {
-                store.lock().gca = None;
-            }
-        }
-        for key in self.inner.snapshots.keys() {
-            self.inner.snapshots.clear_gca(&key);
-        }
+        self.inner.metrics.hydrations.get()
     }
 }
 
@@ -827,18 +716,20 @@ mod tests {
     use super::*;
     use snapshot::tests::{assert_same_state, multi_day_store};
 
-    fn engine() -> StorageEngine {
-        StorageEngine::new()
-    }
-
-    fn gca_lock() -> RwLock<GcaConfig> {
-        RwLock::new(GcaConfig::default())
+    fn capped(cap: usize) -> StorageEngine {
+        StorageEngine::with_config(
+            StorageConfig {
+                resident_cap: Some(cap),
+                ..StorageConfig::default()
+            },
+            &Obs::new(),
+        )
     }
 
     #[test]
     fn disabled_engine_matches_legacy_store_of() {
-        let engine = engine();
-        let gca = gca_lock();
+        let engine = StorageEngine::new();
+        let gca = GcaConfig::default();
         let guard = engine.acquire(UserId(3), SimTime::EPOCH, &gca);
         guard.lock().places_seq = 9;
         drop(guard);
@@ -851,16 +742,8 @@ mod tests {
 
     #[test]
     fn cap_evicts_lru_and_hydrates_back() {
-        let engine = engine();
-        let gca = gca_lock();
-        engine.configure(
-            Some(StorageConfig {
-                resident_cap: Some(2),
-                ..StorageConfig::default()
-            }),
-            &Obs::new(),
-            &GcaConfig::default(),
-        );
+        let engine = capped(2);
+        let gca = GcaConfig::default();
         for (i, at) in [(1u32, 10u64), (2, 20), (3, 30)] {
             let guard = engine.acquire(UserId(i), SimTime::from_seconds(at), &gca);
             guard.lock().places_seq = u64::from(i) * 100;
@@ -879,16 +762,8 @@ mod tests {
 
     #[test]
     fn pinned_guards_shield_from_eviction() {
-        let engine = engine();
-        let gca = gca_lock();
-        engine.configure(
-            Some(StorageConfig {
-                resident_cap: Some(1),
-                ..StorageConfig::default()
-            }),
-            &Obs::new(),
-            &GcaConfig::default(),
-        );
+        let engine = capped(1);
+        let gca = GcaConfig::default();
         let pinned = engine.acquire(UserId(1), SimTime::from_seconds(1), &gca);
         let _other = engine.acquire(UserId(2), SimTime::from_seconds(2), &gca);
         // User 1 is older but pinned; user 2 is pinned too, so the cap is
@@ -899,29 +774,21 @@ mod tests {
         assert!(!engine.is_resident(UserId(1)), "unpinned LRU evicted");
     }
 
-    /// A durable engine with a cap of one over a fresh directory.
-    fn durable_engine(name: &str) -> (StorageEngine, PathBuf) {
-        let dir = std::env::temp_dir().join(format!("pmware-{name}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let engine = engine();
-        engine.configure(
-            Some(StorageConfig {
-                resident_cap: Some(1),
-                store_dir: Some(dir.clone()),
-                snapshot_every_days: 0,
-            }),
-            &Obs::new(),
-            &GcaConfig::default(),
-        );
-        (engine, dir)
-    }
-
     /// A snapshot file that cannot be written must not lose the evicted
     /// user: the parked bytes stay resident and hydration reads them.
     #[test]
     fn failed_snapshot_write_keeps_the_user_hydratable() {
-        let (engine, dir) = durable_engine("snap-fail");
-        let gca = gca_lock();
+        let dir = std::env::temp_dir().join(format!("pmware-snap-fail-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let engine = StorageEngine::with_config(
+            StorageConfig {
+                resident_cap: Some(1),
+                store_dir: Some(dir.clone()),
+                snapshot_every_days: 0,
+            },
+            &Obs::new(),
+        );
+        let gca = GcaConfig::default();
         // Snapshot writes now fail: `snapshots/` is a plain file.
         let snapshots = dir.join("snapshots");
         fs::remove_dir_all(&snapshots).unwrap();
@@ -948,65 +815,5 @@ mod tests {
         drop(store);
         let _ = fs::remove_file(&snapshots);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A GCA config change drops the log block of a snapshot parked on
-    /// disk and keeps everything else.
-    #[test]
-    fn invalidate_gca_drops_the_parked_log_block() {
-        let (engine, dir) = durable_engine("snap-gca");
-        let gca = gca_lock();
-        *engine
-            .acquire(UserId(1), SimTime::from_seconds(1), &gca)
-            .lock() = multi_day_store(2);
-        drop(engine.acquire(UserId(2), SimTime::from_seconds(2), &gca));
-        let key = fallback_key(UserId(1));
-        let before = engine.inner.snapshots.get(&key).unwrap().1;
-        assert!(before.to_store().unwrap().gca.is_some());
-
-        engine.invalidate_gca();
-        let files: Vec<PathBuf> = fs::read_dir(dir.join("snapshots"))
-            .unwrap()
-            .map(|entry| entry.unwrap().path())
-            .collect();
-        assert_eq!(files.len(), 1, "only user 1 is parked");
-        let text = String::from_utf8_lossy(&fs::read(&files[0]).unwrap()).into_owned();
-        let header = text.lines().next().unwrap();
-        assert!(header.contains("\"log_len\":0,"), "{header}");
-        assert!(text.ends_with('}'), "the file ends with the store JSON");
-        let (_, after) = engine.inner.snapshots.get(&key).unwrap();
-        assert_eq!(after, Parked::of(&after.to_store().unwrap()));
-        let guard = engine.acquire(UserId(1), SimTime::from_seconds(3), &gca);
-        let store = guard.lock();
-        assert!(store.gca.is_none(), "the engine is gone");
-        assert_eq!(Parked::of(&store), after, "nothing but the log block left");
-        assert_same_state(&store, &multi_day_store(2));
-        drop(store);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disabling_rehydrates_parked_users() {
-        let engine = engine();
-        let gca = gca_lock();
-        engine.configure(
-            Some(StorageConfig {
-                resident_cap: Some(1),
-                ..StorageConfig::default()
-            }),
-            &Obs::new(),
-            &GcaConfig::default(),
-        );
-        {
-            let guard = engine.acquire(UserId(1), SimTime::from_seconds(1), &gca);
-            guard.lock().routes_seq = 7;
-        }
-        let _second = engine.acquire(UserId(2), SimTime::from_seconds(2), &gca);
-        assert!(!engine.is_resident(UserId(1)));
-        engine.configure(None, &Obs::new(), &GcaConfig::default());
-        // Back to plain resident maps: both users present, state intact.
-        assert_eq!(engine.resident_users(), 2);
-        let guard = engine.acquire(UserId(1), SimTime::EPOCH, &gca);
-        assert_eq!(guard.lock().routes_seq, 7);
     }
 }

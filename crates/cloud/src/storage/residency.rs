@@ -79,19 +79,11 @@ impl ResidencyState {
             .map(|&(_, user)| UserId(user))
     }
 
-    /// Deregisters `user` (evicted or engine disabled).
+    /// Deregisters `user` (evicted, or rebound by recovery).
     pub(crate) fn remove(&mut self, user: UserId) {
         if let Some(stamp) = self.stamp.remove(&user.0) {
             self.order.remove(&(stamp, user.0));
         }
-    }
-
-    /// Clears the LRU bookkeeping but keeps pin counts: pins mirror
-    /// outstanding [`super::StoreGuard`]s, which outlive an engine
-    /// disable and still release their pin on drop.
-    pub(crate) fn reset_lru(&mut self) {
-        self.order.clear();
-        self.stamp.clear();
     }
 
     /// Resident users in user-id order (deterministic sweeps).

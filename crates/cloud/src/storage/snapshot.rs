@@ -157,18 +157,6 @@ impl Parked {
             routes_seq: snapshot.routes_seq,
         })
     }
-
-    /// The same snapshot without its discovery engine (the GCA config
-    /// changed; the next offload rebuilds under the new parameters).
-    fn without_gca(&self) -> Result<Parked, String> {
-        let mut snapshot: UserSnapshot =
-            serde_json::from_str(&self.store).map_err(|e| format!("store JSON: {e}"))?;
-        snapshot.gca = None;
-        Ok(Parked {
-            store: serde_json::to_string(&snapshot).expect("snapshot serializes"),
-            log: Vec::new(),
-        })
-    }
 }
 
 /// The header line of a snapshot file. The key inside is authoritative
@@ -192,14 +180,14 @@ struct StoredSnapshot {
     resident: Option<Parked>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SnapState {
     by_key: BTreeMap<String, StoredSnapshot>,
     dir: Option<PathBuf>,
 }
 
 /// The snapshot store: per-key parked stores, in memory or on disk.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct SnapshotStore {
     inner: Mutex<SnapState>,
 }
@@ -280,22 +268,18 @@ fn read_header(path: &Path) -> Option<SnapshotHeader> {
 }
 
 impl SnapshotStore {
-    /// Points the store at a durability directory (creating
-    /// `snapshots/`). Snapshots already parked in memory are flushed to
-    /// disk and their bytes released; one whose file cannot be written
-    /// stays resident.
-    pub(crate) fn set_dir(&self, dir: Option<&Path>) {
-        let mut state = self.inner.lock();
-        state.dir = dir.map(|d| d.join("snapshots"));
-        if let Some(dir) = state.dir.clone() {
-            let _ = fs::create_dir_all(&dir);
-            for (key, snapshot) in state.by_key.iter_mut() {
-                if let Some(parked) = &snapshot.resident {
-                    if write_file(&dir, key, snapshot.wal_seq, parked).is_ok() {
-                        snapshot.resident = None;
-                    }
-                }
-            }
+    /// An empty store, parking on disk under `dir/snapshots/` (created
+    /// here) when a durability directory is given, in memory otherwise.
+    pub(crate) fn new(dir: Option<&Path>) -> SnapshotStore {
+        let dir = dir.map(|d| d.join("snapshots"));
+        if let Some(dir) = &dir {
+            let _ = fs::create_dir_all(dir);
+        }
+        SnapshotStore {
+            inner: Mutex::new(SnapState {
+                by_key: BTreeMap::new(),
+                dir,
+            }),
         }
     }
 
@@ -341,17 +325,6 @@ impl SnapshotStore {
         self.inner.lock().by_key.contains_key(key)
     }
 
-    /// Removes `key`'s snapshot (the user re-hydrated for good, e.g. the
-    /// engine is being disabled).
-    pub(crate) fn remove(&self, key: &str) {
-        let mut state = self.inner.lock();
-        if state.by_key.remove(key).is_some() {
-            if let Some(dir) = &state.dir {
-                let _ = fs::remove_file(dir.join(file_name_of(key)));
-            }
-        }
-    }
-
     /// Snapshot keys currently parked, in key order.
     pub(crate) fn keys(&self) -> Vec<String> {
         self.inner.lock().by_key.keys().cloned().collect()
@@ -369,16 +342,13 @@ impl SnapshotStore {
             .collect()
     }
 
-    /// Loads every snapshot found under `dir/snapshots/` (crash
+    /// Loads every snapshot found in the store's directory (crash
     /// recovery), reading only each file's header line. Bytes stay on
     /// disk; only watermarks come resident. Unparseable files and
     /// leftover `.tmp` files are skipped.
-    pub(crate) fn load(&self, dir: &Path) {
+    pub(crate) fn load(&self) {
         let mut state = self.inner.lock();
-        let snap_dir = dir.join("snapshots");
-        state.dir = Some(snap_dir.clone());
-        let Ok(entries) = fs::read_dir(&snap_dir) else {
-            let _ = fs::create_dir_all(&snap_dir);
+        let Some(Ok(entries)) = state.dir.as_ref().map(fs::read_dir) else {
             return;
         };
         let mut names: Vec<PathBuf> = entries
@@ -398,19 +368,6 @@ impl SnapshotStore {
                 },
             );
         }
-    }
-
-    /// Drops the discovery engine from `key`'s parked snapshot (the GCA
-    /// config changed). No-op for absent keys.
-    pub(crate) fn clear_gca(&self, key: &str) {
-        let Some((wal_seq, parked)) = self.get(key) else {
-            return;
-        };
-        let Ok(parked) = parked.without_gca() else {
-            return;
-        };
-        // A failed write keeps the edited snapshot resident.
-        let _ = self.put(key, wal_seq, parked);
     }
 }
 
@@ -517,12 +474,6 @@ pub(crate) mod tests {
         assert_eq!(bits(back.observations()), bits(engine.observations()));
         assert_eq!(back.places().places, engine.places().places);
         assert_same_state(&rebuilt, &store);
-
-        let cleared = parked.without_gca().unwrap();
-        assert!(cleared.log.is_empty());
-        let rebuilt = cleared.to_store().unwrap();
-        assert!(rebuilt.gca.is_none());
-        assert_same_state(&rebuilt, &store);
     }
 
     #[test]
@@ -556,15 +507,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn memory_store_put_get_remove() {
-        let store = SnapshotStore::default();
+    fn memory_store_put_get() {
+        let store = SnapshotStore::new(None);
         let parked = Parked::of(&UserStore::default());
         store.put("k", 7, parked.clone()).unwrap();
         assert!(store.contains("k"));
         assert_eq!(store.get("k").unwrap(), (7, parked));
         assert_eq!(store.watermarks().get("k"), None, "no durable copy");
-        store.remove("k");
-        assert!(store.get("k").is_none());
     }
 
     /// The file layout: one header line whose lengths split the rest,
@@ -574,8 +523,7 @@ pub(crate) mod tests {
         let dir = std::env::temp_dir().join(format!("pmware-snap-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let parked = Parked::of(&multi_day_store(2));
-        let store = SnapshotStore::default();
-        store.set_dir(Some(&dir));
+        let store = SnapshotStore::new(Some(&dir));
         store.put("imei|mail", 9, parked.clone()).unwrap();
 
         let path = dir.join("snapshots").join(file_name_of("imei|mail"));
@@ -595,8 +543,8 @@ pub(crate) mod tests {
 
         // A leftover temporary file is not a snapshot.
         fs::write(path.with_extension("snap.tmp"), b"{}\n").unwrap();
-        let recovered = SnapshotStore::default();
-        recovered.load(&dir);
+        let recovered = SnapshotStore::new(Some(&dir));
+        recovered.load();
         assert_eq!(recovered.keys(), vec!["imei|mail".to_owned()]);
         assert_eq!(recovered.get("imei|mail").unwrap(), (9, parked));
         let _ = fs::remove_dir_all(&dir);

@@ -261,14 +261,14 @@ fn failover_of_an_evicted_user_hydrates_then_migrates() {
     let router = TopologyRouter::new(BalancePolicy::RoundRobin);
     let clouds: Vec<pmware_cloud::SharedCloud> = (0..2)
         .map(|i| {
-            let cloud = pmware_cloud::SharedCloud::new(CloudInstance::new(
-                CellDatabase::new(),
-                1000 + i as u64,
-            ));
-            cloud.set_storage(Some(StorageConfig {
-                resident_cap: Some(1),
-                ..StorageConfig::default()
-            }));
+            let cloud = pmware_cloud::SharedCloud::new(
+                CloudInstance::new(CellDatabase::new(), 1000 + i as u64).with_storage(
+                    StorageConfig {
+                        resident_cap: Some(1),
+                        ..StorageConfig::default()
+                    },
+                ),
+            );
             router.add_instance(cloud.clone());
             cloud
         })

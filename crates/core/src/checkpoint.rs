@@ -85,9 +85,4 @@ impl PmsCheckpoint {
     pub fn from_json(json: &str) -> Result<Self, String> {
         serde_json::from_str(json).map_err(|e| e.to_string())
     }
-
-    /// The simulated instant the checkpoint was taken.
-    pub fn taken_at(&self) -> SimTime {
-        self.clock
-    }
 }

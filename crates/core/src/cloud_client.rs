@@ -35,43 +35,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::PmsError;
 
-/// A response rendered to its JSON spelling — what the untyped
-/// [`CloudClient::call`]/[`CloudClient::get`] escape hatch returns, so
-/// app-level callers can keep indexing bodies (`resp.body["places"]`)
-/// without caring which typed variant the server produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JsonResponse {
-    /// HTTP-style status code.
-    pub status: u16,
-    /// The body's JSON wire spelling.
-    pub body: serde_json::Value,
-}
-
-impl JsonResponse {
-    /// Returns `true` for 2xx statuses.
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
-
-    /// Deserialises the body into a typed value (by reference).
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json::Error` when the body does not match `T`.
-    pub fn parse<T: serde::de::DeserializeOwned>(&self) -> Result<T, serde_json::Error> {
-        T::from_json_value(&self.body).map_err(serde_json::Error::from)
-    }
-}
-
-impl From<Response> for JsonResponse {
-    fn from(response: Response) -> JsonResponse {
-        JsonResponse {
-            status: response.status,
-            body: response.body.into_json(),
-        }
-    }
-}
-
 /// How persistently a request is retried. Classes mirror how much a lost
 /// request costs: an offload or sync must eventually land (the maintenance
 /// pass depends on it), while an interactive query can fail fast and let
@@ -424,10 +387,11 @@ impl CloudClient {
     }
 
     /// Offloads GCA place discovery to the cloud (§2.3.1) and returns the
-    /// discovered places. `start` is the offset of `observations[0]` in
-    /// the device's full GSM log — the idempotency key that lets the
-    /// server skip already-absorbed prefixes when a retried or duplicated
-    /// offload re-delivers them.
+    /// discovered places. The suffix ships as one delta-compressed,
+    /// dictionary-coded [`ObservationBatch`]. `start` is the offset of
+    /// `observations[0]` in the device's full GSM log — the idempotency
+    /// key that lets the server skip already-absorbed prefixes when a
+    /// retried or duplicated offload re-delivers them.
     ///
     /// # Errors
     ///
@@ -438,49 +402,11 @@ impl CloudClient {
         start: u64,
         now: SimTime,
     ) -> Result<Vec<DiscoveredPlace>, PmsError> {
-        self.discover_request(
-            DiscoverBody {
-                observations: observations.to_vec(),
-                batch: None,
-                start: Some(start),
-            },
-            now,
-        )
-    }
-
-    /// [`discover_places`](Self::discover_places) over the batched wire
-    /// protocol: the suffix ships as one delta-compressed,
-    /// dictionary-coded [`ObservationBatch`] instead of a plain array.
-    /// The server decodes to the identical observation sequence, so the
-    /// resulting cloud state (and reply) is byte-for-byte the same —
-    /// only the wire spelling is smaller. `start` keeps its idempotency
-    /// role unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmsError::Cloud`] / [`PmsError::Decode`] on failure.
-    pub fn discover_places_batched(
-        &mut self,
-        observations: &[GsmObservation],
-        start: u64,
-        now: SimTime,
-    ) -> Result<Vec<DiscoveredPlace>, PmsError> {
-        let batch = ObservationBatch::encode(observations);
-        self.discover_request(
-            DiscoverBody {
-                observations: Vec::new(),
-                batch: Some(batch),
-                start: Some(start),
-            },
-            now,
-        )
-    }
-
-    fn discover_request(
-        &mut self,
-        body: DiscoverBody,
-        now: SimTime,
-    ) -> Result<Vec<DiscoveredPlace>, PmsError> {
+        let body = DiscoverBody {
+            observations: Vec::new(),
+            batch: Some(ObservationBatch::encode(observations)),
+            start: Some(start),
+        };
         let request = Request::post("/api/v1/places/discover", body).with_token(&self.token);
         let response = self.send_with_retry(&request, now, RequestClass::Offload);
         let response = Self::check(&request, response)?;
@@ -669,8 +595,10 @@ impl CloudClient {
             .map_err(|e| PmsError::Decode(e.to_string()))
     }
 
-    /// Sends an arbitrary authenticated request — the escape hatch apps use
-    /// for analytics queries (§2.3.2).
+    /// Sends an arbitrary authenticated POST — the path apps use for
+    /// analytics queries (§2.3.2). The body is a typed request body or,
+    /// for shapes the route table has no type for, raw JSON;
+    /// [`Response::json`] renders any reply to its JSON spelling.
     ///
     /// # Errors
     ///
@@ -678,11 +606,10 @@ impl CloudClient {
     pub fn call(
         &mut self,
         path: &str,
-        body: serde_json::Value,
+        body: impl Into<Payload>,
         now: SimTime,
-    ) -> Result<JsonResponse, PmsError> {
+    ) -> Result<Response, PmsError> {
         self.call_class(path, body, now, RequestClass::Query)
-            .map(JsonResponse::from)
     }
 
     /// Sends an authenticated GET.
@@ -690,10 +617,10 @@ impl CloudClient {
     /// # Errors
     ///
     /// Returns [`PmsError::Cloud`] for non-2xx responses.
-    pub fn get(&mut self, path: &str, now: SimTime) -> Result<JsonResponse, PmsError> {
+    pub fn get(&mut self, path: &str, now: SimTime) -> Result<Response, PmsError> {
         let request = Request::get(path).with_token(&self.token);
         let response = self.send_with_retry(&request, now, RequestClass::Query);
-        Self::check(&request, response).map(JsonResponse::from)
+        Self::check(&request, response)
     }
 
     fn call_class(
@@ -939,7 +866,7 @@ mod tests {
         client.sync_places(&[], SimTime::EPOCH).unwrap();
         // Fetch them back through the raw GET.
         let resp = client.get("/api/v1/places", SimTime::EPOCH).unwrap();
-        assert_eq!(resp.body["places"].as_array().unwrap().len(), 0);
+        assert_eq!(resp.json()["places"].as_array().unwrap().len(), 0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod sensing;
 
 pub use apps::{AppId, AppRegistration, ConnectedApps};
 pub use checkpoint::PmsCheckpoint;
-pub use cloud_client::{ClientState, CloudClient, JsonResponse};
+pub use cloud_client::{ClientState, CloudClient};
 pub use error::PmsError;
 pub use intents::{Intent, IntentBus, IntentFilter};
 pub use pms::{PmsConfig, PmsReport, PmwareMobileService};

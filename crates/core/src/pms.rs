@@ -1033,7 +1033,7 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
                 .observe(chunk.len() as u64);
             places = self
                 .client
-                .discover_places_batched(chunk, self.offloaded_upto as u64, t)?;
+                .discover_places(chunk, self.offloaded_upto as u64, t)?;
             // Advance the watermark only once the cloud has the data:
             // after a failure the next offload re-sends everything past
             // the last acknowledged chunk.

@@ -262,11 +262,12 @@ fn activity_summary_reaches_the_cloud() {
 
     // Day 0's profile was synced at the day-1 maintenance; it must carry a
     // full day of classified activity (1440 one-minute windows).
-    let resp = pms
+    let body = pms
         .cloud_client_mut()
         .get("/api/v1/profiles/0", end)
-        .expect("day 0 synced");
-    let activity = &resp.body["profile"]["activity"];
+        .expect("day 0 synced")
+        .json();
+    let activity = &body["profile"]["activity"];
     let moving = activity["moving_seconds"].as_u64().unwrap();
     let stationary = activity["stationary_seconds"].as_u64().unwrap();
     assert_eq!(moving + stationary, 24 * 3_600, "every window accounted");
@@ -278,5 +279,5 @@ fn activity_summary_reaches_the_cloud() {
         .cloud_client_mut()
         .call("/api/v1/analytics/activity", serde_json::json!({}), end)
         .unwrap();
-    assert!(resp.body["mean_daily_moving_minutes"].as_f64().unwrap() > 0.0);
+    assert!(resp.json()["mean_daily_moving_minutes"].as_f64().unwrap() > 0.0);
 }

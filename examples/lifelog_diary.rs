@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         json!({"place": home.0, "window": [15, 24]}),
         end,
     )?;
-    let s = resp.body["second_of_day"].as_u64().unwrap_or(0);
+    let s = resp.json()["second_of_day"].as_u64().unwrap_or(0);
     println!(
         "1. typical evening home arrival: {:02}:{:02}",
         s / 3600,
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         end,
     ) {
         Ok(resp) => {
-            let next: SimTime = serde_json::from_value(resp.body["time"].clone())?;
+            let next: SimTime = serde_json::from_value(resp.json()["time"].clone())?;
             println!("2. next predicted visit to place {}: {next}", work.0);
         }
         Err(e) => println!("2. no visit pattern for place {} yet ({e})", work.0),
@@ -110,7 +110,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!(
         "3. visit frequency of place {}: {:.1} visits/week ({} total)",
-        work.0, resp.body["visits_per_week"], resp.body["visit_count"]
+        work.0,
+        resp.json()["visits_per_week"],
+        resp.json()["visit_count"]
     );
 
     // Bonus: the Markov "where next" distribution from home.
@@ -121,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!(
         "   after home, the user usually goes to: {}",
-        resp.body["predictions"]
+        resp.json()["predictions"]
     );
     Ok(())
 }

@@ -90,7 +90,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let resp = pms
         .cloud_client_mut()
         .call("/api/v1/social/query", json!({"place": null}), end)?;
-    let stored = resp.body["contacts"].as_array().map(Vec::len).unwrap_or(0);
+    let stored = resp.json()["contacts"]
+        .as_array()
+        .map(Vec::len)
+        .unwrap_or(0);
     println!("contacts stored on the cloud instance: {stored}");
 
     let bt_energy = pms.battery().drained_by(Interface::Bluetooth);

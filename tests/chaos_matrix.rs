@@ -477,11 +477,11 @@ fn analytics_queries_ride_out_every_fault_kind() {
     let want_frequency = clean
         .call("/api/v1/analytics/frequency", json!({ "place": place }), t)
         .expect("clean frequency")
-        .body;
+        .json();
     let want_activity = clean
         .call("/api/v1/analytics/activity", json!({}), t)
         .expect("clean activity")
-        .body;
+        .json();
     assert!(
         want_frequency["visit_count"].as_u64().unwrap_or(0) >= 1,
         "chosen place must have history: {want_frequency}"
@@ -509,7 +509,7 @@ fn analytics_queries_ride_out_every_fault_kind() {
             let got = client
                 .call(path, body.clone(), t)
                 .unwrap_or_else(|e| panic!("{path} under {kind:?}: {e}"));
-            assert_eq!(&&got.body, want, "{path} under {kind:?}");
+            assert_eq!(&&got.json(), want, "{path} under {kind:?}");
             assert_eq!(
                 faulty.stats().faults,
                 1,
