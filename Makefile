@@ -76,7 +76,11 @@ bench-wire:
 # bodies, and the client and the CLI build typed payloads, so none of
 # them may mention `json!(` (handlers and CLI: nor `serde_json::Value`).
 # `#[cfg(test)]` code in the client and the CLI is exempt — the lint
-# strips everything from their `mod tests` down.
+# strips everything from their `mod tests` down. JSON becomes a Payload
+# only at the wire boundary, decoded once by route, so no non-test code
+# in crates/*/src may bring back a second body representation: the
+# `Payload::Json` escape hatch, a `From<Value> for Payload`, or a
+# `.parse::<` on a request or reply body.
 lint-wire:
 	@! grep -rn 'json!(\|serde_json::Value' crates/cloud/src/handlers/ \
 		|| { echo 'lint-wire: untyped JSON crept back into crates/cloud/src/handlers/'; exit 1; }
@@ -84,6 +88,12 @@ lint-wire:
 		|| { echo 'lint-wire: json! crept back into the CloudClient request builders'; exit 1; }
 	@! sed -n '1,/^mod tests {/p' crates/cli/src/main.rs | grep -n 'json!(\|serde_json::Value' \
 		|| { echo 'lint-wire: untyped JSON crept back into the CLI requests'; exit 1; }
+	@! for f in $$(find crates/*/src -name '*.rs'); do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" \
+			| grep -n 'Payload::Json\|From<\(serde_json::\)\{0,1\}Value> for Payload\|\(body\|response\)\.parse::<' \
+			| sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-wire: a second body representation crept back into crates/*/src'; exit 1; }
 	@echo 'lint-wire: ok'
 
 # Rust line counts of the workspace crates and of the vendored

@@ -17,7 +17,7 @@ fn registered_cloud() -> (CloudInstance, String) {
         .build();
     let cloud = CloudInstance::new(CellDatabase::from_world(&world), 31);
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": "350400", "email": "bench@pmware.study"}),
         ),
@@ -48,7 +48,7 @@ fn bench_auth_and_routing(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             cloud.handle(
-                &Request::post(
+                &Request::post_json(
                     "/api/v1/registration",
                     json!({"imei": format!("imei-{i}"), "email": format!("u{i}@x.com")}),
                 ),
@@ -71,7 +71,7 @@ fn bench_profile_sync_and_analytics(c: &mut Criterion) {
     let (cloud, token) = registered_cloud();
     // Preload a month of history.
     for day in 0..28 {
-        let req = Request::post(
+        let req = Request::post_json(
             "/api/v1/profiles/sync",
             json!({"profile": profile_for_day(day)}),
         )
@@ -79,7 +79,7 @@ fn bench_profile_sync_and_analytics(c: &mut Criterion) {
         assert!(cloud.handle(&req, SimTime::EPOCH).is_success());
     }
     let mut group = c.benchmark_group("cloud-data");
-    let sync = Request::post(
+    let sync = Request::post_json(
         "/api/v1/profiles/sync",
         json!({"profile": profile_for_day(29)}),
     )
@@ -87,7 +87,7 @@ fn bench_profile_sync_and_analytics(c: &mut Criterion) {
     group.bench_function("profile-sync", |b| {
         b.iter(|| cloud.handle(black_box(&sync), SimTime::EPOCH));
     });
-    let arrival = Request::post(
+    let arrival = Request::post_json(
         "/api/v1/analytics/arrival",
         json!({"place": 0, "window": [15, 24]}),
     )
@@ -96,7 +96,7 @@ fn bench_profile_sync_and_analytics(c: &mut Criterion) {
         b.iter(|| cloud.handle(black_box(&arrival), SimTime::EPOCH));
     });
     let next =
-        Request::post("/api/v1/analytics/next_place", json!({"place": 1})).with_token(&token);
+        Request::post_json("/api/v1/analytics/next_place", json!({"place": 1})).with_token(&token);
     group.bench_function("analytics-markov", |b| {
         b.iter(|| cloud.handle(black_box(&next), SimTime::EPOCH));
     });
@@ -121,7 +121,7 @@ fn bench_discovery_offload(c: &mut Criterion) {
                 rssi_dbm: -70.0,
             })
             .collect();
-        let req = Request::post(
+        let req = Request::post_json(
             "/api/v1/places/discover",
             json!({"observations": observations}),
         )
@@ -139,7 +139,7 @@ fn bench_geolocate(c: &mut Criterion) {
         .build();
     let cloud = CloudInstance::new(CellDatabase::from_world(&world), 34);
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": "350401", "email": "geo@pmware.study"}),
         ),
@@ -147,7 +147,7 @@ fn bench_geolocate(c: &mut Criterion) {
     );
     let token = resp.json()["token"].as_str().unwrap().to_owned();
     let tower = world.towers()[0].cell();
-    let req = Request::post(
+    let req = Request::post_json(
         "/api/v1/misc/geolocate",
         json!({
             "mcc": tower.plmn.mcc,

@@ -58,7 +58,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": format!("imei-{n}"), "email": format!("u{n}@soak")}),
         ),
@@ -89,7 +89,7 @@ fn stream(user: u32, round: u64) -> Vec<GsmObservation> {
 fn touch(cloud: &CloudInstance, token: &str, user: u32, round: u64) {
     let at = SimTime::from_seconds(1_000 + round * 4_000 + u64::from(user));
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/places/discover",
             json!({"observations": stream(user, round), "start": round * 40}),
         )

@@ -140,7 +140,7 @@ fn main() {
     let cloud = CloudInstance::new(CellDatabase::new(), 7);
     let now = SimTime::EPOCH;
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": "wire-0", "email": "wire@pmware.study"}),
         ),
@@ -227,7 +227,8 @@ fn main() {
             let bytes = serde_json::to_vec(&endpoint.request).expect("request serializes");
             let parsed = Request::from_bytes(&bytes).expect("request round-trips");
             let response = cloud.handle(&parsed, now);
-            Response::from_bytes(&response.to_bytes()).expect("response round-trips")
+            Response::from_bytes(parsed.method, &parsed.path, &response.to_bytes())
+                .expect("response round-trips")
         });
         println!(
             "{:<16} {:>14.0} {:>18.0} {:>8.1}x",

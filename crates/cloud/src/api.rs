@@ -3,18 +3,18 @@
 //! The paper's cloud instance "exposes REST based APIs which are used by
 //! PMS to invoke cloud-hosted modules" (§2.3.3). This module models that
 //! boundary faithfully — method + path + bearer token + body — while
-//! staying in-process. Bodies are typed [`Payload`] values; the JSON
-//! spelling the Django service saw is produced lazily by
-//! [`Request::wire_bytes`]/[`Response::to_bytes`] and only at the fault
-//! boundary, in exports, and in golden tests (see the [`crate::payload`]
-//! module docs for the byte-identity contract).
+//! staying in-process. Bodies are typed [`Payload`] values. The JSON
+//! spelling the Django service saw is rendered lazily by
+//! [`Request::wire_bytes`]/[`Response::to_bytes`], and parsed back by
+//! [`Request::from_bytes`]/[`Response::from_bytes`], which decode the body
+//! once, by route (see the [`crate::payload`] module docs).
 
 use std::sync::{Arc, OnceLock};
 
 use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 
-use crate::payload::Payload;
+use crate::payload::{field, Payload};
 
 /// HTTP-style method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -91,7 +91,7 @@ impl Request {
         }
     }
 
-    /// A POST request with a typed (or raw-JSON) body.
+    /// A POST request with a typed body.
     pub fn post(path: impl Into<String>, body: impl Into<Payload>) -> Request {
         Request {
             method: Method::Post,
@@ -101,6 +101,15 @@ impl Request {
             ctx: SpanCtx::default(),
             wire: OnceLock::new(),
         }
+    }
+
+    /// A POST request with a body spelled as raw JSON, decoded by its
+    /// route exactly as the wire boundary decodes it
+    /// ([`Payload::from_json`]).
+    pub fn post_json(path: impl Into<String>, body: Value) -> Request {
+        let path = path.into();
+        let body = Payload::from_json(Method::Post, &path, &body);
+        Request::post(path, body)
     }
 
     /// Attaches a bearer token.
@@ -137,8 +146,8 @@ impl Request {
         self.wire_bytes().clone()
     }
 
-    /// Parses a request from wire bytes, reconstructing the typed body
-    /// via the route table where the spelling matches exactly.
+    /// Parses a request from wire bytes, decoding the body by its route
+    /// ([`Payload::from_json`]).
     ///
     /// # Errors
     ///
@@ -177,26 +186,13 @@ impl Serialize for Request {
 
 impl<'de> Deserialize<'de> for Request {
     fn from_json_value(value: &Value) -> Result<Request, DeError> {
-        let Value::Object(map) = value else {
-            return Err(DeError::custom("expected an object for `Request`"));
-        };
-        let method = match map.get("method") {
-            Some(v) => Method::from_json_value(v),
-            None => Err(DeError::missing_field("Request", "method")),
-        }
-        .map_err(|e| e.context_field("Request", "method"))?;
-        let path = match map.get("path") {
-            Some(v) => String::from_json_value(v),
-            None => Err(DeError::missing_field("Request", "path")),
-        }
-        .map_err(|e| e.context_field("Request", "path"))?;
-        let token = Option::<String>::from_json_value(map.get("token").unwrap_or(&Value::Null))
-            .map_err(|e| e.context_field("Request", "token"))?;
-        let body = Payload::from_json(method, &path, map.get("body").unwrap_or(&Value::Null));
+        let method = field(value, "Request", "method")?;
+        let path: String = field(value, "Request", "path")?;
+        let body = Payload::from_json(method, &path, &value["body"]);
         Ok(Request {
             method,
+            token: field(value, "Request", "token")?,
             path,
-            token,
             body,
             ctx: SpanCtx::default(),
             wire: OnceLock::new(),
@@ -295,16 +291,6 @@ impl Response {
         (200..300).contains(&self.status)
     }
 
-    /// Deserialises the body into a typed value. The JSON escape hatch
-    /// parses **by reference** — the body is no longer cloned per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json::Error` when the body does not match `T`.
-    pub fn parse<T: serde::de::DeserializeOwned>(&self) -> Result<T, serde_json::Error> {
-        self.body.parse()
-    }
-
     /// Renders the body to its JSON wire spelling (exports, goldens,
     /// tests — not the hot path).
     pub fn json(&self) -> Value {
@@ -326,15 +312,22 @@ impl Response {
         Arc::from(serde_json::to_vec(self).expect("response is serializable"))
     }
 
-    /// Parses a response from wire bytes. The body stays on the JSON
-    /// escape hatch — response shapes are not reconstructed (typed
-    /// access goes through [`Response::parse`]).
+    /// Parses the wire bytes of the reply to a `method` request for
+    /// `path`, decoding the body by that route and the status
+    /// ([`Payload::reply_from_json`]).
     ///
     /// # Errors
     ///
     /// Returns a `serde_json::Error` for malformed payloads.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Response, serde_json::Error> {
-        serde_json::from_slice(bytes)
+    pub fn from_bytes(
+        method: Method,
+        path: &str,
+        bytes: &[u8],
+    ) -> Result<Response, serde_json::Error> {
+        let envelope: Value = serde_json::from_slice(bytes)?;
+        let status = field(&envelope, "Response", "status")?;
+        let body = Payload::reply_from_json(method, path, status, &envelope["body"]);
+        Ok(Response::with_status(status, body))
     }
 }
 
@@ -344,28 +337,6 @@ impl Serialize for Response {
         map.insert("body".to_owned(), self.body.to_json());
         map.insert("status".to_owned(), self.status.to_json_value());
         Value::Object(map)
-    }
-}
-
-impl<'de> Deserialize<'de> for Response {
-    fn from_json_value(value: &Value) -> Result<Response, DeError> {
-        let Value::Object(map) = value else {
-            return Err(DeError::custom("expected an object for `Response`"));
-        };
-        let status = match map.get("status") {
-            Some(v) => u16::from_json_value(v),
-            None => Err(DeError::missing_field("Response", "status")),
-        }
-        .map_err(|e| e.context_field("Response", "status"))?;
-        let body = match map.get("body") {
-            None | Some(Value::Null) => Payload::Empty,
-            Some(v) => Payload::Json(v.clone()),
-        };
-        Ok(Response {
-            status,
-            body,
-            latency_us: None,
-        })
     }
 }
 
@@ -381,14 +352,14 @@ mod tests {
         assert_eq!(r.token.as_deref(), Some("tok-1"));
         assert_eq!(r.body, Payload::Empty);
 
-        let r = Request::post("/api/v1/registration", json!({"imei": "x"}));
+        let r = Request::post_json("/api/v1/registration", json!({"imei": "x"}));
         assert_eq!(r.method, Method::Post);
         assert_eq!(r.body.to_json()["imei"], "x");
     }
 
     #[test]
     fn wire_round_trip() {
-        let r = Request::post("/api/v1/places/sync", json!({"places": []})).with_token("abc");
+        let r = Request::post_json("/api/v1/places/sync", json!({"places": []})).with_token("abc");
         let bytes = r.to_bytes();
         let back = Request::from_bytes(&bytes).unwrap();
         assert_eq!(back, r);
@@ -396,7 +367,7 @@ mod tests {
 
     #[test]
     fn wire_bytes_are_cached_across_attempts() {
-        let r = Request::post("/api/v1/places/sync", json!({"places": []})).with_token("abc");
+        let r = Request::post_json("/api/v1/places/sync", json!({"places": []})).with_token("abc");
         let first = r.wire_bytes() as *const Arc<[u8]>;
         let second = r.wire_bytes() as *const Arc<[u8]>;
         assert_eq!(first, second, "second render must reuse the cache");
@@ -405,11 +376,12 @@ mod tests {
     #[test]
     fn malformed_bytes_error() {
         assert!(Request::from_bytes(b"{not json").is_err());
+        assert!(Response::from_bytes(Method::Get, "/api/v1/places", b"{not json").is_err());
     }
 
     #[test]
     fn response_helpers() {
-        assert!(Response::ok(json!({"x": 1})).is_success());
+        assert!(Response::ok(Payload::Places { places: vec![] }).is_success());
         let e = Response::unauthorized("token expired");
         assert_eq!(e.status, 401);
         assert!(!e.is_success());
@@ -417,18 +389,5 @@ mod tests {
         assert_eq!(e.error_message(), Some("token expired"));
         assert_eq!(Response::bad_request("no").status, 400);
         assert_eq!(Response::not_found("no").status, 404);
-    }
-
-    #[test]
-    fn typed_parse() {
-        #[derive(Deserialize)]
-        struct Count {
-            count: u32,
-        }
-        let r = Response::ok(json!({"count": 5}));
-        let p: Count = r.parse().unwrap();
-        assert_eq!(p.count, 5);
-        let bad: Result<Count, _> = Response::ok(json!({"nope": 1})).parse();
-        assert!(bad.is_err());
     }
 }

@@ -19,6 +19,7 @@ use pmware_world::SimTime;
 
 use crate::api::{Request, Response};
 use crate::auth::UserId;
+use crate::payload::{Payload, RequestBody};
 use crate::state::CloudCore;
 use crate::storage::StoreGuard;
 
@@ -50,19 +51,20 @@ impl Ctx<'_> {
 /// A route handler: pure function from context + request to response.
 pub(crate) type Handler = fn(&Ctx<'_>, &Request) -> Response;
 
-/// Hands `f` the request body as a `&B`, answering 400 on a shape
-/// mismatch. A typed request (the in-process fast path) lends its body
-/// straight out of the [`crate::Payload`] — no serde, no clone; an
-/// untyped `Json` body falls back to a by-reference parse.
-pub(crate) fn with_body<B: crate::payload::RequestBody>(
+/// Hands `f` the request body as a `&B`, lent straight out of the
+/// [`crate::Payload`] — no serde, no clone. A body that did not decode for
+/// its route at the wire boundary is answered `400 invalid body: …` with
+/// the decode error; an in-process body of another shape names the type
+/// it should have been.
+pub(crate) fn with_body<B: RequestBody>(
     request: &Request,
     f: impl FnOnce(&B) -> Response,
 ) -> Response {
-    if let Some(body) = B::from_payload(&request.body) {
-        return f(body);
-    }
-    match request.body.parse::<B>() {
-        Ok(body) => f(&body),
-        Err(e) => Response::bad_request(format!("invalid body: {e}")),
-    }
+    let Some(body) = B::from_payload(&request.body) else {
+        return Response::bad_request(match &request.body {
+            Payload::Invalid { error, .. } => format!("invalid body: {error}"),
+            _ => format!("invalid body: expected {}", std::any::type_name::<B>()),
+        });
+    };
+    f(body)
 }

@@ -63,14 +63,16 @@ pub use crate::state::SHARD_COUNT;
 /// # Examples
 ///
 /// ```
-/// use pmware_cloud::{CellDatabase, CloudInstance, Request};
+/// use pmware_cloud::{CellDatabase, CloudInstance, RegistrationBody, Request};
 /// use pmware_world::SimTime;
-/// use serde_json::json;
 ///
 /// let cloud = CloudInstance::new(CellDatabase::new(), 1);
 /// let req = Request::post(
 ///     "/api/v1/registration",
-///     json!({"imei": "350123", "email": "a@example.com"}),
+///     RegistrationBody {
+///         imei: "350123".into(),
+///         email: "a@example.com".into(),
+///     },
 /// );
 /// let resp = cloud.handle(&req, SimTime::EPOCH);
 /// assert!(resp.is_success());
@@ -356,11 +358,6 @@ impl CloudInstance {
     /// offload has a local fallback).
     pub fn set_outage(&self, outage: bool) {
         self.core.outage.store(outage, Ordering::SeqCst);
-    }
-
-    /// Whether an outage is currently injected.
-    pub fn outage(&self) -> bool {
-        self.core.outage()
     }
 
     /// Number of registered users.

@@ -1,46 +1,49 @@
-//! Typed wire payloads: the zero-copy body carried by [`Request`] and
-//! [`Response`].
+//! Typed wire payloads: the one in-memory form of every body carried by
+//! [`Request`](crate::Request) and [`Response`](crate::Response).
 //!
-//! Historically both carried a raw `serde_json::Value`, which taxed every
-//! in-process request three times: the client built a JSON tree
-//! (`json!`), the handler cloned and re-parsed it (`from_value`), and a
-//! retry re-encoded the whole thing. [`Payload`] replaces that with one
-//! enum variant per route-table entry (plus the response shapes the
-//! handlers produce), so the common in-process path moves typed Rust
-//! values end-to-end with **zero serde work**.
+//! [`Payload`] has one enum variant per route-table request shape and one
+//! per handler reply shape, so the in-process path moves typed Rust
+//! values end to end with **zero serde work**, and every consumer matches
+//! exactly one representation.
 //!
-//! JSON still exists, in exactly three places:
+//! JSON exists only at the wire boundary (`FaultyCloud`, the WAL, exports
+//! and goldens), and it becomes a `Payload` in one place per direction,
+//! decoded **once, by route**:
 //!
-//! * **the fault boundary** — `FaultyCloud` spells every request and
-//!   response as wire bytes ([`Payload::to_json`]) and re-parses them
-//!   ([`Payload::from_json`]), exercising the full marshalling path the
-//!   Django service saw;
-//! * **the escape hatch** — [`Payload::Json`] carries any body a typed
-//!   variant does not model (arbitrary test requests, `CloudClient::call`
-//!   callers), preserving old behaviour byte for byte;
-//! * **exports and goldens** — traces, metric dumps, and golden tests
-//!   render bodies via [`Response::json`](crate::Response::json).
+//! * **requests** — [`Payload::from_json`] resolves `(method, path)`
+//!   against the route table and decodes the body as that route's request
+//!   type (extra keys are ignored, `null` reads as `None`; a route without
+//!   a request body reads any body as [`Payload::Empty`]);
+//! * **replies** — [`Payload::reply_from_json`] decodes a 2xx body as the
+//!   route's reply shape, and any other body as
+//!   [`Payload::MethodNotAllowed`] (405), [`Payload::RateLimited`] (429) or
+//!   [`Payload::Error`].
 //!
-//! **Byte-identity contract**: `to_json` produces the exact `Value` the
-//! old `json!` spellings produced (object keys are `BTreeMap`-sorted, so
-//! build order is irrelevant), and `from_json` only commits to a typed
-//! variant when re-rendering it reproduces the original value — anything
-//! else stays [`Payload::Json`]. Wire bytes therefore never change, which
-//! is what keeps the chaos matrix, obs-golden, and checkpoint suites
-//! passing unmodified.
+//! Both decodes are total: a body that does not decode for its route
+//! becomes [`Payload::Invalid`], which keeps the JSON it arrived as (so
+//! [`Payload::to_json`] spells it back unchanged) and the decode error
+//! (which a handler answers as `400 invalid body: …`).
+//!
+//! [`Payload::to_json`] produces the exact `Value` the historical `json!`
+//! spellings produced (object keys are `BTreeMap`-sorted, so build order is
+//! irrelevant), which keeps wire bytes, WAL lines and golden exports
+//! unchanged. The plain reply shapes are listed once, in the
+//! `wire_spelling!` table, which generates both their encoding and their
+//! decoders.
 
 use std::collections::BTreeMap;
 
 use pmware_algorithms::route::CanonicalRoute;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId};
 use pmware_world::{CellGlobalId, GsmObservation, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::de::DeserializeOwned;
+use serde::{DeError, Deserialize, Serialize};
 use serde_json::Value;
 
 use crate::api::Method;
 use crate::auth::UserId;
 use crate::profile::{ContactEntry, MobilityProfile};
-use crate::router::{resolve, RateClass, Resolution};
+use crate::router::{resolve, RateClass, Resolution, ALL_RATE_CLASSES};
 use crate::wire::ObservationBatch;
 
 /// `POST /api/v1/registration` body.
@@ -214,17 +217,23 @@ pub struct PlaceOnlyBody {
 ///
 /// One variant per route-table request shape, one per handler response
 /// shape, plus the infrastructure variants ([`Payload::Empty`],
-/// [`Payload::Json`], [`Payload::Error`], [`Payload::MethodNotAllowed`],
-/// [`Payload::RateLimited`]). See the module docs for the byte-identity
-/// contract tying every variant to its JSON wire spelling.
+/// [`Payload::Invalid`], [`Payload::Error`], [`Payload::MethodNotAllowed`],
+/// [`Payload::RateLimited`]). See the module docs for how JSON becomes a
+/// payload and how every variant spells itself back.
 #[derive(Debug, Clone)]
 pub enum Payload {
     // ---- infrastructure --------------------------------------------------
     /// No body (`null` on the wire): GET requests, the token refresh.
     Empty,
-    /// The untyped escape hatch: any JSON body a typed variant does not
-    /// model. Semantically identical to the pre-typed `Value` body.
-    Json(Value),
+    /// A wire body that does not decode for its route. Handlers answer it
+    /// `400 invalid body: {error}`; [`Payload::to_json`] spells `body`
+    /// back unchanged.
+    Invalid {
+        /// The JSON the body arrived as.
+        body: Value,
+        /// Why it does not decode for its route.
+        error: String,
+    },
     /// An error body: `{"error": message}`.
     Error {
         /// Human-readable error message.
@@ -431,234 +440,235 @@ impl Obj {
         self
     }
 
-    fn put_value(mut self, key: &str, value: Value) -> Obj {
-        self.0.insert(key.to_owned(), value);
-        self
-    }
-
     fn build(self) -> Value {
         Value::Object(self.0)
     }
 }
 
+/// Reads field `name` of a `ty` object (absent reads as `null`, so
+/// `Option` fields may be omitted), inferring its type from the value it
+/// fills.
+pub(crate) fn field<T: DeserializeOwned>(
+    object: &Value,
+    ty: &str,
+    name: &str,
+) -> Result<T, DeError> {
+    if !object.is_object() {
+        return Err(DeError::custom(format!(
+            "expected an object for `{ty}`, got {object}"
+        )));
+    }
+    T::from_json_value(object.get(name).unwrap_or(&Value::Null))
+        .map_err(|e| e.context_field(ty, name))
+}
+
+/// The one list of wire spellings, generating [`Payload::to_json`]:
+/// hand-written arms for the infrastructure bodies, the health reply's
+/// constant key and the discover body's either-or; one line per request
+/// body type, which also generates its [`RequestBody`] impl (the keys in
+/// braces spell it, those after `;` are omitted when `None`); and one line
+/// per plain reply shape — each field spelled under its own name — which
+/// also generates that reply's decoder, the function the route table
+/// names.
+macro_rules! wire_spelling {
+    (
+        hand_written { $($arms:tt)* }
+        requests {
+            $($body:ident => $request:ident $({ $($key:ident),* $(; $($opt:ident),+)? })?,)*
+        }
+        plain_replies { $($decoder:ident => $reply:ident { $($field:ident),+ },)* }
+    ) => {
+        impl Payload {
+            /// Renders the payload to its JSON wire spelling — identical
+            /// to the `json!` trees the pre-typed code built (see module
+            /// docs).
+            pub fn to_json(&self) -> Value {
+                match self {
+                    $($arms)*
+                    $($(Payload::$request(b) => Obj::new()
+                        $(.put(stringify!($key), &b.$key))*
+                        $($(.put_opt(stringify!($opt), &b.$opt))+)?
+                        .build(),)?)*
+                    $(Payload::$reply { $($field),+ } => Obj::new()
+                        $(.put(stringify!($field), $field))+
+                        .build(),)*
+                }
+            }
+        }
+
+        $(
+            impl From<$body> for Payload {
+                fn from(body: $body) -> Payload {
+                    Payload::$request(body)
+                }
+            }
+
+            impl RequestBody for $body {
+                fn from_payload(payload: &Payload) -> Option<&$body> {
+                    match payload {
+                        Payload::$request(body) => Some(body),
+                        _ => None,
+                    }
+                }
+            }
+        )*
+
+        $(
+            #[doc = concat!("Decodes a `", stringify!($reply), "` reply.")]
+            pub(crate) fn $decoder(body: &Value) -> Result<Payload, DeError> {
+                Ok(Payload::$reply { $($field: field(body, "reply", stringify!($field))?),+ })
+            }
+        )*
+    };
+}
+
+wire_spelling! {
+    hand_written {
+        Payload::Empty => Value::Null,
+        Payload::Invalid { body, .. } => body.clone(),
+        Payload::Error { message } => Obj::new().put("error", message).build(),
+        Payload::MethodNotAllowed { allow } => Obj::new()
+            .put("allow", &allow.iter().map(|m| m.as_str()).collect::<Vec<_>>())
+            .put("error", &"method not allowed")
+            .build(),
+        Payload::RateLimited {
+            class,
+            retry_after_s,
+        } => Obj::new()
+            .put("class", &class.label())
+            .put("error", &"rate limited")
+            .put("retry_after_s", retry_after_s)
+            .build(),
+        Payload::Health {
+            queue_depth,
+            p99_us,
+            resident_users,
+        } => Obj::new()
+            .put("p99_us", p99_us)
+            .put("queue_depth", queue_depth)
+            .put("resident_users", resident_users)
+            .put("status", &"ok")
+            .build(),
+        Payload::Discover(b) => {
+            // A batched offload never also spells the plain array —
+            // the batch is the observation sequence.
+            let obj = match &b.batch {
+                Some(batch) => Obj::new().put("batch", batch),
+                None => Obj::new().put("observations", &b.observations),
+            };
+            obj.put_opt("start", &b.start).build()
+        }
+    }
+    requests {
+        RegistrationBody => Register { email, imei },
+        DiscoverBody => Discover,
+        SyncPlacesBody => SyncPlaces { places; seq },
+        LabelBody => LabelPlace { label, place },
+        SyncRoutesBody => SyncRoutes { routes; seq },
+        RouteQueryBody => RouteQuery { from, to },
+        SyncProfileBody => SyncProfile { profile; seq },
+        SyncContactsBody => SyncContacts { contacts; first_seq },
+        SocialQueryBody => SocialQuery { place },
+        GeolocateBody => Geolocate { cid, lac, mcc, mnc },
+        GeolocateSignatureBody => GeolocateSignature { cells },
+        ArrivalBody => Arrival { place; window },
+        NextVisitBody => NextVisit { now, place },
+        PlaceOnlyBody => PlaceOnly { place },
+        HandshakeBody => Handshake { email, imei },
+    }
+    plain_replies {
+        reply_registered => Registered { expires_at, token, user },
+        reply_token_refreshed => TokenRefreshed { expires_at, token },
+        reply_discovered => Discovered { absorbed_upto, places },
+        reply_places => Places { places },
+        reply_sync_ack => SyncAck { stale, stored },
+        reply_labelled => Labelled { labelled },
+        reply_routes => Routes { routes },
+        reply_profile_synced => ProfileSynced { stale, synced_day },
+        reply_profile_day => ProfileDay { profile },
+        reply_contacts_ack => ContactsAck { acked_upto, stored },
+        reply_contacts => Contacts { contacts },
+        reply_position => Position { latitude, longitude },
+        reply_arrival_at => ArrivalAt { second_of_day },
+        reply_visit_at => VisitAt { time },
+        reply_frequency => Frequency { visit_count, visits_per_week },
+        reply_activity => Activity { mean_daily_moving_minutes },
+        reply_predictions => Predictions { predictions },
+        reply_topology => Topology { assigned, instances, version },
+    }
+}
+
+/// Decodes a health-probe reply (its constant `"status": "ok"` key is
+/// not a field).
+pub(crate) fn reply_health(body: &Value) -> Result<Payload, DeError> {
+    Ok(Payload::Health {
+        queue_depth: field(body, "reply", "queue_depth")?,
+        p99_us: field(body, "reply", "p99_us")?,
+        resident_users: field(body, "reply", "resident_users")?,
+    })
+}
+
+/// Decodes the 405 body (`allow` carries upper-case method names).
+fn reply_method_not_allowed(body: &Value) -> Result<Payload, DeError> {
+    let allow = field::<Vec<String>>(body, "reply", "allow")?
+        .iter()
+        .map(|name| match name.as_str() {
+            "GET" => Ok(Method::Get),
+            "POST" => Ok(Method::Post),
+            other => Err(DeError::custom(format!("unknown method {other:?}"))),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Payload::MethodNotAllowed { allow })
+}
+
+/// Decodes the 429 body (`class` carries the rate class's label).
+fn reply_rate_limited(body: &Value) -> Result<Payload, DeError> {
+    let label = field::<String>(body, "reply", "class")?;
+    let class = ALL_RATE_CLASSES
+        .into_iter()
+        .find(|class| class.label() == label)
+        .ok_or_else(|| DeError::custom(format!("unknown rate class {label:?}")))?;
+    Ok(Payload::RateLimited {
+        class,
+        retry_after_s: field(body, "reply", "retry_after_s")?,
+    })
+}
+
 impl Payload {
-    /// Renders the payload to its JSON wire spelling — byte-identical to
-    /// the `json!` trees the pre-typed code built (see module docs).
-    pub fn to_json(&self) -> Value {
-        match self {
-            Payload::Empty => Value::Null,
-            Payload::Json(value) => value.clone(),
-            Payload::Error { message } => Obj::new().put("error", message).build(),
-            Payload::MethodNotAllowed { allow } => Obj::new()
-                .put_value(
-                    "allow",
-                    Value::Array(
-                        allow
-                            .iter()
-                            .map(|m| Value::String(m.as_str().to_owned()))
-                            .collect(),
-                    ),
-                )
-                .put_value("error", Value::String("method not allowed".to_owned()))
-                .build(),
-            Payload::RateLimited {
-                class,
-                retry_after_s,
-            } => Obj::new()
-                .put_value("class", Value::String(class.label().to_owned()))
-                .put_value("error", Value::String("rate limited".to_owned()))
-                .put("retry_after_s", retry_after_s)
-                .build(),
-
-            Payload::Register(b) => Obj::new()
-                .put("email", &b.email)
-                .put("imei", &b.imei)
-                .build(),
-            Payload::Discover(b) => {
-                // A batched offload never also spells the plain array —
-                // the batch is the observation sequence.
-                let obj = match &b.batch {
-                    Some(batch) => Obj::new().put("batch", batch),
-                    None => Obj::new().put("observations", &b.observations),
-                };
-                obj.put_opt("start", &b.start).build()
-            }
-            Payload::SyncPlaces(b) => Obj::new()
-                .put("places", &b.places)
-                .put_opt("seq", &b.seq)
-                .build(),
-            Payload::LabelPlace(b) => Obj::new()
-                .put("label", &b.label)
-                .put("place", &b.place)
-                .build(),
-            Payload::SyncRoutes(b) => Obj::new()
-                .put("routes", &b.routes)
-                .put_opt("seq", &b.seq)
-                .build(),
-            Payload::RouteQuery(b) => Obj::new().put("from", &b.from).put("to", &b.to).build(),
-            Payload::SyncProfile(b) => Obj::new()
-                .put("profile", &b.profile)
-                .put_opt("seq", &b.seq)
-                .build(),
-            Payload::SyncContacts(b) => Obj::new()
-                .put("contacts", &b.contacts)
-                .put_opt("first_seq", &b.first_seq)
-                .build(),
-            Payload::SocialQuery(b) => Obj::new().put("place", &b.place).build(),
-            Payload::Geolocate(b) => Obj::new()
-                .put("cid", &b.cid)
-                .put("lac", &b.lac)
-                .put("mcc", &b.mcc)
-                .put("mnc", &b.mnc)
-                .build(),
-            Payload::GeolocateSignature(b) => Obj::new().put("cells", &b.cells).build(),
-            Payload::Arrival(b) => Obj::new()
-                .put("place", &b.place)
-                .put_opt("window", &b.window)
-                .build(),
-            Payload::NextVisit(b) => Obj::new().put("now", &b.now).put("place", &b.place).build(),
-            Payload::PlaceOnly(b) => Obj::new().put("place", &b.place).build(),
-            Payload::Handshake(b) => Obj::new()
-                .put("email", &b.email)
-                .put("imei", &b.imei)
-                .build(),
-
-            Payload::Registered {
-                user,
-                token,
-                expires_at,
-            } => Obj::new()
-                .put("expires_at", expires_at)
-                .put("token", token)
-                .put("user", user)
-                .build(),
-            Payload::TokenRefreshed { token, expires_at } => Obj::new()
-                .put("expires_at", expires_at)
-                .put("token", token)
-                .build(),
-            Payload::Discovered {
-                places,
-                absorbed_upto,
-            } => Obj::new()
-                .put("absorbed_upto", absorbed_upto)
-                .put("places", places)
-                .build(),
-            Payload::Places { places } => Obj::new().put("places", places).build(),
-            Payload::SyncAck { stored, stale } => {
-                Obj::new().put("stale", stale).put("stored", stored).build()
-            }
-            Payload::Labelled { labelled } => Obj::new().put("labelled", labelled).build(),
-            Payload::Routes { routes } => Obj::new().put("routes", routes).build(),
-            Payload::ProfileSynced { synced_day, stale } => Obj::new()
-                .put("stale", stale)
-                .put("synced_day", synced_day)
-                .build(),
-            Payload::ProfileDay { profile } => Obj::new().put("profile", profile).build(),
-            Payload::ContactsAck { stored, acked_upto } => Obj::new()
-                .put("acked_upto", acked_upto)
-                .put("stored", stored)
-                .build(),
-            Payload::Contacts { contacts } => Obj::new().put("contacts", contacts).build(),
-            Payload::Position {
-                latitude,
-                longitude,
-            } => Obj::new()
-                .put("latitude", latitude)
-                .put("longitude", longitude)
-                .build(),
-            Payload::ArrivalAt { second_of_day } => {
-                Obj::new().put("second_of_day", second_of_day).build()
-            }
-            Payload::VisitAt { time } => Obj::new().put("time", time).build(),
-            Payload::Frequency {
-                visits_per_week,
-                visit_count,
-            } => Obj::new()
-                .put("visit_count", visit_count)
-                .put("visits_per_week", visits_per_week)
-                .build(),
-            Payload::Activity {
-                mean_daily_moving_minutes,
-            } => Obj::new()
-                .put("mean_daily_moving_minutes", mean_daily_moving_minutes)
-                .build(),
-            Payload::Predictions { predictions } => {
-                Obj::new().put("predictions", predictions).build()
-            }
-            Payload::Health {
-                queue_depth,
-                p99_us,
-                resident_users,
-            } => Obj::new()
-                .put("p99_us", p99_us)
-                .put("queue_depth", queue_depth)
-                .put("resident_users", resident_users)
-                .put_value("status", Value::String("ok".to_owned()))
-                .build(),
-            Payload::Topology {
-                version,
-                assigned,
-                instances,
-            } => Obj::new()
-                .put("assigned", assigned)
-                .put("instances", instances)
-                .put("version", version)
-                .build(),
-        }
-    }
-
-    /// Reconstructs the typed payload for a JSON body arriving at the
-    /// wire boundary, resolving `(method, path)` against the route table.
-    ///
-    /// Commits to a typed variant **only** when re-rendering it
-    /// reproduces `body` exactly (the byte-identity guard); any
-    /// mismatch — unknown path, extra keys, `null`-spelled options —
-    /// stays [`Payload::Json`], preserving old behaviour bit for bit.
+    /// Decodes a request body arriving at the wire boundary as the
+    /// request type of the route `(method, path)` resolves to. Total: a
+    /// body that does not decode for its route, or arrives on no route at
+    /// all, becomes [`Payload::Invalid`].
     pub fn from_json(method: Method, path: &str, body: &Value) -> Payload {
-        if body.is_null() {
-            return Payload::Empty;
-        }
-        // The topology handshake is the one request shape served outside
-        // the route table (the router's control plane), so it gets its
-        // own decode attempt — under the same byte-identity guard.
-        if method == Method::Post && path == TOPOLOGY_HANDSHAKE_PATH {
-            if let Some(typed) = decode::<HandshakeBody>(body) {
-                if typed.to_json() == *body {
-                    return typed;
-                }
-            }
-        }
-        if let Resolution::Matched { route, .. } = resolve(method, path) {
-            if let Some(typed) = (route.decode)(body) {
-                if typed.to_json() == *body {
-                    return typed;
-                }
-            }
-        }
-        Payload::Json(body.clone())
+        let decoded = match decoders(method, path) {
+            Some((decode, _)) => decode(body),
+            None if body.is_null() => Ok(Payload::Empty),
+            None => Err(DeError::custom(format!("no route for {path}"))),
+        };
+        Payload::or_invalid(decoded, body)
     }
 
-    /// Deserialises the payload into a typed value.
-    ///
-    /// The untyped escape hatch parses **by reference** (no body clone —
-    /// the old `from_value(body.clone())` tax is gone); typed variants
-    /// render to JSON first, a cost only paid when a caller asks a typed
-    /// body for a shape it is not (the wire boundary's job, not the hot
-    /// path's).
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json::Error` when the body does not match `T`.
-    pub fn parse<T: serde::de::DeserializeOwned>(&self) -> Result<T, serde_json::Error> {
-        let rendered;
-        let value = match self {
-            Payload::Json(value) => value,
-            other => {
-                rendered = other.to_json();
-                &rendered
-            }
+    /// Decodes the body of a `status` reply to a request for `(method,
+    /// path)`: a 2xx body as the route's reply shape, a 405 as
+    /// [`Payload::MethodNotAllowed`], a 429 as [`Payload::RateLimited`],
+    /// anything else as [`Payload::Error`]. Total, like
+    /// [`Payload::from_json`].
+    pub fn reply_from_json(method: Method, path: &str, status: u16, body: &Value) -> Payload {
+        let decoded = match (status, decoders(method, path)) {
+            (405, _) => reply_method_not_allowed(body),
+            (429, _) => reply_rate_limited(body),
+            (200..=299, Some((_, reply))) => reply(body),
+            (200..=299, None) => Err(DeError::custom(format!("no route for {path}"))),
+            _ => field(body, "reply", "error").map(|message| Payload::Error { message }),
         };
-        T::from_json_value(value).map_err(serde_json::Error::from)
+        Payload::or_invalid(decoded, body)
+    }
+
+    fn or_invalid(decoded: Result<Payload, DeError>, body: &Value) -> Payload {
+        decoded.unwrap_or_else(|error| Payload::Invalid {
+            body: body.clone(),
+            error: error.to_string(),
+        })
     }
 
     /// The error message of an error-shaped body, if any.
@@ -667,7 +677,6 @@ impl Payload {
             Payload::Error { message } => Some(message),
             Payload::MethodNotAllowed { .. } => Some("method not allowed"),
             Payload::RateLimited { .. } => Some("rate limited"),
-            Payload::Json(value) => value.get("error").and_then(Value::as_str),
             _ => None,
         }
     }
@@ -676,94 +685,58 @@ impl Payload {
     pub fn retry_after_s(&self) -> Option<u64> {
         match self {
             Payload::RateLimited { retry_after_s, .. } => Some(*retry_after_s),
-            Payload::Json(value) => value.get("retry_after_s").and_then(Value::as_u64),
             _ => None,
         }
     }
 }
 
-/// Payload equality is **wire equality**: a typed variant equals the
-/// `Json` spelling of the same body, because both serialize to the same
-/// bytes. Object keys are sorted, so the comparison is canonical.
+/// Payload equality is **wire equality**: two payloads are equal when
+/// they serialize to the same bytes. Object keys are sorted, so the
+/// comparison is canonical.
 impl PartialEq for Payload {
     fn eq(&self, other: &Payload) -> bool {
         match (self, other) {
             (Payload::Empty, Payload::Empty) => true,
-            (Payload::Json(a), Payload::Json(b)) => a == b,
             (a, b) => a.to_json() == b.to_json(),
         }
     }
 }
 
-impl From<Value> for Payload {
-    fn from(value: Value) -> Payload {
-        if value.is_null() {
-            Payload::Empty
-        } else {
-            Payload::Json(value)
-        }
-    }
-}
-
-/// A typed request body: extractable by reference from the payload the
-/// router hands a handler (the zero-copy path), and parseable from the
-/// JSON escape hatch (the boundary path).
-pub(crate) trait RequestBody: serde::de::DeserializeOwned {
-    /// Borrows the body when the payload already carries this type.
+/// A typed request body, borrowable from the payload the router hands a
+/// handler.
+pub(crate) trait RequestBody: DeserializeOwned + Into<Payload> {
+    /// Borrows the body when the payload carries this type.
     fn from_payload(payload: &Payload) -> Option<&Self>;
 }
 
-macro_rules! request_bodies {
-    ($($body:ident => $variant:ident,)*) => {$(
-        impl From<$body> for Payload {
-            fn from(body: $body) -> Payload {
-                Payload::$variant(body)
-            }
-        }
+/// A body decoder: a route's request decoder, or its 2xx reply decoder
+/// (one of the `reply_*` functions). Stored in the route table so the
+/// wire boundary decodes by route.
+pub(crate) type Decoder = fn(&Value) -> Result<Payload, DeError>;
 
-        impl RequestBody for $body {
-            fn from_payload(payload: &Payload) -> Option<&$body> {
-                match payload {
-                    Payload::$variant(body) => Some(body),
-                    _ => None,
-                }
-            }
-        }
-    )*};
+/// The request and 2xx reply decoders for `(method, path)`: its route's,
+/// or the topology handshake's — the one request served outside the
+/// route table (the router's control plane).
+fn decoders(method: Method, path: &str) -> Option<(Decoder, Decoder)> {
+    if method == Method::Post && path == TOPOLOGY_HANDSHAKE_PATH {
+        return Some((decode::<HandshakeBody>, reply_topology));
+    }
+    match resolve(method, path) {
+        Resolution::Matched { route, .. } => Some(route.decoders),
+        _ => None,
+    }
 }
 
-request_bodies! {
-    RegistrationBody => Register,
-    DiscoverBody => Discover,
-    SyncPlacesBody => SyncPlaces,
-    LabelBody => LabelPlace,
-    SyncRoutesBody => SyncRoutes,
-    RouteQueryBody => RouteQuery,
-    SyncProfileBody => SyncProfile,
-    SyncContactsBody => SyncContacts,
-    SocialQueryBody => SocialQuery,
-    GeolocateBody => Geolocate,
-    GeolocateSignatureBody => GeolocateSignature,
-    ArrivalBody => Arrival,
-    NextVisitBody => NextVisit,
-    PlaceOnlyBody => PlaceOnly,
-    HandshakeBody => Handshake,
+/// Decodes `value` as `B`, the route's request body.
+pub(crate) fn decode<B: RequestBody>(value: &Value) -> Result<Payload, DeError> {
+    B::from_json_value(value).map(Into::into)
 }
 
-/// A route's body decoder: tries the route's typed request shape.
-/// Stored in the route table so dispatch stays single-source-of-truth.
-pub(crate) type BodyDecoder = fn(&Value) -> Option<Payload>;
-
-/// Decodes `value` as `B` (the route's typed body). The byte-identity
-/// guard in [`Payload::from_json`] decides whether the result sticks.
-pub(crate) fn decode<B: RequestBody + Into<Payload>>(value: &Value) -> Option<Payload> {
-    B::from_json_value(value).ok().map(Into::into)
-}
-
-/// Decoder for routes without a typed request body (GETs, the token
-/// refresh): any non-null body stays on the JSON escape hatch.
-pub(crate) fn decode_none(_value: &Value) -> Option<Payload> {
-    None
+/// Decoder for routes without a request body (GETs, the token refresh,
+/// the activity query): any body reads as [`Payload::Empty`], just as a
+/// typed body ignores keys it does not name.
+pub(crate) fn decode_none(_value: &Value) -> Result<Payload, DeError> {
+    Ok(Payload::Empty)
 }
 
 #[cfg(test)]
@@ -792,53 +765,40 @@ mod tests {
     }
 
     #[test]
-    fn from_json_reconstructs_route_bodies() {
-        let body = json!({ "places": [], "seq": 3 });
-        let payload = Payload::from_json(Method::Post, "/api/v1/places/sync", &body);
-        match &payload {
-            Payload::SyncPlaces(b) => {
-                assert!(b.places.is_empty());
-                assert_eq!(b.seq, Some(3));
-            }
-            other => panic!("expected typed reconstruction, got {other:?}"),
-        }
-        assert_eq!(payload.to_json(), body, "round-trip is byte-identical");
-    }
-
-    #[test]
-    fn from_json_falls_back_on_unknown_paths_and_extra_keys() {
+    fn from_json_decodes_by_route_ignoring_extra_keys() {
         let body = json!({ "places": [], "seq": 3, "junk": true });
         let payload = Payload::from_json(Method::Post, "/api/v1/places/sync", &body);
         assert!(
-            matches!(payload, Payload::Json(_)),
-            "extra keys must not survive a typed round-trip"
+            matches!(&payload, Payload::SyncPlaces(b) if b.seq == Some(3)),
+            "{payload:?}"
         );
-        assert_eq!(payload.to_json(), body);
-
-        let body = json!({ "anything": 1 });
-        let payload = Payload::from_json(Method::Post, "/api/v1/nope", &body);
-        assert!(matches!(payload, Payload::Json(_)));
-    }
-
-    #[test]
-    fn null_spelled_options_stay_on_the_escape_hatch() {
-        // `{"seq": null}` parses to `seq: None`, which re-renders with
-        // the key omitted — not byte-identical, so the guard rejects it.
+        assert_eq!(payload.to_json(), json!({ "places": [], "seq": 3 }));
+        // `null` reads as `None`, which the spelling omits.
         let body = json!({ "places": [], "seq": null });
         let payload = Payload::from_json(Method::Post, "/api/v1/places/sync", &body);
-        assert!(matches!(payload, Payload::Json(_)));
-        assert_eq!(payload.to_json(), body);
+        assert_eq!(payload.to_json(), json!({ "places": [] }));
     }
 
     #[test]
-    fn typed_and_json_spellings_are_equal() {
-        let typed = Payload::PlaceOnly(PlaceOnlyBody {
-            place: DiscoveredPlaceId(4),
-        });
-        let json = Payload::Json(json!({ "place": 4 }));
-        assert_eq!(typed, json);
-        assert_eq!(json, typed);
-        assert_ne!(typed, Payload::Empty);
+    fn undecodable_bodies_are_invalid_and_spell_back() {
+        let body = json!({ "wrong": true });
+        let payload = Payload::from_json(Method::Post, "/api/v1/places/sync", &body);
+        match &payload {
+            Payload::Invalid { error, .. } => assert!(error.contains("places"), "{error}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(payload.to_json(), body);
+        let payload = Payload::from_json(Method::Post, "/api/v1/nope", &body);
+        assert!(matches!(payload, Payload::Invalid { .. }), "{payload:?}");
+        // A route without a request body ignores whatever it is sent.
+        let payload = Payload::from_json(Method::Post, "/api/v1/analytics/activity", &body);
+        assert!(matches!(payload, Payload::Empty), "{payload:?}");
+        // A reply decodes by its request's route: a sync ack is no
+        // registration reply.
+        let ack = json!({ "stale": false, "stored": 3 });
+        let reply = Payload::reply_from_json(Method::Post, REGISTRATION_PATH, 200, &ack);
+        assert!(matches!(reply, Payload::Invalid { .. }), "{reply:?}");
+        assert_eq!(reply.to_json(), ack);
     }
 
     #[test]
@@ -900,20 +860,5 @@ mod tests {
             topo.to_json(),
             json!({ "assigned": 1, "instances": [[0, true], [1, false]], "version": 3 })
         );
-    }
-
-    #[test]
-    fn parse_is_by_reference_for_json_and_renders_for_typed() {
-        #[derive(Deserialize)]
-        struct P {
-            place: u32,
-        }
-        let json = Payload::Json(json!({ "place": 9 }));
-        assert_eq!(json.parse::<P>().unwrap().place, 9);
-        let typed = Payload::PlaceOnly(PlaceOnlyBody {
-            place: DiscoveredPlaceId(9),
-        });
-        assert_eq!(typed.parse::<P>().unwrap().place, 9);
-        assert!(Payload::Empty.parse::<P>().is_err());
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Every endpoint of the cloud instance is one [`Route`] row: method, path
 //! shape, auth requirement, admission-control [`RateClass`], the stable
-//! metric label, and the handler function. Dispatch, the per-endpoint
+//! metric label, the handler function, and the request and reply body
+//! decoders the wire boundary uses. Dispatch, the per-endpoint
 //! metric dimension ([`ENDPOINT_LABELS`]), 404-vs-405 semantics, and the
 //! admission controller's class lookup are all derived from this one
 //! table, so adding an endpoint is a single row — there is no second,
@@ -13,7 +14,7 @@ use crate::api::{Method, Request, Response};
 use crate::auth::UserId;
 use crate::handlers::{self, Ctx, Handler};
 use crate::payload::{
-    self, ArrivalBody, BodyDecoder, DiscoverBody, GeolocateBody, GeolocateSignatureBody, LabelBody,
+    self, ArrivalBody, Decoder, DiscoverBody, GeolocateBody, GeolocateSignatureBody, LabelBody,
     NextVisitBody, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody,
     SyncContactsBody, SyncPlacesBody, SyncProfileBody, SyncRoutesBody,
 };
@@ -96,9 +97,10 @@ pub struct Route {
     pub label: &'static str,
     /// Handler function (see [`crate::handlers`]).
     pub(crate) handler: Handler,
-    /// Typed-body decoder for the wire boundary (see
-    /// [`crate::payload::Payload::from_json`]).
-    pub(crate) decode: BodyDecoder,
+    /// The wire boundary's request-body and 2xx reply-body decoders (see
+    /// [`crate::payload::Payload::from_json`] and
+    /// [`crate::payload::Payload::reply_from_json`]).
+    pub(crate) decoders: (Decoder, Decoder),
 }
 
 impl std::fmt::Debug for Route {
@@ -113,7 +115,8 @@ impl std::fmt::Debug for Route {
     }
 }
 
-/// Shorthand row constructor, so the table below stays tabular.
+/// Shorthand row constructor, so the table below stays tabular; the last
+/// argument pairs the request and 2xx reply decoders.
 const fn route(
     method: Method,
     path: PathSpec,
@@ -121,7 +124,7 @@ const fn route(
     rate_class: RateClass,
     label: &'static str,
     handler: Handler,
-    decode: BodyDecoder,
+    decoders: (Decoder, Decoder),
 ) -> Route {
     Route {
         method,
@@ -130,7 +133,7 @@ const fn route(
         rate_class,
         label,
         handler,
-        decode,
+        decoders,
     }
 }
 
@@ -152,7 +155,10 @@ pub const ROUTES: [Route; 21] = [
         Auth,
         "register",
         handlers::registration::register,
-        payload::decode::<RegistrationBody>,
+        (
+            payload::decode::<RegistrationBody>,
+            payload::reply_registered,
+        ),
     ),
     route(
         Post,
@@ -161,7 +167,7 @@ pub const ROUTES: [Route; 21] = [
         Auth,
         "token_refresh",
         handlers::registration::token_refresh,
-        payload::decode_none,
+        (payload::decode_none, payload::reply_token_refreshed),
     ),
     route(
         Post,
@@ -170,7 +176,7 @@ pub const ROUTES: [Route; 21] = [
         Ingest,
         "places_discover",
         handlers::places::discover,
-        payload::decode::<DiscoverBody>,
+        (payload::decode::<DiscoverBody>, payload::reply_discovered),
     ),
     route(
         Post,
@@ -179,7 +185,7 @@ pub const ROUTES: [Route; 21] = [
         Ingest,
         "places_sync",
         handlers::places::sync,
-        payload::decode::<SyncPlacesBody>,
+        (payload::decode::<SyncPlacesBody>, payload::reply_sync_ack),
     ),
     route(
         Get,
@@ -188,7 +194,7 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "places_list",
         handlers::places::list,
-        payload::decode_none,
+        (payload::decode_none, payload::reply_places),
     ),
     route(
         Post,
@@ -197,7 +203,7 @@ pub const ROUTES: [Route; 21] = [
         Ingest,
         "places_label",
         handlers::places::label,
-        payload::decode::<LabelBody>,
+        (payload::decode::<LabelBody>, payload::reply_labelled),
     ),
     route(
         Post,
@@ -206,7 +212,7 @@ pub const ROUTES: [Route; 21] = [
         Ingest,
         "routes_sync",
         handlers::routes::sync,
-        payload::decode::<SyncRoutesBody>,
+        (payload::decode::<SyncRoutesBody>, payload::reply_sync_ack),
     ),
     route(
         Get,
@@ -215,7 +221,7 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "routes_list",
         handlers::routes::list,
-        payload::decode_none,
+        (payload::decode_none, payload::reply_routes),
     ),
     route(
         Post,
@@ -224,7 +230,7 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "routes_query",
         handlers::routes::query,
-        payload::decode::<RouteQueryBody>,
+        (payload::decode::<RouteQueryBody>, payload::reply_routes),
     ),
     route(
         Post,
@@ -233,7 +239,10 @@ pub const ROUTES: [Route; 21] = [
         Ingest,
         "profiles_sync",
         handlers::profiles::sync,
-        payload::decode::<SyncProfileBody>,
+        (
+            payload::decode::<SyncProfileBody>,
+            payload::reply_profile_synced,
+        ),
     ),
     route(
         Get,
@@ -242,7 +251,7 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "profiles_get",
         handlers::profiles::get_day,
-        payload::decode_none,
+        (payload::decode_none, payload::reply_profile_day),
     ),
     route(
         Post,
@@ -251,7 +260,10 @@ pub const ROUTES: [Route; 21] = [
         Ingest,
         "social_sync",
         handlers::social::sync,
-        payload::decode::<SyncContactsBody>,
+        (
+            payload::decode::<SyncContactsBody>,
+            payload::reply_contacts_ack,
+        ),
     ),
     route(
         Post,
@@ -260,7 +272,7 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "social_query",
         handlers::social::query,
-        payload::decode::<SocialQueryBody>,
+        (payload::decode::<SocialQueryBody>, payload::reply_contacts),
     ),
     route(
         Post,
@@ -269,7 +281,7 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "geolocate",
         handlers::geolocate::by_cell,
-        payload::decode::<GeolocateBody>,
+        (payload::decode::<GeolocateBody>, payload::reply_position),
     ),
     route(
         Post,
@@ -278,7 +290,10 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "geolocate_signature",
         handlers::geolocate::by_signature,
-        payload::decode::<GeolocateSignatureBody>,
+        (
+            payload::decode::<GeolocateSignatureBody>,
+            payload::reply_position,
+        ),
     ),
     route(
         Post,
@@ -287,7 +302,7 @@ pub const ROUTES: [Route; 21] = [
         Analytics,
         "analytics_arrival",
         handlers::analytics::arrival,
-        payload::decode::<ArrivalBody>,
+        (payload::decode::<ArrivalBody>, payload::reply_arrival_at),
     ),
     route(
         Post,
@@ -296,7 +311,7 @@ pub const ROUTES: [Route; 21] = [
         Analytics,
         "analytics_next_visit",
         handlers::analytics::next_visit,
-        payload::decode::<NextVisitBody>,
+        (payload::decode::<NextVisitBody>, payload::reply_visit_at),
     ),
     route(
         Post,
@@ -305,7 +320,7 @@ pub const ROUTES: [Route; 21] = [
         Analytics,
         "analytics_frequency",
         handlers::analytics::frequency,
-        payload::decode::<PlaceOnlyBody>,
+        (payload::decode::<PlaceOnlyBody>, payload::reply_frequency),
     ),
     route(
         Post,
@@ -314,7 +329,7 @@ pub const ROUTES: [Route; 21] = [
         Analytics,
         "analytics_activity",
         handlers::analytics::activity,
-        payload::decode_none,
+        (payload::decode_none, payload::reply_activity),
     ),
     route(
         Post,
@@ -323,7 +338,7 @@ pub const ROUTES: [Route; 21] = [
         Analytics,
         "analytics_next_place",
         handlers::analytics::next_place,
-        payload::decode::<PlaceOnlyBody>,
+        (payload::decode::<PlaceOnlyBody>, payload::reply_predictions),
     ),
     // The federation heartbeat: public so the topology router can probe
     // an instance without holding any user's token, and it takes the
@@ -336,7 +351,7 @@ pub const ROUTES: [Route; 21] = [
         Query,
         "health",
         handlers::health::status,
-        payload::decode_none,
+        (payload::decode_none, payload::reply_health),
     ),
 ];
 

@@ -241,14 +241,13 @@ pub(crate) fn apply_social_sync(store: &mut UserStore, body: &SyncContactsBody) 
 
 /// Re-applies one logged mutating request directly to a store under
 /// hydration. Only the `Ingest`-class paths are dispatched — the WAL
-/// logs nothing else under a non-registration record — and parse
-/// failures are ignored: every logged request already succeeded once.
+/// logs nothing else under a non-registration record — and a body of
+/// another shape is ignored: every logged request already succeeded once,
+/// so its body decoded for its route.
 pub(crate) fn apply_request(store: &mut UserStore, config: &GcaConfig, request: &Request) {
     fn with<B: RequestBody>(request: &Request, f: impl FnOnce(&B)) {
         if let Some(body) = B::from_payload(&request.body) {
             f(body);
-        } else if let Ok(body) = request.body.parse::<B>() {
-            f(&body);
         }
     }
     match request.path.as_str() {

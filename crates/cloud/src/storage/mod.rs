@@ -55,7 +55,7 @@ use pmware_world::SimTime;
 
 use crate::api::{Request, Response};
 use crate::auth::UserId;
-use crate::payload::{Payload, RegistrationBody, RequestBody, REGISTRATION_PATH};
+use crate::payload::{Payload, RegistrationBody, RequestBody};
 use crate::state::{UserStore, SHARD_COUNT};
 
 use residency::{ResidencyState, Shard};
@@ -561,14 +561,10 @@ impl StorageEngine {
             expires_at,
         } = &response.body
         {
-            if request.path == REGISTRATION_PATH {
-                let key = match RegistrationBody::from_payload(&request.body) {
-                    Some(body) => identity_key(&body.imei, &body.email),
-                    None => match request.body.parse::<RegistrationBody>() {
-                        Ok(body) => identity_key(&body.imei, &body.email),
-                        Err(_) => fallback_key(*user),
-                    },
-                };
+            // Only the registration handler answers `Registered`, and only
+            // to a decoded registration body.
+            if let Some(body) = RegistrationBody::from_payload(&request.body) {
+                let key = identity_key(&body.imei, &body.email);
                 self.bind_key(*user, &key);
                 self.append_durable(&key, WalOp::request(request.clone()));
                 self.append_durable(

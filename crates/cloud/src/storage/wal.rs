@@ -57,25 +57,12 @@ impl WalOp {
         WalOp::Request(Box::new(request))
     }
 
-    /// The compact form of an op before it is retained. Logged requests
-    /// live as long as the log, and a raw-JSON body tree (plus the
-    /// caller's cached wire bytes) is an order of magnitude heavier than
-    /// the typed decoding the route table produces. A typed body is
-    /// already compact: it only sheds the wire cache, and the durable
-    /// append renders it once, when it writes the record. A raw-JSON body
-    /// is re-encoded through the pinned wire format; the span context is
-    /// copied back across that round trip (it is not wire state) so
-    /// replayed requests still join their originating trace, and a request
-    /// the wire format cannot round-trip is kept as-is.
+    /// The compact form of an op before it is retained: a logged request
+    /// lives as long as the log, so it sheds the caller's cached wire
+    /// bytes (the durable append renders them once, when it writes the
+    /// record).
     pub(crate) fn compacted(self) -> WalOp {
         match self {
-            WalOp::Request(request) if matches!(request.body, Payload::Json(_)) => {
-                let wire = request.to_bytes();
-                match Request::from_bytes(&wire) {
-                    Ok(compact) => WalOp::request(compact.with_ctx(request.ctx)),
-                    Err(_) => WalOp::Request(request),
-                }
-            }
             WalOp::Request(request) => WalOp::request(request.without_wire_cache()),
             grant @ WalOp::TokenGrant { .. } => grant,
         }
@@ -306,7 +293,8 @@ mod tests {
             seq: 3,
             key: "imei|mail".to_owned(),
             op: WalOp::request(
-                Request::post("/api/v1/social/sync", json!({"contacts": []})).with_token("tok-x"),
+                Request::post_json("/api/v1/social/sync", json!({"contacts": []}))
+                    .with_token("tok-x"),
             ),
         };
         let back = WalRecord::from_json(&record.to_json()).unwrap();
@@ -355,7 +343,10 @@ mod tests {
         let mut log = WalLog::default();
         log.append(
             "a",
-            WalOp::request(Request::post("/api/v1/registration", json!({"imei": "1"}))),
+            WalOp::request(Request::post_json(
+                "/api/v1/registration",
+                json!({"imei": "1"}),
+            )),
         );
         log.append(
             "a",
@@ -366,11 +357,17 @@ mod tests {
         );
         log.append(
             "a",
-            WalOp::request(Request::post("/api/v1/places/sync", json!({"places": []}))),
+            WalOp::request(Request::post_json(
+                "/api/v1/places/sync",
+                json!({"places": []}),
+            )),
         );
         log.append(
             "a",
-            WalOp::request(Request::post("/api/v1/places/sync", json!({"places": []}))),
+            WalOp::request(Request::post_json(
+                "/api/v1/places/sync",
+                json!({"places": []}),
+            )),
         );
         log.compact("a", 3);
         let left = log.suffix("a", 0);
@@ -384,15 +381,21 @@ mod tests {
         let mut log = WalLog::default();
         log.append(
             "a",
-            WalOp::request(Request::post("/api/v1/registration", json!({"imei": "1"}))),
+            WalOp::request(Request::post_json(
+                "/api/v1/registration",
+                json!({"imei": "1"}),
+            )),
         );
         log.append(
             "a",
-            WalOp::request(Request::post("/api/v1/places/sync", json!({"places": []}))),
+            WalOp::request(Request::post_json(
+                "/api/v1/places/sync",
+                json!({"places": []}),
+            )),
         );
         log.append(
             "a",
-            WalOp::request(Request::post(
+            WalOp::request(Request::post_json(
                 "/api/v1/social/sync",
                 json!({"contacts": []}),
             )),

@@ -27,13 +27,14 @@ use pmware_obs::FieldValue;
 use pmware_world::SimTime;
 
 use crate::api::{Request, Response, SpanCtx};
-use crate::auth::{DeviceIdentity, UserId};
-use crate::payload::{HandshakeBody, Payload, REGISTRATION_PATH, TOPOLOGY_HANDSHAKE_PATH};
+use crate::auth::DeviceIdentity;
+use crate::payload::{
+    HandshakeBody, Payload, RegistrationBody, RequestBody, REGISTRATION_PATH,
+    TOPOLOGY_HANDSHAKE_PATH,
+};
 use crate::transport::{CloudEndpoint, CloudTransport, STATUS_MISDIRECTED};
 
 use super::{InstanceId, TopologyRouter};
-
-const TOKEN_REFRESH_PATH: &str = "/api/v1/token/refresh";
 
 #[derive(Debug, Default)]
 struct ClientSlot {
@@ -49,22 +50,6 @@ struct ClientSlot {
 pub struct FederatedEndpoint {
     router: TopologyRouter,
     slot: Mutex<ClientSlot>,
-}
-
-/// Shape of a registration reply as seen through a wire round trip
-/// (chaos-wrapped endpoints hand back untyped JSON bodies).
-#[derive(serde::Deserialize)]
-struct RegisteredView {
-    user: UserId,
-    token: String,
-    expires_at: SimTime,
-}
-
-/// Shape of a token-refresh reply through a wire round trip.
-#[derive(serde::Deserialize)]
-struct RefreshView {
-    token: String,
-    expires_at: SimTime,
 }
 
 impl FederatedEndpoint {
@@ -136,39 +121,32 @@ impl FederatedEndpoint {
         if !response.is_success() {
             return;
         }
-        if request.path == REGISTRATION_PATH {
-            if let Ok(view) = response.parse::<RegisteredView>() {
-                self.router.record_session(
-                    identity,
-                    instance,
-                    view.user,
-                    &view.token,
-                    view.expires_at,
-                );
+        match &response.body {
+            Payload::Registered {
+                user,
+                token,
+                expires_at,
+            } => self
+                .router
+                .record_session(identity, instance, *user, token, *expires_at),
+            Payload::TokenRefreshed { token, expires_at } => {
+                self.router.update_token(identity, token, *expires_at);
             }
-        } else if request.path == TOKEN_REFRESH_PATH {
-            if let Ok(view) = response.parse::<RefreshView>() {
-                self.router
-                    .update_token(identity, &view.token, view.expires_at);
-            }
+            _ => {}
         }
         self.router.log_if_mutating(identity, request);
     }
 }
 
-/// Extracts the device identity from a registration request body (typed
-/// or raw JSON).
+/// Extracts the device identity from a registration request body.
 fn identity_of(request: &Request) -> Option<DeviceIdentity> {
     if request.path != REGISTRATION_PATH {
         return None;
     }
-    let body = request
-        .body
-        .parse::<crate::payload::RegistrationBody>()
-        .ok()?;
+    let body = RegistrationBody::from_payload(&request.body)?;
     Some(DeviceIdentity {
-        imei: body.imei,
-        email: body.email,
+        imei: body.imei.clone(),
+        email: body.email.clone(),
     })
 }
 

@@ -813,7 +813,7 @@ mod tests {
         let endpoint = CloudEndpoint::new(router.endpoint());
         let (imei, email) = identity(n);
         let response = endpoint.send(
-            &Request::post(
+            &Request::post_json(
                 crate::payload::REGISTRATION_PATH,
                 json!({"imei": imei, "email": email}),
             ),
@@ -877,7 +877,7 @@ mod tests {
             ),
         ));
         let reg = zero.handle(
-            &Request::post(
+            &Request::post_json(
                 crate::payload::REGISTRATION_PATH,
                 json!({"imei": "queued", "email": "q@x.com"}),
             ),
@@ -953,7 +953,7 @@ mod tests {
             place: None,
         }];
         let response = endpoint.send(
-            &Request::post("/api/v1/social/sync", json!({ "contacts": contacts }))
+            &Request::post_json("/api/v1/social/sync", json!({ "contacts": contacts }))
                 .with_token(&token),
             now,
         );
@@ -1015,7 +1015,7 @@ mod tests {
         let router = router_with(1, BalancePolicy::ConsistentHash);
         let now = SimTime::EPOCH;
         let bad = router.control(
-            &Request::post(
+            &Request::post_json(
                 crate::payload::TOPOLOGY_HANDSHAKE_PATH,
                 json!({"imei": "", "email": ""}),
             ),
@@ -1026,7 +1026,7 @@ mod tests {
         router.kill_instance(InstanceId(0));
         router.heartbeat(now);
         let down = router.control(
-            &Request::post(
+            &Request::post_json(
                 crate::payload::TOPOLOGY_HANDSHAKE_PATH,
                 json!({"imei": "350", "email": "a@x"}),
             ),

@@ -26,6 +26,12 @@
 //! * **Duplicate** — the request is delivered to the server twice
 //!   back-to-back; the caller sees the second response.
 //!
+//! The decorator is also where the wire exists: every request crosses it
+//! as JSON bytes decoded back by route, and every reply as bytes decoded
+//! by the request's route and status ([`Response::from_bytes`]), so a
+//! chaos-wrapped client receives the same typed replies as an in-process
+//! one.
+//!
 //! A dropped or timed-out request makes the retrying client re-send, so
 //! at-least-once delivery plus server-side deduplication (sequence
 //! watermarks) yields exactly-once *absorption* — the invariant the chaos
@@ -80,16 +86,18 @@ impl CloudTransport for SharedCloud {
 /// Cheap, cloneable handle to some [`CloudTransport`] — what clients hold.
 ///
 /// ```
-/// use pmware_cloud::{CellDatabase, CloudEndpoint, CloudInstance, Request, SharedCloud};
+/// use pmware_cloud::{
+///     CellDatabase, CloudEndpoint, CloudInstance, RegistrationBody, Request, SharedCloud,
+/// };
 /// use pmware_world::SimTime;
-/// use serde_json::json;
 ///
 /// let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::new(), 1));
 /// let endpoint: CloudEndpoint = cloud.into();
-/// let resp = endpoint.send(
-///     &Request::post("/api/v1/registration", json!({"imei": "1", "email": "a@x"})),
-///     SimTime::EPOCH,
-/// );
+/// let body = RegistrationBody {
+///     imei: "1".into(),
+///     email: "a@x".into(),
+/// };
+/// let resp = endpoint.send(&Request::post("/api/v1/registration", body), SimTime::EPOCH);
 /// assert!(resp.is_success());
 /// ```
 #[derive(Debug, Clone)]
@@ -119,7 +127,8 @@ impl From<FaultyCloud> for CloudEndpoint {
     }
 }
 
-/// One kind of injected transport fault.
+/// One kind of injected transport fault. Declared in [`ALL_FAULT_KINDS`]
+/// order: the discriminant indexes the per-kind counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Request lost before the server sees it.
@@ -216,16 +225,6 @@ impl FaultPlan {
         self.path_filter = Some(fragment.into());
         self
     }
-
-    /// The plan's seed (for reporting).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The plan's fault rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 /// Counters of what the decorator did, for reports and assertions.
@@ -267,7 +266,7 @@ struct HeldRequest {
 struct FaultMetrics {
     obs: Obs,
     requests: Counter,
-    /// Indexed in [`ALL_FAULT_KINDS`] order.
+    /// Indexed by `FaultKind as usize` ([`ALL_FAULT_KINDS`] order).
     by_kind: [Counter; ALL_FAULT_KINDS.len()],
     late_deliveries: Counter,
 }
@@ -291,23 +290,19 @@ impl FaultMetrics {
     }
 
     fn kind(&self, kind: FaultKind) -> &Counter {
-        let slot = ALL_FAULT_KINDS
-            .iter()
-            .position(|k| *k == kind)
-            .expect("known kind");
-        &self.by_kind[slot]
+        &self.by_kind[kind as usize]
     }
 
     fn snapshot(&self) -> FaultStats {
-        let per: Vec<u64> = self.by_kind.iter().map(|c| c.get()).collect();
+        let count = |kind| self.kind(kind).get();
         FaultStats {
             requests: self.requests.get(),
-            faults: per.iter().sum(),
-            drops: per[0],
-            delays: per[1],
-            duplicates: per[2],
-            reorders: per[3],
-            errors: per[4],
+            faults: self.by_kind.iter().map(Counter::get).sum(),
+            drops: count(FaultKind::Drop),
+            delays: count(FaultKind::Delay),
+            duplicates: count(FaultKind::Duplicate),
+            reorders: count(FaultKind::Reorder),
+            errors: count(FaultKind::Error),
             late_deliveries: self.late_deliveries.get(),
         }
     }
@@ -388,24 +383,14 @@ impl FaultyCloud {
     /// correct.
     pub fn set_obs(&self, obs: &Obs) {
         let mut state = self.state.lock();
-        let current = state.metrics.snapshot();
         let obs = obs.clone().metrics_or(&state.metrics.obs);
-        state.metrics = FaultMetrics::resolve(obs);
-        state.metrics.requests.set(current.requests);
-        state.metrics.kind(FaultKind::Drop).set(current.drops);
-        state.metrics.kind(FaultKind::Delay).set(current.delays);
-        state
-            .metrics
-            .kind(FaultKind::Duplicate)
-            .set(current.duplicates);
-        state.metrics.kind(FaultKind::Reorder).set(current.reorders);
-        state.metrics.kind(FaultKind::Error).set(current.errors);
-        state.metrics.late_deliveries.set(current.late_deliveries);
-    }
-
-    /// The undecorated cloud, for server-side assertions and outage flags.
-    pub fn inner(&self) -> &SharedCloud {
-        &self.inner
+        let old = std::mem::replace(&mut state.metrics, FaultMetrics::resolve(obs));
+        let new = &state.metrics;
+        new.requests.set(old.requests.get());
+        for (new, old) in new.by_kind.iter().zip(&old.by_kind) {
+            new.set(old.get());
+        }
+        new.late_deliveries.set(old.late_deliveries.get());
     }
 
     /// Turns injection on or off (held requests are kept either way).
@@ -545,11 +530,12 @@ impl CloudTransport for FaultyCloud {
     fn send(&self, request: &Request, now: SimTime) -> Response {
         // The fault boundary is where the wire exists: spell the request
         // as JSON bytes (rendered once and cached on the request, so a
-        // retry schedule re-sends the same encoding), parse them back,
-        // apply the fault decision over the wrapped cloud, and round-trip the
-        // response the same way — the full marshalling path the Django
-        // service saw. An undecorated [`SharedCloud`] endpoint skips all
-        // of this and moves typed payloads end-to-end.
+        // retry schedule re-sends the same encoding), decode them back by
+        // route, apply the fault decision over the wrapped cloud, and
+        // round-trip the response the same way, its body decoded by the
+        // request's route and the status — the full marshalling path the
+        // Django service saw, handing the client the same typed replies
+        // an undecorated [`SharedCloud`] endpoint returns directly.
         // The span context and latency annotation are diagnostics, not
         // wire state: both are copied across the marshalling boundary by
         // hand, exactly like a tracing header rides outside the body.
@@ -558,7 +544,8 @@ impl CloudTransport for FaultyCloud {
             .with_ctx(request.ctx);
         let response = self.deliver(&parsed, now);
         let latency = response.latency_us();
-        let wire = Response::from_bytes(&response.to_bytes()).expect("response round-trips");
+        let wire = Response::from_bytes(parsed.method, &parsed.path, &response.to_bytes())
+            .expect("response round-trips");
         match latency {
             Some((queue_us, service_us)) => wire.with_latency(queue_us, service_us),
             None => wire,
@@ -579,7 +566,7 @@ mod tests {
 
     fn register(endpoint: &CloudEndpoint) -> String {
         let resp = endpoint.send(
-            &Request::post(
+            &Request::post_json(
                 "/api/v1/registration",
                 json!({"imei": "i-1", "email": "a@x.com"}),
             ),
@@ -587,6 +574,13 @@ mod tests {
         );
         assert!(resp.is_success(), "{resp:?}");
         resp.json()["token"].as_str().unwrap().to_owned()
+    }
+
+    #[test]
+    fn fault_kinds_are_declared_in_all_fault_kinds_order() {
+        for (index, kind) in ALL_FAULT_KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, index, "{kind:?}");
+        }
     }
 
     #[test]
@@ -641,7 +635,8 @@ mod tests {
         );
         let endpoint: CloudEndpoint = faulty.clone().into();
         let token = register(&endpoint);
-        let sync = Request::post("/api/v1/places/sync", json!({"places": []})).with_token(&token);
+        let sync =
+            Request::post_json("/api/v1/places/sync", json!({"places": []})).with_token(&token);
         let resp = endpoint.send(&sync, SimTime::EPOCH);
         assert_eq!(resp.status, STATUS_TIMEOUT);
         // The second attempt (index 1, unscheduled) goes through.
@@ -666,8 +661,8 @@ mod tests {
             pmware_algorithms::signature::PlaceSignature::WifiAps(Default::default()),
             vec![],
         );
-        let sync =
-            Request::post("/api/v1/places/sync", json!({"places": [place]})).with_token(&token);
+        let sync = Request::post_json("/api/v1/places/sync", json!({"places": [place]}))
+            .with_token(&token);
         let resp = endpoint.send(&sync, SimTime::EPOCH);
         assert_eq!(resp.status, STATUS_TIMEOUT, "caller times out");
         // Not delivered yet: the server still has no places.
@@ -696,9 +691,9 @@ mod tests {
         let token = register(&endpoint);
         let profile = |day: u64| crate::profile::MobilityProfile::new(day);
         // Day-0 profile is held; day-1 goes through first, then day-0 lands.
-        let first = Request::post("/api/v1/profiles/sync", json!({"profile": profile(0)}))
+        let first = Request::post_json("/api/v1/profiles/sync", json!({"profile": profile(0)}))
             .with_token(&token);
-        let second = Request::post("/api/v1/profiles/sync", json!({"profile": profile(1)}))
+        let second = Request::post_json("/api/v1/profiles/sync", json!({"profile": profile(1)}))
             .with_token(&token);
         assert_eq!(endpoint.send(&first, SimTime::EPOCH).status, STATUS_TIMEOUT);
         assert!(endpoint.send(&second, SimTime::EPOCH).is_success());
@@ -733,7 +728,7 @@ mod tests {
         // duplicated delivery is visible as a doubled store — which is the
         // hazard the sequenced path exists to remove.
         let resp = endpoint.send(
-            &Request::post("/api/v1/social/sync", json!({"contacts": [contact]}))
+            &Request::post_json("/api/v1/social/sync", json!({"contacts": [contact]}))
                 .with_token(&token),
             SimTime::EPOCH,
         );
@@ -763,7 +758,8 @@ mod tests {
             );
             assert!(resp.is_success());
         }
-        let sync = Request::post("/api/v1/places/sync", json!({"places": []})).with_token(&token);
+        let sync =
+            Request::post_json("/api/v1/places/sync", json!({"places": []})).with_token(&token);
         assert_eq!(endpoint.send(&sync, SimTime::EPOCH).status, STATUS_TIMEOUT);
         assert_eq!(endpoint.send(&sync, SimTime::EPOCH).status, STATUS_TIMEOUT);
         assert!(endpoint.send(&sync, SimTime::EPOCH).is_success());

@@ -10,7 +10,7 @@ use serde_json::json;
 
 fn register(cloud: &CloudInstance, n: u32) -> String {
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
         ),
@@ -84,8 +84,8 @@ fn budgets_are_per_user_and_per_class() {
     // Bob's bucket is untouched by Alice's spend.
     assert!(cloud.handle(&list(&bob), SimTime::EPOCH).is_success());
     // Alice's Ingest class has its own bucket: a sync still goes through.
-    let sync =
-        Request::post("/api/v1/places/sync", json!({"places": [], "seq": 1})).with_token(&alice);
+    let sync = Request::post_json("/api/v1/places/sync", json!({"places": [], "seq": 1}))
+        .with_token(&alice);
     assert!(cloud.handle(&sync, SimTime::EPOCH).is_success());
 }
 
@@ -98,7 +98,7 @@ fn registration_is_never_throttled() {
     );
     for _ in 0..10 {
         let resp = cloud.handle(
-            &Request::post(
+            &Request::post_json(
                 "/api/v1/registration",
                 json!({"imei": "imei-0", "email": "u0@x.com"}),
             ),

@@ -22,7 +22,7 @@ fn cloud() -> CloudInstance {
 }
 
 fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
-    let req = Request::post(
+    let req = Request::post_json(
         "/api/v1/registration",
         json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
     );
@@ -60,12 +60,12 @@ fn registration_and_auth_flow() {
 fn registration_requires_identity() {
     let c = cloud();
     let resp = c.handle(
-        &Request::post("/api/v1/registration", json!({"imei": "", "email": ""})),
+        &Request::post_json("/api/v1/registration", json!({"imei": "", "email": ""})),
         SimTime::EPOCH,
     );
     assert_eq!(resp.status, 400);
     let resp = c.handle(
-        &Request::post("/api/v1/registration", json!({"nope": 1})),
+        &Request::post_json("/api/v1/registration", json!({"nope": 1})),
         SimTime::EPOCH,
     );
     assert_eq!(resp.status, 400);
@@ -77,7 +77,7 @@ fn token_refresh_rotates() {
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
     let resp = c.handle(
-        &Request::post("/api/v1/token/refresh", Value::Null).with_token(&token),
+        &Request::post_json("/api/v1/token/refresh", Value::Null).with_token(&token),
         now + SimDuration::from_hours(20),
     );
     assert!(resp.is_success());
@@ -102,7 +102,7 @@ fn expired_token_refresh_cannot_resurrect() {
     let token = register(&c, 0, now);
     let late = now + SimDuration::from_hours(30);
     let resp = c.handle(
-        &Request::post("/api/v1/token/refresh", Value::Null).with_token(&token),
+        &Request::post_json("/api/v1/token/refresh", Value::Null).with_token(&token),
         late,
     );
     assert_eq!(resp.status, 401, "expired token must not refresh: {resp:?}");
@@ -134,7 +134,7 @@ fn gca_offload_discovers_and_stores() {
         })
         .collect();
     let resp = c.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/places/discover",
             json!({ "observations": observations }),
         )
@@ -171,7 +171,7 @@ fn discover_absorbs_suffixes_without_forgetting_places() {
         .map(|m| obs(m, if m % 3 == 1 { 2 } else { 1 }))
         .collect();
     let resp = c.handle(
-        &Request::post("/api/v1/places/discover", json!({ "observations": night1 }))
+        &Request::post_json("/api/v1/places/discover", json!({ "observations": night1 }))
             .with_token(&token),
         now,
     );
@@ -184,7 +184,7 @@ fn discover_absorbs_suffixes_without_forgetting_places() {
         .map(|m| obs(m, if m % 3 == 1 { 6 } else { 5 }))
         .collect();
     let resp = c.handle(
-        &Request::post("/api/v1/places/discover", json!({ "observations": night2 }))
+        &Request::post_json("/api/v1/places/discover", json!({ "observations": night2 }))
             .with_token(&token),
         now,
     );
@@ -219,7 +219,7 @@ fn discover_rewind_restarts_from_the_new_batch() {
             rssi_dbm: -70.0,
         })
         .collect();
-    let req = Request::post("/api/v1/places/discover", json!({ "observations": stream }))
+    let req = Request::post_json("/api/v1/places/discover", json!({ "observations": stream }))
         .with_token(&token);
     // Re-sending the same from-zero batch (a client that restarted and
     // re-clusters its full log) must not double-count: the engine
@@ -246,7 +246,7 @@ fn next_place_cache_invalidates_on_profile_upsert() {
             });
         }
         let resp = c.handle(
-            &Request::post("/api/v1/profiles/sync", json!({ "profile": profile }))
+            &Request::post_json("/api/v1/profiles/sync", json!({ "profile": profile }))
                 .with_token(&token),
             now,
         );
@@ -254,7 +254,8 @@ fn next_place_cache_invalidates_on_profile_upsert() {
     };
     let next = || {
         let resp = c.handle(
-            &Request::post("/api/v1/analytics/next_place", json!({"place": 0})).with_token(&token),
+            &Request::post_json("/api/v1/analytics/next_place", json!({"place": 0}))
+                .with_token(&token),
             now,
         );
         assert!(resp.is_success());
@@ -286,12 +287,12 @@ fn place_labelling() {
         vec![],
     );
     let resp = c.handle(
-        &Request::post("/api/v1/places/sync", json!({ "places": [place] })).with_token(&token),
+        &Request::post_json("/api/v1/places/sync", json!({ "places": [place] })).with_token(&token),
         now,
     );
     assert!(resp.is_success());
     let resp = c.handle(
-        &Request::post("/api/v1/places/label", json!({"place": 0, "label": "Home"}))
+        &Request::post_json("/api/v1/places/label", json!({"place": 0, "label": "Home"}))
             .with_token(&token),
         now,
     );
@@ -300,7 +301,7 @@ fn place_labelling() {
     assert_eq!(resp.json()["places"][0]["label"], "Home");
     // Unknown place → 404.
     let resp = c.handle(
-        &Request::post("/api/v1/places/label", json!({"place": 9, "label": "X"}))
+        &Request::post_json("/api/v1/places/label", json!({"place": 9, "label": "X"}))
             .with_token(&token),
         now,
     );
@@ -319,7 +320,8 @@ fn profile_sync_and_fetch() {
         departure: SimTime::from_day_time(2, 17, 0, 0),
     });
     let resp = c.handle(
-        &Request::post("/api/v1/profiles/sync", json!({ "profile": profile })).with_token(&token),
+        &Request::post_json("/api/v1/profiles/sync", json!({ "profile": profile }))
+            .with_token(&token),
         now,
     );
     assert!(resp.is_success());
@@ -361,7 +363,7 @@ fn analytics_endpoints_answer_the_papers_queries() {
             departure: SimTime::from_day_time(day, 23, 0, 0),
         });
         let resp = c.handle(
-            &Request::post("/api/v1/profiles/sync", json!({ "profile": profile }))
+            &Request::post_json("/api/v1/profiles/sync", json!({ "profile": profile }))
                 .with_token(&token),
             now,
         );
@@ -369,7 +371,7 @@ fn analytics_endpoints_answer_the_papers_queries() {
     }
     // Query 1: evening home arrival.
     let resp = c.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/analytics/arrival",
             json!({"place": 0, "window": [15, 24]}),
         )
@@ -380,7 +382,7 @@ fn analytics_endpoints_answer_the_papers_queries() {
     assert_eq!(resp.json()["second_of_day"].as_u64().unwrap() / 3_600, 18);
     // Query 2: next visit to place 1.
     let resp = c.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/analytics/next_visit",
             json!({"place": 1, "now": SimTime::from_day_time(14, 0, 0, 0)}),
         )
@@ -390,14 +392,14 @@ fn analytics_endpoints_answer_the_papers_queries() {
     assert!(resp.is_success(), "{resp:?}");
     // Query 3: frequency.
     let resp = c.handle(
-        &Request::post("/api/v1/analytics/frequency", json!({"place": 0})).with_token(&token),
+        &Request::post_json("/api/v1/analytics/frequency", json!({"place": 0})).with_token(&token),
         now,
     );
     assert!(resp.is_success());
     assert!((resp.json()["visits_per_week"].as_f64().unwrap() - 7.0).abs() < 1e-9);
     // Markov next place from work is home.
     let resp = c.handle(
-        &Request::post("/api/v1/analytics/next_place", json!({"place": 1})).with_token(&token),
+        &Request::post_json("/api/v1/analytics/next_place", json!({"place": 1})).with_token(&token),
         now,
     );
     assert!(resp.is_success());
@@ -417,7 +419,7 @@ fn geolocation_endpoint_uses_cell_database() {
     let token = register(&c, 0, now);
     let cell = tower.cell();
     let resp = c.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/misc/geolocate",
             json!({
                 "mcc": cell.plmn.mcc,
@@ -434,7 +436,7 @@ fn geolocation_endpoint_uses_cell_database() {
     assert!((lat - tower.position().latitude()).abs() < 1e-9);
     // Unknown cell → 404.
     let resp = c.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/misc/geolocate",
             json!({"mcc": 1, "mnc": 1, "lac": 1, "cid": 1}),
         )
@@ -464,13 +466,14 @@ fn social_sync_and_query_by_place() {
         },
     ];
     let resp = c.handle(
-        &Request::post("/api/v1/social/sync", json!({ "contacts": contacts })).with_token(&token),
+        &Request::post_json("/api/v1/social/sync", json!({ "contacts": contacts }))
+            .with_token(&token),
         now,
     );
     assert!(resp.is_success());
     // Targeted query: only workplace contacts (§2.2.2 targeted sensing).
     let resp = c.handle(
-        &Request::post("/api/v1/social/query", json!({"place": 0})).with_token(&token),
+        &Request::post_json("/api/v1/social/query", json!({"place": 0})).with_token(&token),
         now,
     );
     let body = resp.json();
@@ -479,7 +482,7 @@ fn social_sync_and_query_by_place() {
     assert_eq!(got[0]["contact"], "peer-1");
     // Unfiltered query returns everything.
     let resp = c.handle(
-        &Request::post("/api/v1/social/query", json!({"place": null})).with_token(&token),
+        &Request::post_json("/api/v1/social/query", json!({"place": null})).with_token(&token),
         now,
     );
     assert_eq!(resp.json()["contacts"].as_array().unwrap().len(), 2);
@@ -506,7 +509,7 @@ fn sequenced_discover_skips_absorbed_prefixes() {
         .collect();
     let discover = |observations: &[GsmObservation], start: u64| {
         c.handle(
-            &Request::post(
+            &Request::post_json(
                 "/api/v1/places/discover",
                 json!({ "observations": observations, "start": start }),
             )
@@ -552,7 +555,7 @@ fn sequenced_contacts_deduplicate_resent_buffers() {
     };
     let sync = |contacts: &[ContactEntry], first_seq: u64| {
         c.handle(
-            &Request::post(
+            &Request::post_json(
                 "/api/v1/social/sync",
                 json!({ "contacts": contacts, "first_seq": first_seq }),
             )
@@ -599,7 +602,7 @@ fn stale_profile_and_snapshot_syncs_are_ignored() {
     };
     let sync = |p: &MobilityProfile, seq: u64| {
         c.handle(
-            &Request::post("/api/v1/profiles/sync", json!({ "profile": p, "seq": seq }))
+            &Request::post_json("/api/v1/profiles/sync", json!({ "profile": p, "seq": seq }))
                 .with_token(&token),
             now,
         )
@@ -625,7 +628,7 @@ fn stale_profile_and_snapshot_syncs_are_ignored() {
         vec![],
     );
     let resp = c.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/places/sync",
             json!({ "places": [place], "seq": 7 }),
         )
@@ -634,7 +637,8 @@ fn stale_profile_and_snapshot_syncs_are_ignored() {
     );
     assert_eq!(resp.json()["stale"], false);
     let resp = c.handle(
-        &Request::post("/api/v1/places/sync", json!({ "places": [], "seq": 6 })).with_token(&token),
+        &Request::post_json("/api/v1/places/sync", json!({ "places": [], "seq": 6 }))
+            .with_token(&token),
         now,
     );
     assert_eq!(resp.json()["stale"], true);
@@ -654,7 +658,7 @@ fn users_are_isolated() {
         vec![],
     );
     c.handle(
-        &Request::post("/api/v1/places/sync", json!({ "places": [place] })).with_token(&t0),
+        &Request::post_json("/api/v1/places/sync", json!({ "places": [place] })).with_token(&t0),
         now,
     );
     let resp = c.handle(&Request::get("/api/v1/places").with_token(&t1), now);
@@ -687,7 +691,7 @@ fn wrong_method_on_known_path_is_405_with_allow() {
     assert_eq!(resp.status, 405, "{resp:?}");
     assert_eq!(resp.json()["allow"], json!(["POST"]));
     let resp = c.handle(
-        &Request::post("/api/v1/places", Value::Null).with_token(&token),
+        &Request::post_json("/api/v1/places", Value::Null).with_token(&token),
         now,
     );
     assert_eq!(resp.status, 405, "{resp:?}");
@@ -704,7 +708,7 @@ fn malformed_body_is_400() {
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
     let resp = c.handle(
-        &Request::post("/api/v1/places/sync", json!({"wrong": true})).with_token(&token),
+        &Request::post_json("/api/v1/places/sync", json!({"wrong": true})).with_token(&token),
         now,
     );
     assert_eq!(resp.status, 400);
@@ -764,13 +768,13 @@ fn replay_and_cache_metrics_fire() {
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
     // Stale places sync (same seq twice) → one replay.
-    let sync =
-        Request::post("/api/v1/places/sync", json!({"places": [], "seq": 1})).with_token(&token);
+    let sync = Request::post_json("/api/v1/places/sync", json!({"places": [], "seq": 1}))
+        .with_token(&token);
     assert!(c.handle(&sync, now).is_success());
     assert!(c.handle(&sync, now).is_success());
     // next_place: first query trains (miss), second hits the memo.
     let query =
-        Request::post("/api/v1/analytics/next_place", json!({"place": 0})).with_token(&token);
+        Request::post_json("/api/v1/analytics/next_place", json!({"place": 0})).with_token(&token);
     assert!(c.handle(&query, now).is_success());
     assert!(c.handle(&query, now).is_success());
     let snap = obs.metrics().unwrap().snapshot();
@@ -803,7 +807,7 @@ fn shared_cloud_serves_threads_concurrently() {
                     vec![],
                 );
                 let resp = shared.handle(
-                    &Request::post("/api/v1/places/sync", json!({ "places": [place] }))
+                    &Request::post_json("/api/v1/places/sync", json!({ "places": [place] }))
                         .with_token(token),
                     now,
                 );
@@ -845,7 +849,7 @@ fn batched_discover_edge_cases_yield_400_not_panics() {
     };
     let discover = |batch: &ObservationBatch| {
         c.handle(
-            &Request::post(
+            &Request::post_json(
                 "/api/v1/places/discover",
                 json!({"batch": batch, "start": 0}),
             )
@@ -928,7 +932,7 @@ fn scene() -> Scene {
 }
 
 fn registration(n: u32) -> Request {
-    Request::post(
+    Request::post_json(
         "/api/v1/registration",
         json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
     )
@@ -1169,7 +1173,7 @@ fn gates_answer_in_a_fixed_order() {
             arrange: |s| {
                 budget(s, 1, 600);
                 let refresh =
-                    Request::post("/api/v1/token/refresh", Value::Null).with_token(&s.token);
+                    Request::post_json("/api/v1/token/refresh", Value::Null).with_token(&s.token);
                 let resp = s.cloud.handle(&refresh, at(0));
                 assert!(resp.is_success(), "{resp:?}");
                 let token = resp.json()["token"].as_str().unwrap().to_owned();

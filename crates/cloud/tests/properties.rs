@@ -140,14 +140,14 @@ proptest! {
     ) {
         let cloud = CloudInstance::new(CellDatabase::new(), 1);
         let resp = cloud.handle(
-            &Request::post(
+            &Request::post_json(
                 "/api/v1/registration",
                 json!({"imei": "i", "email": "e"}),
             ),
             SimTime::EPOCH,
         );
         let token = resp.json()["token"].as_str().unwrap().to_owned();
-        let mut req = Request::post(format!("/api/v1/{path_tail}"), json!({"x": body_num}));
+        let mut req = Request::post_json(format!("/api/v1/{path_tail}"), json!({"x": body_num}));
         if with_token {
             req = req.with_token(&token);
         }
@@ -175,7 +175,7 @@ proptest! {
         let mut req = if is_get {
             Request::get(path)
         } else {
-            Request::post(path, body)
+            Request::post_json(path, body)
         };
         if let Some(t) = token {
             req = req.with_token(t);
@@ -185,15 +185,42 @@ proptest! {
         prop_assert_eq!(back, req);
     }
 
+    /// Every reply the server can send survives the wire: each route's
+    /// success shape and the 400/404/405/429 error shapes, spelled as
+    /// bytes and decoded back by the route and the status, come back as
+    /// the same variant with the same bytes.
     #[test]
-    fn wire_round_trip_any_response(
-        status in 100u16..600,
-        body in arb_json(),
+    fn wire_round_trip_every_route_reply(
+        n in 0u64..1_000_000,
+        x in -90.0..90.0f64,
     ) {
-        let resp = pmware_cloud::Response::with_status(status, body);
-        let bytes = resp.to_bytes();
-        let back: pmware_cloud::Response = serde_json::from_slice(&bytes).unwrap();
-        prop_assert_eq!(back, resp);
+        use pmware_cloud::router::ROUTES;
+        use pmware_cloud::{Method, Payload, RateClass, Response};
+
+        for route in ROUTES.iter() {
+            let path = sample_path(route);
+            let replies = [
+                Response::ok(sample_reply_payload(route.label, n, x)),
+                Response::bad_request(format!("invalid body: {n}")),
+                Response::not_found(format!("no route for {path}")),
+                Response::method_not_allowed(&[Method::Get, Method::Post]),
+                Response::with_status(
+                    429,
+                    Payload::RateLimited { class: RateClass::Ingest, retry_after_s: n },
+                ),
+            ];
+            for reply in replies {
+                let bytes = reply.to_bytes();
+                let back = Response::from_bytes(route.method, &path, &bytes).unwrap();
+                prop_assert_eq!(
+                    std::mem::discriminant(&back.body),
+                    std::mem::discriminant(&reply.body),
+                    "{} {}: decoded {:?}", route.label, reply.status, back.body
+                );
+                prop_assert_eq!(&back, &reply);
+                prop_assert_eq!(back.to_bytes(), bytes);
+            }
+        }
     }
 
     /// Sharding invariant: an arbitrary interleaving of requests from two
@@ -210,7 +237,7 @@ proptest! {
         let mut tokens = Vec::new();
         for n in 0..2 {
             let resp = cloud.handle(
-                &Request::post(
+                &Request::post_json(
                     "/api/v1/registration",
                     json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
                 ),
@@ -245,7 +272,7 @@ proptest! {
                         ))
                         .collect();
                     let resp = cloud.handle(
-                        &Request::post("/api/v1/places/sync", json!({"places": places}))
+                        &Request::post_json("/api/v1/places/sync", json!({"places": places}))
                             .with_token(token),
                         now,
                     );
@@ -263,7 +290,7 @@ proptest! {
                     });
                     expected_days[u].insert(day, place);
                     let resp = cloud.handle(
-                        &Request::post("/api/v1/profiles/sync", json!({"profile": profile}))
+                        &Request::post_json("/api/v1/profiles/sync", json!({"profile": profile}))
                             .with_token(token),
                         now,
                     );
@@ -273,7 +300,7 @@ proptest! {
                     let name = format!("peer-{u}-{val}");
                     expected_contacts[u].push(name.clone());
                     let resp = cloud.handle(
-                        &Request::post("/api/v1/social/sync", json!({"contacts": [{
+                        &Request::post_json("/api/v1/social/sync", json!({"contacts": [{
                             "contact": name,
                             "start": SimTime::EPOCH,
                             "end": SimTime::EPOCH,
@@ -310,7 +337,7 @@ proptest! {
             }
             // Contacts accumulate only this user's peers.
             let resp = cloud.handle(
-                &Request::post("/api/v1/social/query", json!({"place": null}))
+                &Request::post_json("/api/v1/social/query", json!({"place": null}))
                     .with_token(token),
                 now,
             );
@@ -396,7 +423,7 @@ fn arb_wire_op() -> impl Strategy<Value = WireOp> {
 fn op_request(op: &WireOp, token: &str) -> Request {
     use pmware_algorithms::signature::{DiscoveredPlace, PlaceSignature};
     match op {
-        WireOp::Register { imei, email } => Request::post(
+        WireOp::Register { imei, email } => Request::post_json(
             "/api/v1/registration",
             json!({"imei": imei, "email": email}),
         ),
@@ -411,21 +438,21 @@ fn op_request(op: &WireOp, token: &str) -> Request {
                     )
                 })
                 .collect();
-            Request::post("/api/v1/places/sync", json!({"places": places, "seq": seq}))
+            Request::post_json("/api/v1/places/sync", json!({"places": places, "seq": seq}))
                 .with_token(token)
         }
-        WireOp::Label { place, label } => Request::post(
+        WireOp::Label { place, label } => Request::post_json(
             "/api/v1/places/label",
             json!({"place": place, "label": label}),
         )
         .with_token(token),
-        WireOp::Geolocate { mcc, mnc, lac, cid } => Request::post(
+        WireOp::Geolocate { mcc, mnc, lac, cid } => Request::post_json(
             "/api/v1/misc/geolocate",
             json!({"mcc": mcc, "mnc": mnc, "lac": lac, "cid": cid}),
         )
         .with_token(token),
         WireOp::SocialQuery { place } => {
-            Request::post("/api/v1/social/query", json!({"place": place})).with_token(token)
+            Request::post_json("/api/v1/social/query", json!({"place": place})).with_token(token)
         }
         WireOp::UnknownPath { tail } => Request::get(format!("/api/v1/{tail}")).with_token(token),
         WireOp::WrongMethod { get_on_post } => {
@@ -434,11 +461,11 @@ fn op_request(op: &WireOp, token: &str) -> Request {
                 Request::get("/api/v1/places/sync").with_token(token)
             } else {
                 // places only accepts GET → 405 with allow: ["GET"].
-                Request::post("/api/v1/places", serde_json::Value::Null).with_token(token)
+                Request::post_json("/api/v1/places", serde_json::Value::Null).with_token(token)
             }
         }
         WireOp::Malformed => {
-            Request::post("/api/v1/places/sync", json!({"wrong": true})).with_token(token)
+            Request::post_json("/api/v1/places/sync", json!({"wrong": true})).with_token(token)
         }
     }
 }
@@ -458,7 +485,7 @@ proptest! {
         let typed = CloudInstance::new(CellDatabase::new(), 77);
         let wired = CloudInstance::new(CellDatabase::new(), 77);
         let now = SimTime::EPOCH;
-        let reg = Request::post(
+        let reg = Request::post_json(
             "/api/v1/registration",
             json!({"imei": "imei-0", "email": "u0@x.com"}),
         );
@@ -479,10 +506,20 @@ proptest! {
             // Marshalled path: both directions cross JSON bytes, exactly
             // what FaultyCloud's wire boundary does.
             let wire_request = Request::from_bytes(&request.to_bytes()).unwrap();
-            let wired_resp =
-                pmware_cloud::Response::from_bytes(&wired.handle(&wire_request, now).to_bytes())
-                    .unwrap();
+            let wired_resp = pmware_cloud::Response::from_bytes(
+                wire_request.method,
+                &wire_request.path,
+                &wired.handle(&wire_request, now).to_bytes(),
+            )
+            .unwrap();
             prop_assert_eq!(typed_resp.status, wired_resp.status, "status for {:?}", op);
+            prop_assert_eq!(
+                std::mem::discriminant(&typed_resp.body),
+                std::mem::discriminant(&wired_resp.body),
+                "reply variant for {:?}: {:?}",
+                op,
+                wired_resp.body
+            );
             prop_assert_eq!(
                 typed_resp.to_bytes(),
                 wired_resp.to_bytes(),
@@ -494,7 +531,7 @@ proptest! {
 
     /// Typed request payloads survive their own wire spelling: rendering
     /// to JSON and re-resolving against the route table reconstructs the
-    /// same typed variant (never the `Json` fallback), so the server-side
+    /// same typed variant (never `Invalid`), so the server-side
     /// decode step is lossless for everything the client builds.
     #[test]
     fn typed_payloads_round_trip_through_their_wire_spelling(
@@ -539,9 +576,10 @@ proptest! {
             let spelled = payload.to_json();
             let back = Payload::from_json(method, path, &spelled);
             prop_assert!(
-                !matches!(back, Payload::Json(_)),
-                "{} must re-resolve typed, got Json fallback",
-                path
+                !matches!(back, Payload::Invalid { .. }),
+                "{} must re-resolve typed, got {:?}",
+                path,
+                back
             );
             prop_assert_eq!(&back, &payload, "{} round-trip", path);
             prop_assert_eq!(back.to_json(), spelled, "{} spelling stable", path);
@@ -641,22 +679,101 @@ fn sample_request_payload(label: &str) -> pmware_cloud::Payload {
     }
 }
 
+/// A path `route` serves (a prefix route gets a day suffix).
+fn sample_path(route: &pmware_cloud::Route) -> String {
+    use pmware_cloud::router::PathSpec;
+    match route.path {
+        PathSpec::Exact(p) => p.to_owned(),
+        PathSpec::Prefix(p) => format!("{p}3"),
+    }
+}
+
+/// A sample success reply for every route label, exhaustive over the
+/// live table like [`sample_request_payload`]; `n` and `x` vary the
+/// scalars.
+fn sample_reply_payload(label: &str, n: u64, x: f64) -> pmware_cloud::Payload {
+    use pmware_cloud::{ContactEntry, Payload, UserId};
+    match label {
+        "register" => Payload::Registered {
+            user: UserId(n as u32),
+            token: format!("tok-{n}"),
+            expires_at: SimTime::from_seconds(n),
+        },
+        "token_refresh" => Payload::TokenRefreshed {
+            token: format!("tok-{n}"),
+            expires_at: SimTime::from_seconds(n),
+        },
+        "places_discover" => Payload::Discovered {
+            places: vec![],
+            absorbed_upto: n,
+        },
+        "places_list" => Payload::Places { places: vec![] },
+        "places_sync" | "routes_sync" => Payload::SyncAck {
+            stored: n as usize,
+            stale: n.is_multiple_of(2),
+        },
+        "places_label" => Payload::Labelled {
+            labelled: DiscoveredPlaceId(n as u32),
+        },
+        "routes_list" | "routes_query" => Payload::Routes { routes: vec![] },
+        "profiles_sync" => Payload::ProfileSynced {
+            synced_day: n,
+            stale: !n.is_multiple_of(2),
+        },
+        "profiles_get" => Payload::ProfileDay {
+            profile: MobilityProfile::new(n),
+        },
+        "social_sync" => Payload::ContactsAck {
+            stored: n as usize,
+            acked_upto: n,
+        },
+        "social_query" => Payload::Contacts {
+            contacts: vec![ContactEntry {
+                contact: format!("peer-{n}"),
+                start: SimTime::from_seconds(n),
+                end: SimTime::from_seconds(n + 60),
+                place: Some(DiscoveredPlaceId(1)),
+            }],
+        },
+        "geolocate" | "geolocate_signature" => Payload::Position {
+            latitude: x,
+            longitude: -x,
+        },
+        "analytics_arrival" => Payload::ArrivalAt { second_of_day: n },
+        "analytics_next_visit" => Payload::VisitAt {
+            time: SimTime::from_seconds(n),
+        },
+        "analytics_frequency" => Payload::Frequency {
+            visits_per_week: x,
+            visit_count: n as usize,
+        },
+        "analytics_activity" => Payload::Activity {
+            mean_daily_moving_minutes: x,
+        },
+        "analytics_next_place" => Payload::Predictions {
+            predictions: vec![(DiscoveredPlaceId(n as u32), x)],
+        },
+        "health" => Payload::Health {
+            queue_depth: n,
+            p99_us: n * 2,
+            resident_users: n + 1,
+        },
+        other => panic!("route {other:?} has no sample reply — extend sample_reply_payload"),
+    }
+}
+
 /// Exhaustiveness tie between the route table and the payload layer:
 /// every route resolves back to its own row, has a typed request payload
-/// whose wire spelling decodes to the same variant (never the `Json`
-/// fallback), and carries a non-empty metric label. New rows fail here
+/// whose wire spelling decodes to the same variant (never `Invalid`), and carries a non-empty metric label. New rows fail here
 /// until both sides exist.
 #[test]
 fn route_table_and_payload_layer_are_exhaustively_tied() {
-    use pmware_cloud::router::{resolve, PathSpec, Resolution, ROUTES};
+    use pmware_cloud::router::{resolve, Resolution, ROUTES};
     use pmware_cloud::Payload;
 
     let mut labels = std::collections::BTreeSet::new();
     for (index, route) in ROUTES.iter().enumerate() {
-        let path = match route.path {
-            PathSpec::Exact(p) => p.to_owned(),
-            PathSpec::Prefix(p) => format!("{p}3"),
-        };
+        let path = sample_path(route);
         match resolve(route.method, &path) {
             Resolution::Matched { index: hit, .. } => {
                 assert_eq!(
@@ -678,8 +795,8 @@ fn route_table_and_payload_layer_are_exhaustively_tied() {
         let spelled = payload.to_json();
         let back = Payload::from_json(route.method, &path, &spelled);
         assert!(
-            !matches!(back, Payload::Json(_)),
-            "route {}: canonical body fell back to Json",
+            !matches!(back, Payload::Invalid { .. }),
+            "route {}: canonical body does not decode",
             route.label
         );
         assert_eq!(back, payload, "route {}: lossy decode", route.label);
@@ -712,7 +829,7 @@ proptest! {
 
         let cloud = CloudInstance::new(CellDatabase::new(), 5);
         let reg = cloud.handle(
-            &Request::post("/api/v1/registration", json!({"imei": "i", "email": "e"})),
+            &Request::post_json("/api/v1/registration", json!({"imei": "i", "email": "e"})),
             SimTime::EPOCH,
         );
         let token = reg.json()["token"].as_str().unwrap().to_owned();
@@ -722,7 +839,7 @@ proptest! {
         let request = if is_get {
             Request::get(&path)
         } else {
-            Request::post(&path, body)
+            Request::post_json(&path, body)
         }
         .with_token(&token);
         let response = cloud.handle(&request, SimTime::EPOCH);

@@ -31,7 +31,7 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
         ),
@@ -69,7 +69,7 @@ fn mutate_day(cloud: &CloudInstance, token: &str, user: u32, day: u64) {
     let at = SimTime::from_day_time(day, 12, 0, u64::from(user));
     let stream = day_stream(user, day);
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/places/discover",
             json!({"observations": stream, "start": day * 40}),
         )
@@ -85,7 +85,7 @@ fn mutate_day(cloud: &CloudInstance, token: &str, user: u32, day: u64) {
         departure: SimTime::from_day_time(day, 17, 0, 0),
     });
     let resp = cloud.handle(
-        &Request::post("/api/v1/profiles/sync", json!({"profile": profile})).with_token(token),
+        &Request::post_json("/api/v1/profiles/sync", json!({"profile": profile})).with_token(token),
         at,
     );
     assert!(resp.is_success(), "profile u{user} d{day}: {resp:?}");
@@ -97,7 +97,7 @@ fn mutate_day(cloud: &CloudInstance, token: &str, user: u32, day: u64) {
         place: None,
     };
     let resp = cloud.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/social/sync",
             json!({"contacts": [contact], "first_seq": day}),
         )
@@ -113,8 +113,8 @@ fn read_state(cloud: &CloudInstance, token: &str, days: u64, now: SimTime) -> Ve
     let mut out = Vec::new();
     let reads = [
         Request::get("/api/v1/places"),
-        Request::post("/api/v1/social/query", json!({"place": null})),
-        Request::post("/api/v1/analytics/frequency", json!({"place": 0})),
+        Request::post_json("/api/v1/social/query", json!({"place": null})),
+        Request::post_json("/api/v1/analytics/frequency", json!({"place": 0})),
     ];
     for read in reads {
         let resp = cloud.handle(&read.with_token(token), now);
@@ -186,7 +186,7 @@ fn durable_replay_after_crash_is_byte_identical() {
     // The recovered instance is live, not a read-only museum: the same
     // session keeps writing where it left off.
     let resp = recovered.handle(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/social/sync",
             json!({"contacts": [ContactEntry {
                 contact: "post-crash".into(),
@@ -281,7 +281,7 @@ fn failover_of_an_evicted_user_hydrates_then_migrates() {
     router.set_override("imei-1", "u1@x.com", pmware_cloud::InstanceId(0));
     let endpoint = CloudEndpoint::new(router.endpoint());
     let resp = endpoint.send(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": "imei-0", "email": "u0@x.com"}),
         ),
@@ -289,7 +289,7 @@ fn failover_of_an_evicted_user_hydrates_then_migrates() {
     );
     let token = resp.json()["token"].as_str().unwrap().to_owned();
     let resp = endpoint.send(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/social/sync",
             json!({"contacts": [ContactEntry {
                 contact: "peer-evicted".into(),
@@ -307,7 +307,7 @@ fn failover_of_an_evicted_user_hydrates_then_migrates() {
 
     let endpoint1 = CloudEndpoint::new(router.endpoint());
     let resp = endpoint1.send(
-        &Request::post(
+        &Request::post_json(
             "/api/v1/registration",
             json!({"imei": "imei-1", "email": "u1@x.com"}),
         ),
@@ -332,7 +332,7 @@ fn failover_of_an_evicted_user_hydrates_then_migrates() {
     assert_eq!(contacts.len(), 1);
     assert_eq!(contacts[0].contact, "peer-evicted");
     let resp = endpoint.send(
-        &Request::post("/api/v1/social/query", json!({"place": null})).with_token(&token),
+        &Request::post_json("/api/v1/social/query", json!({"place": null})).with_token(&token),
         later,
     );
     assert!(resp.is_success(), "{resp:?}");
@@ -391,7 +391,7 @@ proptest! {
             // Advance sim time per op so LRU stamps differ.
             let at = SimTime::from_seconds(60 + i as u64);
             let request = match op {
-                StoreOp::Discover { day } => Request::post(
+                StoreOp::Discover { day } => Request::post_json(
                     "/api/v1/places/discover",
                     json!({"observations": day_stream(user as u32, *day), "start": day * 40}),
                 ),
@@ -402,7 +402,7 @@ proptest! {
                         arrival: SimTime::from_day_time(*day, 9, 0, 0),
                         departure: SimTime::from_day_time(*day, 10, 0, 0),
                     });
-                    Request::post("/api/v1/profiles/sync", json!({"profile": profile}))
+                    Request::post_json("/api/v1/profiles/sync", json!({"profile": profile}))
                 }
                 StoreOp::Contact { n } => {
                     let entry = ContactEntry {
@@ -413,7 +413,7 @@ proptest! {
                     };
                     let seq = contact_seq[user];
                     contact_seq[user] += 1;
-                    Request::post(
+                    Request::post_json(
                         "/api/v1/social/sync",
                         json!({"contacts": [entry], "first_seq": seq}),
                     )

@@ -101,6 +101,12 @@ fn backoff_jitter(path: &str, attempt: u32, at: SimTime, cap: u64) -> SimDuratio
     SimDuration::from_seconds(h % (cap + 1))
 }
 
+/// The decode error for a 2xx reply that is not the shape its route
+/// answers with.
+fn unexpected_reply(path: &str, body: &Payload) -> PmsError {
+    PmsError::Decode(format!("{path}: unexpected reply {}", body.to_json()))
+}
+
 /// The durable part of a [`CloudClient`], serialized into a PMS
 /// checkpoint so a rebooted device resumes with its auth and idempotency
 /// state intact (losing the sequence counters would desynchronize the
@@ -218,22 +224,13 @@ impl CloudClient {
         );
         let response = client.send_with_retry(&request, now, RequestClass::Auth);
         let response = Self::check(&request, response)?;
-        let (user, token, expires_at) = match response.body {
-            Payload::Registered {
-                user,
-                token,
-                expires_at,
-            } => (user, token, expires_at),
-            body => {
-                #[derive(Deserialize)]
-                struct Body {
-                    user: UserId,
-                    token: String,
-                    expires_at: SimTime,
-                }
-                let body: Body = body.parse().map_err(|e| PmsError::Decode(e.to_string()))?;
-                (body.user, body.token, body.expires_at)
-            }
+        let Payload::Registered {
+            user,
+            token,
+            expires_at,
+        } = response.body
+        else {
+            return Err(unexpected_reply(&request.path, &response.body));
         };
         client.user = user;
         client.token = token;
@@ -369,17 +366,8 @@ impl CloudClient {
             Request::post("/api/v1/token/refresh", Payload::Empty).with_token(&self.token);
         let response = self.send_with_retry(&request, now, RequestClass::Auth);
         let response = Self::check(&request, response)?;
-        let (token, expires_at) = match response.body {
-            Payload::TokenRefreshed { token, expires_at } => (token, expires_at),
-            body => {
-                #[derive(Deserialize)]
-                struct Body {
-                    token: String,
-                    expires_at: SimTime,
-                }
-                let body: Body = body.parse().map_err(|e| PmsError::Decode(e.to_string()))?;
-                (body.token, body.expires_at)
-            }
+        let Payload::TokenRefreshed { token, expires_at } = response.body else {
+            return Err(unexpected_reply(&request.path, &response.body));
         };
         self.token = token;
         self.token_expires = expires_at;
@@ -412,14 +400,7 @@ impl CloudClient {
         let response = Self::check(&request, response)?;
         match response.body {
             Payload::Discovered { places, .. } => Ok(places),
-            body => {
-                #[derive(Deserialize)]
-                struct Body {
-                    places: Vec<DiscoveredPlace>,
-                }
-                let body: Body = body.parse().map_err(|e| PmsError::Decode(e.to_string()))?;
-                Ok(body.places)
-            }
+            body => Err(unexpected_reply(&request.path, &body)),
         }
     }
 
@@ -529,8 +510,9 @@ impl CloudClient {
         first_seq: u64,
         now: SimTime,
     ) -> Result<u64, PmsError> {
+        let path = "/api/v1/social/sync";
         let response = self.call_class(
-            "/api/v1/social/sync",
+            path,
             SyncContactsBody {
                 contacts: contacts.to_vec(),
                 first_seq: Some(first_seq),
@@ -540,14 +522,7 @@ impl CloudClient {
         )?;
         match response.body {
             Payload::ContactsAck { acked_upto, .. } => Ok(acked_upto),
-            body => {
-                #[derive(Deserialize)]
-                struct Body {
-                    acked_upto: u64,
-                }
-                let body: Body = body.parse().map_err(|e| PmsError::Decode(e.to_string()))?;
-                Ok(body.acked_upto)
-            }
+            body => Err(unexpected_reply(path, &body)),
         }
     }
 
@@ -575,20 +550,12 @@ impl CloudClient {
             return Ok(None);
         }
         let response = Self::check(&request, response)?;
-        let (latitude, longitude) = match response.body {
-            Payload::Position {
-                latitude,
-                longitude,
-            } => (latitude, longitude),
-            body => {
-                #[derive(Deserialize)]
-                struct Body {
-                    latitude: f64,
-                    longitude: f64,
-                }
-                let body: Body = body.parse().map_err(|e| PmsError::Decode(e.to_string()))?;
-                (body.latitude, body.longitude)
-            }
+        let Payload::Position {
+            latitude,
+            longitude,
+        } = response.body
+        else {
+            return Err(unexpected_reply(&request.path, &response.body));
         };
         GeoPoint::new(latitude, longitude)
             .map(Some)
@@ -596,8 +563,8 @@ impl CloudClient {
     }
 
     /// Sends an arbitrary authenticated POST — the path apps use for
-    /// analytics queries (§2.3.2). The body is a typed request body or,
-    /// for shapes the route table has no type for, raw JSON;
+    /// analytics queries (§2.3.2). The body is a typed request body
+    /// ([`Payload::Empty`] for the body-less activity query);
     /// [`Response::json`] renders any reply to its JSON spelling.
     ///
     /// # Errors
@@ -1056,24 +1023,37 @@ mod tests {
         );
     }
 
+    /// Run twice: in process, and across the byte boundary of a
+    /// fault-free `FaultyCloud`, whose reply decode must keep the 429's
+    /// `retry_after_s` hint.
     #[test]
     fn rate_limit_hint_guides_the_retry_to_the_refill_instant() {
-        let cloud = cloud();
-        let mut client =
-            CloudClient::register(cloud.clone(), "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
-        // One token, refilling every 10 minutes: far beyond what blind
-        // exponential backoff could ride out within the Sync attempt
-        // budget, but trivial when the hint is honored.
-        cloud.set_admission(Some(AdmissionConfig::uniform(
-            7,
-            RateBudget::new(1, SimDuration::from_minutes(10)),
-        )));
-        client.sync_places(&[], SimTime::EPOCH).unwrap();
-        let before = client.wire_requests();
-        client.sync_places(&[], SimTime::EPOCH).unwrap();
-        // Exactly one 429 and one guided retry — no probing in between.
-        assert_eq!(client.wire_requests() - before, 2);
-        assert_eq!(client.rate_limited(), 1);
+        let direct = cloud();
+        let marshalled = cloud();
+        let endpoints: [(SharedCloud, CloudEndpoint); 2] = [
+            (direct.clone(), direct.into()),
+            (
+                marshalled.clone(),
+                FaultyCloud::new(marshalled, FaultPlan::with_rate(0, 0.0)).into(),
+            ),
+        ];
+        for (cloud, endpoint) in endpoints {
+            let mut client =
+                CloudClient::register(endpoint, "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
+            // One token, refilling every 10 minutes: far beyond what blind
+            // exponential backoff could ride out within the Sync attempt
+            // budget, but trivial when the hint is honored.
+            cloud.set_admission(Some(AdmissionConfig::uniform(
+                7,
+                RateBudget::new(1, SimDuration::from_minutes(10)),
+            )));
+            client.sync_places(&[], SimTime::EPOCH).unwrap();
+            let before = client.wire_requests();
+            client.sync_places(&[], SimTime::EPOCH).unwrap();
+            // Exactly one 429 and one guided retry — no probing in between.
+            assert_eq!(client.wire_requests() - before, 2);
+            assert_eq!(client.rate_limited(), 1);
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! broadcast, profiles are synced, and the battery pays only for what the
 //! apps demanded.
 
-use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
+use pmware_cloud::{CellDatabase, CloudInstance, Payload, SharedCloud};
 use pmware_core::intents::{actions, IntentFilter};
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity, RouteAccuracy};
@@ -277,7 +277,7 @@ fn activity_summary_reaches_the_cloud() {
     // The aggregate analytics endpoint answers too.
     let resp = pms
         .cloud_client_mut()
-        .call("/api/v1/analytics/activity", serde_json::json!({}), end)
+        .call("/api/v1/analytics/activity", Payload::Empty, end)
         .unwrap();
     assert!(resp.json()["mean_daily_moving_minutes"].as_f64().unwrap() > 0.0);
 }

@@ -6,8 +6,9 @@
 //! cargo run --release --example lifelog_diary
 //! ```
 
+use pmware::algorithms::signature::DiscoveredPlaceId;
+use pmware::cloud::{ArrivalBody, NextVisitBody, PlaceOnlyBody};
 use pmware::prelude::*;
-use serde_json::json;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let world = WorldBuilder::new(RegionProfile::urban_india())
@@ -70,7 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Query 1: likely time the user reaches home in the evening.
     let resp = client.call(
         "/api/v1/analytics/arrival",
-        json!({"place": home.0, "window": [15, 24]}),
+        ArrivalBody {
+            place: DiscoveredPlaceId(home.0),
+            window: Some((15, 24)),
+        },
         end,
     )?;
     let s = resp.json()["second_of_day"].as_u64().unwrap_or(0);
@@ -92,7 +96,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .id;
     match pms.cloud_client_mut().call(
         "/api/v1/analytics/next_visit",
-        json!({"place": work.0, "now": end}),
+        NextVisitBody {
+            place: DiscoveredPlaceId(work.0),
+            now: end,
+        },
         end,
     ) {
         Ok(resp) => {
@@ -105,7 +112,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Query 3: how frequently does the user visit that place?
     let resp = pms.cloud_client_mut().call(
         "/api/v1/analytics/frequency",
-        json!({"place": work.0}),
+        PlaceOnlyBody {
+            place: DiscoveredPlaceId(work.0),
+        },
         end,
     )?;
     println!(
@@ -118,7 +127,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Bonus: the Markov "where next" distribution from home.
     let resp = pms.cloud_client_mut().call(
         "/api/v1/analytics/next_place",
-        json!({"place": home.0}),
+        PlaceOnlyBody {
+            place: DiscoveredPlaceId(home.0),
+        },
         end,
     )?;
     println!(

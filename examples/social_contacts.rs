@@ -10,9 +10,9 @@
 //! cargo run --release --example social_contacts
 //! ```
 
+use pmware::cloud::SocialQueryBody;
 use pmware::core::pms::PeerProvider;
 use pmware::prelude::*;
-use serde_json::json;
 
 /// The other participants' phones, as the Bluetooth layer sees them.
 struct Colleagues {
@@ -87,9 +87,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("intents delivered to the meetup app: {app_events}");
 
     // §2.3.3: place-specific contact retrieval from the cloud.
-    let resp = pms
-        .cloud_client_mut()
-        .call("/api/v1/social/query", json!({"place": null}), end)?;
+    let resp = pms.cloud_client_mut().call(
+        "/api/v1/social/query",
+        SocialQueryBody { place: None },
+        end,
+    )?;
     let stored = resp.json()["contacts"]
         .as_array()
         .map(Vec::len)

@@ -15,7 +15,9 @@
 //! converge — chaos tests assert eventual consistency, not availability
 //! under active failure.
 
-use pmware::cloud::{ContactEntry, FaultStats, StorageConfig, ALL_FAULT_KINDS};
+use pmware::cloud::{
+    ContactEntry, FaultStats, Payload, PlaceOnlyBody, StorageConfig, ALL_FAULT_KINDS,
+};
 use pmware::core::pms::PeerProvider;
 use pmware::core::registry::PmPlace;
 use pmware::core::CloudClient;
@@ -23,7 +25,6 @@ use pmware::prelude::*;
 use pmware::world::tower::NetworkLayer;
 use pmware::world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn};
 use proptest::prelude::*;
-use serde_json::json;
 
 const DAYS: u64 = 3;
 const RATE: f64 = 0.30;
@@ -475,11 +476,11 @@ fn analytics_queries_ride_out_every_fault_kind() {
     let mut clean =
         CloudClient::register(out.cloud.clone(), &config.imei, &config.email, t).expect("register");
     let want_frequency = clean
-        .call("/api/v1/analytics/frequency", json!({ "place": place }), t)
+        .call("/api/v1/analytics/frequency", PlaceOnlyBody { place }, t)
         .expect("clean frequency")
         .json();
     let want_activity = clean
-        .call("/api/v1/analytics/activity", json!({}), t)
+        .call("/api/v1/analytics/activity", Payload::Empty, t)
         .expect("clean activity")
         .json();
     assert!(
@@ -487,13 +488,13 @@ fn analytics_queries_ride_out_every_fault_kind() {
         "chosen place must have history: {want_frequency}"
     );
 
-    let queries: [(&str, serde_json::Value, &serde_json::Value); 2] = [
+    let queries: [(&str, Payload, &serde_json::Value); 2] = [
         (
             "/api/v1/analytics/frequency",
-            json!({ "place": place }),
+            PlaceOnlyBody { place }.into(),
             &want_frequency,
         ),
-        ("/api/v1/analytics/activity", json!({}), &want_activity),
+        ("/api/v1/analytics/activity", Payload::Empty, &want_activity),
     ];
     for kind in ALL_FAULT_KINDS {
         for (path, body, want) in &queries {
