@@ -6,9 +6,10 @@
 //!
 //! The engine buffers every raw observation for offload, feeds each GSM
 //! sample into a persistent [`IncrementalGca`] (so the local fallback is
-//! O(new data), not O(history)), runs the online SensLoc detector over
-//! WiFi scans, and — once place signatures exist — tracks arrivals and
-//! departures with the debounced [`CellPlaceTracker`].
+//! O(new data), not O(history); its log doubles as the offload buffer),
+//! runs the online SensLoc detector over WiFi scans, and — once place
+//! signatures exist — tracks arrivals and departures with the debounced
+//! [`CellPlaceTracker`].
 
 use pmware_algorithms::gca::{
     CellPlaceTracker, GcaConfig, GcaOutput, IncrementalGca, PlaceEvent, TrackerSnapshot,
@@ -47,7 +48,6 @@ impl Default for InferenceConfig {
 #[derive(Debug)]
 pub struct InferenceEngine {
     config: InferenceConfig,
-    gsm_log: Vec<GsmObservation>,
     gps_log: Vec<GpsFix>,
     gca: IncrementalGca,
     wifi: SensLocDetector,
@@ -61,7 +61,6 @@ impl InferenceEngine {
         let gca = IncrementalGca::new(config.gca.clone());
         InferenceEngine {
             config,
-            gsm_log: Vec::new(),
             gps_log: Vec::new(),
             gca,
             wifi,
@@ -72,7 +71,6 @@ impl InferenceEngine {
     /// Feeds one GSM observation; returns confirmed place events (empty
     /// until signatures have been discovered and the tracker rebuilt).
     pub fn on_gsm(&mut self, obs: GsmObservation) -> Vec<PlaceEvent> {
-        self.gsm_log.push(obs);
         self.gca.absorb(std::slice::from_ref(&obs));
         match &mut self.tracker {
             Some(tracker) => tracker.update(&obs),
@@ -90,9 +88,10 @@ impl InferenceEngine {
         self.gps_log.push(fix);
     }
 
-    /// The full GSM log (what gets offloaded to the cloud).
+    /// The full GSM log (what gets offloaded to the cloud): the
+    /// incremental GCA engine's own observation log, the one copy kept.
     pub fn gsm_log(&self) -> &[GsmObservation] {
-        &self.gsm_log
+        self.gca.observations()
     }
 
     /// The full GPS log.
@@ -133,7 +132,7 @@ impl InferenceEngine {
     /// instead of shipping the (much larger, map-keyed) graph.
     pub fn snapshot(&self) -> InferenceSnapshot {
         InferenceSnapshot {
-            gsm_log: self.gsm_log.clone(),
+            gsm_log: self.gsm_log().to_vec(),
             gps_log: self.gps_log.clone(),
             wifi: self.wifi.clone(),
             tracker: self.tracker.as_ref().map(CellPlaceTracker::snapshot),
@@ -156,7 +155,6 @@ impl InferenceEngine {
         });
         InferenceEngine {
             config,
-            gsm_log: snapshot.gsm_log,
             gps_log: snapshot.gps_log,
             gca,
             wifi: snapshot.wifi,

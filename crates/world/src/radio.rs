@@ -48,8 +48,6 @@ pub struct RadioConfig {
     /// noisy signal is within this margin of the strongest can be handed
     /// the phone during a load event. Wider window → larger oscillation set.
     pub oscillation_window_db: f64,
-    /// Search radius for candidate towers.
-    pub cell_search_radius: Meters,
     /// WiFi per-reading RSSI noise (dB).
     pub wifi_rssi_sigma_db: f64,
     /// GPS 1-sigma horizontal error outdoors.
@@ -68,7 +66,6 @@ impl Default for RadioConfig {
             load_handoff_prob: 0.10,
             layer_switch_prob: 0.03,
             oscillation_window_db: 13.0,
-            cell_search_radius: Meters::new(3_000.0),
             wifi_rssi_sigma_db: 4.0,
             gps_outdoor_sigma: Meters::new(6.0),
             gps_indoor_sigma: Meters::new(30.0),
@@ -77,13 +74,21 @@ impl Default for RadioConfig {
     }
 }
 
-/// Reusable candidate buffer for
-/// [`RadioEnvironment::observe_gsm_with`]. One GSM sample per simulated
-/// minute per participant makes `observe_gsm` the hottest call in a cohort
-/// run; keeping the candidate list in a caller-owned scratch removes every
-/// per-sample heap allocation.
+/// Caller-owned state for [`RadioEnvironment::observe_gsm_with`]: a
+/// per-position cache plus the candidate buffer. One GSM sample per
+/// simulated minute per participant makes `observe_gsm` the hottest call
+/// in a cohort run, and a dwelling phone asks from the same position
+/// minute after minute. Which towers are in range, and their mean
+/// (pre-fading) signal, depend only on the world and the position, so
+/// they are computed once per position; each sample then draws only the
+/// fading. No per-sample heap allocation once the buffers have warmed up.
 #[derive(Debug, Default, Clone)]
 pub struct GsmScratch {
+    /// The world's [`World::id`] and the position's bit pattern that
+    /// `towers` was computed for; `None` before the first sample.
+    key: Option<(u64, u64, u64)>,
+    /// In-range towers with their mean RSSI, in grid order.
+    towers: Vec<(TowerId, f64)>,
     candidates: Vec<(TowerId, f64)>,
 }
 
@@ -92,7 +97,7 @@ pub struct GsmScratch {
 /// parallel BSSID/RSSI columns and a permutation array is sorted instead
 /// of the readings themselves; reused across sim minutes, a scan performs
 /// no heap allocation once the columns have warmed up to the local AP
-/// density (the same discipline as [`GsmScratch`]).
+/// density.
 #[derive(Debug, Default, Clone)]
 pub struct WifiScratch {
     bssids: Vec<Bssid>,
@@ -102,9 +107,10 @@ pub struct WifiScratch {
 
 /// The propagation model bound to a world.
 ///
-/// Stateless apart from the borrowed world: callers thread the previous
-/// serving tower through [`observe_gsm`](Self::observe_gsm) so that several
-/// simulated devices can share one environment.
+/// Holds no per-device state: callers thread the previous serving tower
+/// through [`observe_gsm`](Self::observe_gsm) and own the scratch buffers
+/// (the GSM one with its per-position cache), so that several simulated
+/// devices can share one environment.
 #[derive(Debug, Clone)]
 pub struct RadioEnvironment<'w> {
     world: &'w World,
@@ -150,9 +156,12 @@ impl<'w> RadioEnvironment<'w> {
         self.observe_gsm_with(&mut scratch, position, time, prev_serving, rng)
     }
 
-    /// [`observe_gsm`](Self::observe_gsm) with a caller-owned scratch
-    /// buffer: the per-sample hot path performs no heap allocation once the
-    /// buffer has warmed up to the local tower density.
+    /// [`observe_gsm`](Self::observe_gsm) with a caller-owned scratch:
+    /// the in-range towers are looked up only when `position` (or the
+    /// world) differs from the previous call's, and the per-sample hot path
+    /// performs no heap allocation once the buffers have warmed up to the
+    /// local tower density. The draws, their order and hence every
+    /// observation are the same as with a fresh scratch.
     pub fn observe_gsm_with<R: Rng + ?Sized>(
         &self,
         scratch: &mut GsmScratch,
@@ -161,22 +170,35 @@ impl<'w> RadioEnvironment<'w> {
         prev_serving: Option<TowerId>,
         rng: &mut R,
     ) -> Option<(GsmObservation, TowerId)> {
-        // Collect candidates and track the strongest signal in one pass.
-        let candidates = &mut scratch.candidates;
+        let world = self.world;
+        let GsmScratch {
+            key,
+            towers,
+            candidates,
+        } = scratch;
+        let here = (
+            world.id(),
+            position.latitude().to_bits(),
+            position.longitude().to_bits(),
+        );
+        if *key != Some(here) {
+            towers.clear();
+            world.for_each_tower_near(position, world.max_tower_range(), |tower, distance| {
+                if distance <= tower.range() {
+                    towers.push((tower.id(), tower.mean_rssi_at(distance)));
+                }
+            });
+            *key = Some(here);
+        }
+
+        // Fade every candidate and track the strongest signal in one pass.
         candidates.clear();
         let mut best_rssi = f64::NEG_INFINITY;
-        self.world.for_each_tower_near(
-            position,
-            self.config.cell_search_radius,
-            |tower, distance| {
-                if distance <= tower.range() {
-                    let rssi = tower.mean_rssi_at(distance)
-                        + gaussian(rng, 0.0, self.config.shadow_sigma_db);
-                    best_rssi = best_rssi.max(rssi);
-                    candidates.push((tower.id(), rssi));
-                }
-            },
-        );
+        for &(id, mean_rssi) in towers.iter() {
+            let rssi = mean_rssi + gaussian(rng, 0.0, self.config.shadow_sigma_db);
+            best_rssi = best_rssi.max(rssi);
+            candidates.push((id, rssi));
+        }
         if candidates.is_empty() {
             return None;
         }
@@ -321,11 +343,10 @@ impl<'w> RadioEnvironment<'w> {
         } = scratch;
         bssids.clear();
         rssi_dbm.clear();
-        // 1.2× the largest AP range is the outer detection limit; use a
-        // fixed generous search radius instead of tracking the max.
-        let search = Meters::new(250.0);
-        self.world
-            .for_each_ap_near(position, search, |ap, distance| {
+        self.world.for_each_ap_near(
+            position,
+            self.world.max_ap_detection_limit(),
+            |ap, distance| {
                 let p = ap.detection_probability(distance);
                 if p > 0.0 && rng.gen_bool(p) {
                     let rssi = ap.mean_rssi_at(distance)
@@ -333,7 +354,8 @@ impl<'w> RadioEnvironment<'w> {
                     bssids.push(ap.bssid());
                     rssi_dbm.push(rssi);
                 }
-            });
+            },
+        );
         order.clear();
         order.extend(0..bssids.len() as u32);
         order.sort_by(|&a, &b| {
@@ -387,6 +409,7 @@ impl<'w> RadioEnvironment<'w> {
 mod tests {
     use super::*;
     use crate::builder::{RegionProfile, WorldBuilder};
+    use crate::wifi::AccessPoint;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -528,6 +551,45 @@ mod tests {
             failures > 40,
             "indoor fixes should mostly fail, got {failures}/100 failures"
         );
+    }
+
+    #[test]
+    fn derived_search_radii_miss_nothing() {
+        let w = world();
+        let env = RadioEnvironment::new(&w, RadioConfig::default());
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut gsm = GsmScratch::default();
+        for place in w.places() {
+            let pos = place.position();
+            let _ = env.observe_gsm_with(&mut gsm, pos, SimTime::EPOCH, None, &mut rng);
+
+            let mut cached: Vec<TowerId> = gsm.towers.iter().map(|&(id, _)| id).collect();
+            cached.sort();
+            let every: Vec<TowerId> = w
+                .towers()
+                .iter()
+                .filter(|t| t.covers(pos))
+                .map(|t| t.id())
+                .collect();
+            assert_eq!(cached, every, "towers in range of {}", place.name());
+
+            let detectable = |a: &AccessPoint, d: Meters| a.detection_probability(d) > 0.0;
+            let mut searched: Vec<Bssid> = Vec::new();
+            w.for_each_ap_near(pos, w.max_ap_detection_limit(), |a, d| {
+                if detectable(a, d) {
+                    searched.push(a.bssid());
+                }
+            });
+            searched.sort();
+            let mut every: Vec<Bssid> = w
+                .access_points()
+                .iter()
+                .filter(|a| detectable(a, a.position().equirectangular_distance(pos)))
+                .map(|a| a.bssid())
+                .collect();
+            every.sort();
+            assert_eq!(searched, every, "APs detectable from {}", place.name());
+        }
     }
 
     #[test]

@@ -62,18 +62,26 @@ impl AccessPoint {
         -35.0 - 35.0 * d.log10()
     }
 
+    /// The distance (1.2× range) from which no scan detects this AP.
+    pub(crate) fn detection_limit(&self) -> Meters {
+        Meters::new(1.2 * self.range.value())
+    }
+
     /// Probability that a single scan detects this AP from `distance`:
-    /// near-certain inside half range, decaying to zero at ~1.2× range.
+    /// near-certain inside half range, decaying to zero at the
+    /// [detection limit](Self::detection_limit).
     pub fn detection_probability(&self, distance: Meters) -> f64 {
         let r = self.range.value();
+        let limit = self.detection_limit().value();
         let d = distance.value();
         if d <= 0.5 * r {
             0.98
-        } else if d >= 1.2 * r {
+        } else if d >= limit {
             0.0
         } else {
-            // Linear decay from 0.98 at 0.5r to 0 at 1.2r.
-            0.98 * (1.2 * r - d) / (0.7 * r)
+            // Linear decay from 0.98 at 0.5r to 0 at the limit, over the
+            // 0.7r between them.
+            0.98 * (limit - d) / (0.7 * r)
         }
     }
 }
@@ -101,6 +109,7 @@ mod tests {
         assert!(p_near > 0.9);
         assert!(p_mid < p_near && p_mid > 0.0);
         assert_eq!(p_far, 0.0);
+        assert_eq!(ap.detection_probability(ap.detection_limit()), 0.0);
     }
 
     #[test]

@@ -9,18 +9,25 @@ use crate::tower::CellTower;
 use crate::wifi::AccessPoint;
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of [`World::id`]: every assembled world draws a fresh number.
+static NEXT_WORLD_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A fully built simulated city: towers, access points, places, and roads.
 ///
 /// Construct one with [`builder::WorldBuilder`](crate::builder::WorldBuilder).
 #[derive(Debug, Clone)]
 pub struct World {
+    id: u64,
     bounds: BoundingBox,
     towers: Vec<CellTower>,
+    max_tower_range: Meters,
     tower_index: SpatialGrid<TowerId>,
     cell_lookup: HashMap<CellGlobalId, TowerId>,
     aps: Vec<AccessPoint>,
     ap_index: SpatialGrid<ApId>,
+    max_ap_detection_limit: Meters,
     places: Vec<WorldPlace>,
     place_index: SpatialGrid<PlaceId>,
     roads: RoadGraph,
@@ -40,25 +47,45 @@ impl World {
             tower_index.insert(t.position(), t.id());
             cell_lookup.insert(t.cell(), t.id());
         }
+        let max_tower_range =
+            Meters::new(towers.iter().map(|t| t.range().value()).fold(0.0, f64::max));
         let mut ap_index = SpatialGrid::new(Meters::new(250.0)).expect("positive cell size");
         for a in &aps {
             ap_index.insert(a.position(), a.id());
         }
+        let max_ap_detection_limit = Meters::new(
+            aps.iter()
+                .map(|a| a.detection_limit().value())
+                .fold(0.0, f64::max),
+        );
         let mut place_index = SpatialGrid::new(Meters::new(500.0)).expect("positive cell size");
         for p in &places {
             place_index.insert(p.position(), p.id());
         }
         World {
+            // Relaxed: the counter only hands out distinct values and
+            // publishes no other data.
+            id: NEXT_WORLD_ID.fetch_add(1, Ordering::Relaxed),
             bounds,
             towers,
+            max_tower_range,
             tower_index,
             cell_lookup,
             aps,
             ap_index,
+            max_ap_detection_limit,
             places,
             place_index,
             roads,
         }
+    }
+
+    /// A process-unique identity, drawn when the world is assembled (a
+    /// clone shares it, which is sound because a world is never mutated).
+    /// Caches derived from the world, such as the radio model's
+    /// per-position scratch, key on it.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// The world's extent.
@@ -69,6 +96,12 @@ impl World {
     /// All cell towers.
     pub fn towers(&self) -> &[CellTower] {
         &self.towers
+    }
+
+    /// The largest nominal coverage radius of any tower: no phone farther
+    /// than this from a tower can hear it.
+    pub(crate) fn max_tower_range(&self) -> Meters {
+        self.max_tower_range
     }
 
     /// A tower by id.
@@ -90,6 +123,12 @@ impl World {
     /// All WiFi access points.
     pub fn access_points(&self) -> &[AccessPoint] {
         &self.aps
+    }
+
+    /// The largest [detection limit](AccessPoint::detection_limit) of any
+    /// access point: no scan farther than this from an AP can see it.
+    pub(crate) fn max_ap_detection_limit(&self) -> Meters {
+        self.max_ap_detection_limit
     }
 
     /// An access point by id.

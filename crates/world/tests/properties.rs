@@ -2,11 +2,11 @@
 
 use pmware_geo::Meters;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
-use pmware_world::{SimDuration, SimTime};
+use pmware_world::radio::{GsmScratch, RadioConfig, RadioEnvironment, WifiScratch};
+use pmware_world::{SimDuration, SimTime, WifiScan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -73,6 +73,56 @@ proptest! {
         // Sorted strongest-first.
         for w in scan.readings.windows(2) {
             prop_assert!(w[0].rssi_dbm >= w[1].rssi_dbm);
+        }
+    }
+
+    /// The per-position tower cache in a reused GSM scratch is invisible:
+    /// against a fresh scratch per call, every GSM observation (and every
+    /// WiFi scan drawn between them from the same RNG) is the same and the
+    /// RNG is left in the same state. The walk stays put, moves, returns
+    /// to earlier spots, and hops between two worlds at the same
+    /// coordinates, so a cache keyed on position alone would fail.
+    #[test]
+    fn reused_scratch_matches_a_fresh_one(
+        world_seeds in (0u64..20, 20u64..40),
+        rng_seed in 0u64..1_000,
+        steps in prop::collection::vec((0u8..4, 0usize..24, 0usize..2), 1..60),
+    ) {
+        let worlds = [
+            WorldBuilder::new(RegionProfile::test_tiny()).seed(world_seeds.0).build(),
+            WorldBuilder::new(RegionProfile::test_tiny()).seed(world_seeds.1).build(),
+        ];
+        let envs = worlds.each_ref().map(|w| RadioEnvironment::new(w, RadioConfig::default()));
+        let places = worlds[0].places();
+        let mut fresh_rng = StdRng::seed_from_u64(rng_seed);
+        let mut reused_rng = StdRng::seed_from_u64(rng_seed);
+        let mut gsm = GsmScratch::default();
+        let mut wifi = WifiScratch::default();
+        let mut scan = WifiScan { time: SimTime::EPOCH, readings: Vec::new() };
+        let mut serving = [None; 2];
+        let mut visited = vec![places[0].position()];
+        for (minute, &(action, pick, w)) in steps.iter().enumerate() {
+            let last = *visited.last().expect("non-empty");
+            let pos = match action {
+                0 => last,
+                1 => places[pick % places.len()].position(),
+                2 => last.destination(pick as f64 * 15.0, Meters::new(10.0 + 40.0 * pick as f64)),
+                _ => visited[pick % visited.len()],
+            };
+            visited.push(pos);
+            let t = SimTime::from_seconds(minute as u64 * 60);
+            let env = &envs[w];
+
+            let fresh = env.observe_gsm(pos, t, serving[w], &mut fresh_rng);
+            let reused = env.observe_gsm_with(&mut gsm, pos, t, serving[w], &mut reused_rng);
+            prop_assert_eq!(fresh, reused);
+            serving[w] = fresh.map(|(_, s)| s);
+
+            let fresh_scan = env.scan_wifi(pos, t, &mut fresh_rng);
+            env.scan_wifi_with(&mut wifi, &mut scan, pos, t, &mut reused_rng);
+            prop_assert_eq!(&fresh_scan, &scan);
+
+            prop_assert_eq!(fresh_rng.gen::<u64>(), reused_rng.gen::<u64>());
         }
     }
 
