@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-check bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-wire lint-latency lint-storage loc obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-check bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -9,13 +9,14 @@
 # overhead bench), the federation gate (failover matrix + soak), a
 # tiny-config throughput smoke run that fails if parallel and
 # sequential studies ever diverge, the wire lint that keeps untyped
-# JSON from creeping back onto the hot path, the wall-clock lint that
+# JSON from creeping back onto the hot path, the hash lint that keeps
+# SipHash off the GCA absorb path, the wall-clock lint that
 # keeps real time out of simulation code, and the latency soak with its
 # built-in shed/convergence gates, and the storage gate (durable
 # crash-recovery goldens, the residency lint, and the RSS/hydration/
 # recovery soak with its built-in capped-below-uncapped assertion), and
 # the benchmark check (perfbench still builds and its smoke test passes).
-verify: build test clippy fmt lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-check
+verify: build test clippy fmt lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-check
 
 build:
 	cargo build --release --workspace
@@ -95,6 +96,20 @@ lint-wire:
 	done | grep . \
 		|| { echo 'lint-wire: a second body representation crept back into crates/*/src'; exit 1; }
 	@echo 'lint-wire: ok'
+
+# The hash lint: GCA absorb hashes cell IDs and symbols for every GSM
+# sample, so the maps on that path use the fixed-key Fx hasher from
+# pmware_world::intern. Non-test code in gca.rs and intern.rs may not
+# name a `HashMap` or `HashSet` of std's default SipHash hasher. Comment
+# lines and the `FxHashMap` alias, which names its hasher, are exempt.
+lint-hash:
+	@! for f in crates/algorithms/src/gca.rs crates/world/src/intern.rs; do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" | grep -n '\bHash\(Map\|Set\)\b' \
+			| grep -v '^[0-9]*:[[:space:]]*//' | grep -v 'FxBuildHasher' \
+			| sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-hash: a default-hasher HashMap/HashSet crept onto the GCA absorb path'; exit 1; }
+	@echo 'lint-hash: ok'
 
 # Rust line counts of the workspace crates and of the vendored
 # stand-ins: the workspace size ROADMAP.md asks to drive down.

@@ -43,9 +43,9 @@
 //! After discovery, cheap online tracking ([`CellPlaceTracker`])
 //! recognises revisits on the phone.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use pmware_world::intern::{Interner, Symbol};
+use pmware_world::intern::{FxHashMap, Interner, Symbol};
 use pmware_world::{CellGlobalId, GsmObservation, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -83,18 +83,20 @@ impl Default for GcaConfig {
 /// The movement graph: an inspectable intermediate result (C-INTERMEDIATE).
 ///
 /// Internally the graph is keyed by dense interned symbols, not by raw
-/// [`CellGlobalId`]s: the per-observation hot path (dwell accounting, bounce
-/// counting) costs one intern lookup plus `Vec` indexing instead of B-tree
-/// searches on 12-byte composite keys. Symbols never escape: every public
-/// accessor speaks `CellGlobalId`, and [`components`](Self::components)
-/// resolves and sorts edges back into cell order so the clustering walks
-/// the exact edge sequence the old cell-keyed map produced.
+/// [`CellGlobalId`]s: the per-observation hot path (dwell accounting,
+/// bounce counting) costs at most one Fx-hashed intern lookup plus `Vec`
+/// indexing. Symbols never escape: every public accessor speaks
+/// `CellGlobalId`. The graph also keeps its symbols sorted by cell, so the
+/// clustering walks edges in ascending cell-pair order and lists
+/// components by root cell without building a cell-keyed map.
 #[derive(Debug, Clone, Default)]
 pub struct MovementGraph {
     /// Cell ↔ symbol table, first-seen order (= stream appearance order).
     cells: Interner<CellGlobalId>,
+    /// Every symbol, in ascending cell order.
+    by_cell: Vec<Symbol>,
     /// Bounce weight per unordered symbol pair (canonical: smaller first).
-    edges: HashMap<(Symbol, Symbol), u32>,
+    edges: FxHashMap<(Symbol, Symbol), u32>,
     /// Total observed dwell per cell, indexed by symbol.
     dwell: Vec<SimDuration>,
 }
@@ -150,28 +152,19 @@ impl MovementGraph {
 
     /// All cells seen, in ascending cell order.
     pub fn cells(&self) -> impl Iterator<Item = CellGlobalId> + '_ {
-        let mut cells: Vec<CellGlobalId> = self.cells.values().to_vec();
-        cells.sort_unstable();
-        cells.into_iter()
+        self.by_cell.iter().map(|&sym| *self.cells.resolve(sym))
     }
 
-    /// Number of distinct cells seen.
-    fn cell_count(&self) -> usize {
-        self.dwell.len()
-    }
-
-    /// The symbol for a cell, if it has been observed.
-    fn symbol_of(&self, cell: CellGlobalId) -> Option<Symbol> {
-        self.cells.get(&cell)
-    }
-
-    /// Interns `cell`, creating its dwell slot on first sight. Returns the
-    /// symbol and whether the cell is brand new.
+    /// Interns `cell`, creating its dwell slot and its place in cell order
+    /// on first sight. Returns the symbol and whether the cell is new.
     fn touch(&mut self, cell: CellGlobalId) -> (Symbol, bool) {
         let sym = self.cells.intern(&cell);
         let fresh = sym as usize == self.dwell.len();
         if fresh {
             self.dwell.push(SimDuration::ZERO);
+            let cells = &self.cells;
+            let at = self.by_cell.partition_point(|&s| *cells.resolve(s) < cell);
+            self.by_cell.insert(at, sym);
         }
         (sym, fresh)
     }
@@ -190,75 +183,92 @@ impl MovementGraph {
 
     /// Dwell per cell, in cell order — the canonical (symbol-free) view
     /// used for equality.
-    fn dwell_by_cell(&self) -> BTreeMap<CellGlobalId, SimDuration> {
-        self.cells
-            .values()
+    fn dwell_by_cell(&self) -> Vec<(CellGlobalId, SimDuration)> {
+        self.by_cell
             .iter()
-            .zip(&self.dwell)
-            .map(|(c, d)| (*c, *d))
+            .map(|&sym| (*self.cells.resolve(sym), self.dwell[sym as usize]))
             .collect()
     }
 
-    /// Edges keyed by cell-ordered pairs — the canonical view used for
-    /// equality and for the clustering walk.
+    /// Edges keyed by cell-ordered pairs, sorted — the canonical view used
+    /// for equality.
     fn edges_by_cell(&self) -> Vec<((CellGlobalId, CellGlobalId), u32)> {
-        self.edges
+        let mut edges: Vec<_> = self
+            .edges
             .iter()
             .map(|(&(sa, sb), &w)| {
-                (
-                    edge_key(*self.cells.resolve(sa), *self.cells.resolve(sb)),
-                    w,
-                )
+                let (a, b) = (*self.cells.resolve(sa), *self.cells.resolve(sb));
+                ((a.min(b), a.max(b)), w)
+            })
+            .collect();
+        edges.sort_unstable_by_key(|&(key, _)| key);
+        edges
+    }
+
+    /// Connected components over edges with weight ≥ `min_weight`, in the
+    /// order place IDs are assigned. Cells without any qualifying edge form
+    /// singleton components.
+    pub fn components(&self, min_weight: u32) -> Vec<BTreeSet<CellGlobalId>> {
+        let partition = Partition::new(&self.by_cell, &self.roots(min_weight));
+        (0..partition.len())
+            .map(|c| {
+                partition
+                    .members(c)
+                    .iter()
+                    .map(|&sym| *self.cells.resolve(sym))
+                    .collect()
             })
             .collect()
     }
 
-    /// Connected components over edges with weight ≥ `min_weight`.
-    /// Cells without any qualifying edge form singleton components.
-    pub fn components(&self, min_weight: u32) -> Vec<BTreeSet<CellGlobalId>> {
-        let mut parent: HashMap<CellGlobalId, CellGlobalId> =
-            self.cells.values().iter().map(|c| (*c, *c)).collect();
-
-        fn find(parent: &mut HashMap<CellGlobalId, CellGlobalId>, x: CellGlobalId) -> CellGlobalId {
-            let mut root = x;
-            while parent[&root] != root {
-                root = parent[&root];
-            }
-            // Path compression.
-            let mut cur = x;
-            while parent[&cur] != root {
-                let next = parent[&cur];
-                parent.insert(cur, root);
-                cur = next;
-            }
-            root
+    /// The union-find root of each symbol's component over edges with
+    /// weight ≥ `min_weight`, indexed by symbol.
+    ///
+    /// Edges are unioned in ascending cell-pair order, each union hanging
+    /// the smaller cell's root under the larger cell's root. The roots
+    /// therefore depend on the cells and edges alone, not on the order the
+    /// cells were first seen in, and so do the component order (by root
+    /// cell) and the place IDs assigned in it.
+    fn roots(&self, min_weight: u32) -> Vec<Symbol> {
+        // Union in rank space (rank = position in cell order), where
+        // comparing two ranks compares their cells.
+        let n = self.by_cell.len();
+        let mut rank = vec![0u32; n];
+        for (r, &sym) in self.by_cell.iter().enumerate() {
+            rank[sym as usize] = r as u32;
         }
-
-        // Union in ascending cell-pair order — the same sequence the old
-        // cell-keyed B-tree map iterated in, so the union-find picks the
-        // same roots and the component list comes out in the same order.
-        let mut edges = self.edges_by_cell();
-        edges.sort_unstable_by_key(|&(key, _)| key);
-        for ((a, b), w) in edges {
-            if w >= min_weight {
-                parent.entry(a).or_insert(a);
-                parent.entry(b).or_insert(b);
-                let ra = find(&mut parent, a);
-                let rb = find(&mut parent, b);
-                if ra != rb {
-                    parent.insert(ra, rb);
-                }
+        let mut pairs: Vec<u64> = self
+            .edges
+            .iter()
+            .filter(|&(_, &w)| w >= min_weight)
+            .map(|(&(a, b), _)| {
+                let (a, b) = (rank[a as usize], rank[b as usize]);
+                u64::from(a.min(b)) << 32 | u64::from(a.max(b))
+            })
+            .collect();
+        pairs.sort_unstable();
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        for pair in pairs {
+            let ra = find(&mut parent, (pair >> 32) as u32);
+            let rb = find(&mut parent, pair as u32);
+            if ra != rb {
+                parent[ra as usize] = rb;
             }
         }
-
-        let keys: Vec<CellGlobalId> = parent.keys().copied().collect();
-        let mut groups: BTreeMap<CellGlobalId, BTreeSet<CellGlobalId>> = BTreeMap::new();
-        for cell in keys {
-            let root = find(&mut parent, cell);
-            groups.entry(root).or_default().insert(cell);
-        }
-        groups.into_values().collect()
+        rank.iter()
+            .map(|&r| self.by_cell[find(&mut parent, r) as usize])
+            .collect()
     }
+}
+
+/// Union-find lookup with path halving (which never changes a root).
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let grand = parent[parent[x as usize] as usize];
+        parent[x as usize] = grand;
+        x = grand;
+    }
+    x
 }
 
 impl PartialEq for MovementGraph {
@@ -266,22 +276,10 @@ impl PartialEq for MovementGraph {
     /// pair, regardless of symbol numbering (two graphs that saw the same
     /// cells in different orders still compare equal).
     fn eq(&self, other: &Self) -> bool {
-        if self.dwell.len() != other.dwell.len() || self.edges.len() != other.edges.len() {
-            return false;
-        }
-        let mut a = self.edges_by_cell();
-        let mut b = other.edges_by_cell();
-        a.sort_unstable_by_key(|&(key, _)| key);
-        b.sort_unstable_by_key(|&(key, _)| key);
-        a == b && self.dwell_by_cell() == other.dwell_by_cell()
-    }
-}
-
-fn edge_key(a: CellGlobalId, b: CellGlobalId) -> (CellGlobalId, CellGlobalId) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
+        self.dwell.len() == other.dwell.len()
+            && self.edges.len() == other.edges.len()
+            && self.edges_by_cell() == other.edges_by_cell()
+            && self.dwell_by_cell() == other.dwell_by_cell()
     }
 }
 
@@ -290,6 +288,63 @@ fn sym_key(a: Symbol, b: Symbol) -> (Symbol, Symbol) {
         (a, b)
     } else {
         (b, a)
+    }
+}
+
+/// A component partition on dense symbols: components in the order place
+/// IDs are assigned (by root cell), each with its members in ascending
+/// cell order.
+struct Partition {
+    /// Component index of each symbol.
+    component_of: Vec<u32>,
+    /// Component `c`'s members are `members[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    members: Vec<Symbol>,
+}
+
+impl Partition {
+    /// Groups symbols by root. `by_cell` lists every symbol in ascending
+    /// cell order; `root_of` maps each symbol to its component's root.
+    fn new(by_cell: &[Symbol], root_of: &[Symbol]) -> Partition {
+        let mut component_of = vec![0u32; by_cell.len()];
+        let mut count = 0;
+        for &sym in by_cell {
+            if root_of[sym as usize] == sym {
+                component_of[sym as usize] = count;
+                count += 1;
+            }
+        }
+        let mut start = vec![0u32; count as usize + 1];
+        for &sym in by_cell {
+            let c = component_of[root_of[sym as usize] as usize];
+            component_of[sym as usize] = c;
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..count as usize {
+            start[c + 1] += start[c];
+        }
+        let mut next = start.clone();
+        let mut members = vec![0; by_cell.len()];
+        for &sym in by_cell {
+            let slot = &mut next[component_of[sym as usize] as usize];
+            members[*slot as usize] = sym;
+            *slot += 1;
+        }
+        Partition {
+            component_of,
+            start,
+            members,
+        }
+    }
+
+    /// Number of components.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Component `c`'s members, in ascending cell order.
+    fn members(&self, c: usize) -> &[Symbol] {
+        &self.members[self.start[c] as usize..self.start[c + 1] as usize]
     }
 }
 
@@ -313,130 +368,128 @@ pub fn discover_places(observations: &[GsmObservation], config: &GcaConfig) -> G
         "observations must be time-ordered"
     );
     let graph = MovementGraph::build(observations, config);
-    let components = graph.components(config.min_bounce_weight);
+    let partition = Partition::new(&graph.by_cell, &graph.roots(config.min_bounce_weight));
 
-    // Map every cell to its component index.
-    let mut component_of: HashMap<CellGlobalId, usize> = HashMap::new();
-    for (idx, comp) in components.iter().enumerate() {
-        for cell in comp {
-            component_of.insert(*cell, idx);
-        }
+    // Extract contiguous runs, labelled by component index.
+    let rules = RunRules::new(config);
+    let mut runs = Vec::new();
+    let mut scan = RunScan::default();
+    for obs in observations {
+        let component = graph
+            .cells
+            .get(&obs.cell)
+            .map(|sym| partition.component_of[sym as usize]);
+        scan.step(component, obs.time, rules, &mut runs);
     }
+    runs.extend(scan.current);
 
-    // Extract contiguous runs per component.
-    let runs = extract_runs(observations, &component_of, config);
-
-    // Group visits per component.
-    let mut visits_by_component: BTreeMap<usize, Vec<DiscoveredVisit>> = BTreeMap::new();
-    for run in &runs {
-        visits_by_component
-            .entry(run.component)
-            .or_default()
-            .push(DiscoveredVisit {
-                arrival: run.start,
-                departure: run.end,
-            });
-    }
-
-    let places = qualify_places(&graph, &components, visits_by_component, config);
+    let visits = runs.iter().map(|run| (run.component, run.visit()));
+    let places = qualify_places(&graph, &partition, visits, config);
     GcaOutput { places, graph }
 }
 
-/// Turns per-component visit candidates into qualified [`DiscoveredPlace`]s
-/// — the single implementation of the qualification and signature rules,
-/// shared by the batch and incremental engines so their outputs cannot
-/// drift apart.
+/// Turns component-labelled visit candidates into qualified
+/// [`DiscoveredPlace`]s — the single implementation of the qualification
+/// and signature rules, shared by the batch and incremental engines so
+/// their outputs cannot drift apart. `runs` yields `(component index,
+/// visit)` in chronological order.
 fn qualify_places(
     graph: &MovementGraph,
-    components: &[BTreeSet<CellGlobalId>],
-    visits_by_component: BTreeMap<usize, Vec<DiscoveredVisit>>,
+    partition: &Partition,
+    runs: impl Iterator<Item = (u32, DiscoveredVisit)>,
     config: &GcaConfig,
 ) -> Vec<DiscoveredPlace> {
+    // A component qualifies with at least one stay of min_stay, and its
+    // visits are exactly those stays: brief passes through the cluster's
+    // cells are travel. Sorting stably by component keeps each
+    // component's stays chronological.
+    let mut stays: Vec<(u32, DiscoveredVisit)> = runs
+        .filter(|(_, visit)| visit.duration() >= config.min_stay)
+        .collect();
+    stays.sort_by_key(|&(component, _)| component);
     let mut places = Vec::new();
-    for (component, visits) in visits_by_component {
-        // Qualify components: need one run of at least min_stay.
-        let longest = visits
-            .iter()
-            .map(|v| v.duration())
-            .max()
-            .unwrap_or(SimDuration::ZERO);
-        if longest < config.min_stay {
-            continue;
-        }
-        // Keep only visits of at least min_stay; brief passes through the
-        // cluster's cells are travel, not stays.
-        let visits: Vec<DiscoveredVisit> = visits
-            .into_iter()
-            .filter(|v| v.duration() >= config.min_stay)
-            .collect();
-        if visits.is_empty() {
-            continue;
-        }
+    for group in stays.chunk_by(|a, b| a.0 == b.0) {
         // Signature: the strongest cells of the component by dwell.
-        let mut cells: Vec<CellGlobalId> = components[component].iter().copied().collect();
-        cells.sort_by_key(|c| std::cmp::Reverse(graph.dwell(*c).as_seconds()));
+        let mut cells = partition.members(group[0].0 as usize).to_vec();
+        cells.sort_by_key(|&sym| std::cmp::Reverse(graph.dwell[sym as usize].as_seconds()));
         cells.truncate(config.max_signature_cells);
-        let signature = PlaceSignature::Cells(cells.into_iter().collect());
+        let signature =
+            PlaceSignature::Cells(cells.iter().map(|&sym| *graph.cells.resolve(sym)).collect());
         let id = DiscoveredPlaceId(places.len() as u32);
+        let visits = group.iter().map(|&(_, visit)| visit).collect();
         places.push(DiscoveredPlace::new(id, signature, visits));
     }
     places
 }
 
-/// A maximal in-cluster run, labelled by a component identity `C`
-/// (`usize` index for the batch path, representative cell for the
-/// incremental engine).
+/// A maximal in-cluster run, labelled by a component identity: the
+/// component index in the batch scan, the representative cell's symbol in
+/// the incremental engine.
 #[derive(Debug, Clone, Copy)]
-struct Run<C> {
-    component: C,
+struct Run {
+    component: u32,
     start: SimTime,
     end: SimTime,
 }
 
-/// Resumable state of the run-extraction scan.
-#[derive(Debug, Clone, Copy)]
-struct RunScan<C> {
-    current: Option<Run<C>>,
-    foreign: u32,
-}
+impl Run {
+    fn starting(component: u32, time: SimTime) -> Run {
+        Run {
+            component,
+            start: time,
+            end: time,
+        }
+    }
 
-impl<C> Default for RunScan<C> {
-    fn default() -> Self {
-        RunScan {
-            current: None,
-            foreign: 0,
+    fn visit(&self) -> DiscoveredVisit {
+        DiscoveredVisit {
+            arrival: self.start,
+            departure: self.end,
         }
     }
 }
 
-impl<C: Copy + PartialEq> RunScan<C> {
+/// The run-break rules, derived once from a [`GcaConfig`] rather than on
+/// every step.
+#[derive(Debug, Clone, Copy)]
+struct RunRules {
+    /// A time gap longer than this inside a run breaks it (device off or
+    /// no coverage for a while).
+    break_gap: SimDuration,
+    /// Foreign samples tolerated inside a run before it closes.
+    tolerance: u32,
+}
+
+impl RunRules {
+    fn new(config: &GcaConfig) -> RunRules {
+        RunRules {
+            break_gap: config
+                .max_sample_gap
+                .mul_f64((config.run_gap_tolerance + 1) as f64),
+            tolerance: config.run_gap_tolerance,
+        }
+    }
+}
+
+/// Resumable state of the run-extraction scan.
+#[derive(Debug, Clone, Copy, Default)]
+struct RunScan {
+    current: Option<Run>,
+    foreign: u32,
+}
+
+impl RunScan {
     /// Feeds one observation (its component label and timestamp) through
     /// the state machine; completed runs are pushed onto `closed`. This is
     /// the only implementation of the run rules — both the batch scan and
     /// the incremental engine step through it, which is what guarantees
     /// their visit extraction is identical.
-    fn step(
-        &mut self,
-        comp: Option<C>,
-        time: SimTime,
-        config: &GcaConfig,
-        closed: &mut Vec<Run<C>>,
-    ) {
+    fn step(&mut self, comp: Option<u32>, time: SimTime, rules: RunRules, closed: &mut Vec<Run>) {
         match (&mut self.current, comp) {
             (Some(run), Some(c)) if c == run.component => {
-                // Break the run across large time gaps (device off / no
-                // coverage for a while).
-                if time.since(run.end)
-                    > config
-                        .max_sample_gap
-                        .mul_f64((config.run_gap_tolerance + 1) as f64)
-                {
-                    closed.push(self.current.take().expect("checked above"));
-                    self.current = Some(Run {
-                        component: c,
-                        start: time,
-                        end: time,
-                    });
+                if time.since(run.end) > rules.break_gap {
+                    closed.push(*run);
+                    *run = Run::starting(c, time);
                 } else {
                     run.end = time;
                 }
@@ -444,16 +497,10 @@ impl<C: Copy + PartialEq> RunScan<C> {
             }
             (Some(run), other) => {
                 self.foreign += 1;
-                if self.foreign > config.run_gap_tolerance {
-                    closed.push(self.current.take().expect("checked above"));
+                if self.foreign > rules.tolerance {
+                    closed.push(*run);
+                    self.current = other.map(|c| Run::starting(c, time));
                     self.foreign = 0;
-                    if let Some(c) = other {
-                        self.current = Some(Run {
-                            component: c,
-                            start: time,
-                            end: time,
-                        });
-                    }
                 } else {
                     // Tolerated glitch: extend the run's end so that a
                     // momentary foreign cell does not shorten the stay.
@@ -461,37 +508,12 @@ impl<C: Copy + PartialEq> RunScan<C> {
                 }
             }
             (None, Some(c)) => {
-                self.current = Some(Run {
-                    component: c,
-                    start: time,
-                    end: time,
-                });
+                self.current = Some(Run::starting(c, time));
                 self.foreign = 0;
             }
             (None, None) => {}
         }
     }
-}
-
-fn extract_runs(
-    observations: &[GsmObservation],
-    component_of: &HashMap<CellGlobalId, usize>,
-    config: &GcaConfig,
-) -> Vec<Run<usize>> {
-    let mut closed = Vec::new();
-    let mut scan = RunScan::default();
-    for obs in observations {
-        scan.step(
-            component_of.get(&obs.cell).copied(),
-            obs.time,
-            config,
-            &mut closed,
-        );
-    }
-    if let Some(run) = scan.current {
-        closed.push(run);
-    }
-    closed
 }
 
 /// Persistent incremental GCA engine (§2.3.1's *nightly incremental
@@ -501,20 +523,35 @@ fn extract_runs(
 ///
 /// # Design
 ///
-/// The movement graph (dwell + bounce weights) folds a new observation in
-/// O(1) using a two-observation tail window. Visit runs are trickier: the
-/// batch algorithm re-scans the stream with the *final* cluster partition,
-/// and bounce weights only ever grow, so a late oscillation can merge two
-/// clusters and retroactively change how *old* observations group into
-/// runs. The engine therefore labels its resumable run scan with the
-/// partition's *representative cells* (the smallest cell of each
-/// component — stable under re-indexing) and keeps the absorbed log. When
-/// an edge first crosses `min_bounce_weight`, it re-derives the partition;
-/// if any already-scanned cell moved to a different component, the run
-/// scan replays from the retained log. Crossings stop once the user's
-/// regular places are established, so steady-state absorbs touch only the
-/// suffix; the replay is the correctness fallback that keeps the
-/// incremental view exactly equal to the batch one.
+/// Everything runs on dense cell symbols. The movement graph (dwell +
+/// bounce weights) folds a new observation in O(1) using a
+/// two-observation tail window; a sample that repeats one of the last two
+/// cells (a dwell or an oscillation, the common case) reuses that cell's
+/// symbol without hashing at all, and every other lookup is one Fx hash.
+///
+/// Visit runs are trickier: the batch algorithm re-scans the stream with
+/// the *final* cluster partition, and bounce weights only ever grow, so a
+/// late oscillation can merge two clusters and retroactively change how
+/// *old* observations group into runs. The engine therefore labels its
+/// resumable run scan with each component's *representative* (the symbol
+/// of its smallest cell — stable under re-indexing) and keeps the log.
+/// When an edge first crosses `min_bounce_weight`, the next scan advance
+/// runs one union-find over the symbol graph; if any already-scanned cell
+/// moved to a different representative, the run scan replays from the
+/// retained log. Crossings stop once the user's regular places are
+/// established, so steady-state absorbs touch only the suffix.
+///
+/// The engine keeps the union-find roots of that pass, so a place read
+/// ([`discovered_places`](Self::discovered_places)) groups cells into
+/// components in one linear walk instead of clustering again.
+///
+/// Recording and absorbing are separate steps.
+/// [`record`](Self::record) only appends to the log, and
+/// [`catch_up`](Self::catch_up) folds whatever is pending. Split
+/// invariance makes the place view the same however the stream was cut
+/// into records and catch-ups, so a caller that reads places rarely (the
+/// phone's local fallback) records every sample and catches up only when
+/// it reads.
 ///
 /// # Examples
 ///
@@ -543,23 +580,28 @@ fn extract_runs(
 #[derive(Debug, Clone)]
 pub struct IncrementalGca {
     config: GcaConfig,
-    /// Every observation absorbed so far — kept for the partition-change
-    /// replay (and nothing else; steady-state absorbs never re-read it).
+    /// The run-break rules, derived from `config` once.
+    rules: RunRules,
+    /// Every observation recorded so far, absorbed or not. It is the
+    /// phone's offload buffer, the snapshot payload and the source of the
+    /// partition-change replay.
     log: Vec<GsmObservation>,
-    /// The interned cell symbol of each log entry, so the replay and the
-    /// resumable scan label observations without re-hashing cell IDs.
+    /// The interned cell symbol of each absorbed log entry; its length is
+    /// the absorbed prefix of `log`.
     log_syms: Vec<Symbol>,
     graph: MovementGraph,
     /// Closed runs in chronological order, labelled by the symbol of the
     /// representative (smallest) cell of their component.
-    runs: Vec<Run<Symbol>>,
+    runs: Vec<Run>,
     /// The open run / foreign-sample state of the resumable scan.
-    scan: RunScan<Symbol>,
+    scan: RunScan,
     /// How many log entries the run scan has consumed.
     scanned_upto: usize,
-    /// Cell symbol → representative symbol under the partition the scan
-    /// used. While the partition is clean this covers every interned cell;
-    /// cells first seen while dirty stay uncovered until the re-derive.
+    /// Cell symbol → union-find root of its component, and cell symbol →
+    /// representative symbol, under the partition the scan used. While the
+    /// partition is clean both cover every interned cell; cells first seen
+    /// while dirty stay uncovered until the re-derive.
+    root_of: Vec<Symbol>,
     rep_of: Vec<Symbol>,
     /// Set when an edge crossed the bounce threshold since the last scan:
     /// the partition must be re-derived before scanning further.
@@ -570,6 +612,7 @@ impl IncrementalGca {
     /// Creates an empty engine.
     pub fn new(config: GcaConfig) -> Self {
         IncrementalGca {
+            rules: RunRules::new(&config),
             config,
             log: Vec::new(),
             log_syms: Vec::new(),
@@ -577,6 +620,7 @@ impl IncrementalGca {
             runs: Vec::new(),
             scan: RunScan::default(),
             scanned_upto: 0,
+            root_of: Vec::new(),
             rep_of: Vec::new(),
             partition_dirty: false,
         }
@@ -587,42 +631,45 @@ impl IncrementalGca {
         &self.config
     }
 
-    /// Number of observations absorbed so far.
+    /// Number of observations recorded so far, absorbed or not.
     pub fn observation_count(&self) -> usize {
         self.log.len()
     }
 
-    /// The full absorbed observation log, in absorption order. A fresh
-    /// engine fed this log in one `absorb` reproduces this engine's
-    /// client-visible state exactly (the split-invariance property), which
-    /// is what lets durable snapshots store `(config, log)` instead of the
-    /// engine's internal indexes.
+    /// The full recorded observation log, in order. A fresh engine fed
+    /// this log in one `absorb` reproduces this engine's client-visible
+    /// state exactly (the split-invariance property), which is what lets
+    /// durable snapshots store `(config, log)` instead of the engine's
+    /// internal indexes.
     pub fn observations(&self) -> &[GsmObservation] {
         &self.log
     }
 
-    /// Returns `true` when nothing has been absorbed yet.
+    /// Returns `true` when nothing has been recorded yet.
     pub fn is_empty(&self) -> bool {
         self.log.is_empty()
     }
 
-    /// Timestamp of the most recently absorbed observation, if any.
+    /// Timestamp of the most recently recorded observation, if any.
     pub fn last_time(&self) -> Option<SimTime> {
         self.log.last().map(|o| o.time)
     }
 
-    /// The incrementally maintained movement graph.
+    /// The incrementally maintained movement graph of the absorbed
+    /// observations.
     pub fn graph(&self) -> &MovementGraph {
         &self.graph
     }
 
-    /// Folds a time-ordered suffix of new observations into the engine.
+    /// Appends a time-ordered suffix of new observations to the log
+    /// without folding it in: the graph and the place view catch up at
+    /// the next [`catch_up`](Self::catch_up) or [`absorb`](Self::absorb).
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `suffix` is not time-ordered or starts
-    /// before the last absorbed observation.
-    pub fn absorb(&mut self, suffix: &[GsmObservation]) {
+    /// before the last recorded observation.
+    pub fn record(&mut self, suffix: &[GsmObservation]) {
         debug_assert!(
             suffix.windows(2).all(|w| w[0].time <= w[1].time),
             "suffix must be time-ordered"
@@ -632,43 +679,73 @@ impl IncrementalGca {
                 (Some(last), Some(first)) => last.time <= first.time,
                 _ => true,
             },
-            "suffix must not start before already-absorbed observations"
+            "suffix must not start before already-recorded observations"
         );
-        if suffix.is_empty() {
+        self.log.extend_from_slice(suffix);
+    }
+
+    /// Folds a time-ordered suffix of new observations into the engine:
+    /// [`record`](Self::record), then [`catch_up`](Self::catch_up).
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if `suffix` is not time-ordered or starts
+    /// before the last recorded observation.
+    pub fn absorb(&mut self, suffix: &[GsmObservation]) {
+        self.record(suffix);
+        self.catch_up();
+    }
+
+    /// Folds every recorded but not yet absorbed observation into the
+    /// graph and the run scan.
+    pub fn catch_up(&mut self) {
+        let from = self.log_syms.len();
+        if from == self.log.len() {
             return;
         }
         // The effective weight at which an edge starts to qualify: even a
         // zero threshold needs the edge to exist (weight 1).
         let qualifying = self.config.min_bounce_weight.max(1);
-        for obs in suffix {
-            let n = self.log.len();
-            let (sym, fresh) = self.graph.touch(obs.cell);
+        let max_gap = self.config.max_sample_gap;
+        self.log_syms.reserve(self.log.len() - from);
+        for n in from..self.log.len() {
+            let obs = self.log[n];
+            // Most samples repeat one of the last two cells (a dwell or an
+            // oscillation): reuse its symbol instead of hashing the cell.
+            let (sym, fresh) = if n >= 1 && obs.cell == self.log[n - 1].cell {
+                (self.log_syms[n - 1], false)
+            } else if n >= 2 && obs.cell == self.log[n - 2].cell {
+                (self.log_syms[n - 2], false)
+            } else {
+                self.graph.touch(obs.cell)
+            };
             if n >= 1 {
                 let prev = self.log[n - 1];
                 let prev_sym = self.log_syms[n - 1];
-                let dt = obs.time.since(prev.time).min(self.config.max_sample_gap);
+                let dt = obs.time.since(prev.time).min(max_gap);
                 self.graph.note_dwell(prev_sym, dt);
                 if n >= 2 {
                     let first = self.log[n - 2];
                     let first_sym = self.log_syms[n - 2];
-                    let adjacent = prev.time.since(first.time) <= self.config.max_sample_gap
-                        && obs.time.since(prev.time) <= self.config.max_sample_gap;
-                    if adjacent && first_sym == sym && first_sym != prev_sym {
-                        let w = self.graph.note_bounce(first_sym, prev_sym);
-                        if w == qualifying {
-                            self.partition_dirty = true;
-                        }
+                    let adjacent = prev.time.since(first.time) <= max_gap
+                        && obs.time.since(prev.time) <= max_gap;
+                    if adjacent
+                        && first_sym == sym
+                        && first_sym != prev_sym
+                        && self.graph.note_bounce(first_sym, prev_sym) == qualifying
+                    {
+                        self.partition_dirty = true;
                     }
                 }
             }
             if fresh && !self.partition_dirty {
                 // A brand-new cell has no qualifying edges yet, so it is a
-                // singleton component and its representative is itself.
+                // singleton component: its own root and representative.
                 // Fresh symbols are dense, so this stays index-aligned.
                 debug_assert_eq!(self.rep_of.len(), sym as usize);
+                self.root_of.push(sym);
                 self.rep_of.push(sym);
             }
-            self.log.push(*obs);
             self.log_syms.push(sym);
         }
         self.advance_scan();
@@ -678,72 +755,64 @@ impl IncrementalGca {
     /// partition changed retroactively, then consumes the unscanned tail.
     fn advance_scan(&mut self) {
         if self.partition_dirty {
-            let fresh = self.representatives();
+            // One union-find pass; each component's representative is its
+            // smallest cell, the first of its members met walking the
+            // cells in order.
+            let root_of = self.graph.roots(self.config.min_bounce_weight);
+            let mut rep_of_root = vec![Symbol::MAX; root_of.len()];
+            for &sym in &self.graph.by_cell {
+                let rep = &mut rep_of_root[root_of[sym as usize] as usize];
+                if *rep == Symbol::MAX {
+                    *rep = sym;
+                }
+            }
+            let rep_of: Vec<Symbol> = root_of
+                .iter()
+                .map(|&root| rep_of_root[root as usize])
+                .collect();
             // Did any already-labelled cell move to a different component?
             // (Components only ever merge, so this is exactly the case in
             // which past observations would group differently. Cells first
-            // seen while dirty sit past `rep_of`'s end and don't vote.)
-            let moved = self
-                .rep_of
-                .iter()
-                .enumerate()
-                .any(|(sym, rep)| fresh[sym] != *rep);
+            // seen while dirty sit past the old `rep_of`'s end and don't
+            // vote.)
+            let moved = self.rep_of.iter().zip(&rep_of).any(|(old, new)| old != new);
             if moved {
                 self.runs.clear();
                 self.scan = RunScan::default();
                 self.scanned_upto = 0;
             }
-            self.rep_of = fresh;
+            self.root_of = root_of;
+            self.rep_of = rep_of;
             self.partition_dirty = false;
         }
-        for i in self.scanned_upto..self.log.len() {
-            let time = self.log[i].time;
+        for i in self.scanned_upto..self.log_syms.len() {
             let comp = self.rep_of[self.log_syms[i] as usize];
             self.scan
-                .step(Some(comp), time, &self.config, &mut self.runs);
+                .step(Some(comp), self.log[i].time, self.rules, &mut self.runs);
         }
-        self.scanned_upto = self.log.len();
+        self.scanned_upto = self.log_syms.len();
     }
 
-    /// Cell symbol → symbol of the smallest cell of its component, under
-    /// the current graph. Dense over every interned cell.
-    fn representatives(&self) -> Vec<Symbol> {
-        let components = self.graph.components(self.config.min_bounce_weight);
-        let mut rep_of = vec![0 as Symbol; self.graph.cell_count()];
-        for comp in &components {
-            let first = *comp.first().expect("components are non-empty");
-            let rep = self.graph.symbol_of(first).expect("interned");
-            for cell in comp {
-                rep_of[self.graph.symbol_of(*cell).expect("interned") as usize] = rep;
-            }
-        }
-        rep_of
+    /// The places of the absorbed observations — bit-identical to
+    /// [`discover_places`] over them. Cost is proportional to the cell
+    /// and run counts, not to history length. Observations recorded but
+    /// not yet caught up are not included.
+    pub fn discovered_places(&self) -> Vec<DiscoveredPlace> {
+        let partition = Partition::new(&self.graph.by_cell, &self.root_of);
+        let runs = self
+            .runs
+            .iter()
+            .chain(&self.scan.current)
+            .map(|run| (partition.component_of[run.component as usize], run.visit()));
+        qualify_places(&self.graph, &partition, runs, &self.config)
     }
 
-    /// The current place view — bit-identical to
-    /// [`discover_places`] over everything absorbed so far. Cost is
-    /// proportional to the graph and run counts, not to history length.
+    /// The current view with the movement graph: the same places as
+    /// [`discovered_places`](Self::discovered_places), plus a clone of the
+    /// graph.
     pub fn places(&self) -> GcaOutput {
-        let components = self.graph.components(self.config.min_bounce_weight);
-        let mut index_of_rep: HashMap<Symbol, usize> = HashMap::with_capacity(components.len());
-        for (idx, comp) in components.iter().enumerate() {
-            let first = *comp.first().expect("components are non-empty");
-            index_of_rep.insert(self.graph.symbol_of(first).expect("interned"), idx);
-        }
-        let mut visits_by_component: BTreeMap<usize, Vec<DiscoveredVisit>> = BTreeMap::new();
-        for run in self.runs.iter().chain(self.scan.current.as_ref()) {
-            let idx = index_of_rep[&run.component];
-            visits_by_component
-                .entry(idx)
-                .or_default()
-                .push(DiscoveredVisit {
-                    arrival: run.start,
-                    departure: run.end,
-                });
-        }
-        let places = qualify_places(&self.graph, &components, visits_by_component, &self.config);
         GcaOutput {
-            places,
+            places: self.discovered_places(),
             graph: self.graph.clone(),
         }
     }
@@ -751,9 +820,10 @@ impl IncrementalGca {
     /// Consumes the engine and returns the final output (same view as
     /// [`places`](Self::places), without cloning the graph).
     pub fn finish(self) -> GcaOutput {
-        let mut out = self.places();
-        out.graph = self.graph;
-        out
+        GcaOutput {
+            places: self.discovered_places(),
+            graph: self.graph,
+        }
     }
 }
 
@@ -763,7 +833,7 @@ impl IncrementalGca {
 /// track user's visit in those places").
 #[derive(Debug, Clone)]
 pub struct CellPlaceTracker {
-    cell_to_place: HashMap<CellGlobalId, DiscoveredPlaceId>,
+    cell_to_place: FxHashMap<CellGlobalId, DiscoveredPlaceId>,
     confirm_in: u32,
     confirm_out: u32,
     state: TrackerState,
@@ -823,7 +893,7 @@ impl CellPlaceTracker {
             confirm_in > 0 && confirm_out > 0,
             "confirmation counts must be positive"
         );
-        let mut cell_to_place = HashMap::new();
+        let mut cell_to_place = FxHashMap::default();
         for place in places {
             if let PlaceSignature::Cells(cells) = &place.signature {
                 for cell in cells {

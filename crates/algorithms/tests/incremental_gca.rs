@@ -1,9 +1,14 @@
 //! Equivalence of [`IncrementalGca`] with batch [`gca::discover_places`]:
 //! absorbing a stream in arbitrary chunks must yield a **bit-identical**
 //! `GcaOutput` (places, signatures, visit timestamps, movement graph) to
-//! a single batch pass over the concatenation.
+//! a single batch pass over the concatenation. Recording a stream and
+//! catching up later must give the same. Both engines share
+//! `MovementGraph::components`, so its order is pinned separately,
+//! against a cell-keyed reference kept in this file.
 
-use pmware_algorithms::gca::{self, GcaConfig, IncrementalGca};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+use pmware_algorithms::gca::{self, GcaConfig, IncrementalGca, MovementGraph};
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
 use proptest::prelude::*;
@@ -248,4 +253,159 @@ fn out_of_order_absorb_panics_in_debug() {
     let mut engine = IncrementalGca::new(GcaConfig::default());
     engine.absorb(&[obs(10, 1)]);
     engine.absorb(&[obs(5, 1)]);
+}
+
+/// The cell-keyed union-find `MovementGraph::components` once was, kept as
+/// an independent reference: union every qualifying edge in ascending
+/// cell-pair order, hanging the smaller cell's root under the larger
+/// cell's, then group the cells by root, groups in root-cell order. The
+/// component order decides place IDs, so the graph must reproduce it.
+fn reference_components(graph: &MovementGraph, min_weight: u32) -> Vec<BTreeSet<CellGlobalId>> {
+    fn find(parent: &mut HashMap<CellGlobalId, CellGlobalId>, x: CellGlobalId) -> CellGlobalId {
+        let mut root = x;
+        while parent[&root] != root {
+            root = parent[&root];
+        }
+        let mut cur = x;
+        while parent[&cur] != root {
+            let next = parent[&cur];
+            parent.insert(cur, root);
+            cur = next;
+        }
+        root
+    }
+
+    let mut cells: Vec<CellGlobalId> = graph.cells().collect();
+    cells.sort_unstable();
+    let mut parent: HashMap<CellGlobalId, CellGlobalId> = cells.iter().map(|c| (*c, *c)).collect();
+    for (i, &a) in cells.iter().enumerate() {
+        for &b in &cells[i + 1..] {
+            let w = graph.edge_weight(a, b);
+            if w > 0 && w >= min_weight {
+                let ra = find(&mut parent, a);
+                let rb = find(&mut parent, b);
+                if ra != rb {
+                    parent.insert(ra, rb);
+                }
+            }
+        }
+    }
+    let mut groups: BTreeMap<CellGlobalId, BTreeSet<CellGlobalId>> = BTreeMap::new();
+    for &cell in &cells {
+        let root = find(&mut parent, cell);
+        groups.entry(root).or_default().insert(cell);
+    }
+    groups.into_values().collect()
+}
+
+/// A random walk over a random alphabet of cells that differ in every
+/// field of the identity, so the cells' first-seen order (their symbol
+/// order) is unrelated to their cell order.
+fn random_graph_stream() -> impl Strategy<Value = Vec<GsmObservation>> {
+    let cell = (0u16..3, 0u16..3, 0u32..60).prop_map(|(mnc, lac, id)| CellGlobalId {
+        plmn: Plmn { mcc: 404, mnc },
+        lac: Lac(lac),
+        cell: CellId(id),
+    });
+    (
+        prop::collection::vec(cell, 2..16),
+        prop::collection::vec(0usize..16, 10..400),
+    )
+        .prop_map(|(alphabet, walk)| {
+            walk.into_iter()
+                .enumerate()
+                .map(|(m, i)| GsmObservation {
+                    time: SimTime::from_seconds(m as u64 * 60),
+                    cell: alphabet[i % alphabet.len()],
+                    layer: NetworkLayer::G2,
+                    rssi_dbm: -70.0,
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn components_match_the_cell_keyed_reference(
+        stream in random_graph_stream(),
+        min_weight in 0u32..5,
+    ) {
+        let graph = MovementGraph::build(&stream, &GcaConfig::default());
+        prop_assert_eq!(
+            graph.components(min_weight),
+            reference_components(&graph, min_weight)
+        );
+    }
+
+    #[test]
+    fn recording_then_catching_up_equals_eager_absorb(
+        stream in random_graph_stream(),
+        cuts in prop::collection::vec((0usize..400, 0u8..2), 0..8),
+    ) {
+        // Record the stream in the chunks the cuts give, catching up only
+        // where the coin says so; the final catch-up must land on the same
+        // engine state as absorbing every sample as it came.
+        let config = GcaConfig::default();
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        let mut lazy = IncrementalGca::new(config.clone());
+        let mut fed = 0;
+        for (cut, coin) in cuts {
+            let cut = cut.min(stream.len());
+            lazy.record(&stream[fed..cut]);
+            fed = cut;
+            if coin == 1 {
+                lazy.catch_up();
+                prop_assert_eq!(lazy.places(), gca::discover_places(&stream[..fed], &config));
+            }
+        }
+        lazy.record(&stream[fed..]);
+        prop_assert_eq!(lazy.observation_count(), stream.len());
+        lazy.catch_up();
+
+        let mut eager = IncrementalGca::new(config.clone());
+        for o in &stream {
+            eager.absorb(std::slice::from_ref(o));
+        }
+        let batch = gca::discover_places(&stream, &config);
+        prop_assert_eq!(lazy.discovered_places(), eager.discovered_places());
+        prop_assert_eq!(lazy.finish(), batch.clone());
+        prop_assert_eq!(eager.finish(), batch);
+    }
+}
+
+#[test]
+fn recorded_observations_wait_for_the_catch_up() {
+    let stream: Vec<GsmObservation> = (0..40)
+        .map(|m| obs(m, if m % 3 == 1 { 2 } else { 1 }))
+        .collect();
+    let config = GcaConfig::default();
+    let mut engine = IncrementalGca::new(config.clone());
+    engine.record(&stream);
+    // The log holds everything; the graph and the places only what was
+    // absorbed, which is nothing yet.
+    assert_eq!(engine.observations(), &stream[..]);
+    assert_eq!(engine.last_time(), stream.last().map(|o| o.time));
+    assert_eq!(engine.places(), gca::discover_places(&[], &config));
+    engine.catch_up();
+    assert_eq!(engine.places(), gca::discover_places(&stream, &config));
+    assert_eq!(engine.discovered_places().len(), 1);
+}
+
+#[test]
+fn merge_reaching_back_to_a_run_opened_at_the_first_sighting() {
+    // A run in {1,2}; three foreign travel cells; then cell 3 is first
+    // seen and, as the fourth foreign sample, closes the {1,2} run and
+    // opens its own. After the split, 1↔3 bounces merge cell 3 into
+    // {1,2}: rescanned, cell 3 now extends the first run, so the scan
+    // must restart before cell 3's first sighting, not at it.
+    let mut stream: Vec<GsmObservation> = (0..12)
+        .map(|m| obs(m, if m % 2 == 0 { 1 } else { 2 }))
+        .collect();
+    stream.extend([obs(12, 10), obs(13, 11), obs(14, 12)]);
+    stream.extend((15..19).map(|m| obs(m, 3)));
+    stream.extend((19..30).map(|m| obs(m, if m % 2 == 1 { 1 } else { 3 })));
+    assert_equivalent_at_splits(&stream, &[19], &GcaConfig::default());
 }

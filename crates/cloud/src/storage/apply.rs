@@ -99,7 +99,7 @@ pub(crate) fn apply_discover(
                 store.absorbed_upto = start + len;
                 let engine = store.gca.as_mut().expect("engine ensured above");
                 engine.absorb(&observations[skip..]);
-                store.places = engine.places().places;
+                store.places = engine.discovered_places();
             }
         }
         None => {
@@ -118,7 +118,7 @@ pub(crate) fn apply_discover(
             store.absorbed_upto += observations.len() as u64;
             let engine = store.gca.as_mut().expect("engine ensured above");
             engine.absorb(observations);
-            store.places = engine.places().places;
+            store.places = engine.discovered_places();
         }
     }
     Ok(DiscoverOutcome { replayed })

@@ -45,7 +45,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -207,6 +207,9 @@ pub(crate) struct EngineInner {
     compact_day: AtomicU64,
     /// Monotonic hydration-span sequence (trace-id input).
     hydration_seq: AtomicU64,
+    /// Stores in the shards of the plain in-RAM map (no config), kept
+    /// alongside them so counting residents takes no shard locks.
+    in_ram: AtomicUsize,
     metrics: StorageMetrics,
 }
 
@@ -276,6 +279,7 @@ impl StorageEngine {
                 replaying: AtomicBool::new(false),
                 compact_day: AtomicU64::new(0),
                 hydration_seq: AtomicU64::new(0),
+                in_ram: AtomicUsize::new(0),
                 metrics,
                 config,
             }),
@@ -471,7 +475,10 @@ impl StorageEngine {
             .users
             .write()
             .entry(user)
-            .or_insert_with(|| Arc::new(Mutex::new(UserStore::default())))
+            .or_insert_with(|| {
+                self.inner.in_ram.fetch_add(1, Ordering::Relaxed);
+                Arc::new(Mutex::new(UserStore::default()))
+            })
             .clone()
     }
 
@@ -666,6 +673,9 @@ impl StorageEngine {
     pub(crate) fn rebind_recovered(&self, user: UserId, key: &str) {
         self.bind_key(user, key);
         let removed = self.shard(user).users.write().remove(&user).is_some();
+        if removed && !self.is_enabled() {
+            self.inner.in_ram.fetch_sub(1, Ordering::Relaxed);
+        }
         let mut res = self.inner.residency.lock();
         if res.contains(user) {
             res.remove(user);
@@ -682,7 +692,7 @@ impl StorageEngine {
         if self.is_enabled() {
             self.inner.residency.lock().len()
         } else {
-            self.inner.shards.iter().map(|s| s.users.read().len()).sum()
+            self.inner.in_ram.load(Ordering::Relaxed)
         }
     }
 

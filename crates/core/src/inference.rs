@@ -4,15 +4,17 @@
 //! interfaces and inferring high level location attributes (i.e. places,
 //! routes) from the data."*
 //!
-//! The engine buffers every raw observation for offload, feeds each GSM
-//! sample into a persistent [`IncrementalGca`] (so the local fallback is
-//! O(new data), not O(history); its log doubles as the offload buffer),
-//! runs the online SensLoc detector over WiFi scans, and — once place
-//! signatures exist — tracks arrivals and departures with the debounced
-//! [`CellPlaceTracker`].
+//! The engine buffers every raw observation for offload, records each GSM
+//! sample into a persistent [`IncrementalGca`] (its log doubles as the
+//! offload buffer), runs the online SensLoc detector over WiFi scans, and
+//! — once place signatures exist — tracks arrivals and departures with the
+//! debounced [`CellPlaceTracker`]. Discovery normally runs on the cloud,
+//! so a sample is only recorded, not absorbed: the local fallback catches
+//! the engine up when it runs, over just the samples recorded since the
+//! last fallback.
 
 use pmware_algorithms::gca::{
-    CellPlaceTracker, GcaConfig, GcaOutput, IncrementalGca, PlaceEvent, TrackerSnapshot,
+    CellPlaceTracker, GcaConfig, IncrementalGca, PlaceEvent, TrackerSnapshot,
 };
 use pmware_algorithms::sensloc::{SensLocConfig, SensLocDetector, WifiPlaceEvent};
 use pmware_algorithms::signature::DiscoveredPlace;
@@ -71,7 +73,7 @@ impl InferenceEngine {
     /// Feeds one GSM observation; returns confirmed place events (empty
     /// until signatures have been discovered and the tracker rebuilt).
     pub fn on_gsm(&mut self, obs: GsmObservation) -> Vec<PlaceEvent> {
-        self.gca.absorb(std::slice::from_ref(&obs));
+        self.gca.record(std::slice::from_ref(&obs));
         match &mut self.tracker {
             Some(tracker) => tracker.update(&obs),
             None => Vec::new(),
@@ -105,11 +107,13 @@ impl InferenceEngine {
     }
 
     /// Local GCA fallback (§2.3.1 notes discovery is normally offloaded;
-    /// this runs when the cloud is unreachable). The view comes from the
-    /// persistent incremental engine, so the cost is proportional to the
-    /// place/run counts — not to the length of the buffered log.
-    pub fn local_discover(&self) -> GcaOutput {
-        self.gca.places()
+    /// this runs when the cloud is unreachable). It absorbs the samples
+    /// recorded since the last fallback into the persistent incremental
+    /// engine, then reads its place view: the cost is proportional to the
+    /// new samples and the place/run counts, not to the whole buffered log.
+    pub fn local_discover(&mut self) -> Vec<DiscoveredPlace> {
+        self.gca.catch_up();
+        self.gca.discovered_places()
     }
 
     /// Rebuilds the online tracker over freshly discovered signatures.
@@ -128,8 +132,8 @@ impl InferenceEngine {
 
     /// Captures the engine's durable state for a device checkpoint. The
     /// incremental GCA engine is deliberately *not* serialized: its state
-    /// is a pure function of the absorbed log, so restore replays the log
-    /// instead of shipping the (much larger, map-keyed) graph.
+    /// is a pure function of the recorded log, so restore records the log
+    /// again instead of shipping the (much larger, map-keyed) graph.
     pub fn snapshot(&self) -> InferenceSnapshot {
         InferenceSnapshot {
             gsm_log: self.gsm_log().to_vec(),
@@ -149,7 +153,7 @@ impl InferenceEngine {
         known: &[DiscoveredPlace],
     ) -> Self {
         let mut gca = IncrementalGca::new(config.gca.clone());
-        gca.absorb(&snapshot.gsm_log);
+        gca.record(&snapshot.gsm_log);
         let tracker = snapshot.tracker.map(|state| {
             CellPlaceTracker::from_snapshot(known, config.confirm_in, config.confirm_out, state)
         });
@@ -213,9 +217,9 @@ mod tests {
         for m in 0..40 {
             let _ = engine.on_gsm(obs(m, if m % 3 == 1 { cell(2) } else { cell(1) }));
         }
-        let out = engine.local_discover();
-        assert_eq!(out.places.len(), 1);
-        engine.rebuild_tracker(&out.places);
+        let places = engine.local_discover();
+        assert_eq!(places.len(), 1);
+        engine.rebuild_tracker(&places);
         // Continue the stay: the tracker confirms an arrival.
         let mut arrivals = 0;
         for m in 40..45 {

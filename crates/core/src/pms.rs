@@ -902,9 +902,9 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
                 self.metrics.obs.event(t, "pms.gca_local_fallback", &[]);
                 // The engine's incremental view covers the *entire*
                 // local history, so the fallback is just as
-                // authoritative as a cloud reply — and O(places), not
-                // O(log).
-                self.engine.local_discover().places
+                // authoritative as a cloud reply — and it costs only the
+                // samples since the last fallback, not the whole log.
+                self.engine.local_discover()
             }
         };
         let recon = self.registry.reconcile_with_mode(

@@ -7,6 +7,13 @@
 //! `u32` symbol so those structures can use `Vec` indexing and cheap integer
 //! hashing instead of map lookups on composite keys.
 //!
+//! The interner's own index, and every cell- or symbol-keyed map on the
+//! per-sample path, hash with [`FxHasher`]: a fixed-key multiply-rotate
+//! hash that costs one multiply per word, where std's default SipHash
+//! runs several rounds per key. Std's default hasher is already seeded at
+//! random per process, so no output may depend on map iteration order
+//! either way; a fixed key changes speed, not results.
+//!
 //! # Determinism rules
 //!
 //! * Symbols are assigned in **first-seen order** and never reused: the
@@ -21,11 +28,76 @@
 //! [`CellGlobalId`]: crate::ids::CellGlobalId
 //! [`Bssid`]: crate::ids::Bssid
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A dense symbol handed out by an [`Interner`].
 pub type Symbol = u32;
+
+/// The Fx hash: for each word, rotate the state, xor the word in and
+/// multiply by a fixed odd constant. It is not DoS-resistant: a crafted
+/// key set can make one map slow. Every map that uses it holds one
+/// user's (or one phone's) identifiers, so a hostile client can slow only
+/// its own engine.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Builds [`FxHasher`]s; every one starts from the same fixed state.
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// A `HashMap` keyed with [`FxHasher`].
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// An append-only table mapping values to dense [`Symbol`]s.
 ///
@@ -34,14 +106,14 @@ pub type Symbol = u32;
 #[derive(Debug, Clone)]
 pub struct Interner<T> {
     table: Vec<T>,
-    index: HashMap<T, Symbol>,
+    index: FxHashMap<T, Symbol>,
 }
 
 impl<T> Default for Interner<T> {
     fn default() -> Self {
         Interner {
             table: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
         }
     }
 }
@@ -49,10 +121,7 @@ impl<T> Default for Interner<T> {
 impl<T: Clone + Eq + Hash> Interner<T> {
     /// An empty interner.
     pub fn new() -> Self {
-        Interner {
-            table: Vec::new(),
-            index: HashMap::new(),
-        }
+        Interner::default()
     }
 
     /// Returns the symbol for `value`, assigning the next dense symbol if
@@ -142,5 +211,17 @@ mod tests {
         c.intern(&2u32);
         c.intern(&1u32);
         assert_ne!(a, c, "same values, different order");
+    }
+
+    #[test]
+    fn fx_hash_has_a_fixed_key() {
+        let hash = |v: u32| {
+            let mut h = FxHasher::default();
+            v.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(7), hash(7), "no per-hasher seed");
+        let distinct: std::collections::BTreeSet<u64> = (0..1000).map(hash).collect();
+        assert_eq!(distinct.len(), 1000, "dense keys stay apart");
     }
 }
