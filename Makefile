@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-check bench-gca bench-smoke bench-wire bench-federation bench-latency bench-storage lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -14,9 +14,11 @@
 # keeps real time out of simulation code, and the latency soak with its
 # built-in shed/convergence gates, and the storage gate (durable
 # crash-recovery goldens, the residency lint, and the RSS/hydration/
-# recovery soak with its built-in capped-below-uncapped assertion), and
-# the benchmark check (perfbench still builds and its smoke test passes).
-verify: build test clippy fmt lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-check
+# recovery soak with its built-in capped-below-uncapped assertion), the
+# golden-bench gate (the sim-time BENCH_*.json reports regenerate
+# byte-identical), and the benchmark check (perfbench still builds and
+# its smoke test passes).
+verify: build test clippy fmt lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -120,13 +122,11 @@ loc:
 
 # The wall-clock lint: the request latency model (DESIGN.md §5j) is
 # sim-time only, so no simulation code may read a real clock. The only
-# sanctioned wall-clock readers are the feature-gated profiler
-# (crates/obs/src/profiling.rs, `wallclock` feature) and the
-# throughput/overhead bench binaries in crates/bench/src/bin, which
-# measure wall time on purpose.
+# sanctioned wall-clock readers are the throughput/overhead bench
+# binaries in crates/bench/src/bin, which measure wall time on purpose.
 lint-latency:
 	@! grep -rn 'std::time::\(Instant\|SystemTime\)' crates \
-		--include='*.rs' --exclude-dir=bin --exclude=profiling.rs \
+		--include='*.rs' --exclude-dir=bin \
 		|| { echo 'lint-latency: wall-clock time crept into simulation code'; exit 1; }
 	@echo 'lint-latency: ok'
 
@@ -138,6 +138,23 @@ lint-latency:
 # --shed-depth.
 bench-latency:
 	cargo run --release -p pmware-bench --bin latency_soak
+
+# Admission-control study: a throttled cohort with and without the
+# server's retry-after hint against the unthrottled baseline; writes
+# BENCH_admission.json in the repo root. Flags: --participants, --days,
+# --seed, --burst, --refill-s.
+bench-admission:
+	cargo run --release -p pmware-bench --bin rate_limit_study
+
+# The golden-bench gate: the chaos, federation, latency and admission
+# reports are pure sim-time outputs, so regenerating them must leave the
+# checked-in files byte-identical. A drift fails here instead of
+# dirtying the tree.
+bench-golden:
+	cargo run --release -p pmware-bench --bin chaos_soak
+	$(MAKE) bench-federation bench-latency bench-admission
+	git diff --exit-code -- BENCH_chaos.json BENCH_federation.json \
+		BENCH_latency.json BENCH_admission.json
 
 # The federation gate: the failover & migration matrix (every arm of
 # N instances x balancing policy x kill instant, plain and under 30 %

@@ -6,9 +6,9 @@
 //! service-time model and a **shared** FIFO queue:
 //!
 //! * **load ladder** — user counts doubling up to `--max-users`, every
-//!   user firing `--reqs` requests at the same simulated instant; each
-//!   rung reports p50/p99/p999 from the merged
-//!   `cloud_request_latency_us` histograms;
+//!   user firing `--reqs` place queries at the same simulated instant;
+//!   each rung reports p50/p99/p999 from the `places_list` endpoint's
+//!   `cloud_request_latency_us` histogram;
 //! * **SLO search** — the largest rung whose p99 still meets
 //!   `--slo-p99-ms` (the ladder *is* the search, so the two always
 //!   agree);
@@ -43,12 +43,26 @@ struct Rung {
     attained: bool,
 }
 
-/// One ladder rung: `users` devices registered up front (model off, so
-/// registration never pollutes the histogram), then `reqs` place queries
-/// per user all arriving at the same simulated second.
+/// The calibrated profile on one shared FIFO that sheds at `shed_depth`
+/// (0 never sheds).
+fn shared_queue(seed: u64, shed_depth: u64) -> LatencyProfile {
+    LatencyProfile::calibrated(seed).with_queue(QueueConfig {
+        mode: QueueMode::Shared,
+        shed_depth,
+    })
+}
+
+/// One ladder rung: `users` devices registered up front, then `reqs`
+/// place queries per user all arriving at the same simulated second.
+/// Registrations carry no token, so they never enter the queue, and the
+/// rung reads only the probed endpoint's histogram.
 fn run_rung(seed: u64, users: u64, reqs: u64, slo_us: u64) -> Rung {
     let obs = Obs::new();
-    let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::new(), seed).with_obs(&obs));
+    let cloud = SharedCloud::new(
+        CloudInstance::new(CellDatabase::new(), seed)
+            .with_obs(&obs)
+            .with_latency(shared_queue(seed, 0)),
+    );
     let t0 = SimTime::EPOCH;
     let tokens: Vec<String> = (0..users)
         .map(|i| {
@@ -67,12 +81,6 @@ fn run_rung(seed: u64, users: u64, reqs: u64, slo_us: u64) -> Rung {
                 .to_owned()
         })
         .collect();
-    cloud.set_latency(Some(LatencyProfile::calibrated(seed).with_queue(
-        QueueConfig {
-            mode: QueueMode::Shared,
-            shed_depth: 0,
-        },
-    )));
     let burst = t0 + SimDuration::from_seconds(60);
     for _ in 0..reqs {
         for token in &tokens {
@@ -85,8 +93,8 @@ fn run_rung(seed: u64, users: u64, reqs: u64, slo_us: u64) -> Rung {
         .metrics()
         .expect("metrics enabled")
         .snapshot()
-        .merged_histogram("cloud_request_latency_us{")
-        .expect("latency histograms registered")
+        .merged_histogram("cloud_request_latency_us{class=\"query\",endpoint=\"places_list\"}")
+        .expect("latency histogram registered")
         .slo_report(slo_us);
     assert_eq!(report.count, users * reqs, "histogram missed observations");
     Rung {
@@ -108,9 +116,14 @@ struct FlashArm {
 
 /// The flash crowd: every client syncs one contact batch at the same
 /// instant through the real retry loop (shed 429s honor the server's
-/// drain hint). `latency: None` is the unshedded baseline arm.
+/// drain hint). `latency: None` is the unshedded baseline arm. Public
+/// registrations are never queued or shed.
 fn run_flash(seed: u64, users: u64, latency: Option<LatencyProfile>) -> FlashArm {
-    let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::new(), seed));
+    let mut instance = CloudInstance::new(CellDatabase::new(), seed);
+    if let Some(latency) = latency {
+        instance = instance.with_latency(latency);
+    }
+    let cloud = SharedCloud::new(instance);
     let t0 = SimTime::EPOCH;
     let mut clients: Vec<CloudClient> = (0..users)
         .map(|i| {
@@ -123,7 +136,6 @@ fn run_flash(seed: u64, users: u64, latency: Option<LatencyProfile>) -> FlashArm
             .expect("flash registration")
         })
         .collect();
-    cloud.set_latency(latency);
     let crowd = t0 + SimDuration::from_minutes(5);
     for (i, client) in clients.iter_mut().enumerate() {
         let contact = ContactEntry {
@@ -191,14 +203,7 @@ fn main() {
         .unwrap_or(0);
     println!("\nmax users per instance at p99 ≤ {slo_p99_ms} ms: {max_users_at_slo}");
 
-    let shedded = run_flash(
-        seed,
-        flash_users,
-        Some(LatencyProfile::calibrated(seed).with_queue(QueueConfig {
-            mode: QueueMode::Shared,
-            shed_depth,
-        })),
-    );
+    let shedded = run_flash(seed, flash_users, Some(shared_queue(seed, shed_depth)));
     let baseline = run_flash(seed, flash_users, None);
     let converged = shedded.state == baseline.state;
     // Offered = first attempts + retries; the shed rate is sheds over that.

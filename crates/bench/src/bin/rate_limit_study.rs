@@ -79,11 +79,11 @@ fn run_scenario(
     admission: Option<AdmissionConfig>,
     honor_retry_after: bool,
 ) -> ScenarioResult {
-    let cloud = SharedCloud::new(CloudInstance::new(
-        CellDatabase::from_world(world),
-        seed + 1,
-    ));
-    cloud.set_admission(admission);
+    let mut instance = CloudInstance::new(CellDatabase::from_world(world), seed + 1);
+    if let Some(admission) = admission {
+        instance = instance.with_admission(admission);
+    }
+    let cloud = SharedCloud::new(instance);
     let end = SimTime::from_day_time(days, 0, 0, 0);
 
     let mut wire_requests = 0;

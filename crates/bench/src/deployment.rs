@@ -207,9 +207,13 @@ pub fn run_study(config: &StudyConfig) -> StudyResults {
     if let Some(storage) = &config.storage {
         instance = instance.with_storage(storage.clone());
     }
+    if let Some(admission) = &config.admission {
+        instance = instance.with_admission(admission.clone());
+    }
+    if let Some(latency) = &config.latency {
+        instance = instance.with_latency(latency.clone());
+    }
     let cloud = SharedCloud::new(instance);
-    cloud.set_admission(config.admission.clone());
-    cloud.set_latency(config.latency.clone());
     let population = Population::generate(&world, config.participants, config.seed + 2);
 
     // Everything a participant needs is derived from per-participant seeds

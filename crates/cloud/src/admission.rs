@@ -24,11 +24,11 @@
 //! Buckets are integer-arithmetic only (a token every `refill` interval,
 //! capacity `burst`), and each bucket's refill phase is staggered by a
 //! seeded hash of the user and class so whole cohorts do not refill — and
-//! then stampede — in lockstep. Disabled (the default) the controller is
-//! one relaxed atomic load per request.
+//! then stampede — in lockstep. Admission control is fixed when the
+//! instance is built (`CloudInstance::with_admission`); an instance built
+//! without it has no controller and admits every request.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 use pmware_world::{SimDuration, SimTime};
@@ -43,12 +43,22 @@ pub const STATUS_RATE_LIMITED: u16 = 429;
 
 /// Budget of one rate class: a bucket holds at most `burst` tokens and
 /// gains one every `refill`.
+///
+/// The fields are private, so [`RateBudget::new`]'s checks cannot be
+/// bypassed — a zero refill would panic the first admitted request:
+///
+/// ```compile_fail
+/// use pmware_cloud::RateBudget;
+/// use pmware_world::SimDuration;
+///
+/// let _ = RateBudget { burst: 1, refill: SimDuration::from_seconds(0) };
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateBudget {
-    /// Maximum tokens a bucket can hold (burst capacity).
-    pub burst: u32,
-    /// Interval per regained token.
-    pub refill: SimDuration,
+    /// Maximum tokens a bucket can hold (burst capacity); at least 1.
+    burst: u32,
+    /// Interval per regained token; at least one second.
+    refill: SimDuration,
 }
 
 impl RateBudget {
@@ -141,9 +151,8 @@ struct Bucket {
 
 /// The admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Request may proceed (or the controller is disabled / the class is
-    /// unlimited).
+pub(crate) enum Admission {
+    /// Request may proceed (or its class is unlimited).
     Admit,
     /// Request is shed; a token becomes available in `retry_after`.
     Deny {
@@ -152,30 +161,12 @@ pub enum Admission {
     },
 }
 
+/// Deterministic admission controller: an [`AdmissionConfig`] plus the
+/// token buckets, all of which start full.
 #[derive(Debug)]
-struct AdmissionState {
+pub(crate) struct AdmissionControl {
     config: AdmissionConfig,
-    buckets: HashMap<(UserId, RateClass), Bucket>,
-}
-
-/// Deterministic admission controller. Disabled by default; enabling it
-/// installs an [`AdmissionConfig`] and resets all buckets.
-#[derive(Debug)]
-pub struct AdmissionControl {
-    enabled: AtomicBool,
-    state: Mutex<AdmissionState>,
-}
-
-impl Default for AdmissionControl {
-    fn default() -> Self {
-        AdmissionControl {
-            enabled: AtomicBool::new(false),
-            state: Mutex::new(AdmissionState {
-                config: AdmissionConfig::unlimited(0),
-                buckets: HashMap::new(),
-            }),
-        }
-    }
+    buckets: Mutex<HashMap<(UserId, RateClass), Bucket>>,
 }
 
 /// FNV-flavored stagger hash: the initial refill phase of a bucket,
@@ -190,38 +181,24 @@ fn phase(seed: u64, user: UserId, class: RateClass) -> u64 {
 }
 
 impl AdmissionControl {
-    /// Installs `config` and enables admission control. All buckets start
-    /// full (a client's first burst is never shed).
-    pub fn enable(&self, config: AdmissionConfig) {
-        let mut state = self.state.lock();
-        state.buckets.clear();
-        state.config = config;
-        self.enabled.store(true, Ordering::SeqCst);
-    }
-
-    /// Disables admission control (buckets are dropped).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::SeqCst);
-        self.state.lock().buckets.clear();
-    }
-
-    /// Whether the controller is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
+    /// A controller running `config`. All buckets start full (a
+    /// client's first burst is never shed).
+    pub(crate) fn new(config: AdmissionConfig) -> AdmissionControl {
+        AdmissionControl {
+            config,
+            buckets: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Decides one request for `user` in `class` at simulated instant
     /// `now`, consuming a token when admitted.
-    pub fn admit(&self, user: UserId, class: RateClass, now: SimTime) -> Admission {
-        if !self.is_enabled() {
-            return Admission::Admit;
-        }
-        let mut state = self.state.lock();
-        let Some(budget) = state.config.budget(class) else {
+    pub(crate) fn admit(&self, user: UserId, class: RateClass, now: SimTime) -> Admission {
+        let Some(budget) = self.config.budget(class) else {
             return Admission::Admit;
         };
-        let seed = state.config.seed;
-        let bucket = state.buckets.entry((user, class)).or_insert_with(|| {
+        let seed = self.config.seed;
+        let mut buckets = self.buckets.lock();
+        let bucket = buckets.entry((user, class)).or_insert_with(|| {
             // Full bucket; the first refill after the burst drains is
             // staggered by the seeded phase so cohorts don't sync up.
             let stagger = phase(seed, user, class) % budget.refill.as_seconds();
@@ -284,20 +261,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_admits_everything() {
-        let ac = AdmissionControl::default();
-        for i in 0..100 {
-            assert_eq!(
-                ac.admit(UserId(0), RateClass::Ingest, SimTime::from_seconds(i)),
-                Admission::Admit
-            );
-        }
-    }
-
-    #[test]
     fn burst_then_deny_then_refill() {
-        let ac = AdmissionControl::default();
-        ac.enable(AdmissionConfig::uniform(7, budget(2, 60)));
+        let ac = AdmissionControl::new(AdmissionConfig::uniform(7, budget(2, 60)));
         let t0 = SimTime::from_seconds(0);
         assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t0), Admission::Admit);
         assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t0), Admission::Admit);
@@ -322,8 +287,9 @@ mod tests {
 
     #[test]
     fn unlimited_class_is_never_denied() {
-        let ac = AdmissionControl::default();
-        ac.enable(AdmissionConfig::unlimited(1).with_class(RateClass::Ingest, budget(1, 60)));
+        let ac = AdmissionControl::new(
+            AdmissionConfig::unlimited(1).with_class(RateClass::Ingest, budget(1, 60)),
+        );
         let t = SimTime::EPOCH;
         for _ in 0..10 {
             assert_eq!(ac.admit(UserId(0), RateClass::Query, t), Admission::Admit);
@@ -337,8 +303,7 @@ mod tests {
 
     #[test]
     fn users_and_classes_have_independent_buckets() {
-        let ac = AdmissionControl::default();
-        ac.enable(AdmissionConfig::uniform(3, budget(1, 60)));
+        let ac = AdmissionControl::new(AdmissionConfig::uniform(3, budget(1, 60)));
         let t = SimTime::EPOCH;
         assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t), Admission::Admit);
         assert!(matches!(
@@ -353,8 +318,7 @@ mod tests {
     #[test]
     fn same_seed_same_decisions() {
         let run = |seed: u64| -> Vec<bool> {
-            let ac = AdmissionControl::default();
-            ac.enable(AdmissionConfig::uniform(seed, budget(2, 45)));
+            let ac = AdmissionControl::new(AdmissionConfig::uniform(seed, budget(2, 45)));
             (0..60)
                 .map(|i| {
                     let t = SimTime::from_seconds(i * 10);
@@ -367,8 +331,7 @@ mod tests {
 
     #[test]
     fn non_monotonic_time_earns_no_credit() {
-        let ac = AdmissionControl::default();
-        ac.enable(AdmissionConfig::uniform(2, budget(1, 60)));
+        let ac = AdmissionControl::new(AdmissionConfig::uniform(2, budget(1, 60)));
         let t = SimTime::from_seconds(1_000);
         assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t), Admission::Admit);
         // An earlier instant (a stale retry clock) must not mint tokens
@@ -387,8 +350,7 @@ mod tests {
     /// hint of at least one second.
     #[test]
     fn hints_are_never_zero_under_any_schedule() {
-        let ac = AdmissionControl::default();
-        ac.enable(AdmissionConfig::uniform(11, budget(3, 17)));
+        let ac = AdmissionControl::new(AdmissionConfig::uniform(11, budget(3, 17)));
         let mut denies = 0;
         for i in 0..500u64 {
             // Every fifth step replays a stale clock 40 steps behind.
@@ -402,25 +364,5 @@ mod tests {
             }
         }
         assert!(denies > 0, "schedule never outpaced the budget");
-    }
-
-    #[test]
-    fn disable_resets_buckets() {
-        let ac = AdmissionControl::default();
-        ac.enable(AdmissionConfig::uniform(1, budget(1, 60)));
-        let t = SimTime::EPOCH;
-        assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t), Admission::Admit);
-        assert!(matches!(
-            ac.admit(UserId(0), RateClass::Ingest, t),
-            Admission::Deny { .. }
-        ));
-        ac.disable();
-        assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t), Admission::Admit);
-        ac.enable(AdmissionConfig::uniform(1, budget(1, 60)));
-        assert_eq!(
-            ac.admit(UserId(0), RateClass::Ingest, t),
-            Admission::Admit,
-            "fresh bucket"
-        );
     }
 }

@@ -6,7 +6,7 @@
 //! short-circuits to 503 before this handler runs — a dead instance
 //! fails its heartbeat exactly the way it fails client traffic. The body
 //! additionally carries the instance's load view (queue depth and p99
-//! latency from the latency model — both 0 while the model is disabled),
+//! latency from the latency model — both 0 on an instance without one),
 //! which load-aware placement policies read off the same probe, plus the
 //! storage engine's resident-store count for capacity monitoring.
 
@@ -18,7 +18,7 @@ use super::Ctx;
 /// `GET /api/v1/health` — answers `{"p99_us": .., "queue_depth": ..,
 /// "resident_users": .., "status": "ok"}`.
 pub(crate) fn status(ctx: &Ctx<'_>, _request: &Request) -> Response {
-    let (queue_depth, p99_us) = ctx.core.latency.health_stats(ctx.now);
+    let (queue_depth, p99_us) = ctx.core.health_stats(ctx.now);
     Response::ok(Payload::Health {
         queue_depth,
         p99_us,

@@ -10,15 +10,16 @@
 //! [`CloudInstance`] contains no endpoint logic. It is:
 //!
 //! * **state** — a [`CloudCore`] (token store, user shards, cell
-//!   database, GCA config, admission controller, metrics). The GCA
-//!   config and the storage engine are fixed at construction;
+//!   database, GCA config, admission controller, latency model, metrics).
+//!   All of it except the outage flag and the relocation marks is fixed
+//!   at construction, like a deployed service's configuration;
 //! * **the request path** — [`CloudInstance::handle`] resolves the route
 //!   and validates the caller once, runs the gates (outage → request
 //!   metrics → latency queue → admission control → auth → relocation →
 //!   authenticated-request count) as plain checks over that one
 //!   context, and hands the request to the route-table dispatcher
 //!   ([`crate::router`]);
-//! * **construction and accessors** — builders (`with_obs`,
+//! * **construction and accessors** — builders (`with_obs` first, then
 //!   `with_storage`, `with_admission`, `with_latency`) plus the snapshot
 //!   views tests and benches read.
 //!
@@ -45,7 +46,7 @@ use crate::admission::{Admission, AdmissionConfig, AdmissionControl};
 use crate::api::{Request, Response};
 use crate::auth::{DeviceIdentity, TokenStore, UserId};
 use crate::geolocate::CellDatabase;
-use crate::latency::{LatencyProfile, QueueOutcome};
+use crate::latency::{LatencyControl, LatencyProfile, QueueOutcome};
 use crate::profile::{ContactEntry, MobilityProfile};
 use crate::router::{self, RateClass, Resolution, Route, RouteAuth};
 use crate::state::{CloudCore, CloudMetrics};
@@ -131,8 +132,8 @@ impl CloudInstance {
                 gca_config: GcaConfig::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 outage: AtomicBool::new(false),
-                admission: Default::default(),
-                latency: Default::default(),
+                admission: None,
+                latency: None,
                 metrics: CloudMetrics::new(),
                 relocated: RwLock::new(HashSet::new()),
             },
@@ -140,10 +141,9 @@ impl CloudInstance {
     }
 
     /// Binds the instance's aggregate counters (per-endpoint requests,
-    /// replay counts, analytics cache hits, admission denials) to `obs`,
-    /// carrying anything already recorded. The authenticated-request count
-    /// stays private — see [`crate::state`]. A builder, meant to run
-    /// before the instance is wrapped in a [`SharedCloud`]:
+    /// replay counts, analytics cache hits, admission denials) to `obs`.
+    /// The authenticated-request count stays private — see
+    /// [`crate::state`]. The first builder, on a fresh instance:
     ///
     /// ```
     /// use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
@@ -152,68 +152,44 @@ impl CloudInstance {
     /// let obs = Obs::new();
     /// let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::new(), 1).with_obs(&obs));
     /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics once the instance has served a request or been given a
+    /// storage engine or a latency model: nothing recorded so far is
+    /// carried over, and those two builders bind their own handles to
+    /// the registry they find.
     pub fn with_obs(mut self, obs: &Obs) -> CloudInstance {
         let core = &mut self.core;
+        assert!(
+            core.metrics.endpoint_requests.iter().all(|c| c.get() == 0)
+                && !core.storage.is_enabled()
+                && core.latency.is_none(),
+            "with_obs runs first, on a fresh instance"
+        );
         let private = core.metrics.private.clone();
         let obs = obs.clone().metrics_or(&private);
-        let previous = std::mem::replace(&mut core.metrics, CloudMetrics::resolve(private, obs));
-        for (new, old) in core
-            .metrics
-            .endpoint_requests
-            .iter()
-            .zip(previous.endpoint_requests.iter())
-            .chain(
-                core.metrics
-                    .admission_denied
-                    .iter()
-                    .zip(previous.admission_denied.iter()),
-            )
-        {
-            let v = old.get();
-            if v > 0 {
-                new.set(v);
-            }
-        }
-        for (new, old) in [
-            (&core.metrics.replay_discover, &previous.replay_discover),
-            (
-                &core.metrics.replay_places_sync,
-                &previous.replay_places_sync,
-            ),
-            (
-                &core.metrics.replay_routes_sync,
-                &previous.replay_routes_sync,
-            ),
-            (
-                &core.metrics.replay_profiles_sync,
-                &previous.replay_profiles_sync,
-            ),
-            (
-                &core.metrics.replay_social_sync,
-                &previous.replay_social_sync,
-            ),
-            (&core.metrics.cache_hits, &previous.cache_hits),
-            (&core.metrics.cache_misses, &previous.cache_misses),
-        ] {
-            let v = old.get();
-            if v > 0 {
-                new.set(v);
-            }
-        }
+        core.metrics = CloudMetrics::resolve(private, obs);
         self
     }
 
-    /// Enables the deterministic admission controller with `config`, as a
-    /// builder. Off by default; see [`CloudInstance::set_admission`].
-    pub fn with_admission(self, config: AdmissionConfig) -> CloudInstance {
-        self.set_admission(Some(config));
+    /// Runs deterministic admission control with `config` for the
+    /// instance's whole lifetime: requests over budget are answered 429
+    /// with a `retry_after_s` hint. Without it (the default) every
+    /// request is admitted.
+    pub fn with_admission(mut self, config: AdmissionConfig) -> CloudInstance {
+        self.core.admission = Some(AdmissionControl::new(config));
         self
     }
 
-    /// Enables the sim-time latency model with `profile`, as a builder.
-    /// Off by default; see [`CloudInstance::set_latency`].
-    pub fn with_latency(self, profile: LatencyProfile) -> CloudInstance {
-        self.set_latency(Some(profile));
+    /// Runs the sim-time latency model with `profile` for the instance's
+    /// whole lifetime, binding the `cloud_request_latency_us{endpoint,class}`
+    /// histograms and the `cloud_queue_shed_total` counter to the
+    /// instance's registry — call after [`CloudInstance::with_obs`].
+    /// Without it (the default) the instance times nothing and adds none
+    /// of those metric keys.
+    pub fn with_latency(mut self, profile: LatencyProfile) -> CloudInstance {
+        self.core.latency = Some(LatencyControl::new(profile, &self.core.metrics.shared));
         self
     }
 
@@ -223,9 +199,8 @@ impl CloudInstance {
     /// `store_dir`, and the day-cadence snapshot+compaction sweep. Binds
     /// the `cloud_store_resident_users` gauge and the eviction/hydration
     /// counters to the instance's registry — call after
-    /// [`CloudInstance::with_obs`] so they land in the shared one.
-    /// Without it (the default) the instance keeps every user in the
-    /// plain in-RAM store map.
+    /// [`CloudInstance::with_obs`]. Without it (the default) the instance
+    /// keeps every user in the plain in-RAM store map.
     pub fn with_storage(mut self, config: StorageConfig) -> CloudInstance {
         debug_assert_eq!(
             self.resident_users(),
@@ -317,39 +292,18 @@ impl CloudInstance {
         self.core.storage.hydration_count()
     }
 
-    /// Enables (`Some`) or disables (`None`) the sim-time latency model
-    /// at runtime. Enabling resets all queues and binds the
-    /// `cloud_request_latency_us{endpoint,class}` histograms and the
-    /// `cloud_queue_shed_total` counter to the instance's registry — call
-    /// after [`CloudInstance::with_obs`] so they land in the shared one.
-    /// Disabled (the default) the model adds zero metric keys and zero
-    /// cost beyond one atomic load per request.
-    pub fn set_latency(&self, profile: Option<LatencyProfile>) {
-        match profile {
-            Some(profile) => self.core.latency.enable(profile, &self.core.metrics.shared),
-            None => self.core.latency.disable(),
-        }
-    }
-
     /// The instance's current queue depth (admitted, unfinished requests)
-    /// at simulated instant `now`; 0 while the latency model is disabled.
+    /// at simulated instant `now`; 0 without a latency model.
     pub fn queue_depth(&self, now: SimTime) -> u64 {
-        self.core.latency.health_stats(now).0
+        self.core.health_stats(now).0
     }
 
     /// Requests shed by the latency queue so far.
     pub fn queue_shed_count(&self) -> u64 {
-        self.core.latency.shed_count()
-    }
-
-    /// Enables (`Some`) or disables (`None`) admission control at
-    /// runtime. Enabling resets all token buckets; requests over budget
-    /// are answered 429 with a `retry_after_s` hint.
-    pub fn set_admission(&self, config: Option<AdmissionConfig>) {
-        match config {
-            Some(config) => self.core.admission.enable(config),
-            None => self.core.admission.disable(),
-        }
+        self.core
+            .latency
+            .as_ref()
+            .map_or(0, LatencyControl::shed_count)
     }
 
     /// Fault injection for tests and resilience experiments: while an
@@ -458,8 +412,7 @@ impl CloudInstance {
     /// DESIGN.md §5f):
     ///
     /// 1. outage: 503 before anything is counted;
-    /// 2. the endpoint counter, and in bench builds the wall-clock timer
-    ///    around everything below;
+    /// 2. the endpoint counter;
     /// 3. the latency queue: a shed answers 429 before admission can
     ///    spend a token on a request that was never served;
     /// 4. admission control, for validated callers on bearer routes;
@@ -479,10 +432,10 @@ impl CloudInstance {
         // Counted above admission and auth: shed and rejected requests
         // cost the server work too.
         core.metrics.endpoint_requests[ctx.endpoint].inc();
-        #[cfg(feature = "wallclock")]
-        let timer = pmware_obs::profiling::WallTimer::start();
-        let response = match core.latency.process(ctx.endpoint, ctx.user, now) {
-            QueueOutcome::Pass => self.serve(&ctx, request, now),
+        let Some(latency) = &core.latency else {
+            return self.serve(&ctx, request, now);
+        };
+        match latency.process(ctx.endpoint, ctx.user, now) {
             QueueOutcome::Timed {
                 queue_us,
                 service_us,
@@ -495,10 +448,7 @@ impl CloudInstance {
                     .map_or(RateClass::Query, |route| route.rate_class);
                 AdmissionControl::deny_response(class, retry_after)
             }
-        };
-        #[cfg(feature = "wallclock")]
-        timer.record(&core.metrics.endpoint_nanos[ctx.endpoint]);
-        response
+        }
     }
 
     /// The gates below the latency queue, then dispatch.
@@ -510,10 +460,8 @@ impl CloudInstance {
         }
         // Admission buckets are keyed by the validated caller, so an
         // invalid or expired token passes through to the 401 below.
-        if let (Some(route), Some(user)) = (route, ctx.user) {
-            if let Admission::Deny { retry_after } =
-                core.admission.admit(user, route.rate_class, now)
-            {
+        if let (Some(admission), Some(route), Some(user)) = (&core.admission, route, ctx.user) {
+            if let Admission::Deny { retry_after } = admission.admit(user, route.rate_class, now) {
                 core.metrics.admission_denied(route.rate_class).inc();
                 return AdmissionControl::deny_response(route.rate_class, retry_after);
             }

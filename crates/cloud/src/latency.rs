@@ -33,13 +33,13 @@
 //! tokens) are never queued: their cost is the bare service draw. Queuing
 //! them would couple users through a shared lane keyed on nothing.
 //!
-//! Disabled (the default), the model is one relaxed atomic load per
-//! request and adds **zero** metric keys, so existing golden exports are
-//! byte-unmodified.
+//! The model is fixed when the instance is built
+//! (`CloudInstance::with_latency`). An instance built without it has no
+//! model at all: zero cost per request and **zero** metric keys, so
+//! existing golden exports are byte-unmodified.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use parking_lot::Mutex;
 use pmware_obs::{Counter, Histogram, Obs};
@@ -158,9 +158,7 @@ impl LatencyProfile {
 
 /// The latency verdict for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueOutcome {
-    /// Model disabled: the request costs nothing.
-    Pass,
+pub(crate) enum QueueOutcome {
     /// The request waited `queue_us` then took `service_us` to serve.
     Timed {
         /// Microseconds spent queued before service began.
@@ -207,9 +205,9 @@ impl Lane {
     }
 }
 
-#[derive(Debug)]
+/// The queues and the local tallies, behind the controller's lock.
+#[derive(Debug, Default)]
 struct LatencyState {
-    profile: LatencyProfile,
     /// Per-user lanes ([`QueueMode::PerUser`]).
     lanes: HashMap<UserId, Lane>,
     /// The single instance lane ([`QueueMode::Shared`]).
@@ -219,41 +217,20 @@ struct LatencyState {
     /// read from here, never from the (possibly shared) registry.
     buckets: [u64; LATENCY_BOUNDS_US.len() + 1],
     observed: u64,
-    /// Registry histograms per endpoint, resolved at enable time — a
-    /// disabled model must add zero metric keys.
-    histograms: Vec<Histogram>,
-    shed_total: Counter,
     /// Local shed count — the accessor must work even when the registry
     /// counter is a no-op (metrics disabled).
     sheds: u64,
 }
 
-/// The per-instance latency controller. Disabled by default (one relaxed
-/// atomic load per request); [`LatencyControl::enable`] installs a
-/// [`LatencyProfile`] and resolves the latency histograms against the
-/// instance's metrics registry.
+/// The per-instance latency controller: a [`LatencyProfile`], its
+/// registry surfaces, and the queues. All queues start empty.
 #[derive(Debug)]
-pub struct LatencyControl {
-    enabled: AtomicBool,
+pub(crate) struct LatencyControl {
+    profile: LatencyProfile,
+    /// Registry histograms per endpoint.
+    histograms: Vec<Histogram>,
+    shed_total: Counter,
     state: Mutex<LatencyState>,
-}
-
-impl Default for LatencyControl {
-    fn default() -> Self {
-        LatencyControl {
-            enabled: AtomicBool::new(false),
-            state: Mutex::new(LatencyState {
-                profile: LatencyProfile::uniform(0, 0, 0),
-                lanes: HashMap::new(),
-                shared: Lane::default(),
-                buckets: [0; LATENCY_BOUNDS_US.len() + 1],
-                observed: 0,
-                histograms: Vec::new(),
-                shed_total: Counter::noop(),
-                sheds: 0,
-            }),
-        }
-    }
 }
 
 /// FNV-flavored service-time jitter: deterministic in
@@ -268,13 +245,11 @@ fn jitter(seed: u64, endpoint: usize, second: u64) -> u64 {
 }
 
 impl LatencyControl {
-    /// Installs `profile`, resolves the latency surfaces against `obs`
+    /// A controller running `profile`, with its latency surfaces
     /// (`cloud_request_latency_us{endpoint,class}` histograms and the
-    /// `cloud_queue_shed_total` counter), and enables the model. All
-    /// queues start empty.
-    pub fn enable(&self, profile: LatencyProfile, obs: &Obs) {
-        let mut state = self.state.lock();
-        state.histograms = ROUTES
+    /// `cloud_queue_shed_total` counter) resolved against `obs`.
+    pub(crate) fn new(profile: LatencyProfile, obs: &Obs) -> LatencyControl {
+        let histograms = ROUTES
             .iter()
             .map(|route| (route.label, route.rate_class))
             .chain(std::iter::once(("other", RateClass::Query)))
@@ -286,45 +261,31 @@ impl LatencyControl {
                 )
             })
             .collect();
-        state.shed_total = obs.counter("cloud_queue_shed_total", &[]);
-        state.lanes.clear();
-        state.shared = Lane::default();
-        state.buckets = [0; LATENCY_BOUNDS_US.len() + 1];
-        state.observed = 0;
-        state.sheds = 0;
-        state.profile = profile;
-        self.enabled.store(true, Ordering::SeqCst);
-    }
-
-    /// Disables the model (queues are dropped; already-recorded metric
-    /// keys keep their values, like every other registry counter).
-    pub fn disable(&self) {
-        self.enabled.store(false, Ordering::SeqCst);
-        let mut state = self.state.lock();
-        state.lanes.clear();
-        state.shared = Lane::default();
-    }
-
-    /// Whether the model is currently enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::SeqCst)
+        LatencyControl {
+            profile,
+            histograms,
+            shed_total: obs.counter("cloud_queue_shed_total", &[]),
+            state: Mutex::new(LatencyState::default()),
+        }
     }
 
     /// Times one request hitting `endpoint` at simulated instant `now`.
     /// `user` is the *validated* caller — `None` (public or bad-token
     /// requests) skips queueing and pays only the service draw.
-    pub fn process(&self, endpoint: usize, user: Option<UserId>, now: SimTime) -> QueueOutcome {
-        if !self.is_enabled() {
-            return QueueOutcome::Pass;
-        }
+    pub(crate) fn process(
+        &self,
+        endpoint: usize,
+        user: Option<UserId>,
+        now: SimTime,
+    ) -> QueueOutcome {
         let mut state = self.state.lock();
         let second = now.as_seconds();
         let arrival_us = second.saturating_mul(1_000_000);
-        let cost = state.profile.costs[endpoint.min(ENDPOINT_COUNT - 1)];
+        let cost = self.profile.costs[endpoint.min(ENDPOINT_COUNT - 1)];
         let service_us =
-            cost.base_us + jitter(state.profile.seed, endpoint, second) % (cost.jitter_us + 1);
-        let shed_depth = state.profile.queue.shed_depth;
-        let admitted = match (state.profile.queue.mode, user) {
+            cost.base_us + jitter(self.profile.seed, endpoint, second) % (cost.jitter_us + 1);
+        let shed_depth = self.profile.queue.shed_depth;
+        let admitted = match (self.profile.queue.mode, user) {
             (_, None) => Ok(0),
             (QueueMode::PerUser, Some(user)) => state
                 .lanes
@@ -339,7 +300,7 @@ impl LatencyControl {
                 let slot = LATENCY_BOUNDS_US.partition_point(|&b| b < total);
                 state.buckets[slot] += 1;
                 state.observed += 1;
-                if let Some(histogram) = state.histograms.get(endpoint) {
+                if let Some(histogram) = self.histograms.get(endpoint) {
                     histogram.observe(total);
                 }
                 QueueOutcome::Timed {
@@ -348,7 +309,7 @@ impl LatencyControl {
                 }
             }
             Err(drain_us) => {
-                state.shed_total.inc();
+                self.shed_total.inc();
                 state.sheds += 1;
                 QueueOutcome::Shed {
                     retry_after: SimDuration::from_seconds(drain_us.div_ceil(1_000_000).max(1)),
@@ -361,14 +322,11 @@ impl LatencyControl {
     /// Depth is the count of admitted, unfinished requests (summed over
     /// lanes in [`QueueMode::PerUser`]); p99 comes from the local
     /// cumulative histogram (0 before any observation, the largest bound
-    /// is reported for overflow). `(0, 0)` while disabled.
-    pub fn health_stats(&self, now: SimTime) -> (u64, u64) {
-        if !self.is_enabled() {
-            return (0, 0);
-        }
+    /// is reported for overflow).
+    pub(crate) fn health_stats(&self, now: SimTime) -> (u64, u64) {
         let mut state = self.state.lock();
         let now_us = now.as_seconds().saturating_mul(1_000_000);
-        let depth = match state.profile.queue.mode {
+        let depth = match self.profile.queue.mode {
             QueueMode::Shared => state.shared.drain(now_us),
             QueueMode::PerUser => {
                 let mut depth = 0;
@@ -382,7 +340,7 @@ impl LatencyControl {
     }
 
     /// Total requests shed so far.
-    pub fn shed_count(&self) -> u64 {
+    pub(crate) fn shed_count(&self) -> u64 {
         self.state.lock().sheds
     }
 
@@ -414,25 +372,13 @@ mod tests {
         SimTime::from_seconds(s)
     }
 
-    fn enabled(profile: LatencyProfile) -> LatencyControl {
-        let control = LatencyControl::default();
-        control.enable(profile, &Obs::disabled());
-        control
-    }
-
-    #[test]
-    fn disabled_passes_everything() {
-        let control = LatencyControl::default();
-        assert_eq!(
-            control.process(0, Some(UserId(1)), t(5)),
-            QueueOutcome::Pass
-        );
-        assert_eq!(control.health_stats(t(5)), (0, 0));
+    fn model(profile: LatencyProfile) -> LatencyControl {
+        LatencyControl::new(profile, &Obs::disabled())
     }
 
     #[test]
     fn service_draw_is_deterministic_and_bounded() {
-        let control = enabled(LatencyProfile::uniform(7, 1_000, 500));
+        let control = model(LatencyProfile::uniform(7, 1_000, 500));
         let QueueOutcome::Timed {
             queue_us,
             service_us,
@@ -443,13 +389,13 @@ mod tests {
         assert_eq!(queue_us, 0, "unvalidated requests never queue");
         assert!((1_000..=1_500).contains(&service_us), "{service_us}");
         // Same (seed, endpoint, second) ⇒ same draw.
-        let again = enabled(LatencyProfile::uniform(7, 1_000, 500));
+        let again = model(LatencyProfile::uniform(7, 1_000, 500));
         assert_eq!(
             again.process(2, None, t(100)),
             control.process(2, None, t(100))
         );
         // A different seed moves the jitter.
-        let other = enabled(LatencyProfile::uniform(8, 1_000, 0));
+        let other = model(LatencyProfile::uniform(8, 1_000, 0));
         let QueueOutcome::Timed { service_us, .. } = other.process(2, None, t(100)) else {
             panic!("expected a timed outcome");
         };
@@ -458,7 +404,7 @@ mod tests {
 
     #[test]
     fn per_user_lanes_queue_independently() {
-        let control = enabled(LatencyProfile::uniform(1, 600_000, 0));
+        let control = model(LatencyProfile::uniform(1, 600_000, 0));
         // Two back-to-back requests from one user in the same second: the
         // second waits for the first.
         let QueueOutcome::Timed { queue_us, .. } = control.process(3, Some(UserId(1)), t(10))
@@ -485,7 +431,7 @@ mod tests {
             mode: QueueMode::Shared,
             shed_depth: 2,
         });
-        let control = enabled(profile);
+        let control = model(profile);
         assert!(matches!(
             control.process(3, Some(UserId(1)), t(0)),
             QueueOutcome::Timed { queue_us: 0, .. }
@@ -514,7 +460,7 @@ mod tests {
 
     #[test]
     fn health_stats_report_depth_and_p99() {
-        let control = enabled(LatencyProfile::uniform(1, 400, 0));
+        let control = model(LatencyProfile::uniform(1, 400, 0));
         for _ in 0..3 {
             control.process(3, Some(UserId(1)), t(0));
         }
@@ -530,10 +476,9 @@ mod tests {
     }
 
     #[test]
-    fn enable_resolves_registry_histograms() {
+    fn new_resolves_registry_histograms() {
         let obs = Obs::new();
-        let control = LatencyControl::default();
-        control.enable(LatencyProfile::uniform(1, 300, 0), &obs);
+        let control = LatencyControl::new(LatencyProfile::uniform(1, 300, 0), &obs);
         control.process(4, Some(UserId(1)), t(0));
         let json = obs.metrics_json().unwrap();
         assert!(
@@ -547,7 +492,7 @@ mod tests {
     #[test]
     fn same_schedule_same_outcomes() {
         let run = || {
-            let control = enabled(LatencyProfile::uniform(9, 700, 300));
+            let control = model(LatencyProfile::uniform(9, 700, 300));
             (0..50u64)
                 .map(|i| control.process((i % 21) as usize, Some(UserId((i % 3) as u32)), t(i / 2)))
                 .collect::<Vec<_>>()

@@ -55,17 +55,12 @@ pub mod topology;
 pub mod transport;
 pub mod wire;
 
-pub use admission::{
-    Admission, AdmissionConfig, AdmissionControl, RateBudget, STATUS_RATE_LIMITED,
-};
+pub use admission::{AdmissionConfig, RateBudget, STATUS_RATE_LIMITED};
 pub use api::{Method, Request, Response, SpanCtx};
 pub use auth::{AuthToken, DeviceIdentity, UserId};
 pub use geolocate::CellDatabase;
 pub use instance::{CloudInstance, SharedCloud, SHARD_COUNT};
-pub use latency::{
-    EndpointCost, LatencyControl, LatencyProfile, QueueConfig, QueueMode, QueueOutcome,
-    LATENCY_BOUNDS_US,
-};
+pub use latency::{EndpointCost, LatencyProfile, QueueConfig, QueueMode, LATENCY_BOUNDS_US};
 pub use payload::{
     ArrivalBody, DiscoverBody, GeolocateBody, GeolocateSignatureBody, HandshakeBody, LabelBody,
     NextVisitBody, Payload, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody,

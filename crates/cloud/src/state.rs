@@ -90,10 +90,10 @@ pub(crate) struct CloudMetrics {
     /// Private always-on registry backing `total_requests`.
     pub(crate) private: Obs,
     /// The registry aggregate metrics bind to (the shared study registry
-    /// after `with_obs`, else the private one). Kept so late enablers —
-    /// the latency model resolves its histograms at `set_latency` time,
-    /// not construction time — bind to the same registry. Lazy resolution
-    /// is what keeps a disabled model from adding metric keys.
+    /// after `with_obs`, else the private one). Kept so the builders that
+    /// run after `with_obs` — `with_storage` and `with_latency` — bind
+    /// their handles to the same registry; an instance built without them
+    /// adds none of their metric keys.
     pub(crate) shared: Obs,
     /// Requests that passed auth; requests to the public routes
     /// (registration, health) are never counted.
@@ -111,9 +111,6 @@ pub(crate) struct CloudMetrics {
     /// user's request stream is sequential, so denial counts do not race
     /// across thread schedules).
     pub(crate) admission_denied: Vec<Counter>,
-    /// Wall-clock latency per endpoint, bench builds only.
-    #[cfg(feature = "wallclock")]
-    pub(crate) endpoint_nanos: Vec<pmware_obs::Histogram>,
 }
 
 impl CloudMetrics {
@@ -133,17 +130,6 @@ impl CloudMetrics {
             .iter()
             .map(|class| obs.counter("cloud_admission_denied_total", &[("class", class.label())]))
             .collect();
-        #[cfg(feature = "wallclock")]
-        let endpoint_nanos = ENDPOINT_LABELS
-            .iter()
-            .map(|label| {
-                obs.histogram(
-                    "cloud_endpoint_nanos",
-                    &[("endpoint", label)],
-                    &pmware_obs::profiling::NANO_BOUNDS,
-                )
-            })
-            .collect();
         CloudMetrics {
             shared: obs.clone(),
             authenticated_requests,
@@ -157,8 +143,6 @@ impl CloudMetrics {
             cache_hits: obs.counter("cloud_analytics_cache_total", &[("result", "hit")]),
             cache_misses: obs.counter("cloud_analytics_cache_total", &[("result", "miss")]),
             admission_denied,
-            #[cfg(feature = "wallclock")]
-            endpoint_nanos,
             private,
         }
     }
@@ -187,10 +171,12 @@ pub(crate) struct CloudCore {
     pub(crate) gca_config: GcaConfig,
     pub(crate) rng: Mutex<StdRng>,
     pub(crate) outage: AtomicBool,
-    pub(crate) admission: AdmissionControl,
+    /// Per-user token buckets (see [`crate::admission`]); `None` admits
+    /// every request.
+    pub(crate) admission: Option<AdmissionControl>,
     /// The sim-time latency model: per-endpoint service draws, queueing,
-    /// and load shedding (see [`crate::latency`]). Disabled by default.
-    pub(crate) latency: LatencyControl,
+    /// and load shedding (see [`crate::latency`]); `None` times nothing.
+    pub(crate) latency: Option<LatencyControl>,
     pub(crate) metrics: CloudMetrics,
     /// Users whose state has been migrated to another instance during a
     /// federation failover or drain. The relocation gate answers their
@@ -204,6 +190,14 @@ impl CloudCore {
     /// Whether an outage is currently injected.
     pub(crate) fn outage(&self) -> bool {
         self.outage.load(Ordering::SeqCst)
+    }
+
+    /// The latency model's `(queue depth, p99 µs)` at `now`; `(0, 0)`
+    /// without a model.
+    pub(crate) fn health_stats(&self, now: SimTime) -> (u64, u64) {
+        self.latency
+            .as_ref()
+            .map_or((0, 0), |latency| latency.health_stats(now))
     }
 
     /// The per-user store at simulated instant `now`, created (or

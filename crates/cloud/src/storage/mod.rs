@@ -287,7 +287,7 @@ impl StorageEngine {
     }
 
     /// Whether the engine runs a [`StorageConfig`].
-    fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.inner.config.is_some()
     }
 

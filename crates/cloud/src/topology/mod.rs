@@ -863,19 +863,23 @@ mod tests {
     /// the instance with the deeper queue.
     #[test]
     fn heartbeat_reads_load_and_least_connections_avoids_deep_queues() {
-        let router = router_with(2, BalancePolicy::LeastConnections);
+        let router = TopologyRouter::new(BalancePolicy::LeastConnections);
         let now = SimTime::EPOCH;
         // Back up instance 0: shared FIFO, 1 s service time, and three
         // authenticated requests all arriving at t=0.
-        let zero = router.shared.state.lock().instances[0].cloud.clone();
-        zero.set_latency(Some(
-            crate::latency::LatencyProfile::uniform(1, 1_000_000, 0).with_queue(
-                crate::latency::QueueConfig {
-                    mode: crate::latency::QueueMode::Shared,
-                    shed_depth: 0,
-                },
-            ),
-        ));
+        let queued = crate::latency::LatencyProfile::uniform(1, 1_000_000, 0).with_queue(
+            crate::latency::QueueConfig {
+                mode: crate::latency::QueueMode::Shared,
+                shed_depth: 0,
+            },
+        );
+        let zero =
+            SharedCloud::new(CloudInstance::new(CellDatabase::new(), 1000).with_latency(queued));
+        router.add_instance(zero.clone());
+        router.add_instance(SharedCloud::new(CloudInstance::new(
+            CellDatabase::new(),
+            1001,
+        )));
         let reg = zero.handle(
             &Request::post_json(
                 crate::payload::REGISTRATION_PATH,

@@ -261,7 +261,7 @@ struct HeldRequest {
 /// Registry-backed fault counters. The decorator always carries a live
 /// registry (a private one by default), so [`FaultyCloud::stats`] stays a
 /// correct snapshot view whether or not a study attached shared
-/// observability via [`FaultyCloud::set_obs`].
+/// observability via [`FaultyCloud::with_obs`].
 #[derive(Debug)]
 struct FaultMetrics {
     obs: Obs,
@@ -377,20 +377,26 @@ impl FaultyCloud {
         }
     }
 
-    /// Re-binds the decorator's counters (and trace events) to `obs`,
-    /// carrying the totals accumulated so far. With a metrics-less handle
-    /// the private registry is kept so [`FaultyCloud::stats`] stays
-    /// correct.
-    pub fn set_obs(&self, obs: &Obs) {
-        let mut state = self.state.lock();
-        let obs = obs.clone().metrics_or(&state.metrics.obs);
-        let old = std::mem::replace(&mut state.metrics, FaultMetrics::resolve(obs));
-        let new = &state.metrics;
-        new.requests.set(old.requests.get());
-        for (new, old) in new.by_kind.iter().zip(&old.by_kind) {
-            new.set(old.get());
+    /// Binds the decorator's counters (and trace events) to `obs`, as a
+    /// builder on a fresh decorator. With a metrics-less handle the
+    /// private registry is kept so [`FaultyCloud::stats`] stays correct.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the decorator has carried a request: nothing recorded
+    /// so far is carried over.
+    pub fn with_obs(self, obs: &Obs) -> FaultyCloud {
+        {
+            let mut state = self.state.lock();
+            assert_eq!(
+                state.metrics.requests.get(),
+                0,
+                "with_obs runs first, on a fresh decorator"
+            );
+            let obs = obs.clone().metrics_or(&state.metrics.obs);
+            state.metrics = FaultMetrics::resolve(obs);
         }
-        new.late_deliveries.set(old.late_deliveries.get());
+        self
     }
 
     /// Turns injection on or off (held requests are kept either way).
@@ -410,33 +416,20 @@ impl FaultyCloud {
     /// `now`, regardless of due time. Models queued traffic draining once
     /// the link recovers.
     pub fn flush(&self, now: SimTime) {
-        let mut state = self.state.lock();
-        while let Some(held) = state.held.pop_front() {
-            state.metrics.late_deliveries.inc();
-            let _ = self.inner.handle(&held.request, now);
-        }
+        self.deliver_held(&mut self.state.lock(), now, |_| true);
     }
 
-    /// Delivers held requests whose due time has passed.
-    fn flush_due(&self, state: &mut FaultState, now: SimTime) {
+    /// Delivers, in hold order, the held requests `ready` picks; the rest
+    /// stay held.
+    fn deliver_held(
+        &self,
+        state: &mut FaultState,
+        now: SimTime,
+        ready: impl Fn(&HeldRequest) -> bool,
+    ) {
         let mut keep = VecDeque::new();
         while let Some(held) = state.held.pop_front() {
-            if !held.after_next && held.due <= now {
-                state.metrics.late_deliveries.inc();
-                let _ = self.inner.handle(&held.request, now);
-            } else {
-                keep.push_back(held);
-            }
-        }
-        state.held = keep;
-    }
-
-    /// Delivers held reordered requests (after their successor went
-    /// through).
-    fn flush_after_next(&self, state: &mut FaultState, now: SimTime) {
-        let mut keep = VecDeque::new();
-        while let Some(held) = state.held.pop_front() {
-            if held.after_next {
+            if ready(&held) {
                 state.metrics.late_deliveries.inc();
                 let _ = self.inner.handle(&held.request, now);
             } else {
@@ -457,7 +450,7 @@ impl FaultyCloud {
         let mut state = self.state.lock();
         state.metrics.requests.inc();
         // Held traffic whose due time has passed lands first.
-        self.flush_due(&mut state, now);
+        self.deliver_held(&mut state, now, |held| !held.after_next && held.due <= now);
         let decision = state.decide(request);
         if let Some(kind) = decision {
             state.metrics.kind(kind).inc();
@@ -494,7 +487,7 @@ impl FaultyCloud {
             None => {
                 let response = self.inner.handle(request, now);
                 // A reordered predecessor is delivered right behind us.
-                self.flush_after_next(&mut state, now);
+                self.deliver_held(&mut state, now, |held| held.after_next);
                 response
             }
             Some(FaultKind::Drop) => Self::timeout_response(),

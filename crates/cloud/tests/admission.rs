@@ -1,6 +1,6 @@
 //! Admission-control behavior through the full middleware stack: seeded
 //! determinism, 429 shape, budget isolation between users and classes,
-//! and the disabled-by-default invariant.
+//! and the open door of an instance built without admission control.
 
 use pmware_cloud::{
     AdmissionConfig, CellDatabase, CloudInstance, RateBudget, Request, STATUS_RATE_LIMITED,
@@ -200,18 +200,4 @@ fn disabled_admission_never_denies() {
         assert!(cloud.handle(&list, SimTime::EPOCH).is_success());
     }
     assert_eq!(cloud.admission_denials(), 0);
-    // Toggling it on and back off restores the open door.
-    cloud.set_admission(Some(AdmissionConfig::uniform(
-        3,
-        RateBudget::new(1, SimDuration::from_minutes(10)),
-    )));
-    assert!(cloud.handle(&list, SimTime::EPOCH).is_success());
-    assert_eq!(
-        cloud.handle(&list, SimTime::EPOCH).status,
-        STATUS_RATE_LIMITED
-    );
-    cloud.set_admission(None);
-    for _ in 0..10 {
-        assert!(cloud.handle(&list, SimTime::EPOCH).is_success());
-    }
 }

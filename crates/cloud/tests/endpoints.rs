@@ -16,6 +16,7 @@ use pmware_world::builder::{RegionProfile, WorldBuilder};
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
 use serde_json::{json, Value};
+use std::convert::identity;
 
 fn cloud() -> CloudInstance {
     CloudInstance::new(CellDatabase::new(), 42)
@@ -901,9 +902,9 @@ fn batched_discover_edge_cases_yield_400_not_panics() {
 // ---------------------------------------------------------------------
 // Gate precedence: which check answers a request first.
 //
-// Every case starts from a fresh instance bound to its own registry with
-// one registered user, puts it in the state under test, and sends one
-// probe. The probe's status and error text say which gate answered; the
+// Every case builds a fresh instance bound to its own registry (with
+// the case's admission and latency config), registers one user, puts it
+// in the state under test, and sends one probe. The probe's status and error text say which gate answered; the
 // counter deltas say which gates it passed on the way (the endpoint
 // counter, the authenticated-request count, admission denials and queue
 // sheds).
@@ -917,9 +918,9 @@ struct Scene {
     user: UserId,
 }
 
-fn scene() -> Scene {
+fn scene(configure: fn(CloudInstance) -> CloudInstance) -> Scene {
     let obs = Obs::new();
-    let cloud = cloud().with_obs(&obs);
+    let cloud = configure(cloud().with_obs(&obs));
     let resp = cloud.handle(&registration(0), SimTime::EPOCH);
     assert!(resp.is_success(), "{resp:?}");
     let body = resp.json();
@@ -946,27 +947,28 @@ fn at(seconds: u64) -> SimTime {
     SimTime::EPOCH + SimDuration::from_seconds(seconds)
 }
 
-/// Enables admission control: `burst` requests per class, one token back
-/// every `refill_s` seconds.
-fn budget(s: &Scene, burst: u32, refill_s: u64) {
-    s.cloud.set_admission(Some(AdmissionConfig::uniform(
+/// Admission control: `burst` requests per class, one token back every
+/// `refill_s` seconds.
+fn budget(cloud: CloudInstance, burst: u32, refill_s: u64) -> CloudInstance {
+    cloud.with_admission(AdmissionConfig::uniform(
         7,
         RateBudget::new(burst, SimDuration::from_seconds(refill_s)),
-    )));
+    ))
 }
 
 /// Admission budget 2, and a latency queue that sheds at depth 1 with a
-/// 5 s service time; one admitted request then holds the user's lane
-/// until `at(5)`.
-fn busy_lane(s: &Scene) {
-    budget(s, 2, 600);
+/// 5 s service time; see [`hold_lane`].
+fn busy_lane(cloud: CloudInstance) -> CloudInstance {
     let queue = QueueConfig {
         mode: QueueMode::PerUser,
         shed_depth: 1,
     };
-    s.cloud.set_latency(Some(
-        LatencyProfile::uniform(3, 5_000_000, 0).with_queue(queue),
-    ));
+    budget(cloud, 2, 600).with_latency(LatencyProfile::uniform(3, 5_000_000, 0).with_queue(queue))
+}
+
+/// One admitted request, which holds a [`busy_lane`] user's lane until
+/// `at(5)`.
+fn hold_lane(s: &Scene) {
     assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
 }
 
@@ -1002,6 +1004,9 @@ fn gate(status: u16, error: Option<&str>, deltas: [u64; 4]) -> GateOutcome {
 
 struct GateCase {
     name: &'static str,
+    /// Builds the case's instance on the registry-bound one, before the
+    /// scene registers its user.
+    configure: fn(CloudInstance) -> CloudInstance,
     /// Puts the scene in the state under test; returns the probe and the
     /// instant it is sent at.
     arrange: fn(&Scene) -> (Request, SimTime),
@@ -1011,7 +1016,7 @@ struct GateCase {
 }
 
 fn probe(case: &GateCase) -> GateOutcome {
-    let s = scene();
+    let s = scene(case.configure);
     let (request, now) = (case.arrange)(&s);
     let key = format!("cloud_requests_total{{endpoint=\"{}\"}}", case.endpoint);
     let counted = |s: &Scene| s.obs.metrics().unwrap().snapshot().counter_value(&key);
@@ -1041,6 +1046,7 @@ fn gates_answer_in_a_fixed_order() {
     let cases = vec![
         GateCase {
             name: "outage on a routed path",
+            configure: identity,
             arrange: |s| {
                 s.cloud.set_outage(true);
                 (list_places(&s.token), at(0))
@@ -1050,6 +1056,7 @@ fn gates_answer_in_a_fixed_order() {
         },
         GateCase {
             name: "outage on an unrouted path",
+            configure: identity,
             arrange: |s| {
                 s.cloud.set_outage(true);
                 (Request::get("/api/v1/nope").with_token(&s.token), at(0))
@@ -1059,12 +1066,14 @@ fn gates_answer_in_a_fixed_order() {
         },
         GateCase {
             name: "missing token on an unrouted path",
+            configure: identity,
             arrange: |_| (Request::get("/api/v1/nope"), at(0)),
             endpoint: "other",
             expect: gate(401, Some("missing bearer token"), [1, 0, 0, 0]),
         },
         GateCase {
             name: "expired token on an unrouted path",
+            configure: identity,
             arrange: |s| {
                 (
                     Request::get("/api/v1/nope").with_token(&s.token),
@@ -1076,12 +1085,14 @@ fn gates_answer_in_a_fixed_order() {
         },
         GateCase {
             name: "valid token on an unrouted path",
+            configure: identity,
             arrange: |s| (Request::get("/api/v1/nope").with_token(&s.token), at(0)),
             endpoint: "other",
             expect: gate(404, Some("no route for /api/v1/nope"), [1, 1, 0, 0]),
         },
         GateCase {
             name: "wrong method with a valid token",
+            configure: identity,
             arrange: |s| {
                 (
                     Request::get("/api/v1/places/sync").with_token(&s.token),
@@ -1097,8 +1108,9 @@ fn gates_answer_in_a_fixed_order() {
         GateCase {
             // The probe is shed by the queue before admission sees it.
             name: "queue-shed request",
+            configure: busy_lane,
             arrange: |s| {
-                busy_lane(s);
+                hold_lane(s);
                 (list_places(&s.token), at(0))
             },
             endpoint: "places_list",
@@ -1109,8 +1121,9 @@ fn gates_answer_in_a_fixed_order() {
             // admission token, so the second one of the burst is still
             // there.
             name: "after a queue shed the admission budget is intact",
+            configure: busy_lane,
             arrange: |s| {
-                busy_lane(s);
+                hold_lane(s);
                 let shed = s.cloud.handle(&list_places(&s.token), at(0));
                 assert_eq!(shed.status, 429, "{shed:?}");
                 (list_places(&s.token), at(5))
@@ -1120,8 +1133,8 @@ fn gates_answer_in_a_fixed_order() {
         },
         GateCase {
             name: "over budget with a valid token",
+            configure: |c| budget(c, 1, 600),
             arrange: |s| {
-                budget(s, 1, 600);
                 assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
                 (list_places(&s.token), at(0))
             },
@@ -1132,8 +1145,8 @@ fn gates_answer_in_a_fixed_order() {
             // Only validated callers have a bucket: the expired token is
             // rejected by auth, not throttled.
             name: "over budget with an expired token",
+            configure: |c| budget(c, 1, 2 * EXPIRED),
             arrange: |s| {
-                budget(s, 1, 2 * EXPIRED);
                 assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
                 (list_places(&s.token), at(EXPIRED))
             },
@@ -1142,8 +1155,8 @@ fn gates_answer_in_a_fixed_order() {
         },
         GateCase {
             name: "relocated user within budget",
+            configure: |c| budget(c, 1, 600),
             arrange: |s| {
-                budget(s, 1, 600);
                 s.cloud.mark_relocated(s.user);
                 (list_places(&s.token), at(0))
             },
@@ -1156,8 +1169,8 @@ fn gates_answer_in_a_fixed_order() {
         },
         GateCase {
             name: "relocated user over budget",
+            configure: |c| budget(c, 1, 600),
             arrange: |s| {
-                budget(s, 1, 600);
                 assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
                 s.cloud.mark_relocated(s.user);
                 (list_places(&s.token), at(0))
@@ -1170,8 +1183,8 @@ fn gates_answer_in_a_fixed_order() {
             // public registration route is never throttled, even when the
             // caller attaches a valid token.
             name: "registration while over budget",
+            configure: |c| budget(c, 1, 600),
             arrange: |s| {
-                budget(s, 1, 600);
                 let refresh =
                     Request::post_json("/api/v1/token/refresh", Value::Null).with_token(&s.token);
                 let resp = s.cloud.handle(&refresh, at(0));
@@ -1188,4 +1201,39 @@ fn gates_answer_in_a_fixed_order() {
     for case in &cases {
         assert_eq!(probe(case), case.expect, "{}", case.name);
     }
+}
+
+/// An instance built without `with_latency` or `with_admission` has no
+/// latency or admission surface at all: no metric keys, no latency
+/// annotation on its replies, an idle health body, and no 429 however
+/// fast one user sends.
+#[test]
+fn unconfigured_instance_has_no_latency_or_admission_surface() {
+    let obs = Obs::new();
+    let c = cloud().with_obs(&obs);
+    let token = register(&c, 0, SimTime::EPOCH);
+    for _ in 0..100 {
+        let resp = c.handle(&list_places(&token), SimTime::EPOCH);
+        assert!(resp.is_success(), "{resp:?}");
+        assert_eq!(resp.latency_us(), None);
+    }
+    let health = c.handle(&Request::get("/api/v1/health"), SimTime::EPOCH);
+    assert!(health.is_success(), "{health:?}");
+    assert_eq!(health.json()["queue_depth"], 0);
+    assert_eq!(health.json()["p99_us"], 0);
+    let json = obs.metrics_json().unwrap();
+    assert!(json.contains("cloud_requests_total"), "{json}");
+    assert!(!json.contains("cloud_request_latency_us"), "{json}");
+    assert!(!json.contains("cloud_queue_shed_total"), "{json}");
+    assert_eq!(c.admission_denials(), 0);
+}
+
+/// The latency model binds its histograms to the registry it finds, so
+/// binding a registry after it is refused rather than silently split.
+#[test]
+#[should_panic(expected = "with_obs runs first")]
+fn with_obs_after_with_latency_is_refused() {
+    let _ = cloud()
+        .with_latency(LatencyProfile::uniform(1, 300, 0))
+        .with_obs(&Obs::new());
 }

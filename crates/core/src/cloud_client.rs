@@ -823,6 +823,14 @@ mod tests {
         SharedCloud::new(CloudInstance::new(CellDatabase::new(), 5))
     }
 
+    /// A cloud running admission control: `burst` tokens per class, one
+    /// back every `refill`.
+    fn throttled(seed: u64, burst: u32, refill: SimDuration) -> SharedCloud {
+        SharedCloud::new(CloudInstance::new(CellDatabase::new(), 5).with_admission(
+            AdmissionConfig::uniform(seed, RateBudget::new(burst, refill)),
+        ))
+    }
+
     #[test]
     fn register_and_basic_flow() {
         let cloud = cloud();
@@ -1000,15 +1008,10 @@ mod tests {
 
     #[test]
     fn refresh_under_admission_pressure_converges() {
-        let cloud = cloud();
-        let mut client =
-            CloudClient::register(cloud.clone(), "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
         // One Auth token per 30 s; registration is public so the initial
-        // register did not spend it.
-        cloud.set_admission(Some(AdmissionConfig::uniform(
-            11,
-            RateBudget::new(1, SimDuration::from_seconds(30)),
-        )));
+        // register does not spend it.
+        let cloud = throttled(11, 1, SimDuration::from_seconds(30));
+        let mut client = CloudClient::register(cloud, "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
         // An enormous margin forces a refresh on every call. The first
         // takes the only Auth token; the second is denied and converges
         // via the retry-after hint.
@@ -1028,25 +1031,17 @@ mod tests {
     /// `retry_after_s` hint.
     #[test]
     fn rate_limit_hint_guides_the_retry_to_the_refill_instant() {
-        let direct = cloud();
-        let marshalled = cloud();
-        let endpoints: [(SharedCloud, CloudEndpoint); 2] = [
-            (direct.clone(), direct.into()),
-            (
-                marshalled.clone(),
-                FaultyCloud::new(marshalled, FaultPlan::with_rate(0, 0.0)).into(),
-            ),
+        // One token, refilling every 10 minutes: far beyond what blind
+        // exponential backoff could ride out within the Sync attempt
+        // budget, but trivial when the hint is honored.
+        let throttled = || throttled(7, 1, SimDuration::from_minutes(10));
+        let endpoints: [CloudEndpoint; 2] = [
+            throttled().into(),
+            FaultyCloud::new(throttled(), FaultPlan::with_rate(0, 0.0)).into(),
         ];
-        for (cloud, endpoint) in endpoints {
+        for endpoint in endpoints {
             let mut client =
                 CloudClient::register(endpoint, "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
-            // One token, refilling every 10 minutes: far beyond what blind
-            // exponential backoff could ride out within the Sync attempt
-            // budget, but trivial when the hint is honored.
-            cloud.set_admission(Some(AdmissionConfig::uniform(
-                7,
-                RateBudget::new(1, SimDuration::from_minutes(10)),
-            )));
             client.sync_places(&[], SimTime::EPOCH).unwrap();
             let before = client.wire_requests();
             client.sync_places(&[], SimTime::EPOCH).unwrap();
@@ -1058,14 +1053,9 @@ mod tests {
 
     #[test]
     fn blind_backoff_exhausts_attempts_against_a_long_refill() {
-        let cloud = cloud();
-        let mut client =
-            CloudClient::register(cloud.clone(), "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
+        let cloud = throttled(7, 1, SimDuration::from_minutes(10));
+        let mut client = CloudClient::register(cloud, "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
         client.set_honor_retry_after(false);
-        cloud.set_admission(Some(AdmissionConfig::uniform(
-            7,
-            RateBudget::new(1, SimDuration::from_minutes(10)),
-        )));
         client.sync_places(&[], SimTime::EPOCH).unwrap();
         let err = client.sync_places(&[], SimTime::EPOCH).unwrap_err();
         match err {
@@ -1091,8 +1081,8 @@ mod tests {
                 cloud(),
                 FaultPlan::with_schedule(1, vec![(0, FaultKind::Drop), (1, FaultKind::Drop)])
                     .only_path("/places/sync"),
-            );
-            faulty.set_obs(&obs.for_actor("cloud"));
+            )
+            .with_obs(&obs.for_actor("cloud"));
             let mut client =
                 CloudClient::register(faulty.clone(), "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
             client.set_obs(&obs.for_actor("p0001"));

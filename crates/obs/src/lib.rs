@@ -13,9 +13,6 @@
 //! * [`trace`] — a sim-time structured tracing bus: events and spans keyed
 //!   by [`SimTime`](pmware_world::SimTime), grouped per actor in bounded
 //!   ring buffers, exported as deterministic JSONL.
-//! * [`profiling`] — wall-clock timers, compiled in only under the
-//!   `wallclock` cargo feature and meant for bench binaries. Simulation
-//!   logic never reads real time.
 //!
 //! # Zero perturbation
 //!
@@ -25,8 +22,8 @@
 //! * every handle ([`Counter`], [`Gauge`], [`Histogram`]) is an
 //!   `Option<Arc<…>>`; the disabled form is a `None` and every operation
 //!   on it is an inlined no-op branch,
-//! * no API draws randomness, reads the wall clock (outside `wallclock`),
-//!   or performs I/O on the hot path,
+//! * no API draws randomness, reads the wall clock, or performs I/O on
+//!   the hot path,
 //! * all recorded values are integers — energy is recorded in
 //!   microjoules — so snapshot totals do not depend on floating-point
 //!   accumulation order,
@@ -54,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod metrics;
-pub mod profiling;
 pub mod span;
 pub mod trace;
 

@@ -21,7 +21,7 @@
 //! * [`cloud`] — the PMWare cloud instance (PCI)
 //! * [`core`] — the PMWare mobile service (PMS)
 //! * [`apps`] — connected applications
-//! * [`obs`] — sim-time tracing, metrics registry, profiling hooks
+//! * [`obs`] — sim-time tracing and the metrics registry
 //!
 //! # Quickstart
 //!

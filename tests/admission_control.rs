@@ -71,11 +71,11 @@ fn run_cohort(admission: Option<AdmissionConfig>, honor_retry_after: bool) -> Co
         .seed(SEED)
         .build();
     let population = Population::generate(&world, PARTICIPANTS, SEED + 1);
-    let cloud = SharedCloud::new(CloudInstance::new(
-        CellDatabase::from_world(&world),
-        SEED + 2,
-    ));
-    cloud.set_admission(admission);
+    let mut instance = CloudInstance::new(CellDatabase::from_world(&world), SEED + 2);
+    if let Some(admission) = admission {
+        instance = instance.with_admission(admission);
+    }
+    let cloud = SharedCloud::new(instance);
 
     let mut states = Vec::new();
     let mut wire_requests = 0;

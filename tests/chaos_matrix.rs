@@ -188,8 +188,8 @@ fn run_study_full(
     let faulty = FaultyCloud::new(
         shared.clone(),
         plan.unwrap_or_else(|| FaultPlan::with_rate(0, 0.0)),
-    );
-    faulty.set_obs(obs);
+    )
+    .with_obs(obs);
     faulty.set_enabled(false);
 
     let env = RadioEnvironment::new(&sw.world, RadioConfig::default());
