@@ -176,8 +176,12 @@ bench-federation:
 # replay after a crash, deterministic LRU eviction, evicted-user
 # failover, and the capped-vs-uncapped proptest equivalence — the
 # engine's unit tests (snapshot layout, park/hydrate fidelity, failed
-# snapshot writes) and the binary GCA-log codec's, plus the durable arm
-# of the chaos matrix.
+# snapshot and WAL writes counted), the WAL frame codec's (every logged
+# route round-trips; truncations are torn, bit flips corrupt, random
+# bytes rejected), the WAL crash-point matrix (storage::crash_points:
+# every shard cut at every frame boundary +-1..3 bytes and bit-flipped
+# in every frame, recovering exactly the prefix before the damage) and
+# the binary GCA-log codec's, plus the durable arm of the chaos matrix.
 test-storage:
 	cargo test --release -q -p pmware-cloud --test storage
 	cargo test --release -q -p pmware-cloud --lib -- storage:: wire::

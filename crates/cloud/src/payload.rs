@@ -76,6 +76,10 @@ pub const TOPOLOGY_HANDSHAKE_PATH: &str = "/api/v1/topology/handshake";
 /// successful POST here as the start of a user's migration log.
 pub const REGISTRATION_PATH: &str = "/api/v1/registration";
 
+/// Path of the GCA offload route, whose batched bodies the durable WAL
+/// frames in their binary column spelling.
+pub(crate) const DISCOVER_PATH: &str = "/api/v1/places/discover";
+
 /// `POST /api/v1/places/discover` body.
 #[derive(Debug, Clone, Deserialize)]
 pub struct DiscoverBody {

@@ -13,7 +13,8 @@
 //!   snapshot. Pins held by in-flight [`StoreGuard`]s shield a store from
 //!   eviction, so the cap is soft under extreme concurrent pinning.
 //! * **Durability** (`store_dir`): every successful mutating request is
-//!   appended to a per-shard JSONL WAL before the response is returned to
+//!   appended to a per-shard WAL file of checksummed binary frames
+//!   (`wal-NN.bin`, layout in [`wal`]) before the response is returned to
 //!   the transport, snapshots park on disk instead of RAM, and
 //!   [`StorageEngine::load_dir`] + registration replay rebuild the exact
 //!   instance after a crash ([`crate::instance::CloudInstance::recover`]).
@@ -22,6 +23,14 @@
 //!   the snapshots cover (registrations and token grants are exempt — they
 //!   rebuild the auth registry, which snapshots do not capture), and
 //!   rewrites the shard files.
+//!
+//! Failed writes are counted, not dropped: `storage_wal_write_errors_total`
+//! and `storage_snapshot_write_errors_total`. Recovery reads each shard's
+//! frames in order and stops a shard at its first bad frame, counting
+//! `storage_recovery_errors_total{reason=…}`: `torn_tail` (the file ends
+//! inside a frame), `corrupt` (a length check, checksum or body fails, or
+//! the file cannot be read) or `legacy_jsonl` (a JSONL shard of the old
+//! format, which is not read).
 //!
 //! Lock order, engine-wide: residency mutex → shard `RwLock` → store
 //! mutex → WAL mutex → snapshot-store mutex. [`StoreGuard::drop`]
@@ -37,14 +46,16 @@
 //! mode.
 
 pub(crate) mod apply;
+#[cfg(test)]
+mod crash_points;
 pub(crate) mod residency;
 pub(crate) mod snapshot;
 pub(crate) mod wal;
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -60,9 +71,19 @@ use crate::state::{UserStore, SHARD_COUNT};
 
 use residency::{ResidencyState, Shard};
 use snapshot::{Parked, SnapshotStore};
-use wal::{WalLog, WalOp, WalRecord};
+use wal::{FrameError, WalLog, WalOp, WalRecord};
 
-pub(crate) use snapshot::fnv64;
+/// FNV-1a (64-bit) over `bytes`: the one hash behind WAL shard indexes,
+/// snapshot file names, WAL frame checksums and the federation ring's
+/// placement. Deterministic across runs and platforms.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
 
 /// The device identity key user state is logged, snapshotted, and placed
 /// under — shared by the storage engine and the federation topology.
@@ -75,6 +96,10 @@ pub(crate) fn identity_key(imei: &str, email: &str) -> String {
 fn fallback_key(user: UserId) -> String {
     format!("uid:{:08}", user.0)
 }
+
+/// The counter of shards recovery could not read to the end, labelled by
+/// `reason`.
+const RECOVERY_ERRORS: &str = "storage_recovery_errors_total";
 
 /// Storage engine configuration. All pieces are optional and composable;
 /// `StorageConfig::default()` (no cap, no directory) enables the engine
@@ -101,13 +126,25 @@ impl Default for StorageConfig {
     }
 }
 
-/// Residency metrics and the span sink, bound at construction when a
-/// config is given (without one, the engine adds zero metric keys).
+/// Residency and failure metrics and the span sink, bound at
+/// construction when a config is given (without one, the engine adds
+/// zero metric keys).
 #[derive(Debug)]
 struct StorageMetrics {
     evictions: Counter,
     hydrations: Counter,
     resident: Gauge,
+    /// WAL appends and shard rewrites that did not reach the file.
+    wal_write_errors: Counter,
+    /// Snapshot files that could not be written.
+    snapshot_write_errors: Counter,
+    /// Shards whose last frame was cut short (`reason="torn_tail"`).
+    recovery_torn_tail: Counter,
+    /// Shards stopped at a damaged frame, or unreadable
+    /// (`reason="corrupt"`).
+    recovery_corrupt: Counter,
+    /// Old-format JSONL shard files left unread (`reason="legacy_jsonl"`).
+    recovery_legacy: Counter,
     spans: Option<Arc<SpanSink>>,
 }
 
@@ -117,13 +154,36 @@ impl Default for StorageMetrics {
             evictions: Counter::noop(),
             hydrations: Counter::noop(),
             resident: Gauge::noop(),
+            wal_write_errors: Counter::noop(),
+            snapshot_write_errors: Counter::noop(),
+            recovery_torn_tail: Counter::noop(),
+            recovery_corrupt: Counter::noop(),
+            recovery_legacy: Counter::noop(),
             spans: None,
         }
     }
 }
 
+/// The path of WAL shard file `idx`.
+fn shard_path(dir: &Path, idx: usize) -> PathBuf {
+    dir.join(format!("wal-{idx:02}.bin"))
+}
+
+/// Cuts a damaged shard file back to its first `good` bytes (its whole
+/// frames), first copying the damaged file aside as `<file>.corrupt`
+/// when `keep_aside`.
+fn cut_back(path: &Path, good: usize, keep_aside: bool) -> io::Result<()> {
+    if keep_aside {
+        fs::copy(path, path.with_extension("bin.corrupt"))?;
+    }
+    fs::OpenOptions::new()
+        .write(true)
+        .open(path)?
+        .set_len(good as u64)
+}
+
 /// The durable half of the WAL: the in-memory log plus lazily opened
-/// per-shard JSONL appenders.
+/// per-shard frame appenders.
 #[derive(Debug)]
 struct WalState {
     log: WalLog,
@@ -136,51 +196,55 @@ impl WalState {
     /// user-id shard mapping on purpose: keys are stable identity
     /// strings, user ids are assigned in registration order.
     fn file_index(key: &str) -> usize {
-        (fnv64(key) % SHARD_COUNT as u64) as usize
+        (fnv1a(key.as_bytes()) % SHARD_COUNT as u64) as usize
     }
 
-    /// Appends one record to its shard file (durable mode only).
-    fn persist(&mut self, record: &WalRecord) {
+    /// Appends one record to its shard file as a single `write_all` of
+    /// one frame (durable mode only).
+    fn persist(&mut self, record: &WalRecord) -> io::Result<()> {
         let Some(dir) = &self.dir else {
-            return;
+            return Ok(());
         };
+        let frame = record.to_frame().map_err(io::Error::other)?;
         let idx = Self::file_index(&record.key);
-        if self.files[idx].is_none() {
-            self.files[idx] = fs::OpenOptions::new()
+        let file = match self.files[idx].take() {
+            Some(file) => file,
+            None => fs::OpenOptions::new()
                 .create(true)
                 .append(true)
-                .open(dir.join(format!("wal-{idx:02}.jsonl")))
-                .ok();
-        }
-        if let Some(file) = &mut self.files[idx] {
-            let line = serde_json::to_string(&record.to_json()).expect("wal record serializes");
-            let _ = writeln!(file, "{line}");
-            let _ = file.flush();
-        }
+                .open(shard_path(dir, idx))?,
+        };
+        self.files[idx].insert(file).write_all(&frame)
     }
 
     /// Rewrites every shard file from the (compacted) in-memory log,
-    /// atomically per file (write-then-rename).
-    fn rewrite_files(&mut self) {
+    /// atomically per file (write-then-rename). Returns the number of
+    /// failures: records that do not frame and shards not replaced.
+    fn rewrite_files(&mut self) -> u64 {
         let Some(dir) = self.dir.clone() else {
-            return;
+            return 0;
         };
-        let mut lines: Vec<String> = vec![String::new(); SHARD_COUNT];
+        let mut failures = 0;
+        let mut shards: Vec<Vec<u8>> = vec![Vec::new(); SHARD_COUNT];
         for record in self.log.all_records() {
-            let line = serde_json::to_string(&record.to_json()).expect("wal record serializes");
-            let slot = &mut lines[Self::file_index(&record.key)];
-            slot.push_str(&line);
-            slot.push('\n');
-        }
-        for (idx, content) in lines.iter().enumerate() {
-            let path = dir.join(format!("wal-{idx:02}.jsonl"));
-            let tmp = dir.join(format!("wal-{idx:02}.jsonl.tmp"));
-            // Drop the open appender before replacing the file under it.
-            self.files[idx] = None;
-            if fs::write(&tmp, content).is_ok() {
-                let _ = fs::rename(&tmp, &path);
+            match record.to_frame() {
+                Ok(frame) => shards[Self::file_index(&record.key)].extend_from_slice(&frame),
+                Err(_) => failures += 1,
             }
         }
+        for (idx, content) in shards.iter().enumerate() {
+            let path = shard_path(&dir, idx);
+            let tmp = path.with_extension("bin.tmp");
+            // Drop the open appender before replacing the file under it.
+            self.files[idx] = None;
+            if fs::write(&tmp, content)
+                .and_then(|()| fs::rename(&tmp, &path))
+                .is_err()
+            {
+                failures += 1;
+            }
+        }
+        failures
     }
 }
 
@@ -257,6 +321,11 @@ impl StorageEngine {
             evictions: obs.counter("cloud_store_evictions_total", &[]),
             hydrations: obs.counter("cloud_store_hydrations_total", &[]),
             resident: obs.gauge("cloud_store_resident_users", &[]),
+            wal_write_errors: obs.counter("storage_wal_write_errors_total", &[]),
+            snapshot_write_errors: obs.counter("storage_snapshot_write_errors_total", &[]),
+            recovery_torn_tail: obs.counter(RECOVERY_ERRORS, &[("reason", "torn_tail")]),
+            recovery_corrupt: obs.counter(RECOVERY_ERRORS, &[("reason", "corrupt")]),
+            recovery_legacy: obs.counter(RECOVERY_ERRORS, &[("reason", "legacy_jsonl")]),
             spans: obs.spans().cloned(),
         };
         StorageEngine::build(Some(config), metrics)
@@ -370,14 +439,26 @@ impl StorageEngine {
             let wal_seq = self.inner.wal.lock().log.last_seq(&key);
             // A failed write keeps the snapshot resident and out of the
             // watermarks below, so its WAL records stay on disk.
-            let _ = self.inner.snapshots.put(&key, wal_seq, parked);
+            self.park(&key, wal_seq, parked);
         }
         let watermarks = self.inner.snapshots.watermarks();
         let mut wal = self.inner.wal.lock();
         for (key, upto) in &watermarks {
             wal.log.compact(key, *upto);
         }
-        wal.rewrite_files();
+        let failures = wal.rewrite_files();
+        self.inner.metrics.wal_write_errors.add(failures);
+    }
+
+    /// Parks `key`'s snapshot, counting a failed file write. Returns
+    /// whether the snapshot reached its durable home (always, in
+    /// cap-only mode).
+    fn park(&self, key: &str, wal_seq: u64, parked: Parked) -> bool {
+        let written = self.inner.snapshots.put(key, wal_seq, parked).is_ok();
+        if !written {
+            self.inner.metrics.snapshot_write_errors.inc();
+        }
+        written
     }
 
     /// Acquires `user`'s store, hydrating or creating it as needed and
@@ -534,7 +615,7 @@ impl StorageEngine {
             // prune is what keeps capped RSS flat as history accumulates.
             // A snapshot that failed to reach disk stays resident, and the
             // records it covers stay in the log for the on-disk rewrite.
-            if self.inner.snapshots.put(&key, wal_seq, parked).is_ok() {
+            if self.park(&key, wal_seq, parked) {
                 self.inner.wal.lock().log.compact(&key, wal_seq);
             }
             self.shard(victim).users.write().remove(&victim);
@@ -612,7 +693,9 @@ impl StorageEngine {
             return;
         }
         let record = wal.log.append(key, op.compacted());
-        wal.persist(&record);
+        if wal.persist(&record).is_err() {
+            self.inner.metrics.wal_write_errors.inc();
+        }
     }
 
     // ---- recovery (driven by `CloudInstance::recover`) -------------------
@@ -620,23 +703,59 @@ impl StorageEngine {
     /// Loads the WAL shard files and parked snapshots from the configured
     /// store directory (crash recovery; call on a fresh, still-empty
     /// engine).
+    ///
+    /// Each shard's frames load in order up to its first bad frame, which
+    /// stops that shard and is counted by reason. A damaged shard is then
+    /// cut back to its last whole frame, so appends after recovery start
+    /// on a frame boundary; the bytes of a corrupt one are first kept
+    /// aside as `wal-NN.bin.corrupt`. An old-format `wal-NN.jsonl` is
+    /// counted and left unread.
     pub(crate) fn load_dir(&self) {
         {
             let mut wal = self.inner.wal.lock();
             let Some(dir) = wal.dir.clone() else {
                 return;
             };
+            let metrics = &self.inner.metrics;
             for idx in 0..SHARD_COUNT {
-                let Ok(text) = fs::read_to_string(dir.join(format!("wal-{idx:02}.jsonl"))) else {
-                    continue;
-                };
-                for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    let Ok(value) = serde_json::from_str::<serde_json::Value>(line) else {
+                if dir.join(format!("wal-{idx:02}.jsonl")).exists() {
+                    metrics.recovery_legacy.inc();
+                }
+                let path = shard_path(&dir, idx);
+                let bytes = match fs::read(&path) {
+                    Ok(bytes) => bytes,
+                    Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
+                    Err(_) => {
+                        metrics.recovery_corrupt.inc();
                         continue;
-                    };
-                    if let Ok(record) = WalRecord::from_json(&value) {
-                        wal.log.insert_loaded(record);
                     }
+                };
+                let (mut good, mut damage) = (0, None);
+                while good < bytes.len() {
+                    match WalRecord::from_frame(&bytes[good..]) {
+                        Ok((record, len)) => {
+                            wal.log.insert_loaded(record);
+                            good += len;
+                        }
+                        Err(error) => {
+                            damage = Some(error);
+                            break;
+                        }
+                    }
+                }
+                let repaired = match damage {
+                    None => continue,
+                    Some(FrameError::Torn) => {
+                        metrics.recovery_torn_tail.inc();
+                        cut_back(&path, good, false)
+                    }
+                    Some(FrameError::Corrupt(_)) => {
+                        metrics.recovery_corrupt.inc();
+                        cut_back(&path, good, true)
+                    }
+                };
+                if repaired.is_err() {
+                    metrics.wal_write_errors.inc();
                 }
             }
             wal.log.sort();
@@ -809,6 +928,7 @@ mod tests {
             engine.inner.snapshots.watermarks().is_empty(),
             "an unwritten snapshot is not compactable"
         );
+        assert_eq!(engine.inner.metrics.snapshot_write_errors.get(), 1);
 
         let guard = engine.acquire(UserId(1), SimTime::from_seconds(3), &gca);
         let expected = multi_day_store(3);
@@ -820,6 +940,49 @@ mod tests {
         );
         drop(store);
         let _ = fs::remove_file(&snapshots);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A WAL append or shard rewrite that cannot reach its file is
+    /// counted under `storage_wal_write_errors_total`, and the reply the
+    /// client gets does not change.
+    #[test]
+    fn failed_wal_writes_are_counted() {
+        let dir = std::env::temp_dir().join(format!("pmware-wal-fail-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let obs = Obs::new();
+        let cloud = crate::CloudInstance::new(crate::CellDatabase::new(), 3)
+            .with_obs(&obs)
+            .with_storage(StorageConfig {
+                resident_cap: None,
+                store_dir: Some(dir.clone()),
+                snapshot_every_days: 1,
+            });
+        let errors = || {
+            let metrics = obs.metrics().unwrap().snapshot();
+            metrics.counter_value("storage_wal_write_errors_total")
+        };
+        // The user's shard file cannot be opened: a directory sits at its
+        // path.
+        let key = identity_key("imei-1", "u1@example.com");
+        fs::create_dir_all(shard_path(&dir, WalState::file_index(&key))).unwrap();
+        let registration = Request::post(
+            crate::payload::REGISTRATION_PATH,
+            RegistrationBody {
+                imei: "imei-1".into(),
+                email: "u1@example.com".into(),
+            },
+        );
+        let response = cloud.handle(&registration, SimTime::from_seconds(10));
+        assert!(response.is_success(), "{response:?}");
+        assert_eq!(errors(), 2, "the registration and its token grant");
+
+        // The day sweep's rewrite cannot rename over the directory either.
+        cloud.handle(
+            &Request::get("/api/v1/health"),
+            SimTime::from_day_time(1, 0, 0, 0),
+        );
+        assert_eq!(errors(), 3, "one failed shard rewrite");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -46,6 +46,7 @@ use pmware_algorithms::route::RouteStore;
 use pmware_algorithms::signature::DiscoveredPlace;
 use serde::{Deserialize, Serialize};
 
+use super::fnv1a;
 use crate::analytics::ProfileHistory;
 use crate::predict::MarkovPredictor;
 use crate::profile::ContactEntry;
@@ -110,7 +111,7 @@ impl Parked {
             ObservationBatch::encode(engine.observations()).to_bytes()
         });
         Parked {
-            store: serde_json::to_string(&snapshot).expect("snapshot serializes"),
+            store: snapshot.to_json_value().to_string(),
             log,
         }
     }
@@ -192,17 +193,6 @@ pub(crate) struct SnapshotStore {
     inner: Mutex<SnapState>,
 }
 
-/// FNV-1a over the key: the disambiguating suffix of snapshot filenames
-/// and the WAL shard-file hash.
-pub(crate) fn fnv64(key: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// The extension of snapshot files.
 const SNAPSHOT_EXT: &str = "snap";
 
@@ -215,7 +205,7 @@ fn file_name_of(key: &str) -> String {
         .take(48)
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    format!("{safe}-{:016x}.{SNAPSHOT_EXT}", fnv64(key))
+    format!("{safe}-{:016x}.{SNAPSHOT_EXT}", fnv1a(key.as_bytes()))
 }
 
 /// Writes `key`'s snapshot file: header line, store JSON, log block,
@@ -227,7 +217,7 @@ fn write_file(dir: &Path, key: &str, wal_seq: u64, parked: &Parked) -> io::Resul
         store_len: parked.store.len() as u64,
         wal_seq,
     };
-    let header = serde_json::to_string(&header).expect("header serializes");
+    let header = serde_json::to_string(&header).map_err(io::Error::other)?;
     let path = dir.join(file_name_of(key));
     let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
     let mut file = fs::File::create(&tmp)?;

@@ -14,17 +14,40 @@
 //! per-day profile sequences, places/routes sync sequences) absorb any
 //! record that slips through both filters. Queries are never logged: they
 //! do not shape user state.
+//!
+//! The durable engine writes each record as one binary frame
+//! ([`WalRecord::to_frame`]), the only on-disk spelling — appends,
+//! compaction rewrites and recovery all use it. All integers are
+//! little-endian, and strings are a `u32` byte length plus UTF-8:
+//!
+//! ```text
+//! frame = len:u32 | !len:u32 | fnv1a64(body):u64 | body (len bytes)
+//! body  = seq:u64 | key:str | kind:u8 | op
+//! op    = kind 0, token grant:  token:str | expires_at_s:u64
+//!       | kind 1, request:      Request::to_bytes wire bytes (to the end)
+//!       | kind 2, discover:     token:str | start:u64 | ObservationBatch::to_bytes (to the end)
+//! ```
+//!
+//! Kind 2 carries a sequenced, batched `POST /api/v1/places/discover`
+//! in the batch's binary column codec, so the largest records are never
+//! rendered or parsed as JSON on the durable path; any other discover body
+//! (a plain array, or no `start`) is a kind 1 request. The `!len` copy,
+//! as in DEFLATE's stored blocks, tells a damaged length from a torn
+//! write: a frame the file ends inside is [`FrameError::Torn`], one whose
+//! length check or checksum fails is [`FrameError::Corrupt`].
 
 use std::collections::BTreeMap;
 
 use pmware_world::SimTime;
-use serde_json::Value;
 
-use crate::api::{Request, Response};
-use crate::payload::{Payload, REGISTRATION_PATH};
+use super::fnv1a;
+use crate::api::{Method, Request, Response};
+use crate::payload::{DiscoverBody, Payload, RequestBody, DISCOVER_PATH, REGISTRATION_PATH};
+use crate::wire::{ByteReader, ObservationBatch};
 
-/// One logged operation under an identity key.
-#[derive(Debug, Clone)]
+/// One logged operation under an identity key. Equality is wire
+/// equality (see [`Request`]'s).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalOp {
     /// A successful mutating request, replayable through `handle`
     /// (boxed: records outnumber grants and a request dwarfs one).
@@ -41,7 +64,7 @@ pub(crate) enum WalOp {
 }
 
 /// One WAL record: a per-key sequence number and the operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WalRecord {
     /// 1-based position in this key's log (the dedup watermark unit).
     pub(crate) seq: u64,
@@ -83,66 +106,157 @@ impl WalRecord {
         self.is_registration() || matches!(self.op, WalOp::TokenGrant { .. })
     }
 
-    /// The on-disk JSONL spelling. The embedded request reuses the pinned
-    /// wire format (`Request::to_bytes`), so the WAL format is stable
-    /// wherever the wire format is.
-    pub(crate) fn to_json(&self) -> Value {
-        let mut map = BTreeMap::new();
-        map.insert("key".to_owned(), Value::String(self.key.clone()));
-        map.insert(
-            "seq".to_owned(),
-            Value::Number(serde_json::Number::PosInt(self.seq)),
-        );
+    /// The on-disk frame of this record (layout in the module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the defect when the body would not fit a
+    /// frame's `u32` length.
+    pub(crate) fn to_frame(&self) -> Result<Vec<u8>, String> {
+        let mut frame = vec![0; FRAME_HEADER];
+        frame.extend_from_slice(&self.seq.to_le_bytes());
+        put_str(&mut frame, &self.key);
         match &self.op {
-            WalOp::Request(request) => {
-                let wire = String::from_utf8(request.to_bytes().to_vec())
-                    .expect("request wire bytes are valid JSON");
-                map.insert("kind".to_owned(), Value::String("request".to_owned()));
-                map.insert("request".to_owned(), Value::String(wire));
-            }
             WalOp::TokenGrant { token, expires_at } => {
-                map.insert("kind".to_owned(), Value::String("token".to_owned()));
-                map.insert("token".to_owned(), Value::String(token.clone()));
-                map.insert(
-                    "expires_at_s".to_owned(),
-                    Value::Number(serde_json::Number::PosInt(expires_at.as_seconds())),
-                );
+                frame.push(KIND_TOKEN);
+                put_str(&mut frame, token);
+                frame.extend_from_slice(&expires_at.as_seconds().to_le_bytes());
             }
+            WalOp::Request(request) => match batched_discover(request) {
+                Some((token, start, batch)) => {
+                    frame.push(KIND_DISCOVER);
+                    put_str(&mut frame, token);
+                    frame.extend_from_slice(&start.to_le_bytes());
+                    frame.extend_from_slice(&batch.to_bytes());
+                }
+                None => {
+                    frame.push(KIND_REQUEST);
+                    frame.extend_from_slice(&request.to_bytes());
+                }
+            },
         }
-        Value::Object(map)
+        let body = &frame[FRAME_HEADER..];
+        // Every length inside the body is smaller than the body, so when
+        // the body fits a `u32` the `as u32` casts in `put_str` were exact.
+        let len = u32::try_from(body.len())
+            .map_err(|_| format!("wal record body of {} bytes", body.len()))?;
+        let checksum = fnv1a(body);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..8].copy_from_slice(&(!len).to_le_bytes());
+        frame[8..FRAME_HEADER].copy_from_slice(&checksum.to_le_bytes());
+        Ok(frame)
     }
 
-    /// Parses one JSONL line back into a record.
-    pub(crate) fn from_json(value: &Value) -> Result<WalRecord, String> {
-        let key = value["key"]
-            .as_str()
-            .ok_or("wal record missing key")?
-            .to_owned();
-        let seq = value["seq"].as_u64().ok_or("wal record missing seq")?;
-        let op = match value["kind"].as_str() {
-            Some("request") => {
-                let wire = value["request"]
-                    .as_str()
-                    .ok_or("request record missing body")?;
-                let request = Request::from_bytes(wire.as_bytes())
+    /// Decodes the frame at the start of `bytes`, returning the record
+    /// and the bytes the frame spans.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Torn`] when `bytes` ends inside the frame;
+    /// [`FrameError::Corrupt`] when the length check or the checksum
+    /// fails, or a checksummed body does not decode. Never panics.
+    pub(crate) fn from_frame(bytes: &[u8]) -> Result<(WalRecord, usize), FrameError> {
+        let mut header = ByteReader::new(bytes);
+        let (Ok(len), Ok(check), Ok(checksum)) = (
+            header.take().map(u32::from_le_bytes),
+            header.take().map(u32::from_le_bytes),
+            header.take().map(u64::from_le_bytes),
+        ) else {
+            return Err(FrameError::Torn);
+        };
+        if check != !len {
+            return Err(FrameError::Corrupt(format!(
+                "length {len} fails its check {check}"
+            )));
+        }
+        let body = header.slice(len as usize).map_err(|_| FrameError::Torn)?;
+        if fnv1a(body) != checksum {
+            return Err(FrameError::Corrupt(format!(
+                "checksum mismatch over {len} body bytes"
+            )));
+        }
+        let record = WalRecord::from_body(body).map_err(FrameError::Corrupt)?;
+        Ok((record, FRAME_HEADER + body.len()))
+    }
+
+    /// Decodes a checksummed frame body.
+    fn from_body(body: &[u8]) -> Result<WalRecord, String> {
+        let mut input = ByteReader::new(body);
+        let seq = u64::from_le_bytes(input.take()?);
+        let key = take_str(&mut input)?.to_owned();
+        let [kind] = input.take()?;
+        let op = match kind {
+            KIND_TOKEN => {
+                let token = take_str(&mut input)?.to_owned();
+                let expires_at = SimTime::from_seconds(u64::from_le_bytes(input.take()?));
+                input.finish()?;
+                WalOp::TokenGrant { token, expires_at }
+            }
+            KIND_REQUEST => {
+                let request = Request::from_bytes(input.rest())
                     .map_err(|e| format!("unparseable wal request: {e}"))?;
                 WalOp::request(request)
             }
-            Some("token") => WalOp::TokenGrant {
-                token: value["token"]
-                    .as_str()
-                    .ok_or("token record missing token")?
-                    .to_owned(),
-                expires_at: SimTime::from_seconds(
-                    value["expires_at_s"]
-                        .as_u64()
-                        .ok_or("token record missing expiry")?,
-                ),
-            },
-            other => return Err(format!("unknown wal record kind {other:?}")),
+            KIND_DISCOVER => {
+                let token = take_str(&mut input)?.to_owned();
+                let start = u64::from_le_bytes(input.take()?);
+                let batch = ObservationBatch::from_bytes(input.rest())?;
+                let body = DiscoverBody {
+                    observations: Vec::new(),
+                    batch: Some(batch),
+                    start: Some(start),
+                };
+                WalOp::request(Request::post(DISCOVER_PATH, body).with_token(token))
+            }
+            other => return Err(format!("unknown wal record kind {other}")),
         };
         Ok(WalRecord { seq, key, op })
     }
+}
+
+/// Bytes of a frame header: `len`, `!len`, and the body checksum.
+pub(crate) const FRAME_HEADER: usize = 4 + 4 + 8;
+
+/// Frame kind byte of a [`WalOp::TokenGrant`].
+const KIND_TOKEN: u8 = 0;
+/// Frame kind byte of a request logged as its wire bytes.
+const KIND_REQUEST: u8 = 1;
+/// Frame kind byte of a sequenced, batched discover request.
+const KIND_DISCOVER: u8 = 2;
+
+/// Why a frame did not decode.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum FrameError {
+    /// The bytes end inside the frame: a write cut short by a crash.
+    Torn,
+    /// A whole frame that fails its length check or checksum, or whose
+    /// body does not decode.
+    Corrupt(String),
+}
+
+/// The parts of a discover request the batched frame kind carries —
+/// `(token, start, batch)` — or `None` when the request must be logged as
+/// its wire bytes (any other route, a plain-array or unsequenced body, no
+/// token, or a ragged batch).
+fn batched_discover(request: &Request) -> Option<(&str, u64, &ObservationBatch)> {
+    if request.method != Method::Post || request.path != DISCOVER_PATH {
+        return None;
+    }
+    let body = DiscoverBody::from_payload(&request.body)?;
+    let batch = body.batch.as_ref().filter(|batch| !batch.is_ragged())?;
+    Some((request.token.as_deref()?, body.start?, batch))
+}
+
+/// Appends a `u32`-length-prefixed string.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// Reads a `u32`-length-prefixed UTF-8 string.
+fn take_str<'a>(input: &mut ByteReader<'a>) -> Result<&'a str, String> {
+    let len = u32::from_le_bytes(input.take()?) as usize;
+    std::str::from_utf8(input.slice(len)?).map_err(|e| format!("string: {e}"))
 }
 
 /// An in-memory per-key sequenced log — the shared core of both the
@@ -285,44 +399,211 @@ pub(crate) fn replay_session(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::{ContactEntry, MobilityProfile};
+    use crate::router::PathSpec;
+    use pmware_world::tower::NetworkLayer;
+    use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn};
+    use proptest::prelude::*;
     use serde_json::json;
 
-    #[test]
-    fn records_round_trip_through_json() {
-        let record = WalRecord {
-            seq: 3,
-            key: "imei|mail".to_owned(),
-            op: WalOp::request(
-                Request::post_json("/api/v1/social/sync", json!({"contacts": []}))
-                    .with_token("tok-x"),
-            ),
-        };
-        let back = WalRecord::from_json(&record.to_json()).unwrap();
-        assert_eq!(back.seq, 3);
-        assert_eq!(back.key, "imei|mail");
-        match back.op {
-            WalOp::Request(r) => {
-                assert_eq!(r.path, "/api/v1/social/sync");
-                assert_eq!(r.token.as_deref(), Some("tok-x"));
-            }
-            other => panic!("expected request, got {other:?}"),
+    fn gsm(minute: u64, cid: u32) -> GsmObservation {
+        GsmObservation {
+            time: SimTime::from_seconds(3_600 + minute * 60),
+            cell: CellGlobalId {
+                plmn: Plmn { mcc: 404, mnc: 45 },
+                lac: Lac(3),
+                cell: CellId(cid),
+            },
+            layer: NetworkLayer::G2,
+            rssi_dbm: -71.5,
         }
+    }
 
-        let grant = WalRecord {
-            seq: 4,
-            key: "imei|mail".to_owned(),
-            op: WalOp::TokenGrant {
+    fn record(seq: u64, op: WalOp) -> WalRecord {
+        WalRecord {
+            seq,
+            key: "imei-1|u1@example.com".to_owned(),
+            op,
+        }
+    }
+
+    /// One record of every kind the durable engine logs: a request on
+    /// every logged route (registration plus each `Ingest` route, the
+    /// discover body spelled three ways), and a token grant.
+    fn logged_records() -> Vec<WalRecord> {
+        let log: Vec<GsmObservation> = (0..40).map(|m| gsm(m, 1 + (m % 3) as u32)).collect();
+        let batch = ObservationBatch::encode(&log);
+        let contact = ContactEntry {
+            contact: "peer-7".into(),
+            start: SimTime::from_seconds(60),
+            end: SimTime::from_seconds(1_860),
+            place: None,
+        };
+        let requests = [
+            Request::post_json(
+                REGISTRATION_PATH,
+                json!({"imei": "imei-1", "email": "u1@example.com"}),
+            ),
+            Request::post(
+                DISCOVER_PATH,
+                DiscoverBody {
+                    observations: Vec::new(),
+                    batch: Some(batch.clone()),
+                    start: Some(80),
+                },
+            ),
+            Request::post_json(DISCOVER_PATH, json!({"observations": log, "start": 40})),
+            Request::post_json(DISCOVER_PATH, json!({"batch": batch})),
+            Request::post_json("/api/v1/places/sync", json!({"places": [], "seq": 4})),
+            Request::post_json("/api/v1/places/label", json!({"place": 2, "label": "gym"})),
+            Request::post_json("/api/v1/routes/sync", json!({"routes": [], "seq": 1})),
+            Request::post_json(
+                "/api/v1/profiles/sync",
+                json!({"profile": MobilityProfile::new(3), "seq": 2}),
+            ),
+            Request::post_json(
+                "/api/v1/social/sync",
+                json!({"contacts": [contact], "first_seq": 5}),
+            ),
+        ];
+        let mut records: Vec<WalRecord> = requests
+            .into_iter()
+            .enumerate()
+            .map(|(i, request)| record(i as u64 + 1, WalOp::request(request.with_token("tok-x"))))
+            .collect();
+        records.push(record(
+            99,
+            WalOp::TokenGrant {
                 token: "tok-y".to_owned(),
                 expires_at: SimTime::from_seconds(86_400),
             },
-        };
-        let back = WalRecord::from_json(&grant.to_json()).unwrap();
-        match back.op {
-            WalOp::TokenGrant { token, expires_at } => {
-                assert_eq!(token, "tok-y");
-                assert_eq!(expires_at, SimTime::from_seconds(86_400));
+        ));
+        records
+    }
+
+    /// The frame kind byte of a record about `key`.
+    fn kind_of(frame: &[u8], key: &str) -> u8 {
+        frame[FRAME_HEADER + 8 + 4 + key.len()]
+    }
+
+    #[test]
+    fn every_logged_record_round_trips_through_its_frame() {
+        let records = logged_records();
+        let covered: Vec<&str> = records
+            .iter()
+            .filter_map(|r| match &r.op {
+                WalOp::Request(request) => Some(request.path.as_str()),
+                WalOp::TokenGrant { .. } => None,
+            })
+            .collect();
+        for route in crate::router::ROUTES {
+            let logged = route.rate_class == crate::router::RateClass::Ingest
+                || route.path == PathSpec::Exact(REGISTRATION_PATH);
+            if let (true, PathSpec::Exact(path)) = (logged, route.path) {
+                assert!(covered.contains(&path), "no sample for logged route {path}");
             }
-            other => panic!("expected grant, got {other:?}"),
+        }
+        for record in &records {
+            assert!(
+                !matches!(&record.op, WalOp::Request(r) if matches!(r.body, Payload::Invalid { .. })),
+                "sample {} must decode for its route",
+                record.seq
+            );
+            let frame = record.to_frame().unwrap();
+            let (back, len) = WalRecord::from_frame(&frame).unwrap();
+            assert_eq!(len, frame.len());
+            assert_eq!(&back, record, "record {} changed in its frame", record.seq);
+        }
+    }
+
+    /// Only a sequenced, batched discover takes the column kind; a plain
+    /// array and an unsequenced batch are logged as their wire bytes.
+    #[test]
+    fn only_sequenced_batched_discovers_take_the_column_kind() {
+        let records = logged_records();
+        let kinds: Vec<u8> = records
+            .iter()
+            .map(|r| kind_of(&r.to_frame().unwrap(), &r.key))
+            .collect();
+        assert_eq!(
+            kinds,
+            [1, 2, 1, 1, 1, 1, 1, 1, 1, 0],
+            "registration, discover (batch + start / array / no start), \
+             the four syncs and the label, then the grant"
+        );
+    }
+
+    #[test]
+    fn every_truncated_prefix_is_a_torn_frame() {
+        for record in logged_records() {
+            let frame = record.to_frame().unwrap();
+            for len in 0..frame.len() {
+                assert_eq!(
+                    WalRecord::from_frame(&frame[..len]).unwrap_err(),
+                    FrameError::Torn,
+                    "record {} cut at {len}",
+                    record.seq
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_a_corrupt_frame() {
+        for record in logged_records() {
+            let frame = record.to_frame().unwrap();
+            for bit in 0..frame.len() * 8 {
+                let mut flipped = frame.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    matches!(WalRecord::from_frame(&flipped), Err(FrameError::Corrupt(_))),
+                    "record {} with bit {bit} flipped",
+                    record.seq
+                );
+            }
+        }
+    }
+
+    /// `body` under a valid frame header.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let len = body.len() as u32;
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&len.to_le_bytes());
+        frame.extend_from_slice(&(!len).to_le_bytes());
+        frame.extend_from_slice(&fnv1a(body).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    /// A frame whose checksum holds over a body that does not decode is
+    /// corrupt, not a panic.
+    #[test]
+    fn a_checksummed_but_undecodable_body_is_corrupt() {
+        let mut unknown_kind = 1u64.to_le_bytes().to_vec();
+        unknown_kind.extend_from_slice(&[1, 0, 0, 0, b'k', 9]);
+        let mut bad_request = 1u64.to_le_bytes().to_vec();
+        bad_request.extend_from_slice(&[1, 0, 0, 0, b'k', KIND_REQUEST, b'{']);
+        for body in [&[][..], &[0; 8], &unknown_kind, &bad_request] {
+            assert!(matches!(
+                WalRecord::from_frame(&framed(body)),
+                Err(FrameError::Corrupt(_))
+            ));
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn random_bytes_are_rejected_without_a_panic(
+            bytes in prop::collection::vec(any::<u8>(), 0..256)
+        ) {
+            prop_assert!(WalRecord::from_frame(&bytes).is_err());
+        }
+
+        #[test]
+        fn random_checksummed_bodies_never_panic(
+            body in prop::collection::vec(any::<u8>(), 0..256)
+        ) {
+            let _ = WalRecord::from_frame(&framed(&body));
         }
     }
 

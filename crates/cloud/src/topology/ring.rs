@@ -5,27 +5,15 @@
 //! the first point clockwise of its own hash. Adding or removing one
 //! instance only moves the keys that hashed into its arcs — the classic
 //! minimal-disruption property that keeps a failover from reshuffling the
-//! whole population. FNV-1a keeps the hash deterministic across runs and
-//! platforms (no `RandomState`).
+//! whole population. FNV-1a ([`fnv1a`]) keeps the hash deterministic
+//! across runs and platforms (no `RandomState`).
 
 use super::InstanceId;
+use crate::storage::fnv1a;
 
 /// Virtual points per instance. Enough to spread small-N rings evenly;
 /// deterministic, so baked in rather than configurable.
 const VNODES: u32 = 64;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — the ring's only hash function.
-pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// A consistent-hash ring: sorted `(point, instance)` pairs.
 #[derive(Debug, Clone, Default)]

@@ -25,7 +25,8 @@
 //! [`ObservationBatch::to_bytes`]/[`ObservationBatch::from_bytes`]: the
 //! storage engine parks a user's whole GCA observation log in it, so
 //! evicting or hydrating a user moves a flat byte block instead of
-//! megabytes of nested JSON. All integers are little-endian:
+//! megabytes of nested JSON, and the durable WAL frames each sequenced
+//! batched offload in it. All integers are little-endian:
 //!
 //! ```text
 //! u64 cell count C,  C × (u16 mcc, u16 mnc, u16 lac, u32 cid)
@@ -108,7 +109,7 @@ impl ObservationBatch {
     /// server.
     pub fn decode(&self) -> Result<Vec<GsmObservation>, String> {
         let n = self.dt.len();
-        if self.cell.len() != n || self.layer.len() != n || self.rssi_dbm.len() != n {
+        if self.is_ragged() {
             return Err(format!(
                 "ragged batch: dt={} cell={} layer={} rssi={}",
                 n,
@@ -145,10 +146,7 @@ impl ObservationBatch {
     /// built by [`ObservationBatch::encode`] never are.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n = self.len();
-        assert!(
-            self.cell.len() == n && self.layer.len() == n && self.rssi_dbm.len() == n,
-            "to_bytes on a ragged batch"
-        );
+        assert!(!self.is_ragged(), "to_bytes on a ragged batch");
         let mut out =
             Vec::with_capacity(24 + self.cells.len() * CELL_BYTES + n * OBSERVATION_BYTES);
         out.extend_from_slice(&(self.cells.len() as u64).to_le_bytes());
@@ -186,7 +184,7 @@ impl ObservationBatch {
     /// than the input can fill. Symbols are checked later, by
     /// [`ObservationBatch::decode`].
     pub fn from_bytes(bytes: &[u8]) -> Result<ObservationBatch, String> {
-        let mut input = ByteReader { bytes };
+        let mut input = ByteReader::new(bytes);
         let cell_count = input.count(CELL_BYTES, "cell")?;
         let mut cells = Vec::with_capacity(cell_count);
         for _ in 0..cell_count {
@@ -227,10 +225,16 @@ impl ObservationBatch {
                 .rssi_dbm
                 .push(f64::from_bits(u64::from_le_bytes(input.take()?)));
         }
-        if !input.bytes.is_empty() {
-            return Err(format!("{} trailing bytes", input.bytes.len()));
-        }
+        input.finish()?;
         Ok(batch)
+    }
+
+    /// Whether the parallel columns disagree in length (a batch only a
+    /// confused or hostile client sends; [`ObservationBatch::encode`]
+    /// never builds one).
+    pub(crate) fn is_ragged(&self) -> bool {
+        let n = self.len();
+        self.cell.len() != n || self.layer.len() != n || self.rssi_dbm.len() != n
     }
 
     /// Number of observations in the batch.
@@ -244,14 +248,20 @@ impl ObservationBatch {
     }
 }
 
-/// A cursor over a binary batch that never reads past the end.
-struct ByteReader<'a> {
+/// A little-endian cursor over a binary block that never reads past the
+/// end — shared by the batch codec and the WAL frame codec.
+pub(crate) struct ByteReader<'a> {
     bytes: &'a [u8],
 }
 
-impl ByteReader<'_> {
+impl<'a> ByteReader<'a> {
+    /// A cursor at the start of `bytes`.
+    pub(crate) fn new(bytes: &'a [u8]) -> ByteReader<'a> {
+        ByteReader { bytes }
+    }
+
     /// The next `N` bytes.
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
+    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
         let Some((head, rest)) = self.bytes.split_first_chunk::<N>() else {
             return Err(format!(
                 "truncated: {N} bytes wanted, {} left",
@@ -260,6 +270,32 @@ impl ByteReader<'_> {
         };
         self.bytes = rest;
         Ok(*head)
+    }
+
+    /// The next `len` bytes, borrowed.
+    pub(crate) fn slice(&mut self, len: usize) -> Result<&'a [u8], String> {
+        if len > self.bytes.len() {
+            return Err(format!(
+                "truncated: {len} bytes wanted, {} left",
+                self.bytes.len()
+            ));
+        }
+        let (head, rest) = self.bytes.split_at(len);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    /// Everything not yet read.
+    pub(crate) fn rest(self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Succeeds only when every byte has been read.
+    pub(crate) fn finish(self) -> Result<(), String> {
+        match self.bytes.len() {
+            0 => Ok(()),
+            left => Err(format!("{left} trailing bytes")),
+        }
     }
 
     /// A `u64` item count, accepted only if the remaining bytes can hold
