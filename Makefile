@@ -114,10 +114,15 @@ lint-hash:
 	@echo 'lint-hash: ok'
 
 # Rust line counts of the workspace crates and of the vendored
-# stand-ins: the workspace size ROADMAP.md asks to drive down.
+# stand-ins: the workspace size ROADMAP.md asks to drive down. The
+# indented per-crate lines under `crates` show where a change added or
+# removed code.
 loc:
 	@for dir in crates vendor; do \
 		echo "$$dir $$(find $$dir -name '*.rs' -print0 | xargs -0 cat | wc -l)"; \
+	done
+	@for dir in crates/*/; do \
+		echo "  $${dir%/} $$(find $$dir -name '*.rs' -print0 | xargs -0 cat | wc -l)"; \
 	done
 
 # The wall-clock lint: the request latency model (DESIGN.md §5j) is

@@ -5,7 +5,7 @@
 //! 79.03 % correct / 14.52 % merged / 6.45 % divided; ad like:dislike 17:3.
 //!
 //! Usage: `deployment_study [--seeds N] [--participants N] [--days D]
-//! [--threads T] [--metrics-out F] [--trace-out F]` — with `--seeds N > 1`
+//! [--threads T] [--metrics-out F]` — with `--seeds N > 1`
 //! the study is repeated over
 //! consecutive seeds and the mean is reported alongside the per-seed
 //! numbers (the merged/divided split carries real seed-to-seed variance at
@@ -19,11 +19,9 @@ use pmware_obs::Obs;
 fn main() {
     let seeds: u64 = flag("seeds", 1);
     let metrics_out = opt_flag("metrics-out");
-    let trace_out = opt_flag("trace-out");
-    let obs = match (&metrics_out, &trace_out) {
-        (None, None) => Obs::disabled(),
-        (_, None) => Obs::new(),
-        (_, Some(_)) => Obs::with_trace(65_536),
+    let obs = match &metrics_out {
+        None => Obs::disabled(),
+        Some(_) => Obs::new(),
     };
     let defaults = StudyConfig::default();
     let base = StudyConfig {
@@ -114,10 +112,6 @@ fn main() {
     if let (Some(path), Some(json)) = (&metrics_out, obs.metrics_json()) {
         std::fs::write(path, json).expect("write metrics snapshot");
         println!("\nmetrics snapshot written to {path}");
-    }
-    if let (Some(path), Some(jsonl)) = (&trace_out, obs.trace_jsonl()) {
-        std::fs::write(path, jsonl).expect("write trace");
-        println!("trace written to {path}");
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Runs the same scaled-down deployment study twice per repetition —
 //! once with observability fully disabled (every handle a no-op), once
-//! with a live metrics registry *and* trace bus — interleaved, taking the
+//! with a live metrics registry *and* span sink — interleaved, taking the
 //! best wall time of each arm so scheduler noise on small machines does
 //! not masquerade as instrumentation cost.
 //!
@@ -62,7 +62,7 @@ fn main() {
         let off_s = start.elapsed().as_secs_f64();
         best_off = best_off.min(off_s);
 
-        let obs = Obs::with_trace(65_536);
+        let obs = Obs::new().with_spans();
         let start = Instant::now();
         let on = run_study(&config(obs, participants, days));
         let on_s = start.elapsed().as_secs_f64();

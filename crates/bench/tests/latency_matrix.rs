@@ -4,8 +4,7 @@
 //! threshold it may never change a study outcome — discovery, tagging,
 //! energy, and the cloud's request count must be bit-identical to a run
 //! without the model. And the artefacts it adds on top — latency
-//! histograms, request-span JSONL, and the Chrome trace — must be
-//! byte-reproducible: same seed, same bytes, at any worker thread count.
+//! histograms and span JSONL — must be byte-reproducible: same seed, same bytes, at any worker thread count.
 //!
 //! Span determinism leans on one structural fact: every span id of a
 //! trace is allocated by the single thread driving that client (root →
@@ -32,13 +31,9 @@ fn config(threads: usize, obs: Obs) -> StudyConfig {
 }
 
 /// Runs one latency-enabled, span-collecting study, under `admission`
-/// budgets when given, and returns (results, metrics JSON, span JSONL,
-/// Chrome trace).
-fn modeled(
-    threads: usize,
-    admission: Option<AdmissionConfig>,
-) -> (StudyResults, String, String, String) {
-    let obs = Obs::with_trace(65_536).with_spans();
+/// budgets when given, and returns (results, metrics JSON, span JSONL).
+fn modeled(threads: usize, admission: Option<AdmissionConfig>) -> (StudyResults, String, String) {
+    let obs = Obs::new().with_spans();
     let results = run_study(&StudyConfig {
         admission,
         latency: Some(LatencyProfile::calibrated(7)),
@@ -48,14 +43,13 @@ fn modeled(
         results,
         obs.metrics_json().expect("metrics enabled"),
         obs.spans_jsonl().expect("spans enabled"),
-        obs.spans_chrome().expect("spans enabled"),
     )
 }
 
 #[test]
 fn latency_model_never_perturbs_study_outcomes() {
     let plain = run_study(&config(1, Obs::disabled()));
-    let (timed, metrics, spans, _) = modeled(1, None);
+    let (timed, metrics, spans) = modeled(1, None);
     assert_eq!(
         plain, timed,
         "an unshedded latency profile changed study outcomes"
@@ -77,28 +71,20 @@ fn latency_model_never_perturbs_study_outcomes() {
 
 #[test]
 fn latency_artifacts_are_thread_and_run_deterministic() {
-    let (sequential, metrics_1, spans_1, chrome_1) = modeled(1, None);
-    let (fanned, metrics_8, spans_8, chrome_8) = modeled(8, None);
+    let (sequential, metrics_1, spans_1) = modeled(1, None);
+    let (fanned, metrics_8, spans_8) = modeled(8, None);
     assert_eq!(sequential, fanned, "thread count changed study outcomes");
     assert_eq!(
         metrics_1, metrics_8,
         "metrics JSON differs across thread counts"
     );
     assert_eq!(spans_1, spans_8, "span JSONL differs across thread counts");
-    assert_eq!(
-        chrome_1, chrome_8,
-        "Chrome trace differs across thread counts"
-    );
     assert!(!spans_1.is_empty(), "span export is empty");
 
-    let (rerun, metrics_again, spans_again, chrome_again) = modeled(8, None);
+    let (rerun, metrics_again, spans_again) = modeled(8, None);
     assert_eq!(fanned, rerun, "same-seed rerun changed study outcomes");
     assert_eq!(metrics_8, metrics_again, "same-seed metrics bytes differ");
     assert_eq!(spans_8, spans_again, "same-seed span bytes differ");
-    assert_eq!(
-        chrome_8, chrome_again,
-        "same-seed Chrome trace bytes differ"
-    );
 }
 
 /// Admission control rides through `run_study` as a config field: a tight
@@ -108,8 +94,8 @@ fn latency_artifacts_are_thread_and_run_deterministic() {
 #[test]
 fn admission_through_run_study_is_counted_and_thread_deterministic() {
     let tight = AdmissionConfig::uniform(4242, RateBudget::new(3, SimDuration::from_seconds(60)));
-    let (sequential, metrics_1, _, _) = modeled(1, Some(tight.clone()));
-    let (fanned, metrics_8, _, _) = modeled(8, Some(tight));
+    let (sequential, metrics_1, _) = modeled(1, Some(tight.clone()));
+    let (fanned, metrics_8, _) = modeled(8, Some(tight));
     let export: serde_json::Value = serde_json::from_str(&metrics_1).expect("metrics JSON");
     let denied: u64 = export
         .as_object()

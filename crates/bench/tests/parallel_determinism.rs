@@ -62,14 +62,14 @@ fn oversubscribed_pool_is_still_identical() {
 }
 
 /// The thread-count guarantee survives live instrumentation: with a
-/// metrics registry and trace bus attached, a parallel run still equals
+/// metrics registry and span sink attached, a parallel run still equals
 /// the sequential *uninstrumented* run field by field (the byte-level
 /// equality of the exported artefacts themselves is pinned in
 /// `obs_golden.rs`).
 #[test]
 fn parallel_run_is_identical_with_observability_attached() {
     let plain = run_study(&config(1));
-    let obs = pmware_obs::Obs::with_trace(4_096);
+    let obs = pmware_obs::Obs::new().with_spans();
     let observed = run_study(&StudyConfig { obs, ..config(4) });
     assert_eq!(plain, observed);
 }

@@ -82,6 +82,15 @@ impl Args {
         self.flags.contains_key(name)
     }
 
+    /// The alphabetically first flag given that is not in `accepted`.
+    pub fn unknown_flag(&self, accepted: &[&str]) -> Option<&str> {
+        self.flags
+            .keys()
+            .map(String::as_str)
+            .filter(|flag| !accepted.contains(flag))
+            .min()
+    }
+
     /// Typed flag with a default.
     ///
     /// # Errors
@@ -132,6 +141,13 @@ mod tests {
         let args = Args::parse(["--verbose=true", "study"]);
         assert!(args.has("verbose"));
         assert_eq!(args.positional(0), Some("study"));
+    }
+
+    #[test]
+    fn unknown_flag_is_the_first_not_accepted() {
+        let args = Args::parse(["study", "--zeta", "1", "--days", "2", "--alpha"]);
+        assert_eq!(args.unknown_flag(&["days", "zeta", "alpha"]), None);
+        assert_eq!(args.unknown_flag(&["days"]), Some("alpha"));
     }
 
     #[test]

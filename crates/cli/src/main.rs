@@ -3,15 +3,19 @@
 //! ```text
 //! pmware world    [--region india|europe] [--seed N]
 //! pmware simulate [--region ...] [--seed N] [--days N] [--granularity area|building|room]
-//!                 [--metrics-out F] [--trace-out F]
-//! pmware study    [--participants N] [--days N] [--seed N]
+//!                 [--metrics-out F] [--spans-out F]
+//! pmware study    [--participants N] [--days N] [--seed N] [--region ...]
+//!                 [--threads N] [--offload-batch-days N] [--quiet]
 //!                 [--admission-burst N] [--admission-refill-s N]
 //!                 [--latency-profile off|calibrated|uniform] [--slo-p99-ms N]
 //!                 [--store-dir DIR] [--resident-cap N] [--snapshot-every-days N]
-//!                 [--metrics-out F] [--trace-out F] [--spans-out F]
-//! pmware query    [--seed N] [--days N]
+//!                 [--metrics-out F] [--spans-out F]
+//! pmware query    [--region ...] [--seed N] [--days N]
 //! pmware help
 //! ```
+//!
+//! Each command refuses any flag it does not accept, before doing any
+//! work, so a typo never runs a default-sized study in silence.
 
 mod args;
 
@@ -54,6 +58,9 @@ COMMON FLAGS:
     --days N                Simulated days       (default 7; study: 14)
     --participants N        Study cohort size    (default 16)
     --granularity g         area|building|room   (default building)
+    --threads N             Study worker threads (default 1); results
+                            are identical at any count
+    --quiet                 Study: skip the configuration banner
 
 OFFLOAD (study):
     --offload-batch-days N  Days of GSM suffix per offload request; 0
@@ -95,34 +102,66 @@ sim-time LRU, and replay rebuilds byte-identical stores.
 
 OBSERVABILITY (simulate, study):
     --metrics-out FILE      Write the final metrics snapshot as JSON
-    --trace-out FILE        Write the sim-time trace as JSONL
-    --spans-out FILE        Write causal request spans as JSONL
-Collecting any of these never changes simulation results: metrics,
-traces, and spans are keyed by simulated time, and the same seed
-produces byte-identical output at any thread count.
+    --spans-out FILE        Write spans as JSONL: one causal tree per cloud
+                            request, plus each participant's timeline
+                            (pms.arrival, pms.departure, pms.maintenance, ...)
+Collecting either never changes simulation results: metrics and spans
+are keyed by simulated time, and the same seed produces byte-identical
+output at any thread count.
+
+Every command refuses flags it does not accept.
 ";
+
+/// The flags `pmware world` accepts.
+const WORLD_FLAGS: &[&str] = &["region", "seed"];
+/// The flags `pmware simulate` accepts.
+const SIMULATE_FLAGS: &[&str] = &[
+    "region",
+    "seed",
+    "days",
+    "granularity",
+    "metrics-out",
+    "spans-out",
+];
+/// The flags `pmware study` accepts.
+const STUDY_FLAGS: &[&str] = &[
+    "region",
+    "seed",
+    "days",
+    "participants",
+    "threads",
+    "offload-batch-days",
+    "admission-burst",
+    "admission-refill-s",
+    "latency-profile",
+    "slo-p99-ms",
+    "store-dir",
+    "resident-cap",
+    "snapshot-every-days",
+    "metrics-out",
+    "spans-out",
+    "quiet",
+];
+/// The flags `pmware query` accepts.
+const QUERY_FLAGS: &[&str] = &["region", "seed", "days"];
 
 /// The observability output paths requested on the command line.
 struct ObsOutputs {
     metrics_out: Option<String>,
-    trace_out: Option<String>,
     spans_out: Option<String>,
 }
 
-/// Builds the observability sink the `--metrics-out` / `--trace-out` /
-/// `--spans-out` flags ask for ([`Obs::disabled`] when none is given and
+/// Builds the observability sink the `--metrics-out` / `--spans-out`
+/// flags ask for ([`Obs::disabled`] when none is given and
 /// nothing else needs metrics), plus the output paths. `force_metrics`
 /// keeps the registry live even without `--metrics-out` — the latency
 /// model's SLO report reads from it.
 fn obs_from_args(args: &Args, force_metrics: bool) -> (Obs, ObsOutputs) {
     let outputs = ObsOutputs {
         metrics_out: args.flag("metrics-out").map(str::to_owned),
-        trace_out: args.flag("trace-out").map(str::to_owned),
         spans_out: args.flag("spans-out").map(str::to_owned),
     };
-    let mut obs = if outputs.trace_out.is_some() {
-        Obs::with_trace(65_536)
-    } else if outputs.metrics_out.is_some() || force_metrics {
+    let mut obs = if outputs.metrics_out.is_some() || force_metrics {
         Obs::new()
     } else {
         Obs::disabled()
@@ -133,44 +172,51 @@ fn obs_from_args(args: &Args, force_metrics: bool) -> (Obs, ObsOutputs) {
     (obs, outputs)
 }
 
-/// Writes the collected snapshot/trace/spans to the requested files.
+/// Writes the collected snapshot/spans to the requested files.
 fn write_obs_outputs(obs: &Obs, outputs: &ObsOutputs) -> Result<(), String> {
     if let (Some(path), Some(json)) = (outputs.metrics_out.as_deref(), obs.metrics_json()) {
         std::fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         println!("metrics snapshot written to {path}");
     }
-    if let (Some(path), Some(jsonl)) = (outputs.trace_out.as_deref(), obs.trace_jsonl()) {
-        std::fs::write(path, jsonl).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("trace written to {path}");
-    }
     if let (Some(path), Some(jsonl)) = (outputs.spans_out.as_deref(), obs.spans_jsonl()) {
         std::fs::write(path, jsonl).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("request spans written to {path}");
+        println!("spans written to {path}");
     }
     Ok(())
 }
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
-    let command = args.positional(0).unwrap_or("help").to_owned();
-    let result = match command.as_str() {
-        "world" => cmd_world(&args),
-        "simulate" => cmd_simulate(&args),
-        "study" => cmd_study(&args),
-        "query" => cmd_query(&args),
-        "help" | "--help" | "-h" => {
-            print!("{HELP}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}; try `pmware help`")),
-    };
-    match result {
+    let command = args.positional(0).unwrap_or("help");
+    match run(command, &args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Runs `command` once its flags check out against the ones it accepts.
+fn run(command: &str, args: &Args) -> Result<(), String> {
+    type Command = fn(&Args) -> Result<(), String>;
+    let (accepted, cmd): (&[&str], Command) = match command {
+        "world" => (WORLD_FLAGS, cmd_world),
+        "simulate" => (SIMULATE_FLAGS, cmd_simulate),
+        "study" => (STUDY_FLAGS, cmd_study),
+        "query" => (QUERY_FLAGS, cmd_query),
+        "help" | "--help" | "-h" => {
+            print!("{HELP}");
+            return Ok(());
+        }
+        other => return Err(format!("unknown command {other:?}; try `pmware help`")),
+    };
+    if let Some(flag) = args.unknown_flag(accepted) {
+        return Err(format!(
+            "unknown flag --{flag} for `pmware {command}`; try `pmware help`"
+        ));
+    }
+    cmd(args)
 }
 
 fn region(args: &Args) -> Result<RegionProfile, String> {
@@ -672,6 +718,35 @@ mod tests {
         // The latency model forces a live registry for the SLO report.
         let (obs, _) = obs_from_args(&Args::parse(Vec::<String>::new()), true);
         assert!(obs.metrics().is_some());
+    }
+
+    /// A typo'd or retired flag is refused by name before any work runs
+    /// (each call below would otherwise build a world or run a study and
+    /// succeed).
+    #[test]
+    fn unknown_flags_are_refused_before_any_work() {
+        let cases: [(&str, &[&str]); 4] = [
+            ("world", &["--seed", "5", "--seeed", "6"]),
+            (
+                "simulate",
+                &["--days", "1", "--span-out", "/nonexistent/s.jsonl"],
+            ),
+            (
+                "study",
+                &["--participants", "1", "--days", "1", "--partcipants", "4"],
+            ),
+            ("query", &["--days", "1", "--granularity", "room"]),
+        ];
+        for (command, flags) in cases {
+            let args = Args::parse(std::iter::once(command).chain(flags.iter().copied()));
+            let bad = flags.iter().rev().nth(1).unwrap();
+            let err = run(command, &args).expect_err(command);
+            assert!(err.contains(&format!("unknown flag {bad} ")), "{err}");
+        }
+        // Accepted flags pass the check (the run itself then fails on the
+        // bad region value, before any work).
+        let args = Args::parse(["study", "--quiet", "--region", "mars"]);
+        assert!(run("study", &args).unwrap_err().contains("unknown region"));
     }
 
     #[test]

@@ -280,10 +280,11 @@ struct RouterInner {
     /// 421/503-triggered refreshes only. The federation matrix pins this
     /// to zero growth at steady state: the router is off the hot path.
     control_requests: AtomicU64,
-    /// Observability handle, disabled by default. Its span sink (when
-    /// present) is where federated endpoints record handshake spans and
-    /// the migration engine records WAL-replay spans.
-    obs: Mutex<Obs>,
+    /// Observability handle, disabled by default and fixed by
+    /// [`TopologyRouter::with_obs`]. Its span sink (when present) is where
+    /// federated endpoints record handshake spans and the migration engine
+    /// records WAL-replay spans.
+    obs: Obs,
 }
 
 /// The federation control plane: instance registry, placement, health,
@@ -322,7 +323,7 @@ impl TopologyRouter {
                 }),
                 wal: Mutex::default(),
                 control_requests: AtomicU64::new(0),
-                obs: Mutex::new(Obs::disabled()),
+                obs: Obs::disabled(),
             }),
         }
     }
@@ -374,18 +375,27 @@ impl TopologyRouter {
         state.version += 1;
     }
 
-    /// Binds an observability handle. When it carries a span sink (see
+    /// This router with an observability handle bound, as a builder on a
+    /// fresh router. When the handle carries a span sink (see
     /// [`Obs::with_spans`]), federated endpoints record their
     /// handshake/re-handshake exchanges and [`TopologyRouter::fail_over`]
     /// records WAL-replay work as children of the originating request's
     /// trace. Disabled by default — binding nothing costs nothing.
-    pub fn set_obs(&self, obs: &Obs) {
-        *self.shared.obs.lock() = obs.clone();
+    ///
+    /// # Panics
+    ///
+    /// Panics once the router has been cloned or handed out (an endpoint
+    /// holds a clone): the handle is fixed at construction.
+    pub fn with_obs(mut self, obs: &Obs) -> TopologyRouter {
+        Arc::get_mut(&mut self.shared)
+            .expect("with_obs runs first, on a router not yet shared")
+            .obs = obs.clone();
+        self
     }
 
     /// The bound span sink, if any.
-    pub(crate) fn span_sink(&self) -> Option<Arc<SpanSink>> {
-        self.shared.obs.lock().spans().cloned()
+    pub(crate) fn span_sink(&self) -> Option<&Arc<SpanSink>> {
+        self.shared.obs.spans()
     }
 
     /// Control-plane requests answered so far (handshakes + refreshes).

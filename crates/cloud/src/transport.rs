@@ -377,7 +377,7 @@ impl FaultyCloud {
         }
     }
 
-    /// Binds the decorator's counters (and trace events) to `obs`, as a
+    /// Binds the decorator's counters (and fault spans) to `obs`, as a
     /// builder on a fresh decorator. With a metrics-less handle the
     /// private registry is kept so [`FaultyCloud::stats`] stays correct.
     ///
@@ -454,14 +454,6 @@ impl FaultyCloud {
         let decision = state.decide(request);
         if let Some(kind) = decision {
             state.metrics.kind(kind).inc();
-            state.metrics.obs.event(
-                now,
-                "transport.fault",
-                &[
-                    ("kind", FieldValue::from(kind.label())),
-                    ("path", FieldValue::from(request.path.as_str())),
-                ],
-            );
             // Annotate the caller's causal trace with the injection. The
             // id is allocated here, on the caller's own thread, so span
             // ids within a trace stay schedule-independent (held requests

@@ -181,8 +181,10 @@ pub struct CloudClient {
     honor_retry_after: bool,
     /// Monotonic logical-operation counter: trace ids are
     /// `SpanSink::trace_id(actor, op_seq)`, a pure function of the
-    /// workload. Transient — a restored client restarts at 0, which is
-    /// fine because span collection is per-study, not per-checkpoint.
+    /// workload. Incremented before use, so sequence 0 stays the actor's
+    /// timeline trace (`Obs::event`). Transient — a restored client
+    /// restarts at 0, which is fine because span collection is
+    /// per-study, not per-checkpoint.
     op_seq: u64,
     metrics: ClientMetrics,
 }
@@ -258,7 +260,7 @@ impl CloudClient {
         }
     }
 
-    /// Binds retry/backoff/budget/timeout accounting (and trace events)
+    /// Binds retry/backoff/budget/timeout accounting (and request spans)
     /// to `obs`, carrying the totals recorded so far. The default client
     /// records nothing, so instrumentation is free until a study opts in.
     pub fn set_obs(&mut self, obs: &Obs) {
@@ -658,11 +660,6 @@ impl CloudClient {
             let at_us = at.as_seconds().saturating_mul(1_000_000);
             if !self.take_budget() {
                 self.metrics.budget_denied.inc();
-                self.metrics.obs.event(
-                    at,
-                    "client.budget_exhausted",
-                    &[("path", FieldValue::from(request.path.as_str()))],
-                );
                 if let Some((sink, trace, root)) = &span {
                     sink.record(
                         *trace,
@@ -767,16 +764,6 @@ impl CloudClient {
                 }
             };
             self.metrics.backoff_seconds.observe(wait.as_seconds());
-            self.metrics.obs.event(
-                at,
-                "client.retry",
-                &[
-                    ("path", FieldValue::from(request.path.as_str())),
-                    ("attempt", FieldValue::from(u64::from(attempt))),
-                    ("status", FieldValue::from(u64::from(response.status))),
-                    ("wait_s", FieldValue::from(wait.as_seconds())),
-                ],
-            );
             if let Some((sink, trace, root)) = &span {
                 let wake_us = (at + wait).as_seconds().saturating_mul(1_000_000);
                 let backoff_id = sink.alloc(*trace);
@@ -1072,11 +1059,13 @@ mod tests {
     /// One logical operation through two injected drops produces a full
     /// causal tree — root op span, three attempts, two backoff waits, and
     /// the server-side fault spans — and the export is byte-identical
-    /// across runs of the same seed.
+    /// across runs of the same seed. A maintenance pass that runs out of
+    /// budget leaves a root span with the synthetic status. The spans
+    /// carry every fault, retry and budget denial the counters saw.
     #[test]
     fn spans_cover_retries_faults_and_are_deterministic() {
         let run = || {
-            let obs = Obs::disabled().with_spans();
+            let obs = Obs::new().with_spans();
             let faulty = FaultyCloud::new(
                 cloud(),
                 FaultPlan::with_schedule(1, vec![(0, FaultKind::Drop), (1, FaultKind::Drop)])
@@ -1087,22 +1076,43 @@ mod tests {
                 CloudClient::register(faulty.clone(), "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
             client.set_obs(&obs.for_actor("p0001"));
             client.sync_places(&[], SimTime::EPOCH).unwrap();
-            obs.spans_jsonl().unwrap()
+            client.begin_maintenance_pass(1);
+            client.sync_places(&[], SimTime::EPOCH).unwrap();
+            assert!(client.sync_places(&[], SimTime::EPOCH).is_err());
+            client.end_maintenance_pass();
+            let denials = obs
+                .counter("client_budget_denied_total", &[("user", "p0001")])
+                .get();
+            let counts = (faulty.stats().faults, client.retries(), denials);
+            (obs.spans_jsonl().unwrap(), counts)
         };
-        let jsonl = run();
-        assert!(
-            jsonl.contains("\"name\":\"op:/api/v1/places/sync\""),
-            "{jsonl}"
-        );
-        assert!(jsonl.contains("\"name\":\"attempt\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"backoff\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"fault:drop\""), "{jsonl}");
+        let (jsonl, (faults, retries, denials)) = run();
+        let named = |name: &str| {
+            jsonl
+                .lines()
+                .filter(|line| line.contains(&format!("\"name\":\"{name}\"")))
+                .count() as u64
+        };
+        assert_eq!(named("op:/api/v1/places/sync"), 3, "{jsonl}");
+        assert_eq!(named("attempt"), 4, "{jsonl}");
+        assert_eq!((faults, retries, denials), (2, 2, 1));
+        assert_eq!(named("fault:drop"), faults, "one fault span per fault");
+        assert_eq!(named("backoff"), retries, "one backoff span per retry");
+        let denied_roots = jsonl
+            .lines()
+            .filter(|line| {
+                line.contains("\"parent\":0,")
+                    && line.contains(&format!("\"status\":{STATUS_BUDGET_EXHAUSTED}"))
+            })
+            .count() as u64;
+        assert_eq!(denied_roots, denials, "one 597 root per budget denial");
         assert_eq!(
             jsonl.lines().count(),
-            8,
-            "1 root + 3 attempts + 2 backoffs + 2 faults:\n{jsonl}"
+            11,
+            "first op: 1 root + 3 attempts + 2 backoffs + 2 faults; \
+             second: 1 root + 1 attempt; denied: 1 root:\n{jsonl}"
         );
-        assert_eq!(jsonl, run(), "same seed, same bytes");
+        assert_eq!(run().0, jsonl, "same seed, same bytes");
     }
 
     /// Federation control-plane work joins the trace: a failover-displaced
@@ -1113,14 +1123,13 @@ mod tests {
     fn federated_rehandshake_and_wal_replay_record_spans() {
         use pmware_cloud::topology::{BalancePolicy, TopologyRouter};
         let obs = Obs::disabled().with_spans();
-        let router = TopologyRouter::new(BalancePolicy::RoundRobin);
+        let router = TopologyRouter::new(BalancePolicy::RoundRobin).with_obs(&obs);
         for i in 0..2 {
             router.add_instance(SharedCloud::new(CloudInstance::new(
                 CellDatabase::new(),
                 40 + i,
             )));
         }
-        router.set_obs(&obs);
         let mut client =
             CloudClient::register(router.endpoint(), "imei-9", "f@x.com", SimTime::EPOCH).unwrap();
         client.set_obs(&obs.for_actor("p0009"));

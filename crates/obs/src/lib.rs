@@ -10,9 +10,11 @@
 //!   atomics so concurrent participants never contend on one cache line;
 //!   snapshots sum the shards, which makes them independent of thread
 //!   interleaving.
-//! * [`trace`] — a sim-time structured tracing bus: events and spans keyed
-//!   by [`SimTime`](pmware_world::SimTime), grouped per actor in bounded
-//!   ring buffers, exported as deterministic JSONL.
+//! * [`span`] — causal spans keyed by simulated time: one tree per client
+//!   operation (attempts, backoffs, faults, federation work), plus one
+//!   timeline trace per actor holding its point events and sim-time spans
+//!   (`pms.arrival`, `pms.maintenance`, …), exported as deterministic
+//!   JSONL.
 //!
 //! # Zero perturbation
 //!
@@ -27,7 +29,7 @@
 //! * all recorded values are integers — energy is recorded in
 //!   microjoules — so snapshot totals do not depend on floating-point
 //!   accumulation order,
-//! * snapshots and trace exports render through key-sorted maps, so the
+//! * snapshots and span exports render through key-sorted maps, so the
 //!   same facts always produce the same bytes.
 //!
 //! # Example
@@ -36,15 +38,15 @@
 //! use pmware_obs::Obs;
 //! use pmware_world::SimTime;
 //!
-//! let obs = Obs::with_trace(1024);
+//! let obs = Obs::new().with_spans();
 //! let samples = obs.counter("device_samples_total", &[("interface", "gsm")]);
 //! samples.inc();
 //! obs.event(SimTime::from_seconds(60), "pms.arrival", &[("place", "p1".into())]);
 //!
 //! let snapshot = obs.metrics_json().unwrap();
 //! assert!(snapshot.contains("device_samples_total"));
-//! let trace = obs.trace_jsonl().unwrap();
-//! assert!(trace.contains("pms.arrival"));
+//! let spans = obs.spans_jsonl().unwrap();
+//! assert!(spans.contains("pms.arrival"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,7 +54,6 @@
 
 pub mod metrics;
 pub mod span;
-pub mod trace;
 
 use std::sync::Arc;
 
@@ -60,22 +61,20 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SloReport,
     SnapshotValue,
 };
-pub use span::{SpanRecord, SpanSink};
-pub use trace::{FieldValue, TraceBus};
+pub use span::{FieldValue, SpanRecord, SpanSink};
 
 use pmware_world::SimTime;
 
-/// A cloneable handle bundling a metrics registry, a trace bus, and the
+/// A cloneable handle bundling a metrics registry, a span sink, and the
 /// actor name instrumentation is attributed to.
 ///
 /// Components store one of these and resolve metric handles through it.
-/// The [`disabled`](Obs::disabled) form carries neither registry nor bus;
+/// The [`disabled`](Obs::disabled) form carries neither registry nor sink;
 /// every operation through it is a no-op, which is what makes
 /// instrumentation free to leave in place.
 #[derive(Clone)]
 pub struct Obs {
     metrics: Option<Arc<MetricsRegistry>>,
-    trace: Option<Arc<TraceBus>>,
     spans: Option<Arc<SpanSink>>,
     actor: Arc<str>,
 }
@@ -90,7 +89,6 @@ impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("metrics", &self.metrics.is_some())
-            .field("trace", &self.trace.is_some())
             .field("spans", &self.spans.is_some())
             .field("actor", &self.actor)
             .finish()
@@ -98,50 +96,37 @@ impl std::fmt::Debug for Obs {
 }
 
 impl Obs {
-    /// A fully disabled handle: no registry, no bus, every call a no-op.
+    /// A fully disabled handle: no registry, no sink, every call a no-op.
     pub fn disabled() -> Obs {
         Obs {
             metrics: None,
-            trace: None,
             spans: None,
             actor: Arc::from("main"),
         }
     }
 
-    /// A handle with a fresh metrics registry and no trace bus.
+    /// A handle with a fresh metrics registry and no span sink.
     pub fn new() -> Obs {
         Obs {
             metrics: Some(Arc::new(MetricsRegistry::new())),
-            trace: None,
-            spans: None,
-            actor: Arc::from("main"),
-        }
-    }
-
-    /// A handle with a fresh registry and a trace bus bounded to
-    /// `capacity` records per actor.
-    pub fn with_trace(capacity: usize) -> Obs {
-        Obs {
-            metrics: Some(Arc::new(MetricsRegistry::new())),
-            trace: Some(Arc::new(TraceBus::new(capacity))),
             spans: None,
             actor: Arc::from("main"),
         }
     }
 
     /// This handle with a fresh [`SpanSink`] attached: components on the
-    /// request path start recording causal request spans through it.
+    /// request path start recording causal request spans through it, and
+    /// [`Obs::event`] / [`Obs::span`] start recording actor timelines.
     pub fn with_spans(mut self) -> Obs {
         self.spans = Some(Arc::new(SpanSink::new()));
         self
     }
 
-    /// A clone of this handle attributed to `actor`. The registry, bus,
-    /// and span sink are shared; only the attribution changes.
+    /// A clone of this handle attributed to `actor`. The registry and
+    /// span sink are shared; only the attribution changes.
     pub fn for_actor(&self, actor: &str) -> Obs {
         Obs {
             metrics: self.metrics.clone(),
-            trace: self.trace.clone(),
             spans: self.spans.clone(),
             actor: Arc::from(actor),
         }
@@ -168,19 +153,14 @@ impl Obs {
         self.metrics.as_ref()
     }
 
-    /// The shared trace bus, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Arc<TraceBus>> {
-        self.trace.as_ref()
-    }
-
     /// The shared span sink, if request spans are enabled.
     pub fn spans(&self) -> Option<&Arc<SpanSink>> {
         self.spans.as_ref()
     }
 
-    /// Whether metrics, tracing, or spans are live.
+    /// Whether metrics or spans are live.
     pub fn is_enabled(&self) -> bool {
-        self.metrics.is_some() || self.trace.is_some() || self.spans.is_some()
+        self.metrics.is_some() || self.spans.is_some()
     }
 
     /// Resolves a counter; a no-op handle when metrics are disabled.
@@ -208,56 +188,39 @@ impl Obs {
         }
     }
 
-    /// Records a trace event for this handle's actor. No-op when tracing
-    /// is disabled.
+    /// Records a point event for this handle's actor: a zero-length root
+    /// span at `at` in the actor's timeline trace. No-op when spans are
+    /// disabled.
     #[inline]
     pub fn event(&self, at: SimTime, name: &str, fields: &[(&str, FieldValue)]) {
-        if let Some(bus) = &self.trace {
-            bus.event(&self.actor, at, name, fields);
-        }
+        self.span(at, at, name, fields);
     }
 
     /// Records a sim-time span (an operation that began at `start` and
-    /// finished at `end` in simulated time) for this handle's actor.
+    /// finished at `end` in simulated time) as a root span of this
+    /// handle's actor timeline, `SpanSink::trace_id(actor, 0)`. Client
+    /// operations number from 1, so the timeline never shares a trace
+    /// with one; span ids keep the actor's recording order.
     #[inline]
     pub fn span(&self, start: SimTime, end: SimTime, name: &str, fields: &[(&str, FieldValue)]) {
-        if let Some(bus) = &self.trace {
-            bus.span(&self.actor, start, end, name, fields);
+        if let Some(sink) = &self.spans {
+            let trace = SpanSink::trace_id(&self.actor, 0);
+            let id = sink.alloc(trace);
+            let us = |t: SimTime| t.as_seconds().saturating_mul(1_000_000);
+            sink.record(trace, id, 0, name, us(start), us(end), fields);
         }
     }
 
     /// A deterministic JSON rendering of the current metrics snapshot, or
-    /// `None` when metrics are disabled. Trace-ring overflow counts are
-    /// synced into the snapshot first (`obs_trace_dropped_total{actor}`),
-    /// so a truncated trace is never silent.
+    /// `None` when metrics are disabled.
     pub fn metrics_json(&self) -> Option<String> {
-        let registry = self.metrics.as_ref()?;
-        if let Some(bus) = &self.trace {
-            for (actor, dropped) in bus.dropped_counts() {
-                registry
-                    .counter("obs_trace_dropped_total", &[("actor", &actor)])
-                    .set(dropped);
-            }
-        }
-        Some(registry.snapshot().to_json())
+        self.metrics.as_ref().map(|r| r.snapshot().to_json())
     }
 
-    /// A deterministic JSONL rendering of the trace buffers, or `None`
-    /// when tracing is disabled.
-    pub fn trace_jsonl(&self) -> Option<String> {
-        self.trace.as_ref().map(|b| b.export_jsonl())
-    }
-
-    /// A deterministic JSONL rendering of the recorded request spans, or
-    /// `None` when spans are disabled.
+    /// A deterministic JSONL rendering of the recorded spans, or `None`
+    /// when spans are disabled.
     pub fn spans_jsonl(&self) -> Option<String> {
         self.spans.as_ref().map(|s| s.export_jsonl())
-    }
-
-    /// A Chrome-trace-format (`chrome://tracing`) rendering of the
-    /// recorded request spans, or `None` when spans are disabled.
-    pub fn spans_chrome(&self) -> Option<String> {
-        self.spans.as_ref().map(|s| s.export_chrome())
     }
 }
 
@@ -274,7 +237,7 @@ mod tests {
         assert_eq!(c.get(), 0);
         obs.event(SimTime::EPOCH, "e", &[]);
         assert!(obs.metrics_json().is_none());
-        assert!(obs.trace_jsonl().is_none());
+        assert!(obs.spans_jsonl().is_none());
         assert!(!obs.is_enabled());
     }
 
@@ -295,13 +258,9 @@ mod tests {
         let private = Obs::new();
         private.counter("kept", &[]).inc();
 
-        // Trace-only handle adopts the private registry.
-        let trace_only = Obs {
-            metrics: None,
-            ..Obs::with_trace(16)
-        };
-        let merged = trace_only.metrics_or(&private);
-        assert!(merged.metrics().is_some());
+        // A spans-only handle adopts the private registry.
+        let merged = Obs::disabled().with_spans().metrics_or(&private);
+        assert!(merged.metrics().is_some() && merged.spans().is_some());
         assert_eq!(merged.counter("kept", &[]).get(), 1);
 
         // A handle with its own registry keeps it.
@@ -309,30 +268,45 @@ mod tests {
         assert_eq!(own.counter("kept", &[]).get(), 0);
     }
 
-    /// Ring overflow must be visible in the metrics snapshot, not only as
-    /// a trailing meta line deep in the trace JSONL.
+    /// Events and sim-time spans are root spans of the actor's timeline
+    /// trace (sequence 0), in recording order, in sim-micros.
     #[test]
-    fn trace_drops_surface_in_metrics() {
-        let obs = Obs::with_trace(2);
-        let a = obs.for_actor("a");
-        for i in 0..5 {
-            a.event(SimTime::from_seconds(i), "e", &[]);
-        }
-        // Another actor stays under capacity and must not appear.
-        obs.for_actor("quiet").event(SimTime::EPOCH, "e", &[]);
-        let json = obs.metrics_json().expect("metrics live");
-        assert!(
-            json.contains("obs_trace_dropped_total{actor=\\\"a\\\"}"),
-            "drops are silent: {json}"
+    fn events_land_in_the_actor_timeline() {
+        let obs = Obs::disabled().with_spans();
+        let p = obs.for_actor("p0001");
+        p.event(
+            SimTime::from_seconds(5),
+            "pms.arrival",
+            &[("place", 3u64.into())],
         );
+        p.span(
+            SimTime::from_seconds(60),
+            SimTime::from_seconds(90),
+            "pms.maintenance",
+            &[],
+        );
+        obs.for_actor("p0002")
+            .event(SimTime::EPOCH, "pms.departure", &[]);
+        let timeline = SpanSink::trace_id("p0001", 0);
+        let spans: Vec<SpanRecord> = obs
+            .spans()
+            .unwrap()
+            .sorted_spans()
+            .into_iter()
+            .filter(|s| s.trace == timeline)
+            .collect();
+        assert_eq!(spans.len(), 2);
+        assert_eq!((spans[0].id, spans[0].parent), (1, 0));
+        assert_eq!(spans[0].name, "pms.arrival");
+        assert_eq!((spans[0].start_us, spans[0].end_us), (5_000_000, 5_000_000));
+        assert_eq!(spans[1].id, 2);
         assert_eq!(
-            obs.metrics()
-                .unwrap()
-                .counter("obs_trace_dropped_total", &[("actor", "a")])
-                .get(),
-            3
+            (spans[1].start_us, spans[1].end_us),
+            (60_000_000, 90_000_000)
         );
-        assert!(!json.contains("obs_trace_dropped_total{actor=\\\"quiet\\\"}"));
+        assert_eq!(obs.spans().unwrap().len(), 3);
+        // Without a sink, events cost nothing and record nothing.
+        Obs::new().event(SimTime::EPOCH, "e", &[]);
     }
 
     #[test]
@@ -345,7 +319,6 @@ mod tests {
         sink.record(trace, id, 0, "op:/x", 0, 42, &[]);
         let jsonl = obs.spans_jsonl().expect("spans live");
         assert!(jsonl.contains("\"name\":\"op:/x\""));
-        assert!(obs.spans_chrome().unwrap().contains("\"traceEvents\""));
         // for_actor shares the sink.
         assert_eq!(obs.for_actor("b").spans().unwrap().len(), 1);
         assert!(Obs::disabled().spans_jsonl().is_none());

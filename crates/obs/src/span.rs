@@ -1,10 +1,13 @@
-//! Causal request spans: per-trace parent/child trees in sim-micros.
+//! Causal spans: per-trace parent/child trees in sim-micros.
 //!
-//! The trace bus ([`crate::trace`]) answers "what happened, per actor";
-//! spans answer "what did *this logical operation* cost, end to end" —
+//! Spans answer "what did *this logical operation* cost, end to end" —
 //! one tree per client operation, covering every retry attempt, backoff
 //! wait, injected fault, federation re-handshake, and failover replay
-//! that the operation rode through. Times are **absolute simulated
+//! that the operation rode through — and "what happened, per actor": the
+//! point events and sim-time spans an actor records through
+//! [`Obs::event`](crate::Obs::event) / [`Obs::span`](crate::Obs::span)
+//! are root spans of that actor's timeline trace
+//! (`SpanSink::trace_id(actor, 0)`). Times are **absolute simulated
 //! microseconds** (`SimTime` seconds × 1 000 000 plus the sub-second
 //! queue/service cost the latency model assigns), never wall time.
 //!
@@ -14,7 +17,7 @@
 //! operation sequence number — a pure function of the workload, not of
 //! scheduling. Span ids are allocated per trace, in call order; every
 //! span of one trace is recorded from the single thread driving that
-//! client, so ids are schedule-independent too. Both exports walk spans
+//! actor, so ids are schedule-independent too. The export walks spans
 //! sorted by `(trace, id)`: same seed, same bytes, at any thread count.
 
 use std::collections::BTreeMap;
@@ -22,7 +25,48 @@ use std::collections::BTreeMap;
 use parking_lot::Mutex;
 use serde_json::{Number, Value};
 
-use crate::trace::FieldValue;
+/// A span field value: integers or short strings. No floats — field
+/// rendering must be byte-stable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldValue {
+    /// An unsigned integer.
+    U64(u64),
+    /// A string.
+    Str(String),
+}
+
+impl From<u64> for FieldValue {
+    fn from(v: u64) -> Self {
+        FieldValue::U64(v)
+    }
+}
+
+impl From<usize> for FieldValue {
+    fn from(v: usize) -> Self {
+        FieldValue::U64(v as u64)
+    }
+}
+
+impl From<&str> for FieldValue {
+    fn from(v: &str) -> Self {
+        FieldValue::Str(v.to_string())
+    }
+}
+
+impl From<String> for FieldValue {
+    fn from(v: String) -> Self {
+        FieldValue::Str(v)
+    }
+}
+
+impl FieldValue {
+    fn to_value(&self) -> Value {
+        match self {
+            FieldValue::U64(v) => Value::Number(Number::PosInt(*v)),
+            FieldValue::Str(s) => Value::String(s.clone()),
+        }
+    }
+}
 
 /// One finished span.
 #[derive(Debug, Clone, PartialEq)]
@@ -182,46 +226,6 @@ impl SpanSink {
         }
         out
     }
-
-    /// Chrome-trace-format export (`chrome://tracing` / Perfetto): one
-    /// complete (`"ph":"X"`) event per span, `pid` = trace id, `tid` =
-    /// parent span id (siblings share a row), timestamps in simulated
-    /// microseconds. Event order matches [`SpanSink::export_jsonl`].
-    pub fn export_chrome(&self) -> String {
-        let mut events = Vec::new();
-        for span in self.sorted_spans() {
-            let mut obj = BTreeMap::new();
-            let mut args = BTreeMap::new();
-            for (k, v) in &span.fields {
-                args.insert(k.clone(), v.to_value());
-            }
-            args.insert("id".to_string(), Value::Number(Number::PosInt(span.id)));
-            obj.insert("args".to_string(), Value::Object(args));
-            obj.insert(
-                "dur".to_string(),
-                Value::Number(Number::PosInt(span.end_us.saturating_sub(span.start_us))),
-            );
-            obj.insert("name".to_string(), Value::String(span.name.clone()));
-            obj.insert("ph".to_string(), Value::String("X".to_string()));
-            obj.insert("pid".to_string(), Value::Number(Number::PosInt(span.trace)));
-            obj.insert(
-                "tid".to_string(),
-                Value::Number(Number::PosInt(span.parent)),
-            );
-            obj.insert(
-                "ts".to_string(),
-                Value::Number(Number::PosInt(span.start_us)),
-            );
-            events.push(Value::Object(obj));
-        }
-        let mut root = BTreeMap::new();
-        root.insert(
-            "displayTimeUnit".to_string(),
-            Value::String("ms".to_string()),
-        );
-        root.insert("traceEvents".to_string(), Value::Array(events));
-        Value::Object(root).to_string()
-    }
 }
 
 #[cfg(test)]
@@ -283,24 +287,8 @@ mod tests {
                 let (t, name) = records[i];
                 sink.record(t, ids[i], 0, name, 100, 200, &[]);
             }
-            (sink.export_jsonl(), sink.export_chrome())
+            sink.export_jsonl()
         };
         assert_eq!(build(false), build(true));
-    }
-
-    #[test]
-    fn chrome_trace_shape() {
-        let sink = SpanSink::new();
-        let t = SpanSink::trace_id("p0000", 1);
-        let id = sink.alloc(t);
-        sink.record(t, id, 0, "op:/api/v1/health", 2_000_000, 2_000_450, &[]);
-        let chrome = sink.export_chrome();
-        assert!(
-            chrome.starts_with("{\"displayTimeUnit\":\"ms\""),
-            "{chrome}"
-        );
-        assert!(chrome.contains("\"ph\":\"X\""));
-        assert!(chrome.contains("\"dur\":450"));
-        assert!(chrome.contains("\"ts\":2000000"));
     }
 }

@@ -159,7 +159,7 @@ fn run_study_batched(
 
 /// [`run_study`] with an observability sink attached to every layer
 /// (cloud instance, fault-injecting transport, PMS). Collecting metrics
-/// and traces must never change any outcome the chaos matrix pins.
+/// and spans must never change any outcome the chaos matrix pins.
 fn run_study_obs(
     sw: &StudyWorld,
     plan: Option<FaultPlan>,
@@ -403,7 +403,7 @@ fn reboot_resumes_bit_identically() {
 /// instrumented run's final state, durable checkpoint bytes, and fault
 /// statistics all equal the uninstrumented run's, under fault injection
 /// *and* a mid-day reboot. Two identically-seeded instrumented runs also
-/// export byte-identical metrics and traces.
+/// export byte-identical metrics and spans.
 #[test]
 fn observability_is_invisible_to_chaos_runs() {
     let sw = study_world(9_800);
@@ -415,15 +415,15 @@ fn observability_is_invisible_to_chaos_runs() {
     let plain = run_study(&sw, Some(plan()), Some(midday_reboot()), 9_850, 9_860);
 
     let collect = || {
-        let obs = Obs::with_trace(65_536);
+        let obs = Obs::new().with_spans();
         let out = run_study_obs(&sw, Some(plan()), Some(midday_reboot()), 9_850, 9_860, &obs);
         (
             out,
             obs.metrics_json().expect("live registry"),
-            obs.trace_jsonl().expect("live bus"),
+            obs.spans_jsonl().expect("live sink"),
         )
     };
-    let (observed, metrics_a, trace_a) = collect();
+    let (observed, metrics_a, spans_a) = collect();
 
     assert_eq!(
         observed.state, plain.state,
@@ -443,13 +443,13 @@ fn observability_is_invisible_to_chaos_runs() {
     );
 
     assert!(metrics_a.contains("transport_faults_total"), "{metrics_a}");
-    assert!(trace_a.contains("transport.fault"));
-    assert!(trace_a.contains("client.retry"));
+    assert!(spans_a.contains("\"name\":\"fault:"), "no fault spans");
+    assert!(spans_a.contains("\"name\":\"backoff\""), "no backoff spans");
 
     // Reproducible artefacts: same seed, same bytes.
-    let (_, metrics_b, trace_b) = collect();
+    let (_, metrics_b, spans_b) = collect();
     assert_eq!(metrics_a, metrics_b);
-    assert_eq!(trace_a, trace_b);
+    assert_eq!(spans_a, spans_b);
 }
 
 /// Analytics queries are read-only, so riding out faults is purely the
