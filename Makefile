@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-args lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -10,15 +10,17 @@
 # tiny-config throughput smoke run that fails if parallel and
 # sequential studies ever diverge, the wire lint that keeps untyped
 # JSON from creeping back onto the hot path, the hash lint that keeps
-# SipHash off the GCA absorb path, the wall-clock lint that
-# keeps real time out of simulation code, and the latency soak with its
+# SipHash off the GCA absorb path, the flag-parser lint that keeps
+# every binary on the one parser that refuses unknown flags, the
+# wall-clock lint that keeps real time out of simulation code, and the
+# latency soak with its
 # built-in shed/convergence gates, and the storage gate (durable
 # crash-recovery goldens, the residency lint, and the RSS/hydration/
 # recovery soak with its built-in capped-below-uncapped assertion), the
 # golden-bench gate (the sim-time BENCH_*.json reports regenerate
 # byte-identical), and the benchmark check (perfbench still builds and
 # its smoke test passes).
-verify: build test clippy fmt lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
+verify: build test clippy fmt lint-args lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -98,6 +100,19 @@ lint-wire:
 	done | grep . \
 		|| { echo 'lint-wire: a second body representation crept back into crates/*/src'; exit 1; }
 	@echo 'lint-wire: ok'
+
+# The flag-parser lint: every binary reads its command line through
+# `pmware_bench::args::Args`, which names the flags a binary accepts and
+# refuses the rest, so no other non-test code in crates/ may read
+# `std::env::args` itself. Integration tests (`crates/*/tests`) and
+# everything from a file's `#[cfg(test)]` down are exempt.
+lint-args:
+	@! for f in $$(find crates -path '*/tests' -prune -o -name '*.rs' -print); do \
+		[ "$$f" = crates/bench/src/args.rs ] && continue; \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" | grep -n 'env::args' | sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-args: a binary reads std::env::args around pmware_bench::args'; exit 1; }
+	@echo 'lint-args: ok'
 
 # The hash lint: GCA absorb hashes cell IDs and symbols for every GSM
 # sample, so the maps on that path use the fixed-key Fx hasher from

@@ -23,13 +23,11 @@
 #![warn(missing_docs)]
 
 pub mod adsim;
-pub mod framework;
 pub mod lifelog;
 pub mod placeads;
 pub mod todo;
 
 pub use adsim::UserTasteModel;
-pub use framework::{AppHarness, ConnectedApp};
 pub use lifelog::LifeLogApp;
 pub use placeads::{AdCard, AdInventory, PlaceAdsApp};
 pub use todo::{Reminder, TodoApp};

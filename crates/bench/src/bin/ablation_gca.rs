@@ -9,6 +9,7 @@
 
 use pmware_algorithms::gca::{self, GcaConfig};
 use pmware_algorithms::matching::{classify_places, GroundTruthVisit};
+use pmware_bench::args::Args;
 use pmware_device::{Device, EnergyModel};
 use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
@@ -16,6 +17,7 @@ use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{GsmObservation, SimDuration, SimTime};
 
 fn main() {
+    Args::for_binary(&[]);
     let days = 14;
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(2014)

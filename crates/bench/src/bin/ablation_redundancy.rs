@@ -2,9 +2,11 @@
 //! (§1 item 3: "lack of coordination between applications \[causes\]
 //! redundant and repetitive invocation of location interfaces").
 
+use pmware_bench::args::Args;
 use pmware_bench::sensing_modes::run_redundancy_ablation;
 
 fn main() {
+    Args::for_binary(&[]);
     let days = 3;
     let counts = [1usize, 2, 3, 5, 8];
     println!(

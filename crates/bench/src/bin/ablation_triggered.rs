@@ -2,9 +2,11 @@
 //! (§2.2.2: "it strikes right energy-accuracy tradeoff by providing them
 //! adequate level of accuracy with minimum possible energy").
 
+use pmware_bench::args::Args;
 use pmware_bench::sensing_modes::run_triggered_ablation;
 
 fn main() {
+    Args::for_binary(&[]);
     let days = 7;
     println!("ABL-TRIG: sensing-strategy ablation over one participant x {days} days\n");
     let results = run_triggered_ablation(days, 2014);

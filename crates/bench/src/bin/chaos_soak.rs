@@ -20,7 +20,7 @@
 //! in the current directory and exits nonzero if any rate ≤ 0.30 fails
 //! to converge.
 
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_cloud::{CellDatabase, CloudInstance, FaultPlan, FaultyCloud, SharedCloud, UserId};
 use pmware_core::intents::IntentFilter;
 use pmware_core::{AppRequirement, Granularity, PmsConfig, PmwareMobileService};
@@ -119,8 +119,9 @@ fn run_at_rate(
 }
 
 fn main() {
-    let days: u64 = flag("days", 3).max(2);
-    let seed: u64 = flag("seed", 2014);
+    let args = Args::for_binary(&["days", "seed"]);
+    let days: u64 = args.value("days", 3).max(2);
+    let seed: u64 = args.value("seed", 2014);
 
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(seed)

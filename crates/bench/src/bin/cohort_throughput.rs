@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig};
 use pmware_bench::parallel::resolve_threads;
 use pmware_world::builder::RegionProfile;
@@ -55,9 +55,10 @@ fn thread_ladder(max_threads: usize) -> Vec<usize> {
 }
 
 fn main() {
-    let participants: usize = flag("participants", 8);
-    let days: u64 = flag("days", 7);
-    let repeats: usize = flag("repeats", 3).max(1);
+    let args = Args::for_binary(&["participants", "days", "repeats"]);
+    let participants: usize = args.value("participants", 8);
+    let days: u64 = args.value("days", 7);
+    let repeats: usize = args.value("repeats", 3).max(1);
 
     let config = |threads| StudyConfig {
         participants,
@@ -66,7 +67,6 @@ fn main() {
         region: RegionProfile::urban_india(),
         threads,
         obs: pmware_obs::Obs::disabled(),
-        offload_batch_days: 0,
         ..Default::default()
     };
 

@@ -12,24 +12,24 @@
 //! this cohort size). `--threads` fans participants out over worker
 //! threads (0 = one per core); results are identical at any thread count.
 
-use pmware_bench::args::{flag, opt_flag};
+use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig, StudyResults};
 use pmware_obs::Obs;
 
 fn main() {
-    let seeds: u64 = flag("seeds", 1);
-    let metrics_out = opt_flag("metrics-out");
+    let args = Args::for_binary(&["seeds", "participants", "days", "threads", "metrics-out"]);
+    let seeds: u64 = args.value("seeds", 1);
+    let metrics_out = args.flag("metrics-out");
     let obs = match &metrics_out {
         None => Obs::disabled(),
         Some(_) => Obs::new(),
     };
     let defaults = StudyConfig::default();
     let base = StudyConfig {
-        participants: flag("participants", defaults.participants),
-        days: flag("days", defaults.days),
-        threads: flag("threads", defaults.threads),
+        participants: args.value("participants", defaults.participants),
+        days: args.value("days", defaults.days),
+        threads: args.value("threads", defaults.threads),
         obs: obs.clone(),
-        offload_batch_days: flag("offload-batch-days", defaults.offload_batch_days),
         ..defaults
     };
 

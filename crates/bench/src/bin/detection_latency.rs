@@ -11,7 +11,7 @@
 //! cell coverage extending beyond the physical place boundary (which can
 //! make radio-level "arrival" *precede* physical arrival — negative lag).
 
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_bench::parallel::{parallel_map, resolve_threads};
 use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
 use pmware_core::intents::{actions, IntentFilter};
@@ -24,9 +24,10 @@ use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::SimTime;
 
 fn main() {
-    let participants: usize = flag("participants", 8);
-    let days: u64 = flag("days", 7);
-    let threads = resolve_threads(flag("threads", 1));
+    let args = Args::for_binary(&["participants", "days", "threads"]);
+    let participants: usize = args.value("participants", 8);
+    let days: u64 = args.value("days", 7);
+    let threads = resolve_threads(args.value("threads", 1));
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(6014)
         .build();

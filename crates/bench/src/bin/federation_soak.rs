@@ -20,31 +20,40 @@
 //! nonzero if the arm diverges from the baseline or a control-plane pin
 //! breaks.
 
-use pmware_bench::args::{flag, opt_flag};
+use pmware_bench::args::Args;
 use pmware_bench::federation::{run_federation, FederationConfig};
 use pmware_cloud::BalancePolicy;
 use pmware_world::SimTime;
 
 fn main() {
-    let participants: usize = flag("participants", 6).max(1);
-    let days: u64 = flag("days", 3).max(2);
-    let seed: u64 = flag("seed", 2014);
-    let instances: usize = flag("instances", 2).max(1);
-    let policy = match opt_flag("balance-policy") {
-        Some(s) => BalancePolicy::parse(&s).unwrap_or_else(|| {
+    let args = Args::for_binary(&[
+        "participants",
+        "days",
+        "seed",
+        "instances",
+        "balance-policy",
+        "failover-at-day",
+        "chaos-rate",
+    ]);
+    let participants: usize = args.value("participants", 6).max(1);
+    let days: u64 = args.value("days", 3).max(2);
+    let seed: u64 = args.value("seed", 2014);
+    let instances: usize = args.value("instances", 2).max(1);
+    let policy = match args.flag("balance-policy") {
+        Some(s) => BalancePolicy::parse(s).unwrap_or_else(|| {
             eprintln!("error: unknown --balance-policy {s:?}");
             std::process::exit(2);
         }),
         None => BalancePolicy::RoundRobin,
     };
     // `--failover-at-day 1.12` kills at day 1, hour 12; negative disables.
-    let failover_at_day: f64 = flag("failover-at-day", 1.12);
+    let failover_at_day: f64 = args.value("failover-at-day", 1.12);
     let kill_at = (failover_at_day >= 0.0).then(|| {
         let day = failover_at_day.trunc() as u64;
         let hour = ((failover_at_day.fract() * 100.0).round() as u64).min(23);
         SimTime::from_day_time(day, hour, 0, 0)
     });
-    let chaos_rate: f64 = flag("chaos-rate", 0.0);
+    let chaos_rate: f64 = args.value("chaos-rate", 0.0);
 
     println!(
         "ROBUST-FEDERATION: {participants} participant(s) × {days} day(s), \

@@ -7,6 +7,7 @@
 //! simulated columns should match to within a fraction of a percent —
 //! anything else means the device's billing diverged from the model.
 
+use pmware_bench::args::Args;
 use pmware_device::energy::{EnergyModel, Interface};
 use pmware_device::Device;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
@@ -14,6 +15,7 @@ use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimDuration, SimTime};
 
 fn main() {
+    Args::for_binary(&[]);
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(55)
         .build();

@@ -7,10 +7,12 @@
 //! duration is almost 11x if GSM location is sensed at every minute
 //! compared to GPS coordinates").
 
+use pmware_bench::args::Args;
 use pmware_device::energy::{figure1_dataset, EnergyModel, Interface};
 use pmware_world::SimDuration;
 
 fn main() {
+    Args::for_binary(&[]);
     let model = EnergyModel::htc_explorer();
     let periods = [
         SimDuration::from_seconds(10),

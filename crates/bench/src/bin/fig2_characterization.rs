@@ -2,9 +2,11 @@
 //! applications": which application classes need which place granularity,
 //! and what PMWare therefore samples for them.
 
+use pmware_bench::args::Args;
 use pmware_core::requirements::{app_characterization, Granularity};
 
 fn main() {
+    Args::for_binary(&[]);
     println!("FIG2: characterization of place-aware applications\n");
     println!(
         "{:<42} {:<12} {:<24} examples",

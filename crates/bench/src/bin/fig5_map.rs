@@ -9,7 +9,7 @@
 
 use std::fmt::Write as _;
 
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_bench::parallel::{parallel_map, resolve_threads};
 use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
 use pmware_core::intents::IntentFilter;
@@ -96,9 +96,10 @@ const PARTICIPANT_COLORS: [&str; 6] = [
 ];
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let participants: usize = flag("participants", 6);
-    let days: u64 = flag("days", 14);
-    let threads = resolve_threads(flag("threads", 1));
+    let args = Args::for_binary(&["participants", "days", "threads"]);
+    let participants: usize = args.value("participants", 6);
+    let days: u64 = args.value("days", 14);
+    let threads = resolve_threads(args.value("threads", 1));
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(2014)
         .build();

@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use pmware_algorithms::gca::{self, GcaConfig, IncrementalGca};
 use pmware_algorithms::signature::DiscoveredPlaceId;
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_cloud::analytics::ProfileHistory;
 use pmware_cloud::predict::MarkovPredictor;
 use pmware_cloud::profile::{MobilityProfile, PlaceEntry};
@@ -160,13 +160,14 @@ fn bench_analytics(days: u64, queries: usize) -> (f64, f64) {
 }
 
 fn main() {
-    let days: u64 = flag("days", 14);
-    let repeats: usize = flag("repeats", 3).max(1);
-    let queries: usize = flag("queries", 10_000);
+    let args = Args::for_binary(&["days", "repeats", "queries", "history-days"]);
+    let days: u64 = args.value("days", 14);
+    let repeats: usize = args.value("repeats", 3).max(1);
+    let queries: usize = args.value("queries", 10_000);
     // The long-term profile history spans months (§2.3.2); the analytics
     // part uses its own, longer horizon so the cold-retrain cost is
     // representative.
-    let history_days: u64 = flag("history-days", 90);
+    let history_days: u64 = args.value("history-days", 90);
     let config = GcaConfig::default();
 
     println!("PERF: GCA nightly discovery — {days} day(s), best of {repeats} repeat(s)\n");

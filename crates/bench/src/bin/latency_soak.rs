@@ -25,7 +25,7 @@
 //! Writes `BENCH_latency.json` in the current directory and exits
 //! nonzero when a gate fails.
 
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_cloud::{
     CellDatabase, CloudInstance, ContactEntry, LatencyProfile, QueueConfig, QueueMode,
     RegistrationBody, Request, SharedCloud, UserId,
@@ -160,12 +160,20 @@ fn run_flash(seed: u64, users: u64, latency: Option<LatencyProfile>) -> FlashArm
 }
 
 fn main() {
-    let seed: u64 = flag("seed", 7);
-    let reqs: u64 = flag("reqs", 8).max(1);
-    let max_users: u64 = flag("max-users", 64).max(1);
-    let slo_p99_ms: u64 = flag("slo-p99-ms", 100).max(1);
-    let flash_users: u64 = flag("flash-users", 256).max(1);
-    let shed_depth: u64 = flag("shed-depth", 100).max(1);
+    let args = Args::for_binary(&[
+        "seed",
+        "reqs",
+        "max-users",
+        "slo-p99-ms",
+        "flash-users",
+        "shed-depth",
+    ]);
+    let seed: u64 = args.value("seed", 7);
+    let reqs: u64 = args.value("reqs", 8).max(1);
+    let max_users: u64 = args.value("max-users", 64).max(1);
+    let slo_p99_ms: u64 = args.value("slo-p99-ms", 100).max(1);
+    let flash_users: u64 = args.value("flash-users", 256).max(1);
+    let shed_depth: u64 = args.value("shed-depth", 100).max(1);
     let slo_us = slo_p99_ms * 1_000;
 
     println!(

@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig, StudyResults};
 use pmware_obs::Obs;
 use pmware_world::builder::RegionProfile;
@@ -35,15 +35,15 @@ fn config(obs: Obs, participants: usize, days: u64) -> StudyConfig {
         region: RegionProfile::urban_india(),
         threads: 1,
         obs,
-        offload_batch_days: 0,
         ..Default::default()
     }
 }
 
 fn main() {
-    let participants: usize = flag("participants", 6);
-    let days: u64 = flag("days", 5);
-    let reps: usize = flag("reps", 5).max(1);
+    let args = Args::for_binary(&["participants", "days", "reps"]);
+    let participants: usize = args.value("participants", 6);
+    let days: u64 = args.value("days", 5);
+    let reps: usize = args.value("reps", 5).max(1);
 
     println!(
         "OBS-OVERHEAD: {participants} participants x {days} days, \

@@ -22,7 +22,7 @@
 //! current directory; exits nonzero if a throttled run diverges from the
 //! baseline or guided backoff fails to beat blind backoff.
 
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_cloud::{AdmissionConfig, CellDatabase, CloudInstance, RateBudget, SharedCloud, UserId};
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::PeerProvider;
@@ -134,11 +134,12 @@ fn run_scenario(
 }
 
 fn main() {
-    let participants: usize = flag("participants", 4);
-    let days: u64 = flag("days", 3).max(2);
-    let seed: u64 = flag("seed", 2014);
-    let burst: u32 = flag("burst", 2);
-    let refill_s: u64 = flag("refill-s", 30);
+    let args = Args::for_binary(&["participants", "days", "seed", "burst", "refill-s"]);
+    let participants: usize = args.value("participants", 4);
+    let days: u64 = args.value("days", 3).max(2);
+    let seed: u64 = args.value("seed", 2014);
+    let burst: u32 = args.value("burst", 2);
+    let refill_s: u64 = args.value("refill-s", 30);
 
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(seed)

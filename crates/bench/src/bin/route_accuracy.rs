@@ -11,6 +11,7 @@
 //! path, versus the energy each mode costs.
 
 use pmware_algorithms::route::RouteGeometry;
+use pmware_bench::args::Args;
 use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
@@ -23,6 +24,7 @@ use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimTime, World};
 
 fn main() {
+    Args::for_binary(&[]);
     let days = 7;
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(3001)

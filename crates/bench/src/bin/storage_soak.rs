@@ -30,7 +30,7 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
 
-use pmware_bench::args::{flag, opt_flag};
+use pmware_bench::args::Args;
 use pmware_cloud::{CellDatabase, CloudInstance, Request, StorageConfig};
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
@@ -113,14 +113,14 @@ fn drive(cloud: &CloudInstance, users: u32, rounds: u64) {
 
 /// Child-process mode: run one RSS arm and print its result as a single
 /// `ARM_RESULT {...}` line for the orchestrator to parse.
-fn run_child_arm(kind: &str) {
-    let users: u32 = flag("users", 64);
-    let cap: usize = flag("cap", 64);
-    let rounds: u64 = flag("rounds", 3);
-    let seed: u64 = flag("seed", 2014);
+fn run_child_arm(args: &Args, kind: &str) {
+    let users: u32 = args.value("users", 64);
+    let cap: usize = args.value("cap", 64);
+    let rounds: u64 = args.value("rounds", 3);
+    let seed: u64 = args.value("seed", 2014);
     let cloud = match kind {
         "capped" => {
-            let dir = PathBuf::from(opt_flag("dir").expect("--arm capped needs --dir"));
+            let dir = PathBuf::from(args.flag("dir").expect("--arm capped needs --dir"));
             CloudInstance::new(CellDatabase::new(), seed).with_storage(StorageConfig {
                 resident_cap: Some(cap),
                 store_dir: Some(dir),
@@ -178,14 +178,17 @@ fn spawn_arm(
 }
 
 fn main() {
-    if let Some(kind) = opt_flag("arm") {
-        run_child_arm(&kind);
+    // `--arm`, `--users` and `--dir` are the child-process flags
+    // `spawn_arm` passes.
+    let args = Args::for_binary(&["arm", "users", "cap", "rounds", "seed", "dir"]);
+    if let Some(kind) = args.flag("arm") {
+        run_child_arm(&args, kind);
         return;
     }
 
-    let cap: usize = flag("cap", 64).max(1);
-    let rounds: u64 = flag("rounds", 3).max(1);
-    let seed: u64 = flag("seed", 2014);
+    let cap: usize = args.value("cap", 64).max(1);
+    let rounds: u64 = args.value("rounds", 3).max(1);
+    let seed: u64 = args.value("seed", 2014);
 
     println!("SCALE-STORAGE: cap {cap}, {rounds} round(s) per arm, seed {seed}\n");
 

@@ -31,7 +31,7 @@
 use std::time::Instant;
 
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
-use pmware_bench::args::flag;
+use pmware_bench::args::Args;
 use pmware_cloud::profile::{ContactEntry, MobilityProfile, PlaceEntry};
 use pmware_cloud::{
     CellDatabase, CloudInstance, DiscoverBody, Request, Response, SocialQueryBody,
@@ -134,8 +134,9 @@ fn measure(iters: usize, repeats: usize, mut one: impl FnMut() -> Response) -> f
 }
 
 fn main() {
-    let iters: usize = flag("iters", 2_000).max(1);
-    let repeats: usize = flag("repeats", 5).max(1);
+    let args = Args::for_binary(&["iters", "repeats"]);
+    let iters: usize = args.value("iters", 2_000).max(1);
+    let repeats: usize = args.value("repeats", 5).max(1);
 
     let cloud = CloudInstance::new(CellDatabase::new(), 7);
     let now = SimTime::EPOCH;

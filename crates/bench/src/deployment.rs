@@ -45,13 +45,6 @@ pub struct StudyConfig {
     /// metrics snapshot and per-participant traces without perturbing any
     /// simulation outcome.
     pub obs: Obs,
-    /// Days of GSM suffix per offload request
-    /// ([`PmsConfig::offload_batch_days`]): `0` (the default) coalesces
-    /// the whole unacknowledged suffix into one batched request per
-    /// maintenance pass; `k ≥ 1` sends one request per `k` days.
-    /// Discovery outcomes are identical at any value — only wire traffic
-    /// changes.
-    pub offload_batch_days: u32,
     /// Cloud storage-engine configuration ([`StorageConfig`]): a resident
     /// cap bounds how many user stores stay in RAM (cold ones park in
     /// compacted snapshots), and a store directory makes the instance
@@ -80,7 +73,6 @@ impl Default for StudyConfig {
             region: RegionProfile::urban_india(),
             threads: 1,
             obs: Obs::disabled(),
-            offload_batch_days: 0,
             storage: None,
             admission: None,
             latency: None,
@@ -269,10 +261,13 @@ fn run_participant(
         EnergyModel::htc_explorer(),
         config.seed + 200 + index as u64,
     );
-    let mut pms_config = PmsConfig::for_participant(index);
-    pms_config.offload_batch_days = config.offload_batch_days;
-    let mut pms = PmwareMobileService::new(device, cloud, pms_config, SimTime::EPOCH)
-        .expect("registration succeeds");
+    let mut pms = PmwareMobileService::new(
+        device,
+        cloud,
+        PmsConfig::for_participant(index),
+        SimTime::EPOCH,
+    )
+    .expect("registration succeeds");
     // Zero-padded actor names keep the trace export (sorted by actor)
     // in participant order.
     pms.set_obs(&config.obs.for_actor(&format!("p{index:04}")));
@@ -389,7 +384,6 @@ mod tests {
             region: RegionProfile::urban_india(),
             threads: 1,
             obs: Obs::disabled(),
-            offload_batch_days: 0,
             ..Default::default()
         };
         let results = run_study(&config);

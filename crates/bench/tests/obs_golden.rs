@@ -33,7 +33,6 @@ fn config(threads: usize, obs: Obs) -> StudyConfig {
         region: RegionProfile::urban_india(),
         threads,
         obs,
-        offload_batch_days: 0,
         ..Default::default()
     }
 }

@@ -23,7 +23,6 @@ fn config(threads: usize) -> StudyConfig {
         region: RegionProfile::urban_india(),
         threads,
         obs: pmware_obs::Obs::disabled(),
-        offload_batch_days: 0,
         ..Default::default()
     }
 }
@@ -157,33 +156,4 @@ fn batched_offload_coalesces_backlog_into_one_request() {
         cloud.places_of(coalesced.user()),
         cloud.places_of(plain.user())
     );
-}
-
-/// Offload chunking is pure wire phrasing: per-day (`1`), three-day
-/// (`3`) and whole-suffix (`0`, the coalescing default) offloads produce
-/// identical participant outcomes — places, tags, classification,
-/// bit-identical energy — because the cloud absorbs the same observation
-/// stream in the same order regardless of how the suffix is split into
-/// requests. Only the wire-request count may differ, and never downward
-/// for finer chunking.
-#[test]
-fn offload_chunking_never_changes_study_results() {
-    let coalesced = run_study(&config(1));
-    for batch_days in [1u32, 3] {
-        let chunked = run_study(&StudyConfig {
-            offload_batch_days: batch_days,
-            ..config(1)
-        });
-        assert_eq!(
-            coalesced.participants, chunked.participants,
-            "participant outcomes diverged at offload_batch_days={batch_days}"
-        );
-        assert!(
-            chunked.cloud_requests >= coalesced.cloud_requests,
-            "finer chunking cannot send fewer requests \
-             ({} at batch_days={batch_days} vs {} coalesced)",
-            chunked.cloud_requests,
-            coalesced.cloud_requests
-        );
-    }
 }

@@ -5,7 +5,7 @@
 //! pmware simulate [--region ...] [--seed N] [--days N] [--granularity area|building|room]
 //!                 [--metrics-out F] [--spans-out F]
 //! pmware study    [--participants N] [--days N] [--seed N] [--region ...]
-//!                 [--threads N] [--offload-batch-days N] [--quiet]
+//!                 [--threads N] [--quiet]
 //!                 [--admission-burst N] [--admission-refill-s N]
 //!                 [--latency-profile off|calibrated|uniform] [--slo-p99-ms N]
 //!                 [--store-dir DIR] [--resident-cap N] [--snapshot-every-days N]
@@ -17,13 +17,11 @@
 //! Each command refuses any flag it does not accept, before doing any
 //! work, so a typo never runs a default-sized study in silence.
 
-mod args;
-
 use std::process::ExitCode;
 
-use args::Args;
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_apps::PlaceAdsApp;
+use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig};
 use pmware_cloud::{
     AdmissionConfig, ArrivalBody, CellDatabase, CloudInstance, LatencyProfile, NextVisitBody,
@@ -62,21 +60,13 @@ COMMON FLAGS:
                             are identical at any count
     --quiet                 Study: skip the configuration banner
 
-OFFLOAD (study):
-    --offload-batch-days N  Days of GSM suffix per offload request; 0
-                            coalesces the whole unacknowledged suffix
-                            into one batched delta-compressed request
-                            per maintenance pass (default 0). Discovery
-                            outcomes are identical at any value — only
-                            the wire-request count changes.
-
 RATE LIMITING (study):
     --admission-burst N     Per-user token-bucket burst; 0 = off (default 0)
     --admission-refill-s N  Seconds per refilled token     (default 60)
-The budget applies uniformly to every rate class. Admission decisions are
-deterministic (seeded, sim-time driven); clients honor the 429
-`retry_after_s` hint, so a throttled study still converges to the same
-final state, just with fewer wasted wire requests.
+One budget applies to every rate class, with one bucket per user and
+class. Admission decisions are deterministic (seeded, sim-time driven);
+clients honor the 429 `retry_after_s` hint, so a throttled study still
+converges to the same final state, just with fewer wasted wire requests.
 
 LATENCY MODEL (study):
     --latency-profile p     off|calibrated|uniform  (default off)
@@ -130,7 +120,6 @@ const STUDY_FLAGS: &[&str] = &[
     "days",
     "participants",
     "threads",
-    "offload-batch-days",
     "admission-burst",
     "admission-refill-s",
     "latency-profile",
@@ -186,7 +175,7 @@ fn write_obs_outputs(obs: &Obs, outputs: &ObsOutputs) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = Args::parse(std::env::args().skip(1));
+    let args = Args::from_env();
     let command = args.positional(0).unwrap_or("help");
     match run(command, &args) {
         Ok(()) => ExitCode::SUCCESS,
@@ -438,9 +427,6 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         region: region(args)?,
         threads: args.get("threads", 1usize).map_err(|e| e.to_string())?,
         obs: obs.clone(),
-        offload_batch_days: args
-            .get("offload-batch-days", 0u32)
-            .map_err(|e| e.to_string())?,
         storage: storage(args)?,
         admission: admission(args, seed)?,
         latency,

@@ -4,7 +4,7 @@
 //! simply fell over under load; a production-scale service for millions
 //! of users must be able to *shed* load instead. This module is the
 //! server-side half of that: each (user, [`RateClass`]) pair owns a token
-//! bucket with a per-class budget, refilled in **simulated time** — so an
+//! bucket, all under one budget, refilled in **simulated time** — so an
 //! admission decision is a pure function of the request stream and the
 //! seed, and a run replays bit-identically (the same guarantee the fault
 //! injector and the retry backoff already give).
@@ -73,69 +73,21 @@ impl RateBudget {
     }
 }
 
-/// Admission-control configuration: a seed (for refill-phase staggering)
-/// plus an optional [`RateBudget`] per [`RateClass`]. `None` means the
-/// class is not limited.
+/// Admission-control configuration: a seed (for refill-phase
+/// staggering) plus the one [`RateBudget`] every [`RateClass`] runs
+/// under. Each (user, class) pair still owns its own bucket.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Seed for the deterministic per-bucket refill phase stagger.
     pub seed: u64,
-    /// Budget for [`RateClass::Auth`] (registration, token refresh).
-    pub auth: Option<RateBudget>,
-    /// Budget for [`RateClass::Ingest`] (offloads, syncs).
-    pub ingest: Option<RateBudget>,
-    /// Budget for [`RateClass::Query`] (lists, fetches, geolocation).
-    pub query: Option<RateBudget>,
-    /// Budget for [`RateClass::Analytics`] (prediction queries).
-    pub analytics: Option<RateBudget>,
+    /// The budget of every (user, class) bucket.
+    pub budget: RateBudget,
 }
 
 impl AdmissionConfig {
-    /// A config with no class limited (admission enabled but vacuous).
-    pub fn unlimited(seed: u64) -> AdmissionConfig {
-        AdmissionConfig {
-            seed,
-            auth: None,
-            ingest: None,
-            query: None,
-            analytics: None,
-        }
-    }
-
     /// The same budget for every class.
     pub fn uniform(seed: u64, budget: RateBudget) -> AdmissionConfig {
-        AdmissionConfig {
-            seed,
-            auth: Some(budget),
-            ingest: Some(budget),
-            query: Some(budget),
-            analytics: Some(budget),
-        }
-    }
-
-    /// Sets one class's budget.
-    pub fn with_class(mut self, class: RateClass, budget: RateBudget) -> AdmissionConfig {
-        *self.slot(class) = Some(budget);
-        self
-    }
-
-    fn slot(&mut self, class: RateClass) -> &mut Option<RateBudget> {
-        match class {
-            RateClass::Auth => &mut self.auth,
-            RateClass::Ingest => &mut self.ingest,
-            RateClass::Query => &mut self.query,
-            RateClass::Analytics => &mut self.analytics,
-        }
-    }
-
-    /// The budget for a class, if limited.
-    pub fn budget(&self, class: RateClass) -> Option<RateBudget> {
-        match class {
-            RateClass::Auth => self.auth,
-            RateClass::Ingest => self.ingest,
-            RateClass::Query => self.query,
-            RateClass::Analytics => self.analytics,
-        }
+        AdmissionConfig { seed, budget }
     }
 }
 
@@ -152,7 +104,7 @@ struct Bucket {
 /// The admission decision for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Admission {
-    /// Request may proceed (or its class is unlimited).
+    /// Request may proceed.
     Admit,
     /// Request is shed; a token becomes available in `retry_after`.
     Deny {
@@ -193,10 +145,7 @@ impl AdmissionControl {
     /// Decides one request for `user` in `class` at simulated instant
     /// `now`, consuming a token when admitted.
     pub(crate) fn admit(&self, user: UserId, class: RateClass, now: SimTime) -> Admission {
-        let Some(budget) = self.config.budget(class) else {
-            return Admission::Admit;
-        };
-        let seed = self.config.seed;
+        let AdmissionConfig { seed, budget } = self.config;
         let mut buckets = self.buckets.lock();
         let bucket = buckets.entry((user, class)).or_insert_with(|| {
             // Full bucket; the first refill after the burst drains is
@@ -281,22 +230,6 @@ mod tests {
         // ...and the bucket is empty again right after.
         assert!(matches!(
             ac.admit(UserId(0), RateClass::Ingest, t1),
-            Admission::Deny { .. }
-        ));
-    }
-
-    #[test]
-    fn unlimited_class_is_never_denied() {
-        let ac = AdmissionControl::new(
-            AdmissionConfig::unlimited(1).with_class(RateClass::Ingest, budget(1, 60)),
-        );
-        let t = SimTime::EPOCH;
-        for _ in 0..10 {
-            assert_eq!(ac.admit(UserId(0), RateClass::Query, t), Admission::Admit);
-        }
-        assert_eq!(ac.admit(UserId(0), RateClass::Ingest, t), Admission::Admit);
-        assert!(matches!(
-            ac.admit(UserId(0), RateClass::Ingest, t),
             Admission::Deny { .. }
         ));
     }

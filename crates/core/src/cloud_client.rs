@@ -121,6 +121,10 @@ pub struct ClientState {
     pub token_expires: SimTime,
     /// Monotonic sync sequence (idempotency key for upserts/replacements).
     pub sync_seq: u64,
+    /// Logical operations issued so far: a rebooted client numbers its
+    /// next operation after them, so its trace ids never repeat one from
+    /// before the reboot.
+    pub op_seq: u64,
 }
 
 /// Bucket bounds (whole seconds) for the retry backoff histogram.
@@ -182,9 +186,8 @@ pub struct CloudClient {
     /// Monotonic logical-operation counter: trace ids are
     /// `SpanSink::trace_id(actor, op_seq)`, a pure function of the
     /// workload. Incremented before use, so sequence 0 stays the actor's
-    /// timeline trace (`Obs::event`). Transient — a restored client
-    /// restarts at 0, which is fine because span collection is
-    /// per-study, not per-checkpoint.
+    /// timeline trace (`Obs::event`). Checkpointed in [`ClientState`], so
+    /// a restored client continues the count.
     op_seq: u64,
     metrics: ClientMetrics,
 }
@@ -255,7 +258,7 @@ impl CloudClient {
             retries: 0,
             rate_limited: 0,
             honor_retry_after: true,
-            op_seq: 0,
+            op_seq: state.op_seq,
             metrics: ClientMetrics::default(),
         }
     }
@@ -277,6 +280,7 @@ impl CloudClient {
             token: self.token.clone(),
             token_expires: self.token_expires,
             sync_seq: self.sync_seq,
+            op_seq: self.op_seq,
         }
     }
 
@@ -1113,6 +1117,33 @@ mod tests {
              second: 1 root + 1 attempt; denied: 1 root:\n{jsonl}"
         );
         assert_eq!(run().0, jsonl, "same seed, same bytes");
+    }
+
+    /// A rebooted client continues the operation count from its
+    /// checkpoint, so its operations never reuse a trace id from before
+    /// the reboot: every trace holds at most one `op:` root.
+    #[test]
+    fn a_restored_client_never_reuses_a_trace_id() {
+        let obs = Obs::new().with_spans();
+        let cloud = cloud();
+        let mut client =
+            CloudClient::register(cloud.clone(), "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
+        client.set_obs(&obs.for_actor("p0001"));
+        client.sync_places(&[], SimTime::EPOCH).unwrap();
+        let mut restored = CloudClient::from_state(cloud, client.state());
+        restored.set_obs(&obs.for_actor("p0001"));
+        restored.sync_places(&[], SimTime::EPOCH).unwrap();
+        restored.sync_places(&[], SimTime::EPOCH).unwrap();
+        let jsonl = obs.spans_jsonl().unwrap();
+        let mut roots = std::collections::BTreeMap::<u64, u32>::new();
+        for line in jsonl.lines() {
+            let span: serde_json::Value = serde_json::from_str(line).unwrap();
+            if span["name"].as_str().is_some_and(|n| n.starts_with("op:")) {
+                *roots.entry(span["trace"].as_u64().unwrap()).or_default() += 1;
+            }
+        }
+        assert_eq!(roots.len(), 3, "three synced operations:\n{jsonl}");
+        assert!(roots.values().all(|&n| n == 1), "{jsonl}");
     }
 
     /// Federation control-plane work joins the trace: a failover-displaced

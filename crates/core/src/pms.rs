@@ -23,7 +23,7 @@ use pmware_cloud::CloudEndpoint;
 use pmware_device::{Device, MovementDetector, PositionProvider};
 use pmware_geo::GeoPoint;
 use pmware_obs::{Counter, FieldValue, Histogram, Obs};
-use pmware_world::{GsmObservation, MotionState, SimDuration, SimTime};
+use pmware_world::{MotionState, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use serde_json::json;
 
@@ -74,12 +74,6 @@ pub struct PmsConfig {
     /// stops spending after this many sends (retries included) and the
     /// unfinished work is retried at the next pass.
     pub maintenance_budget: u32,
-    /// Days of GSM suffix per offload request. `0` (the default)
-    /// coalesces the whole unacknowledged suffix — however many days an
-    /// outage let pile up — into a single batched request; `k ≥ 1`
-    /// splits the suffix at day boundaries into one request per `k`
-    /// days (`1` is the per-day baseline the batched protocol replaces).
-    pub offload_batch_days: u32,
 }
 
 impl PmsConfig {
@@ -96,7 +90,6 @@ impl PmsConfig {
             token_refresh_margin: SimDuration::from_hours(2),
             movement_window: 3,
             maintenance_budget: 64,
-            offload_batch_days: 0,
         }
     }
 }
@@ -133,34 +126,6 @@ const TRIGGER_LABELS: [&str; 5] = ["accel", "gsm", "wifi", "gps", "bluetooth"];
 /// and month-sized coalesced suffixes distinguishable instead of lumping
 /// everything past 4k into the overflow bucket.
 const GCA_BATCH_BOUNDS: [u64; 10] = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144];
-
-/// Splits a time-ordered GSM suffix at day boundaries into chunks of at
-/// most `batch_days` distinct days each, returning cumulative end
-/// offsets (the last is always `suffix.len()`). `batch_days == 0`
-/// coalesces everything into one chunk. An empty suffix still yields one
-/// empty chunk: the nightly offload must round-trip regardless, because
-/// the reply is what refreshes the authoritative place set.
-fn offload_chunk_ends(suffix: &[GsmObservation], batch_days: u32) -> Vec<usize> {
-    if batch_days == 0 || suffix.is_empty() {
-        return vec![suffix.len()];
-    }
-    let mut ends = Vec::new();
-    let mut days_in_chunk = 0u32;
-    let mut current_day = None;
-    for (i, obs) in suffix.iter().enumerate() {
-        let day = obs.time.day();
-        if current_day != Some(day) {
-            current_day = Some(day);
-            days_in_chunk += 1;
-            if days_in_chunk > batch_days {
-                ends.push(i);
-                days_in_chunk = 1;
-            }
-        }
-    }
-    ends.push(suffix.len());
-    ends
-}
 
 /// Pre-resolved PMS metric handles. The service always carries a private
 /// registry (so [`PmwareMobileService::counters`] keeps working with no
@@ -1012,33 +977,22 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
         );
     }
 
-    /// Ships the unacknowledged GSM suffix through the batched discover
-    /// protocol, one delta-compressed request per
-    /// [`PmsConfig::offload_batch_days`]-day chunk (one request total at
-    /// the coalescing default). The watermark advances per acknowledged
-    /// chunk, so a pass cut short by an outage or the wire budget resumes
-    /// exactly where the cloud's acknowledgements stopped. Every reply
-    /// carries the full accumulated place set; the last one wins.
+    /// Ships the whole unacknowledged GSM suffix — however many days an
+    /// outage let pile up — as one delta-compressed discover request. An
+    /// empty suffix still round-trips: the reply is what refreshes the
+    /// authoritative place set. The watermark advances only once the
+    /// cloud acknowledges, so a pass cut short by an outage or the wire
+    /// budget re-sends the same suffix at the next pass.
     fn offload_suffix(&mut self, t: SimTime) -> Result<Vec<DiscoveredPlace>, PmsError> {
-        let base = self.offloaded_upto;
-        let ends = offload_chunk_ends(
-            &self.engine.gsm_log()[base..],
-            self.config.offload_batch_days,
-        );
-        let mut places = Vec::new();
-        for end in ends.into_iter().map(|e| base + e) {
-            let chunk = &self.engine.gsm_log()[self.offloaded_upto..end];
-            self.metrics
-                .gca_batch_observations
-                .observe(chunk.len() as u64);
-            places = self
-                .client
-                .discover_places(chunk, self.offloaded_upto as u64, t)?;
-            // Advance the watermark only once the cloud has the data:
-            // after a failure the next offload re-sends everything past
-            // the last acknowledged chunk.
-            self.offloaded_upto = end;
-        }
+        let log = self.engine.gsm_log();
+        let suffix = &log[self.offloaded_upto..];
+        self.metrics
+            .gca_batch_observations
+            .observe(suffix.len() as u64);
+        let places = self
+            .client
+            .discover_places(suffix, self.offloaded_upto as u64, t)?;
+        self.offloaded_upto = log.len();
         Ok(places)
     }
 
@@ -1096,44 +1050,5 @@ impl PmsReport {
     fn with_intents(mut self, delivered: u64) -> Self {
         self.intents_delivered = delivered;
         self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pmware_world::tower::NetworkLayer;
-    use pmware_world::{CellGlobalId, CellId, Lac, Plmn};
-
-    fn obs_on_day(day: u64) -> GsmObservation {
-        GsmObservation {
-            time: SimTime::from_seconds(day * 86_400 + 3_600),
-            cell: CellGlobalId {
-                plmn: Plmn { mcc: 404, mnc: 45 },
-                lac: Lac(1),
-                cell: CellId(1),
-            },
-            layer: NetworkLayer::G2,
-            rssi_dbm: -70.0,
-        }
-    }
-
-    #[test]
-    fn zero_batch_days_coalesces_everything() {
-        let suffix: Vec<_> = (0..5).flat_map(|d| vec![obs_on_day(d); 3]).collect();
-        assert_eq!(offload_chunk_ends(&suffix, 0), vec![15]);
-        assert_eq!(offload_chunk_ends(&[], 0), vec![0]);
-        assert_eq!(offload_chunk_ends(&[], 3), vec![0]);
-    }
-
-    #[test]
-    fn per_day_chunking_splits_at_day_boundaries() {
-        let mut suffix = vec![obs_on_day(0); 2];
-        suffix.extend(vec![obs_on_day(1); 3]);
-        suffix.extend(vec![obs_on_day(2); 1]);
-        assert_eq!(offload_chunk_ends(&suffix, 1), vec![2, 5, 6]);
-        assert_eq!(offload_chunk_ends(&suffix, 2), vec![5, 6]);
-        assert_eq!(offload_chunk_ends(&suffix, 3), vec![6]);
-        assert_eq!(offload_chunk_ends(&suffix, 9), vec![6]);
     }
 }

@@ -7,7 +7,6 @@
 //!   GSM every minute yields ~11× the battery life of sensing GPS every
 //!   minute, the headline ratio of Figure 1;
 //! * [`battery`] — capacity and drain accounting, per interface;
-//! * [`events`] — a tiny discrete-event queue for schedulers;
 //! * [`phone`] — [`phone::Device`]: sensors (GSM modem, WiFi
 //!   scanner, GPS, accelerometer, Bluetooth) bound to a position source and
 //!   a radio environment, every sample billed to the battery;
@@ -32,12 +31,10 @@
 
 pub mod battery;
 pub mod energy;
-pub mod events;
 pub mod motion;
 pub mod phone;
 
 pub use battery::Battery;
 pub use energy::{EnergyModel, Interface};
-pub use events::EventQueue;
 pub use motion::{MovementDetector, MovementSnapshot};
 pub use phone::{Device, PositionProvider};

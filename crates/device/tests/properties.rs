@@ -1,8 +1,8 @@
 //! Property-based tests for the device substrate.
 
 use pmware_device::energy::{BatterySpec, EnergyModel, Interface};
-use pmware_device::{Battery, EventQueue, MovementDetector};
-use pmware_world::{MotionState, SimDuration, SimTime};
+use pmware_device::{Battery, MovementDetector};
+use pmware_world::{MotionState, SimDuration};
 use proptest::prelude::*;
 
 proptest! {
@@ -71,38 +71,6 @@ proptest! {
             let alone = model.battery_duration_hours(*interface, *period);
             prop_assert!(combined <= alone + 1e-9);
         }
-    }
-
-    #[test]
-    fn event_queue_pops_in_time_order(
-        events in prop::collection::vec((0u64..100_000, 0u32..1_000), 0..200),
-    ) {
-        let mut q = EventQueue::new();
-        for (t, tag) in &events {
-            q.schedule(SimTime::from_seconds(*t), *tag);
-        }
-        prop_assert_eq!(q.len(), events.len());
-        let mut last = SimTime::EPOCH;
-        let mut popped = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, events.len());
-    }
-
-    #[test]
-    fn event_queue_is_fifo_within_an_instant(
-        n in 1usize..100,
-        t in 0u64..1_000,
-    ) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.schedule(SimTime::from_seconds(t), i);
-        }
-        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -29,14 +29,12 @@
 #![warn(missing_docs)]
 
 pub mod agent;
-pub mod encounter;
 pub mod population;
 pub mod schedule;
 pub mod trajectory;
 pub mod visit;
 
 pub use agent::{AgentId, AgentProfile};
-pub use encounter::{find_encounters, Encounter};
 pub use population::Population;
 pub use trajectory::{Itinerary, Segment};
 pub use visit::TrueVisit;

@@ -15,6 +15,8 @@
 //! converge — chaos tests assert eventual consistency, not availability
 //! under active failure.
 
+use std::collections::BTreeMap;
+
 use pmware::cloud::{
     ContactEntry, FaultStats, Payload, PlaceOnlyBody, StorageConfig, ALL_FAULT_KINDS,
 };
@@ -134,29 +136,6 @@ fn run_study(
     run_study_obs(sw, plan, reboot, cloud_seed, device_seed, &Obs::disabled())
 }
 
-/// [`run_study`] with per-day-chunked offloads: `batch_days ≥ 1` splits
-/// each maintenance pass's GSM suffix into one discover request per that
-/// many days, multiplying the wire traffic the fault plan gets to chew
-/// on. Final state must not care.
-fn run_study_batched(
-    sw: &StudyWorld,
-    plan: Option<FaultPlan>,
-    reboot: Option<SimTime>,
-    cloud_seed: u64,
-    device_seed: u64,
-    batch_days: u32,
-) -> Outcome {
-    run_study_full(
-        sw,
-        plan,
-        reboot,
-        cloud_seed,
-        device_seed,
-        &Obs::disabled(),
-        batch_days,
-    )
-}
-
 /// [`run_study`] with an observability sink attached to every layer
 /// (cloud instance, fault-injecting transport, PMS). Collecting metrics
 /// and spans must never change any outcome the chaos matrix pins.
@@ -167,19 +146,6 @@ fn run_study_obs(
     cloud_seed: u64,
     device_seed: u64,
     obs: &Obs,
-) -> Outcome {
-    run_study_full(sw, plan, reboot, cloud_seed, device_seed, obs, 0)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_study_full(
-    sw: &StudyWorld,
-    plan: Option<FaultPlan>,
-    reboot: Option<SimTime>,
-    cloud_seed: u64,
-    device_seed: u64,
-    obs: &Obs,
-    offload_batch_days: u32,
 ) -> Outcome {
     let shared = SharedCloud::new(
         CloudInstance::new(CellDatabase::from_world(&sw.world), cloud_seed).with_obs(obs),
@@ -194,8 +160,7 @@ fn run_study_full(
 
     let env = RadioEnvironment::new(&sw.world, RadioConfig::default());
     let device = Device::new(env, &sw.itinerary, EnergyModel::htc_explorer(), device_seed);
-    let mut config = PmsConfig::for_participant(PARTICIPANT);
-    config.offload_batch_days = offload_batch_days;
+    let config = PmsConfig::for_participant(PARTICIPANT);
     let mut pms = PmwareMobileService::new(device, faulty.clone(), config.clone(), SimTime::EPOCH)
         .expect("registration is fault-free");
     pms.set_obs(&obs.for_actor("p0000"));
@@ -334,47 +299,6 @@ fn chaos_matrix_error() {
     matrix_for(FaultKind::Error, 9_500);
 }
 
-/// The batched offload protocol under chaos. Per-day chunking
-/// (`offload_batch_days ≥ 1`) multiplies the discover requests a
-/// maintenance pass puts on the wire, and every one of them faces the
-/// fault plan; the `start`-keyed watermark must still absorb each
-/// observation exactly once. Two pins: fault-free chunked runs equal the
-/// coalesced default bit for bit (chunking is pure wire phrasing), and
-/// chunked runs under drop/duplicate/reorder converge to that same
-/// state.
-#[test]
-fn chaos_batched_offload_chunking_converges() {
-    let sw = study_world(9_900);
-    let coalesced = run_study(&sw, None, None, 9_950, 9_960);
-    let mut injected = 0;
-    for (bi, batch_days) in [1u32, 3].into_iter().enumerate() {
-        let baseline = run_study_batched(&sw, None, None, 9_950, 9_960, batch_days);
-        assert_eq!(
-            baseline.state, coalesced.state,
-            "fault-free chunked run (batch_days={batch_days}) diverged from coalesced default"
-        );
-        for (ki, kind) in [FaultKind::Drop, FaultKind::Duplicate, FaultKind::Reorder]
-            .into_iter()
-            .enumerate()
-        {
-            let plan_seed = 9_970 + (bi as u64) * 10 + ki as u64;
-            let plan = FaultPlan::with_rate(plan_seed, RATE)
-                .kinds(&[kind])
-                .only_path("/places/discover");
-            let out = run_study_batched(&sw, Some(plan), None, 9_950, 9_960, batch_days);
-            injected += out.stats.faults;
-            assert_eq!(
-                out.state, baseline.state,
-                "diverged under {kind:?} with batch_days={batch_days}"
-            );
-        }
-    }
-    assert!(
-        injected > 0,
-        "a {RATE} fault rate must fire at least once across the batched arms"
-    );
-}
-
 /// A reboot alone (no faults) must be invisible: the rebooted run's final
 /// *serialized durable state* equals the uninterrupted run's, byte for
 /// byte — watermarks, sequence numbers, tracker debounce state, open
@@ -445,6 +369,23 @@ fn observability_is_invisible_to_chaos_runs() {
     assert!(metrics_a.contains("transport_faults_total"), "{metrics_a}");
     assert!(spans_a.contains("\"name\":\"fault:"), "no fault spans");
     assert!(spans_a.contains("\"name\":\"backoff\""), "no backoff spans");
+    // The mid-day reboot restores the client from its checkpoint, which
+    // carries the operation count: no trace id is reused, so no trace
+    // holds two `op:` roots.
+    let mut op_roots = BTreeMap::<u64, u32>::new();
+    for line in spans_a.lines() {
+        let span: serde_json::Value = serde_json::from_str(line).expect("span JSON");
+        if span["name"].as_str().is_some_and(|n| n.starts_with("op:")) {
+            *op_roots
+                .entry(span["trace"].as_u64().expect("trace id"))
+                .or_default() += 1;
+        }
+    }
+    assert!(!op_roots.is_empty(), "no op spans");
+    assert!(
+        op_roots.values().all(|&n| n == 1),
+        "a trace holds two op: roots after the reboot"
+    );
 
     // Reproducible artefacts: same seed, same bytes.
     let (_, metrics_b, spans_b) = collect();

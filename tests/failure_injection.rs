@@ -144,4 +144,35 @@ fn sparse_coverage_world_does_not_break_the_pipeline() {
         !pms.places().is_empty(),
         "places at covered spots are still discovered"
     );
+
+    // The extreme of a coverage gap: a phone that samples GSM once at
+    // boot and never again. Every nightly maintenance pass still sends
+    // exactly one `/places/discover`, the empty suffix included: the
+    // reply is what refreshes the authoritative place set.
+    let obs = Obs::new();
+    let cloud =
+        SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 4204).with_obs(&obs));
+    let env = RadioEnvironment::new(&world, RadioConfig::default());
+    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 4205);
+    let mut config = PmsConfig::for_participant(43);
+    config.sensing.gsm_period = SimDuration::from_days(30);
+    let mut pms = PmwareMobileService::new(device, cloud, config, SimTime::EPOCH).unwrap();
+    let discovers = obs.counter("cloud_requests_total", &[("endpoint", "places_discover")]);
+    pms.run(SimTime::from_day_time(1, 4, 0, 0)).unwrap();
+    assert_eq!(
+        discovers.get(),
+        1,
+        "the first pass offloads the boot sample"
+    );
+    pms.run(SimTime::from_day_time(2, 4, 0, 0)).unwrap();
+    assert_eq!(
+        discovers.get(),
+        2,
+        "a pass with no new sample still offloads once"
+    );
+    let counters = pms.counters();
+    assert_eq!(
+        (counters.gca_offloads, counters.gca_local_fallbacks),
+        (2, 0)
+    );
 }
