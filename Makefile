@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-args lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-args lint-deps lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -12,6 +12,7 @@
 # JSON from creeping back onto the hot path, the hash lint that keeps
 # SipHash off the GCA absorb path, the flag-parser lint that keeps
 # every binary on the one parser that refuses unknown flags, the
+# dependency lint that fails on a manifest entry no file names, the
 # wall-clock lint that keeps real time out of simulation code, and the
 # latency soak with its
 # built-in shed/convergence gates, and the storage gate (durable
@@ -20,7 +21,7 @@
 # golden-bench gate (the sim-time BENCH_*.json reports regenerate
 # byte-identical), and the benchmark check (perfbench still builds and
 # its smoke test passes).
-verify: build test clippy fmt lint-args lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
+verify: build test clippy fmt lint-args lint-deps lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -114,6 +115,23 @@ lint-args:
 		|| { echo 'lint-args: a binary reads std::env::args around pmware_bench::args'; exit 1; }
 	@echo 'lint-args: ok'
 
+# The dependency lint: every dependency a workspace member's Cargo.toml
+# (the root facade's and each crate's) lists, normal, dev or build,
+# must be named, with `-` read as `_`, by some file under that member's
+# src/, tests/, benches/ or examples/. An
+# unused one still has to build before the crate's tests can run.
+lint-deps:
+	@! for toml in Cargo.toml crates/*/Cargo.toml; do \
+		dir=$$(dirname "$$toml"); \
+		dirs=$$(for d in src tests benches examples; do [ -d "$$dir/$$d" ] && echo "$$dir/$$d"; done); \
+		for dep in $$(awk '/^\[/ { on = /^\[(build-|dev-)?dependencies\]$$/; next } \
+				on && /^[A-Za-z0-9_-]+[ .=]/ { sub(/[ .=].*/, ""); print }' "$$toml"); do \
+			grep -rqw "$$(echo "$$dep" | tr - _)" $$dirs || echo "$$toml: $$dep"; \
+		done; \
+	done | grep . \
+		|| { echo 'lint-deps: a crate lists a dependency none of its files name'; exit 1; }
+	@echo 'lint-deps: ok'
+
 # The hash lint: GCA absorb hashes cell IDs and symbols for every GSM
 # sample, so the maps on that path use the fixed-key Fx hasher from
 # pmware_world::intern. Non-test code in gca.rs and intern.rs may not
@@ -177,9 +195,10 @@ bench-golden:
 		BENCH_latency.json BENCH_admission.json
 
 # The federation gate: the failover & migration matrix (every arm of
-# N instances x balancing policy x kill instant, plain and under 30 %
-# transport chaos, asserting byte-identical convergence to the
-# single-instance baseline and the zero-steady-state-router pin), then
+# N instances x kill instant under sticky round-robin placement, plain
+# and under 30 % transport chaos, asserting byte-identical convergence
+# to the single-instance baseline and the zero-steady-state-router
+# pin), then
 # the federation soak, which writes BENCH_federation.json and exits
 # nonzero if the arm diverges or a control-plane pin breaks.
 test-federation:
@@ -188,7 +207,8 @@ test-federation:
 
 # Multi-instance soak: capacity split, migration sim-latency, and
 # control-plane cost; writes BENCH_federation.json in the repo root.
-# Flags: --instances, --balance-policy, --failover-at-day, --chaos-rate.
+# Flags: --participants, --days, --seed, --instances, --failover-at-day,
+# --chaos-rate.
 bench-federation:
 	cargo run --release -p pmware-bench --bin federation_soak
 

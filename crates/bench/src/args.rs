@@ -111,10 +111,7 @@ impl Args {
         if let Some(flag) = self.unknown_flag(accepted) {
             return Err(format!("unknown flag --{flag} ({takes})"));
         }
-        let bare = self.flags.iter().filter(|(_, value)| value.is_empty());
-        if let Some(flag) = bare.map(|(flag, _)| flag).min() {
-            return Err(format!("--{flag} requires a value"));
-        }
+        self.check_values(&[])?;
         if let Some(stray) = self.positional(0) {
             return Err(format!("unexpected argument {stray:?} ({takes})"));
         }
@@ -143,6 +140,23 @@ impl Args {
             .map(String::as_str)
             .filter(|flag| !accepted.contains(flag))
             .min()
+    }
+
+    /// Checks that every flag given carries a value, apart from the
+    /// `switches`; the error names the alphabetically first that does not.
+    ///
+    /// # Errors
+    ///
+    /// Returns `--flag requires a value` for a bare non-switch flag.
+    pub fn check_values(&self, switches: &[&str]) -> Result<(), String> {
+        let bare = self
+            .flags
+            .iter()
+            .filter(|(flag, value)| value.is_empty() && !switches.contains(&flag.as_str()));
+        match bare.map(|(flag, _)| flag).min() {
+            Some(flag) => Err(format!("--{flag} requires a value")),
+            None => Ok(()),
+        }
     }
 
     /// Typed flag with a default.

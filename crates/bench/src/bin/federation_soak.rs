@@ -14,15 +14,14 @@
 //!   **zero** router involvement at steady state.
 //!
 //! Usage: `federation_soak [--participants P] [--days D] [--seed S]
-//! [--instances N] [--balance-policy consistent-hash|round-robin|least-connections]
-//! [--failover-at-day D.H (e.g. 1.12; negative disables)] [--chaos-rate R]`.
+//! [--instances N] [--failover-at-day D.H (e.g. 1.12; negative disables)]
+//! [--chaos-rate R]`.
 //! Writes `BENCH_federation.json` in the current directory and exits
 //! nonzero if the arm diverges from the baseline or a control-plane pin
 //! breaks.
 
 use pmware_bench::args::Args;
 use pmware_bench::federation::{run_federation, FederationConfig};
-use pmware_cloud::BalancePolicy;
 use pmware_world::SimTime;
 
 fn main() {
@@ -31,7 +30,6 @@ fn main() {
         "days",
         "seed",
         "instances",
-        "balance-policy",
         "failover-at-day",
         "chaos-rate",
     ]);
@@ -39,13 +37,6 @@ fn main() {
     let days: u64 = args.value("days", 3).max(2);
     let seed: u64 = args.value("seed", 2014);
     let instances: usize = args.value("instances", 2).max(1);
-    let policy = match args.flag("balance-policy") {
-        Some(s) => BalancePolicy::parse(s).unwrap_or_else(|| {
-            eprintln!("error: unknown --balance-policy {s:?}");
-            std::process::exit(2);
-        }),
-        None => BalancePolicy::RoundRobin,
-    };
     // `--failover-at-day 1.12` kills at day 1, hour 12; negative disables.
     let failover_at_day: f64 = args.value("failover-at-day", 1.12);
     let kill_at = (failover_at_day >= 0.0).then(|| {
@@ -57,14 +48,12 @@ fn main() {
 
     println!(
         "ROBUST-FEDERATION: {participants} participant(s) × {days} day(s), \
-         {instances} instance(s), policy {}, seed {seed}\n",
-        policy.label()
+         {instances} instance(s), seed {seed}\n"
     );
 
     let baseline = run_federation(&FederationConfig::baseline(participants, days, seed));
     let mut config = FederationConfig::baseline(participants, days, seed);
     config.instances = instances;
-    config.policy = policy;
     config.kill_at = kill_at;
     config.chaos_rate = chaos_rate;
     config.chaos_seed = seed + 900;
@@ -92,10 +81,7 @@ fn main() {
     out.push_str(&format!(
         "  \"participants\": {participants},\n  \"days\": {days},\n  \"seed\": {seed},\n"
     ));
-    out.push_str(&format!(
-        "  \"instances\": {instances},\n  \"balance_policy\": \"{}\",\n",
-        policy.label()
-    ));
+    out.push_str(&format!("  \"instances\": {instances},\n"));
     out.push_str(&format!(
         "  \"failover_at\": {},\n  \"chaos_rate\": {chaos_rate:.2},\n",
         kill_at.map_or("null".to_owned(), |t| t.as_seconds().to_string())

@@ -3,8 +3,8 @@
 //! deterministic mid-study instance kill with WAL-driven migration.
 //!
 //! One harness serves two masters. The failover matrix
-//! (`tests/federation_matrix.rs`) runs it across instance counts ×
-//! balancing policies × kill instants × chaos rates and asserts every
+//! (`tests/federation_matrix.rs`) runs it across instance counts × kill
+//! instants × chaos rates and asserts every
 //! arm's per-user final state is **bit-identical** to the
 //! single-instance fault-free baseline — the federation layer is pure
 //! topology, invisible in every durable byte. The `federation_soak`
@@ -18,7 +18,7 @@
 //! of state — no wall clock anywhere.
 
 use pmware_algorithms::signature::DiscoveredPlace;
-use pmware_cloud::topology::{BalancePolicy, TopologyRouter};
+use pmware_cloud::topology::TopologyRouter;
 use pmware_cloud::{
     CellDatabase, CloudEndpoint, CloudInstance, ContactEntry, FaultPlan, FaultyCloud,
     MobilityProfile, SharedCloud,
@@ -43,10 +43,8 @@ pub struct FederationConfig {
     pub days: u64,
     /// Master seed (world, population, devices).
     pub seed: u64,
-    /// Cloud instances behind the router.
+    /// Cloud instances behind the router (sticky round-robin placement).
     pub instances: usize,
-    /// Placement policy for new users.
-    pub policy: BalancePolicy,
     /// When set, the instance hosting participant 0 is killed at this
     /// instant and the router immediately runs failover.
     pub kill_at: Option<SimTime>,
@@ -69,7 +67,6 @@ impl FederationConfig {
             days,
             seed,
             instances: 1,
-            policy: BalancePolicy::ConsistentHash,
             kill_at: None,
             chaos_rate: 0.0,
             chaos_seed: 0,
@@ -169,7 +166,7 @@ pub fn run_federation(config: &FederationConfig) -> FederationOutcome {
         .map(|agent| population.itinerary(&world, agent.id(), config.days))
         .collect();
 
-    let router = TopologyRouter::new(config.policy);
+    let router = TopologyRouter::new();
     let chaos = config.chaos_rate > 0.0;
     let mut faulties: Vec<FaultyCloud> = Vec::new();
     for i in 0..config.instances {
@@ -339,7 +336,6 @@ mod tests {
 
         let mut config = FederationConfig::baseline(2, 2, 77);
         config.instances = 2;
-        config.policy = BalancePolicy::RoundRobin;
         config.kill_at = Some(SimTime::from_day_time(1, 12, 30, 0));
         let arm = run_federation(&config);
 

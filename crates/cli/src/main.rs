@@ -99,7 +99,8 @@ Collecting either never changes simulation results: metrics and spans
 are keyed by simulated time, and the same seed produces byte-identical
 output at any thread count.
 
-Every command refuses flags it does not accept.
+Every command refuses flags it does not accept, and any flag but --quiet
+given without a value.
 ";
 
 /// The flags `pmware world` accepts.
@@ -133,6 +134,8 @@ const STUDY_FLAGS: &[&str] = &[
 ];
 /// The flags `pmware query` accepts.
 const QUERY_FLAGS: &[&str] = &["region", "seed", "days"];
+/// The one flag that takes no value; every other flag requires one.
+const SWITCHES: &[&str] = &["quiet"];
 
 /// The observability output paths requested on the command line.
 struct ObsOutputs {
@@ -186,7 +189,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs `command` once its flags check out against the ones it accepts.
+/// Runs `command` once its flags check out against the ones it accepts
+/// and every flag but a switch carries a value.
 fn run(command: &str, args: &Args) -> Result<(), String> {
     type Command = fn(&Args) -> Result<(), String>;
     let (accepted, cmd): (&[&str], Command) = match command {
@@ -205,6 +209,7 @@ fn run(command: &str, args: &Args) -> Result<(), String> {
             "unknown flag --{flag} for `pmware {command}`; try `pmware help`"
         ));
     }
+    args.check_values(SWITCHES)?;
     cmd(args)
 }
 
@@ -706,28 +711,43 @@ mod tests {
         assert!(obs.metrics().is_some());
     }
 
-    /// A typo'd or retired flag is refused by name before any work runs
-    /// (each call below would otherwise build a world or run a study and
-    /// succeed).
+    /// A typo'd or retired flag, or a value flag given without a value, is
+    /// refused by name before any work runs (each call below would
+    /// otherwise build a world or run a study, and the last would only
+    /// fail once the study was done).
     #[test]
     fn unknown_flags_are_refused_before_any_work() {
-        let cases: [(&str, &[&str]); 4] = [
-            ("world", &["--seed", "5", "--seeed", "6"]),
+        let cases: [(&str, &[&str], &str); 5] = [
+            (
+                "world",
+                &["--seed", "5", "--seeed", "6"],
+                "unknown flag --seeed ",
+            ),
             (
                 "simulate",
                 &["--days", "1", "--span-out", "/nonexistent/s.jsonl"],
+                "unknown flag --span-out ",
             ),
             (
                 "study",
                 &["--participants", "1", "--days", "1", "--partcipants", "4"],
+                "unknown flag --partcipants ",
             ),
-            ("query", &["--days", "1", "--granularity", "room"]),
+            (
+                "query",
+                &["--days", "1", "--granularity", "room"],
+                "unknown flag --granularity ",
+            ),
+            (
+                "study",
+                &["--days", "1", "--quiet", "--spans-out"],
+                "--spans-out requires a value",
+            ),
         ];
-        for (command, flags) in cases {
+        for (command, flags, expected) in cases {
             let args = Args::parse(std::iter::once(command).chain(flags.iter().copied()));
-            let bad = flags.iter().rev().nth(1).unwrap();
             let err = run(command, &args).expect_err(command);
-            assert!(err.contains(&format!("unknown flag {bad} ")), "{err}");
+            assert!(err.contains(expected), "{err}");
         }
         // Accepted flags pass the check (the run itself then fails on the
         // bad region value, before any work).

@@ -6,9 +6,9 @@
 //! short-circuits to 503 before this handler runs — a dead instance
 //! fails its heartbeat exactly the way it fails client traffic. The body
 //! additionally carries the instance's load view (queue depth and p99
-//! latency from the latency model — both 0 on an instance without one),
-//! which load-aware placement policies read off the same probe, plus the
-//! storage engine's resident-store count for capacity monitoring.
+//! latency from the latency model — both 0 on an instance without one)
+//! and the storage engine's resident-store count for capacity
+//! monitoring.
 
 use crate::api::{Request, Response};
 use crate::payload::Payload;

@@ -379,7 +379,7 @@ impl CloudInstance {
     /// answer their authenticated requests with
     /// [`crate::STATUS_MISDIRECTED`] until (if ever) the user is adopted
     /// back. Driven by the federation [`crate::topology::TopologyRouter`]
-    /// at failover/drain time.
+    /// at failover time.
     pub fn mark_relocated(&self, user: UserId) {
         self.core.relocated.write().insert(user);
     }

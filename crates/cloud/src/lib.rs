@@ -70,9 +70,7 @@ pub use payload::{
 pub use profile::{ActivitySummary, ContactEntry, MobilityProfile, PlaceEntry, RouteEntry};
 pub use router::{RateClass, Route, RouteAuth, ALL_RATE_CLASSES, ENDPOINT_LABELS, ROUTES};
 pub use storage::StorageConfig;
-pub use topology::{
-    ActivityFanout, BalancePolicy, FailoverReport, FederatedEndpoint, InstanceId, TopologyRouter,
-};
+pub use topology::{ActivityFanout, FailoverReport, FederatedEndpoint, InstanceId, TopologyRouter};
 pub use transport::{
     CloudEndpoint, CloudTransport, FaultKind, FaultPlan, FaultStats, FaultyCloud, ALL_FAULT_KINDS,
     STATUS_BUDGET_EXHAUSTED, STATUS_INJECTED_ERROR, STATUS_MISDIRECTED, STATUS_TIMEOUT,

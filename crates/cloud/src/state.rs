@@ -179,7 +179,7 @@ pub(crate) struct CloudCore {
     pub(crate) latency: Option<LatencyControl>,
     pub(crate) metrics: CloudMetrics,
     /// Users whose state has been migrated to another instance during a
-    /// federation failover or drain. The relocation gate answers their
+    /// federation failover. The relocation gate answers their
     /// authenticated requests with 421 so the federated endpoint refreshes
     /// its topology instead of mutating abandoned state. A user re-adopted
     /// by this instance (fail-back) is removed from the set.

@@ -74,8 +74,8 @@ use snapshot::{Parked, SnapshotStore};
 use wal::{FrameError, WalLog, WalOp, WalRecord};
 
 /// FNV-1a (64-bit) over `bytes`: the one hash behind WAL shard indexes,
-/// snapshot file names, WAL frame checksums and the federation ring's
-/// placement. Deterministic across runs and platforms.
+/// snapshot file names and WAL frame checksums. Deterministic across runs
+/// and platforms.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {

@@ -314,11 +314,6 @@ impl WalLog {
             .map_or(0, |r| r.seq)
     }
 
-    /// Number of records held for `key`.
-    pub(crate) fn len_of(&self, key: &str) -> usize {
-        self.by_key.get(key).map_or(0, Vec::len)
-    }
-
     /// All keys with at least one record, in key order (deterministic
     /// recovery ordering).
     pub(crate) fn keys(&self) -> Vec<String> {
@@ -616,7 +611,7 @@ mod tests {
         assert_eq!((a1.seq, b1.seq, a2.seq), (1, 1, 2));
         assert_eq!(log.last_seq("a"), 2);
         assert_eq!(log.suffix("a", 1).len(), 1);
-        assert_eq!(log.len_of("missing"), 0);
+        assert!(log.suffix("missing", 0).is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! router never sees steady-state traffic.
 //!
 //! Two response statuses re-open the control plane, both of which only
-//! occur around a failover or drain: 421 ([`STATUS_MISDIRECTED`], the
+//! occur around a failover: 421 ([`STATUS_MISDIRECTED`], the
 //! relocation gate's "your state moved") and 503 (the instance died).
 //! The endpoint re-handshakes once and, if the assignment actually
 //! changed, re-sends the request to the new instance — invisible to the

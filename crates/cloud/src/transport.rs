@@ -64,8 +64,8 @@ pub const STATUS_INJECTED_ERROR: u16 = 502;
 pub const STATUS_BUDGET_EXHAUSTED: u16 = 597;
 
 /// The request reached an instance that no longer owns the caller's
-/// state (the user was migrated away during a federation failover or
-/// drain). The client should refresh its topology snapshot and re-send
+/// state (the user was migrated away during a federation failover).
+/// The client should refresh its topology snapshot and re-send
 /// to its new instance; the federated endpoint does exactly that before
 /// the client's retry loop ever sees the status.
 pub const STATUS_MISDIRECTED: u16 = 421;

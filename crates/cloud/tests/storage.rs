@@ -11,8 +11,8 @@ use std::path::PathBuf;
 
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_cloud::{
-    BalancePolicy, CellDatabase, CloudEndpoint, CloudInstance, ContactEntry, MobilityProfile,
-    PlaceEntry, Request, StorageConfig, TopologyRouter, UserId,
+    CellDatabase, CloudEndpoint, CloudInstance, ContactEntry, MobilityProfile, PlaceEntry, Request,
+    StorageConfig, TopologyRouter, UserId,
 };
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
@@ -258,27 +258,25 @@ fn health_reports_resident_users() {
 /// state on the target — replay does not depend on residency.
 #[test]
 fn failover_of_an_evicted_user_hydrates_then_migrates() {
-    let router = TopologyRouter::new(BalancePolicy::RoundRobin);
+    let router = TopologyRouter::new();
     let clouds: Vec<pmware_cloud::SharedCloud> = (0..2)
         .map(|i| {
-            let cloud = pmware_cloud::SharedCloud::new(
+            pmware_cloud::SharedCloud::new(
                 CloudInstance::new(CellDatabase::new(), 1000 + i as u64).with_storage(
                     StorageConfig {
                         resident_cap: Some(1),
                         ..StorageConfig::default()
                     },
                 ),
-            );
-            router.add_instance(cloud.clone());
-            cloud
+            )
         })
         .collect();
     let now = SimTime::from_seconds(100);
 
-    // Both users onto instance 0: user 0 registers and syncs a contact,
-    // then user 1's arrival evicts user 0's store (cap 1).
-    router.set_override("imei-0", "u0@x.com", pmware_cloud::InstanceId(0));
-    router.set_override("imei-1", "u1@x.com", pmware_cloud::InstanceId(0));
+    // Both users onto instance 0, the only instance while they register:
+    // user 0 registers and syncs a contact, then user 1's arrival evicts
+    // user 0's store (cap 1).
+    router.add_instance(clouds[0].clone());
     let endpoint = CloudEndpoint::new(router.endpoint());
     let resp = endpoint.send(
         &Request::post_json(
@@ -318,6 +316,8 @@ fn failover_of_an_evicted_user_hydrates_then_migrates() {
         !clouds[0].is_resident(user0),
         "user 1's arrival must evict user 0 under cap 1"
     );
+    // The failover target joins only now.
+    router.add_instance(clouds[1].clone());
 
     // Kill the home instance while user 0 is parked in a snapshot.
     router.kill_instance(pmware_cloud::InstanceId(0));

@@ -1152,9 +1152,9 @@ mod tests {
     /// operation that originally sent each replayed request.
     #[test]
     fn federated_rehandshake_and_wal_replay_record_spans() {
-        use pmware_cloud::topology::{BalancePolicy, TopologyRouter};
+        use pmware_cloud::topology::TopologyRouter;
         let obs = Obs::disabled().with_spans();
-        let router = TopologyRouter::new(BalancePolicy::RoundRobin).with_obs(&obs);
+        let router = TopologyRouter::new().with_obs(&obs);
         for i in 0..2 {
             router.add_instance(SharedCloud::new(CloudInstance::new(
                 CellDatabase::new(),

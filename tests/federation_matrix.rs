@@ -1,6 +1,6 @@
 //! The federation failover & migration matrix (EXPERIMENTS §
-//! ROBUST-FEDERATION): instance counts × balancing policies × kill
-//! instants × transport chaos.
+//! ROBUST-FEDERATION): instance counts × kill instants × transport
+//! chaos, under the router's one placement rule (sticky round-robin).
 //!
 //! Every arm runs the same three-day, three-participant study behind a
 //! [`TopologyRouter`] and must converge **bit-identical** to the
@@ -27,10 +27,9 @@ fn baseline() -> FederationOutcome {
     run_federation(&FederationConfig::baseline(PARTICIPANTS, DAYS, SEED))
 }
 
-fn arm(instances: usize, policy: BalancePolicy, kill_at: SimTime, chaos: bool) -> FederationConfig {
+fn arm(instances: usize, kill_at: SimTime, chaos: bool) -> FederationConfig {
     let mut config = FederationConfig::baseline(PARTICIPANTS, DAYS, SEED);
     config.instances = instances;
-    config.policy = policy;
     config.kill_at = Some(kill_at);
     if chaos {
         config.chaos_rate = CHAOS_RATE;
@@ -85,12 +84,10 @@ fn failover_matrix_converges_to_single_instance_baseline() {
     );
 
     for &instances in &[2usize, 4] {
-        for &policy in &[BalancePolicy::RoundRobin, BalancePolicy::LeastConnections] {
-            for (when, kill_at) in [("midday", midday_kill()), ("nightly", nightly_kill())] {
-                let label = format!("n={instances} policy={} kill={when}", policy.label());
-                let outcome = run_federation(&arm(instances, policy, kill_at, false));
-                assert_converges(&label, &base, &outcome);
-            }
+        for (when, kill_at) in [("midday", midday_kill()), ("nightly", nightly_kill())] {
+            let label = format!("n={instances} kill={when}");
+            let outcome = run_federation(&arm(instances, kill_at, false));
+            assert_converges(&label, &base, &outcome);
         }
     }
 }
@@ -99,22 +96,17 @@ fn failover_matrix_converges_to_single_instance_baseline() {
 fn failover_matrix_converges_under_transport_chaos() {
     let base = baseline();
     for &instances in &[2usize, 4] {
-        for &policy in &[BalancePolicy::RoundRobin, BalancePolicy::LeastConnections] {
-            for (when, kill_at) in [("midday", midday_kill()), ("nightly", nightly_kill())] {
-                let label = format!(
-                    "n={instances} policy={} kill={when} chaos={CHAOS_RATE}",
-                    policy.label()
-                );
-                let outcome = run_federation(&arm(instances, policy, kill_at, true));
-                assert!(outcome.faults > 0, "{label}: chaos arm injected nothing");
-                assert_converges(&label, &base, &outcome);
-            }
+        for (when, kill_at) in [("midday", midday_kill()), ("nightly", nightly_kill())] {
+            let label = format!("n={instances} kill={when} chaos={CHAOS_RATE}");
+            let outcome = run_federation(&arm(instances, kill_at, true));
+            assert!(outcome.faults > 0, "{label}: chaos arm injected nothing");
+            assert_converges(&label, &base, &outcome);
         }
     }
 }
 
 #[test]
-fn consistent_hash_federation_without_faults_is_also_invisible() {
+fn round_robin_federation_without_faults_is_also_invisible() {
     let base = baseline();
     for &instances in &[2usize, 4] {
         let mut config = FederationConfig::baseline(PARTICIPANTS, DAYS, SEED);
@@ -122,7 +114,7 @@ fn consistent_hash_federation_without_faults_is_also_invisible() {
         let outcome = run_federation(&config);
         assert_eq!(
             outcome.per_user, base.per_user,
-            "n={instances} consistent-hash: durable state diverged"
+            "n={instances} round-robin: durable state diverged"
         );
         assert_eq!(
             outcome.control_final, PARTICIPANTS as u64,
@@ -137,7 +129,7 @@ fn consistent_hash_federation_without_faults_is_also_invisible() {
 #[test]
 fn federated_analytics_matches_baseline() {
     let base = baseline();
-    let outcome = run_federation(&arm(2, BalancePolicy::RoundRobin, midday_kill(), false));
+    let outcome = run_federation(&arm(2, midday_kill(), false));
     assert_eq!(
         outcome.population_mean_activity.to_bits(),
         base.population_mean_activity.to_bits(),
