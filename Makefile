@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-args lint-deps lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -12,6 +12,8 @@
 # JSON from creeping back onto the hot path, the hash lint that keeps
 # SipHash off the GCA absorb path, the flag-parser lint that keeps
 # every binary on the one parser that refuses unknown flags, the
+# counter lint that keeps registry counters from being set outside
+# checkpoint restore, the
 # dependency lint that fails on a manifest entry no file names, the
 # wall-clock lint that keeps real time out of simulation code, and the
 # latency soak with its
@@ -21,7 +23,7 @@
 # golden-bench gate (the sim-time BENCH_*.json reports regenerate
 # byte-identical), and the benchmark check (perfbench still builds and
 # its smoke test passes).
-verify: build test clippy fmt lint-args lint-deps lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
+verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -114,6 +116,27 @@ lint-args:
 	done | grep . \
 		|| { echo 'lint-args: a binary reads std::env::args around pmware_bench::args'; exit 1; }
 	@echo 'lint-args: ok'
+
+# The counter lint: a registry counter is monotonic and each counted
+# fact lives in one handle, so no non-test code in crates/*/src outside
+# the obs crate may overwrite a value with `.set(`. The one exception is
+# checkpoint restore, `PmsMetrics::seed` in crates/core/src/pms.rs (its
+# body is blanked before the grep). Everything from a file's
+# `#[cfg(test)]` down is exempt. A grep cannot tell a Counter from a
+# Gauge or a Cell, so the lint refuses every `.set(` call, not only
+# Counter::set: gauges here move by `add` deltas (resident users go up
+# and down by one), which compose when several writers share a
+# registry, where a `set` lets the last writer win. A gauge that needs
+# an absolute value must be added as a named exception here.
+lint-counters:
+	@! for f in $$(find crates/*/src -name '*.rs' -not -path 'crates/obs/src/*'); do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" \
+			| if [ "$$f" = crates/core/src/pms.rs ]; then \
+				sed '/^    fn seed(/,/^    }$$/s/.*//'; else cat; fi \
+			| grep -n '\.set(' | sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-counters: a .set( call outside PmsMetrics::seed (checkpoint restore); counters only go up, gauges move by add'; exit 1; }
+	@echo 'lint-counters: ok'
 
 # The dependency lint: every dependency a workspace member's Cargo.toml
 # (the root facade's and each crate's) lists, normal, dev or build,

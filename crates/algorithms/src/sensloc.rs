@@ -228,11 +228,6 @@ impl SensLocDetector {
         &self.places
     }
 
-    /// Whether the detector currently believes the user is staying.
-    pub fn is_staying(&self) -> bool {
-        matches!(self.state, State::Staying(_))
-    }
-
     /// Feeds one scan; returns triggered events.
     pub fn update(&mut self, scan: &WifiScan) -> Vec<WifiPlaceEvent> {
         let aps: BTreeSet<Bssid> = scan.bssids().collect();
@@ -559,7 +554,6 @@ mod tests {
             }
         }
         assert_eq!(arrivals, 1);
-        assert!(det.is_staying());
         let events = det.finish();
         assert_eq!(events.len(), 1);
         match events[0] {

@@ -79,11 +79,6 @@ impl DiscoveredVisit {
     pub fn duration(&self) -> SimDuration {
         self.departure.since(self.arrival)
     }
-
-    /// Midpoint of the stay, used when aligning against ground truth.
-    pub fn midpoint(&self) -> SimTime {
-        SimTime::from_seconds((self.arrival.as_seconds() + self.departure.as_seconds()) / 2)
-    }
 }
 
 /// A place discovered by any of the algorithms, with its visit history.
@@ -157,13 +152,12 @@ mod tests {
     }
 
     #[test]
-    fn visit_duration_and_midpoint() {
+    fn visit_duration() {
         let v = DiscoveredVisit {
             arrival: SimTime::from_seconds(100),
             departure: SimTime::from_seconds(500),
         };
         assert_eq!(v.duration(), SimDuration::from_seconds(400));
-        assert_eq!(v.midpoint(), SimTime::from_seconds(300));
     }
 
     #[test]

@@ -210,6 +210,12 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.flag, "seed");
         assert!(err.to_string().contains("forty"));
+        let zero = Args::parse(["--days", "0"])
+            .get("days", std::num::NonZeroU64::MIN)
+            .unwrap_err();
+        assert!(zero
+            .to_string()
+            .starts_with("invalid value \"0\" for --days"));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! single outlier. Results are printed as a table and written to
 //! `BENCH_cohort.json` in the current directory.
 
+use std::num::NonZeroU64;
 use std::time::Instant;
 
 use pmware_bench::args::Args;
@@ -57,7 +58,9 @@ fn thread_ladder(max_threads: usize) -> Vec<usize> {
 fn main() {
     let args = Args::for_binary(&["participants", "days", "repeats"]);
     let participants: usize = args.value("participants", 8);
-    let days: u64 = args.value("days", 7);
+    let days = args
+        .value("days", NonZeroU64::new(7).expect("positive default"))
+        .get();
     let repeats: usize = args.value("repeats", 3).max(1);
 
     let config = |threads| StudyConfig {

@@ -12,6 +12,8 @@
 //! this cohort size). `--threads` fans participants out over worker
 //! threads (0 = one per core); results are identical at any thread count.
 
+use std::num::NonZeroU64;
+
 use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig, StudyResults};
 use pmware_obs::Obs;
@@ -27,7 +29,12 @@ fn main() {
     let defaults = StudyConfig::default();
     let base = StudyConfig {
         participants: args.value("participants", defaults.participants),
-        days: args.value("days", defaults.days),
+        days: args
+            .value(
+                "days",
+                NonZeroU64::new(defaults.days).expect("positive default"),
+            )
+            .get(),
         threads: args.value("threads", defaults.threads),
         obs: obs.clone(),
         ..defaults

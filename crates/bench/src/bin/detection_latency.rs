@@ -11,6 +11,8 @@
 //! cell coverage extending beyond the physical place boundary (which can
 //! make radio-level "arrival" *precede* physical arrival — negative lag).
 
+use std::num::NonZeroU64;
+
 use pmware_bench::args::Args;
 use pmware_bench::parallel::{parallel_map, resolve_threads};
 use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
@@ -26,7 +28,9 @@ use pmware_world::SimTime;
 fn main() {
     let args = Args::for_binary(&["participants", "days", "threads"]);
     let participants: usize = args.value("participants", 8);
-    let days: u64 = args.value("days", 7);
+    let days = args
+        .value("days", NonZeroU64::new(7).expect("positive default"))
+        .get();
     let threads = resolve_threads(args.value("threads", 1));
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(6014)

@@ -8,6 +8,7 @@
 //! directory.
 
 use std::fmt::Write as _;
+use std::num::NonZeroU64;
 
 use pmware_bench::args::Args;
 use pmware_bench::parallel::{parallel_map, resolve_threads};
@@ -98,7 +99,9 @@ const PARTICIPANT_COLORS: [&str; 6] = [
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::for_binary(&["participants", "days", "threads"]);
     let participants: usize = args.value("participants", 6);
-    let days: u64 = args.value("days", 14);
+    let days = args
+        .value("days", NonZeroU64::new(14).expect("positive default"))
+        .get();
     let threads = resolve_threads(args.value("threads", 1));
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(2014)

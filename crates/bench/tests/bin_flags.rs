@@ -1,25 +1,58 @@
-//! The bench binaries refuse what they do not accept: a typo'd flag exits
-//! 2 naming it, before any study runs or any file is written.
+//! The bench binaries refuse what they do not accept: a typo'd flag or a
+//! malformed value (`--days 0`) exits 2 naming it, before any study runs
+//! or any file is written.
 
 use std::process::Command;
 
 #[test]
-fn a_typoed_flag_exits_2_before_any_work() {
-    let out = Command::new(env!("CARGO_BIN_EXE_deployment_study"))
-        .args([
-            "--participants",
-            "1",
-            "--days",
-            "1",
-            "--metrcs-out",
-            "m.json",
-        ])
-        .output()
-        .expect("spawn deployment_study");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("unknown flag --metrcs-out"), "{stderr}");
-    assert!(out.stdout.is_empty(), "the study must not start");
+fn a_bad_flag_exits_2_before_any_work() {
+    let cases: [(&str, &[&str], &str); 5] = [
+        (
+            env!("CARGO_BIN_EXE_deployment_study"),
+            &[
+                "--participants",
+                "1",
+                "--days",
+                "1",
+                "--metrcs-out",
+                "m.json",
+            ],
+            "unknown flag --metrcs-out",
+        ),
+        (
+            env!("CARGO_BIN_EXE_deployment_study"),
+            &["--days", "0"],
+            "invalid value \"0\" for --days",
+        ),
+        (
+            env!("CARGO_BIN_EXE_cohort_throughput"),
+            &["--days", "0"],
+            "invalid value \"0\" for --days",
+        ),
+        (
+            env!("CARGO_BIN_EXE_detection_latency"),
+            &["--days", "0"],
+            "invalid value \"0\" for --days",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig5_map"),
+            &["--days", "0"],
+            "invalid value \"0\" for --days",
+        ),
+    ];
+    for (exe, args, expected) in cases {
+        let out = Command::new(exe)
+            .args(args)
+            .output()
+            .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
+        assert!(stderr.contains(expected), "{exe} {args:?}: {stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "{exe} {args:?}: the run must not start"
+        );
+    }
 }
 
 #[test]

@@ -17,6 +17,7 @@
 //! Each command refuses any flag it does not accept, before doing any
 //! work, so a typo never runs a default-sized study in silence.
 
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 
 use pmware_algorithms::signature::DiscoveredPlaceId;
@@ -309,6 +310,15 @@ fn latency(args: &Args, seed: u64) -> Result<Option<LatencyProfile>, String> {
     Ok(profile)
 }
 
+/// The `--days` value: a positive whole number of days, `default` when
+/// absent. Zero is refused like any other malformed value.
+fn days(args: &Args, default: u64) -> Result<u64, String> {
+    let default = NonZeroU64::new(default).expect("a positive default");
+    args.get("days", default)
+        .map(NonZeroU64::get)
+        .map_err(|e| e.to_string())
+}
+
 fn build_world(args: &Args) -> Result<(World, u64), String> {
     let seed = args.get("seed", 2014u64).map_err(|e| e.to_string())?;
     let world = WorldBuilder::new(region(args)?).seed(seed).build();
@@ -357,8 +367,8 @@ fn cmd_world(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
+    let days = days(args, 7)?;
     let (world, seed) = build_world(args)?;
-    let days = args.get("days", 7u64).map_err(|e| e.to_string())?;
     let granularity = granularity(args)?;
     let (obs, outputs) = obs_from_args(args, false);
     let population = Population::generate(&world, 1, seed + 1);
@@ -427,7 +437,7 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         participants: args
             .get("participants", 16usize)
             .map_err(|e| e.to_string())?,
-        days: args.get("days", 14u64).map_err(|e| e.to_string())?,
+        days: days(args, 14)?,
         seed,
         region: region(args)?,
         threads: args.get("threads", 1usize).map_err(|e| e.to_string())?,
@@ -517,8 +527,8 @@ fn cmd_study(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_query(args: &Args) -> Result<(), String> {
+    let days = days(args, 14)?;
     let (world, seed) = build_world(args)?;
-    let days = args.get("days", 14u64).map_err(|e| e.to_string())?;
     let population = Population::generate(&world, 1, seed + 1);
     let agent = &population.agents()[0];
     let itinerary = population.itinerary(&world, agent.id(), days);
@@ -717,7 +727,7 @@ mod tests {
     /// fail once the study was done).
     #[test]
     fn unknown_flags_are_refused_before_any_work() {
-        let cases: [(&str, &[&str], &str); 5] = [
+        let cases: [(&str, &[&str], &str); 8] = [
             (
                 "world",
                 &["--seed", "5", "--seeed", "6"],
@@ -743,6 +753,13 @@ mod tests {
                 &["--days", "1", "--quiet", "--spans-out"],
                 "--spans-out requires a value",
             ),
+            ("study", &["--days", "0"], "invalid value \"0\" for --days"),
+            (
+                "simulate",
+                &["--days", "0"],
+                "invalid value \"0\" for --days",
+            ),
+            ("query", &["--days", "0"], "invalid value \"0\" for --days"),
         ];
         for (command, flags, expected) in cases {
             let args = Args::parse(std::iter::once(command).chain(flags.iter().copied()));

@@ -9,7 +9,7 @@
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_world::intern::Interner;
 use pmware_world::time::DAY;
-use pmware_world::{SimTime, Weekday};
+use pmware_world::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -171,18 +171,6 @@ impl ProfileHistory {
         hist
     }
 
-    /// Weekdays on which the place was ever visited.
-    pub fn visited_weekdays(&self, place: DiscoveredPlaceId) -> Vec<Weekday> {
-        let hist = self.weekday_histogram(place);
-        Weekday::ALL
-            .iter()
-            .copied()
-            .zip(hist)
-            .filter(|(_, n)| *n > 0)
-            .map(|(w, _)| w)
-            .collect()
-    }
-
     /// Mean minutes per day classified as moving (§6 activity extension).
     pub fn mean_daily_moving_minutes(&self) -> f64 {
         if self.profiles.is_empty() {
@@ -190,14 +178,6 @@ impl ProfileHistory {
         }
         let total: u64 = self.iter().map(|p| p.activity.moving_seconds).sum();
         total as f64 / 60.0 / self.len() as f64
-    }
-
-    /// Mean fraction of accounted time spent in places across stored days.
-    pub fn mean_place_time_fraction(&self) -> f64 {
-        if self.profiles.is_empty() {
-            return 0.0;
-        }
-        self.iter().map(|p| p.place_time_fraction()).sum::<f64>() / self.len() as f64
     }
 }
 
@@ -241,6 +221,7 @@ impl<'de> Deserialize<'de> for ProfileHistory {
 mod tests {
     use super::*;
     use crate::profile::PlaceEntry;
+    use pmware_world::Weekday;
 
     fn entry(place: u32, day: u64, hour: u64, stay_h: u64) -> PlaceEntry {
         PlaceEntry {
@@ -324,18 +305,11 @@ mod tests {
     }
 
     #[test]
-    fn weekday_histogram_and_visited_days() {
+    fn weekday_histogram() {
         let h = history();
         let hist = h.weekday_histogram(DiscoveredPlaceId(2));
         assert_eq!(hist[5], 2); // Saturday
         assert_eq!(hist.iter().sum::<u32>(), 2);
-        assert_eq!(
-            h.visited_weekdays(DiscoveredPlaceId(2)),
-            vec![Weekday::Saturday]
-        );
-        let workdays = h.visited_weekdays(DiscoveredPlaceId(1));
-        assert_eq!(workdays.len(), 5);
-        assert!(workdays.iter().all(|w| !w.is_weekend()));
     }
 
     #[test]
@@ -398,7 +372,6 @@ mod tests {
         let h = ProfileHistory::new();
         assert!(h.is_empty());
         assert_eq!(h.visits_per_week(DiscoveredPlaceId(0)), 0.0);
-        assert_eq!(h.mean_place_time_fraction(), 0.0);
         assert!(h
             .typical_arrival_second_of_day(DiscoveredPlaceId(0), None)
             .is_none());

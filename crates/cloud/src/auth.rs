@@ -116,11 +116,6 @@ impl TokenStore {
         Some(self.issue(user, now, rng))
     }
 
-    /// Drops expired tokens (housekeeping).
-    pub fn purge_expired(&mut self, now: SimTime) {
-        self.tokens.retain(|_, (_, exp)| now < *exp);
-    }
-
     /// The user registered under `identity`, if any. Federation migration
     /// uses this to find the user a replayed WAL registered on the target
     /// instance before transplanting the client's live session onto it.
@@ -216,23 +211,6 @@ mod tests {
         let (_, old) = s.register(identity(0), now, &mut rng);
         let after = now + SimDuration::from_hours(25);
         assert!(s.refresh(&old.token, after, &mut rng).is_none());
-    }
-
-    #[test]
-    fn purge_drops_only_expired() {
-        let (mut s, mut rng) = store();
-        let now = SimTime::EPOCH;
-        let (_, t0) = s.register(identity(0), now, &mut rng);
-        let later = now + SimDuration::from_hours(20);
-        let (_, t1) = s.register(identity(1), later, &mut rng);
-        s.purge_expired(now + SimDuration::from_hours(25));
-        assert_eq!(
-            s.validate(&t0.token, now + SimDuration::from_hours(23)),
-            None
-        );
-        assert!(s
-            .validate(&t1.token, later + SimDuration::from_hours(3))
-            .is_some());
     }
 
     #[test]

@@ -292,13 +292,8 @@ impl CloudInstance {
         self.core.storage.hydration_count()
     }
 
-    /// The instance's current queue depth (admitted, unfinished requests)
-    /// at simulated instant `now`; 0 without a latency model.
-    pub fn queue_depth(&self, now: SimTime) -> u64 {
-        self.core.health_stats(now).0
-    }
-
-    /// Requests shed by the latency queue so far.
+    /// Requests shed by the latency queue so far: the instance's
+    /// `cloud_queue_shed_total` counter (0 without a latency model).
     pub fn queue_shed_count(&self) -> u64 {
         self.core
             .latency

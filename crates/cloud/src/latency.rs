@@ -7,9 +7,10 @@
 //! distribution (`base + seeded jitter`, integer microseconds), and every
 //! instance runs a queue in front of its handlers: a request's completion
 //! is `arrival + queue wait + service draw`. The numbers land in
-//! `cloud_request_latency_us{endpoint,class}` histograms, in the health
-//! probe (`queue_depth`, `p99_us`), and — when shedding is configured —
-//! in 429 answers whose `retry_after_s` is the queue's actual drain time.
+//! `cloud_request_latency_us{endpoint,class}` histograms and, when
+//! shedding is configured, in the `cloud_queue_shed_total` counter and in
+//! 429 answers whose `retry_after_s` is the queue's actual drain time.
+//! The model keeps no tally of its own beside those registry handles.
 //!
 //! # Determinism
 //!
@@ -205,21 +206,13 @@ impl Lane {
     }
 }
 
-/// The queues and the local tallies, behind the controller's lock.
+/// The queues, behind the controller's lock.
 #[derive(Debug, Default)]
 struct LatencyState {
     /// Per-user lanes ([`QueueMode::PerUser`]).
     lanes: HashMap<UserId, Lane>,
     /// The single instance lane ([`QueueMode::Shared`]).
     shared: Lane,
-    /// Local cumulative histogram over [`LATENCY_BOUNDS_US`] (plus an
-    /// overflow slot), all endpoints merged — the health probe's p99 is
-    /// read from here, never from the (possibly shared) registry.
-    buckets: [u64; LATENCY_BOUNDS_US.len() + 1],
-    observed: u64,
-    /// Local shed count — the accessor must work even when the registry
-    /// counter is a no-op (metrics disabled).
-    sheds: u64,
 }
 
 /// The per-instance latency controller: a [`LatencyProfile`], its
@@ -296,12 +289,8 @@ impl LatencyControl {
         };
         match admitted {
             Ok(queue_us) => {
-                let total = queue_us + service_us;
-                let slot = LATENCY_BOUNDS_US.partition_point(|&b| b < total);
-                state.buckets[slot] += 1;
-                state.observed += 1;
                 if let Some(histogram) = self.histograms.get(endpoint) {
-                    histogram.observe(total);
+                    histogram.observe(queue_us + service_us);
                 }
                 QueueOutcome::Timed {
                     queue_us,
@@ -310,7 +299,6 @@ impl LatencyControl {
             }
             Err(drain_us) => {
                 self.shed_total.inc();
-                state.sheds += 1;
                 QueueOutcome::Shed {
                     retry_after: SimDuration::from_seconds(drain_us.div_ceil(1_000_000).max(1)),
                 }
@@ -318,49 +306,9 @@ impl LatencyControl {
         }
     }
 
-    /// The health probe's view: `(queue depth, p99 latency µs)` at `now`.
-    /// Depth is the count of admitted, unfinished requests (summed over
-    /// lanes in [`QueueMode::PerUser`]); p99 comes from the local
-    /// cumulative histogram (0 before any observation, the largest bound
-    /// is reported for overflow).
-    pub(crate) fn health_stats(&self, now: SimTime) -> (u64, u64) {
-        let mut state = self.state.lock();
-        let now_us = now.as_seconds().saturating_mul(1_000_000);
-        let depth = match self.profile.queue.mode {
-            QueueMode::Shared => state.shared.drain(now_us),
-            QueueMode::PerUser => {
-                let mut depth = 0;
-                for lane in state.lanes.values_mut() {
-                    depth += lane.drain(now_us);
-                }
-                depth
-            }
-        };
-        (depth, Self::p99(&state))
-    }
-
-    /// Total requests shed so far.
+    /// Total requests shed so far, read from `cloud_queue_shed_total`.
     pub(crate) fn shed_count(&self) -> u64 {
-        self.state.lock().sheds
-    }
-
-    fn p99(state: &LatencyState) -> u64 {
-        if state.observed == 0 {
-            return 0;
-        }
-        // ceil(0.99 · observed) without floats.
-        let rank = state.observed.saturating_mul(99).div_ceil(100).max(1);
-        let mut seen = 0;
-        for (slot, count) in state.buckets.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return LATENCY_BOUNDS_US
-                    .get(slot)
-                    .copied()
-                    .unwrap_or(LATENCY_BOUNDS_US[LATENCY_BOUNDS_US.len() - 1]);
-            }
-        }
-        LATENCY_BOUNDS_US[LATENCY_BOUNDS_US.len() - 1]
+        self.shed_total.get()
     }
 }
 
@@ -373,7 +321,7 @@ mod tests {
     }
 
     fn model(profile: LatencyProfile) -> LatencyControl {
-        LatencyControl::new(profile, &Obs::disabled())
+        LatencyControl::new(profile, &Obs::new())
     }
 
     #[test]
@@ -456,23 +404,6 @@ mod tests {
             control.process(3, Some(UserId(1)), t(4)),
             QueueOutcome::Timed { queue_us: 0, .. }
         ));
-    }
-
-    #[test]
-    fn health_stats_report_depth_and_p99() {
-        let control = model(LatencyProfile::uniform(1, 400, 0));
-        for _ in 0..3 {
-            control.process(3, Some(UserId(1)), t(0));
-        }
-        let (depth, p99) = control.health_stats(t(0));
-        assert_eq!(depth, 3, "three unfinished requests in the lane");
-        // Latencies are 400, 800, 1200 µs → p99 is the 1200 µs one,
-        // reported as its bucket bound.
-        assert_eq!(p99, 2_500);
-        // After everything drains the depth drops to zero; p99 persists.
-        let (depth, p99) = control.health_stats(t(10));
-        assert_eq!(depth, 0);
-        assert_eq!(p99, 2_500);
     }
 
     #[test]

@@ -395,20 +395,9 @@ pub enum Payload {
         /// `(place, probability)` pairs, most likely first.
         predictions: Vec<(DiscoveredPlaceId, f64)>,
     },
-    /// Health-probe reply (`GET /api/v1/health`): liveness plus the
-    /// instance's load view — `{"p99_us": .., "queue_depth": ..,
-    /// "resident_users": .., "status": "ok"}`. Queue depth and p99 are 0
-    /// while the latency model is disabled, keeping the historical body
-    /// shape's information content; `resident_users` counts in-memory
-    /// user stores (equal to total users unless a residency cap is set).
-    Health {
-        /// Admitted, unfinished requests queued on the instance.
-        queue_depth: u64,
-        /// p99 request latency so far, microseconds (bucket bound).
-        p99_us: u64,
-        /// User stores currently resident in memory.
-        resident_users: u64,
-    },
+    /// Health-probe reply (`GET /api/v1/health`): liveness only,
+    /// `{"status": "ok"}`.
+    Health,
     /// Topology-handshake reply: the versioned placement snapshot a
     /// client caches at session start.
     Topology {
@@ -543,16 +532,7 @@ wire_spelling! {
             .put("error", &"rate limited")
             .put("retry_after_s", retry_after_s)
             .build(),
-        Payload::Health {
-            queue_depth,
-            p99_us,
-            resident_users,
-        } => Obj::new()
-            .put("p99_us", p99_us)
-            .put("queue_depth", queue_depth)
-            .put("resident_users", resident_users)
-            .put("status", &"ok")
-            .build(),
+        Payload::Health => Obj::new().put("status", &"ok").build(),
         Payload::Discover(b) => {
             // A batched offload never also spells the plain array —
             // the batch is the observation sequence.
@@ -604,12 +584,8 @@ wire_spelling! {
 
 /// Decodes a health-probe reply (its constant `"status": "ok"` key is
 /// not a field).
-pub(crate) fn reply_health(body: &Value) -> Result<Payload, DeError> {
-    Ok(Payload::Health {
-        queue_depth: field(body, "reply", "queue_depth")?,
-        p99_us: field(body, "reply", "p99_us")?,
-        resident_users: field(body, "reply", "resident_users")?,
-    })
+pub(crate) fn reply_health(_body: &Value) -> Result<Payload, DeError> {
+    Ok(Payload::Health)
 }
 
 /// Decodes the 405 body (`allow` carries upper-case method names).
@@ -846,15 +822,7 @@ mod tests {
         assert!(matches!(back, Payload::Handshake(_)), "{back:?}");
         assert_eq!(back.to_json(), wire);
 
-        let health = Payload::Health {
-            queue_depth: 4,
-            p99_us: 2_500,
-            resident_users: 7,
-        };
-        assert_eq!(
-            health.to_json(),
-            json!({ "p99_us": 2500, "queue_depth": 4, "resident_users": 7, "status": "ok" })
-        );
+        assert_eq!(Payload::Health.to_json(), json!({ "status": "ok" }));
         let topo = Payload::Topology {
             version: 3,
             assigned: 1,

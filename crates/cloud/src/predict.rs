@@ -101,11 +101,6 @@ impl MarkovPredictor {
         model
     }
 
-    /// Number of distinct source places.
-    pub fn state_count(&self) -> usize {
-        self.transitions.len()
-    }
-
     /// Successor distribution from `place`, most probable first.
     /// Empty when the place was never a transition source.
     pub fn predict_next(&self, place: DiscoveredPlaceId) -> Vec<(DiscoveredPlaceId, f64)> {
@@ -119,11 +114,6 @@ impl MarkovPredictor {
             .collect();
         out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite probabilities"));
         out
-    }
-
-    /// The single most probable successor.
-    pub fn most_likely_next(&self, place: DiscoveredPlaceId) -> Option<DiscoveredPlaceId> {
-        self.predict_next(place).first().map(|(p, _)| *p)
     }
 }
 
@@ -164,17 +154,16 @@ mod tests {
     fn markov_learns_routine() {
         let h = history();
         let m = MarkovPredictor::train(&h);
-        assert!(m.state_count() >= 2);
         // From home the most likely next place is work (10 weekday
         // transitions vs none to the gym directly).
         assert_eq!(
-            m.most_likely_next(DiscoveredPlaceId(0)),
-            Some(DiscoveredPlaceId(1))
+            m.predict_next(DiscoveredPlaceId(0))[0].0,
+            DiscoveredPlaceId(1)
         );
         // From work: gym on 4 days, home on 6 → home wins.
         assert_eq!(
-            m.most_likely_next(DiscoveredPlaceId(1)),
-            Some(DiscoveredPlaceId(0))
+            m.predict_next(DiscoveredPlaceId(1))[0].0,
+            DiscoveredPlaceId(0)
         );
         let dist = m.predict_next(DiscoveredPlaceId(1));
         let total: f64 = dist.iter().map(|(_, p)| p).sum();
@@ -189,7 +178,6 @@ mod tests {
     fn markov_unknown_place_is_empty() {
         let m = MarkovPredictor::train(&history());
         assert!(m.predict_next(DiscoveredPlaceId(99)).is_empty());
-        assert_eq!(m.most_likely_next(DiscoveredPlaceId(99)), None);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use pmware_algorithms::route::RouteId;
 use pmware_algorithms::signature::DiscoveredPlaceId;
-use pmware_world::{SimDuration, SimTime};
+use pmware_world::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// `(P_i, a_i, d_i)`: a place visit in the profile.
@@ -62,18 +62,6 @@ pub struct ActivitySummary {
     pub stationary_seconds: u64,
 }
 
-impl ActivitySummary {
-    /// Fraction of classified time spent moving (0 with no data).
-    pub fn moving_fraction(&self) -> f64 {
-        let total = self.moving_seconds + self.stationary_seconds;
-        if total == 0 {
-            0.0
-        } else {
-            self.moving_seconds as f64 / total as f64
-        }
-    }
-}
-
 /// A day-specific mobility profile.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct MobilityProfile {
@@ -96,39 +84,6 @@ impl MobilityProfile {
         MobilityProfile {
             day,
             ..Default::default()
-        }
-    }
-
-    /// Total time spent at places this day.
-    pub fn total_place_time(&self) -> SimDuration {
-        self.places
-            .iter()
-            .map(|p| p.departure.since(p.arrival))
-            .sum()
-    }
-
-    /// Total time spent travelling this day.
-    pub fn total_route_time(&self) -> SimDuration {
-        self.routes.iter().map(|r| r.end.since(r.start)).sum()
-    }
-
-    /// Distinct places visited this day.
-    pub fn distinct_places(&self) -> Vec<DiscoveredPlaceId> {
-        let mut out: Vec<DiscoveredPlaceId> = self.places.iter().map(|p| p.place).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// The paper's motivating statistic: fraction of accounted time spent
-    /// *in places* (mobile users spend 80–90 % of their time in places).
-    pub fn place_time_fraction(&self) -> f64 {
-        let place = self.total_place_time().as_seconds() as f64;
-        let route = self.total_route_time().as_seconds() as f64;
-        if place + route == 0.0 {
-            0.0
-        } else {
-            place / (place + route)
         }
     }
 }
@@ -187,36 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn time_accounting() {
-        let p = profile();
-        assert_eq!(p.total_place_time(), SimDuration::from_minutes(1_360));
-        assert_eq!(p.total_route_time(), SimDuration::from_minutes(80));
-        // 1360/1440 ≈ 94% in places — consistent with the 80–90%+ claim.
-        assert!((p.place_time_fraction() - 1_360.0 / 1_440.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn distinct_places_dedup() {
-        let p = profile();
-        assert_eq!(
-            p.distinct_places(),
-            vec![DiscoveredPlaceId(0), DiscoveredPlaceId(1)]
-        );
-    }
-
-    #[test]
     fn empty_profile() {
         let p = MobilityProfile::new(3);
         assert_eq!(p.day, 3);
-        assert_eq!(p.place_time_fraction(), 0.0);
-        assert!(p.distinct_places().is_empty());
-    }
-
-    #[test]
-    fn activity_moving_fraction() {
-        let p = profile();
-        assert!((p.activity.moving_fraction() - 80.0 / 1_440.0).abs() < 1e-12);
-        assert_eq!(ActivitySummary::default().moving_fraction(), 0.0);
+        assert!(p.places.is_empty() && p.routes.is_empty());
     }
 
     #[test]

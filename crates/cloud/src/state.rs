@@ -192,14 +192,6 @@ impl CloudCore {
         self.outage.load(Ordering::SeqCst)
     }
 
-    /// The latency model's `(queue depth, p99 µs)` at `now`; `(0, 0)`
-    /// without a model.
-    pub(crate) fn health_stats(&self, now: SimTime) -> (u64, u64) {
-        self.latency
-            .as_ref()
-            .map_or((0, 0), |latency| latency.health_stats(now))
-    }
-
     /// The per-user store at simulated instant `now`, created (or
     /// hydrated from its parked snapshot) if not resident. The guard pins
     /// the user against eviction while held.

@@ -1205,8 +1205,8 @@ fn gates_answer_in_a_fixed_order() {
 
 /// An instance built without `with_latency` or `with_admission` has no
 /// latency or admission surface at all: no metric keys, no latency
-/// annotation on its replies, an idle health body, and no 429 however
-/// fast one user sends.
+/// annotation on its replies, and no 429 however fast one user sends.
+/// The health body is liveness only.
 #[test]
 fn unconfigured_instance_has_no_latency_or_admission_surface() {
     let obs = Obs::new();
@@ -1219,8 +1219,7 @@ fn unconfigured_instance_has_no_latency_or_admission_surface() {
     }
     let health = c.handle(&Request::get("/api/v1/health"), SimTime::EPOCH);
     assert!(health.is_success(), "{health:?}");
-    assert_eq!(health.json()["queue_depth"], 0);
-    assert_eq!(health.json()["p99_us"], 0);
+    assert_eq!(health.json().to_string(), r#"{"status":"ok"}"#);
     let json = obs.metrics_json().unwrap();
     assert!(json.contains("cloud_requests_total"), "{json}");
     assert!(!json.contains("cloud_request_latency_us"), "{json}");

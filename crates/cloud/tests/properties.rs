@@ -753,11 +753,7 @@ fn sample_reply_payload(label: &str, n: u64, x: f64) -> pmware_cloud::Payload {
         "analytics_next_place" => Payload::Predictions {
             predictions: vec![(DiscoveredPlaceId(n as u32), x)],
         },
-        "health" => Payload::Health {
-            queue_depth: n,
-            p99_us: n * 2,
-            resident_users: n + 1,
-        },
+        "health" => Payload::Health,
         other => panic!("route {other:?} has no sample reply — extend sample_reply_payload"),
     }
 }

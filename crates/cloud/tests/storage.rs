@@ -237,19 +237,28 @@ fn lru_eviction_is_deterministic_with_user_id_tie_break() {
     }
 }
 
-/// The health probe reports the resident-store population.
+/// The resident-store population stays under the cap, and the accessor
+/// and the `cloud_store_resident_users` gauge report the same count.
 #[test]
-fn health_reports_resident_users() {
-    let cloud = CloudInstance::new(CellDatabase::new(), 1).with_storage(StorageConfig {
-        resident_cap: Some(2),
-        ..StorageConfig::default()
-    });
+fn resident_users_gauge_reports_the_capped_population() {
+    let obs = pmware_obs::Obs::new();
+    let cloud = CloudInstance::new(CellDatabase::new(), 1)
+        .with_obs(&obs)
+        .with_storage(StorageConfig {
+            resident_cap: Some(2),
+            ..StorageConfig::default()
+        });
     for n in 0..4 {
         register(&cloud, n, SimTime::from_seconds(u64::from(n)));
     }
-    let resp = cloud.handle(&Request::get("/api/v1/health"), SimTime::from_seconds(10));
-    assert!(resp.is_success());
-    assert_eq!(resp.json()["resident_users"], 2, "{resp:?}");
+    assert_eq!(cloud.resident_users(), 2);
+    assert_eq!(
+        obs.metrics()
+            .unwrap()
+            .snapshot()
+            .get("cloud_store_resident_users"),
+        Some(&pmware_obs::SnapshotValue::Gauge(2))
+    );
     assert_eq!(cloud.eviction_count(), 2);
 }
 

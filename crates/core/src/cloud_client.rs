@@ -130,10 +130,10 @@ pub struct ClientState {
 /// Bucket bounds (whole seconds) for the retry backoff histogram.
 const BACKOFF_BOUNDS: [u64; 9] = [1, 2, 5, 10, 30, 60, 120, 300, 600];
 
-/// Pre-resolved client metric handles; all no-ops until
-/// [`CloudClient::set_obs`] binds a live registry, so the default client
-/// costs nothing extra.
-#[derive(Debug, Clone, Default)]
+/// Pre-resolved client metric handles. They always live in a registry: a
+/// private one until [`CloudClient::set_obs`] binds a live one, so the
+/// accessors read the same counters either way.
+#[derive(Debug, Clone)]
 struct ClientMetrics {
     obs: Obs,
     wire_requests: Counter,
@@ -142,6 +142,8 @@ struct ClientMetrics {
     timeouts: Counter,
     rate_limited: Counter,
     backoff_seconds: Histogram,
+    /// Whether [`CloudClient::set_obs`] has run.
+    bound: bool,
 }
 
 impl ClientMetrics {
@@ -155,6 +157,7 @@ impl ClientMetrics {
             rate_limited: obs.counter("client_rate_limited_total", &labels),
             backoff_seconds: obs.histogram("client_backoff_seconds", &labels, &BACKOFF_BOUNDS),
             obs: obs.clone(),
+            bound: false,
         }
     }
 }
@@ -171,12 +174,6 @@ pub struct CloudClient {
     sync_seq: u64,
     /// Remaining wire sends in the current maintenance pass, when capped.
     budget: Option<u32>,
-    /// Requests actually put on the wire (including retries).
-    wire_requests: u64,
-    /// Retry attempts beyond each first send.
-    retries: u64,
-    /// 429 responses received from admission control.
-    rate_limited: u64,
     /// When true (the default), a 429's `retry_after_s` hint schedules the
     /// retry to exactly when the server says the token bucket refills —
     /// no jitter needed, buckets are per-user so there is no cross-client
@@ -213,12 +210,9 @@ impl CloudClient {
             token_expires: now,
             sync_seq: 0,
             budget: None,
-            wire_requests: 0,
-            retries: 0,
-            rate_limited: 0,
             honor_retry_after: true,
             op_seq: 0,
-            metrics: ClientMetrics::default(),
+            metrics: ClientMetrics::resolve(&Obs::new()),
         };
         let request = Request::post(
             "/api/v1/registration",
@@ -254,23 +248,32 @@ impl CloudClient {
             token_expires: state.token_expires,
             sync_seq: state.sync_seq,
             budget: None,
-            wire_requests: 0,
-            retries: 0,
-            rate_limited: 0,
             honor_retry_after: true,
             op_seq: state.op_seq,
-            metrics: ClientMetrics::default(),
+            metrics: ClientMetrics::resolve(&Obs::new()),
         }
     }
 
     /// Binds retry/backoff/budget/timeout accounting (and request spans)
-    /// to `obs`, carrying the totals recorded so far. The default client
-    /// records nothing, so instrumentation is free until a study opts in.
+    /// to `obs`. Call once, right after [`register`](Self::register) or
+    /// [`from_state`](Self::from_state); a second call panics, since it
+    /// would add the bound totals to themselves. Until then the client counts into
+    /// a private registry; binding *adds* the wire requests, retries and
+    /// 429s recorded there (the registration exchange) to the bound
+    /// counters, so a shared counter never goes down. When `obs` has no
+    /// registry, only its span sink and actor are taken and the counters
+    /// stay private.
     pub fn set_obs(&mut self, obs: &Obs) {
-        self.metrics = ClientMetrics::resolve(obs);
-        self.metrics.wire_requests.set(self.wire_requests);
-        self.metrics.retries.set(self.retries);
-        self.metrics.rate_limited.set(self.rate_limited);
+        assert!(!self.metrics.bound, "CloudClient::set_obs runs once");
+        if obs.metrics().is_none() {
+            self.metrics.obs = obs.clone();
+        } else {
+            let unbound = std::mem::replace(&mut self.metrics, ClientMetrics::resolve(obs));
+            self.metrics.wire_requests.add(unbound.wire_requests.get());
+            self.metrics.retries.add(unbound.retries.get());
+            self.metrics.rate_limited.add(unbound.rate_limited.get());
+        }
+        self.metrics.bound = true;
     }
 
     /// The durable state to checkpoint.
@@ -291,17 +294,17 @@ impl CloudClient {
 
     /// Requests actually sent on the wire so far, retries included.
     pub fn wire_requests(&self) -> u64 {
-        self.wire_requests
+        self.metrics.wire_requests.get()
     }
 
     /// Retry attempts performed beyond first sends.
     pub fn retries(&self) -> u64 {
-        self.retries
+        self.metrics.retries.get()
     }
 
     /// 429 responses received from the cloud's admission controller.
     pub fn rate_limited(&self) -> u64 {
-        self.rate_limited
+        self.metrics.rate_limited.get()
     }
 
     /// Whether 429 `retry_after_s` hints steer the retry schedule
@@ -337,12 +340,9 @@ impl CloudClient {
     pub fn reregister(&mut self, imei: &str, email: &str, now: SimTime) -> Result<(), PmsError> {
         let fresh = CloudClient::register(self.endpoint.clone(), imei, email, now)?;
         self.op_seq += fresh.op_seq;
-        self.wire_requests += fresh.wire_requests;
-        self.retries += fresh.retries;
-        self.rate_limited += fresh.rate_limited;
-        self.metrics.wire_requests.add(fresh.wire_requests);
-        self.metrics.retries.add(fresh.retries);
-        self.metrics.rate_limited.add(fresh.rate_limited);
+        self.metrics.wire_requests.add(fresh.wire_requests());
+        self.metrics.retries.add(fresh.retries());
+        self.metrics.rate_limited.add(fresh.rate_limited());
         self.user = fresh.user;
         self.token = fresh.token;
         self.token_expires = fresh.token_expires;
@@ -686,7 +686,6 @@ impl CloudClient {
                     "maintenance request budget exhausted",
                 );
             }
-            self.wire_requests += 1;
             self.metrics.wire_requests.inc();
             let (response, end_us) = match &span {
                 Some((sink, trace, root)) => {
@@ -723,7 +722,6 @@ impl CloudClient {
                 self.metrics.timeouts.inc();
             }
             if response.status == STATUS_RATE_LIMITED {
-                self.rate_limited += 1;
                 self.metrics.rate_limited.inc();
             }
             if !retryable(response.status) || attempt + 1 >= class.max_attempts() {
@@ -743,7 +741,6 @@ impl CloudClient {
                 }
                 return response;
             }
-            self.retries += 1;
             self.metrics.retries.inc();
             // A 429 carries the server's own refill horizon: waiting exactly
             // that long retries at the first admissible instant, with no
@@ -1176,6 +1173,20 @@ mod tests {
         assert!(jsonl.contains("\"name\":\"replay\""), "{jsonl}");
         assert!(jsonl.contains("\"name\":\"rehandshake\""), "{jsonl}");
         assert_eq!(client.retries(), 0, "the federation seam hid the move");
+    }
+
+    /// Binding adds the registration exchange's tallies to the bound
+    /// counters, so a second bind would add the bound totals to
+    /// themselves; it is refused instead.
+    #[test]
+    #[should_panic(expected = "CloudClient::set_obs runs once")]
+    fn set_obs_binds_once() {
+        let obs = Obs::new().for_actor("p0001");
+        let mut client =
+            CloudClient::register(cloud(), "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
+        client.set_obs(&obs);
+        assert_eq!(client.wire_requests(), 1, "the registration exchange");
+        client.set_obs(&obs);
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl InferenceEngine {
         ));
     }
 
-    /// Whether the tracker currently places the user somewhere.
-    pub fn tracked_place(&self) -> Option<pmware_algorithms::signature::DiscoveredPlaceId> {
-        self.tracker.as_ref().and_then(|t| t.current_place())
-    }
-
     /// Captures the engine's durable state for a device checkpoint. The
     /// incremental GCA engine is deliberately *not* serialized: its state
     /// is a pure function of the recorded log, so restore records the log
@@ -207,7 +202,6 @@ mod tests {
             assert!(events.is_empty());
         }
         assert_eq!(engine.gsm_log().len(), 30);
-        assert_eq!(engine.tracked_place(), None);
     }
 
     #[test]
@@ -230,7 +224,6 @@ mod tests {
             }
         }
         assert_eq!(arrivals, 1);
-        assert!(engine.tracked_place().is_some());
     }
 
     #[test]

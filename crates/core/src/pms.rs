@@ -35,7 +35,7 @@ use crate::inference::{InferenceConfig, InferenceEngine};
 use crate::intents::{actions, Intent, IntentFilter};
 use crate::preferences::{coarsen_position, UserPreferences};
 use crate::profile_builder::ProfileBuilder;
-use crate::registry::{PlaceRegistry, PmPlaceId, ReconcileMode};
+use crate::registry::{PlaceRegistry, PmPlaceId};
 use crate::requirements::{AppRequirement, RouteAccuracy};
 use crate::sensing::{SensingConfig, SensingScheduler};
 
@@ -129,11 +129,13 @@ const GCA_BATCH_BOUNDS: [u64; 10] = [1, 4, 16, 64, 256, 1024, 4096, 16384, 65536
 
 /// Pre-resolved PMS metric handles. The service always carries a private
 /// registry (so [`PmwareMobileService::counters`] keeps working with no
-/// opt-in); [`PmwareMobileService::set_obs`] rebinds the same handles to a
-/// study-wide registry and carries the totals across.
+/// opt-in); [`PmwareMobileService::set_obs`] binds the handles once to a
+/// study-wide registry before the first tick.
 #[derive(Debug)]
 struct PmsMetrics {
     obs: Obs,
+    /// Whether [`PmwareMobileService::set_obs`] has bound these handles.
+    bound: bool,
     arrivals: Counter,
     departures: Counter,
     routes: Counter,
@@ -175,6 +177,7 @@ impl PmsMetrics {
                 &GCA_BATCH_BOUNDS,
             ),
             obs,
+            bound: false,
         }
     }
 
@@ -192,8 +195,9 @@ impl PmsMetrics {
         }
     }
 
-    /// Seeds the durable counters (restore from a checkpoint, or carrying
-    /// totals across a registry rebind).
+    /// Seeds the durable counters: checkpoint restore only. `restore`
+    /// seeds the private handles from the checkpoint, and `set_obs` seeds
+    /// the bound handles with those same values (all zero after `new`).
     fn seed(&self, counters: &PmsCounters) {
         self.arrivals.set(counters.arrivals);
         self.departures.set(counters.departures);
@@ -203,27 +207,6 @@ impl PmsMetrics {
         self.gca_local_fallbacks.set(counters.gca_local_fallbacks);
         self.profiles_synced.set(counters.profiles_synced);
         self.token_refreshes.set(counters.token_refreshes);
-    }
-
-    /// Carries the non-checkpointed extras from `old` (registry rebind
-    /// only — these deliberately reset across a reboot, like any other
-    /// process-lifetime diagnostic).
-    fn carry_extras(&self, old: &PmsMetrics) {
-        for (new, old) in self
-            .sensing_triggers
-            .iter()
-            .zip(old.sensing_triggers.iter())
-        {
-            if old.get() > 0 {
-                new.set(old.get());
-            }
-        }
-        if old.duty_cycle_changes.get() > 0 {
-            self.duty_cycle_changes.set(old.duty_cycle_changes.get());
-        }
-        if old.intent_broadcasts.get() > 0 {
-            self.intent_broadcasts.set(old.intent_broadcasts.get());
-        }
     }
 }
 
@@ -430,19 +413,32 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
         }
     }
 
-    /// Rebinds the service's metrics (and its device's and cloud
-    /// client's) to `obs` — typically a study-wide registry — carrying all
-    /// totals recorded so far. When `obs` has no registry of its own the
-    /// private one is kept, so the legacy [`counters`](Self::counters)
-    /// view never goes dark.
+    /// Binds the service's metrics (and its device's and cloud client's)
+    /// to `obs`, typically a study-wide registry. When `obs` has no
+    /// registry of its own the private one is kept, so the
+    /// [`counters`](Self::counters) view never goes dark.
+    ///
+    /// Call once, right after [`new`](Self::new) or
+    /// [`restore`](Self::restore) and before the first tick: nothing but
+    /// the checkpointed counters (which a restore has just seeded) and
+    /// the client's registration exchange exists to move, and nothing is
+    /// set downward. After a reboot, binding the same registry and actor
+    /// again resolves the same cells, so every total continues.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a second call, or once the service has ticked.
     pub fn set_obs(&mut self, obs: &Obs) {
-        let bound = obs.clone().metrics_or(&self.metrics.obs);
-        let fresh = PmsMetrics::resolve(bound.clone());
-        fresh.seed(&self.metrics.counters());
-        fresh.carry_extras(&self.metrics);
-        self.metrics = fresh;
-        self.device.set_obs(&bound);
-        self.client.set_obs(&bound);
+        assert!(
+            !self.metrics.bound && self.last_motion.is_none(),
+            "set_obs runs once, before the first tick"
+        );
+        let mut bound = PmsMetrics::resolve(obs.clone().metrics_or(&self.metrics.obs));
+        bound.seed(&self.metrics.counters());
+        bound.bound = true;
+        self.metrics = bound;
+        self.device.set_obs(&self.metrics.obs);
+        self.client.set_obs(&self.metrics.obs);
     }
 
     /// Registers a connected application (§2.4 steps 1–2).
@@ -872,12 +868,9 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
                 self.engine.local_discover()
             }
         };
-        let recon = self.registry.reconcile_with_mode(
-            &places,
-            t,
-            self.config.reconcile_overlap,
-            ReconcileMode::Authoritative,
-        );
+        let created = self
+            .registry
+            .reconcile(&places, t, self.config.reconcile_overlap);
         // The online tracker recognises every *live* place by its
         // accumulated signature, keyed directly by stable id.
         let known: Vec<DiscoveredPlace> = self
@@ -919,7 +912,7 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
         // place's detected visit history (what Figure 4c's detail view
         // shows) so that apps like the life logger can render stay times
         // without having witnessed the visits live.
-        for id in recon.created {
+        for id in created {
             let history: Vec<(u64, u64)> = self
                 .registry
                 .place(id)

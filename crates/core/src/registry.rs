@@ -5,11 +5,9 @@
 //! across recomputations by matching signatures, and fuses in WiFi
 //! evidence (opportunistic SensLoc stays) and semantic labels (§2.2.5).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use pmware_algorithms::signature::{
-    DiscoveredPlace, DiscoveredPlaceId, DiscoveredVisit, PlaceSignature,
-};
+use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredVisit, PlaceSignature};
 use pmware_geo::GeoPoint;
 use pmware_world::{Bssid, CellGlobalId, SimTime};
 use serde::{Deserialize, Serialize};
@@ -50,33 +48,10 @@ pub struct PmPlace {
     pub retired: bool,
 }
 
-/// How a GCA output relates to the registry's accumulated knowledge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReconcileMode {
-    /// The run covered only new observations (nightly): matched places
-    /// *extend* their visit histories; unmatched existing places are left
-    /// alone.
-    Incremental,
-    /// The run re-covered the full log (weekly compaction): matched places
-    /// *replace* their visit histories with the complete re-clustering,
-    /// and existing places the run no longer finds are retired.
-    Authoritative,
-}
-
-/// Result of reconciling a GCA recomputation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Reconciliation {
-    /// Stable ids created by this reconciliation (brand-new places).
-    pub created: Vec<PmPlaceId>,
-    /// Mapping from the run-local GCA ids to stable ids.
-    pub mapping: HashMap<DiscoveredPlaceId, PmPlaceId>,
-}
-
 /// The registry.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PlaceRegistry {
     places: Vec<PmPlace>,
-    gca_map: HashMap<DiscoveredPlaceId, PmPlaceId>,
 }
 
 /// Signature-match score between two cell sets: the Jaccard coefficient,
@@ -136,15 +111,13 @@ impl PlaceRegistry {
         self.places.is_empty()
     }
 
-    /// The stable id for a GCA run-local id from the latest reconciliation.
-    pub fn resolve(&self, gca_id: DiscoveredPlaceId) -> Option<PmPlaceId> {
-        self.gca_map.get(&gca_id).copied()
-    }
-
-    /// Reconciles a fresh GCA output with the registry: places whose cell
-    /// signature overlaps an existing place (containment coefficient ≥
-    /// `min_overlap`) keep its stable id (the signature absorbs the new
-    /// evidence); the rest become new places.
+    /// Reconciles a fresh GCA output with the registry. Every output is
+    /// authoritative (it covers the full accumulated place set): places
+    /// whose cell signature overlaps an existing place (containment
+    /// coefficient ≥ `min_overlap`) keep its stable id, the signature
+    /// absorbs the new evidence and the visit history is replaced by the
+    /// re-clustering; the rest become new places; existing places the run
+    /// no longer finds are retired. Returns the ids created, in order.
     ///
     /// # Panics
     ///
@@ -154,32 +127,13 @@ impl PlaceRegistry {
         discovered: &[DiscoveredPlace],
         now: SimTime,
         min_overlap: f64,
-    ) -> Reconciliation {
-        self.reconcile_with_mode(discovered, now, min_overlap, ReconcileMode::Incremental)
-    }
-
-    /// [`reconcile`](Self::reconcile) with an explicit mode; authoritative
-    /// runs replace visit histories and retire places the run no longer
-    /// finds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_overlap` is outside `[0, 1]`.
-    pub fn reconcile_with_mode(
-        &mut self,
-        discovered: &[DiscoveredPlace],
-        now: SimTime,
-        min_overlap: f64,
-        mode: ReconcileMode,
-    ) -> Reconciliation {
+    ) -> Vec<PmPlaceId> {
         assert!(
             (0.0..=1.0).contains(&min_overlap),
             "min_overlap must be a fraction, got {min_overlap}"
         );
         let mut created = Vec::new();
-        let mut mapping = HashMap::new();
         let mut matched: Vec<bool> = vec![false; self.places.len()];
-        self.gca_map.clear();
 
         for place in discovered {
             let PlaceSignature::Cells(cells) = &place.signature else {
@@ -194,28 +148,20 @@ impl PlaceRegistry {
                     best = Some((idx, overlap));
                 }
             }
-            let stable = match best {
+            match best {
                 Some((idx, _)) => {
                     // Fold the new evidence in: the signature grows to the
-                    // union of everything ever observed; visits extend
-                    // (incremental) or are replaced by the re-clustering
-                    // (authoritative). A retired place seen again revives.
+                    // union of everything ever observed; visits are
+                    // replaced by the re-clustering. A retired place seen
+                    // again revives.
                     self.places[idx].cells.extend(cells.iter().copied());
-                    match mode {
-                        ReconcileMode::Incremental => self.places[idx]
-                            .gca_visits
-                            .extend(place.visits.iter().copied()),
-                        ReconcileMode::Authoritative => {
-                            self.places[idx].gca_visits = place.visits.clone()
-                        }
-                    }
+                    self.places[idx].gca_visits = place.visits.clone();
                     self.places[idx].retired = false;
                     // Places created earlier in this same run sit past the
                     // pre-run snapshot; they are trivially "matched".
                     if idx < matched.len() {
                         matched[idx] = true;
                     }
-                    self.places[idx].id
                 }
                 None => {
                     let id = PmPlaceId(self.places.len() as u32);
@@ -231,21 +177,16 @@ impl PlaceRegistry {
                         retired: false,
                     });
                     created.push(id);
-                    id
-                }
-            };
-            mapping.insert(place.id, stable);
-            self.gca_map.insert(place.id, stable);
-        }
-
-        if mode == ReconcileMode::Authoritative {
-            for (idx, was_matched) in matched.iter().enumerate() {
-                if !was_matched {
-                    self.places[idx].retired = true;
                 }
             }
         }
-        Reconciliation { created, mapping }
+
+        for (idx, was_matched) in matched.iter().enumerate() {
+            if !was_matched {
+                self.places[idx].retired = true;
+            }
+        }
+        created
     }
 
     /// Attaches WiFi evidence to the place active at a given moment —
@@ -294,7 +235,7 @@ impl PlaceRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmware_algorithms::signature::DiscoveredVisit;
+    use pmware_algorithms::signature::DiscoveredPlaceId;
     use pmware_world::{CellId, Lac, Plmn};
 
     fn cell(id: u32) -> CellGlobalId {
@@ -324,10 +265,8 @@ mod tests {
             SimTime::EPOCH,
             0.4,
         );
-        assert_eq!(out.created.len(), 2);
+        assert_eq!(out, vec![PmPlaceId(0), PmPlaceId(1)]);
         assert_eq!(reg.len(), 2);
-        assert_eq!(reg.resolve(DiscoveredPlaceId(0)), Some(PmPlaceId(0)));
-        assert_eq!(reg.resolve(DiscoveredPlaceId(1)), Some(PmPlaceId(1)));
     }
 
     #[test]
@@ -341,9 +280,8 @@ mod tests {
             SimTime::from_day_time(1, 0, 0, 0),
             0.4,
         );
-        assert!(out.created.is_empty(), "same place must not duplicate");
+        assert!(out.is_empty(), "same place must not duplicate");
         assert_eq!(reg.len(), 1);
-        assert_eq!(reg.resolve(DiscoveredPlaceId(7)), Some(PmPlaceId(0)));
         // The signature was refreshed.
         assert!(reg.place(PmPlaceId(0)).unwrap().cells.contains(&cell(4)));
     }
@@ -357,7 +295,7 @@ mod tests {
             SimTime::EPOCH,
             0.4,
         );
-        assert_eq!(out.created, vec![PmPlaceId(1)]);
+        assert_eq!(out, vec![PmPlaceId(1)]);
         assert_eq!(reg.len(), 2);
     }
 
@@ -396,7 +334,7 @@ mod tests {
             vec![],
         );
         let out = reg.reconcile(&[wifi_place], SimTime::EPOCH, 0.4);
-        assert!(out.created.is_empty());
+        assert!(out.is_empty());
         assert!(reg.is_empty());
     }
 

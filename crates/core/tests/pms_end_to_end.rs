@@ -4,11 +4,14 @@
 //! apps demanded.
 
 use pmware_cloud::{CellDatabase, CloudInstance, Payload, SharedCloud};
+use pmware_core::checkpoint::PmsCheckpoint;
 use pmware_core::intents::{actions, IntentFilter};
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity, RouteAccuracy};
 use pmware_device::{Device, EnergyModel, Interface};
+use pmware_geo::GeoPoint;
 use pmware_mobility::Population;
+use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
 use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimTime, World};
@@ -280,4 +283,79 @@ fn activity_summary_reaches_the_cloud() {
         .call("/api/v1/analytics/activity", Payload::Empty, end)
         .unwrap();
     assert!(resp.json()["mean_daily_moving_minutes"].as_f64().unwrap() > 0.0);
+}
+
+/// The checkpoint's place registry no longer carries the run-local
+/// `gca_map`. A checkpoint written in the older format, with that key,
+/// still parses (the key is ignored) and restores.
+#[test]
+fn checkpoint_with_the_retired_gca_map_key_still_restores() {
+    let days = 2;
+    let (world, cloud) = setup(days, 700);
+    let pop = Population::generate(&world, 1, 701);
+    let itinerary = pop.itinerary(&world, pop.agents()[0].id(), days);
+    let env = RadioEnvironment::new(&world, RadioConfig::default());
+    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 702);
+    let config = PmsConfig::for_participant(7);
+    let mut pms =
+        PmwareMobileService::new(device, cloud.clone(), config.clone(), SimTime::EPOCH).unwrap();
+    pms.run(SimTime::from_day_time(1, 12, 0, 0)).unwrap();
+    assert!(
+        !pms.places().is_empty(),
+        "the first maintenance found places"
+    );
+
+    let json = pms.checkpoint().to_json();
+    assert!(!json.contains("gca_map"), "the new format drops the key");
+    let older = json.replacen(
+        "\"registry\":{",
+        "\"registry\":{\"gca_map\":{\"0\":0,\"1\":1},",
+        1,
+    );
+    assert_ne!(older, json, "the older spelling was spliced in");
+    let parsed = PmsCheckpoint::from_json(&older).expect("an older checkpoint parses");
+    assert_eq!(
+        parsed.to_json(),
+        json,
+        "nothing but the retired key differs"
+    );
+
+    let device = pms.shutdown();
+    let mut restored = PmwareMobileService::restore(device, cloud, config, parsed);
+    restored.run(SimTime::from_day_time(days, 0, 0, 0)).unwrap();
+    assert!(!restored.places().is_empty());
+}
+
+/// A fresh service for the `set_obs` precondition tests.
+fn fresh_service(world: &World, cloud: SharedCloud) -> PmwareMobileService<'_, GeoPoint> {
+    let env = RadioEnvironment::new(world, RadioConfig::default());
+    let device = Device::new(
+        env,
+        world.places()[0].position(),
+        EnergyModel::htc_explorer(),
+        1,
+    );
+    PmwareMobileService::new(device, cloud, PmsConfig::for_participant(0), SimTime::EPOCH).unwrap()
+}
+
+/// Metrics are bound once: a second `set_obs` would have to carry what
+/// the first binding counted, so it is refused.
+#[test]
+#[should_panic(expected = "set_obs runs once, before the first tick")]
+fn set_obs_twice_is_refused() {
+    let (world, cloud) = setup(1, 1_100);
+    let mut pms = fresh_service(&world, cloud);
+    pms.set_obs(&Obs::new().for_actor("p0000"));
+    pms.set_obs(&Obs::new().for_actor("p0000"));
+}
+
+/// Binding after the first tick would leave that tick's counts behind in
+/// the private registry, so it is refused.
+#[test]
+#[should_panic(expected = "set_obs runs once, before the first tick")]
+fn set_obs_after_a_tick_is_refused() {
+    let (world, cloud) = setup(1, 1_200);
+    let mut pms = fresh_service(&world, cloud);
+    pms.run(SimTime::from_seconds(60)).unwrap();
+    pms.set_obs(&Obs::new().for_actor("p0000"));
 }

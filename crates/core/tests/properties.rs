@@ -160,14 +160,10 @@ proptest! {
         let mut registry = PlaceRegistry::new();
         let first = registry.reconcile(&places, SimTime::EPOCH, 0.3);
         let after_first = registry.len();
-        prop_assert_eq!(first.created.len(), after_first);
+        prop_assert_eq!(first.len(), after_first);
         // Reconciling the identical output again creates nothing new.
         let second = registry.reconcile(&places, SimTime::EPOCH, 0.3);
-        prop_assert!(second.created.is_empty());
+        prop_assert!(second.is_empty());
         prop_assert_eq!(registry.len(), after_first);
-        // And every GCA id resolves.
-        for p in &places {
-            prop_assert!(registry.resolve(p.id).is_some());
-        }
     }
 }

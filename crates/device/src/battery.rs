@@ -99,11 +99,6 @@ impl Battery {
     pub fn remaining_fraction(&self) -> f64 {
         (1.0 - self.drained_j / self.spec.energy_joules()).max(0.0)
     }
-
-    /// Returns `true` once the battery is fully drained.
-    pub fn is_depleted(&self) -> bool {
-        self.drained_j >= self.spec.energy_joules()
-    }
 }
 
 #[cfg(test)]
@@ -132,9 +127,7 @@ mod tests {
             capacity_mah: 1.0,
             voltage_v: 1.0,
         });
-        assert!(!b.is_depleted());
         b.drain(Interface::Gps, 3.6);
-        assert!(b.is_depleted());
         assert_eq!(b.remaining_fraction(), 0.0);
     }
 

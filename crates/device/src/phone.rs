@@ -171,26 +171,14 @@ impl<'w, P: PositionProvider> Device<'w, P> {
     }
 
     /// Attaches an observability handle: per-interface sample counts and
-    /// microjoules drained flow into its registry from now on, carrying
-    /// over anything already recorded. The default device records
-    /// nothing (every handle is a no-op), so instrumentation costs
+    /// microjoules drained flow into its registry from now on. Bind before
+    /// the device is first billed; nothing recorded earlier is carried
+    /// over. A device that outlives a service reboot is bound again to the
+    /// same registry, which resolves the same cells. The default device
+    /// records nothing (every handle is a no-op), so instrumentation costs
     /// nothing until a study opts in.
     pub fn set_obs(&mut self, obs: &Obs) {
-        let previous = std::mem::replace(&mut self.metrics, DeviceMetrics::resolve(obs));
-        for slot in 0..Interface::ALL.len() {
-            let samples = previous.samples[slot].get();
-            if samples > 0 {
-                self.metrics.samples[slot].set(samples);
-            }
-            let uj = previous.energy_uj[slot].get();
-            if uj > 0 {
-                self.metrics.energy_uj[slot].set(uj);
-            }
-        }
-        let baseline = previous.baseline_uj.get();
-        if baseline > 0 {
-            self.metrics.baseline_uj.set(baseline);
-        }
+        self.metrics = DeviceMetrics::resolve(obs);
     }
 
     /// The battery state.
@@ -198,24 +186,9 @@ impl<'w, P: PositionProvider> Device<'w, P> {
         &self.battery
     }
 
-    /// The energy model.
-    pub fn energy_model(&self) -> &EnergyModel {
-        &self.model
-    }
-
     /// The device's true position (ground truth, not a sensor reading).
     pub fn true_position(&self, t: SimTime) -> GeoPoint {
         self.provider.position_at(t)
-    }
-
-    /// The device's true motion state (ground truth).
-    pub fn true_motion(&self, t: SimTime) -> MotionState {
-        self.provider.motion_at(t)
-    }
-
-    /// The tower currently camped on, if any.
-    pub fn serving_tower(&self) -> Option<TowerId> {
-        self.serving
     }
 
     /// Bills idle baseline drain up to `now`. Call once per outer loop tick;
@@ -449,24 +422,6 @@ mod tests {
             "device_energy_microjoules_total{interface=\"baseline\",user=\"p0000\"}",
         );
         assert_eq!(base_uj, microjoules(phone.battery().baseline_joules()));
-    }
-
-    #[test]
-    fn set_obs_carries_prior_counts_to_a_new_registry() {
-        let w = world();
-        let env = RadioEnvironment::new(&w, RadioConfig::default());
-        let spot = w.places()[0].position();
-        let mut phone = Device::new(env, spot, EnergyModel::htc_explorer(), 1);
-        let first = Obs::new();
-        phone.set_obs(&first);
-        let _ = phone.sample_gsm(SimTime::EPOCH);
-        let second = Obs::new();
-        phone.set_obs(&second);
-        let snap = second.metrics().unwrap().snapshot();
-        assert_eq!(
-            snap.counter_value("device_samples_total{interface=\"gsm\",user=\"main\"}"),
-            1
-        );
     }
 
     #[test]

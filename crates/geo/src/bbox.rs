@@ -98,14 +98,6 @@ impl BoundingBox {
             && point.longitude() <= self.north_east.longitude()
     }
 
-    /// Returns `true` if the two boxes share any area (or touch).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        self.south_west.latitude() <= other.north_east.latitude()
-            && self.north_east.latitude() >= other.south_west.latitude()
-            && self.south_west.longitude() <= other.north_east.longitude()
-            && self.north_east.longitude() >= other.south_west.longitude()
-    }
-
     /// Approximate width (east–west extent) at the box's mid-latitude.
     pub fn width(&self) -> Meters {
         let mid = self.center().latitude();
@@ -182,18 +174,6 @@ mod tests {
     #[test]
     fn enclosing_empty_errors() {
         assert!(BoundingBox::enclosing(&[]).is_err());
-    }
-
-    #[test]
-    fn intersects_cases() {
-        let a = bbox();
-        let overlapping = BoundingBox::new(p(10.5, 20.5), p(12.0, 22.0)).unwrap();
-        let disjoint = BoundingBox::new(p(12.0, 22.0), p(13.0, 23.0)).unwrap();
-        let touching = BoundingBox::new(p(11.0, 21.0), p(12.0, 22.0)).unwrap();
-        assert!(a.intersects(&overlapping));
-        assert!(overlapping.intersects(&a));
-        assert!(!a.intersects(&disjoint));
-        assert!(a.intersects(&touching));
     }
 
     #[test]

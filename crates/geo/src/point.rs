@@ -81,17 +81,6 @@ impl GeoPoint {
         Meters::new(EARTH_RADIUS_M * (x * x + y * y).sqrt())
     }
 
-    /// Initial bearing from `self` to `other` in degrees clockwise from north,
-    /// normalised to `[0, 360)`.
-    pub fn bearing_to(self, other: GeoPoint) -> f64 {
-        let phi1 = self.lat.to_radians();
-        let phi2 = other.lat.to_radians();
-        let dlambda = (other.lng - self.lng).to_radians();
-        let y = dlambda.sin() * phi2.cos();
-        let x = phi1.cos() * phi2.sin() - phi1.sin() * phi2.cos() * dlambda.cos();
-        (y.atan2(x).to_degrees() + 360.0) % 360.0
-    }
-
     /// Destination point after travelling `distance` on the great circle with
     /// the given initial `bearing_deg` (degrees clockwise from north).
     ///
@@ -209,22 +198,17 @@ mod tests {
     }
 
     #[test]
-    fn bearing_cardinal_directions() {
-        let origin = p(0.0, 0.0);
-        assert!((origin.bearing_to(p(1.0, 0.0)) - 0.0).abs() < 1e-6); // north
-        assert!((origin.bearing_to(p(0.0, 1.0)) - 90.0).abs() < 1e-6); // east
-        assert!((origin.bearing_to(p(-1.0, 0.0)) - 180.0).abs() < 1e-6); // south
-        assert!((origin.bearing_to(p(0.0, -1.0)) - 270.0).abs() < 1e-6); // west
-    }
-
-    #[test]
     fn destination_round_trip() {
         let start = p(12.9716, 77.5946);
         let dest = start.destination(45.0, Meters::new(5_000.0));
         let d = start.haversine_distance(dest);
         assert!((d.value() - 5_000.0).abs() < 1.0, "got {d}");
-        let bearing = start.bearing_to(dest);
-        assert!((bearing - 45.0).abs() < 0.1, "got {bearing}");
+        // Heading 45°: as far north as east.
+        assert!(dest.latitude() > start.latitude() && dest.longitude() > start.longitude());
+        let north = start.haversine_distance(p(dest.latitude(), start.longitude()));
+        let east = start.haversine_distance(p(start.latitude(), dest.longitude()));
+        let skew = (north.value() - east.value()).abs() / north.value();
+        assert!(skew < 0.01, "north={north} east={east}");
     }
 
     #[test]

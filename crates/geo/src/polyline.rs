@@ -78,52 +78,6 @@ impl Polyline {
             .sum()
     }
 
-    /// Resamples the path at an approximately fixed `spacing`, always keeping
-    /// the original endpoints.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GeoError::InvalidDistance`] if `spacing` is not positive.
-    pub fn resample(&self, spacing: Meters) -> Result<Polyline, GeoError> {
-        if !spacing.is_valid_distance() || spacing.value() == 0.0 {
-            return Err(GeoError::InvalidDistance(spacing.value()));
-        }
-        let mut out = vec![self.start()];
-        let mut carry = 0.0_f64;
-        for w in self.points.windows(2) {
-            let seg_len = w[0].haversine_distance(w[1]).value();
-            if seg_len == 0.0 {
-                continue;
-            }
-            let mut offset = spacing.value() - carry;
-            while offset < seg_len {
-                out.push(w[0].lerp(w[1], offset / seg_len));
-                offset += spacing.value();
-            }
-            carry = (carry + seg_len) % spacing.value();
-        }
-        if out.last() != Some(&self.end()) {
-            out.push(self.end());
-        }
-        Polyline::new(out)
-    }
-
-    /// Simplifies the path with the Douglas–Peucker algorithm, dropping
-    /// vertices that deviate less than `tolerance` from the simplified shape.
-    pub fn simplify(&self, tolerance: Meters) -> Polyline {
-        let mut keep = vec![false; self.points.len()];
-        keep[0] = true;
-        *keep.last_mut().expect("non-empty") = true;
-        douglas_peucker(&self.points, 0, self.points.len() - 1, tolerance, &mut keep);
-        let pts: Vec<GeoPoint> = self
-            .points
-            .iter()
-            .zip(&keep)
-            .filter_map(|(p, k)| k.then_some(*p))
-            .collect();
-        Polyline::new(pts).expect("endpoints always kept")
-    }
-
     /// The point a fraction `t` of the way along the path by arc length.
     ///
     /// `t = 0` is the start, `t = 1` the end; `t` is clamped to `[0, 1]`.
@@ -180,48 +134,12 @@ fn point_segment_distance(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> Meters {
     p.equirectangular_distance(closest)
 }
 
-fn douglas_peucker(
-    pts: &[GeoPoint],
-    first: usize,
-    last: usize,
-    tolerance: Meters,
-    keep: &mut [bool],
-) {
-    if last <= first + 1 {
-        return;
-    }
-    let mut max_d = Meters::new(0.0);
-    let mut max_i = first;
-    for i in first + 1..last {
-        let d = point_segment_distance(pts[i], pts[first], pts[last]);
-        if d > max_d {
-            max_d = d;
-            max_i = i;
-        }
-    }
-    if max_d > tolerance {
-        keep[max_i] = true;
-        douglas_peucker(pts, first, max_i, tolerance, keep);
-        douglas_peucker(pts, max_i, last, tolerance, keep);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(lat: f64, lng: f64) -> GeoPoint {
         GeoPoint::new(lat, lng).unwrap()
-    }
-
-    fn straightish() -> Polyline {
-        Polyline::new(vec![
-            p(0.0, 0.0),
-            p(0.0, 0.005),
-            p(0.0001, 0.01),
-            p(0.0, 0.02),
-        ])
-        .unwrap()
     }
 
     #[test]
@@ -235,53 +153,6 @@ mod tests {
     fn length_of_one_degree_of_longitude_at_equator() {
         let line = Polyline::new(vec![p(0.0, 0.0), p(0.0, 1.0)]).unwrap();
         assert!((line.length().value() - 111_195.0).abs() < 200.0);
-    }
-
-    #[test]
-    fn resample_spacing_is_respected() {
-        let line = Polyline::new(vec![p(0.0, 0.0), p(0.0, 0.01)]).unwrap(); // ~1112 m
-        let resampled = line.resample(Meters::new(100.0)).unwrap();
-        // Expect ~12 points: start + 10 interior + end.
-        assert!(
-            resampled.len() >= 11 && resampled.len() <= 13,
-            "got {}",
-            resampled.len()
-        );
-        assert_eq!(resampled.start(), line.start());
-        assert_eq!(resampled.end(), line.end());
-        for w in resampled.points().windows(2) {
-            let d = w[0].haversine_distance(w[1]).value();
-            assert!(d <= 101.0, "segment too long: {d}");
-        }
-    }
-
-    #[test]
-    fn resample_rejects_bad_spacing() {
-        assert!(straightish().resample(Meters::new(0.0)).is_err());
-        assert!(straightish().resample(Meters::new(-1.0)).is_err());
-    }
-
-    #[test]
-    fn resample_handles_duplicate_vertices() {
-        let line = Polyline::new(vec![p(0.0, 0.0), p(0.0, 0.0), p(0.0, 0.002)]).unwrap();
-        let resampled = line.resample(Meters::new(50.0)).unwrap();
-        assert!(resampled.len() >= 2);
-    }
-
-    #[test]
-    fn simplify_drops_collinear_noise() {
-        let line = straightish();
-        let simplified = line.simplify(Meters::new(50.0));
-        assert!(simplified.len() < line.len());
-        assert_eq!(simplified.start(), line.start());
-        assert_eq!(simplified.end(), line.end());
-    }
-
-    #[test]
-    fn simplify_keeps_real_corners() {
-        let corner = Polyline::new(vec![p(0.0, 0.0), p(0.0, 0.01), p(0.01, 0.01)]).unwrap();
-        let simplified = corner.simplify(Meters::new(10.0));
-        assert_eq!(simplified.len(), 3, "a genuine corner must survive");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the geographic primitives.
 
-use pmware_geo::{grid::SpatialGrid, BoundingBox, GeoPoint, Meters, Polyline};
+use pmware_geo::{grid::SpatialGrid, BoundingBox, GeoPoint, Meters};
 use proptest::prelude::*;
 
 /// Strategy producing valid city-scale coordinates (away from poles and the
@@ -98,42 +98,5 @@ proptest! {
             .collect();
         expected.sort_unstable();
         prop_assert_eq!(found, expected);
-    }
-
-    #[test]
-    fn polyline_simplify_never_longer(
-        (a, b) in local_pair(),
-        jitter in prop::collection::vec((0.0..360.0f64, 0.0..100.0f64), 2..15),
-        tol in 1.0..500.0f64,
-    ) {
-        // Build a noisy path from a to b.
-        let mut pts = vec![a];
-        let n = jitter.len();
-        for (i, (bearing, dist)) in jitter.iter().enumerate() {
-            let base = a.lerp(b, (i + 1) as f64 / (n + 1) as f64);
-            pts.push(base.destination(*bearing, Meters::new(*dist)));
-        }
-        pts.push(b);
-        let line = Polyline::new(pts).unwrap();
-        let simplified = line.simplify(Meters::new(tol));
-        prop_assert!(simplified.len() <= line.len());
-        prop_assert_eq!(simplified.start(), line.start());
-        prop_assert_eq!(simplified.end(), line.end());
-        prop_assert!(simplified.length() <= line.length() + Meters::new(1e-6));
-    }
-
-    #[test]
-    fn resample_preserves_endpoints_and_bounds_segment_length(
-        (a, b) in local_pair(),
-        spacing in 20.0..500.0f64,
-    ) {
-        prop_assume!(a.haversine_distance(b).value() > 1.0);
-        let line = Polyline::new(vec![a, b]).unwrap();
-        let r = line.resample(Meters::new(spacing)).unwrap();
-        prop_assert_eq!(r.start(), a);
-        prop_assert_eq!(r.end(), b);
-        for w in r.points().windows(2) {
-            prop_assert!(w[0].haversine_distance(w[1]).value() <= spacing * 1.02 + 0.5);
-        }
     }
 }

@@ -100,18 +100,6 @@ impl AgentProfile {
         self.frequented.keys().copied()
     }
 
-    /// Every distinct place this agent can ever visit (home, work, and all
-    /// frequented places).
-    pub fn known_places(&self) -> Vec<PlaceId> {
-        let mut out = vec![self.home, self.workplace];
-        for places in self.frequented.values() {
-            out.extend_from_slice(places);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
     /// Travel speed in m/s.
     pub fn travel_speed_mps(&self) -> f64 {
         self.travel_speed_mps
@@ -137,15 +125,6 @@ mod tests {
         freq.insert(PlaceCategory::Shopping, vec![PlaceId(5), PlaceId(6)]);
         freq.insert(PlaceCategory::Restaurant, vec![PlaceId(7)]);
         AgentProfile::new(AgentId(0), PlaceId(1), PlaceId(2), freq, 6.0, 0.7, 42)
-    }
-
-    #[test]
-    fn known_places_dedup_and_sorted() {
-        let p = profile();
-        assert_eq!(
-            p.known_places(),
-            vec![PlaceId(1), PlaceId(2), PlaceId(5), PlaceId(6), PlaceId(7)]
-        );
     }
 
     #[test]

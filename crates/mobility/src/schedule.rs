@@ -31,13 +31,6 @@ pub struct DayPlan {
     pub stops: Vec<PlannedStop>,
 }
 
-impl DayPlan {
-    /// Returns `true` if the plan never leaves home.
-    pub fn is_home_day(&self) -> bool {
-        self.stops.len() == 1
-    }
-}
-
 /// Picks a place from the agent's frequented list for `category`, favouring
 /// the first (favourite) entry. With a small probability the agent
 /// *explores*: tries any place of that category in the world (people do
@@ -327,7 +320,7 @@ mod tests {
         for s in 0..80 {
             let mut rng = StdRng::seed_from_u64(s);
             let plan = plan_day(&agent, &world, 6, &mut rng); // Sunday
-            if plan.is_home_day() {
+            if plan.stops.len() == 1 {
                 found_home_day = true;
                 assert_eq!(plan.stops[0].place, agent.home());
             }

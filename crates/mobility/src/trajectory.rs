@@ -173,11 +173,6 @@ impl Itinerary {
         &self.segments
     }
 
-    /// Instant the itinerary ends.
-    pub fn end_time(&self) -> SimTime {
-        self.end
-    }
-
     /// Position at `t`. Before the start the first position is returned; at
     /// or after the end, the last.
     pub fn position_at(&self, t: SimTime) -> GeoPoint {
@@ -299,7 +294,8 @@ mod tests {
         for w in segs.windows(2) {
             assert_eq!(w[0].end(), w[1].start(), "gap between segments");
         }
-        assert!(it.end_time() >= SimTime::from_day_time(7, 0, 0, 0));
+        let last = segs.last().expect("segments");
+        assert!(last.end() >= SimTime::from_day_time(7, 0, 0, 0));
     }
 
     #[test]

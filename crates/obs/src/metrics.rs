@@ -102,9 +102,10 @@ impl Counter {
         self.0.as_ref().map_or(0, |cell| cell.sum())
     }
 
-    /// Overwrites the total. Meant for re-seeding a handle from durable
-    /// state (checkpoint restore, re-binding to a new registry); not safe
-    /// to race with concurrent `add`s.
+    /// Overwrites the total. For checkpoint restore only: a restored
+    /// component re-seeds its durable counters from the checkpoint. Every
+    /// other path only adds, so a counter never goes down. Not safe to
+    /// race with concurrent `add`s.
     pub fn set(&self, value: u64) {
         if let Some(cell) = &self.0 {
             for (i, shard) in cell.shards.iter().enumerate() {

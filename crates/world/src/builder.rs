@@ -194,11 +194,6 @@ impl WorldBuilder {
         self
     }
 
-    /// Mutable access to the profile for fine-grained overrides.
-    pub fn profile_mut(&mut self) -> &mut RegionProfile {
-        &mut self.profile
-    }
-
     /// Generates the world.
     pub fn build(self) -> World {
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -520,17 +515,6 @@ mod tests {
         let a = roads.nearest_node(w.bounds().south_west()).unwrap();
         let b = roads.nearest_node(w.bounds().north_east()).unwrap();
         assert!(roads.shortest_path(a, b).is_some());
-    }
-
-    #[test]
-    fn cell_lookup_round_trips() {
-        let w = WorldBuilder::new(RegionProfile::test_tiny())
-            .seed(9)
-            .build();
-        for t in w.towers().iter().take(20) {
-            let found = w.tower_by_cell(t.cell()).expect("lookup succeeds");
-            assert_eq!(found.id(), t.id());
-        }
     }
 
     #[test]

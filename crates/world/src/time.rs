@@ -172,16 +172,6 @@ impl SimDuration {
         self.0
     }
 
-    /// The duration in fractional minutes.
-    pub fn as_minutes_f64(self) -> f64 {
-        self.0 as f64 / MINUTE as f64
-    }
-
-    /// The duration in fractional hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / HOUR as f64
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
@@ -328,8 +318,8 @@ mod tests {
     #[test]
     fn duration_conversions() {
         assert_eq!(SimDuration::from_minutes(2).as_seconds(), 120);
-        assert_eq!(SimDuration::from_hours(1).as_minutes_f64(), 60.0);
-        assert_eq!(SimDuration::from_days(2).as_hours_f64(), 48.0);
+        assert_eq!(SimDuration::from_hours(1).as_seconds(), 3_600);
+        assert_eq!(SimDuration::from_days(2).as_seconds(), 172_800);
         assert_eq!(SimDuration::from_seconds(90).mul_f64(2.0).as_seconds(), 180);
         assert_eq!(
             SimDuration::from_seconds(10).saturating_sub(SimDuration::from_seconds(20)),

@@ -2,13 +2,12 @@
 
 use pmware_geo::{grid::SpatialGrid, BoundingBox, GeoPoint, Meters};
 
-use crate::ids::{ApId, CellGlobalId, PlaceId, TowerId};
+use crate::ids::{ApId, PlaceId, TowerId};
 use crate::place::WorldPlace;
 use crate::roads::RoadGraph;
 use crate::tower::CellTower;
 use crate::wifi::AccessPoint;
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Source of [`World::id`]: every assembled world draws a fresh number.
@@ -24,7 +23,6 @@ pub struct World {
     towers: Vec<CellTower>,
     max_tower_range: Meters,
     tower_index: SpatialGrid<TowerId>,
-    cell_lookup: HashMap<CellGlobalId, TowerId>,
     aps: Vec<AccessPoint>,
     ap_index: SpatialGrid<ApId>,
     max_ap_detection_limit: Meters,
@@ -42,10 +40,8 @@ impl World {
         roads: RoadGraph,
     ) -> World {
         let mut tower_index = SpatialGrid::new(Meters::new(1_000.0)).expect("positive cell size");
-        let mut cell_lookup = HashMap::with_capacity(towers.len());
         for t in &towers {
             tower_index.insert(t.position(), t.id());
-            cell_lookup.insert(t.cell(), t.id());
         }
         let max_tower_range =
             Meters::new(towers.iter().map(|t| t.range().value()).fold(0.0, f64::max));
@@ -70,7 +66,6 @@ impl World {
             towers,
             max_tower_range,
             tower_index,
-            cell_lookup,
             aps,
             ap_index,
             max_ap_detection_limit,
@@ -111,13 +106,6 @@ impl World {
     /// Panics if `id` is not a tower of this world.
     pub fn tower(&self, id: TowerId) -> &CellTower {
         &self.towers[id.0 as usize]
-    }
-
-    /// Looks up the tower broadcasting a given cell identity — the ground
-    /// truth behind the cloud's geolocation endpoint (an OpenCellID
-    /// stand-in, §2.3.3).
-    pub fn tower_by_cell(&self, cell: CellGlobalId) -> Option<&CellTower> {
-        self.cell_lookup.get(&cell).map(|id| self.tower(*id))
     }
 
     /// All WiFi access points.
@@ -192,14 +180,5 @@ impl World {
         self.ap_index.for_each_within(point, radius, |_, id, d| {
             f(self.access_point(*id), d);
         });
-    }
-
-    /// Places whose centre is within `radius` of `point`.
-    pub fn places_near(&self, point: GeoPoint, radius: Meters) -> Vec<&WorldPlace> {
-        let mut out = Vec::new();
-        self.place_index.for_each_within(point, radius, |_, id, _| {
-            out.push(self.place(*id));
-        });
-        out
     }
 }

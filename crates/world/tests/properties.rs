@@ -31,7 +31,8 @@ proptest! {
                 // Tiny worlds still have full coverage at places.
                 return Err(TestCaseError::fail("no coverage at a place"));
             };
-            let tower = world.tower_by_cell(obs.cell).expect("cell known");
+            let tower = world.tower(s);
+            prop_assert_eq!(tower.cell(), obs.cell, "the serving tower broadcasts the cell");
             prop_assert!(
                 tower.covers(pos),
                 "serving tower {} does not cover the phone",

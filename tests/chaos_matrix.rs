@@ -180,10 +180,41 @@ fn run_study_obs(
     }
     stops.sort_by_key(|(t, _)| t.as_seconds());
 
+    // Counters never go down across a reboot: each of the participant's
+    // client, device and PMS totals stays at or above its pre-reboot
+    // value, right after the rebind and at every later stop.
+    let participant_counters = || -> BTreeMap<String, u64> {
+        obs.metrics().map_or_else(BTreeMap::new, |registry| {
+            registry
+                .snapshot()
+                .iter()
+                .filter_map(|(key, value)| match value {
+                    pmware::obs::SnapshotValue::Counter(n) if key.contains("user=\"p0000\"") => {
+                        Some((key.to_owned(), *n))
+                    }
+                    _ => None,
+                })
+                .collect()
+        })
+    };
+    let mut before_reboot = BTreeMap::new();
+    let assert_no_counter_went_down = |before: &BTreeMap<String, u64>, at: SimTime| {
+        let now = participant_counters();
+        for (key, &was) in before {
+            let is = now.get(key).copied().unwrap_or(0);
+            assert!(
+                is >= was,
+                "{key} went down across the reboot: {was} -> {is} at {at:?}"
+            );
+        }
+    };
+
     for (t, stop) in stops {
         pms.run(t).expect("run");
+        assert_no_counter_went_down(&before_reboot, t);
         match stop {
             Stop::Reboot => {
+                before_reboot = participant_counters();
                 // Round-trip through the on-flash JSON format: only what
                 // the serialized checkpoint carries survives the reboot.
                 let checkpoint = PmsCheckpoint::from_json(&pms.checkpoint().to_json())
@@ -198,6 +229,7 @@ fn run_study_obs(
                 // Apps and peers re-attach on boot, like on a real phone
                 // — and so does the observability sink.
                 pms.set_obs(&obs.for_actor("p0000"));
+                assert_no_counter_went_down(&before_reboot, t);
                 _rx = pms.register_app("chaos-app", app_requirement(), IntentFilter::all());
                 pms.set_peer_provider(Box::new(ShadowPeer {
                     itinerary: sw.itinerary.clone(),
