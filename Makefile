@@ -1,13 +1,12 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-federation bench-latency bench-storage lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage loc obs test-federation test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-latency bench-storage lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage loc obs test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
 # formatting check, the chaos gate (fault-injection matrix + soak), the
 # observability gate (byte-identical golden exports + zero-perturbation
-# overhead bench), the federation gate (failover matrix + soak), a
-# tiny-config throughput smoke run that fails if parallel and
+# overhead bench), a tiny-config throughput smoke run that fails if parallel and
 # sequential studies ever diverge, the wire lint that keeps untyped
 # JSON from creeping back onto the hot path, the hash lint that keeps
 # SipHash off the GCA absorb path, the flag-parser lint that keeps
@@ -23,7 +22,7 @@
 # golden-bench gate (the sim-time BENCH_*.json reports regenerate
 # byte-identical), and the benchmark check (perfbench still builds and
 # its smoke test passes).
-verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage chaos obs test-federation test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
+verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage chaos obs test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -169,12 +168,12 @@ lint-hash:
 		|| { echo 'lint-hash: a default-hasher HashMap/HashSet crept onto the GCA absorb path'; exit 1; }
 	@echo 'lint-hash: ok'
 
-# Rust line counts of the workspace crates and of the vendored
-# stand-ins: the workspace size ROADMAP.md asks to drive down. The
-# indented per-crate lines under `crates` show where a change added or
-# removed code.
+# Rust line counts of the workspace crates, the vendored stand-ins, and
+# the root facade's src/, tests/ and examples/: the workspace size
+# ROADMAP.md asks to drive down. The indented per-crate lines under
+# `crates` show where a change added or removed code.
 loc:
-	@for dir in crates vendor; do \
+	@for dir in crates vendor src tests examples; do \
 		echo "$$dir $$(find $$dir -name '*.rs' -print0 | xargs -0 cat | wc -l)"; \
 	done
 	@for dir in crates/*/; do \
@@ -207,37 +206,19 @@ bench-latency:
 bench-admission:
 	cargo run --release -p pmware-bench --bin rate_limit_study
 
-# The golden-bench gate: the chaos, federation, latency and admission
-# reports are pure sim-time outputs, so regenerating them must leave the
-# checked-in files byte-identical. A drift fails here instead of
-# dirtying the tree.
+# The golden-bench gate: the chaos, latency and admission reports are
+# pure sim-time outputs, so regenerating them must leave the checked-in
+# files byte-identical. A drift fails here instead of dirtying the tree.
 bench-golden:
 	cargo run --release -p pmware-bench --bin chaos_soak
-	$(MAKE) bench-federation bench-latency bench-admission
-	git diff --exit-code -- BENCH_chaos.json BENCH_federation.json \
-		BENCH_latency.json BENCH_admission.json
-
-# The federation gate: the failover & migration matrix (every arm of
-# N instances x kill instant under sticky round-robin placement, plain
-# and under 30 % transport chaos, asserting byte-identical convergence
-# to the single-instance baseline and the zero-steady-state-router
-# pin), then
-# the federation soak, which writes BENCH_federation.json and exits
-# nonzero if the arm diverges or a control-plane pin breaks.
-test-federation:
-	cargo test --release -q --test federation_matrix
-	$(MAKE) bench-federation
-
-# Multi-instance soak: capacity split, migration sim-latency, and
-# control-plane cost; writes BENCH_federation.json in the repo root.
-# Flags: --participants, --days, --seed, --instances, --failover-at-day,
-# --chaos-rate.
-bench-federation:
-	cargo run --release -p pmware-bench --bin federation_soak
+	$(MAKE) bench-latency bench-admission
+	git diff --exit-code -- BENCH_chaos.json BENCH_latency.json \
+		BENCH_admission.json
 
 # The storage gate: the engine's golden tests — byte-identical durable
-# replay after a crash, deterministic LRU eviction, evicted-user
-# failover, and the capped-vs-uncapped proptest equivalence — the
+# replay after a crash (users parked at the crash included),
+# deterministic LRU eviction, and the capped-vs-uncapped proptest
+# equivalence — the
 # engine's unit tests (snapshot layout, park/hydrate fidelity, failed
 # snapshot and WAL writes counted), the WAL frame codec's (every logged
 # route round-trips; truncations are torn, bit flips corrupt, random

@@ -16,7 +16,7 @@
 //! single outlier. Results are printed as a table and written to
 //! `BENCH_cohort.json` in the current directory.
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::time::Instant;
 
 use pmware_bench::args::Args;
@@ -57,7 +57,12 @@ fn thread_ladder(max_threads: usize) -> Vec<usize> {
 
 fn main() {
     let args = Args::for_binary(&["participants", "days", "repeats"]);
-    let participants: usize = args.value("participants", 8);
+    let participants = args
+        .value(
+            "participants",
+            NonZeroUsize::new(8).expect("positive default"),
+        )
+        .get();
     let days = args
         .value("days", NonZeroU64::new(7).expect("positive default"))
         .get();

@@ -12,7 +12,7 @@
 //! this cohort size). `--threads` fans participants out over worker
 //! threads (0 = one per core); results are identical at any thread count.
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig, StudyResults};
@@ -28,7 +28,12 @@ fn main() {
     };
     let defaults = StudyConfig::default();
     let base = StudyConfig {
-        participants: args.value("participants", defaults.participants),
+        participants: args
+            .value(
+                "participants",
+                NonZeroUsize::new(defaults.participants).expect("positive default"),
+            )
+            .get(),
         days: args
             .value(
                 "days",

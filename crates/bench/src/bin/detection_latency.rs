@@ -11,7 +11,7 @@
 //! cell coverage extending beyond the physical place boundary (which can
 //! make radio-level "arrival" *precede* physical arrival — negative lag).
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 use pmware_bench::args::Args;
 use pmware_bench::parallel::{parallel_map, resolve_threads};
@@ -27,7 +27,12 @@ use pmware_world::SimTime;
 
 fn main() {
     let args = Args::for_binary(&["participants", "days", "threads"]);
-    let participants: usize = args.value("participants", 8);
+    let participants = args
+        .value(
+            "participants",
+            NonZeroUsize::new(8).expect("positive default"),
+        )
+        .get();
     let days = args
         .value("days", NonZeroU64::new(7).expect("positive default"))
         .get();

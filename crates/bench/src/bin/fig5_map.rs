@@ -8,7 +8,7 @@
 //! directory.
 
 use std::fmt::Write as _;
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 
 use pmware_bench::args::Args;
 use pmware_bench::parallel::{parallel_map, resolve_threads};
@@ -98,7 +98,12 @@ const PARTICIPANT_COLORS: [&str; 6] = [
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::for_binary(&["participants", "days", "threads"]);
-    let participants: usize = args.value("participants", 6);
+    let participants = args
+        .value(
+            "participants",
+            NonZeroUsize::new(6).expect("positive default"),
+        )
+        .get();
     let days = args
         .value("days", NonZeroU64::new(14).expect("positive default"))
         .get();

@@ -20,6 +20,7 @@
 //!
 //! Usage: `obs_overhead [--participants N] [--days D] [--reps R]`.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use pmware_bench::args::Args;
@@ -41,7 +42,12 @@ fn config(obs: Obs, participants: usize, days: u64) -> StudyConfig {
 
 fn main() {
     let args = Args::for_binary(&["participants", "days", "reps"]);
-    let participants: usize = args.value("participants", 6);
+    let participants = args
+        .value(
+            "participants",
+            NonZeroUsize::new(6).expect("positive default"),
+        )
+        .get();
     let days: u64 = args.value("days", 5);
     let reps: usize = args.value("reps", 5).max(1);
 

@@ -22,6 +22,8 @@
 //! current directory; exits nonzero if a throttled run diverges from the
 //! baseline or guided backoff fails to beat blind backoff.
 
+use std::num::NonZeroUsize;
+
 use pmware_bench::args::Args;
 use pmware_cloud::{AdmissionConfig, CellDatabase, CloudInstance, RateBudget, SharedCloud, UserId};
 use pmware_core::intents::IntentFilter;
@@ -135,7 +137,12 @@ fn run_scenario(
 
 fn main() {
     let args = Args::for_binary(&["participants", "days", "seed", "burst", "refill-s"]);
-    let participants: usize = args.value("participants", 4);
+    let participants = args
+        .value(
+            "participants",
+            NonZeroUsize::new(4).expect("positive default"),
+        )
+        .get();
     let days: u64 = args.value("days", 3).max(2);
     let seed: u64 = args.value("seed", 2014);
     let burst: u32 = args.value("burst", 2);

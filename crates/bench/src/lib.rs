@@ -19,7 +19,6 @@
 
 pub mod args;
 pub mod deployment;
-pub mod federation;
 pub mod parallel;
 pub mod sensing_modes;
 pub mod wifi_coverage;

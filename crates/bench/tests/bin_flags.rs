@@ -1,12 +1,12 @@
 //! The bench binaries refuse what they do not accept: a typo'd flag or a
-//! malformed value (`--days 0`) exits 2 naming it, before any study runs
-//! or any file is written.
+//! malformed value (`--days 0`, `--participants 0`) exits 2 naming it,
+//! before any study runs or any file is written.
 
 use std::process::Command;
 
 #[test]
 fn a_bad_flag_exits_2_before_any_work() {
-    let cases: [(&str, &[&str], &str); 5] = [
+    let cases: [(&str, &[&str], &str); 11] = [
         (
             env!("CARGO_BIN_EXE_deployment_study"),
             &[
@@ -38,6 +38,36 @@ fn a_bad_flag_exits_2_before_any_work() {
             env!("CARGO_BIN_EXE_fig5_map"),
             &["--days", "0"],
             "invalid value \"0\" for --days",
+        ),
+        (
+            env!("CARGO_BIN_EXE_deployment_study"),
+            &["--participants", "0", "--days", "1"],
+            "invalid value \"0\" for --participants",
+        ),
+        (
+            env!("CARGO_BIN_EXE_cohort_throughput"),
+            &["--participants", "0", "--days", "1"],
+            "invalid value \"0\" for --participants",
+        ),
+        (
+            env!("CARGO_BIN_EXE_detection_latency"),
+            &["--participants", "0", "--days", "1"],
+            "invalid value \"0\" for --participants",
+        ),
+        (
+            env!("CARGO_BIN_EXE_obs_overhead"),
+            &["--participants", "0", "--days", "1"],
+            "invalid value \"0\" for --participants",
+        ),
+        (
+            env!("CARGO_BIN_EXE_rate_limit_study"),
+            &["--participants", "0", "--days", "1"],
+            "invalid value \"0\" for --participants",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig5_map"),
+            &["--participants", "0", "--days", "1"],
+            "invalid value \"0\" for --participants",
         ),
     ];
     for (exe, args, expected) in cases {

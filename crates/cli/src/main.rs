@@ -17,7 +17,7 @@
 //! Each command refuses any flag it does not accept, before doing any
 //! work, so a typo never runs a default-sized study in silence.
 
-use std::num::NonZeroU64;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 
 use pmware_algorithms::signature::DiscoveredPlaceId;
@@ -435,8 +435,12 @@ fn cmd_study(args: &Args) -> Result<(), String> {
     let (obs, outputs) = obs_from_args(args, latency.is_some());
     let config = StudyConfig {
         participants: args
-            .get("participants", 16usize)
-            .map_err(|e| e.to_string())?,
+            .get(
+                "participants",
+                NonZeroUsize::new(16).expect("a positive default"),
+            )
+            .map_err(|e| e.to_string())?
+            .get(),
         days: days(args, 14)?,
         seed,
         region: region(args)?,
@@ -727,7 +731,7 @@ mod tests {
     /// fail once the study was done).
     #[test]
     fn unknown_flags_are_refused_before_any_work() {
-        let cases: [(&str, &[&str], &str); 8] = [
+        let cases: [(&str, &[&str], &str); 9] = [
             (
                 "world",
                 &["--seed", "5", "--seeed", "6"],
@@ -760,6 +764,11 @@ mod tests {
                 "invalid value \"0\" for --days",
             ),
             ("query", &["--days", "0"], "invalid value \"0\" for --days"),
+            (
+                "study",
+                &["--participants", "0", "--days", "1"],
+                "invalid value \"0\" for --participants",
+            ),
         ];
         for (command, flags, expected) in cases {
             let args = Args::parse(std::iter::once(command).chain(flags.iter().copied()));

@@ -10,10 +10,10 @@
 //! injector and the retry backoff already give).
 //!
 //! A denied request costs the server almost nothing: admission runs
-//! before the auth and relocation checks in `CloudInstance::handle`, so a
-//! 429 is computed from the one token validation the request path makes
-//! anyway and one bucket update — no token refresh work and no user store
-//! locks. Buckets are keyed by the *validated* caller: a request with a
+//! before the auth check in `CloudInstance::handle`, so a 429 is computed
+//! from the one token validation the request path makes anyway and one
+//! bucket update — no token refresh work and no user store locks.
+//! Buckets are keyed by the *validated* caller: a request with a
 //! missing, invalid, or expired token has no bucket and is answered 401
 //! by auth, and the public routes (registration, health) are never
 //! throttled, so a client can always get back in the door.

@@ -116,17 +116,9 @@ impl TokenStore {
         Some(self.issue(user, now, rng))
     }
 
-    /// The user registered under `identity`, if any. Federation migration
-    /// uses this to find the user a replayed WAL registered on the target
-    /// instance before transplanting the client's live session onto it.
-    pub fn user_of(&self, identity: &DeviceIdentity) -> Option<UserId> {
-        self.by_identity.get(identity).copied()
-    }
-
-    /// Grafts an externally-issued token string onto `user`. Federation
-    /// session adoption: after a failover migrates a user's state here,
-    /// the token the client is *already holding* must keep validating on
-    /// this instance — the client never learns its instance changed.
+    /// Grafts an externally-issued token string onto `user`. Crash
+    /// recovery: the token a client is *already holding* from the dead
+    /// instance must keep validating on the recovered one.
     pub fn adopt(&mut self, user: UserId, token: &str, expires_at: SimTime) {
         self.tokens.insert(token.to_owned(), (user, expires_at));
     }

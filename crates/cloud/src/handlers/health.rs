@@ -1,13 +1,12 @@
 //! The liveness probe behind `GET /api/v1/health`.
 //!
 //! Reaching the handler at all *is* the liveness signal: the route is
-//! public (the topology router probes without a token) and the request
-//! still takes the full request path, so an injected outage
-//! short-circuits to 503 before this handler runs — a dead instance
-//! fails its heartbeat exactly the way it fails client traffic. The body
-//! is liveness only: the load facts live in the metrics registry
-//! (`cloud_request_latency_us` histograms, `cloud_queue_shed_total`,
-//! `cloud_store_resident_users`), not in a second view here.
+//! public, so a liveness probe needs no user's token, and the request
+//! still takes the full request path (counted, queued) like client
+//! traffic. The body is liveness only: the load facts live in the
+//! metrics registry (`cloud_request_latency_us` histograms,
+//! `cloud_queue_shed_total`, `cloud_store_resident_users`), not in a
+//! second view here.
 
 use crate::api::{Request, Response};
 use crate::payload::Payload;

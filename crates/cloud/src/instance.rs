@@ -11,14 +11,13 @@
 //!
 //! * **state** — a [`CloudCore`] (token store, user shards, cell
 //!   database, GCA config, admission controller, latency model, metrics).
-//!   All of it except the outage flag and the relocation marks is fixed
-//!   at construction, like a deployed service's configuration;
+//!   Its configuration is fixed at construction, like a deployed
+//!   service's;
 //! * **the request path** — [`CloudInstance::handle`] resolves the route
-//!   and validates the caller once, runs the gates (outage → request
-//!   metrics → latency queue → admission control → auth → relocation →
-//!   authenticated-request count) as plain checks over that one
-//!   context, and hands the request to the route-table dispatcher
-//!   ([`crate::router`]);
+//!   and validates the caller once, runs the gates (request metrics →
+//!   latency queue → admission control → auth → authenticated-request
+//!   count) as plain checks over that one context, and hands the request
+//!   to the route-table dispatcher ([`crate::router`]);
 //! * **construction and accessors** — builders (`with_obs` first, then
 //!   `with_storage`, `with_admission`, `with_latency`) plus the snapshot
 //!   views tests and benches read.
@@ -26,12 +25,10 @@
 //! Concurrency model: per-user state lives in [`SHARD_COUNT`] lock
 //! shards keyed by `UserId`, the token registry is behind a read-write
 //! lock (validation — once per request — takes the read side), the cell
-//! database is immutable, and the outage flag and token RNG use an atomic
-//! and a small mutex. All methods take `&self`; [`SharedCloud`] is the
-//! cheap cloneable handle clients hold.
+//! database is immutable, and the token RNG sits behind a small mutex.
+//! All methods take `&self`; [`SharedCloud`] is the cheap cloneable
+//! handle clients hold.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -44,14 +41,13 @@ use rand::SeedableRng;
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionControl};
 use crate::api::{Request, Response};
-use crate::auth::{DeviceIdentity, TokenStore, UserId};
+use crate::auth::{TokenStore, UserId};
 use crate::geolocate::CellDatabase;
 use crate::latency::{LatencyControl, LatencyProfile, QueueOutcome};
 use crate::profile::{ContactEntry, MobilityProfile};
 use crate::router::{self, RateClass, Resolution, Route, RouteAuth};
 use crate::state::{CloudCore, CloudMetrics};
 use crate::storage::{StorageConfig, StorageEngine};
-use crate::transport::STATUS_MISDIRECTED;
 
 pub use crate::state::SHARD_COUNT;
 
@@ -131,11 +127,9 @@ impl CloudInstance {
                 cells,
                 gca_config: GcaConfig::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                outage: AtomicBool::new(false),
                 admission: None,
                 latency: None,
                 metrics: CloudMetrics::new(),
-                relocated: RwLock::new(HashSet::new()),
             },
         }
     }
@@ -234,23 +228,15 @@ impl CloudInstance {
         for key in instance.core.storage.recovery_keys() {
             let records = instance.core.storage.records_of(&key);
             let mut registered: Option<UserId> = None;
-            let summary = crate::storage::wal::replay_session(
-                &records,
-                |request| {
-                    let response = instance.handle(request, now);
-                    if let crate::payload::Payload::Registered { user, .. } = &response.body {
-                        registered = Some(*user);
-                    }
-                    response
-                },
-                // Skip every non-registration record: stores hydrate
-                // lazily from snapshot + WAL suffix on first touch.
-                u64::MAX,
-                |_, _| {},
-            );
+            let grants = crate::storage::wal::replay_session(&records, |request| {
+                let response = instance.handle(request, now);
+                if let crate::payload::Payload::Registered { user, .. } = response.body {
+                    registered = Some(user);
+                }
+            });
             if let Some(user) = registered {
                 instance.core.storage.rebind_recovered(user, &key);
-                for (token, expires_at) in summary.grants {
+                for (token, expires_at) in grants {
                     adoptions.push((user, token, expires_at));
                 }
             }
@@ -299,14 +285,6 @@ impl CloudInstance {
             .latency
             .as_ref()
             .map_or(0, LatencyControl::shed_count)
-    }
-
-    /// Fault injection for tests and resilience experiments: while an
-    /// outage is active every request fails with 503, as if the Azure
-    /// instance were unreachable. The phone must keep working (§2.3.1's
-    /// offload has a local fallback).
-    pub fn set_outage(&self, outage: bool) {
-        self.core.outage.store(outage, Ordering::SeqCst);
     }
 
     /// Number of registered users.
@@ -370,59 +348,23 @@ impl CloudInstance {
         store.history.iter().cloned().collect()
     }
 
-    /// Marks `user`'s state as migrated away: the relocation gate will
-    /// answer their authenticated requests with
-    /// [`crate::STATUS_MISDIRECTED`] until (if ever) the user is adopted
-    /// back. Driven by the federation [`crate::topology::TopologyRouter`]
-    /// at failover time.
-    pub fn mark_relocated(&self, user: UserId) {
-        self.core.relocated.write().insert(user);
-    }
-
-    /// Transplants a live client session onto this instance after a
-    /// migration replay: looks up the user the replayed WAL registered
-    /// under `identity`, grafts the client's current `token` onto it, and
-    /// clears any relocation mark (fail-back). Returns the local
-    /// [`UserId`] now answering for the session, or `None` if no replay
-    /// registered the identity here.
-    pub fn adopt_session(
-        &self,
-        identity: &DeviceIdentity,
-        token: &str,
-        expires_at: SimTime,
-    ) -> Option<UserId> {
-        let user = {
-            let mut tokens = self.core.tokens.write();
-            let user = tokens.user_of(identity)?;
-            tokens.adopt(user, token, expires_at);
-            user
-        };
-        self.core.relocated.write().remove(&user);
-        Some(user)
-    }
-
     /// Handles one request at simulated instant `now` — the single entry
     /// point, exactly like an HTTP dispatcher. The route and the caller
     /// are worked out once; the gates then answer in a fixed order (see
     /// DESIGN.md §5f):
     ///
-    /// 1. outage: 503 before anything is counted;
-    /// 2. the endpoint counter;
-    /// 3. the latency queue: a shed answers 429 before admission can
+    /// 1. the endpoint counter;
+    /// 2. the latency queue: a shed answers 429 before admission can
     ///    spend a token on a request that was never served;
-    /// 4. admission control, for validated callers on bearer routes;
-    /// 5. auth: 401 before 404/405, so a probe learns nothing;
-    /// 6. relocation: 421 for a caller whose state moved away;
-    /// 7. the authenticated-request count, then dispatch.
+    /// 3. admission control, for validated callers on bearer routes;
+    /// 4. auth: 401 before 404/405, so a probe learns nothing;
+    /// 5. the authenticated-request count, then dispatch.
     pub fn handle(&self, request: &Request, now: SimTime) -> Response {
         let core = &self.core;
         // Storage-engine clock tick (accessor-path LRU stamps) and the
         // day-cadence compaction hook; one atomic store without a durable
         // storage config.
         core.storage.tick(now);
-        if core.outage() {
-            return Response::error(503, "service unavailable");
-        }
         let ctx = RequestContext::new(core, request, now);
         // Counted above admission and auth: shed and rejected requests
         // cost the server work too.
@@ -467,9 +409,6 @@ impl CloudInstance {
                 Some(_) => "invalid or expired token",
             });
         };
-        if core.relocated.read().contains(&user) {
-            return Response::error(STATUS_MISDIRECTED, "user relocated to another instance");
-        }
         core.metrics.authenticated_requests.inc();
         router::dispatch(core, ctx.resolution, Some(user), request, now)
     }

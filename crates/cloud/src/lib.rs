@@ -30,9 +30,9 @@
 //! the endpoint bodies live in small per-family handler modules; and
 //! [`CloudInstance::handle`] is one straight-line request path: it
 //! resolves the route and validates the caller once, then runs the
-//! cross-cutting checks (outage injection, request metrics, the
-//! [`latency`] queue, the deterministic [`admission`] controller, token
-//! auth, relocation) as plain checks over that context before dispatch.
+//! cross-cutting checks (request metrics, the [`latency`] queue, the
+//! deterministic [`admission`] controller, token auth) as plain checks
+//! over that context before dispatch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,7 +51,6 @@ pub mod profile;
 pub mod router;
 mod state;
 mod storage;
-pub mod topology;
 pub mod transport;
 pub mod wire;
 
@@ -62,16 +61,14 @@ pub use geolocate::CellDatabase;
 pub use instance::{CloudInstance, SharedCloud, SHARD_COUNT};
 pub use latency::{EndpointCost, LatencyProfile, QueueConfig, QueueMode, LATENCY_BOUNDS_US};
 pub use payload::{
-    ArrivalBody, DiscoverBody, GeolocateBody, GeolocateSignatureBody, HandshakeBody, LabelBody,
-    NextVisitBody, Payload, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody,
-    SyncContactsBody, SyncPlacesBody, SyncProfileBody, SyncRoutesBody, REGISTRATION_PATH,
-    TOPOLOGY_HANDSHAKE_PATH,
+    ArrivalBody, DiscoverBody, GeolocateBody, GeolocateSignatureBody, LabelBody, NextVisitBody,
+    Payload, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody, SyncContactsBody,
+    SyncPlacesBody, SyncProfileBody, SyncRoutesBody,
 };
 pub use profile::{ActivitySummary, ContactEntry, MobilityProfile, PlaceEntry, RouteEntry};
 pub use router::{RateClass, Route, RouteAuth, ALL_RATE_CLASSES, ENDPOINT_LABELS, ROUTES};
 pub use storage::StorageConfig;
-pub use topology::{ActivityFanout, FailoverReport, FederatedEndpoint, InstanceId, TopologyRouter};
 pub use transport::{
     CloudEndpoint, CloudTransport, FaultKind, FaultPlan, FaultStats, FaultyCloud, ALL_FAULT_KINDS,
-    STATUS_BUDGET_EXHAUSTED, STATUS_INJECTED_ERROR, STATUS_MISDIRECTED, STATUS_TIMEOUT,
+    STATUS_BUDGET_EXHAUSTED, STATUS_INJECTED_ERROR, STATUS_TIMEOUT,
 };

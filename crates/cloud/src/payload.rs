@@ -55,26 +55,9 @@ pub struct RegistrationBody {
     pub email: String,
 }
 
-/// `POST /api/v1/topology/handshake` body — the one control-plane
-/// request of the federation layer. Served by the `TopologyRouter`
-/// itself, never by an instance, so the path is **not** a route-table
-/// row (see [`TOPOLOGY_HANDSHAKE_PATH`]).
-#[derive(Debug, Clone, Deserialize)]
-pub struct HandshakeBody {
-    /// Device IMEI (identity key, with `email`).
-    pub imei: String,
-    /// Account email (identity key, with `imei`).
-    pub email: String,
-}
-
-/// Path of the topology-handshake control-plane endpoint. Deliberately
-/// absent from the instance route table: an instance answering it would
-/// put the router back on the hot path.
-pub const TOPOLOGY_HANDSHAKE_PATH: &str = "/api/v1/topology/handshake";
-
-/// Path of the one public instance route. The federation layer treats a
-/// successful POST here as the start of a user's migration log.
-pub const REGISTRATION_PATH: &str = "/api/v1/registration";
+/// Path of the registration route: the record that mints a user, so the
+/// durable WAL always replays it and never compacts it away.
+pub(crate) const REGISTRATION_PATH: &str = "/api/v1/registration";
 
 /// Path of the GCA offload route, whose batched bodies the durable WAL
 /// frames in their binary column spelling.
@@ -287,8 +270,6 @@ pub enum Payload {
     NextVisit(NextVisitBody),
     /// `POST /api/v1/analytics/{frequency,next_place}`.
     PlaceOnly(PlaceOnlyBody),
-    /// `POST /api/v1/topology/handshake` (the federation control plane).
-    Handshake(HandshakeBody),
 
     // ---- response bodies (one per handler success shape) -----------------
     /// Registration reply.
@@ -398,16 +379,6 @@ pub enum Payload {
     /// Health-probe reply (`GET /api/v1/health`): liveness only,
     /// `{"status": "ok"}`.
     Health,
-    /// Topology-handshake reply: the versioned placement snapshot a
-    /// client caches at session start.
-    Topology {
-        /// Snapshot version; bumped on every placement or health change.
-        version: u64,
-        /// The instance assigned to the caller.
-        assigned: u32,
-        /// `(instance id, healthy)` for every registered instance.
-        instances: Vec<(u32, bool)>,
-    },
 }
 
 /// Sorted-key JSON object builder (the `json!` spelling, minus the
@@ -558,7 +529,6 @@ wire_spelling! {
         ArrivalBody => Arrival { place; window },
         NextVisitBody => NextVisit { now, place },
         PlaceOnlyBody => PlaceOnly { place },
-        HandshakeBody => Handshake { email, imei },
     }
     plain_replies {
         reply_registered => Registered { expires_at, token, user },
@@ -578,7 +548,6 @@ wire_spelling! {
         reply_frequency => Frequency { visit_count, visits_per_week },
         reply_activity => Activity { mean_daily_moving_minutes },
         reply_predictions => Predictions { predictions },
-        reply_topology => Topology { assigned, instances, version },
     }
 }
 
@@ -694,13 +663,9 @@ pub(crate) trait RequestBody: DeserializeOwned + Into<Payload> {
 /// wire boundary decodes by route.
 pub(crate) type Decoder = fn(&Value) -> Result<Payload, DeError>;
 
-/// The request and 2xx reply decoders for `(method, path)`: its route's,
-/// or the topology handshake's — the one request served outside the
-/// route table (the router's control plane).
+/// The request and 2xx reply decoders of the route `(method, path)`
+/// resolves to.
 fn decoders(method: Method, path: &str) -> Option<(Decoder, Decoder)> {
-    if method == Method::Post && path == TOPOLOGY_HANDSHAKE_PATH {
-        return Some((decode::<HandshakeBody>, reply_topology));
-    }
     match resolve(method, path) {
         Resolution::Matched { route, .. } => Some(route.decoders),
         _ => None,
@@ -757,6 +722,11 @@ mod tests {
         let body = json!({ "places": [], "seq": null });
         let payload = Payload::from_json(Method::Post, "/api/v1/places/sync", &body);
         assert_eq!(payload.to_json(), json!({ "places": [] }));
+        // The liveness probe's reply, too, decodes by its route.
+        let health = json!({ "status": "ok" });
+        assert_eq!(Payload::Health.to_json(), health);
+        let reply = Payload::reply_from_json(Method::Get, "/api/v1/health", 200, &health);
+        assert!(matches!(reply, Payload::Health), "{reply:?}");
     }
 
     #[test]
@@ -806,31 +776,5 @@ mod tests {
             json!({ "error": "rate limited", "class": "ingest", "retry_after_s": 12 })
         );
         assert_eq!(r.retry_after_s(), Some(12));
-    }
-
-    #[test]
-    fn topology_payloads_pin_their_wire_spelling() {
-        let handshake = Payload::Handshake(HandshakeBody {
-            imei: "350".to_owned(),
-            email: "a@x".to_owned(),
-        });
-        let wire = json!({ "email": "a@x", "imei": "350" });
-        assert_eq!(handshake.to_json(), wire);
-        // The handshake path is off the route table yet still
-        // reconstructs typed at the wire boundary.
-        let back = Payload::from_json(Method::Post, TOPOLOGY_HANDSHAKE_PATH, &wire);
-        assert!(matches!(back, Payload::Handshake(_)), "{back:?}");
-        assert_eq!(back.to_json(), wire);
-
-        assert_eq!(Payload::Health.to_json(), json!({ "status": "ok" }));
-        let topo = Payload::Topology {
-            version: 3,
-            assigned: 1,
-            instances: vec![(0, true), (1, false)],
-        };
-        assert_eq!(
-            topo.to_json(),
-            json!({ "assigned": 1, "instances": [[0, true], [1, false]], "version": 3 })
-        );
     }
 }

@@ -340,10 +340,7 @@ pub const ROUTES: [Route; 21] = [
         handlers::analytics::next_place,
         (payload::decode::<PlaceOnlyBody>, payload::reply_predictions),
     ),
-    // The federation heartbeat: public so the topology router can probe
-    // an instance without holding any user's token, and it takes the
-    // full request path so an injected outage answers 503 — which is
-    // exactly how a dead instance is detected.
+    // The liveness probe: public, so it needs no user's token.
     route(
         Get,
         Exact("/api/v1/health"),

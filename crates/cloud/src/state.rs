@@ -2,8 +2,7 @@
 //! metrics, and the [`CloudCore`] bundle the request path and every
 //! handler operate on.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashMap;
 
 use parking_lot::{Mutex, RwLock};
 use pmware_algorithms::gca::{GcaConfig, IncrementalGca};
@@ -170,7 +169,6 @@ pub(crate) struct CloudCore {
     /// The parameters every user's discovery engine runs under.
     pub(crate) gca_config: GcaConfig,
     pub(crate) rng: Mutex<StdRng>,
-    pub(crate) outage: AtomicBool,
     /// Per-user token buckets (see [`crate::admission`]); `None` admits
     /// every request.
     pub(crate) admission: Option<AdmissionControl>,
@@ -178,20 +176,9 @@ pub(crate) struct CloudCore {
     /// and load shedding (see [`crate::latency`]); `None` times nothing.
     pub(crate) latency: Option<LatencyControl>,
     pub(crate) metrics: CloudMetrics,
-    /// Users whose state has been migrated to another instance during a
-    /// federation failover. The relocation gate answers their
-    /// authenticated requests with 421 so the federated endpoint refreshes
-    /// its topology instead of mutating abandoned state. A user re-adopted
-    /// by this instance (fail-back) is removed from the set.
-    pub(crate) relocated: RwLock<HashSet<UserId>>,
 }
 
 impl CloudCore {
-    /// Whether an outage is currently injected.
-    pub(crate) fn outage(&self) -> bool {
-        self.outage.load(Ordering::SeqCst)
-    }
-
     /// The per-user store at simulated instant `now`, created (or
     /// hydrated from its parked snapshot) if not resident. The guard pins
     /// the user against eviction while held.

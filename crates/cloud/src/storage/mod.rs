@@ -85,8 +85,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// The device identity key user state is logged, snapshotted, and placed
-/// under — shared by the storage engine and the federation topology.
+/// The device identity key user state is logged and snapshotted under.
 pub(crate) fn identity_key(imei: &str, email: &str) -> String {
     format!("{imei}|{email}")
 }

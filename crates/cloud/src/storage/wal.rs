@@ -1,19 +1,16 @@
-//! The write-ahead log: one record type, one idempotent replay path.
+//! The durable storage engine's write-ahead log. A [`WalRecord`] is a
+//! per-identity-key sequenced operation: either a replayable mutating
+//! [`Request`] (registration plus the `Ingest`-class offloads and syncs)
+//! or a [`WalOp::TokenGrant`] capturing a token the instance issued, so a
+//! recovered instance can re-adopt the session the client is still
+//! holding.
 //!
-//! Both consumers of request logging — the federation migration WAL
-//! ([`crate::topology`]) and the durable storage engine — share this
-//! module. A [`WalRecord`] is a per-identity-key sequenced operation:
-//! either a replayable mutating [`Request`] (registration plus the
-//! `Ingest`-class offloads and syncs) or a [`WalOp::TokenGrant`] capturing
-//! a token the instance issued, so a recovered instance can re-adopt the
-//! session the client is still holding.
-//!
-//! Replay is idempotent twice over: [`replay_session`] skips records at or
-//! below a caller-supplied sequence watermark (the snapshot the target
-//! already holds), and the server-side store watermarks (`absorbed_upto`,
-//! per-day profile sequences, places/routes sync sequences) absorb any
-//! record that slips through both filters. Queries are never logged: they
-//! do not shape user state.
+//! Recovery replays only the registrations ([`replay_session`]); a
+//! user's store hydrates lazily from its snapshot plus the WAL suffix
+//! past the snapshot's sequence watermark, and the server-side store
+//! watermarks (`absorbed_upto`, per-day profile sequences, places/routes
+//! sync sequences) absorb any record applied twice. Queries are never
+//! logged: they do not shape user state.
 //!
 //! The durable engine writes each record as one binary frame
 //! ([`WalRecord::to_frame`]), the only on-disk spelling — appends,
@@ -41,8 +38,8 @@ use std::collections::BTreeMap;
 use pmware_world::SimTime;
 
 use super::fnv1a;
-use crate::api::{Method, Request, Response};
-use crate::payload::{DiscoverBody, Payload, RequestBody, DISCOVER_PATH, REGISTRATION_PATH};
+use crate::api::{Method, Request};
+use crate::payload::{DiscoverBody, RequestBody, DISCOVER_PATH, REGISTRATION_PATH};
 use crate::wire::{ByteReader, ObservationBatch};
 
 /// One logged operation under an identity key. Equality is wire
@@ -259,8 +256,8 @@ fn take_str<'a>(input: &mut ByteReader<'a>) -> Result<&'a str, String> {
     std::str::from_utf8(input.slice(len)?).map_err(|e| format!("string: {e}"))
 }
 
-/// An in-memory per-key sequenced log — the shared core of both the
-/// migration WAL and the durable WAL (which adds file persistence).
+/// An in-memory per-key sequenced log, which the durable engine mirrors
+/// to its shard files.
 #[derive(Debug, Default)]
 pub(crate) struct WalLog {
     by_key: BTreeMap<String, Vec<WalRecord>>,
@@ -335,65 +332,30 @@ impl WalLog {
     }
 }
 
-/// Outcome of one [`replay_session`] pass.
-#[derive(Debug, Default)]
-pub(crate) struct ReplaySummary {
-    /// Requests replayed successfully.
-    pub(crate) replayed: usize,
-    /// Token grants encountered, in log order (last is the client's live
-    /// token; the caller adopts them after replay).
-    pub(crate) grants: Vec<(String, SimTime)>,
-}
-
-/// The one idempotent replay path, shared by federation migration and
-/// crash recovery.
-///
-/// Registration requests always replay as logged (they mint the user and
-/// yield the replay token). Every other request is skipped while `seq ≤
-/// after_seq` — the target already holds that history in a snapshot — and
-/// otherwise replays under the current replay token, mirroring the token
-/// rotations the client's own retries performed. `observe` fires once per
-/// replayed request (span recording hook).
+/// Crash recovery's replay of one identity key's `records`: every logged
+/// registration runs through `handle` as logged (it re-mints the user),
+/// and the token grants are returned in log order (the last is the
+/// client's live token) for the caller to adopt once every key has
+/// replayed. Every other request is left to lazy hydration.
 pub(crate) fn replay_session(
     records: &[WalRecord],
-    mut handle: impl FnMut(&Request) -> Response,
-    after_seq: u64,
-    mut observe: impl FnMut(&Request, &Response),
-) -> ReplaySummary {
-    let mut summary = ReplaySummary::default();
-    let mut replay_token: Option<String> = None;
+    mut handle: impl FnMut(&Request),
+) -> Vec<(String, SimTime)> {
+    let mut grants = Vec::new();
     for record in records {
-        let request = match &record.op {
-            WalOp::TokenGrant { token, expires_at } => {
-                summary.grants.push((token.clone(), *expires_at));
-                continue;
-            }
-            WalOp::Request(request) if record.is_registration() => (**request).clone(),
-            WalOp::Request(request) => {
-                if record.seq <= after_seq {
-                    continue;
-                }
-                match &replay_token {
-                    Some(token) => (**request).clone().with_token(token.clone()),
-                    None => continue,
-                }
-            }
-        };
-        let response = handle(&request);
-        observe(&request, &response);
-        if response.is_success() {
-            summary.replayed += 1;
-            if let Payload::Registered { token, .. } = &response.body {
-                replay_token = Some(token.clone());
-            }
+        match &record.op {
+            WalOp::TokenGrant { token, expires_at } => grants.push((token.clone(), *expires_at)),
+            WalOp::Request(request) if record.is_registration() => handle(request),
+            WalOp::Request(_) => {}
         }
     }
-    summary
+    grants
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Payload;
     use crate::profile::{ContactEntry, MobilityProfile};
     use crate::router::PathSpec;
     use pmware_world::tower::NetworkLayer;
@@ -653,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_below_watermark_but_always_registers() {
+    fn replay_runs_registrations_and_collects_grants() {
         let mut log = WalLog::default();
         log.append(
             "a",
@@ -664,6 +626,13 @@ mod tests {
         );
         log.append(
             "a",
+            WalOp::TokenGrant {
+                token: "tok-1".to_owned(),
+                expires_at: SimTime::from_seconds(60),
+            },
+        );
+        log.append(
+            "a",
             WalOp::request(Request::post_json(
                 "/api/v1/places/sync",
                 json!({"places": []}),
@@ -671,34 +640,23 @@ mod tests {
         );
         log.append(
             "a",
-            WalOp::request(Request::post_json(
-                "/api/v1/social/sync",
-                json!({"contacts": []}),
-            )),
-        );
-        let records = log.suffix("a", 0);
-        let mut seen = Vec::new();
-        let summary = replay_session(
-            &records,
-            |request| {
-                seen.push(request.path.clone());
-                if request.path == REGISTRATION_PATH {
-                    Response::ok(Payload::Registered {
-                        user: crate::auth::UserId(0),
-                        token: "tok-replay".to_owned(),
-                        expires_at: SimTime::EPOCH,
-                    })
-                } else {
-                    assert_eq!(request.token.as_deref(), Some("tok-replay"));
-                    Response::ok(Payload::Empty)
-                }
+            WalOp::TokenGrant {
+                token: "tok-2".to_owned(),
+                expires_at: SimTime::from_seconds(120),
             },
-            2,
-            |_, _| {},
         );
-        // Registration (seq 1) replays despite the watermark; the sync at
-        // seq 2 is covered by the snapshot; seq 3 replays.
-        assert_eq!(seen, vec![REGISTRATION_PATH, "/api/v1/social/sync"]);
-        assert_eq!(summary.replayed, 2);
+        let mut seen = Vec::new();
+        let grants = replay_session(&log.suffix("a", 0), |request| {
+            seen.push(request.path.clone());
+        });
+        // The sync is left to lazy hydration.
+        assert_eq!(seen, vec![REGISTRATION_PATH]);
+        assert_eq!(
+            grants,
+            vec![
+                ("tok-1".to_owned(), SimTime::from_seconds(60)),
+                ("tok-2".to_owned(), SimTime::from_seconds(120)),
+            ]
+        );
     }
 }

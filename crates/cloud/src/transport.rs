@@ -2,12 +2,15 @@
 //! fault injection.
 //!
 //! The paper's deployment ran over real GPRS links to an Azure instance
-//! that was routinely unreachable; the seed reproduction modelled only a
-//! binary outage flag. This module inserts a proper transport boundary —
-//! [`CloudTransport`] — between `CloudClient` and [`SharedCloud`], so a
-//! [`FaultyCloud`] decorator can inject seeded, reproducible per-request
-//! faults: drop, delay-by-N-sim-minutes, duplicate delivery, reorder, and
-//! error responses, driven by a [`FaultPlan`].
+//! that was routinely unreachable. This module inserts a transport
+//! boundary — [`CloudTransport`] — between `CloudClient` and
+//! [`SharedCloud`], so a [`FaultyCloud`] decorator can inject seeded,
+//! reproducible per-request faults: drop, delay-by-N-sim-minutes,
+//! duplicate delivery, reorder, and error responses, driven by a
+//! [`FaultPlan`]. It is the one way to make the cloud unreachable: an
+//! outage is a plan that answers every request with
+//! [`FaultKind::Error`], switched on and off with
+//! [`FaultyCloud::set_enabled`].
 //!
 //! Fault semantics (all deterministic given the plan's seed):
 //!
@@ -62,13 +65,6 @@ pub const STATUS_INJECTED_ERROR: u16 = 502;
 /// is exhausted, so the request was never sent. Not retryable within the
 /// pass — the next pass gets a fresh budget.
 pub const STATUS_BUDGET_EXHAUSTED: u16 = 597;
-
-/// The request reached an instance that no longer owns the caller's
-/// state (the user was migrated away during a federation failover).
-/// The client should refresh its topology snapshot and re-send
-/// to its new instance; the federated endpoint does exactly that before
-/// the client's retry loop ever sees the status.
-pub const STATUS_MISDIRECTED: u16 = 421;
 
 /// Anything a cloud client can talk to: the real [`SharedCloud`] or a
 /// fault-injecting decorator around it.

@@ -812,8 +812,7 @@ proptest! {
     /// Fuzzed unrouted traffic pins its error **bytes**, not just the
     /// status: a 404 is exactly `{"error":"no route for <path>"}` and a
     /// 405 exactly `{"allow":[...],"error":"method not allowed"}` in the
-    /// canonical envelope — the spellings clients and the federation
-    /// layer key on.
+    /// canonical envelope — the spellings clients key on.
     #[test]
     fn unrouted_requests_pin_their_error_bytes(
         tail in "[a-z0-9/._-]{0,24}",

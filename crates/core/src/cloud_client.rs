@@ -25,8 +25,8 @@ use pmware_cloud::wire::ObservationBatch;
 use pmware_cloud::{
     CloudEndpoint, DiscoverBody, GeolocateSignatureBody, LabelBody, MobilityProfile, Payload,
     RegistrationBody, Request, Response, SpanCtx, SyncContactsBody, SyncPlacesBody,
-    SyncProfileBody, SyncRoutesBody, UserId, STATUS_BUDGET_EXHAUSTED, STATUS_MISDIRECTED,
-    STATUS_RATE_LIMITED, STATUS_TIMEOUT,
+    SyncProfileBody, SyncRoutesBody, UserId, STATUS_BUDGET_EXHAUSTED, STATUS_RATE_LIMITED,
+    STATUS_TIMEOUT,
 };
 use pmware_geo::GeoPoint;
 use pmware_obs::{Counter, FieldValue, Histogram, Obs, SpanSink};
@@ -76,15 +76,12 @@ impl RequestClass {
     }
 }
 
-/// Transport-level failures worth retrying: 5xx (outage, injected errors,
+/// Transport-level failures worth retrying: 5xx (injected errors,
 /// synthetic timeouts) plus 429 (admission control shed the request — it
-/// will be admitted once the token bucket refills) plus 421 (a federated
-/// deployment moved this user's state to another instance; the federated
-/// endpoint refreshes its topology before the retry is sent, so the retry
-/// lands on the right instance). Other 4xx are the server telling us the
-/// request itself is wrong — retrying cannot help.
+/// will be admitted once the token bucket refills). Other 4xx are the
+/// server telling us the request itself is wrong — retrying cannot help.
 fn retryable(status: u16) -> bool {
-    status == STATUS_RATE_LIMITED || status == STATUS_MISDIRECTED || (500..=599).contains(&status)
+    status == STATUS_RATE_LIMITED || (500..=599).contains(&status)
 }
 
 /// Deterministic jitter in `[0, cap]` seconds, derived purely from the
@@ -639,9 +636,8 @@ impl CloudClient {
     /// When the bound [`Obs`] carries a span sink, every call here opens
     /// one root span (`op:<path>`) whose children are the individual
     /// attempts and backoff waits; each attempt's [`SpanCtx`] rides on
-    /// the request, so server-side participants (fault injections,
-    /// federation re-handshakes, failover replay) attach their own spans
-    /// under it. All ids of one trace are allocated from this thread, in
+    /// the request, so server-side participants (fault injections)
+    /// attach their own spans under it. All ids of one trace are allocated from this thread, in
     /// call order — the tree is schedule-independent.
     fn send_with_retry(
         &mut self,
@@ -1141,38 +1137,6 @@ mod tests {
         }
         assert_eq!(roots.len(), 3, "three synced operations:\n{jsonl}");
         assert!(roots.values().all(|&n| n == 1), "{jsonl}");
-    }
-
-    /// Federation control-plane work joins the trace: a failover-displaced
-    /// client's next call records a `rehandshake` child, and the WAL
-    /// replay driven by the failover records `replay` children under the
-    /// operation that originally sent each replayed request.
-    #[test]
-    fn federated_rehandshake_and_wal_replay_record_spans() {
-        use pmware_cloud::topology::TopologyRouter;
-        let obs = Obs::disabled().with_spans();
-        let router = TopologyRouter::new().with_obs(&obs);
-        for i in 0..2 {
-            router.add_instance(SharedCloud::new(CloudInstance::new(
-                CellDatabase::new(),
-                40 + i,
-            )));
-        }
-        let mut client =
-            CloudClient::register(router.endpoint(), "imei-9", "f@x.com", SimTime::EPOCH).unwrap();
-        client.set_obs(&obs.for_actor("p0009"));
-        client.sync_places(&[], SimTime::EPOCH).unwrap();
-        let home = router.instance_of("imei-9", "f@x.com").unwrap();
-        router.kill_instance(home);
-        let later = SimTime::EPOCH + SimDuration::from_hours(1);
-        let report = router.fail_over(later);
-        assert!(report.replayed >= 1, "{report:?}");
-        // The displaced client's next call re-handshakes transparently.
-        client.sync_places(&[], later).unwrap();
-        let jsonl = obs.spans_jsonl().unwrap();
-        assert!(jsonl.contains("\"name\":\"replay\""), "{jsonl}");
-        assert!(jsonl.contains("\"name\":\"rehandshake\""), "{jsonl}");
-        assert_eq!(client.retries(), 0, "the federation seam hid the move");
     }
 
     /// Binding adds the registration exchange's tallies to the bound

@@ -11,7 +11,7 @@
 //!   snapshots sum the shards, which makes them independent of thread
 //!   interleaving.
 //! * [`span`] — causal spans keyed by simulated time: one tree per client
-//!   operation (attempts, backoffs, faults, federation work), plus one
+//!   operation (attempts, backoffs, injected faults), plus one
 //!   timeline trace per actor holding its point events and sim-time spans
 //!   (`pms.arrival`, `pms.maintenance`, …), exported as deterministic
 //!   JSONL.

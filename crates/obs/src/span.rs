@@ -2,8 +2,8 @@
 //!
 //! Spans answer "what did *this logical operation* cost, end to end" —
 //! one tree per client operation, covering every retry attempt, backoff
-//! wait, injected fault, federation re-handshake, and failover replay
-//! that the operation rode through — and "what happened, per actor": the
+//! wait, and injected fault that the operation rode through — and "what
+//! happened, per actor": the
 //! point events and sim-time spans an actor records through
 //! [`Obs::event`](crate::Obs::event) / [`Obs::span`](crate::Obs::span)
 //! are root spans of that actor's timeline trace

@@ -80,8 +80,7 @@ pub mod prelude {
     pub use pmware_algorithms::signature::{DiscoveredPlace, PlaceSignature};
     pub use pmware_apps::{AdInventory, LifeLogApp, PlaceAdsApp, TodoApp, UserTasteModel};
     pub use pmware_cloud::{
-        CellDatabase, CloudEndpoint, CloudInstance, FaultKind, FaultPlan, FaultyCloud, InstanceId,
-        SharedCloud, TopologyRouter,
+        CellDatabase, CloudEndpoint, CloudInstance, FaultKind, FaultPlan, FaultyCloud, SharedCloud,
     };
     pub use pmware_core::intents::{actions, Intent, IntentFilter};
     pub use pmware_core::{

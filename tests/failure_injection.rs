@@ -5,19 +5,30 @@
 
 use pmware::prelude::*;
 
+/// A decorator that answers every request with an injected 502 while
+/// enabled: the cloud being unreachable.
+fn outage_over(cloud: SharedCloud, seed: u64) -> FaultyCloud {
+    FaultyCloud::new(
+        cloud,
+        FaultPlan::with_rate(seed, 1.0).kinds(&[FaultKind::Error]),
+    )
+}
+
 #[test]
 fn cloud_outage_falls_back_to_local_discovery() {
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(4000)
         .build();
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 4001));
+    let outage = outage_over(cloud, 4004);
+    outage.set_enabled(false);
     let population = Population::generate(&world, 1, 4002);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 4);
     let env = RadioEnvironment::new(&world, RadioConfig::default());
     let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 4003);
     let mut pms = PmwareMobileService::new(
         device,
-        cloud.clone(),
+        outage.clone(),
         PmsConfig::for_participant(40),
         SimTime::EPOCH,
     )
@@ -30,7 +41,7 @@ fn cloud_outage_falls_back_to_local_discovery() {
 
     // Day 1 runs normally; then the cloud goes dark for the rest.
     pms.run(SimTime::from_day_time(1, 12, 0, 0)).unwrap();
-    cloud.set_outage(true);
+    outage.set_enabled(true);
     pms.run(SimTime::from_day_time(4, 0, 0, 0)).unwrap();
 
     let counters = pms.counters();
@@ -45,7 +56,7 @@ fn cloud_outage_falls_back_to_local_discovery() {
     assert!(events > 0, "apps keep receiving intents during the outage");
 
     // When the cloud comes back, syncing resumes.
-    cloud.set_outage(false);
+    outage.set_enabled(false);
     let synced_before = counters.profiles_synced;
     pms.run(SimTime::from_day_time(5, 0, 0, 0)).unwrap();
     assert!(
@@ -60,14 +71,14 @@ fn registration_during_outage_fails_cleanly() {
         .seed(4100)
         .build();
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 4101));
-    cloud.set_outage(true);
+    let outage = outage_over(cloud, 4104);
     let population = Population::generate(&world, 1, 4102);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 1);
     let env = RadioEnvironment::new(&world, RadioConfig::default());
     let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 4103);
     let err = match PmwareMobileService::new(
         device,
-        cloud,
+        outage,
         PmsConfig::for_participant(41),
         SimTime::EPOCH,
     ) {
@@ -75,7 +86,7 @@ fn registration_during_outage_fails_cleanly() {
         Err(e) => e,
     };
     let msg = err.to_string();
-    assert!(msg.contains("503"), "{msg}");
+    assert!(msg.contains("502"), "{msg}");
 }
 
 #[test]
