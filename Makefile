@@ -219,12 +219,17 @@ bench-golden:
 # replay after a crash (users parked at the crash included),
 # deterministic LRU eviction, and the capped-vs-uncapped proptest
 # equivalence — the
-# engine's unit tests (snapshot layout, park/hydrate fidelity, failed
-# snapshot and WAL writes counted), the WAL frame codec's (every logged
+# engine's unit tests (snapshot layout and generations, park/hydrate
+# fidelity, failed snapshot and WAL writes and unreadable snapshots
+# counted, stale-only shard rewrites, WAL sequences never reused), the
+# WAL frame codec's (every logged
 # route round-trips; truncations are torn, bit flips corrupt, random
 # bytes rejected), the WAL crash-point matrix (storage::crash_points:
 # every shard cut at every frame boundary +-1..3 bytes and bit-flipped
-# in every frame, recovering exactly the prefix before the damage) and
+# in every frame, recovering exactly the prefix before the damage), the
+# snapshot generation crash windows in the same module (a .tmp beside
+# generation N, generations N and N+1, a generation-less .snap; each
+# recovers byte-identical reads under the pre-crash tokens) and
 # the binary GCA-log codec's, plus the durable arm of the chaos matrix.
 test-storage:
 	cargo test --release -q -p pmware-cloud --test storage

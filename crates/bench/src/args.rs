@@ -42,9 +42,25 @@ impl std::error::Error for ArgError {}
 
 /// Prints `message` as an error and exits with status 2, the bench
 /// binaries' code for a bad invocation.
-fn exit_usage(message: &str) -> ! {
+pub fn exit_usage(message: &str) -> ! {
     eprintln!("error: {message}");
     std::process::exit(2);
+}
+
+/// What a value of type `T` must look like, in words.
+fn expected<T>() -> &'static str {
+    let name = std::any::type_name::<T>();
+    if name.contains("NonZero") {
+        "a positive whole number"
+    } else if ["u8", "u16", "u32", "u64", "u128", "usize"].contains(&name) {
+        "a whole number, 0 or more"
+    } else if ["i8", "i16", "i32", "i64", "i128", "isize"].contains(&name) {
+        "a whole number"
+    } else if ["f32", "f64"].contains(&name) {
+        "a number"
+    } else {
+        name
+    }
 }
 
 impl Args {
@@ -170,7 +186,7 @@ impl Args {
             Some(raw) => raw.parse().map_err(|_| ArgError {
                 flag: name.to_owned(),
                 value: raw.clone(),
-                expected: std::any::type_name::<T>(),
+                expected: expected::<T>(),
             }),
         }
     }
@@ -216,6 +232,29 @@ mod tests {
         assert!(zero
             .to_string()
             .starts_with("invalid value \"0\" for --days"));
+    }
+
+    #[test]
+    fn errors_say_what_a_valid_value_looks_like() {
+        let args = Args::parse(["--n", "x"]);
+        let expected = |e: ArgError| e.expected;
+        assert_eq!(
+            expected(args.get("n", std::num::NonZeroUsize::MIN).unwrap_err()),
+            "a positive whole number"
+        );
+        assert_eq!(
+            expected(args.get("n", 1u64).unwrap_err()),
+            "a whole number, 0 or more"
+        );
+        assert_eq!(expected(args.get("n", 1i32).unwrap_err()), "a whole number");
+        assert_eq!(expected(args.get("n", 1.0f64).unwrap_err()), "a number");
+        assert_eq!(
+            Args::parse(["--participants", "0"])
+                .get("participants", std::num::NonZeroUsize::MIN)
+                .unwrap_err()
+                .to_string(),
+            "invalid value \"0\" for --participants (expected a positive whole number)"
+        );
     }
 
     #[test]

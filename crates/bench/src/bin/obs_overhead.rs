@@ -20,7 +20,7 @@
 //!
 //! Usage: `obs_overhead [--participants N] [--days D] [--reps R]`.
 
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::time::Instant;
 
 use pmware_bench::args::Args;
@@ -48,7 +48,9 @@ fn main() {
             NonZeroUsize::new(6).expect("positive default"),
         )
         .get();
-    let days: u64 = args.value("days", 5);
+    let days = args
+        .value("days", NonZeroU64::new(5).expect("positive default"))
+        .get();
     let reps: usize = args.value("reps", 5).max(1);
 
     println!(

@@ -18,13 +18,14 @@
 //! cheaper on the wire.
 //!
 //! Usage: `rate_limit_study [--participants N] [--days D] [--seed S]
-//! [--burst B] [--refill-s R]`. Writes `BENCH_admission.json` in the
-//! current directory; exits nonzero if a throttled run diverges from the
-//! baseline or guided backoff fails to beat blind backoff.
+//! [--burst B] [--refill-s R]`, with `D` at least 2. Writes
+//! `BENCH_admission.json` in the current directory; exits nonzero if a
+//! throttled run diverges from the baseline or guided backoff fails to
+//! beat blind backoff.
 
-use std::num::NonZeroUsize;
+use std::num::{NonZeroU64, NonZeroUsize};
 
-use pmware_bench::args::Args;
+use pmware_bench::args::{exit_usage, Args};
 use pmware_cloud::{AdmissionConfig, CellDatabase, CloudInstance, RateBudget, SharedCloud, UserId};
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::PeerProvider;
@@ -143,7 +144,14 @@ fn main() {
             NonZeroUsize::new(4).expect("positive default"),
         )
         .get();
-    let days: u64 = args.value("days", 3).max(2);
+    let days = args
+        .value("days", NonZeroU64::new(3).expect("positive default"))
+        .get();
+    if days < 2 {
+        exit_usage(&format!(
+            "invalid value \"{days}\" for --days (expected at least 2)"
+        ));
+    }
     let seed: u64 = args.value("seed", 2014);
     let burst: u32 = args.value("burst", 2);
     let refill_s: u64 = args.value("refill-s", 30);

@@ -6,7 +6,7 @@ use std::process::Command;
 
 #[test]
 fn a_bad_flag_exits_2_before_any_work() {
-    let cases: [(&str, &[&str], &str); 11] = [
+    let cases: [(&str, &[&str], &str); 14] = [
         (
             env!("CARGO_BIN_EXE_deployment_study"),
             &[
@@ -68,6 +68,21 @@ fn a_bad_flag_exits_2_before_any_work() {
             env!("CARGO_BIN_EXE_fig5_map"),
             &["--participants", "0", "--days", "1"],
             "invalid value \"0\" for --participants",
+        ),
+        (
+            env!("CARGO_BIN_EXE_obs_overhead"),
+            &["--participants", "1", "--days", "0"],
+            "invalid value \"0\" for --days (expected a positive whole number)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_rate_limit_study"),
+            &["--participants", "1", "--days", "0"],
+            "invalid value \"0\" for --days (expected a positive whole number)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_rate_limit_study"),
+            &["--participants", "1", "--days", "1"],
+            "invalid value \"1\" for --days (expected at least 2)",
         ),
     ];
     for (exe, args, expected) in cases {

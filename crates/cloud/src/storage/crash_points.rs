@@ -8,6 +8,13 @@
 //! recovery. Loading fewer records than the damaged file still holds
 //! whole frames of, with every counter at zero, fails the arm whatever
 //! the expected prefix says.
+//!
+//! The snapshot crash windows follow: a process killed mid-write (a
+//! `.tmp` beside generation N), killed between the rename and the unlink
+//! (generations N and N + 1), and a store written before generations (a
+//! generation-less `.snap`). Each recovers and must answer every read
+//! with the bytes the dead instance gave, under the tokens its clients
+//! still hold.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -57,7 +64,14 @@ fn durable(dir: &Path) -> StorageConfig {
 fn durable_run(dir: &Path) {
     let cloud = CloudInstance::new(CellDatabase::new(), 7).with_storage(durable(dir));
     for day in 0..DAYS {
-        for user in 0..USERS {
+        traffic_day(&cloud, day);
+    }
+}
+
+/// One day of `durable_run`'s traffic; returns each user's new token.
+fn traffic_day(cloud: &CloudInstance, day: u64) -> Vec<String> {
+    (0..USERS)
+        .map(|user| {
             let at = SimTime::from_day_time(day, 8, 0, u64::from(user));
             let registered = cloud.handle(
                 &Request::post(
@@ -111,8 +125,9 @@ fn durable_run(dir: &Path) {
                 let response = cloud.handle(&request.with_token(token.as_str()), at);
                 assert!(response.is_success(), "{response:?}");
             }
-        }
-    }
+            token.clone()
+        })
+        .collect()
 }
 
 /// One intact shard file: its bytes, and each frame's end offset and
@@ -332,5 +347,209 @@ fn an_unreadable_shard_is_counted_corrupt() {
     let (loaded, counters) = recover(&dir);
     assert!(loaded.is_empty());
     assert_eq!(counters, [0, 1, 0]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---- snapshot crash windows ------------------------------------------
+
+/// The instant of the crash, of recovery and of every read around them.
+fn end() -> SimTime {
+    SimTime::from_day_time(DAYS - 1, 20, 0, 0)
+}
+
+fn identity(user: u32) -> String {
+    super::identity_key(&format!("imei-{user}"), &format!("u{user}@example.com"))
+}
+
+/// Everything a client can read of its places and contacts, as raw
+/// response bytes.
+fn reads(cloud: &CloudInstance, token: &str) -> Vec<Vec<u8>> {
+    [
+        Request::get("/api/v1/places"),
+        Request::post(
+            "/api/v1/social/query",
+            crate::payload::SocialQueryBody { place: None },
+        ),
+    ]
+    .into_iter()
+    .map(|read| {
+        let response = cloud.handle(&read.with_token(token), end());
+        assert!(response.is_success(), "{response:?}");
+        response.to_bytes().to_vec()
+    })
+    .collect()
+}
+
+/// `durable_run`'s three days, with the snapshot directory copied to
+/// `aside` after day 1. Then users 1–3 read, and user 0 writes once more
+/// and reads: at the crash user 0 is resident, with its last parked
+/// generation on disk and one WAL record past it, while users 1 and 2
+/// are parked. Returns the clients' tokens and what each user read.
+fn crash_scene(dir: &Path, aside: &Path) -> (Vec<String>, Vec<Vec<Vec<u8>>>) {
+    let cloud = CloudInstance::new(CellDatabase::new(), 7).with_storage(durable(dir));
+    let mut tokens = Vec::new();
+    for day in 0..DAYS {
+        tokens = traffic_day(&cloud, day);
+        if day == 1 {
+            fs::create_dir_all(aside).unwrap();
+            for entry in fs::read_dir(dir.join("snapshots")).unwrap() {
+                let path = entry.unwrap().path();
+                fs::copy(&path, aside.join(path.file_name().unwrap())).unwrap();
+            }
+        }
+    }
+    let mut before = vec![Vec::new(); USERS as usize];
+    for user in 1..USERS as usize {
+        before[user] = reads(&cloud, &tokens[user]);
+    }
+    let write = Request::post(
+        "/api/v1/social/sync",
+        SyncContactsBody {
+            contacts: vec![ContactEntry {
+                contact: "last-word".into(),
+                start: end(),
+                end: end(),
+                place: None,
+            }],
+            first_seq: Some(DAYS),
+        },
+    );
+    let response = cloud.handle(&write.with_token(tokens[0].as_str()), end());
+    assert!(response.is_success(), "{response:?}");
+    before[0] = reads(&cloud, &tokens[0]);
+    let parked: Vec<u32> = (0..USERS)
+        .filter(|&n| !cloud.is_resident(crate::auth::UserId(n)))
+        .collect();
+    assert_eq!(parked, [1, 2], "users parked at the crash");
+    (tokens, before)
+}
+
+/// The generations of `user`'s snapshot in `dir`, oldest first.
+fn generations(dir: &Path, user: u32) -> Vec<u64> {
+    let stem = super::snapshot::stem_of(&identity(user));
+    let mut gens: Vec<u64> = fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|entry| {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            super::snapshot::parse_file_name(&name)
+                .filter(|(s, _)| *s == stem)
+                .map(|(_, gen)| gen)
+        })
+        .collect();
+    gens.sort_unstable();
+    gens
+}
+
+/// The path of `user`'s snapshot generation `gen` under `snapshots`.
+fn generation_path(snapshots: &Path, user: u32, gen: u64) -> PathBuf {
+    snapshots.join(super::snapshot::file_name_of(&identity(user), gen))
+}
+
+/// Recovers `dir` and checks every user reads back what it read before
+/// the crash, under the token it still holds.
+fn recover_and_compare(dir: &Path, tokens: &[String], before: &[Vec<Vec<u8>>]) -> CloudInstance {
+    let recovered = CloudInstance::recover(CellDatabase::new(), 7, durable(dir), end());
+    for (user, token) in tokens.iter().enumerate() {
+        assert_eq!(
+            reads(&recovered, token),
+            before[user],
+            "user {user}: recovered reads must be byte-identical"
+        );
+    }
+    recovered
+}
+
+/// Killed mid-write: a `.tmp` of generation N + 1 lies beside generation
+/// N. Recovery uses N plus the WAL suffix past it, and removes the
+/// `.tmp`.
+#[test]
+fn a_leftover_tmp_beside_generation_n_recovers_from_n_and_the_wal() {
+    let dir = scratch("window-tmp");
+    let (tokens, before) = crash_scene(&dir, &dir.join("aside"));
+    let snapshots = dir.join("snapshots");
+    let gens = generations(&snapshots, 0);
+    let &[n] = gens.as_slice() else {
+        panic!("one generation of user 0 on disk: {gens:?}");
+    };
+    let live = fs::read(generation_path(&snapshots, 0, n)).unwrap();
+    let tmp = generation_path(&snapshots, 0, n + 1).with_extension("snap.tmp");
+    fs::write(&tmp, &live[..live.len() / 2]).unwrap();
+
+    let engine = StorageEngine::with_config(durable(&dir), &Obs::new());
+    engine.load_dir();
+    let key = identity(0);
+    let (watermark, parked) = engine.inner.snapshots.get(&key).unwrap();
+    assert!(parked.is_some(), "generation {n} is read");
+    assert_eq!(
+        engine.records_of(&key).last().unwrap().seq,
+        watermark + 1,
+        "one WAL record past generation {n}"
+    );
+    assert!(!tmp.exists(), "recovery removes the .tmp");
+    drop(engine);
+
+    recover_and_compare(&dir, &tokens, &before);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Killed between the rename and the unlink: generations N and N + 1 are
+/// both on disk, N holding an older snapshot whose WAL records are
+/// compacted away. N + 1 wins and N is removed.
+#[test]
+fn generations_n_and_n_plus_1_recover_from_the_newest() {
+    let dir = scratch("window-both");
+    let aside = dir.join("aside");
+    let (tokens, before) = crash_scene(&dir, &aside);
+    let snapshots = dir.join("snapshots");
+    let gens = generations(&snapshots, 1);
+    let &[newest] = gens.as_slice() else {
+        panic!("one generation of user 1 on disk: {gens:?}");
+    };
+    let old = *generations(&aside, 1).last().unwrap();
+    assert!(old < newest, "user 1 parked again after day 1");
+    let older = generation_path(&snapshots, 1, newest - 1);
+    fs::copy(generation_path(&aside, 1, old), &older).unwrap();
+
+    let engine = StorageEngine::with_config(durable(&dir), &Obs::new());
+    engine.load_dir();
+    let key = identity(1);
+    let (watermark, _) = engine.inner.snapshots.get(&key).unwrap();
+    assert_eq!(
+        watermark,
+        engine.inner.wal.lock().log.last_seq(&key),
+        "the newest generation covers the whole log"
+    );
+    assert_eq!(generations(&snapshots, 1), [newest], "generation N removed");
+    drop(engine);
+
+    recover_and_compare(&dir, &tokens, &before);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A store written before generations: `<safe key>-<fnv>.snap` loads as
+/// generation 0, and the key's next park removes it.
+#[test]
+fn a_generation_less_snapshot_loads_as_generation_0() {
+    let dir = scratch("window-legacy");
+    let (tokens, before) = crash_scene(&dir, &dir.join("aside"));
+    let snapshots = dir.join("snapshots");
+    for user in [1, 2] {
+        let gens = generations(&snapshots, user);
+        let &[gen] = gens.as_slice() else {
+            panic!("one generation of user {user} on disk: {gens:?}");
+        };
+        fs::rename(
+            generation_path(&snapshots, user, gen),
+            generation_path(&snapshots, user, 0),
+        )
+        .unwrap();
+    }
+
+    // Reading every user in order parks users 0 and 1 again under the
+    // cap of two; user 2 stays as it was loaded.
+    let recovered = recover_and_compare(&dir, &tokens, &before);
+    assert!(!recovered.is_resident(crate::auth::UserId(1)));
+    assert_eq!(generations(&snapshots, 1), [1], "the next park replaced it");
+    assert_eq!(generations(&snapshots, 2), [0], "not parked since");
     let _ = fs::remove_dir_all(&dir);
 }

@@ -22,10 +22,17 @@
 //!   engine refreshes every resident user's snapshot, drops WAL records
 //!   the snapshots cover (registrations and token grants are exempt — they
 //!   rebuild the auth registry, which snapshots do not capture), and
-//!   rewrites the shard files.
+//!   rewrites the shard files that no longer match the log: those a
+//!   compaction (here or at an eviction) dropped a record from, and those
+//!   an append failed to reach. Every other shard file and its appender
+//!   are left alone.
 //!
 //! Failed writes are counted, not dropped: `storage_wal_write_errors_total`
-//! and `storage_snapshot_write_errors_total`. Recovery reads each shard's
+//! and `storage_snapshot_write_errors_total`. So is a parked snapshot that
+//! cannot be read back — a file whose header does not parse at recovery,
+//! or one hydration finds missing or malformed:
+//! `storage_snapshot_read_errors_total` (the user then hydrates from the
+//! WAL alone, as a new user would). Recovery reads each shard's
 //! frames in order and stops a shard at its first bad frame, counting
 //! `storage_recovery_errors_total{reason=…}`: `torn_tail` (the file ends
 //! inside a frame), `corrupt` (a length check, checksum or body fails, or
@@ -137,6 +144,8 @@ struct StorageMetrics {
     wal_write_errors: Counter,
     /// Snapshot files that could not be written.
     snapshot_write_errors: Counter,
+    /// Parked snapshots that could not be read back.
+    snapshot_read_errors: Counter,
     /// Shards whose last frame was cut short (`reason="torn_tail"`).
     recovery_torn_tail: Counter,
     /// Shards stopped at a damaged frame, or unreadable
@@ -155,6 +164,7 @@ impl Default for StorageMetrics {
             resident: Gauge::noop(),
             wal_write_errors: Counter::noop(),
             snapshot_write_errors: Counter::noop(),
+            snapshot_read_errors: Counter::noop(),
             recovery_torn_tail: Counter::noop(),
             recovery_corrupt: Counter::noop(),
             recovery_legacy: Counter::noop(),
@@ -188,6 +198,10 @@ struct WalState {
     log: WalLog,
     dir: Option<PathBuf>,
     files: Vec<Option<fs::File>>,
+    /// Per shard: its file no longer matches the log (a compaction
+    /// dropped a record, or an append or repair failed), so the next
+    /// sweep rewrites it.
+    stale: Vec<bool>,
 }
 
 impl WalState {
@@ -204,21 +218,38 @@ impl WalState {
         let Some(dir) = &self.dir else {
             return Ok(());
         };
-        let frame = record.to_frame().map_err(io::Error::other)?;
         let idx = Self::file_index(&record.key);
-        let file = match self.files[idx].take() {
-            Some(file) => file,
-            None => fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(shard_path(dir, idx))?,
-        };
-        self.files[idx].insert(file).write_all(&frame)
+        let written = record
+            .to_frame()
+            .map_err(io::Error::other)
+            .and_then(|frame| {
+                let file = match self.files[idx].take() {
+                    Some(file) => file,
+                    None => fs::OpenOptions::new()
+                        .create(true)
+                        .append(true)
+                        .open(shard_path(dir, idx))?,
+                };
+                self.files[idx].insert(file).write_all(&frame)
+            });
+        if written.is_err() {
+            self.stale[idx] = true;
+        }
+        written
     }
 
-    /// Rewrites every shard file from the (compacted) in-memory log,
-    /// atomically per file (write-then-rename). Returns the number of
-    /// failures: records that do not frame and shards not replaced.
+    /// Compacts `key`'s records up to `upto` (see [`WalLog::compact`]),
+    /// marking its shard stale when a record goes.
+    fn compact(&mut self, key: &str, upto: u64) {
+        if self.log.compact(key, upto) {
+            self.stale[Self::file_index(key)] = true;
+        }
+    }
+
+    /// Rewrites every stale shard file from the (compacted) in-memory
+    /// log, atomically per file (write-then-rename); the other files keep
+    /// their appenders. Returns the number of failures: records that do
+    /// not frame and shards not replaced (which stay stale).
     fn rewrite_files(&mut self) -> u64 {
         let Some(dir) = self.dir.clone() else {
             return 0;
@@ -226,20 +257,29 @@ impl WalState {
         let mut failures = 0;
         let mut shards: Vec<Vec<u8>> = vec![Vec::new(); SHARD_COUNT];
         for record in self.log.all_records() {
+            let idx = Self::file_index(&record.key);
+            if !self.stale[idx] {
+                continue;
+            }
             match record.to_frame() {
-                Ok(frame) => shards[Self::file_index(&record.key)].extend_from_slice(&frame),
+                Ok(frame) => shards[idx].extend_from_slice(&frame),
                 Err(_) => failures += 1,
             }
         }
         for (idx, content) in shards.iter().enumerate() {
+            if !self.stale[idx] {
+                continue;
+            }
             let path = shard_path(&dir, idx);
             let tmp = path.with_extension("bin.tmp");
             // Drop the open appender before replacing the file under it.
             self.files[idx] = None;
             if fs::write(&tmp, content)
                 .and_then(|()| fs::rename(&tmp, &path))
-                .is_err()
+                .is_ok()
             {
+                self.stale[idx] = false;
+            } else {
                 failures += 1;
             }
         }
@@ -322,6 +362,7 @@ impl StorageEngine {
             resident: obs.gauge("cloud_store_resident_users", &[]),
             wal_write_errors: obs.counter("storage_wal_write_errors_total", &[]),
             snapshot_write_errors: obs.counter("storage_snapshot_write_errors_total", &[]),
+            snapshot_read_errors: obs.counter("storage_snapshot_read_errors_total", &[]),
             recovery_torn_tail: obs.counter(RECOVERY_ERRORS, &[("reason", "torn_tail")]),
             recovery_corrupt: obs.counter(RECOVERY_ERRORS, &[("reason", "corrupt")]),
             recovery_legacy: obs.counter(RECOVERY_ERRORS, &[("reason", "legacy_jsonl")]),
@@ -339,6 +380,7 @@ impl StorageEngine {
                     log: WalLog::default(),
                     dir: dir.clone(),
                     files: (0..SHARD_COUNT).map(|_| None).collect(),
+                    stale: vec![false; SHARD_COUNT],
                 }),
                 snapshots: SnapshotStore::new(dir.as_deref()),
                 residency: Mutex::new(ResidencyState::default()),
@@ -443,7 +485,7 @@ impl StorageEngine {
         let watermarks = self.inner.snapshots.watermarks();
         let mut wal = self.inner.wal.lock();
         for (key, upto) in &watermarks {
-            wal.log.compact(key, *upto);
+            wal.compact(key, *upto);
         }
         let failures = wal.rewrite_files();
         self.inner.metrics.wal_write_errors.add(failures);
@@ -565,13 +607,22 @@ impl StorageEngine {
     /// Rebuilds a user's store from its parked snapshot plus the WAL
     /// suffix past the snapshot watermark. Returns `(store, hydrated,
     /// wal records replayed)`; `hydrated` is false for a brand-new user.
+    ///
+    /// A snapshot that exists but cannot be read back (its file missing
+    /// or malformed, or its store not rebuilding) is counted, and the
+    /// store is rebuilt from the whole WAL as for a new user: records the
+    /// snapshot covered may already be compacted away.
     fn hydrate_build(&self, key: &str, config: &GcaConfig) -> (UserStore, bool, u64) {
-        let parked = self.inner.snapshots.get(key);
-        let (mut store, watermark, had_snapshot) =
-            match parked.map(|(wal_seq, parked)| (wal_seq, parked.to_store())) {
-                Some((wal_seq, Ok(store))) => (store, wal_seq, true),
-                _ => (UserStore::default(), 0, false),
-            };
+        let (mut store, watermark, had_snapshot) = match self.inner.snapshots.get(key) {
+            None => (UserStore::default(), 0, false),
+            Some((wal_seq, parked)) => match parked.and_then(|p| p.to_store().ok()) {
+                Some(store) => (store, wal_seq, true),
+                None => {
+                    self.inner.metrics.snapshot_read_errors.inc();
+                    (UserStore::default(), 0, false)
+                }
+            },
+        };
         let suffix: Vec<WalRecord> = self.inner.wal.lock().log.suffix(key, watermark);
         let mut replayed = 0;
         for record in &suffix {
@@ -615,7 +666,7 @@ impl StorageEngine {
             // A snapshot that failed to reach disk stays resident, and the
             // records it covers stay in the log for the on-disk rewrite.
             if self.park(&key, wal_seq, parked) {
-                self.inner.wal.lock().log.compact(&key, wal_seq);
+                self.inner.wal.lock().compact(&key, wal_seq);
             }
             self.shard(victim).users.write().remove(&victim);
         }
@@ -755,11 +806,20 @@ impl StorageEngine {
                 };
                 if repaired.is_err() {
                     metrics.wal_write_errors.inc();
+                    wal.stale[idx] = true;
                 }
             }
             wal.log.sort();
         }
-        self.inner.snapshots.load();
+        let unreadable = self.inner.snapshots.load();
+        self.inner.metrics.snapshot_read_errors.add(unreadable);
+        // Drop what the snapshots cover, which also sequences every later
+        // append above its key's snapshot watermark.
+        let watermarks = self.inner.snapshots.watermarks();
+        let mut wal = self.inner.wal.lock();
+        for (key, upto) in &watermarks {
+            wal.compact(key, *upto);
+        }
     }
 
     /// Keys with recoverable state (WAL records or a parked snapshot), in
@@ -982,6 +1042,204 @@ mod tests {
             SimTime::from_day_time(1, 0, 0, 0),
         );
         assert_eq!(errors(), 3, "one failed shard rewrite");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A parked snapshot that cannot be read back is told apart from no
+    /// snapshot at all: the first is counted, the second is a new user.
+    #[test]
+    fn an_unreadable_snapshot_is_counted() {
+        let dir = std::env::temp_dir().join(format!("pmware-snap-read-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let obs = Obs::new();
+        let config = StorageConfig {
+            resident_cap: Some(1),
+            store_dir: Some(dir.clone()),
+            snapshot_every_days: 0,
+        };
+        let engine = StorageEngine::with_config(config.clone(), &obs);
+        let errors = || {
+            let metrics = obs.metrics().unwrap().snapshot();
+            metrics.counter_value("storage_snapshot_read_errors_total")
+        };
+        let gca = GcaConfig::default();
+        *engine
+            .acquire(UserId(1), SimTime::from_seconds(1), &gca)
+            .lock() = multi_day_store(1);
+        drop(engine.acquire(UserId(2), SimTime::from_seconds(2), &gca));
+        assert_eq!(errors(), 0, "user 2 is new, not unreadable");
+
+        // Garble user 1's store JSON in place: the header still splits
+        // the file, but the store no longer parses.
+        let path = dir
+            .join("snapshots")
+            .join(snapshot::file_name_of(&fallback_key(UserId(1)), 1));
+        let mut bytes = fs::read(&path).unwrap();
+        let store_start = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+        bytes[store_start] = b'#';
+        fs::write(&path, &bytes).unwrap();
+        let guard = engine.acquire(UserId(1), SimTime::from_seconds(3), &gca);
+        assert_eq!(errors(), 1);
+        assert!(guard.lock().places.is_empty(), "hydrated as a new user");
+        drop(guard);
+
+        // At recovery, a snapshot whose header does not parse.
+        fs::write(&path, b"{\"key\":\n").unwrap();
+        let obs = Obs::new();
+        StorageEngine::with_config(config, &obs).load_dir();
+        let metrics = obs.metrics().unwrap().snapshot();
+        assert_eq!(
+            metrics.counter_value("storage_snapshot_read_errors_total"),
+            1
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A sweep rewrites only the shard files that no longer match the
+    /// log: one that compacts nothing leaves every file as it was (same
+    /// inode, same length), while a shard an append failed to reach is
+    /// still rewritten.
+    #[cfg(unix)]
+    #[test]
+    fn a_sweep_rewrites_only_stale_shards() {
+        use std::os::unix::fs::MetadataExt as _;
+
+        let dir = std::env::temp_dir().join(format!("pmware-wal-stale-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cloud =
+            crate::CloudInstance::new(crate::CellDatabase::new(), 3).with_storage(StorageConfig {
+                resident_cap: None,
+                store_dir: Some(dir.clone()),
+                snapshot_every_days: 1,
+            });
+        let health = |day: u64| {
+            cloud.handle(
+                &Request::get("/api/v1/health"),
+                SimTime::from_day_time(day, 0, 0, 0),
+            );
+        };
+        let register = |n: u32| {
+            let response = cloud.handle(
+                &Request::post(
+                    crate::payload::REGISTRATION_PATH,
+                    RegistrationBody {
+                        imei: format!("imei-{n}"),
+                        email: format!("u{n}@example.com"),
+                    },
+                ),
+                SimTime::from_seconds(10),
+            );
+            match response.body {
+                Payload::Registered { token, .. } => token,
+                other => panic!("registration failed: {other:?}"),
+            }
+        };
+        let token = register(1);
+        let sync = Request::post(
+            "/api/v1/social/sync",
+            crate::payload::SyncContactsBody {
+                contacts: Vec::new(),
+                first_seq: Some(0),
+            },
+        );
+        let response = cloud.handle(&sync.with_token(token.as_str()), SimTime::from_seconds(20));
+        assert!(response.is_success(), "{response:?}");
+        let files = || -> Vec<(usize, u64, u64)> {
+            (0..SHARD_COUNT)
+                .filter_map(|idx| {
+                    let meta = fs::metadata(shard_path(&dir, idx)).ok()?;
+                    Some((idx, meta.ino(), meta.len()))
+                })
+                .collect()
+        };
+        let appended = files();
+        health(1); // compacts the sync: its shard is rewritten
+        let swept = files();
+        assert_eq!(swept.len(), 1);
+        assert!(swept[0].2 < appended[0].2, "the sync record is gone");
+        health(2); // compacts nothing
+        assert_eq!(files(), swept, "an unchanged shard is not rewritten");
+
+        // A second user in another shard, whose appends fail while a
+        // directory sits at its shard's path.
+        let n = (2..)
+            .find(|&n| {
+                let key = identity_key(&format!("imei-{n}"), &format!("u{n}@example.com"));
+                WalState::file_index(&key) != swept[0].0
+            })
+            .unwrap();
+        let key = identity_key(&format!("imei-{n}"), &format!("u{n}@example.com"));
+        let path = shard_path(&dir, WalState::file_index(&key));
+        fs::create_dir_all(&path).unwrap();
+        register(n);
+        fs::remove_dir_all(&path).unwrap();
+        health(3); // compacts nothing, but the shard missed two appends
+        assert_eq!(files()[0], swept[0], "the clean shard is left alone");
+        let bytes = fs::read(&path).expect("the stale shard is rewritten");
+        let (first, len) = WalRecord::from_frame(&bytes).unwrap();
+        let (second, _) = WalRecord::from_frame(&bytes[len..]).unwrap();
+        assert!(first.is_registration() && first.key == key);
+        assert!(matches!(second.op, WalOp::TokenGrant { .. }));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// After recovery, appends are sequenced above each snapshot's
+    /// watermark even when the records it covered are gone from the
+    /// shard files: a number at or below it would never be replayed.
+    #[test]
+    fn recovery_sequences_appends_above_the_snapshot_watermark() {
+        let dir = std::env::temp_dir().join(format!("pmware-wal-floor-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let config = StorageConfig {
+            resident_cap: None,
+            store_dir: Some(dir.clone()),
+            snapshot_every_days: 1,
+        };
+        let cloud =
+            crate::CloudInstance::new(crate::CellDatabase::new(), 3).with_storage(config.clone());
+        let response = cloud.handle(
+            &Request::post(
+                crate::payload::REGISTRATION_PATH,
+                RegistrationBody {
+                    imei: "imei-1".into(),
+                    email: "u1@example.com".into(),
+                },
+            ),
+            SimTime::from_seconds(10),
+        );
+        let Payload::Registered { token, .. } = response.body else {
+            panic!("registration failed: {response:?}");
+        };
+        let sync = Request::post(
+            "/api/v1/social/sync",
+            crate::payload::SyncContactsBody {
+                contacts: Vec::new(),
+                first_seq: Some(0),
+            },
+        );
+        let response = cloud.handle(&sync.with_token(token.as_str()), SimTime::from_seconds(20));
+        assert!(response.is_success(), "{response:?}");
+        // The day-1 sweep parks the user at watermark 3 and rewrites its
+        // shard without the sync: only the registration and grant stay.
+        cloud.handle(
+            &Request::get("/api/v1/health"),
+            SimTime::from_day_time(1, 0, 0, 0),
+        );
+        drop(cloud);
+
+        let engine = StorageEngine::with_config(config, &Obs::new());
+        engine.load_dir();
+        let key = identity_key("imei-1", "u1@example.com");
+        assert_eq!(engine.records_of(&key).len(), 2);
+        assert_eq!(engine.inner.snapshots.get(&key).unwrap().0, 3);
+        engine.append_durable(
+            &key,
+            WalOp::TokenGrant {
+                token: "after".into(),
+                expires_at: SimTime::from_seconds(1),
+            },
+        );
+        assert_eq!(engine.records_of(&key).last().unwrap().seq, 4);
         let _ = fs::remove_dir_all(&dir);
     }
 }

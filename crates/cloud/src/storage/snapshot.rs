@@ -15,8 +15,8 @@
 //! but the GCA observation log, which dominates a long-lived user's
 //! state; the log goes beside it as the binary column block of
 //! [`ObservationBatch::to_bytes`]. A store without a discovery engine has
-//! an empty log block. On disk, one file per identity key
-//! (`snapshots/<safe key>-<fnv>.snap`) holds three parts back to back:
+//! an empty log block. On disk, one file per identity key holds three
+//! parts back to back:
 //!
 //! ```text
 //! {"key":…,"log_len":…,"store_len":…,"wal_seq":…}\n   one JSON header line
@@ -24,16 +24,34 @@
 //! <log_len bytes of the GCA log block>
 //! ```
 //!
-//! Crash recovery ([`SnapshotStore::load`]) reads only the header lines;
-//! hydration reads one file whole. Files are written to `<file>.tmp` and
-//! renamed into place, so a crash mid-write leaves the previous snapshot.
+//! **Generations.** Each park of a key writes a fresh generation,
+//! `snapshots/<safe key>-<fnv>.<gen>.snap`, and never renames over an
+//! existing file (ext4 flushes a file renamed over another, which made a
+//! park cost ~10× a rename to a fresh name). The bytes go to
+//! `<file>.tmp` first, which is then renamed to the new generation's
+//! name; generation − 1 is unlinked only after that rename succeeds. A
+//! process killed at any point therefore leaves at least one whole
+//! `.snap` per parked key:
+//!
+//! * killed mid-write: a `.tmp` beside generation N — N is used;
+//! * killed between rename and unlink: generations N and N + 1 — the
+//!   newest wins;
+//! * a store written before generations: `<safe key>-<fnv>.snap` loads
+//!   as generation 0, and the key's next park removes it.
+//!
+//! Crash recovery ([`SnapshotStore::load`]) reads only header lines,
+//! keeps the newest parseable generation per key, removes older ones and
+//! leftover `.tmp` files, and counts every header that does not parse.
+//! Hydration reads one file whole. Nothing is fsynced: the crash model is
+//! process death, not power loss.
 //!
 //! Residency-cap-only mode parks the same pair in memory (bounding the
 //! expensive live state — engines, graphs, indexes — not total RSS).
 //! With a store directory configured, snapshot bytes go to disk and only
-//! the per-key WAL watermark stays resident, which is what keeps capped
-//! RSS flat as the population grows. A snapshot whose file could not be
-//! written stays resident instead, so hydration still finds it.
+//! the per-key WAL watermark and generation stay resident, which is what
+//! keeps capped RSS flat as the population grows. A snapshot whose file
+//! could not be written stays resident instead, so hydration still finds
+//! it, while the previous generation stays on disk.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -171,11 +189,14 @@ struct SnapshotHeader {
 }
 
 /// One parked snapshot. `resident` is `None` when the bytes live on
-/// disk (durable mode): only the watermark stays resident.
+/// disk (durable mode): only the watermark and generation stay resident.
 #[derive(Debug, Clone)]
 struct StoredSnapshot {
     /// Highest WAL sequence folded into the snapshot.
     wal_seq: u64,
+    /// The generation on disk (durable mode): the file the next park
+    /// supersedes. 0 before the key's first successful write.
+    gen: u64,
     /// The parked pair — always in cap-only mode, and in durable mode
     /// while the latest file write has failed.
     resident: Option<Parked>,
@@ -196,21 +217,49 @@ pub(crate) struct SnapshotStore {
 /// The extension of snapshot files.
 const SNAPSHOT_EXT: &str = "snap";
 
-/// A filesystem-safe spelling of an identity key: alphanumerics survive,
-/// everything else becomes `_`, and an FNV suffix keeps collided
-/// sanitizations apart.
-fn file_name_of(key: &str) -> String {
+/// A filesystem-safe spelling of an identity key, shared by all its
+/// generations: alphanumerics survive, everything else becomes `_`, and
+/// an FNV suffix keeps collided sanitizations apart.
+pub(super) fn stem_of(key: &str) -> String {
     let safe: String = key
         .chars()
         .take(48)
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    format!("{safe}-{:016x}.{SNAPSHOT_EXT}", fnv1a(key.as_bytes()))
+    format!("{safe}-{:016x}", fnv1a(key.as_bytes()))
 }
 
-/// Writes `key`'s snapshot file: header line, store JSON, log block,
-/// into `<file>.tmp`, then renamed over the live file.
-fn write_file(dir: &Path, key: &str, wal_seq: u64, parked: &Parked) -> io::Result<()> {
+/// The file name of generation `gen` under `stem`: `<stem>.<gen>.snap`,
+/// or `<stem>.snap` for generation 0 (the name before generations).
+fn generation_file(stem: &str, gen: u64) -> String {
+    if gen == 0 {
+        format!("{stem}.{SNAPSHOT_EXT}")
+    } else {
+        format!("{stem}.{gen}.{SNAPSHOT_EXT}")
+    }
+}
+
+/// The file name of `key`'s snapshot generation `gen`.
+pub(super) fn file_name_of(key: &str, gen: u64) -> String {
+    generation_file(&stem_of(key), gen)
+}
+
+/// Splits a snapshot file name into `(stem, generation)`; `None` for
+/// any other file.
+pub(super) fn parse_file_name(name: &str) -> Option<(&str, u64)> {
+    let rest = name.strip_suffix(SNAPSHOT_EXT)?.strip_suffix('.')?;
+    let (stem, gen) = match rest.split_once('.') {
+        None => (rest, 0),
+        Some((stem, gen)) => (stem, gen.parse().ok()?),
+    };
+    // Only the spelling `generation_file` writes: not `.0.`, `.05.`, `.+5.`.
+    (generation_file(stem, gen) == name).then_some((stem, gen))
+}
+
+/// Writes generation `gen` of `key`'s snapshot: header line, store JSON,
+/// log block, into `<file>.tmp`, then renamed to the generation's name,
+/// which does not exist yet.
+fn write_file(dir: &Path, key: &str, gen: u64, wal_seq: u64, parked: &Parked) -> io::Result<()> {
     let header = SnapshotHeader {
         key: key.to_owned(),
         log_len: parked.log.len() as u64,
@@ -218,7 +267,7 @@ fn write_file(dir: &Path, key: &str, wal_seq: u64, parked: &Parked) -> io::Resul
         wal_seq,
     };
     let header = serde_json::to_string(&header).map_err(io::Error::other)?;
-    let path = dir.join(file_name_of(key));
+    let path = dir.join(file_name_of(key, gen));
     let tmp = path.with_extension(format!("{SNAPSHOT_EXT}.tmp"));
     let mut file = fs::File::create(&tmp)?;
     file.write_all(header.as_bytes())?;
@@ -273,39 +322,59 @@ impl SnapshotStore {
         }
     }
 
-    /// Parks (or refreshes) `key`'s snapshot.
+    /// Parks (or refreshes) `key`'s snapshot. In durable mode it goes to
+    /// the next generation's file, and the superseded generation is
+    /// unlinked once the new one is in place.
     ///
     /// # Errors
     ///
-    /// In durable mode, the error writing the file. The snapshot is then
-    /// kept resident, so hydration still finds it, and left out of
+    /// In durable mode, the error writing the file. The previous
+    /// generation then stays on disk, the snapshot is kept resident, so
+    /// hydration still finds it, and it is left out of
     /// [`SnapshotStore::watermarks`], so compaction keeps the WAL records
     /// the file on disk does not cover.
     pub(crate) fn put(&self, key: &str, wal_seq: u64, parked: Parked) -> io::Result<()> {
         let mut state = self.inner.lock();
-        let (resident, written) = match &state.dir {
-            Some(dir) => match write_file(dir, key, wal_seq, &parked) {
-                Ok(()) => (None, Ok(())),
-                Err(e) => (Some(parked), Err(e)),
-            },
-            None => (Some(parked), Ok(())),
+        let on_disk = state.by_key.get(key).map(|s| s.gen);
+        let (gen, resident, written) = match &state.dir {
+            Some(dir) => {
+                let gen = on_disk.map_or(1, |gen| gen + 1);
+                match write_file(dir, key, gen, wal_seq, &parked) {
+                    Ok(()) => {
+                        // A failed unlink leaves an older generation, which
+                        // the next recovery removes.
+                        if let Some(old) = on_disk {
+                            let _ = fs::remove_file(dir.join(file_name_of(key, old)));
+                        }
+                        (gen, None, Ok(()))
+                    }
+                    Err(e) => (on_disk.unwrap_or(0), Some(parked), Err(e)),
+                }
+            }
+            None => (0, Some(parked), Ok(())),
         };
-        state
-            .by_key
-            .insert(key.to_owned(), StoredSnapshot { wal_seq, resident });
+        state.by_key.insert(
+            key.to_owned(),
+            StoredSnapshot {
+                wal_seq,
+                gen,
+                resident,
+            },
+        );
         written
     }
 
     /// The parked snapshot for `key` as `(wal watermark, parked pair)`,
-    /// reading disk in durable mode.
-    pub(crate) fn get(&self, key: &str) -> Option<(u64, Parked)> {
+    /// reading disk in durable mode. `None` when `key` has no snapshot;
+    /// the pair is `None` when its file is missing or malformed.
+    pub(crate) fn get(&self, key: &str) -> Option<(u64, Option<Parked>)> {
         let state = self.inner.lock();
         let snapshot = state.by_key.get(key)?;
-        if let Some(parked) = &snapshot.resident {
-            return Some((snapshot.wal_seq, parked.clone()));
-        }
-        let dir = state.dir.as_ref()?;
-        let parked = read_file(&dir.join(file_name_of(key)))?;
+        let parked = match (&snapshot.resident, &state.dir) {
+            (Some(parked), _) => Some(parked.clone()),
+            (None, Some(dir)) => read_file(&dir.join(file_name_of(key, snapshot.gen))),
+            (None, None) => None,
+        };
         Some((snapshot.wal_seq, parked))
     }
 
@@ -333,31 +402,56 @@ impl SnapshotStore {
     }
 
     /// Loads every snapshot found in the store's directory (crash
-    /// recovery), reading only each file's header line. Bytes stay on
-    /// disk; only watermarks come resident. Unparseable files and
-    /// leftover `.tmp` files are skipped.
-    pub(crate) fn load(&self) {
+    /// recovery), reading only header lines. Bytes stay on disk; only
+    /// watermarks and generations come resident. Per key, the newest
+    /// generation whose header parses wins and every older one is
+    /// removed, as is every leftover `.tmp` file. Returns the number of
+    /// files skipped because their header does not parse (left in place).
+    pub(crate) fn load(&self) -> u64 {
         let mut state = self.inner.lock();
-        let Some(Ok(entries)) = state.dir.as_ref().map(fs::read_dir) else {
-            return;
+        let Some(dir) = state.dir.clone() else {
+            return 0;
         };
-        let mut names: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|path| path.extension().is_some_and(|ext| ext == SNAPSHOT_EXT))
-            .collect();
-        names.sort();
-        for path in names {
-            let Some(header) = read_header(&path) else {
-                continue;
-            };
-            state.by_key.insert(
-                header.key,
-                StoredSnapshot {
-                    wal_seq: header.wal_seq,
-                    resident: None,
-                },
-            );
+        let Ok(entries) = fs::read_dir(&dir) else {
+            return 0;
+        };
+        let mut generations: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.ends_with(".tmp") {
+                // A write that never reached its rename.
+                let _ = fs::remove_file(entry.path());
+            } else if let Some((stem, gen)) = parse_file_name(&name) {
+                generations.entry(stem.to_owned()).or_default().push(gen);
+            }
         }
+        let mut unreadable = 0;
+        for (stem, mut gens) in generations {
+            gens.sort_unstable_by(|a, b| b.cmp(a));
+            let mut found = false;
+            for gen in gens {
+                let path = dir.join(generation_file(&stem, gen));
+                if found {
+                    let _ = fs::remove_file(&path);
+                    continue;
+                }
+                let Some(header) = read_header(&path) else {
+                    unreadable += 1;
+                    continue;
+                };
+                found = true;
+                state.by_key.insert(
+                    header.key,
+                    StoredSnapshot {
+                        wal_seq: header.wal_seq,
+                        gen,
+                        resident: None,
+                    },
+                );
+            }
+        }
+        unreadable
     }
 }
 
@@ -488,12 +582,28 @@ pub(crate) mod tests {
 
     #[test]
     fn file_names_are_safe_and_distinct() {
-        let a = file_name_of("350-1|u1@example.com");
-        let b = file_name_of("350-1|u2@example.com");
+        let a = file_name_of("350-1|u1@example.com", 1);
+        let b = file_name_of("350-1|u2@example.com", 1);
         assert_ne!(a, b);
         assert!(a
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.'));
+        // Every generation, the generation-less name included, parses
+        // back to its key's stem; nothing else does.
+        let stem = stem_of("350-1|u1@example.com");
+        for gen in [0, 1, 12] {
+            let name = file_name_of("350-1|u1@example.com", gen);
+            assert_eq!(parse_file_name(&name), Some((stem.as_str(), gen)));
+        }
+        for other in [
+            "x.0.snap",
+            "x.snap.tmp",
+            "x.1.snap.tmp",
+            "x.y.snap",
+            "xsnap",
+        ] {
+            assert_eq!(parse_file_name(other), None, "{other}");
+        }
     }
 
     #[test]
@@ -502,7 +612,7 @@ pub(crate) mod tests {
         let parked = Parked::of(&UserStore::default());
         store.put("k", 7, parked.clone()).unwrap();
         assert!(store.contains("k"));
-        assert_eq!(store.get("k").unwrap(), (7, parked));
+        assert_eq!(store.get("k").unwrap(), (7, Some(parked)));
         assert_eq!(store.watermarks().get("k"), None, "no durable copy");
     }
 
@@ -516,7 +626,7 @@ pub(crate) mod tests {
         let store = SnapshotStore::new(Some(&dir));
         store.put("imei|mail", 9, parked.clone()).unwrap();
 
-        let path = dir.join("snapshots").join(file_name_of("imei|mail"));
+        let path = dir.join("snapshots").join(file_name_of("imei|mail", 1));
         let bytes = fs::read(&path).unwrap();
         let newline = bytes.iter().position(|&b| b == b'\n').unwrap();
         let header: SnapshotHeader = serde_json::from_slice(&bytes[..newline]).unwrap();
@@ -528,15 +638,47 @@ pub(crate) mod tests {
             bytes.len(),
             newline + 1 + parked.store.len() + parked.log.len()
         );
-        assert_eq!(store.get("imei|mail").unwrap(), (9, parked.clone()));
+        assert_eq!(store.get("imei|mail").unwrap(), (9, Some(parked.clone())));
         assert_eq!(store.watermarks().get("imei|mail"), Some(&9));
 
         // A leftover temporary file is not a snapshot.
         fs::write(path.with_extension("snap.tmp"), b"{}\n").unwrap();
         let recovered = SnapshotStore::new(Some(&dir));
-        recovered.load();
+        assert_eq!(recovered.load(), 0);
         assert_eq!(recovered.keys(), vec!["imei|mail".to_owned()]);
-        assert_eq!(recovered.get("imei|mail").unwrap(), (9, parked));
+        assert_eq!(recovered.get("imei|mail").unwrap(), (9, Some(parked)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Each park writes the next generation and unlinks the one before,
+    /// so one file per key is on disk; a header that does not parse is
+    /// counted at load and the newest readable generation wins.
+    #[test]
+    fn each_park_writes_a_fresh_generation() {
+        let dir = std::env::temp_dir().join(format!("pmware-snap-gen-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let snapshots = dir.join("snapshots");
+        let listing = || {
+            let mut names: Vec<String> = fs::read_dir(&snapshots)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let store = SnapshotStore::new(Some(&dir));
+        let empty = Parked::of(&UserStore::default());
+        for wal_seq in 1..=3 {
+            store.put("k", wal_seq, empty.clone()).unwrap();
+            assert_eq!(listing(), [file_name_of("k", wal_seq)]);
+        }
+        assert_eq!(store.get("k").unwrap(), (3, Some(empty.clone())));
+
+        // A damaged newer generation is counted and skipped, not read.
+        fs::write(snapshots.join(file_name_of("k", 4)), b"not json\n").unwrap();
+        let recovered = SnapshotStore::new(Some(&dir));
+        assert_eq!(recovered.load(), 1);
+        assert_eq!(recovered.get("k").unwrap(), (3, Some(empty)));
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -33,7 +33,7 @@
 //! write: a frame the file ends inside is [`FrameError::Torn`], one whose
 //! length check or checksum fails is [`FrameError::Corrupt`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use pmware_world::SimTime;
 
@@ -261,26 +261,44 @@ fn take_str<'a>(input: &mut ByteReader<'a>) -> Result<&'a str, String> {
 #[derive(Debug, Default)]
 pub(crate) struct WalLog {
     by_key: BTreeMap<String, Vec<WalRecord>>,
+    /// Per key, the highest sequence assigned, loaded or compacted up to.
+    /// Compaction can drop a key's newest records, so the next sequence
+    /// comes from here and not from the records left: a reused number at
+    /// or below a snapshot's watermark would never be replayed.
+    high: HashMap<String, u64>,
 }
 
 impl WalLog {
+    /// Raises `key`'s highest sequence to at least `seq`.
+    fn raise(&mut self, key: &str, seq: u64) {
+        if let Some(high) = self.high.get_mut(key) {
+            *high = (*high).max(seq);
+        } else {
+            self.high.insert(key.to_owned(), seq);
+        }
+    }
+
     /// Appends `op` under `key`, assigning the next per-key sequence
     /// number. Returns a clone of the stored record (for persistence).
     pub(crate) fn append(&mut self, key: &str, op: WalOp) -> WalRecord {
-        let log = self.by_key.entry(key.to_owned()).or_default();
-        let seq = log.last().map_or(0, |r| r.seq) + 1;
+        let seq = self.last_seq(key) + 1;
+        self.raise(key, seq);
         let record = WalRecord {
             seq,
             key: key.to_owned(),
             op,
         };
-        log.push(record.clone());
+        self.by_key
+            .entry(key.to_owned())
+            .or_default()
+            .push(record.clone());
         record
     }
 
     /// Inserts an already-sequenced record (durable load path). Records
     /// are re-sorted by sequence once loading finishes.
     pub(crate) fn insert_loaded(&mut self, record: WalRecord) {
+        self.raise(&record.key, record.seq);
         self.by_key
             .entry(record.key.clone())
             .or_default()
@@ -303,12 +321,10 @@ impl WalLog {
             .unwrap_or_default()
     }
 
-    /// The highest sequence appended under `key` (0 if none).
+    /// The highest sequence appended under `key` (0 if none), compacted
+    /// records included.
     pub(crate) fn last_seq(&self, key: &str) -> u64 {
-        self.by_key
-            .get(key)
-            .and_then(|log| log.last())
-            .map_or(0, |r| r.seq)
+        self.high.get(key).copied().unwrap_or(0)
     }
 
     /// All keys with at least one record, in key order (deterministic
@@ -319,11 +335,17 @@ impl WalLog {
 
     /// Drops every non-exempt record of `key` at or below `upto` (the
     /// key's snapshot watermark). Registrations and token grants survive:
-    /// snapshots capture store state, not the auth registry.
-    pub(crate) fn compact(&mut self, key: &str, upto: u64) {
-        if let Some(log) = self.by_key.get_mut(key) {
-            log.retain(|r| r.seq > upto || r.is_compaction_exempt());
-        }
+    /// snapshots capture store state, not the auth registry. Returns
+    /// whether any record was dropped. Later appends under `key` are
+    /// sequenced above `upto`.
+    pub(crate) fn compact(&mut self, key: &str, upto: u64) -> bool {
+        self.raise(key, upto);
+        let Some(log) = self.by_key.get_mut(key) else {
+            return false;
+        };
+        let before = log.len();
+        log.retain(|r| r.seq > upto || r.is_compaction_exempt());
+        log.len() < before
     }
 
     /// Every record, in (key, seq) order — the durable rewrite path.
@@ -612,6 +634,29 @@ mod tests {
         assert_eq!(left.len(), 3, "registration + grant + seq-4 sync survive");
         assert!(left[0].is_registration());
         assert_eq!(left[2].seq, 4);
+    }
+
+    /// Compaction that drops a key's newest records does not hand their
+    /// sequence numbers out again: a reused number at or below the
+    /// snapshot watermark would be skipped by hydration after a crash.
+    #[test]
+    fn compaction_never_lets_a_sequence_be_reused() {
+        let mut log = WalLog::default();
+        let grant = || WalOp::TokenGrant {
+            token: "tok".into(),
+            expires_at: SimTime::EPOCH,
+        };
+        log.append("a", grant());
+        log.append("a", WalOp::request(Request::get("/x")));
+        assert!(log.compact("a", 2), "the request goes");
+        assert!(!log.compact("a", 2), "nothing left to drop");
+        assert_eq!(log.append("a", grant()).seq, 3);
+        // A recovered log whose records end below the snapshot watermark.
+        let mut loaded = WalLog::default();
+        let key = record(1, grant()).key;
+        loaded.insert_loaded(record(1, grant()));
+        loaded.compact(&key, 9);
+        assert_eq!(loaded.append(&key, grant()).seq, 10);
     }
 
     #[test]
