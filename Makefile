@@ -219,18 +219,22 @@ bench-golden:
 # replay after a crash (users parked at the crash included),
 # deterministic LRU eviction, and the capped-vs-uncapped proptest
 # equivalence — the
-# engine's unit tests (snapshot layout and generations, park/hydrate
-# fidelity, failed snapshot and WAL writes and unreadable snapshots
-# counted, stale-only shard rewrites, WAL sequences never reused), the
-# WAL frame codec's (every logged
-# route round-trips; truncations are torn, bit flips corrupt, random
-# bytes rejected), the WAL crash-point matrix (storage::crash_points:
-# every shard cut at every frame boundary +-1..3 bytes and bit-flipped
-# in every frame, recovering exactly the prefix before the damage), the
-# snapshot generation crash windows in the same module (a .tmp beside
-# generation N, generations N and N+1, a generation-less .snap; each
-# recovers byte-identical reads under the pre-crash tokens) and
-# the binary GCA-log codec's, plus the durable arm of the chaos matrix.
+# engine's unit tests (snapshot file layout, checksums and generations,
+# the binary store codec's bit-exact round trip over generated stores
+# and its hostile-bytes cases, park/hydrate fidelity, failed snapshot
+# and WAL writes and unreadable snapshots counted, stale-only shard
+# rewrites, WAL sequences never reused), the WAL frame codec's (every
+# logged route round-trips; truncations are torn, bit flips corrupt,
+# random bytes rejected), the WAL crash-point matrix
+# (storage::crash_points: every shard cut at every frame boundary
+# +-1..3 bytes and bit-flipped in every frame, recovering exactly the
+# prefix before the damage), the snapshot crash windows in the same
+# module (a .tmp beside generation N, generations N and N+1; each
+# recovers byte-identical reads under the pre-crash tokens), damaged
+# snapshot files there too (an old-format JSON snapshot, and bit flips
+# and cuts in each region of a parked user's file: each counted and
+# never hydrated), and the binary GCA-log codec's, plus the durable arm
+# of the chaos matrix.
 test-storage:
 	cargo test --release -q -p pmware-cloud --test storage
 	cargo test --release -q -p pmware-cloud --lib -- storage:: wire::
@@ -248,11 +252,20 @@ bench-storage:
 # The storage-boundary lint: every UserStore access goes through the
 # engine (DESIGN.md §5k), so outside crates/cloud/src/storage/ no cloud
 # code may reach into a `.users.` shard map or mint a bare
-# `Arc<Mutex<UserStore>>` of its own.
+# `Arc<Mutex<UserStore>>` of its own. The durable path is binary end to
+# end (WAL frames and snapshot files), so no non-test code under
+# crates/cloud/src/storage/ may name `serde_json` either: everything
+# from a file's `#[cfg(test)]` down is exempt, as is crash_points.rs, a
+# module compiled only for tests.
 lint-storage:
 	@! grep -rn '\.users\.\|Arc::new(Mutex::new(UserStore' crates/cloud/src \
 		--include='*.rs' | grep -v 'src/storage/' \
 		|| { echo 'lint-storage: UserStore access leaked around the storage engine'; exit 1; }
+	@! for f in $$(find crates/cloud/src/storage -name '*.rs' \
+			-not -name crash_points.rs); do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" | grep -n 'serde_json' | sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-storage: serde_json named on the durable path (crates/cloud/src/storage/)'; exit 1; }
 	@echo 'lint-storage: ok'
 
 # The observability gate: golden determinism tests (same seed => byte-

@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use crate::signature::{DiscoveredPlace, DiscoveredPlaceId, DiscoveredVisit, PlaceSignature};
 
 /// Tunable parameters of GCA.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GcaConfig {
     /// Minimum bounce weight for an edge to count as oscillation.
     pub min_bounce_weight: u32,

@@ -198,6 +198,23 @@ impl RouteStore {
         }
     }
 
+    /// A store holding `routes` as they are, with no re-clustering (a
+    /// parked store reading its routes back); `None` when
+    /// `match_threshold` is outside `[0, 1]`.
+    pub fn from_parts(match_threshold: f64, routes: Vec<CanonicalRoute>) -> Option<Self> {
+        (0.0..=1.0)
+            .contains(&match_threshold)
+            .then_some(RouteStore {
+                routes,
+                match_threshold,
+            })
+    }
+
+    /// The similarity a traversal needs to count against a route.
+    pub fn match_threshold(&self) -> f64 {
+        self.match_threshold
+    }
+
     /// Canonical routes discovered so far.
     pub fn routes(&self) -> &[CanonicalRoute] {
         &self.routes

@@ -20,7 +20,9 @@
 //! in the current directory and exits nonzero if any rate ≤ 0.30 fails
 //! to converge.
 
-use pmware_bench::args::Args;
+use std::num::NonZeroU64;
+
+use pmware_bench::args::{exit_usage, Args};
 use pmware_cloud::{CellDatabase, CloudInstance, FaultPlan, FaultyCloud, SharedCloud, UserId};
 use pmware_core::intents::IntentFilter;
 use pmware_core::{AppRequirement, Granularity, PmsConfig, PmwareMobileService};
@@ -120,7 +122,14 @@ fn run_at_rate(
 
 fn main() {
     let args = Args::for_binary(&["days", "seed"]);
-    let days: u64 = args.value("days", 3).max(2);
+    let days = args
+        .value("days", NonZeroU64::new(3).expect("positive default"))
+        .get();
+    if days < 2 {
+        exit_usage(&format!(
+            "invalid value \"{days}\" for --days (expected at least 2)"
+        ));
+    }
     let seed: u64 = args.value("seed", 2014);
 
     let world = WorldBuilder::new(RegionProfile::urban_india())

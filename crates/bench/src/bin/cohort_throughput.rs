@@ -66,7 +66,9 @@ fn main() {
     let days = args
         .value("days", NonZeroU64::new(7).expect("positive default"))
         .get();
-    let repeats: usize = args.value("repeats", 3).max(1);
+    let repeats: usize = args
+        .value("repeats", NonZeroUsize::new(3).expect("positive default"))
+        .get();
 
     let config = |threads| StudyConfig {
         participants,

@@ -19,6 +19,7 @@
 //! [--history-days H]` — writes `BENCH_gca.json` in the current
 //! directory.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use pmware_algorithms::gca::{self, GcaConfig, IncrementalGca};
@@ -162,7 +163,9 @@ fn bench_analytics(days: u64, queries: usize) -> (f64, f64) {
 fn main() {
     let args = Args::for_binary(&["days", "repeats", "queries", "history-days"]);
     let days: u64 = args.value("days", 14);
-    let repeats: usize = args.value("repeats", 3).max(1);
+    let repeats: usize = args
+        .value("repeats", NonZeroUsize::new(3).expect("positive default"))
+        .get();
     let queries: usize = args.value("queries", 10_000);
     // The long-term profile history spans months (§2.3.2); the analytics
     // part uses its own, longer horizon so the cold-retrain cost is

@@ -25,6 +25,8 @@
 //! Writes `BENCH_latency.json` in the current directory and exits
 //! nonzero when a gate fails.
 
+use std::num::NonZeroU64;
+
 use pmware_bench::args::Args;
 use pmware_cloud::{
     CellDatabase, CloudInstance, ContactEntry, LatencyProfile, QueueConfig, QueueMode,
@@ -169,11 +171,30 @@ fn main() {
         "shed-depth",
     ]);
     let seed: u64 = args.value("seed", 7);
-    let reqs: u64 = args.value("reqs", 8).max(1);
-    let max_users: u64 = args.value("max-users", 64).max(1);
-    let slo_p99_ms: u64 = args.value("slo-p99-ms", 100).max(1);
-    let flash_users: u64 = args.value("flash-users", 256).max(1);
-    let shed_depth: u64 = args.value("shed-depth", 100).max(1);
+    let reqs: u64 = args
+        .value("reqs", NonZeroU64::new(8).expect("positive default"))
+        .get();
+    let max_users: u64 = args
+        .value("max-users", NonZeroU64::new(64).expect("positive default"))
+        .get();
+    let slo_p99_ms: u64 = args
+        .value(
+            "slo-p99-ms",
+            NonZeroU64::new(100).expect("positive default"),
+        )
+        .get();
+    let flash_users: u64 = args
+        .value(
+            "flash-users",
+            NonZeroU64::new(256).expect("positive default"),
+        )
+        .get();
+    let shed_depth: u64 = args
+        .value(
+            "shed-depth",
+            NonZeroU64::new(100).expect("positive default"),
+        )
+        .get();
     let slo_us = slo_p99_ms * 1_000;
 
     println!(

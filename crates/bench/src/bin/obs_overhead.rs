@@ -51,7 +51,9 @@ fn main() {
     let days = args
         .value("days", NonZeroU64::new(5).expect("positive default"))
         .get();
-    let reps: usize = args.value("reps", 5).max(1);
+    let reps: usize = args
+        .value("reps", NonZeroUsize::new(5).expect("positive default"))
+        .get();
 
     println!(
         "OBS-OVERHEAD: {participants} participants x {days} days, \

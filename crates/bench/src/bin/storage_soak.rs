@@ -26,6 +26,7 @@
 //! `/proc/self/status`, so the ladder is Linux-specific and reports zeros
 //! elsewhere.
 
+use std::num::{NonZeroU64, NonZeroUsize};
 use std::path::PathBuf;
 use std::process::Command;
 use std::time::Instant;
@@ -186,8 +187,12 @@ fn main() {
         return;
     }
 
-    let cap: usize = args.value("cap", 64).max(1);
-    let rounds: u64 = args.value("rounds", 3).max(1);
+    let cap: usize = args
+        .value("cap", NonZeroUsize::new(64).expect("positive default"))
+        .get();
+    let rounds: u64 = args
+        .value("rounds", NonZeroU64::new(3).expect("positive default"))
+        .get();
     let seed: u64 = args.value("seed", 2014);
 
     println!("SCALE-STORAGE: cap {cap}, {rounds} round(s) per arm, seed {seed}\n");

@@ -28,6 +28,7 @@
 //! bench, robust to one-off scheduler hiccups). Results are printed as a
 //! table and written to `BENCH_wire.json`.
 
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
@@ -135,8 +136,12 @@ fn measure(iters: usize, repeats: usize, mut one: impl FnMut() -> Response) -> f
 
 fn main() {
     let args = Args::for_binary(&["iters", "repeats"]);
-    let iters: usize = args.value("iters", 2_000).max(1);
-    let repeats: usize = args.value("repeats", 5).max(1);
+    let iters: usize = args
+        .value("iters", NonZeroUsize::new(2_000).expect("positive default"))
+        .get();
+    let repeats: usize = args
+        .value("repeats", NonZeroUsize::new(5).expect("positive default"))
+        .get();
 
     let cloud = CloudInstance::new(CellDatabase::new(), 7);
     let now = SimTime::EPOCH;

@@ -10,7 +10,6 @@ use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_world::intern::Interner;
 use pmware_world::time::DAY;
 use pmware_world::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::profile::MobilityProfile;
@@ -28,8 +27,8 @@ use crate::profile::MobilityProfile;
 pub struct ProfileHistory {
     profiles: BTreeMap<u64, MobilityProfile>,
     /// Place ↔ dense symbol table for the arrival index. Symbols are
-    /// process-local derived state: they never serialize (the wire carries
-    /// only the profiles) and never affect query results.
+    /// process-local derived state: they are never parked (a snapshot
+    /// holds only the profiles) and never affect query results.
     place_ids: Interner<DiscoveredPlaceId>,
     /// Per-place arrivals, indexed by place symbol: profile day → arrivals
     /// in entry order. A slot left empty by an un-indexed day reads the
@@ -190,33 +189,6 @@ impl PartialEq for ProfileHistory {
     }
 }
 
-/// Wire form: only the profiles travel; the arrival index is rebuilt on
-/// deserialization (same serialized shape as the pre-index struct).
-#[derive(Serialize, Deserialize)]
-struct ProfileHistoryWire {
-    profiles: BTreeMap<u64, MobilityProfile>,
-}
-
-impl Serialize for ProfileHistory {
-    fn to_json_value(&self) -> serde::Value {
-        ProfileHistoryWire {
-            profiles: self.profiles.clone(),
-        }
-        .to_json_value()
-    }
-}
-
-impl<'de> Deserialize<'de> for ProfileHistory {
-    fn from_json_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let wire = ProfileHistoryWire::from_json_value(value)?;
-        let mut history = ProfileHistory::new();
-        for (_, profile) in wire.profiles {
-            history.upsert(profile);
-        }
-        Ok(history)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,22 +320,6 @@ mod tests {
                 .collect();
             assert_eq!(h.arrivals(id), scanned, "place {place}");
             assert_eq!(h.visit_count(id), scanned.len());
-        }
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_the_index() {
-        let h = history();
-        let value = serde_json::to_value(&h).unwrap();
-        // Only the profiles travel on the wire.
-        assert!(value.get("profiles").is_some());
-        assert!(value.get("arrival_index").is_none());
-        let back: ProfileHistory = serde_json::from_value(value).unwrap();
-        assert_eq!(back, h);
-        for place in 0..4u32 {
-            let id = DiscoveredPlaceId(place);
-            assert_eq!(back.arrivals(id), h.arrivals(id));
-            assert_eq!(back.weekday_histogram(id), h.weekday_histogram(id));
         }
     }
 

@@ -17,7 +17,6 @@ use std::collections::BTreeMap;
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_world::time::DAY;
 use pmware_world::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::analytics::ProfileHistory;
 
@@ -79,12 +78,27 @@ pub fn predict_next_visit(
 }
 
 /// First-order Markov model over place-to-place transitions.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MarkovPredictor {
     transitions: BTreeMap<DiscoveredPlaceId, BTreeMap<DiscoveredPlaceId, u32>>,
 }
 
 impl MarkovPredictor {
+    /// A model over the given transition counts (a parked memo read
+    /// back): source place → successor → count.
+    pub(crate) fn from_transitions(
+        transitions: BTreeMap<DiscoveredPlaceId, BTreeMap<DiscoveredPlaceId, u32>>,
+    ) -> MarkovPredictor {
+        MarkovPredictor { transitions }
+    }
+
+    /// The transition counts: source place → successor → count.
+    pub(crate) fn transitions(
+        &self,
+    ) -> &BTreeMap<DiscoveredPlaceId, BTreeMap<DiscoveredPlaceId, u32>> {
+        &self.transitions
+    }
+
     /// Trains on the consecutive place pairs of every stored day.
     pub fn train(history: &ProfileHistory) -> MarkovPredictor {
         let mut model = MarkovPredictor::default();

@@ -10,19 +10,23 @@
 //! the expected prefix says.
 //!
 //! The snapshot crash windows follow: a process killed mid-write (a
-//! `.tmp` beside generation N), killed between the rename and the unlink
-//! (generations N and N + 1), and a store written before generations (a
-//! generation-less `.snap`). Each recovers and must answer every read
-//! with the bytes the dead instance gave, under the tokens its clients
-//! still hold.
+//! `.tmp` beside generation N) and killed between the rename and the
+//! unlink (generations N and N + 1). Each recovers and must answer every
+//! read with the bytes the dead instance gave, under the tokens its
+//! clients still hold. Then damaged snapshot files: one of the older
+//! JSON format, and a parked user's file with a bit flipped in each
+//! region or cut at each region boundary. Each is counted, refused, and
+//! never hydrated: the user hydrates exactly what the WAL alone rebuilds.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use pmware_algorithms::gca::GcaConfig;
 use pmware_obs::Obs;
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
 
+use super::snapshot::Parked;
 use super::wal::{WalOp, WalRecord, FRAME_HEADER};
 use super::{shard_path, StorageConfig, StorageEngine};
 use crate::api::Request;
@@ -30,7 +34,7 @@ use crate::geolocate::CellDatabase;
 use crate::instance::CloudInstance;
 use crate::payload::{DiscoverBody, Payload, RegistrationBody, SyncContactsBody};
 use crate::profile::ContactEntry;
-use crate::state::SHARD_COUNT;
+use crate::state::{UserStore, SHARD_COUNT};
 use crate::wire::ObservationBatch;
 
 const USERS: u32 = 4;
@@ -526,30 +530,202 @@ fn generations_n_and_n_plus_1_recover_from_the_newest() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A store written before generations: `<safe key>-<fnv>.snap` loads as
-/// generation 0, and the key's next park removes it.
+/// A snapshot of the older format — a JSON header line, then store JSON
+/// — is counted and refused: user 1's under its generation's own name,
+/// user 2's under the generation-less name from before generations. Both
+/// users hydrate from the WAL alone, the refused files stay on disk, and
+/// user 1's next park is numbered above its refused file, which the
+/// following recovery then removes as older.
 #[test]
-fn a_generation_less_snapshot_loads_as_generation_0() {
+fn an_old_format_snapshot_is_counted_and_refused() {
     let dir = scratch("window-legacy");
     let (tokens, before) = crash_scene(&dir, &dir.join("aside"));
     let snapshots = dir.join("snapshots");
-    for user in [1, 2] {
+    let mut refused = Vec::new();
+    for (user, generation_less) in [(1, false), (2, true)] {
         let gens = generations(&snapshots, user);
         let &[gen] = gens.as_slice() else {
             panic!("one generation of user {user} on disk: {gens:?}");
         };
-        fs::rename(
-            generation_path(&snapshots, user, gen),
-            generation_path(&snapshots, user, 0),
+        fs::remove_file(generation_path(&snapshots, user, gen)).unwrap();
+        let old = if generation_less { 0 } else { gen };
+        let header = format!(
+            "{{\"key\":\"{}\",\"log_len\":0,\"store_len\":2,\"wal_seq\":1}}",
+            identity(user)
+        );
+        fs::write(
+            generation_path(&snapshots, user, old),
+            format!("{header}\n{{}}"),
         )
         .unwrap();
+        refused.push(old);
     }
+    let (engine, at_load) = load(&dir);
+    assert_eq!(at_load, 2, "both old-format files counted at load");
+    for user in [1, 2] {
+        assert!(engine.inner.snapshots.get(&identity(user)).is_none());
+    }
+    drop(engine);
 
-    // Reading every user in order parks users 0 and 1 again under the
-    // cap of two; user 2 stays as it was loaded.
-    let recovered = recover_and_compare(&dir, &tokens, &before);
+    // Users 0 and 3 read what they read before; users 1 and 2 read what
+    // their WAL records alone rebuild. Reading every user in order parks
+    // users 0 and 1 again under the cap of two.
+    let recovered = CloudInstance::recover(CellDatabase::new(), 7, durable(&dir), end());
+    for (user, token) in tokens.iter().enumerate() {
+        let read = reads(&recovered, token);
+        if user == 0 || user == 3 {
+            assert_eq!(read, before[user], "user {user}: recovered reads");
+        }
+    }
     assert!(!recovered.is_resident(crate::auth::UserId(1)));
-    assert_eq!(generations(&snapshots, 1), [1], "the next park replaced it");
-    assert_eq!(generations(&snapshots, 2), [0], "not parked since");
+    drop(recovered);
+    let parked = generations(&snapshots, 1);
+    assert_eq!(
+        parked,
+        [refused[0], refused[0] + 1],
+        "user 1 parked above its refused file, which stays"
+    );
+    assert_eq!(generations(&snapshots, 2), [0], "user 2 not parked since");
+
+    let (engine, at_load) = load(&dir);
+    assert_eq!(at_load, 1, "only user 2's file is still refused");
+    assert_eq!(generations(&snapshots, 1), [refused[0] + 1]);
+    let (_, parked) = engine.inner.snapshots.get(&identity(1)).unwrap();
+    assert!(parked.is_some(), "user 1's new generation is read");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---- damaged snapshot bytes ------------------------------------------
+
+/// A fresh engine over `dir` after `load_dir`, and the snapshot read
+/// errors that load counted.
+fn load(dir: &Path) -> (StorageEngine, u64) {
+    let obs = Obs::new();
+    let engine = StorageEngine::with_config(durable(dir), &obs);
+    engine.load_dir();
+    let errors = read_errors(&obs);
+    (engine, errors)
+}
+
+fn read_errors(obs: &Obs) -> u64 {
+    let metrics = obs.metrics().unwrap().snapshot();
+    metrics.counter_value("storage_snapshot_read_errors_total")
+}
+
+/// What one recovery of `dir` hydrates `user` to, as parked bytes (a
+/// bit-exact spelling of the whole store); what the WAL records the
+/// recovered engine holds for `user` rebuild alone; and the snapshot
+/// read errors counted at load and after the hydration.
+fn hydrate(dir: &Path, user: u32) -> (Parked, Parked, u64, u64) {
+    let obs = Obs::new();
+    let engine = StorageEngine::with_config(durable(dir), &obs);
+    engine.load_dir();
+    let at_load = read_errors(&obs);
+    let key = identity(user);
+    let config = GcaConfig::default();
+    let mut wal_alone = UserStore::default();
+    for record in engine.records_of(&key) {
+        if let (false, WalOp::Request(request)) = (record.is_registration(), &record.op) {
+            super::apply::apply_request(&mut wal_alone, &config, request);
+        }
+    }
+    let (store, _, _) = engine.hydrate_build(&key, &config);
+    (
+        Parked::of(&store),
+        Parked::of(&wal_alone),
+        at_load,
+        read_errors(&obs),
+    )
+}
+
+/// Copies the WAL shards and snapshot files of `from` into a fresh
+/// directory `to`.
+fn copy_store(from: &Path, to: &Path) {
+    let _ = fs::remove_dir_all(to);
+    fs::create_dir_all(to.join("snapshots")).unwrap();
+    for sub in ["", "snapshots"] {
+        for entry in fs::read_dir(from.join(sub)).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_file() {
+                fs::copy(&path, to.join(sub).join(path.file_name().unwrap())).unwrap();
+            }
+        }
+    }
+}
+
+/// A parked multi-day user's snapshot file damaged one way at a time: a
+/// bit flipped in the header, the store bytes and the log block, and the
+/// file cut at each region boundary and a byte either side. Every case
+/// is counted exactly once — header damage and every cut at load, the
+/// body at hydration — and hydrates exactly what the WAL alone rebuilds:
+/// no damaged byte reaches the store.
+#[test]
+fn damaged_snapshot_bytes_are_counted_and_never_hydrated() {
+    let dir = scratch("damage");
+    crash_scene(&dir, &dir.join("aside"));
+    let snapshots = dir.join("snapshots");
+    let user = 1;
+    let gens = generations(&snapshots, user);
+    let &[gen] = gens.as_slice() else {
+        panic!("one generation of user {user} on disk: {gens:?}");
+    };
+    let name = super::snapshot::file_name_of(&identity(user), gen);
+    let intact = fs::read(snapshots.join(&name)).unwrap();
+
+    let (whole, wal_alone, at_load, errors) = hydrate(&dir, user);
+    assert_eq!((at_load, errors), (0, 0), "the intact file reads back");
+    assert_ne!(
+        whole, wal_alone,
+        "the snapshot holds what the WAL no longer does"
+    );
+    assert!(
+        whole.to_store().unwrap().gca.unwrap().observation_count() >= 60,
+        "a multi-day log"
+    );
+
+    // The header's lengths (layout in `snapshot`) split the regions.
+    let len_at = |at: usize| u64::from_le_bytes(intact[at..at + 8].try_into().unwrap()) as usize;
+    let (store_len, log_len) = (len_at(16), len_at(24));
+    let store_at = intact.len() - store_len - log_len;
+    let log_at = store_at + store_len;
+    assert!(store_len > 0 && log_len > 0 && store_at > 8);
+
+    let mut cases: Vec<(String, Vec<u8>, bool)> = Vec::new();
+    let regions = [
+        ("header", 0, store_at, true),
+        ("store", store_at, log_at, false),
+        ("log", log_at, intact.len(), false),
+    ];
+    for (region, start, end, at_load) in regions {
+        for at in [start, (start + end) / 2, end - 1] {
+            let mut damaged = intact.clone();
+            damaged[at] ^= 1 << (at % 8);
+            cases.push((format!("{region} bit flip at {at}"), damaged, at_load));
+        }
+    }
+    for boundary in [0, store_at, log_at, intact.len()] {
+        for cut in boundary.saturating_sub(1)..=boundary + 1 {
+            if cut < intact.len() {
+                cases.push((format!("cut at {cut}"), intact[..cut].to_vec(), true));
+            }
+        }
+    }
+    assert_eq!(cases.len(), 9 + 9);
+    let arm = dir.join("arm");
+    for (label, damaged, caught_at_load) in cases {
+        copy_store(&dir, &arm);
+        fs::write(arm.join("snapshots").join(&name), &damaged).unwrap();
+        let (hydrated, wal_alone, at_load, errors) = hydrate(&arm, user);
+        assert_eq!(errors, 1, "{label}: counted once");
+        assert_eq!(
+            at_load,
+            u64::from(caught_at_load),
+            "{label}: counted at load"
+        );
+        assert!(
+            hydrated == wal_alone,
+            "{label}: hydrated from the WAL alone"
+        );
+    }
     let _ = fs::remove_dir_all(&dir);
 }

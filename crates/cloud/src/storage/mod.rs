@@ -29,8 +29,9 @@
 //!
 //! Failed writes are counted, not dropped: `storage_wal_write_errors_total`
 //! and `storage_snapshot_write_errors_total`. So is a parked snapshot that
-//! cannot be read back — a file whose header does not parse at recovery,
-//! or one hydration finds missing or malformed:
+//! cannot be read back — a file whose header fails its checksum or
+//! format checks at recovery (an older-format JSON snapshot included), or
+//! one hydration finds missing or failing its body checksum:
 //! `storage_snapshot_read_errors_total` (the user then hydrates from the
 //! WAL alone, as a new user would). Recovery reads each shard's
 //! frames in order and stops a shard at its first bad frame, counting
@@ -53,8 +54,6 @@
 //! mode.
 
 pub(crate) mod apply;
-#[cfg(test)]
-mod crash_points;
 pub(crate) mod residency;
 pub(crate) mod snapshot;
 pub(crate) mod wal;
@@ -895,6 +894,11 @@ impl StorageEngine {
     }
 }
 
+// Test-only modules stay last, so every lint that exempts a file from
+// its first `#[cfg(test)]` down still reads all of the engine.
+#[cfg(test)]
+mod crash_points;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1069,21 +1073,21 @@ mod tests {
         drop(engine.acquire(UserId(2), SimTime::from_seconds(2), &gca));
         assert_eq!(errors(), 0, "user 2 is new, not unreadable");
 
-        // Garble user 1's store JSON in place: the header still splits
-        // the file, but the store no longer parses.
+        // Flip a bit of user 1's body in place: the header still checks
+        // out, but the body checksum no longer does.
         let path = dir
             .join("snapshots")
             .join(snapshot::file_name_of(&fallback_key(UserId(1)), 1));
         let mut bytes = fs::read(&path).unwrap();
-        let store_start = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-        bytes[store_start] = b'#';
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 1;
         fs::write(&path, &bytes).unwrap();
         let guard = engine.acquire(UserId(1), SimTime::from_seconds(3), &gca);
         assert_eq!(errors(), 1);
         assert!(guard.lock().places.is_empty(), "hydrated as a new user");
         drop(guard);
 
-        // At recovery, a snapshot whose header does not parse.
+        // At recovery, a snapshot whose header fails its checks.
         fs::write(&path, b"{\"key\":\n").unwrap();
         let obs = Obs::new();
         StorageEngine::with_config(config, &obs).load_dir();

@@ -245,13 +245,13 @@ fn batched_discover(request: &Request) -> Option<(&str, u64, &ObservationBatch)>
 }
 
 /// Appends a `u32`-length-prefixed string.
-fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(super) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
 
 /// Reads a `u32`-length-prefixed UTF-8 string.
-fn take_str<'a>(input: &mut ByteReader<'a>) -> Result<&'a str, String> {
+pub(super) fn take_str<'a>(input: &mut ByteReader<'a>) -> Result<&'a str, String> {
     let len = u32::from_le_bytes(input.take()?) as usize;
     std::str::from_utf8(input.slice(len)?).map_err(|e| format!("string: {e}"))
 }

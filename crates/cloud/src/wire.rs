@@ -300,7 +300,7 @@ impl<'a> ByteReader<'a> {
 
     /// A `u64` item count, accepted only if the remaining bytes can hold
     /// that many items of `item_bytes` each.
-    fn count(&mut self, item_bytes: usize, what: &str) -> Result<usize, String> {
+    pub(crate) fn count(&mut self, item_bytes: usize, what: &str) -> Result<usize, String> {
         let count = u64::from_le_bytes(self.take()?);
         let fits = usize::try_from(count)
             .ok()
