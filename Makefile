@@ -233,9 +233,13 @@ bench-golden:
 # recovers byte-identical reads under the pre-crash tokens), damaged
 # snapshot files there too (an old-format JSON snapshot, and bit flips
 # and cuts in each region of a parked user's file: each counted and
-# never hydrated), and the binary GCA-log codec's, plus the durable arm
-# of the chaos matrix.
+# never hydrated; a version-1 file is refused too), and the binary
+# GCA-log codec's, plus the durable arm of the chaos matrix. Snapshots
+# park the GCA engine's export and hydration restores it, so the
+# engine's own tests (restore equals the uninterrupted engine at every
+# split; every inconsistent export refused) run here as well.
 test-storage:
+	cargo test --release -q -p pmware-algorithms --test incremental_gca
 	cargo test --release -q -p pmware-cloud --test storage
 	cargo test --release -q -p pmware-cloud --lib -- storage:: wire::
 	cargo test --release --test chaos_matrix chaos_matrix_durable_crash_recovery_converges
@@ -252,9 +256,11 @@ bench-storage:
 # The storage-boundary lint: every UserStore access goes through the
 # engine (DESIGN.md §5k), so outside crates/cloud/src/storage/ no cloud
 # code may reach into a `.users.` shard map or mint a bare
-# `Arc<Mutex<UserStore>>` of its own. The durable path is binary end to
-# end (WAL frames and snapshot files), so no non-test code under
-# crates/cloud/src/storage/ may name `serde_json` either: everything
+# `Arc<Mutex<UserStore>>` of its own. Snapshot files and the WAL's
+# frames are binary; a kind-1 WAL frame's body is still the logged
+# request's JSON, rendered by `Request::to_bytes` outside the storage
+# module. No non-test code under crates/cloud/src/storage/ may name
+# `serde_json`, so no JSON is written there directly: everything
 # from a file's `#[cfg(test)]` down is exempt, as is crash_points.rs, a
 # module compiled only for tests.
 lint-storage:

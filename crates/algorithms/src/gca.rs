@@ -85,10 +85,11 @@ impl Default for GcaConfig {
 /// Internally the graph is keyed by dense interned symbols, not by raw
 /// [`CellGlobalId`]s: the per-observation hot path (dwell accounting,
 /// bounce counting) costs at most one Fx-hashed intern lookup plus `Vec`
-/// indexing. Symbols never escape: every public accessor speaks
-/// `CellGlobalId`. The graph also keeps its symbols sorted by cell, so the
-/// clustering walks edges in ascending cell-pair order and lists
-/// components by root cell without building a cell-keyed map.
+/// indexing. Every public accessor of the graph speaks `CellGlobalId`;
+/// symbols leave only in [`IncrementalGca::export`], beside the
+/// dictionary that resolves them. The graph also keeps its symbols sorted
+/// by cell, so the clustering walks edges in ascending cell-pair order and
+/// lists components by root cell without building a cell-keyed map.
 #[derive(Debug, Clone, Default)]
 pub struct MovementGraph {
     /// Cell ↔ symbol table, first-seen order (= stream appearance order).
@@ -261,6 +262,23 @@ impl MovementGraph {
     }
 }
 
+/// Each symbol's representative under the union-find roots `root_of`: the
+/// symbol of its component's smallest cell, the first of its members met
+/// walking `by_cell` (every symbol, in ascending cell order).
+fn representatives(by_cell: &[Symbol], root_of: &[Symbol]) -> Vec<Symbol> {
+    let mut rep_of_root = vec![Symbol::MAX; root_of.len()];
+    for &sym in by_cell {
+        let rep = &mut rep_of_root[root_of[sym as usize] as usize];
+        if *rep == Symbol::MAX {
+            *rep = sym;
+        }
+    }
+    root_of
+        .iter()
+        .map(|&root| rep_of_root[root as usize])
+        .collect()
+}
+
 /// Union-find lookup with path halving (which never changes a root).
 fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
@@ -424,12 +442,15 @@ fn qualify_places(
 
 /// A maximal in-cluster run, labelled by a component identity: the
 /// component index in the batch scan, the representative cell's symbol in
-/// the incremental engine.
-#[derive(Debug, Clone, Copy)]
-struct Run {
-    component: u32,
-    start: SimTime,
-    end: SimTime,
+/// the incremental engine (which is how [`GcaState`] carries it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// The component label.
+    pub component: u32,
+    /// The run's first sample.
+    pub start: SimTime,
+    /// The run's last sample (a tolerated foreign sample included).
+    pub end: SimTime,
 }
 
 impl Run {
@@ -638,9 +659,10 @@ impl IncrementalGca {
 
     /// The full recorded observation log, in order. A fresh engine fed
     /// this log in one `absorb` reproduces this engine's client-visible
-    /// state exactly (the split-invariance property), which is what lets
-    /// durable snapshots store `(config, log)` instead of the engine's
-    /// internal indexes.
+    /// state exactly (the split-invariance property). Durable snapshots
+    /// store the log beside the engine's [`export`](Self::export), so a
+    /// hydration [`restore`](Self::restore)s the engine without that
+    /// absorb.
     pub fn observations(&self) -> &[GsmObservation] {
         &self.log
     }
@@ -755,21 +777,8 @@ impl IncrementalGca {
     /// partition changed retroactively, then consumes the unscanned tail.
     fn advance_scan(&mut self) {
         if self.partition_dirty {
-            // One union-find pass; each component's representative is its
-            // smallest cell, the first of its members met walking the
-            // cells in order.
             let root_of = self.graph.roots(self.config.min_bounce_weight);
-            let mut rep_of_root = vec![Symbol::MAX; root_of.len()];
-            for &sym in &self.graph.by_cell {
-                let rep = &mut rep_of_root[root_of[sym as usize] as usize];
-                if *rep == Symbol::MAX {
-                    *rep = sym;
-                }
-            }
-            let rep_of: Vec<Symbol> = root_of
-                .iter()
-                .map(|&root| rep_of_root[root as usize])
-                .collect();
+            let rep_of = representatives(&self.graph.by_cell, &root_of);
             // Did any already-labelled cell move to a different component?
             // (Components only ever merge, so this is exactly the case in
             // which past observations would group differently. Cells first
@@ -825,6 +834,185 @@ impl IncrementalGca {
             graph: self.graph,
         }
     }
+
+    /// The engine in symbol form, for a snapshot: its cell dictionary,
+    /// the absorbed prefix's symbols and the state derived from them.
+    /// [`restore`](Self::restore) takes these back, with the config and
+    /// the log, into an engine equal to this one.
+    pub fn export(&self) -> GcaExport<'_> {
+        let mut edges: Vec<(Symbol, Symbol, u32)> = self
+            .graph
+            .edges
+            .iter()
+            .map(|(&(a, b), &weight)| (a, b, weight))
+            .collect();
+        edges.sort_unstable();
+        GcaExport {
+            cells: self.graph.cells.values(),
+            log_syms: &self.log_syms,
+            state: GcaState {
+                dwell: self.graph.dwell.clone(),
+                edges,
+                runs: self.runs.clone(),
+                open: self.scan.current,
+                foreign: self.scan.foreign,
+            },
+        }
+    }
+
+    /// Rebuilds an engine from its [`export`](Self::export), its config
+    /// and its recorded log, without absorbing anything: `log_syms` are
+    /// the symbols of the absorbed prefix of `log`, into the dictionary
+    /// `cells`. The partition (cell order, roots, representatives) is
+    /// recomputed from the cells and edges, which is all it depends on
+    /// once a catch-up has returned.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first defect, never panics:
+    /// a repeated dictionary cell, or a dwell count other than the cell
+    /// count; more symbols than log entries; a symbol outside the
+    /// dictionary, naming another cell than its log entry, or first met
+    /// out of dictionary order, or a dictionary cell no symbol names; an
+    /// edge that is not `a < b` within the dictionary, out of `(a, b)`
+    /// order, repeated, or of zero weight; a run labelled outside the
+    /// dictionary or by a cell that is not its component's
+    /// representative; or more foreign samples than the run-gap
+    /// tolerance.
+    pub fn restore(
+        config: GcaConfig,
+        log: Vec<GsmObservation>,
+        cells: &[CellGlobalId],
+        log_syms: Vec<Symbol>,
+        state: GcaState,
+    ) -> Result<IncrementalGca, String> {
+        let count = cells.len();
+        if state.dwell.len() != count {
+            return Err(format!(
+                "{} dwell entries for {count} cells",
+                state.dwell.len()
+            ));
+        }
+        if log_syms.len() > log.len() {
+            return Err(format!(
+                "{} absorbed symbols for {} log entries",
+                log_syms.len(),
+                log.len()
+            ));
+        }
+        let mut interner = Interner::new();
+        for (at, cell) in cells.iter().enumerate() {
+            if interner.intern(cell) as usize != at {
+                return Err(format!("dictionary cell {at} repeats an earlier one"));
+            }
+        }
+        // Symbols introduce the cells in dictionary order, as interning
+        // the absorbed prefix did.
+        let mut met = 0;
+        for (at, (&sym, obs)) in log_syms.iter().zip(&log).enumerate() {
+            let Some(cell) = cells.get(sym as usize) else {
+                return Err(format!("symbol {sym} at {at} outside {count} cells"));
+            };
+            if *cell != obs.cell {
+                return Err(format!("symbol {sym} at {at} names another cell"));
+            }
+            if sym as usize > met {
+                return Err(format!("symbol {sym} at {at} met before symbol {met}"));
+            }
+            met = met.max(sym as usize + 1);
+        }
+        if met != count {
+            return Err(format!("{} dictionary cells never absorbed", count - met));
+        }
+        let mut edges = FxHashMap::default();
+        edges.reserve(state.edges.len());
+        let mut last = None;
+        for &(a, b, weight) in &state.edges {
+            if a >= b || b as usize >= count {
+                return Err(format!("edge ({a}, {b}) is not a < b < {count}"));
+            }
+            if last >= Some((a, b)) {
+                return Err(format!("edge ({a}, {b}) out of order or repeated"));
+            }
+            if weight == 0 {
+                return Err(format!("edge ({a}, {b}) of zero weight"));
+            }
+            last = Some((a, b));
+            edges.insert((a, b), weight);
+        }
+        let mut by_cell: Vec<Symbol> = (0..count as Symbol).collect();
+        by_cell.sort_unstable_by_key(|&sym| cells[sym as usize]);
+        let graph = MovementGraph {
+            cells: interner,
+            by_cell,
+            edges,
+            dwell: state.dwell,
+        };
+        let root_of = graph.roots(config.min_bounce_weight);
+        let rep_of = representatives(&graph.by_cell, &root_of);
+        for run in state.runs.iter().chain(&state.open) {
+            let label = run.component;
+            if label as usize >= count {
+                return Err(format!("run label {label} outside {count} cells"));
+            }
+            if rep_of[label as usize] != label {
+                return Err(format!("run label {label} is not a representative"));
+            }
+        }
+        if state.foreign > config.run_gap_tolerance {
+            return Err(format!(
+                "{} foreign samples above the tolerance {}",
+                state.foreign, config.run_gap_tolerance
+            ));
+        }
+        Ok(IncrementalGca {
+            rules: RunRules::new(&config),
+            config,
+            scanned_upto: log_syms.len(),
+            log,
+            log_syms,
+            graph,
+            runs: state.runs,
+            scan: RunScan {
+                current: state.open,
+                foreign: state.foreign,
+            },
+            root_of,
+            rep_of,
+            partition_dirty: false,
+        })
+    }
+}
+
+/// An [`IncrementalGca`] in symbol form, as [`IncrementalGca::export`]
+/// gives it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GcaExport<'a> {
+    /// The cell dictionary: every absorbed cell, in symbol order, which is
+    /// the order the absorbed prefix first met them in.
+    pub cells: &'a [CellGlobalId],
+    /// The symbol of each absorbed log entry.
+    pub log_syms: &'a [Symbol],
+    /// What the engine derived from them.
+    pub state: GcaState,
+}
+
+/// What an [`IncrementalGca`] derives from its absorbed symbols — what a
+/// fresh absorb of the same log would recompute — bar the partition,
+/// which [`IncrementalGca::restore`] recomputes from the edges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GcaState {
+    /// Total dwell per cell, indexed by symbol.
+    pub dwell: Vec<SimDuration>,
+    /// Every bounce edge as `(a, b, weight)`, `a < b`, sorted by `(a, b)`.
+    pub edges: Vec<(Symbol, Symbol, u32)>,
+    /// The closed runs in chronological order, each labelled by the
+    /// symbol of its component's representative (smallest) cell.
+    pub runs: Vec<Run>,
+    /// The open run, labelled the same way.
+    pub open: Option<Run>,
+    /// Foreign samples met since the open run's last in-cluster one.
+    pub foreign: u32,
 }
 
 /// Online recogniser: once GCA signatures exist (computed on the cloud),

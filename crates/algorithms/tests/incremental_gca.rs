@@ -4,13 +4,15 @@
 //! a single batch pass over the concatenation. Recording a stream and
 //! catching up later must give the same. Both engines share
 //! `MovementGraph::components`, so its order is pinned separately,
-//! against a cell-keyed reference kept in this file.
+//! against a cell-keyed reference kept in this file. An engine restored
+//! from its export continues exactly like the one never interrupted, and
+//! the restore refuses, without panicking, every export it cannot trust.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use pmware_algorithms::gca::{self, GcaConfig, IncrementalGca, MovementGraph};
+use pmware_algorithms::gca::{self, GcaConfig, GcaState, IncrementalGca, MovementGraph};
 use pmware_world::tower::NetworkLayer;
-use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
+use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn cell(id: u32) -> CellGlobalId {
@@ -408,4 +410,147 @@ fn merge_reaching_back_to_a_run_opened_at_the_first_sighting() {
     stream.extend((15..19).map(|m| obs(m, 3)));
     stream.extend((19..30).map(|m| obs(m, if m % 2 == 1 { 1 } else { 3 })));
     assert_equivalent_at_splits(&stream, &[19], &GcaConfig::default());
+}
+
+/// Restores `engine` from its export, config and log, as a snapshot
+/// hydration does.
+fn restored(engine: &IncrementalGca) -> IncrementalGca {
+    let export = engine.export();
+    IncrementalGca::restore(
+        engine.config().clone(),
+        engine.observations().to_vec(),
+        export.cells,
+        export.log_syms.to_vec(),
+        export.state,
+    )
+    .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// At every split point of a stream, an engine that absorbed the head
+    /// and recorded part of the rest, exported and restored, equals the
+    /// one it came from, and after catching up and absorbing the rest
+    /// equals the engine that absorbed the whole stream uninterrupted:
+    /// places, graph, symbols and exported state. The small alphabets
+    /// and low thresholds make late bounces merge clusters, which
+    /// relabels runs retroactively on either side of the split.
+    #[test]
+    fn a_restored_engine_continues_like_the_uninterrupted_one(
+        stream in random_graph_stream(),
+        min_bounce_weight in 1u32..4,
+        recorded in 0.0..0.5f64,
+    ) {
+        let config = GcaConfig { min_bounce_weight, ..GcaConfig::default() };
+        let mut whole = IncrementalGca::new(config.clone());
+        whole.absorb(&stream);
+        for split in 0..=stream.len() {
+            let tail = split + ((stream.len() - split) as f64 * recorded) as usize;
+            let mut head = IncrementalGca::new(config.clone());
+            head.absorb(&stream[..split]);
+            head.record(&stream[split..tail]);
+            let mut back = restored(&head);
+            prop_assert_eq!(back.export(), head.export());
+            prop_assert_eq!(back.observations(), head.observations());
+            back.catch_up();
+            back.absorb(&stream[tail..]);
+            prop_assert_eq!(back.places(), whole.places());
+            prop_assert_eq!(back.export(), whole.export());
+        }
+    }
+}
+
+/// The pieces of an export and its log, owned, for damaging one at a
+/// time.
+#[derive(Clone)]
+struct Parts {
+    log: Vec<GsmObservation>,
+    cells: Vec<CellGlobalId>,
+    log_syms: Vec<u32>,
+    state: GcaState,
+}
+
+/// Each defect the restore checks for is an `Err` naming it, never a
+/// panic and never an engine.
+#[test]
+fn restore_refuses_every_inconsistent_export() {
+    // Cells 1↔2 bouncing, travel through 10–13, cells 3↔4 bouncing: two
+    // edges, a closed two-cell run, closed travel runs and an open run.
+    let mut stream: Vec<GsmObservation> = (0..30)
+        .map(|m| obs(m, if m % 3 == 1 { 2 } else { 1 }))
+        .collect();
+    stream.extend((30..34).map(|m| obs(m, 10 + (m - 30) as u32)));
+    stream.extend((34..64).map(|m| obs(m, if m % 3 == 1 { 4 } else { 3 })));
+    let config = GcaConfig::default();
+    let mut engine = IncrementalGca::new(config.clone());
+    engine.absorb(&stream);
+    let export = engine.export();
+    let intact = Parts {
+        log: stream.clone(),
+        cells: export.cells.to_vec(),
+        log_syms: export.log_syms.to_vec(),
+        state: export.state.clone(),
+    };
+    let count = intact.cells.len() as u32;
+    let sym_of = |id: u32| intact.cells.iter().position(|&c| c == cell(id)).unwrap() as u32;
+    let (one, two) = (sym_of(1), sym_of(2));
+    assert!(intact.state.edges.len() >= 2 && intact.state.runs.len() >= 2);
+    assert!(intact.state.open.is_some());
+    let restore = |parts: Parts| {
+        IncrementalGca::restore(
+            config.clone(),
+            parts.log,
+            &parts.cells,
+            parts.log_syms,
+            parts.state,
+        )
+    };
+    let back = restore(intact.clone()).unwrap();
+    assert_eq!(back.places(), engine.places());
+
+    let refuse = |defect: &str, damage: &dyn Fn(&mut Parts)| {
+        let mut parts = intact.clone();
+        damage(&mut parts);
+        let err = restore(parts).map(|_| ()).unwrap_err();
+        assert!(err.contains(defect), "{defect}: {err}");
+    };
+    refuse("repeats an earlier one", &|p| p.cells[1] = p.cells[0]);
+    refuse("dwell entries", &|p| {
+        p.state.dwell.truncate(count as usize - 1)
+    });
+    refuse("absorbed symbols for", &|p| {
+        p.log.truncate(p.log_syms.len() - 1)
+    });
+    refuse("outside", &|p| p.log_syms[5] = count);
+    refuse("names another cell", &|p| p.log_syms[0] = two);
+    refuse("met before symbol", &|p| {
+        // The dictionary reversed, every symbol still naming its cell.
+        p.cells.reverse();
+        p.log_syms.iter_mut().for_each(|s| *s = count - 1 - *s);
+        p.state.dwell.reverse();
+    });
+    refuse("never absorbed", &|p| {
+        p.cells.push(cell(99));
+        p.state.dwell.push(SimDuration::ZERO);
+    });
+    refuse("is not a < b", &|p| {
+        let (a, b, weight) = p.state.edges[0];
+        p.state.edges[0] = (b, a, weight);
+    });
+    refuse("is not a < b", &|p| p.state.edges[0].1 = count);
+    refuse("out of order or repeated", &|p| p.state.edges.reverse());
+    refuse("out of order or repeated", &|p| {
+        p.state.edges.insert(0, p.state.edges[0]);
+    });
+    refuse("zero weight", &|p| p.state.edges[0].2 = 0);
+    refuse("outside", &|p| p.state.runs[0].component = count);
+    refuse("outside", &|p| {
+        p.state.open.as_mut().unwrap().component = u32::MAX
+    });
+    refuse("not a representative", &|p| {
+        let run = p.state.runs.iter_mut().find(|r| r.component == one);
+        run.unwrap().component = two;
+    });
+    refuse("foreign samples", &|p| p.state.foreign = 4);
 }

@@ -595,6 +595,38 @@ fn an_old_format_snapshot_is_counted_and_refused() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A version-1 snapshot — the format whose store bytes held only the
+/// engine's config, so hydration re-absorbed the whole log — is counted
+/// at load and refused, even under a header checksum that holds: user 1
+/// hydrates from the WAL alone.
+#[test]
+fn a_version_1_snapshot_is_counted_and_refused() {
+    let dir = scratch("window-v1");
+    crash_scene(&dir, &dir.join("aside"));
+    let snapshots = dir.join("snapshots");
+    let user = 1;
+    let gens = generations(&snapshots, user);
+    let &[gen] = gens.as_slice() else {
+        panic!("one generation of user {user} on disk: {gens:?}");
+    };
+    let path = generation_path(&snapshots, user, gen);
+    let mut bytes = fs::read(&path).unwrap();
+    // The header (layout in `snapshot`): the version at 4, the lengths
+    // at 16 and 24, the header checksum last before the store bytes.
+    let len_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+    let check_at = bytes.len() - len_at(16) - len_at(24) - 8;
+    assert_eq!(bytes[4..8], 2u32.to_le_bytes(), "written as version 2");
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let check = super::snapshot::checksum(0, &bytes[..check_at]);
+    bytes[check_at..check_at + 8].copy_from_slice(&check.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+
+    let (hydrated, wal_alone, at_load, errors) = hydrate(&dir, user);
+    assert_eq!((at_load, errors), (1, 1), "counted once, at load");
+    assert!(hydrated == wal_alone, "hydrated from the WAL alone");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---- damaged snapshot bytes ------------------------------------------
 
 /// A fresh engine over `dir` after `load_dir`, and the snapshot read

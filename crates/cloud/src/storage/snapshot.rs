@@ -3,27 +3,32 @@
 //!
 //! A snapshot captures everything hydration needs to rebuild the exact
 //! store: the client-visible state, the idempotency watermarks, and the
-//! discovery engine as `(config, observation log)` — the engine itself is
-//! rebuilt by a single `absorb` of the full log, which PR 2's
-//! split-invariance property pins bit-identical to the incremental
-//! original. The memoized next-place model is kept only when it was
-//! current at snapshot time, and re-tagged to the *rebuilt* history's
-//! generation (hydration rebuilds the history via upserts, so the
-//! generation counter restarts).
+//! discovery engine — its config, its [`IncrementalGca::export`] and its
+//! observation log. Hydration restores the engine
+//! ([`IncrementalGca::restore`]) without absorbing the log again, so it
+//! does no GCA work per observation. The memoized next-place
+//! model is kept only when it was current at snapshot time, and
+//! re-tagged to the *rebuilt* history's generation (hydration rebuilds
+//! the history via upserts, so the generation counter restarts).
 //!
 //! A parked store is a [`Parked`] pair: the store bytes, which hold
 //! every field but the GCA observation log, and the log, which dominates
 //! a long-lived user's state, as the binary column block of
 //! [`ObservationBatch::to_bytes`] (empty when the store has no discovery
-//! engine). The store bytes follow the WAL frame and batch codec
-//! conventions: integers little-endian, counts `u64`, strings a `u32`
-//! byte length plus UTF-8, `f64` values as `to_bits` (so `-0.0` and NaN
-//! payloads survive bit for bit), times as seconds, and an `opt(x)` a
-//! tag byte, `0` for none or `1` followed by `x`:
+//! engine). Parking writes that block under the engine's own cell
+//! dictionary and symbols instead of interning the log again, so the
+//! engine section stores neither: the engine's dictionary is the first
+//! cells of the block's, one per dwell entry, and its absorbed symbols
+//! are the block's first `absorbed`. The store bytes follow the WAL
+//! frame and batch codec conventions: integers little-endian, counts
+//! `u64`, strings a `u32` byte length plus UTF-8, `f64` values as
+//! `to_bits` (so `-0.0` and NaN payloads survive bit for bit), times as
+//! seconds, and an `opt(x)` a tag byte, `0` for none or `1` followed by
+//! `x`:
 //!
 //! ```text
 //! store     = count × place | routes | count × profile (by day)
-//!           | count × contact | opt(config) | opt(model)
+//!           | count × contact | opt(engine) | opt(model)
 //!           | absorbed_upto:u64 | contacts_absorbed:u64
 //!           | count × (day:u64 seq:u64) (profile sequences, by day)
 //!           | places_seq:u64 | routes_seq:u64
@@ -38,20 +43,25 @@
 //!           | count × (route:u32 start end) | count × contact
 //!           | moving_s:u64 stationary_s:u64
 //! contact   = id:str start end opt(place:u32)
+//! engine    = config | absorbed:u64 | count × dwell_s:u64
+//!           | count × (a:u32 b:u32 weight:u32) | count × run | opt(run)
+//!           | foreign:u32
 //! config    = min_bounce_weight:u32 min_stay_s:u64 max_sample_gap_s:u64
 //!             run_gap_tolerance:u32 max_signature_cells:u64
+//! run       = label:u32 start end
 //! model     = count × (from:u32 | count × (to:u32 n:u32))
 //! ```
 //!
 //! Decoding checks every count against the bytes left before it
 //! allocates, and every tag, string and coordinate, and rejects trailing
-//! bytes: damaged bytes are an error, never a panic.
+//! bytes; the engine's restore checks its section against the log block.
+//! Damaged bytes are an error, never a panic.
 //!
 //! **Files.** One file per identity key and generation holds a header,
 //! then the store bytes, then the log block:
 //!
 //! ```text
-//! header = "PMSN" | version:u32 (1) | wal_seq:u64 | store_len:u64 | log_len:u64
+//! header = "PMSN" | version:u32 (2) | wal_seq:u64 | store_len:u64 | log_len:u64
 //!        | body_check:u64 | key:str | header_check:u64
 //! ```
 //!
@@ -64,8 +74,10 @@
 //! * **Recovery** ([`SnapshotStore::load`]) reads only headers. A header
 //!   whose checksum fails, whose magic or version is not this one, whose
 //!   key does not match the file name, or whose lengths do not add up to
-//!   the file's size, is counted and refused, as is any file of the
-//!   older format, whose first line was a JSON header (its magic fails).
+//!   the file's size, is counted and refused, as is any file of an older
+//!   format: a version-1 file, whose store bytes held only the engine's
+//!   config, and a file whose first line was a JSON header (its magic
+//!   fails).
 //! * **Hydration** reads one file whole and checks the header checksum,
 //!   the key and watermark it parked under, the size and the body
 //!   checksum before it decodes a byte.
@@ -106,13 +118,14 @@ use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
 
 use parking_lot::Mutex;
-use pmware_algorithms::gca::{GcaConfig, IncrementalGca};
+use pmware_algorithms::gca::{GcaConfig, GcaExport, GcaState, IncrementalGca, Run};
 use pmware_algorithms::route::{CanonicalRoute, RouteGeometry, RouteId, RouteStore};
 use pmware_algorithms::signature::{
     DiscoveredPlace, DiscoveredPlaceId, DiscoveredVisit, PlaceSignature,
 };
 use pmware_geo::{GeoPoint, Meters, Polyline};
-use pmware_world::{Bssid, CellGlobalId, CellId, Lac, Plmn, SimDuration, SimTime};
+use pmware_world::intern::Interner;
+use pmware_world::{Bssid, CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
 
 use super::fnv1a;
 use super::wal::{put_str, take_str};
@@ -134,10 +147,11 @@ impl Parked {
     /// Captures a store. The store is not consumed: eviction encodes
     /// under the store mutex, then drops the live entry.
     pub(crate) fn of(store: &UserStore) -> Parked {
+        let engine = store.gca.as_ref().map(|engine| (engine, engine.export()));
         let mut out = StoreWriter::default();
-        out.store(store);
-        let log = store.gca.as_ref().map_or_else(Vec::new, |engine| {
-            ObservationBatch::encode(engine.observations()).to_bytes()
+        out.store(store, engine.as_ref());
+        let log = engine.map_or_else(Vec::new, |(engine, export)| {
+            log_block(engine.observations(), &export)
         });
         Parked {
             store: out.out,
@@ -145,27 +159,24 @@ impl Parked {
         }
     }
 
-    /// Rebuilds the live store.
+    /// Rebuilds the live store, restoring its discovery engine from the
+    /// engine section and the log block without absorbing anything.
     ///
     /// # Errors
     ///
     /// Returns a description of the defect when the store bytes do not
-    /// decode, the log block does not decode, or the two disagree on
-    /// whether the store has a discovery engine.
+    /// decode, the log block does not decode, the two disagree on
+    /// whether the store has a discovery engine, or the engine section
+    /// does not fit the log (see [`IncrementalGca::restore`]).
     pub(crate) fn to_store(&self) -> Result<UserStore, String> {
-        let (mut store, config) = StoreReader::new(&self.store)
+        let (mut store, engine) = StoreReader::new(&self.store)
             .store()
             .map_err(|e| format!("store bytes: {e}"))?;
-        store.gca = match (config, self.log.is_empty()) {
-            (Some(config), false) => {
-                let log = ObservationBatch::from_bytes(&self.log)?.decode()?;
-                let mut engine = IncrementalGca::new(config);
-                engine.absorb(&log);
-                Some(engine)
-            }
+        store.gca = match (engine, self.log.is_empty()) {
+            (Some(engine), false) => Some(engine.restore(&self.log)?),
             (None, true) => None,
-            (Some(_), true) => return Err("engine config without a log block".to_owned()),
-            (None, false) => return Err("log block without an engine config".to_owned()),
+            (Some(_), true) => return Err("engine without a log block".to_owned()),
+            (None, false) => return Err("log block without an engine".to_owned()),
         };
         Ok(store)
     }
@@ -173,6 +184,56 @@ impl Parked {
     /// The body checksum: the store bytes, then the log block.
     fn body_check(&self) -> u64 {
         checksum(checksum(0, &self.store), &self.log)
+    }
+}
+
+/// The log block of an engine whose log is `log`: the binary column
+/// spelling under the engine's own dictionary and symbols. A recorded but
+/// unabsorbed tail continues the dictionary with its new cells, so the
+/// bytes are those of `ObservationBatch::encode(log).to_bytes()`, without
+/// interning the absorbed prefix again.
+fn log_block(log: &[GsmObservation], export: &GcaExport) -> Vec<u8> {
+    let tail = &log[export.log_syms.len()..];
+    if tail.is_empty() {
+        return ObservationBatch::bytes_with_dictionary(log, export.cells, export.log_syms);
+    }
+    let mut cells = Interner::new();
+    for cell in export.cells {
+        cells.intern(cell);
+    }
+    let mut symbols = export.log_syms.to_vec();
+    symbols.extend(tail.iter().map(|obs| cells.intern(&obs.cell)));
+    ObservationBatch::bytes_with_dictionary(log, cells.values(), &symbols)
+}
+
+/// A parked engine section, decoded: everything
+/// [`IncrementalGca::restore`] takes but the log and the dictionary, which
+/// the log block holds.
+struct EngineSection {
+    config: GcaConfig,
+    /// How many log entries the engine had absorbed.
+    absorbed: u64,
+    state: GcaState,
+}
+
+impl EngineSection {
+    /// Restores the engine over the log block `log`: the dictionary's
+    /// first cells are the engine's, and the first `absorbed` symbols its
+    /// absorbed prefix's.
+    fn restore(self, log: &[u8]) -> Result<IncrementalGca, String> {
+        let batch = ObservationBatch::from_bytes(log)?;
+        let observations = batch.decode()?;
+        let cells = batch
+            .cells
+            .get(..self.state.dwell.len())
+            .ok_or("engine cells beyond the log's dictionary")?;
+        let mut symbols = batch.cell;
+        let absorbed = usize::try_from(self.absorbed)
+            .ok()
+            .filter(|&absorbed| absorbed <= symbols.len())
+            .ok_or_else(|| format!("{} absorbed of {} logged", self.absorbed, symbols.len()))?;
+        symbols.truncate(absorbed);
+        IncrementalGca::restore(self.config, observations, cells, symbols, self.state)
     }
 }
 
@@ -201,7 +262,7 @@ fn mix(lane: u64, word: u64) -> u64 {
 /// one 8-byte word, a flipped bit included, always changes the result,
 /// and so does a changed seed. It reads eight bytes a step where FNV-1a
 /// reads one, which keeps a check of every hydration cheap.
-fn checksum(seed: u64, bytes: &[u8]) -> u64 {
+pub(super) fn checksum(seed: u64, bytes: &[u8]) -> u64 {
     let mut lanes = [seed, LANES[0], LANES[1], LANES[2]];
     let mut step = |block: &[u8; 32]| {
         let (words, _) = block.as_chunks::<8>();
@@ -233,6 +294,9 @@ const ENTRY_BYTES: usize = 4 + 8 + 8;
 const CONTACT_MIN: usize = 4 + 8 + 8 + 1;
 const MODEL_SOURCE_MIN: usize = 4 + 8;
 const MODEL_EDGE_BYTES: usize = 4 + 4;
+const DWELL_BYTES: usize = 8;
+const EDGE_BYTES: usize = 4 + 4 + 4;
+const RUN_BYTES: usize = 4 + 8 + 8;
 const SEQ_BYTES: usize = 16;
 
 /// Writes a store's bytes (layout in the module docs).
@@ -243,6 +307,10 @@ struct StoreWriter {
     /// overwrites.
     #[cfg(test)]
     counts: Vec<usize>,
+    /// The offset of the engine section's `absorbed` field, which the
+    /// hostile-bytes test reads the section from.
+    #[cfg(test)]
+    absorbed_at: usize,
 }
 
 impl StoreWriter {
@@ -386,6 +454,37 @@ impl StoreWriter {
         self.u64(config.max_signature_cells as u64);
     }
 
+    fn run(&mut self, run: &Run) {
+        self.u32(run.component);
+        self.time(run.start);
+        self.time(run.end);
+    }
+
+    fn engine(&mut self, engine: &IncrementalGca, export: &GcaExport) {
+        self.config(engine.config());
+        #[cfg(test)]
+        {
+            self.absorbed_at = self.out.len();
+        }
+        self.u64(export.log_syms.len() as u64);
+        let state = &export.state;
+        self.count(state.dwell.len());
+        state
+            .dwell
+            .iter()
+            .for_each(|dwell| self.u64(dwell.as_seconds()));
+        self.count(state.edges.len());
+        for &(a, b, weight) in &state.edges {
+            self.u32(a);
+            self.u32(b);
+            self.u32(weight);
+        }
+        self.count(state.runs.len());
+        state.runs.iter().for_each(|run| self.run(run));
+        self.opt(state.open.as_ref(), Self::run);
+        self.u32(state.foreign);
+    }
+
     fn model(&mut self, model: &MarkovPredictor) {
         self.count(model.transitions().len());
         for (from, next) in model.transitions() {
@@ -398,7 +497,9 @@ impl StoreWriter {
         }
     }
 
-    fn store(&mut self, store: &UserStore) {
+    /// Writes `store`, whose discovery engine, if any, is given with its
+    /// export.
+    fn store(&mut self, store: &UserStore, engine: Option<&(&IncrementalGca, GcaExport)>) {
         self.count(store.places.len());
         store.places.iter().for_each(|place| self.place(place));
         self.f64(store.routes.match_threshold());
@@ -408,9 +509,7 @@ impl StoreWriter {
         store.history.iter().for_each(|p| self.profile(p));
         self.count(store.contacts.len());
         store.contacts.iter().for_each(|c| self.contact(c));
-        self.opt(store.gca.as_ref(), |out, engine| {
-            out.config(engine.config())
-        });
+        self.opt(engine, |out, (engine, export)| out.engine(engine, export));
         // Persist the memoized predictor only if it is current — a stale
         // memo would be dropped on the next query anyway.
         let memo = store
@@ -620,6 +719,32 @@ impl<'a> StoreReader<'a> {
         })
     }
 
+    fn run(&mut self) -> Result<Run, String> {
+        Ok(Run {
+            component: self.u32()?,
+            start: self.time()?,
+            end: self.time()?,
+        })
+    }
+
+    fn engine(&mut self) -> Result<EngineSection, String> {
+        Ok(EngineSection {
+            config: self.config()?,
+            absorbed: self.u64()?,
+            state: GcaState {
+                dwell: self.list(DWELL_BYTES, "dwell", |input| {
+                    input.u64().map(SimDuration::from_seconds)
+                })?,
+                edges: self.list(EDGE_BYTES, "edge", |input| {
+                    Ok((input.u32()?, input.u32()?, input.u32()?))
+                })?,
+                runs: self.list(RUN_BYTES, "run", Self::run)?,
+                open: self.opt("open run", Self::run)?,
+                foreign: self.u32()?,
+            },
+        })
+    }
+
     fn model(&mut self) -> Result<MarkovPredictor, String> {
         let sources = self.input.count(MODEL_SOURCE_MIN, "model source")?;
         let mut transitions = BTreeMap::new();
@@ -635,9 +760,10 @@ impl<'a> StoreReader<'a> {
         Ok(MarkovPredictor::from_transitions(transitions))
     }
 
-    /// The whole store, without its discovery engine, and the engine's
-    /// config: [`Parked::to_store`] rebuilds the engine from the log block.
-    fn store(mut self) -> Result<(UserStore, Option<GcaConfig>), String> {
+    /// The whole store, without its discovery engine, and the engine
+    /// section: [`Parked::to_store`] restores the engine over the log
+    /// block.
+    fn store(mut self) -> Result<(UserStore, Option<EngineSection>), String> {
         let places = self.list(PLACE_MIN, "place", Self::place)?;
         let threshold = self.f64()?;
         let routes = self.list(ROUTE_MIN, "route", Self::route)?;
@@ -648,7 +774,7 @@ impl<'a> StoreReader<'a> {
             history.upsert(self.profile()?);
         }
         let contacts = self.list(CONTACT_MIN, "contact", Self::contact)?;
-        let gca = self.opt("engine config", Self::config)?;
+        let gca = self.opt("engine", Self::engine)?;
         // Re-tag the memo with the rebuilt history's generation: the
         // upserts above restart the counter at the profile count rather
         // than the original run's value.
@@ -687,7 +813,7 @@ impl<'a> StoreReader<'a> {
 /// The first bytes of every snapshot file.
 const MAGIC: [u8; 4] = *b"PMSN";
 /// The snapshot file format's version.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 /// Header bytes before the key string: magic, version, watermark, the two
 /// lengths and the body checksum.
 const HEADER_FIXED: usize = 4 + 4 + 8 + 8 + 8 + 8;
@@ -1492,6 +1618,44 @@ pub(crate) mod tests {
         }
     }
 
+    proptest! {
+        /// The log block parking writes from the engine's own dictionary
+        /// and symbols is byte for byte the batch spelling of the log, a
+        /// recorded but unabsorbed tail included, whose new cells continue
+        /// the dictionary. A store parked with such a tail hydrates to an
+        /// engine equal to the parked one, which parks to the same bytes.
+        #[test]
+        fn the_log_block_is_the_batch_spelling(seed in any::<u64>(), absorbed in 0.0..1.0f64) {
+            let mut g = Gen(seed);
+            let mut minute = 0;
+            let log: Vec<GsmObservation> = (0..g.len() * 20)
+                .map(|_| {
+                    minute += g.next() % 3;
+                    sample(minute, (g.next() % 9) as u32)
+                })
+                .collect();
+            let cut = (log.len() as f64 * absorbed) as usize;
+            let mut engine = IncrementalGca::new(GcaConfig::default());
+            engine.absorb(&log[..cut]);
+            engine.record(&log[cut..]);
+            prop_assert_eq!(
+                log_block(&log, &engine.export()),
+                ObservationBatch::encode(&log).to_bytes()
+            );
+
+            let store = UserStore {
+                gca: Some(engine),
+                ..UserStore::default()
+            };
+            let parked = Parked::of(&store);
+            let back = parked.to_store().unwrap();
+            let (engine, restored) = (store.gca.as_ref().unwrap(), back.gca.as_ref().unwrap());
+            prop_assert_eq!(restored.export(), engine.export());
+            prop_assert_eq!(restored.observations(), engine.observations());
+            prop_assert_eq!(Parked::of(&back), parked);
+        }
+    }
+
     thread_local! {
         /// The largest collection, in bytes, this thread's decoding
         /// allocated ahead of reading its items since the last reset.
@@ -1581,7 +1745,15 @@ pub(crate) mod tests {
             },
         });
         store.contacts = vec![contact];
-        let log: Vec<GsmObservation> = (0..40).map(|m| sample(m, 1 + (m % 3) as u32)).collect();
+        // A stay bouncing between cells 1 and 2, broken by travel, and a
+        // last travel sample: edges, closed runs, an open run and a
+        // foreign count in the engine section.
+        let log: Vec<GsmObservation> = (0..61)
+            .map(|m| match m {
+                30..36 | 60 => sample(m, 50 + m as u32),
+                _ => sample(m, 1 + u32::from(m % 3 == 1)),
+            })
+            .collect();
         let mut engine = IncrementalGca::new(GcaConfig::default());
         engine.absorb(&log);
         store.gca = Some(engine);
@@ -1595,15 +1767,18 @@ pub(crate) mod tests {
 
     /// Hostile bytes are an error, never a panic, and never an
     /// allocation the input could not fill: the store bytes and the log
-    /// block cut at every offset, and every count field set to
-    /// `u64::MAX`. Every collection allocated ahead of its items holds
-    /// no more items than the bytes left could spell, and a decoded item
-    /// takes at most 8 bytes per byte it is read from (a place ~4×).
+    /// block cut at every offset, every count field set to `u64::MAX`,
+    /// and every field of the engine section that names a symbol or a
+    /// log entry set out of range. Every collection allocated ahead of
+    /// its items holds no more items than the bytes left could spell,
+    /// and a decoded item takes at most 8 bytes per byte it is read from
+    /// (a place ~4×).
     #[test]
     fn hostile_bytes_are_errors_not_panics() {
         let store = every_field_store();
+        let engine = store.gca.as_ref().map(|engine| (engine, engine.export()));
         let mut writer = StoreWriter::default();
-        writer.store(&store);
+        writer.store(&store, engine.as_ref());
         let parked = Parked::of(&store);
         assert_eq!(writer.out, parked.store);
         assert!(parked.to_store().is_ok());
@@ -1635,9 +1810,9 @@ pub(crate) mod tests {
             };
             assert!(decode(&candidate).is_err(), "log cut at {cut}");
         }
-        // Every count in the store, then the log block's cell and
-        // observation counts.
-        assert!(writer.counts.len() >= 15, "{} counts", writer.counts.len());
+        // Every count in the store, the engine section's three included,
+        // then the log block's cell and observation counts.
+        assert!(writer.counts.len() >= 18, "{} counts", writer.counts.len());
         let cells = u64::from_le_bytes(parked.log[..8].try_into().unwrap()) as usize;
         let log_counts = [0, 8 + cells * CELL_BYTES + 8];
         for (in_store, at) in (writer.counts.iter().map(|&at| (true, at)))
@@ -1654,6 +1829,47 @@ pub(crate) mod tests {
                 decode(&candidate).is_err(),
                 "count at {at} (store: {in_store})"
             );
+        }
+
+        // The engine section: `absorbed`, every edge's symbols and
+        // weight, every run label and the foreign count.
+        let (_, export) = engine.as_ref().unwrap();
+        let state = &export.state;
+        assert!(!state.edges.is_empty() && !state.runs.is_empty());
+        assert!(state.open.is_some() && state.foreign > 0);
+        let absorbed_at = writer.absorbed_at;
+        let edges_at = absorbed_at + 8 + 8 + state.dwell.len() * DWELL_BYTES + 8;
+        let runs_at = edges_at + state.edges.len() * EDGE_BYTES + 8;
+        let open_at = runs_at + state.runs.len() * RUN_BYTES + 1;
+        let foreign_at = open_at + RUN_BYTES;
+        let mut fields = vec![(absorbed_at, u64::MAX.to_le_bytes().to_vec())];
+        for edge in 0..state.edges.len() {
+            let at = edges_at + edge * EDGE_BYTES;
+            for (field, value) in [(0, u32::MAX), (4, u32::MAX), (4, 0), (8, 0)] {
+                fields.push((at + field, value.to_le_bytes().to_vec()));
+            }
+        }
+        for run in (0..state.runs.len())
+            .map(|run| runs_at + run * RUN_BYTES)
+            .chain([open_at])
+        {
+            fields.push((run, u32::MAX.to_le_bytes().to_vec()));
+        }
+        fields.push((foreign_at, u32::MAX.to_le_bytes().to_vec()));
+        let u32_at = |at: usize| u32::from_le_bytes(parked.store[at..at + 4].try_into().unwrap());
+        assert_eq!(
+            (u32_at(edges_at + 4), u32_at(open_at), u32_at(foreign_at)),
+            (
+                state.edges[0].1,
+                state.open.unwrap().component,
+                state.foreign
+            ),
+            "the section's layout"
+        );
+        for (at, value) in fields {
+            let mut candidate = parked.clone();
+            candidate.store[at..at + value.len()].copy_from_slice(&value);
+            assert!(decode(&candidate).is_err(), "engine field at {at}");
         }
     }
 

@@ -145,33 +145,53 @@ impl ObservationBatch {
     /// Panics on a ragged batch (columns of different lengths); batches
     /// built by [`ObservationBatch::encode`] never are.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let n = self.len();
         assert!(!self.is_ragged(), "to_bytes on a ragged batch");
-        let mut out =
-            Vec::with_capacity(24 + self.cells.len() * CELL_BYTES + n * OBSERVATION_BYTES);
-        out.extend_from_slice(&(self.cells.len() as u64).to_le_bytes());
-        for cell in &self.cells {
-            out.extend_from_slice(&cell.plmn.mcc.to_le_bytes());
-            out.extend_from_slice(&cell.plmn.mnc.to_le_bytes());
-            out.extend_from_slice(&cell.lac.0.to_le_bytes());
-            out.extend_from_slice(&cell.cell.0.to_le_bytes());
-        }
-        out.extend_from_slice(&self.t0.to_le_bytes());
-        out.extend_from_slice(&(n as u64).to_le_bytes());
-        for dt in &self.dt {
-            out.extend_from_slice(&dt.to_le_bytes());
-        }
-        for symbol in &self.cell {
-            out.extend_from_slice(&symbol.to_le_bytes());
-        }
-        out.extend(self.layer.iter().map(|layer| match layer {
-            NetworkLayer::G2 => 0u8,
-            NetworkLayer::G3 => 1u8,
-        }));
-        for rssi in &self.rssi_dbm {
-            out.extend_from_slice(&rssi.to_bits().to_le_bytes());
-        }
-        out
+        write_block(
+            &self.cells,
+            self.t0,
+            &self.cell,
+            self.dt.iter().copied(),
+            self.layer.iter().copied(),
+            self.rssi_dbm.iter().copied(),
+        )
+    }
+
+    /// The binary spelling of `observations` under a dictionary the
+    /// caller already holds: `cells`, and each observation's symbol into
+    /// it in `symbols`. Nothing is interned. When `cells` lists the
+    /// observations' distinct cells in first-seen order, as a GCA
+    /// engine's dictionary does, the bytes are those of
+    /// `ObservationBatch::encode(observations).to_bytes()`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `symbols` and `observations` differ in length.
+    pub(crate) fn bytes_with_dictionary(
+        observations: &[GsmObservation],
+        cells: &[CellGlobalId],
+        symbols: &[u32],
+    ) -> Vec<u8> {
+        assert_eq!(
+            symbols.len(),
+            observations.len(),
+            "one symbol per observation"
+        );
+        let t0 = observations.first().map_or(0, |obs| obs.time.as_seconds());
+        let mut prev = t0;
+        let dt = observations.iter().map(|obs| {
+            let t = obs.time.as_seconds();
+            let dt = t.wrapping_sub(prev) as i64;
+            prev = t;
+            dt
+        });
+        write_block(
+            cells,
+            t0,
+            symbols,
+            dt,
+            observations.iter().map(|obs| obs.layer),
+            observations.iter().map(|obs| obs.rssi_dbm),
+        )
     }
 
     /// Parses the binary spelling.
@@ -186,47 +206,46 @@ impl ObservationBatch {
     pub fn from_bytes(bytes: &[u8]) -> Result<ObservationBatch, String> {
         let mut input = ByteReader::new(bytes);
         let cell_count = input.count(CELL_BYTES, "cell")?;
-        let mut cells = Vec::with_capacity(cell_count);
-        for _ in 0..cell_count {
-            cells.push(CellGlobalId {
+        let (cells, _) = input
+            .slice(cell_count * CELL_BYTES)?
+            .as_chunks::<CELL_BYTES>();
+        let cells = cells
+            .iter()
+            .map(|&[m0, m1, n0, n1, l0, l1, c0, c1, c2, c3]| CellGlobalId {
                 plmn: Plmn {
-                    mcc: u16::from_le_bytes(input.take()?),
-                    mnc: u16::from_le_bytes(input.take()?),
+                    mcc: u16::from_le_bytes([m0, m1]),
+                    mnc: u16::from_le_bytes([n0, n1]),
                 },
-                lac: Lac(u16::from_le_bytes(input.take()?)),
-                cell: CellId(u32::from_le_bytes(input.take()?)),
-            });
-        }
+                lac: Lac(u16::from_le_bytes([l0, l1])),
+                cell: CellId(u32::from_le_bytes([c0, c1, c2, c3])),
+            })
+            .collect();
         let t0 = u64::from_le_bytes(input.take()?);
         let n = input.count(OBSERVATION_BYTES, "observation")?;
-        let mut batch = ObservationBatch {
+        let (dt, _) = input.slice(n * 8)?.as_chunks::<8>();
+        let (cell, _) = input.slice(n * 4)?.as_chunks::<4>();
+        let layer = input
+            .slice(n)?
+            .iter()
+            .map(|&byte| match byte {
+                0 => Ok(NetworkLayer::G2),
+                1 => Ok(NetworkLayer::G3),
+                other => Err(format!("unknown layer byte {other}")),
+            })
+            .collect::<Result<_, _>>()?;
+        let (rssi_dbm, _) = input.slice(n * 8)?.as_chunks::<8>();
+        input.finish()?;
+        Ok(ObservationBatch {
             cells,
             t0,
-            dt: Vec::with_capacity(n),
-            cell: Vec::with_capacity(n),
-            layer: Vec::with_capacity(n),
-            rssi_dbm: Vec::with_capacity(n),
-        };
-        for _ in 0..n {
-            batch.dt.push(i64::from_le_bytes(input.take()?));
-        }
-        for _ in 0..n {
-            batch.cell.push(u32::from_le_bytes(input.take()?));
-        }
-        for _ in 0..n {
-            batch.layer.push(match input.take::<1>()? {
-                [0] => NetworkLayer::G2,
-                [1] => NetworkLayer::G3,
-                [other] => return Err(format!("unknown layer byte {other}")),
-            });
-        }
-        for _ in 0..n {
-            batch
-                .rssi_dbm
-                .push(f64::from_bits(u64::from_le_bytes(input.take()?)));
-        }
-        input.finish()?;
-        Ok(batch)
+            dt: dt.iter().map(|&b| i64::from_le_bytes(b)).collect(),
+            cell: cell.iter().map(|&b| u32::from_le_bytes(b)).collect(),
+            layer,
+            rssi_dbm: rssi_dbm
+                .iter()
+                .map(|&b| f64::from_bits(u64::from_le_bytes(b)))
+                .collect(),
+        })
     }
 
     /// Whether the parallel columns disagree in length (a batch only a
@@ -246,6 +265,39 @@ impl ObservationBatch {
     pub fn is_empty(&self) -> bool {
         self.dt.is_empty()
     }
+}
+
+/// Writes the binary spelling (layout in the module docs) of `symbols.len()`
+/// observations given column by column.
+fn write_block(
+    cells: &[CellGlobalId],
+    t0: u64,
+    symbols: &[u32],
+    dt: impl Iterator<Item = i64>,
+    layer: impl Iterator<Item = NetworkLayer>,
+    rssi_dbm: impl Iterator<Item = f64>,
+) -> Vec<u8> {
+    let n = symbols.len();
+    let mut out = Vec::with_capacity(24 + cells.len() * CELL_BYTES + n * OBSERVATION_BYTES);
+    out.extend_from_slice(&(cells.len() as u64).to_le_bytes());
+    for cell in cells {
+        out.extend_from_slice(&cell.plmn.mcc.to_le_bytes());
+        out.extend_from_slice(&cell.plmn.mnc.to_le_bytes());
+        out.extend_from_slice(&cell.lac.0.to_le_bytes());
+        out.extend_from_slice(&cell.cell.0.to_le_bytes());
+    }
+    out.extend_from_slice(&t0.to_le_bytes());
+    out.extend_from_slice(&(n as u64).to_le_bytes());
+    dt.for_each(|dt| out.extend_from_slice(&dt.to_le_bytes()));
+    for symbol in symbols {
+        out.extend_from_slice(&symbol.to_le_bytes());
+    }
+    out.extend(layer.map(|layer| match layer {
+        NetworkLayer::G2 => 0u8,
+        NetworkLayer::G3 => 1u8,
+    }));
+    rssi_dbm.for_each(|rssi| out.extend_from_slice(&rssi.to_bits().to_le_bytes()));
+    out
 }
 
 /// A little-endian cursor over a binary block that never reads past the
