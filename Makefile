@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-latency bench-storage lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage loc obs test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-latency bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -22,7 +22,7 @@
 # golden-bench gate (the sim-time BENCH_*.json reports regenerate
 # byte-identical), and the benchmark check (perfbench still builds and
 # its smoke test passes).
-verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-wire lint-latency lint-storage chaos obs test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
+verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage chaos obs test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -115,6 +115,22 @@ lint-args:
 	done | grep . \
 		|| { echo 'lint-args: a binary reads std::env::args around pmware_bench::args'; exit 1; }
 	@echo 'lint-args: ok'
+
+# The rig lint: the simulated phone every study carries (radio config,
+# energy model, start instant) is chosen in one place,
+# `PmwareMobileService::on_itinerary` in crates/core/src/pms.rs, so no
+# other non-test code in crates/ may call `PmwareMobileService::new`
+# itself. Integration tests (`crates/*/tests`), examples and everything
+# from a file's `#[cfg(test)]` down are exempt.
+lint-rig:
+	@! for f in $$(find crates -path '*/tests' -prune -o -path '*/examples' -prune \
+			-o -name '*.rs' -print); do \
+		[ "$$f" = crates/core/src/pms.rs ] && continue; \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" \
+			| grep -n 'PmwareMobileService\(::<[^>]*>\)\{0,1\}::new\b' | sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-rig: a driver calls PmwareMobileService::new; build its phone with on_itinerary'; exit 1; }
+	@echo 'lint-rig: ok'
 
 # The counter lint: a registry counter is monotonic and each counted
 # fact lives in one handle, so no non-test code in crates/*/src outside

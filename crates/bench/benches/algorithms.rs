@@ -8,6 +8,7 @@ use pmware_algorithms::gps_cluster::{self, KangConfig};
 use pmware_algorithms::matching::{classify_places, GroundTruthVisit};
 use pmware_algorithms::route::{route_similarity, RouteGeometry};
 use pmware_algorithms::sensloc::{self, SensLocConfig};
+use pmware_core::{diary, DIARY_MIN_SHARE};
 use pmware_device::{Device, EnergyModel};
 use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
@@ -35,15 +36,7 @@ fn simulate_week(days: u64) -> Streams {
         .build();
     let pop = Population::generate(&world, 1, 78);
     let it = pop.itinerary(&world, pop.agents()[0].id(), days);
-    let truth = it
-        .visits()
-        .iter()
-        .map(|v| GroundTruthVisit {
-            place: v.place,
-            arrival: v.arrival,
-            departure: v.departure,
-        })
-        .collect();
+    let truth = diary(&it);
     let env = RadioEnvironment::new(&world, RadioConfig::default());
     let mut phone = Device::new(env, &it, EnergyModel::htc_explorer(), 79);
     let mut gsm = Vec::new();
@@ -160,7 +153,13 @@ fn bench_matching(c: &mut Criterion) {
     let out = gca::discover_places(&week.gsm, &GcaConfig::default());
     let mut group = c.benchmark_group("matching");
     group.bench_function("classify-week", |b| {
-        b.iter(|| classify_places(black_box(&out.places), black_box(&week.truth), 0.2));
+        b.iter(|| {
+            classify_places(
+                black_box(&out.places),
+                black_box(&week.truth),
+                DIARY_MIN_SHARE,
+            )
+        });
     });
     group.finish();
 }

@@ -10,11 +10,9 @@ use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::preferences::coarsen_position;
 use pmware_core::requirements::{AppRequirement, Granularity};
 use pmware_core::sensing::{SensingConfig, SensingScheduler};
-use pmware_device::{Device, EnergyModel};
 use pmware_geo::GeoPoint;
 use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{MotionState, SimTime};
 use serde_json::json;
 use std::hint::black_box;
@@ -98,13 +96,12 @@ fn bench_full_pms_day(c: &mut Criterion) {
     group.bench_function("one-simulated-day", |b| {
         b.iter(|| {
             let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 22));
-            let env = RadioEnvironment::new(&world, RadioConfig::default());
-            let device = Device::new(env, &it, EnergyModel::htc_explorer(), 23);
-            let mut pms = PmwareMobileService::new(
-                device,
+            let mut pms = PmwareMobileService::on_itinerary(
+                &world,
+                &it,
                 cloud,
                 PmsConfig::for_participant(99),
-                SimTime::EPOCH,
+                23,
             )
             .expect("register");
             let _rx = pms.register_app(

@@ -10,6 +10,7 @@
 use pmware_algorithms::gca::{self, GcaConfig};
 use pmware_algorithms::matching::{classify_places, GroundTruthVisit};
 use pmware_bench::args::Args;
+use pmware_core::{diary, DIARY_MIN_SHARE};
 use pmware_device::{Device, EnergyModel};
 use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
@@ -34,15 +35,7 @@ fn main() {
             stream.push(obs);
         }
     }
-    let truth: Vec<GroundTruthVisit> = it
-        .visits()
-        .iter()
-        .map(|v| GroundTruthVisit {
-            place: v.place,
-            arrival: v.arrival,
-            departure: v.departure,
-        })
-        .collect();
+    let truth = diary(&it);
     let true_places = it.visited_places().len();
 
     println!(
@@ -90,7 +83,7 @@ fn report_row(
     config: &GcaConfig,
 ) {
     let out = gca::discover_places(stream, config);
-    let report = classify_places(&out.places, truth, 0.2);
+    let report = classify_places(&out.places, truth, DIARY_MIN_SHARE);
     println!(
         "{label:>10} {:>11} {:>8.0}% {:>7.0}% {:>7.0}% {:>9}",
         out.places.len(),

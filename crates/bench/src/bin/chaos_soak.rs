@@ -23,13 +23,12 @@
 use std::num::NonZeroU64;
 
 use pmware_bench::args::{exit_usage, Args};
-use pmware_cloud::{CellDatabase, CloudInstance, FaultPlan, FaultyCloud, SharedCloud, UserId};
+use pmware_bench::cloud_snapshot;
+use pmware_cloud::{CellDatabase, CloudInstance, FaultPlan, FaultyCloud, SharedCloud};
 use pmware_core::intents::IntentFilter;
 use pmware_core::{AppRequirement, Granularity, PmsConfig, PmwareMobileService};
-use pmware_device::{Device, EnergyModel};
 use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimTime, World};
 
 const RATES: [f64; 4] = [0.0, 0.10, 0.20, 0.30];
@@ -42,17 +41,6 @@ struct RateResult {
     faults_injected: u64,
     converged: bool,
     convergence_hours: i64,
-}
-
-/// Cloud-side durable state for one user, canonically serialized.
-fn cloud_snapshot(cloud: &SharedCloud, user: UserId) -> String {
-    serde_json::to_string(&(
-        cloud.places_of(user),
-        cloud.profiles_of(user),
-        cloud.observation_count(user),
-        cloud.contacts_of(user),
-    ))
-    .expect("snapshot serializes")
 }
 
 /// Runs the study at one fault rate, probing the cloud hourly after the
@@ -71,13 +59,12 @@ fn run_at_rate(
     ));
     let faulty = FaultyCloud::new(shared.clone(), FaultPlan::with_rate(seed + 2, rate));
     faulty.set_enabled(false);
-    let env = RadioEnvironment::new(world, RadioConfig::default());
-    let device = Device::new(env, itinerary, EnergyModel::htc_explorer(), seed + 3);
-    let mut pms = PmwareMobileService::new(
-        device,
+    let mut pms = PmwareMobileService::on_itinerary(
+        world,
+        itinerary,
         faulty.clone(),
         PmsConfig::for_participant(0),
-        SimTime::EPOCH,
+        seed + 3,
     )
     .expect("registration is fault-free");
     let user = pms.cloud_client_mut().user();
@@ -143,13 +130,8 @@ fn main() {
     let (clean, reference) = run_at_rate(&world, &itinerary, days, seed, 0.0);
     let mut results = Vec::new();
     for &rate in &RATES {
-        let (mut r, probes) = if rate == 0.0 {
-            // Reuse the reference run; it converges to itself at hour 0.
-            let (r, p) = run_at_rate(&world, &itinerary, days, seed, 0.0);
-            (r, p)
-        } else {
-            run_at_rate(&world, &itinerary, days, seed, rate)
-        };
+        // The 0% run repeats the reference; it converges at hour 0.
+        let (mut r, probes) = run_at_rate(&world, &itinerary, days, seed, rate);
         r.convergence_hours = probes
             .iter()
             .zip(&reference)

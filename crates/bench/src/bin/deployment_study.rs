@@ -109,7 +109,7 @@ fn main() {
         tagged_frac * 100.0
     );
     println!("  evaluable places  : {evaluable:>6.1}  (paper: 62)");
-    println!("\nDEP-B: discovery quality over evaluable places (GSM + opportunistic WiFi)");
+    println!("\nDEP-B: discovery quality over evaluable places (GSM only)");
     println!("  correct : {:>6.2}%  (paper: 79.03%)", correct * 100.0);
     println!("  merged  : {:>6.2}%  (paper: 14.52%)", merged * 100.0);
     println!("  divided : {:>6.2}%  (paper:  6.45%)", divided * 100.0);

@@ -19,10 +19,8 @@ use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
 use pmware_core::intents::{actions, IntentFilter};
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity};
-use pmware_device::{Device, EnergyModel};
 use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::SimTime;
 
 fn main() {
@@ -48,18 +46,12 @@ fn main() {
     // thread count.
     let per_agent = parallel_map(population.agents().to_vec(), threads, |agent| {
         let itinerary = population.itinerary(&world, agent.id(), days);
-        let env = RadioEnvironment::new(&world, RadioConfig::default());
-        let device = Device::new(
-            env,
+        let mut pms = PmwareMobileService::on_itinerary(
+            &world,
             &itinerary,
-            EnergyModel::htc_explorer(),
-            6100 + agent.id().0 as u64,
-        );
-        let mut pms = PmwareMobileService::new(
-            device,
             cloud.clone(),
             PmsConfig::for_participant(60 + agent.id().0),
-            SimTime::EPOCH,
+            6100 + agent.id().0 as u64,
         )
         .expect("register");
         let rx = pms.register_app(

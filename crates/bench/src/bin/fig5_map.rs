@@ -16,11 +16,9 @@ use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity};
-use pmware_device::{Device, EnergyModel};
 use pmware_geo::GeoPoint;
 use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{PlaceCategory, SimTime, World};
 
 const SIZE: f64 = 900.0;
@@ -143,18 +141,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         population.agents().iter().cloned().enumerate().collect();
     let estimates = parallel_map(jobs, threads, |(i, agent)| {
         let itinerary = population.itinerary(&world, agent.id(), days);
-        let env = RadioEnvironment::new(&world, RadioConfig::default());
-        let device = Device::new(
-            env,
+        let mut pms = PmwareMobileService::on_itinerary(
+            &world,
             &itinerary,
-            EnergyModel::htc_explorer(),
-            2100 + i as u64,
-        );
-        let mut pms = PmwareMobileService::new(
-            device,
             cloud.clone(),
             PmsConfig::for_participant(i as u32),
-            SimTime::EPOCH,
+            2100 + i as u64,
         )
         .expect("registration succeeds");
         let _rx = pms.register_app(

@@ -26,15 +26,14 @@
 use std::num::{NonZeroU64, NonZeroUsize};
 
 use pmware_bench::args::{exit_usage, Args};
-use pmware_cloud::{AdmissionConfig, CellDatabase, CloudInstance, RateBudget, SharedCloud, UserId};
+use pmware_bench::cloud_snapshot;
+use pmware_cloud::{AdmissionConfig, CellDatabase, CloudInstance, RateBudget, SharedCloud};
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::PeerProvider;
 use pmware_core::{AppRequirement, Granularity, PmsConfig, PmwareMobileService};
-use pmware_device::{Device, EnergyModel};
 use pmware_geo::GeoPoint;
 use pmware_mobility::{Itinerary, Population};
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimDuration, SimTime, World};
 
 /// A companion present during the day so social sync has traffic to
@@ -51,17 +50,6 @@ impl PeerProvider for ShadowPeer {
             Vec::new()
         }
     }
-}
-
-/// Cloud-side durable state for one user, canonically serialized.
-fn cloud_snapshot(cloud: &SharedCloud, user: UserId) -> String {
-    serde_json::to_string(&(
-        cloud.places_of(user),
-        cloud.profiles_of(user),
-        cloud.observation_count(user),
-        cloud.contacts_of(user),
-    ))
-    .expect("snapshot serializes")
 }
 
 struct ScenarioResult {
@@ -94,18 +82,12 @@ fn run_scenario(
     let mut rate_limited = 0;
     let mut snapshots = Vec::new();
     for (i, itinerary) in itineraries.iter().enumerate() {
-        let env = RadioEnvironment::new(world, RadioConfig::default());
-        let device = Device::new(
-            env,
+        let mut pms = PmwareMobileService::on_itinerary(
+            world,
             itinerary,
-            EnergyModel::htc_explorer(),
-            seed + 10 + i as u64,
-        );
-        let mut pms = PmwareMobileService::new(
-            device,
             cloud.clone(),
             PmsConfig::for_participant(i as u32),
-            SimTime::EPOCH,
+            seed + 10 + i as u64,
         )
         .expect("registration is exempt from admission control");
         pms.cloud_client_mut()

@@ -16,11 +16,8 @@ use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity, RouteAccuracy};
-use pmware_device::{Device, EnergyModel};
-use pmware_geo::Meters;
 use pmware_mobility::{Itinerary, Population, Segment};
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimTime, World};
 
 fn main() {
@@ -66,15 +63,9 @@ fn run_mode(
     days: u64,
 ) -> (usize, usize, Option<f64>, f64) {
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(world), 3003));
-    let env = RadioEnvironment::new(world, RadioConfig::default());
-    let device = Device::new(env, it, EnergyModel::htc_explorer(), 3004);
-    let mut pms = PmwareMobileService::new(
-        device,
-        cloud,
-        PmsConfig::for_participant(30),
-        SimTime::EPOCH,
-    )
-    .expect("register");
+    let mut pms =
+        PmwareMobileService::on_itinerary(world, it, cloud, PmsConfig::for_participant(30), 3004)
+            .expect("register");
     let _rx = pms.register_app(
         "navigator",
         AppRequirement::places(Granularity::Area).with_routes(accuracy),
@@ -116,7 +107,6 @@ fn run_mode(
     } else {
         Some(errors.iter().sum::<f64>() / errors.len() as f64)
     };
-    let _ = Meters::ZERO;
     let n_routes = pms.routes().routes().len();
     let report = pms.finish(SimTime::from_day_time(days, 0, 0, 0));
     (n_routes, gps_count, mean_error, report.energy_joules)

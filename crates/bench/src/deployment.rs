@@ -6,24 +6,26 @@
 //! * **DEP-A** — places discovered in total (paper: 123), fraction the
 //!   participants tagged (paper: 85/123 ≈ 70 %), and the evaluable subset
 //!   (tagged places with departure information; paper: 62);
-//! * **DEP-B** — discovery quality over the evaluable places with GSM +
-//!   opportunistic WiFi: correct / merged / divided (paper: 79.03 % /
-//!   14.52 % / 6.45 %);
+//! * **DEP-B** — discovery quality over the evaluable places with GSM-only
+//!   discovery: correct / merged / divided (paper, GSM + opportunistic
+//!   WiFi: 79.03 % / 14.52 % / 6.45 %). The study's apps ask for area
+//!   (PlaceADs) and building (life log) granularity, and the sensing
+//!   scheduler scans WiFi only for room-level demand or high-accuracy
+//!   routes, so no participant's phone ever scans WiFi;
 //! * **DEP-C** — PlaceADs like:dislike ratio (paper: 17:3 = 85 % likes).
 
-use pmware_algorithms::matching::{classify_places, GroundTruthVisit, MatchOutcome};
-use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
+use crossbeam::channel::Receiver;
+use pmware_algorithms::matching::MatchOutcome;
 use pmware_apps::{AdInventory, LifeLogApp, PlaceAdsApp, UserTasteModel};
 use pmware_cloud::{
-    AdmissionConfig, CellDatabase, CloudInstance, LatencyProfile, SharedCloud, StorageConfig,
+    AdmissionConfig, CellDatabase, CloudEndpoint, CloudInstance, LatencyProfile, SharedCloud,
+    StorageConfig,
 };
-use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::registry::PmPlaceId;
-use pmware_device::{Device, EnergyModel};
-use pmware_mobility::{Itinerary, Population};
+use pmware_core::{score_against_diary, Intent, PmsConfig, PmwareMobileService};
+use pmware_mobility::{AgentProfile, Itinerary, Population};
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimTime, World};
 
 /// Study parameters.
@@ -208,34 +210,25 @@ pub fn run_study(config: &StudyConfig) -> StudyResults {
     let cloud = SharedCloud::new(instance);
     let population = Population::generate(&world, config.participants, config.seed + 2);
 
-    // Everything a participant needs is derived from per-participant seeds
-    // before the fan-out, so worker scheduling cannot change any result;
-    // `parallel_map` reassembles in agent order.
-    let jobs: Vec<(u32, f64, Itinerary, UserTasteModel)> = population
+    // Everything a participant needs is derived from per-participant seeds,
+    // so worker scheduling cannot change any result; `parallel_map`
+    // reassembles in agent order.
+    let jobs: Vec<(&AgentProfile, Itinerary)> = population
         .agents()
         .iter()
-        .map(|agent| {
-            (
-                agent.id().0,
-                agent.tag_probability(),
-                population.itinerary(&world, agent.id(), config.days),
-                UserTasteModel::from_agent(agent, config.seed + 100 + agent.id().0 as u64),
-            )
-        })
+        .map(|agent| (agent, population.itinerary(&world, agent.id(), config.days)))
         .collect();
     let participants = crate::parallel::parallel_map(
         jobs,
         crate::parallel::resolve_threads(config.threads),
-        |(index, tag_probability, itinerary, taste)| {
-            run_participant(
-                &world,
-                cloud.clone(),
-                index,
-                tag_probability,
-                &itinerary,
-                taste,
-                config,
-            )
+        |(agent, itinerary)| {
+            let mut participant =
+                StudyParticipant::new(&world, cloud.clone(), agent, &itinerary, config);
+            // Day by day, so the apps interact as the study unfolds.
+            for day in 1..=config.days {
+                participant.day(day);
+            }
+            participant.finish(SimTime::from_day_time(config.days, 0, 0, 0))
         },
     );
 
@@ -245,126 +238,126 @@ pub fn run_study(config: &StudyConfig) -> StudyResults {
     }
 }
 
-fn run_participant(
-    world: &World,
-    cloud: SharedCloud,
-    index: u32,
-    tag_probability: f64,
-    itinerary: &Itinerary,
-    mut taste: UserTasteModel,
-    config: &StudyConfig,
-) -> ParticipantResult {
-    let env = RadioEnvironment::new(world, RadioConfig::default());
-    let device = Device::new(
-        env,
-        itinerary,
-        EnergyModel::htc_explorer(),
-        config.seed + 200 + index as u64,
-    );
-    let mut pms = PmwareMobileService::new(
-        device,
-        cloud,
-        PmsConfig::for_participant(index),
-        SimTime::EPOCH,
-    )
-    .expect("registration succeeds");
-    // Zero-padded actor names keep the trace export (sorted by actor)
-    // in participant order.
-    pms.set_obs(&config.obs.for_actor(&format!("p{index:04}")));
+/// One §4 participant: PMS on the study phone
+/// ([`PmwareMobileService::on_itinerary`]) with PlaceADs and the life
+/// logger installed, the user's ad taste, and the itinerary whose diary
+/// scores the phone. [`run_study`] calls [`day`](Self::day) for each day
+/// and then [`finish`](Self::finish); a participant's outcome depends on
+/// its own inputs only, so drivers may interleave participants' days.
+pub struct StudyParticipant<'w> {
+    pms: PmwareMobileService<'w, &'w Itinerary>,
+    ads_rx: Receiver<Intent>,
+    log_rx: Receiver<Intent>,
+    placeads: PlaceAdsApp,
+    lifelog: LifeLogApp,
+    taste: UserTasteModel,
+    itinerary: &'w Itinerary,
+}
 
-    // Both §3 applications are installed on every participant's phone.
-    let ads_rx = pms.register_app(
-        "placeads",
-        PlaceAdsApp::requirement(),
-        PlaceAdsApp::filter(),
-    );
-    let log_rx = pms.register_app("lifelog", LifeLogApp::requirement(), LifeLogApp::filter());
-    let mut placeads = PlaceAdsApp::new(AdInventory::from_world(world));
-    let mut lifelog = LifeLogApp::new(tag_probability, config.seed + 300 + index as u64);
+impl<'w> StudyParticipant<'w> {
+    /// Registers `agent`'s phone with `cloud` and installs both §3
+    /// applications. The device, taste and life-log seeds derive from
+    /// `config.seed` and the agent's index `n`, and `config.obs` is bound
+    /// to the PMS under the actor `p{n:04}`. Panics when registration
+    /// fails.
+    pub fn new(
+        world: &'w World,
+        cloud: impl Into<CloudEndpoint>,
+        agent: &AgentProfile,
+        itinerary: &'w Itinerary,
+        config: &StudyConfig,
+    ) -> StudyParticipant<'w> {
+        let index = agent.id().0;
+        let mut pms = PmwareMobileService::on_itinerary(
+            world,
+            itinerary,
+            cloud,
+            PmsConfig::for_participant(index),
+            config.seed + 200 + index as u64,
+        )
+        .expect("registration succeeds");
+        // Zero-padded actor names keep the trace export (sorted by actor)
+        // in participant order.
+        pms.set_obs(&config.obs.for_actor(&format!("p{index:04}")));
 
-    // Run day by day so the apps interact as the study unfolds: the user
-    // tags places in the evening, swipes the day's ad cards, etc.
-    for day in 1..=config.days {
-        pms.run(SimTime::from_day_time(day, 0, 0, 0))
+        // Both §3 applications are installed on every participant's phone.
+        let ads_rx = pms.register_app(
+            "placeads",
+            PlaceAdsApp::requirement(),
+            PlaceAdsApp::filter(),
+        );
+        let log_rx = pms.register_app("lifelog", LifeLogApp::requirement(), LifeLogApp::filter());
+        StudyParticipant {
+            pms,
+            ads_rx,
+            log_rx,
+            placeads: PlaceAdsApp::new(AdInventory::from_world(world)),
+            lifelog: LifeLogApp::new(agent.tag_probability(), config.seed + 300 + index as u64),
+            taste: UserTasteModel::from_agent(agent, config.seed + 100 + index as u64),
+            itinerary,
+        }
+    }
+
+    /// Runs the phone to the start of `day` (1-based), then does that
+    /// evening's app work: the user tags places in the life log and
+    /// swipes the day's ad cards.
+    pub fn day(&mut self, day: u64) {
+        self.pms
+            .run(SimTime::from_day_time(day, 0, 0, 0))
             .expect("run never fails after registration");
 
-        for intent in log_rx.try_iter() {
-            lifelog.on_intent(&intent);
+        for intent in self.log_rx.try_iter() {
+            self.lifelog.on_intent(&intent);
         }
-        for (place, label) in lifelog.take_pending_labels() {
-            pms.label_place(PmPlaceId(place), label);
+        for (place, label) in self.lifelog.take_pending_labels() {
+            self.pms.label_place(PmPlaceId(place), label);
         }
-        for intent in ads_rx.try_iter().collect::<Vec<_>>() {
-            if let Some(card) = placeads.on_intent(&intent) {
-                let true_position = itinerary.position_at(card.served_at);
-                let _ = taste.swipe(&card, true_position);
+        for intent in self.ads_rx.try_iter().collect::<Vec<_>>() {
+            if let Some(card) = self.placeads.on_intent(&intent) {
+                let true_position = self.itinerary.position_at(card.served_at);
+                let _ = self.taste.swipe(&card, true_position);
             }
         }
     }
 
-    let end = SimTime::from_day_time(config.days, 0, 0, 0);
-    let report = pms.finish(end);
+    /// Ends the study at `end` and scores the participant: the places
+    /// PMS discovered against the diary ([`score_against_diary`]), counted
+    /// over the tagged places that carry departure information, as §4
+    /// computes its percentages.
+    pub fn finish(self, end: SimTime) -> ParticipantResult {
+        let report = self.pms.finish(end);
+        let matching = score_against_diary(&report.places, self.itinerary);
 
-    // Re-assemble DiscoveredPlaces (stable ids + the final GCA visit
-    // history, which covers the whole study) for the correct/merged/
-    // divided classification — this is the data the paper's analysis
-    // worked from.
-    let discovered: Vec<DiscoveredPlace> = report
-        .places
-        .iter()
-        .map(|p| {
-            let mut d = DiscoveredPlace::new(
-                DiscoveredPlaceId(p.id.0),
-                PlaceSignature::Cells(p.cells.clone()),
-                p.gca_visits.clone(),
-            );
-            d.label = p.label.clone();
-            d
-        })
-        .collect();
-
-    let truth: Vec<GroundTruthVisit> = itinerary
-        .visits()
-        .iter()
-        .map(|v| GroundTruthVisit {
-            place: v.place,
-            arrival: v.arrival,
-            departure: v.departure,
-        })
-        .collect();
-    let matching = classify_places(&discovered, &truth, 0.2);
-
-    // The §4 percentages are computed over the tagged places that carry
-    // departure information.
-    let evaluable: std::collections::BTreeSet<u32> =
-        lifelog.evaluable_places().into_iter().collect();
-    let (mut correct, mut merged, mut divided) = (0, 0, 0);
-    for m in &matching.matches {
-        if !evaluable.contains(&m.discovered.0) {
-            continue;
+        let evaluable: std::collections::BTreeSet<u32> =
+            self.lifelog.evaluable_places().into_iter().collect();
+        let (mut correct, mut merged, mut divided) = (0, 0, 0);
+        for m in &matching.matches {
+            if !evaluable.contains(&m.discovered.0) {
+                continue;
+            }
+            match m.outcome {
+                MatchOutcome::Correct => correct += 1,
+                MatchOutcome::Merged => merged += 1,
+                MatchOutcome::Divided => divided += 1,
+                MatchOutcome::NoMatch => {}
+            }
         }
-        match m.outcome {
-            MatchOutcome::Correct => correct += 1,
-            MatchOutcome::Merged => merged += 1,
-            MatchOutcome::Divided => divided += 1,
-            MatchOutcome::NoMatch => {}
-        }
-    }
 
-    // Tagged places are counted over the *live* place set (the registry
-    // retires signatures superseded by the periodic compaction; the
-    // lifelog app may still hold history for them).
-    let tagged_live = report.places.iter().filter(|p| p.label.is_some()).count();
-    ParticipantResult {
-        discovered: report.places.len(),
-        tagged: tagged_live,
-        evaluable: correct + merged + divided,
-        correct,
-        merged,
-        divided,
-        likes: taste.likes(),
-        dislikes: taste.dislikes(),
-        energy_joules: report.energy_joules,
+        // Tagged places are counted over the *live* place set (the
+        // registry retires signatures superseded by the periodic
+        // compaction; the lifelog app may still hold history for them).
+        let tagged_live = report.places.iter().filter(|p| p.label.is_some()).count();
+        ParticipantResult {
+            discovered: report.places.len(),
+            tagged: tagged_live,
+            evaluable: correct + merged + divided,
+            correct,
+            merged,
+            divided,
+            likes: self.taste.likes(),
+            dislikes: self.taste.dislikes(),
+            energy_joules: report.energy_joules,
+        }
     }
 }
 
@@ -404,6 +397,32 @@ mod tests {
             assert!(p.energy_joules > 0.0);
             assert_eq!(p.evaluable, p.correct + p.merged + p.divided);
         }
+    }
+
+    /// DEP-B is reported as GSM-only discovery because the study never
+    /// scans WiFi: PlaceADs asks for area and the life log for building
+    /// granularity, and the scheduler scans WiFi only for room-level
+    /// demand or high-accuracy routes. A change that gives the study WiFi
+    /// evidence must fail here and retitle DEP-B with it.
+    #[test]
+    fn study_never_scans_wifi() {
+        let obs = Obs::new();
+        let config = StudyConfig {
+            participants: 2,
+            days: 2,
+            seed: 7,
+            obs: obs.clone(),
+            ..Default::default()
+        };
+        run_study(&config);
+        let snapshot = obs.metrics().expect("a live handle").snapshot();
+        let samples = |interface: &str| {
+            snapshot.counter_sum_with_prefix(&format!(
+                "device_samples_total{{interface=\"{interface}\","
+            ))
+        };
+        assert!(samples("gsm") > 0, "the study's phones sampled no GSM");
+        assert_eq!(samples("wifi"), 0, "the study scanned WiFi");
     }
 }
 

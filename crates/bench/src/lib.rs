@@ -22,3 +22,19 @@ pub mod deployment;
 pub mod parallel;
 pub mod sensing_modes;
 pub mod wifi_coverage;
+
+use pmware_cloud::{SharedCloud, UserId};
+
+/// One user's durable cloud-side state (places, profiles, absorbed
+/// observation count, contacts), canonically serialized: two runs that
+/// left a user in the same state give equal strings. The chaos soak and
+/// the admission study probe convergence with it.
+pub fn cloud_snapshot(cloud: &SharedCloud, user: UserId) -> String {
+    serde_json::to_string(&(
+        cloud.places_of(user),
+        cloud.profiles_of(user),
+        cloud.observation_count(user),
+        cloud.contacts_of(user),
+    ))
+    .expect("snapshot serializes")
+}

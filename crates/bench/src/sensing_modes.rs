@@ -9,16 +9,15 @@
 //!   once; N isolated applications each run their own pipeline. Total
 //!   energy scales with N only in the isolated case.
 
-use pmware_algorithms::matching::{classify_places, GroundTruthVisit};
 use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity};
+use pmware_core::score_against_diary;
 use pmware_core::sensing::SensingConfig;
-use pmware_device::{Device, EnergyModel};
+use pmware_device::EnergyModel;
 use pmware_mobility::{Itinerary, Population};
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimDuration, SimTime, World};
 
 /// A sensing strategy under ablation.
@@ -95,8 +94,6 @@ fn run_strategy(
         CellDatabase::from_world(world),
         seed + 2,
     ));
-    let env = RadioEnvironment::new(world, RadioConfig::default());
-    let device = Device::new(env, itinerary, EnergyModel::htc_explorer(), seed + 3);
 
     let mut config = PmsConfig::for_participant(90);
     let (granularity, sensing) = match strategy {
@@ -121,8 +118,8 @@ fn run_strategy(
     };
     config.sensing = sensing;
 
-    let mut pms =
-        PmwareMobileService::new(device, cloud, config, SimTime::EPOCH).expect("register");
+    let mut pms = PmwareMobileService::on_itinerary(world, itinerary, cloud, config, seed + 3)
+        .expect("register");
     let _rx = pms.register_app(
         "workload",
         AppRequirement::places(granularity),
@@ -133,28 +130,8 @@ fn run_strategy(
 
     // Quality: classify the discovered places (with their final GCA visit
     // histories) against diary ground truth.
-    let truth: Vec<GroundTruthVisit> = itinerary
-        .visits()
-        .iter()
-        .map(|v| GroundTruthVisit {
-            place: v.place,
-            arrival: v.arrival,
-            departure: v.departure,
-        })
-        .collect();
     let report = pms.finish(end);
-    let discovered: Vec<pmware_algorithms::signature::DiscoveredPlace> = report
-        .places
-        .iter()
-        .map(|p| {
-            pmware_algorithms::signature::DiscoveredPlace::new(
-                pmware_algorithms::signature::DiscoveredPlaceId(p.id.0),
-                pmware_algorithms::signature::PlaceSignature::Cells(p.cells.clone()),
-                p.gca_visits.clone(),
-            )
-        })
-        .collect();
-    let matching = classify_places(&discovered, &truth, 0.2);
+    let matching = score_against_diary(&report.places, itinerary);
     let elapsed_h = days as f64 * 24.0;
     let capacity = EnergyModel::htc_explorer().battery().energy_joules();
     let battery_hours = capacity / (report.energy_joules / (elapsed_h * 3_600.0)) / 3_600.0;
@@ -193,68 +170,46 @@ pub fn run_redundancy_ablation(
     let itinerary = population.itinerary(&world, population.agents()[0].id(), days);
     let end = SimTime::from_day_time(days, 0, 0, 0);
 
-    let single_pipeline_energy = |salt: u64| -> f64 {
-        let cloud = SharedCloud::new(CloudInstance::new(
-            CellDatabase::from_world(&world),
-            seed + salt,
-        ));
-        let env = RadioEnvironment::new(&world, RadioConfig::default());
-        let device = Device::new(
-            env,
-            &itinerary,
-            EnergyModel::htc_explorer(),
-            seed + 10 + salt,
-        );
-        let mut pms = PmwareMobileService::new(
-            device,
-            cloud,
-            PmsConfig::for_participant(91),
-            SimTime::EPOCH,
-        )
-        .expect("register");
-        let _rx = pms.register_app(
-            "app",
-            AppRequirement::places(Granularity::Room),
-            IntentFilter::all(),
-        );
-        pms.run(end).expect("run");
-        pms.finish(end).energy_joules
-    };
+    // One PMS (its cloud seeded `cloud_seed`) with one connected app per
+    // name: however many apps register, sensing happens once.
+    let pipeline_energy =
+        |cloud_seed: u64, participant: u32, device_seed: u64, apps: Vec<String>| {
+            let cloud = SharedCloud::new(CloudInstance::new(
+                CellDatabase::from_world(&world),
+                cloud_seed,
+            ));
+            let mut pms = PmwareMobileService::on_itinerary(
+                &world,
+                &itinerary,
+                cloud,
+                PmsConfig::for_participant(participant),
+                device_seed,
+            )
+            .expect("register");
+            let _receivers: Vec<_> = apps
+                .into_iter()
+                .map(|name| {
+                    pms.register_app(
+                        name,
+                        AppRequirement::places(Granularity::Room),
+                        IntentFilter::all(),
+                    )
+                })
+                .collect();
+            pms.run(end).expect("run");
+            pms.finish(end).energy_joules
+        };
 
     app_counts
         .iter()
         .map(|&n| {
-            // Shared: one PMS, n apps registered — sensing happens once.
-            let shared = {
-                let cloud = SharedCloud::new(CloudInstance::new(
-                    CellDatabase::from_world(&world),
-                    seed + 40,
-                ));
-                let env = RadioEnvironment::new(&world, RadioConfig::default());
-                let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), seed + 41);
-                let mut pms = PmwareMobileService::new(
-                    device,
-                    cloud,
-                    PmsConfig::for_participant(92),
-                    SimTime::EPOCH,
-                )
-                .expect("register");
-                let receivers: Vec<_> = (0..n)
-                    .map(|i| {
-                        pms.register_app(
-                            format!("app-{i}"),
-                            AppRequirement::places(Granularity::Room),
-                            IntentFilter::all(),
-                        )
-                    })
-                    .collect();
-                pms.run(end).expect("run");
-                let energy = pms.finish(end).energy_joules;
-                drop(receivers);
-                energy
-            };
+            // Shared: one PMS, n apps registered.
+            let apps = (0..n).map(|i| format!("app-{i}")).collect();
+            let shared = pipeline_energy(seed + 40, 92, seed + 41, apps);
             // Isolated: n independent pipelines, each sensing on its own.
-            let isolated: f64 = (0..n as u64).map(|i| single_pipeline_energy(50 + i)).sum();
+            let isolated: f64 = (0..n as u64)
+                .map(|i| pipeline_energy(seed + 50 + i, 91, seed + 60 + i, vec!["app".to_owned()]))
+                .sum();
             RedundancyResult {
                 apps: n,
                 shared_joules: shared,

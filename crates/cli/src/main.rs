@@ -31,11 +31,9 @@ use pmware_cloud::{
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity};
-use pmware_device::{Device, EnergyModel};
 use pmware_mobility::Population;
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimTime, World};
 
 const HELP: &str = "\
@@ -374,14 +372,17 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let population = Population::generate(&world, 1, seed + 1);
     let agent = &population.agents()[0];
     let itinerary = population.itinerary(&world, agent.id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), seed + 2);
     let cloud = SharedCloud::new(
         CloudInstance::new(CellDatabase::from_world(&world), seed + 3).with_obs(&obs),
     );
-    let mut pms =
-        PmwareMobileService::new(device, cloud, PmsConfig::for_participant(0), SimTime::EPOCH)
-            .map_err(|e| e.to_string())?;
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(0),
+        seed + 2,
+    )
+    .map_err(|e| e.to_string())?;
     pms.set_obs(&obs.for_actor("p0000"));
     let _rx = pms.register_app(
         "cli",
@@ -536,15 +537,18 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     let population = Population::generate(&world, 1, seed + 1);
     let agent = &population.agents()[0];
     let itinerary = population.itinerary(&world, agent.id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), seed + 2);
     let cloud = SharedCloud::new(CloudInstance::new(
         CellDatabase::from_world(&world),
         seed + 3,
     ));
-    let mut pms =
-        PmwareMobileService::new(device, cloud, PmsConfig::for_participant(0), SimTime::EPOCH)
-            .map_err(|e| e.to_string())?;
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(0),
+        seed + 2,
+    )
+    .map_err(|e| e.to_string())?;
     // PlaceADs doubles as a demand source so the history is rich.
     let _rx = pms.register_app(
         "placeads",

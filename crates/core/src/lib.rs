@@ -52,6 +52,7 @@ pub use error::PmsError;
 pub use intents::{Intent, IntentBus, IntentFilter};
 pub use pms::{PmsConfig, PmsReport, PmwareMobileService};
 pub use preferences::UserPreferences;
+pub use registry::{diary, score_against_diary, DIARY_MIN_SHARE};
 pub use requirements::{AppRequirement, Granularity, RouteAccuracy};
 
 // The identifier interner lives in `pmware-world` (below every consumer in

@@ -20,10 +20,12 @@ use pmware_algorithms::route::{cell_route, gps_route, RouteObservation, RouteSto
 use pmware_algorithms::sensloc::WifiPlaceEvent;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
 use pmware_cloud::CloudEndpoint;
-use pmware_device::{Device, MovementDetector, PositionProvider};
+use pmware_device::{Device, EnergyModel, MovementDetector, PositionProvider};
 use pmware_geo::GeoPoint;
+use pmware_mobility::Itinerary;
 use pmware_obs::{Counter, FieldValue, Histogram, Obs};
-use pmware_world::{MotionState, SimDuration, SimTime};
+use pmware_world::radio::{RadioConfig, RadioEnvironment};
+use pmware_world::{MotionState, SimDuration, SimTime, World};
 use serde::{Deserialize, Serialize};
 use serde_json::json;
 
@@ -272,6 +274,28 @@ pub struct PmwareMobileService<'w, P> {
     /// Last motion state fed to the scheduler; a flip means the duty
     /// cycle changed. Not checkpointed (pure diagnostics).
     last_motion: Option<MotionState>,
+}
+
+impl<'w> PmwareMobileService<'w, &'w Itinerary> {
+    /// The simulated phone every study carries: [`new`](Self::new) on a
+    /// device that follows `itinerary` through `world`'s default radio
+    /// environment with an HTC Explorer's energy model and device RNG
+    /// `device_seed`, registered with `cloud` at [`SimTime::EPOCH`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PmsError::Cloud`] when registration fails.
+    pub fn on_itinerary(
+        world: &'w World,
+        itinerary: &'w Itinerary,
+        cloud: impl Into<CloudEndpoint>,
+        config: PmsConfig,
+        device_seed: u64,
+    ) -> Result<Self, PmsError> {
+        let env = RadioEnvironment::new(world, RadioConfig::default());
+        let device = Device::new(env, itinerary, EnergyModel::htc_explorer(), device_seed);
+        Self::new(device, cloud, config, SimTime::EPOCH)
+    }
 }
 
 impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {

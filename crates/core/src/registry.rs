@@ -7,8 +7,12 @@
 
 use std::collections::BTreeSet;
 
-use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredVisit, PlaceSignature};
+use pmware_algorithms::matching::{classify_places, GroundTruthVisit, MatchingReport};
+use pmware_algorithms::signature::{
+    DiscoveredPlace, DiscoveredPlaceId, DiscoveredVisit, PlaceSignature,
+};
 use pmware_geo::GeoPoint;
+use pmware_mobility::Itinerary;
 use pmware_world::{Bssid, CellGlobalId, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -46,6 +50,48 @@ pub struct PmPlace {
     /// this place: its visits were superseded by a better clustering. A
     /// later match revives it.
     pub retired: bool,
+}
+
+/// The share of a discovered place's visit time a diary place must hold
+/// to be attributed to it: the paper's §4 analysis corresponds to 0.2
+/// (see [`classify_places`]).
+pub const DIARY_MIN_SHARE: f64 = 0.2;
+
+/// Scores `places` against `itinerary`'s [`diary`], as every study in the
+/// workspace grades a phone: each place becomes a stable-id
+/// [`DiscoveredPlace`] (cells, GCA visit history, label), and
+/// [`classify_places`] calls it correct, merged or divided at
+/// [`DIARY_MIN_SHARE`].
+pub fn score_against_diary<'a>(
+    places: impl IntoIterator<Item = &'a PmPlace>,
+    itinerary: &Itinerary,
+) -> MatchingReport {
+    let discovered: Vec<DiscoveredPlace> = places
+        .into_iter()
+        .map(|p| {
+            let mut d = DiscoveredPlace::new(
+                DiscoveredPlaceId(p.id.0),
+                PlaceSignature::Cells(p.cells.clone()),
+                p.gca_visits.clone(),
+            );
+            d.label = p.label.clone();
+            d
+        })
+        .collect();
+    classify_places(&discovered, &diary(itinerary), DIARY_MIN_SHARE)
+}
+
+/// `itinerary`'s diary: one [`GroundTruthVisit`] per true stay.
+pub fn diary(itinerary: &Itinerary) -> Vec<GroundTruthVisit> {
+    itinerary
+        .visits()
+        .iter()
+        .map(|v| GroundTruthVisit {
+            place: v.place,
+            arrival: v.arrival,
+            departure: v.departure,
+        })
+        .collect()
 }
 
 /// The registry.

@@ -8,15 +8,14 @@ use pmware_core::checkpoint::PmsCheckpoint;
 use pmware_core::intents::{actions, IntentFilter};
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity, RouteAccuracy};
-use pmware_device::{Device, EnergyModel, Interface};
-use pmware_geo::GeoPoint;
-use pmware_mobility::Population;
+use pmware_device::Interface;
+use pmware_mobility::{Itinerary, Population};
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
-use pmware_world::radio::{RadioConfig, RadioEnvironment};
 use pmware_world::{SimTime, World};
 
-fn setup(days: u64, seed: u64) -> (World, SharedCloud) {
+/// A world seeded `seed`, its cloud, and one participant's itinerary.
+fn setup(days: u64, seed: u64) -> (World, SharedCloud, Itinerary) {
     let world = WorldBuilder::new(RegionProfile::urban_india())
         .seed(seed)
         .build();
@@ -24,25 +23,22 @@ fn setup(days: u64, seed: u64) -> (World, SharedCloud) {
         CellDatabase::from_world(&world),
         seed + 1,
     ));
-    let _ = days;
-    (world, cloud)
+    let pop = Population::generate(&world, 1, seed + 1);
+    let itinerary = pop.itinerary(&world, pop.agents()[0].id(), days);
+    (world, cloud, itinerary)
 }
 
 #[test]
 fn pms_discovers_places_and_broadcasts_events() {
     let days = 5;
-    let (world, cloud) = setup(days, 500);
-    let pop = Population::generate(&world, 1, 501);
-    let agent = &pop.agents()[0];
-    let itinerary = pop.itinerary(&world, agent.id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 502);
+    let (world, cloud, itinerary) = setup(days, 500);
 
-    let mut pms = PmwareMobileService::new(
-        device,
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
         cloud.clone(),
         PmsConfig::for_participant(0),
-        SimTime::EPOCH,
+        502,
     )
     .expect("registration succeeds");
 
@@ -127,14 +123,15 @@ fn pms_discovers_places_and_broadcasts_events() {
 #[test]
 fn granularity_cap_coarsens_payloads() {
     let days = 3;
-    let (world, cloud) = setup(days, 600);
-    let pop = Population::generate(&world, 1, 601);
-    let itinerary = pop.itinerary(&world, pop.agents()[0].id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 602);
-    let mut pms =
-        PmwareMobileService::new(device, cloud, PmsConfig::for_participant(1), SimTime::EPOCH)
-            .unwrap();
+    let (world, cloud, itinerary) = setup(days, 600);
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(1),
+        602,
+    )
+    .unwrap();
 
     // The ads app asks for building-level but the user caps it at area.
     let ads_rx = pms.register_app(
@@ -176,14 +173,15 @@ fn granularity_cap_coarsens_payloads() {
 #[test]
 fn kill_switch_stops_all_place_intents() {
     let days = 2;
-    let (world, cloud) = setup(days, 700);
-    let pop = Population::generate(&world, 1, 701);
-    let itinerary = pop.itinerary(&world, pop.agents()[0].id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 702);
-    let mut pms =
-        PmwareMobileService::new(device, cloud, PmsConfig::for_participant(2), SimTime::EPOCH)
-            .unwrap();
+    let (world, cloud, itinerary) = setup(days, 700);
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(2),
+        702,
+    )
+    .unwrap();
     let rx = pms.register_app(
         "app",
         AppRequirement::places(Granularity::Area),
@@ -212,11 +210,14 @@ fn room_level_app_triggers_wifi_and_augments_signatures() {
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 801));
     let pop = Population::generate(&world, 1, 802);
     let itinerary = pop.itinerary(&world, pop.agents()[0].id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 803);
-    let mut pms =
-        PmwareMobileService::new(device, cloud, PmsConfig::for_participant(3), SimTime::EPOCH)
-            .unwrap();
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(3),
+        803,
+    )
+    .unwrap();
     let _rx = pms.register_app(
         "activity-tracker",
         AppRequirement::places(Granularity::Room),
@@ -247,14 +248,15 @@ fn room_level_app_triggers_wifi_and_augments_signatures() {
 #[test]
 fn activity_summary_reaches_the_cloud() {
     let days = 2;
-    let (world, cloud) = setup(days, 900);
-    let pop = Population::generate(&world, 1, 901);
-    let itinerary = pop.itinerary(&world, pop.agents()[0].id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 902);
-    let mut pms =
-        PmwareMobileService::new(device, cloud, PmsConfig::for_participant(9), SimTime::EPOCH)
-            .unwrap();
+    let (world, cloud, itinerary) = setup(days, 900);
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(9),
+        902,
+    )
+    .unwrap();
     let _rx = pms.register_app(
         "app",
         AppRequirement::places(Granularity::Area),
@@ -291,14 +293,11 @@ fn activity_summary_reaches_the_cloud() {
 #[test]
 fn checkpoint_with_the_retired_gca_map_key_still_restores() {
     let days = 2;
-    let (world, cloud) = setup(days, 700);
-    let pop = Population::generate(&world, 1, 701);
-    let itinerary = pop.itinerary(&world, pop.agents()[0].id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 702);
+    let (world, cloud, itinerary) = setup(days, 700);
     let config = PmsConfig::for_participant(7);
     let mut pms =
-        PmwareMobileService::new(device, cloud.clone(), config.clone(), SimTime::EPOCH).unwrap();
+        PmwareMobileService::on_itinerary(&world, &itinerary, cloud.clone(), config.clone(), 702)
+            .unwrap();
     pms.run(SimTime::from_day_time(1, 12, 0, 0)).unwrap();
     assert!(
         !pms.places().is_empty(),
@@ -327,15 +326,13 @@ fn checkpoint_with_the_retired_gca_map_key_still_restores() {
 }
 
 /// A fresh service for the `set_obs` precondition tests.
-fn fresh_service(world: &World, cloud: SharedCloud) -> PmwareMobileService<'_, GeoPoint> {
-    let env = RadioEnvironment::new(world, RadioConfig::default());
-    let device = Device::new(
-        env,
-        world.places()[0].position(),
-        EnergyModel::htc_explorer(),
-        1,
-    );
-    PmwareMobileService::new(device, cloud, PmsConfig::for_participant(0), SimTime::EPOCH).unwrap()
+fn fresh_service<'w>(
+    world: &'w World,
+    itinerary: &'w Itinerary,
+    cloud: SharedCloud,
+) -> PmwareMobileService<'w, &'w Itinerary> {
+    PmwareMobileService::on_itinerary(world, itinerary, cloud, PmsConfig::for_participant(0), 1)
+        .unwrap()
 }
 
 /// Metrics are bound once: a second `set_obs` would have to carry what
@@ -343,8 +340,8 @@ fn fresh_service(world: &World, cloud: SharedCloud) -> PmwareMobileService<'_, G
 #[test]
 #[should_panic(expected = "set_obs runs once, before the first tick")]
 fn set_obs_twice_is_refused() {
-    let (world, cloud) = setup(1, 1_100);
-    let mut pms = fresh_service(&world, cloud);
+    let (world, cloud, itinerary) = setup(1, 1_100);
+    let mut pms = fresh_service(&world, &itinerary, cloud);
     pms.set_obs(&Obs::new().for_actor("p0000"));
     pms.set_obs(&Obs::new().for_actor("p0000"));
 }
@@ -354,8 +351,8 @@ fn set_obs_twice_is_refused() {
 #[test]
 #[should_panic(expected = "set_obs runs once, before the first tick")]
 fn set_obs_after_a_tick_is_refused() {
-    let (world, cloud) = setup(1, 1_200);
-    let mut pms = fresh_service(&world, cloud);
+    let (world, cloud, itinerary) = setup(1, 1_200);
+    let mut pms = fresh_service(&world, &itinerary, cloud);
     pms.run(SimTime::from_seconds(60)).unwrap();
     pms.set_obs(&Obs::new().for_actor("p0000"));
 }

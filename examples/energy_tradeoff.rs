@@ -75,13 +75,16 @@ fn main() {
         .build();
     let population = Population::generate(&world, 1, 11);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 1);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 11);
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 11));
     let obs = Obs::new();
-    let mut pms =
-        PmwareMobileService::new(device, cloud, PmsConfig::for_participant(0), SimTime::EPOCH)
-            .expect("registration succeeds");
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(0),
+        11,
+    )
+    .expect("registration succeeds");
     pms.set_obs(&obs.for_actor("p0000"));
     let _rx = pms.register_app(
         "example",

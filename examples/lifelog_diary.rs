@@ -18,11 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let agent = &population.agents()[0];
     let days = 14;
     let itinerary = population.itinerary(&world, agent.id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let phone = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 33);
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 34));
-    let mut pms =
-        PmwareMobileService::new(phone, cloud, PmsConfig::for_participant(3), SimTime::EPOCH)?;
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(3),
+        33,
+    )?;
 
     let rx = pms.register_app("lifelog", LifeLogApp::requirement(), LifeLogApp::filter());
     let mut lifelog = LifeLogApp::new(agent.tag_probability(), 35);

@@ -17,11 +17,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let agent = &population.agents()[0];
     let days = 14;
     let itinerary = population.itinerary(&world, agent.id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let phone = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 23);
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 24));
-    let mut pms =
-        PmwareMobileService::new(phone, cloud, PmsConfig::for_participant(2), SimTime::EPOCH)?;
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(2),
+        23,
+    )?;
 
     // PlaceADs delegates all place sensing to PMWare and only asks for
     // area-level granularity (Figure 2) — the user additionally caps it

@@ -19,6 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let itinerary = population.itinerary(&world, agent.id(), days);
 
     // 2. A phone carried along that itinerary, and the shared cloud.
+    //    Built layer by layer here to show the pieces; the studies build
+    //    this same phone in one call, `PmwareMobileService::on_itinerary`.
     let env = RadioEnvironment::new(&world, RadioConfig::default());
     let phone = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 3);
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 4));

@@ -54,11 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let my_itinerary = population.itinerary(&world, me, days);
     let their_itinerary = population.itinerary(&world, colleague, days);
 
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let phone = Device::new(env, &my_itinerary, EnergyModel::htc_explorer(), 43);
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 44));
-    let mut pms =
-        PmwareMobileService::new(phone, cloud, PmsConfig::for_participant(4), SimTime::EPOCH)?;
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &my_itinerary,
+        cloud,
+        PmsConfig::for_participant(4),
+        43,
+    )?;
 
     // A meetup app that wants social contacts (targeted sensing: PMWare
     // only scans Bluetooth while the user is stationary at a place).

@@ -16,11 +16,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let agent = &population.agents()[0];
     let days = 7;
     let itinerary = population.itinerary(&world, agent.id(), days);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let phone = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 13);
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 14));
-    let mut pms =
-        PmwareMobileService::new(phone, cloud, PmsConfig::for_participant(1), SimTime::EPOCH)?;
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(1),
+        13,
+    )?;
 
     // §2.4 step 1–2: the To-Do app frames its request (building-level,
     // 9 AM – 6 PM) with its own intent filter, and registers with PMS.

@@ -29,7 +29,9 @@
 //! use pmware::prelude::*;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // A city, one participant, one phone.
+//! // A city, one participant, one phone, built layer by layer (the
+//! // studies build the same phone in one call,
+//! // `PmwareMobileService::on_itinerary`).
 //! let world = WorldBuilder::new(RegionProfile::test_tiny()).seed(7).build();
 //! let population = Population::generate(&world, 1, 7);
 //! let itinerary = population.itinerary(&world, population.agents()[0].id(), 2);

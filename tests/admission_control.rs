@@ -82,18 +82,12 @@ fn run_cohort(admission: Option<AdmissionConfig>, honor_retry_after: bool) -> Co
     let mut rate_limited = 0;
     for (i, agent) in population.agents().iter().enumerate() {
         let itinerary = population.itinerary(&world, agent.id(), DAYS);
-        let env = RadioEnvironment::new(&world, RadioConfig::default());
-        let device = Device::new(
-            env,
+        let mut pms = PmwareMobileService::on_itinerary(
+            &world,
             &itinerary,
-            EnergyModel::htc_explorer(),
-            SEED + 10 + i as u64,
-        );
-        let mut pms = PmwareMobileService::new(
-            device,
             cloud.clone(),
             PmsConfig::for_participant(i as u32),
-            SimTime::EPOCH,
+            SEED + 10 + i as u64,
         )
         .expect("registration is exempt from admission control");
         pms.cloud_client_mut()

@@ -10,17 +10,16 @@ struct Study<'w> {
 }
 
 fn setup<'w>(world: &'w World, itinerary: &'w Itinerary, seed: u64) -> Study<'w> {
-    let env = RadioEnvironment::new(world, RadioConfig::default());
-    let device = Device::new(env, itinerary, EnergyModel::htc_explorer(), seed);
     let cloud = SharedCloud::new(CloudInstance::new(
         CellDatabase::from_world(world),
         seed + 1,
     ));
-    let pms = PmwareMobileService::new(
-        device,
+    let pms = PmwareMobileService::on_itinerary(
+        world,
+        itinerary,
         cloud,
         PmsConfig::for_participant(seed as u32),
-        SimTime::EPOCH,
+        seed,
     )
     .expect("register");
     Study { pms, itinerary }
@@ -151,19 +150,18 @@ fn intents_keep_flowing_at_permitted_granularity_through_cloud_faults() {
         .build();
     let population = Population::generate(&world, 1, 2301);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 4);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 2302);
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 2303));
     let faulty = FaultyCloud::new(
         cloud,
         FaultPlan::with_rate(2304, 1.0).kinds(&[FaultKind::Drop]),
     );
     faulty.set_enabled(false);
-    let mut pms = PmwareMobileService::new(
-        device,
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
         faulty.clone(),
         PmsConfig::for_participant(23),
-        SimTime::EPOCH,
+        2302,
     )
     .expect("registration precedes the outage");
     let rx = pms.register_app(

@@ -24,13 +24,12 @@ fn cloud_outage_falls_back_to_local_discovery() {
     outage.set_enabled(false);
     let population = Population::generate(&world, 1, 4002);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 4);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 4003);
-    let mut pms = PmwareMobileService::new(
-        device,
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
         outage.clone(),
         PmsConfig::for_participant(40),
-        SimTime::EPOCH,
+        4003,
     )
     .expect("registration happens before the outage");
     let rx = pms.register_app(
@@ -74,13 +73,12 @@ fn registration_during_outage_fails_cleanly() {
     let outage = outage_over(cloud, 4104);
     let population = Population::generate(&world, 1, 4102);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 1);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 4103);
-    let err = match PmwareMobileService::new(
-        device,
+    let err = match PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
         outage,
         PmsConfig::for_participant(41),
-        SimTime::EPOCH,
+        4103,
     ) {
         Ok(_) => panic!("cannot induct a device while the cloud is down"),
         Err(e) => e,
@@ -135,13 +133,12 @@ fn sparse_coverage_world_does_not_break_the_pipeline() {
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 4201));
     let population = Population::generate(&world, 1, 4202);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 3);
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 4203);
-    let mut pms = PmwareMobileService::new(
-        device,
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
         cloud,
         PmsConfig::for_participant(42),
-        SimTime::EPOCH,
+        4203,
     )
     .unwrap();
     let _rx = pms.register_app(
@@ -163,11 +160,10 @@ fn sparse_coverage_world_does_not_break_the_pipeline() {
     let obs = Obs::new();
     let cloud =
         SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 4204).with_obs(&obs));
-    let env = RadioEnvironment::new(&world, RadioConfig::default());
-    let device = Device::new(env, &itinerary, EnergyModel::htc_explorer(), 4205);
     let mut config = PmsConfig::for_participant(43);
     config.sensing.gsm_period = SimDuration::from_days(30);
-    let mut pms = PmwareMobileService::new(device, cloud, config, SimTime::EPOCH).unwrap();
+    let mut pms =
+        PmwareMobileService::on_itinerary(&world, &itinerary, cloud, config, 4205).unwrap();
     let discovers = obs.counter("cloud_requests_total", &[("endpoint", "places_discover")]);
     pms.run(SimTime::from_day_time(1, 4, 0, 0)).unwrap();
     assert_eq!(

@@ -1,25 +1,8 @@
 //! Workspace-level integration tests: the full pipeline through the
 //! `pmware` facade, spanning every crate at once.
 
+use pmware::core::score_against_diary;
 use pmware::prelude::*;
-
-fn build_pms<'w>(
-    world: &'w World,
-    itinerary: &'w Itinerary,
-    cloud: SharedCloud,
-    participant: u32,
-    seed: u64,
-) -> PmwareMobileService<'w, &'w Itinerary> {
-    let env = RadioEnvironment::new(world, RadioConfig::default());
-    let device = Device::new(env, itinerary, EnergyModel::htc_explorer(), seed);
-    PmwareMobileService::new(
-        device,
-        cloud,
-        PmsConfig::for_participant(participant),
-        SimTime::EPOCH,
-    )
-    .expect("registration succeeds")
-}
 
 #[test]
 fn several_participants_share_one_cloud() {
@@ -33,7 +16,14 @@ fn several_participants_share_one_cloud() {
 
     let mut totals = Vec::new();
     for (i, itinerary) in itineraries.iter().enumerate() {
-        let mut pms = build_pms(&world, itinerary, cloud.clone(), i as u32, 1_100 + i as u64);
+        let mut pms = PmwareMobileService::on_itinerary(
+            &world,
+            itinerary,
+            cloud.clone(),
+            PmsConfig::for_participant(i as u32),
+            1_100 + i as u64,
+        )
+        .expect("registration succeeds");
         let _rx = pms.register_app(
             "app",
             AppRequirement::places(Granularity::Building),
@@ -60,7 +50,14 @@ fn deterministic_end_to_end() {
         let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 1201));
         let population = Population::generate(&world, 1, 1202);
         let itinerary = population.itinerary(&world, population.agents()[0].id(), 3);
-        let mut pms = build_pms(&world, &itinerary, cloud, 0, 1203);
+        let mut pms = PmwareMobileService::on_itinerary(
+            &world,
+            &itinerary,
+            cloud,
+            PmsConfig::for_participant(0),
+            1203,
+        )
+        .expect("registration succeeds");
         let _rx = pms.register_app(
             "app",
             AppRequirement::places(Granularity::Building),
@@ -96,7 +93,14 @@ fn discovered_places_match_ground_truth_shape() {
     let agent = &population.agents()[0];
     let days = 7;
     let itinerary = population.itinerary(&world, agent.id(), days);
-    let mut pms = build_pms(&world, &itinerary, cloud, 0, 1323);
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(0),
+        1323,
+    )
+    .expect("registration succeeds");
     let _rx = pms.register_app(
         "app",
         AppRequirement::places(Granularity::Building),
@@ -104,27 +108,7 @@ fn discovered_places_match_ground_truth_shape() {
     );
     pms.run(SimTime::from_day_time(days, 0, 0, 0)).unwrap();
 
-    let truth: Vec<GroundTruthVisit> = itinerary
-        .visits()
-        .iter()
-        .map(|v| GroundTruthVisit {
-            place: v.place,
-            arrival: v.arrival,
-            departure: v.departure,
-        })
-        .collect();
-    let discovered: Vec<DiscoveredPlace> = pms
-        .places()
-        .iter()
-        .map(|p| {
-            DiscoveredPlace::new(
-                pmware::algorithms::signature::DiscoveredPlaceId(p.id.0),
-                PlaceSignature::Cells(p.cells.clone()),
-                p.gca_visits.clone(),
-            )
-        })
-        .collect();
-    let report = classify_places(&discovered, &truth, 0.2);
+    let report = score_against_diary(pms.places(), &itinerary);
     assert!(report.evaluable() >= 2);
     assert!(
         report.correct_fraction() >= 0.5,
@@ -144,7 +128,14 @@ fn estimated_positions_are_near_true_places() {
     let population = Population::generate(&world, 1, 1402);
     let agent = &population.agents()[0];
     let itinerary = population.itinerary(&world, agent.id(), 3);
-    let mut pms = build_pms(&world, &itinerary, cloud, 0, 1403);
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(0),
+        1403,
+    )
+    .expect("registration succeeds");
     let _rx = pms.register_app(
         "app",
         AppRequirement::places(Granularity::Building),
@@ -178,7 +169,14 @@ fn battery_outlives_the_study_with_triggered_sensing() {
     let cloud = SharedCloud::new(CloudInstance::new(CellDatabase::from_world(&world), 1501));
     let population = Population::generate(&world, 1, 1502);
     let itinerary = population.itinerary(&world, population.agents()[0].id(), 2);
-    let mut pms = build_pms(&world, &itinerary, cloud, 0, 1503);
+    let mut pms = PmwareMobileService::on_itinerary(
+        &world,
+        &itinerary,
+        cloud,
+        PmsConfig::for_participant(0),
+        1503,
+    )
+    .expect("registration succeeds");
     let _rx = pms.register_app(
         "ads",
         AppRequirement::places(Granularity::Area),
