@@ -239,25 +239,27 @@ bench-golden:
 # the binary store codec's bit-exact round trip over generated stores
 # and its hostile-bytes cases, park/hydrate fidelity, failed snapshot
 # and WAL writes and unreadable snapshots counted, stale-only shard
-# rewrites, WAL sequences never reused), the WAL frame codec's (every
-# logged route round-trips; truncations are torn, bit flips corrupt,
-# random bytes rejected), the WAL crash-point matrix
-# (storage::crash_points: every shard cut at every frame boundary
+# rewrites under fresh generation names, WAL sequences never reused),
+# the WAL frame codec's (the typed op of every logged route round-trips,
+# generated ops bit for bit; truncations are torn, bit flips corrupt,
+# hostile op bodies and random bytes rejected), the WAL crash-point
+# matrix (storage::crash_points: every shard cut at every frame boundary
 # +-1..3 bytes and bit-flipped in every frame, recovering exactly the
-# prefix before the damage), the snapshot crash windows in the same
-# module (a .tmp beside generation N, generations N and N+1; each
-# recovers byte-identical reads under the pre-crash tokens), damaged
-# snapshot files there too (an old-format JSON snapshot, and bit flips
-# and cuts in each region of a parked user's file: each counted and
-# never hydrated; a version-1 file is refused too), and the binary
-# GCA-log codec's, plus the durable arm of the chaos matrix. Snapshots
-# park the GCA engine's export and hydration restores it, so the
-# engine's own tests (restore equals the uninterrupted engine at every
-# split; every inconsistent export refused) run here as well.
+# prefix before the damage), the shard rewrite and snapshot crash
+# windows in the same module (a .tmp beside generation N, generations N
+# and N+1; each recovers byte-identical reads under the pre-crash
+# tokens), older-format shards counted and never read, damaged snapshot
+# files there too (an old-format JSON snapshot, and bit flips and cuts
+# in each region of a parked user's file: each counted and never
+# hydrated; a version-1 file is refused too), the shared binary codec's
+# primitives and the batch codec's, plus the durable arm of the chaos
+# matrix. Snapshots park the GCA engine's export and hydration restores
+# it, so the engine's own tests (restore equals the uninterrupted engine
+# at every split; every inconsistent export refused) run here as well.
 test-storage:
 	cargo test --release -q -p pmware-algorithms --test incremental_gca
 	cargo test --release -q -p pmware-cloud --test storage
-	cargo test --release -q -p pmware-cloud --lib -- storage:: wire::
+	cargo test --release -q -p pmware-cloud --lib -- storage:: wire:: codec::
 	cargo test --release --test chaos_matrix chaos_matrix_durable_crash_recovery_converges
 
 # Storage soak: capped-RSS-vs-population ladder (each arm in its own
@@ -273,12 +275,12 @@ bench-storage:
 # engine (DESIGN.md §5k), so outside crates/cloud/src/storage/ no cloud
 # code may reach into a `.users.` shard map or mint a bare
 # `Arc<Mutex<UserStore>>` of its own. Snapshot files and the WAL's
-# frames are binary; a kind-1 WAL frame's body is still the logged
-# request's JSON, rendered by `Request::to_bytes` outside the storage
-# module. No non-test code under crates/cloud/src/storage/ may name
-# `serde_json`, so no JSON is written there directly: everything
-# from a file's `#[cfg(test)]` down is exempt, as is crash_points.rs, a
-# module compiled only for tests.
+# frames are binary, and a WAL frame carries a typed op, never a
+# request's JSON: no non-test code under crates/cloud/src/storage/ may
+# name `serde_json`, or render or parse a request's JSON wire bytes
+# (`Request::to_bytes`/`Request::from_bytes`, `request.to_bytes(` or
+# `.wire_bytes(`). Everything from a file's `#[cfg(test)]` down is
+# exempt, as is crash_points.rs, a module compiled only for tests.
 lint-storage:
 	@! grep -rn '\.users\.\|Arc::new(Mutex::new(UserStore' crates/cloud/src \
 		--include='*.rs' | grep -v 'src/storage/' \
@@ -288,6 +290,13 @@ lint-storage:
 		sed '/^#\[cfg(test)\]/,$$d' "$$f" | grep -n 'serde_json' | sed "s|^|$$f:|"; \
 	done | grep . \
 		|| { echo 'lint-storage: serde_json named on the durable path (crates/cloud/src/storage/)'; exit 1; }
+	@! for f in $$(find crates/cloud/src/storage -name '*.rs' \
+			-not -name crash_points.rs); do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" \
+			| grep -n 'Request::\(to\|from\)_bytes\|request\.to_bytes(\|\.wire_bytes(' \
+			| sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-storage: request JSON on the durable path (crates/cloud/src/storage/); log a typed WalOp'; exit 1; }
 	@echo 'lint-storage: ok'
 
 # The observability gate: golden determinism tests (same seed => byte-

@@ -31,6 +31,7 @@ use pmware_mobility::Population;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
 use pmware_world::{SimTime, World};
 
+/// Fault rates, fault-free first: that run is also the reference.
 const RATES: [f64; 4] = [0.0, 0.10, 0.20, 0.30];
 
 struct RateResult {
@@ -127,18 +128,23 @@ fn main() {
 
     println!("ROBUST-CHAOS: chaos soak — {days} day(s), seed {seed}\n");
 
-    let (clean, reference) = run_at_rate(&world, &itinerary, days, seed, 0.0);
-    let mut results = Vec::new();
-    for &rate in &RATES {
-        // The 0% run repeats the reference; it converges at hour 0.
-        let (mut r, probes) = run_at_rate(&world, &itinerary, days, seed, rate);
+    // The fault-free run is both the reference and the 0% row, which
+    // therefore converges at hour 0.
+    let (clean, reference) = run_at_rate(&world, &itinerary, days, seed, RATES[0]);
+    let clean_wire_requests = clean.wire_requests;
+    let converge = |mut r: RateResult, probes: &[String]| {
         r.convergence_hours = probes
             .iter()
             .zip(&reference)
             .position(|(a, b)| a == b)
             .map_or(-1, |h| h as i64);
         r.converged = r.convergence_hours >= 0 && probes.last() == reference.last();
-        results.push(r);
+        r
+    };
+    let mut results = vec![converge(clean, &reference)];
+    for &rate in &RATES[1..] {
+        let (r, probes) = run_at_rate(&world, &itinerary, days, seed, rate);
+        results.push(converge(r, &probes));
     }
 
     println!(
@@ -161,8 +167,7 @@ fn main() {
     let mut out = String::from("{\n  \"bench\": \"chaos_soak\",\n");
     out.push_str(&format!("  \"days\": {days},\n  \"seed\": {seed},\n"));
     out.push_str(&format!(
-        "  \"clean_wire_requests\": {},\n  \"rates\": [\n",
-        clean.wire_requests
+        "  \"clean_wire_requests\": {clean_wire_requests},\n  \"rates\": [\n"
     ));
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
@@ -175,7 +180,7 @@ fn main() {
             r.retries,
             r.server_requests,
             r.faults_injected,
-            r.wire_requests as f64 / clean.wire_requests as f64,
+            r.wire_requests as f64 / clean_wire_requests as f64,
             r.converged,
             r.convergence_hours,
             if i + 1 < results.len() { "," } else { "" },

@@ -26,11 +26,12 @@ use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig};
 use pmware_cloud::{
     AdmissionConfig, ArrivalBody, CellDatabase, CloudInstance, LatencyProfile, NextVisitBody,
-    Payload, PlaceOnlyBody, RateBudget, SharedCloud, StorageConfig,
+    Payload, PlaceOnlyBody, RateBudget, Response, SharedCloud, StorageConfig,
 };
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
 use pmware_core::requirements::{AppRequirement, Granularity};
+use pmware_core::PmsError;
 use pmware_mobility::Population;
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
@@ -573,39 +574,36 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     println!("analytics over {days} simulated days (home = {home}):");
     let place = DiscoveredPlaceId(home.0);
 
-    let resp = pms
-        .cloud_client_mut()
-        .call(
-            "/api/v1/analytics/arrival",
-            ArrivalBody {
-                place,
-                window: Some((15, 24)),
-            },
-            end,
-        )
-        .map_err(|e| e.to_string())?;
-    let s = match resp.body {
-        Payload::ArrivalAt { second_of_day } => second_of_day,
-        _ => 0,
-    };
-    println!(
-        "  evening home arrival : {:02}:{:02}",
-        s / 3600,
-        (s % 3600) / 60
+    // A 404 here is an empty answer, not a failure: the cloud's history
+    // holds no arrival in the window (or no visit pattern) yet.
+    let arrival = pms.cloud_client_mut().call(
+        "/api/v1/analytics/arrival",
+        ArrivalBody {
+            place,
+            window: Some((15, 24)),
+        },
+        end,
     );
+    match unless_empty(arrival)?.map(|resp| resp.body) {
+        Some(Payload::ArrivalAt { second_of_day: s }) => println!(
+            "  evening home arrival : {:02}:{:02}",
+            s / 3600,
+            (s % 3600) / 60
+        ),
+        Some(other) => return Err(format!("arrival: unexpected reply {}", other.to_json())),
+        None => println!("  evening home arrival : none in the 15-24 h window yet"),
+    }
 
-    let resp = pms
-        .cloud_client_mut()
-        .call(
-            "/api/v1/analytics/next_visit",
-            NextVisitBody { place, now: end },
-            end,
-        )
-        .map_err(|e| e.to_string())?;
-    let Payload::VisitAt { time: next } = resp.body else {
-        return Err(format!("next_visit: unexpected reply {}", resp.json()));
-    };
-    println!("  next home visit      : {next}");
+    let next_visit = pms.cloud_client_mut().call(
+        "/api/v1/analytics/next_visit",
+        NextVisitBody { place, now: end },
+        end,
+    );
+    match unless_empty(next_visit)?.map(|resp| resp.body) {
+        Some(Payload::VisitAt { time }) => println!("  next home visit      : {time}"),
+        Some(other) => return Err(format!("next_visit: unexpected reply {}", other.to_json())),
+        None => println!("  next home visit      : no visit pattern yet"),
+    }
 
     let resp = pms
         .cloud_client_mut()
@@ -631,6 +629,16 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     };
     println!("  daily movement       : {moving:.0} min/day");
     Ok(())
+}
+
+/// An analytics reply, or `None` when the cloud answered 404: the query
+/// is well formed but its window holds nothing yet.
+fn unless_empty(reply: Result<Response, PmsError>) -> Result<Option<Response>, String> {
+    match reply {
+        Ok(response) => Ok(Some(response)),
+        Err(PmsError::Cloud { status: 404, .. }) => Ok(None),
+        Err(e) => Err(e.to_string()),
+    }
 }
 
 #[cfg(test)]

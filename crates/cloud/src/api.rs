@@ -126,13 +126,6 @@ impl Request {
         self
     }
 
-    /// The same request without its cached wire bytes (a retained copy
-    /// should not hold both the typed body and its rendering).
-    pub(crate) fn without_wire_cache(mut self) -> Request {
-        self.wire = OnceLock::new();
-        self
-    }
-
     /// The request's wire bytes (JSON envelope), rendered once and
     /// cached — every retry attempt at the fault boundary reuses the
     /// first encoding instead of re-serialising the body.

@@ -41,6 +41,7 @@ pub mod admission;
 pub mod analytics;
 pub mod api;
 pub mod auth;
+mod codec;
 pub mod geolocate;
 mod handlers;
 pub mod instance;

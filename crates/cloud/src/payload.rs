@@ -6,9 +6,10 @@
 //! values end to end with **zero serde work**, and every consumer matches
 //! exactly one representation.
 //!
-//! JSON exists only at the wire boundary (`FaultyCloud`, the WAL, exports
-//! and goldens), and it becomes a `Payload` in one place per direction,
-//! decoded **once, by route**:
+//! JSON exists only at the wire boundary (`FaultyCloud`, exports and
+//! goldens; the durable WAL frames typed bodies in binary), and it
+//! becomes a `Payload` in one place per direction, decoded **once, by
+//! route**:
 //!
 //! * **requests** — [`Payload::from_json`] resolves `(method, path)`
 //!   against the route table and decodes the body as that route's request
@@ -26,10 +27,9 @@
 //!
 //! [`Payload::to_json`] produces the exact `Value` the historical `json!`
 //! spellings produced (object keys are `BTreeMap`-sorted, so build order is
-//! irrelevant), which keeps wire bytes, WAL lines and golden exports
-//! unchanged. The plain reply shapes are listed once, in the
-//! `wire_spelling!` table, which generates both their encoding and their
-//! decoders.
+//! irrelevant), which keeps wire bytes and golden exports unchanged. The
+//! plain reply shapes are listed once, in the `wire_spelling!` table,
+//! which generates both their encoding and their decoders.
 
 use std::collections::BTreeMap;
 
@@ -55,13 +55,9 @@ pub struct RegistrationBody {
     pub email: String,
 }
 
-/// Path of the registration route: the record that mints a user, so the
-/// durable WAL always replays it and never compacts it away.
+/// Path of the registration route, which crash recovery replays each
+/// logged registration on.
 pub(crate) const REGISTRATION_PATH: &str = "/api/v1/registration";
-
-/// Path of the GCA offload route, whose batched bodies the durable WAL
-/// frames in their binary column spelling.
-pub(crate) const DISCOVER_PATH: &str = "/api/v1/places/discover";
 
 /// `POST /api/v1/places/discover` body.
 #[derive(Debug, Clone, Deserialize)]

@@ -3,7 +3,7 @@
 //! Each function is the store-mutating core of one mutating handler,
 //! extracted so two callers share one body of logic: the handlers (which
 //! add metrics and build wire responses from the returned outcome) and
-//! WAL hydration (which re-applies logged requests *directly* to a store
+//! WAL hydration (which re-applies logged ops *directly* to a store
 //! being rebuilt — going through `handle` from inside a store acquisition
 //! would recurse back into the residency manager).
 //!
@@ -17,10 +17,9 @@ use pmware_algorithms::route::{RouteObservation, RouteStore};
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_world::GsmObservation;
 
-use crate::api::Request;
+use super::wal::WalOp;
 use crate::payload::{
-    DiscoverBody, LabelBody, RequestBody, SyncContactsBody, SyncPlacesBody, SyncProfileBody,
-    SyncRoutesBody,
+    DiscoverBody, LabelBody, SyncContactsBody, SyncPlacesBody, SyncProfileBody, SyncRoutesBody,
 };
 use crate::state::UserStore;
 
@@ -239,37 +238,31 @@ pub(crate) fn apply_social_sync(store: &mut UserStore, body: &SyncContactsBody) 
     }
 }
 
-/// Re-applies one logged mutating request directly to a store under
-/// hydration. Only the `Ingest`-class paths are dispatched — the WAL
-/// logs nothing else under a non-registration record — and a body of
-/// another shape is ignored: every logged request already succeeded once,
-/// so its body decoded for its route.
-pub(crate) fn apply_request(store: &mut UserStore, config: &GcaConfig, request: &Request) {
-    fn with<B: RequestBody>(request: &Request, f: impl FnOnce(&B)) {
-        if let Some(body) = B::from_payload(&request.body) {
-            f(body);
-        }
-    }
-    match request.path.as_str() {
-        "/api/v1/places/discover" => with::<DiscoverBody>(request, |body| {
+/// Re-applies one logged op directly to a store under hydration.
+/// Registrations and token grants shape the auth registry, not the
+/// store, so they are no-ops here.
+pub(crate) fn apply_op(store: &mut UserStore, config: &GcaConfig, op: &WalOp) {
+    match op {
+        WalOp::Discover(body) => {
+            // Every logged discover already succeeded once, so it decodes.
             let _ = apply_discover(store, config, body);
-        }),
-        "/api/v1/places/sync" => with::<SyncPlacesBody>(request, |body| {
+        }
+        WalOp::PlacesSync(body) => {
             apply_places_sync(store, body);
-        }),
-        "/api/v1/places/label" => with::<LabelBody>(request, |body| {
+        }
+        WalOp::Label(body) => {
             apply_label(store, body);
-        }),
-        "/api/v1/routes/sync" => with::<SyncRoutesBody>(request, |body| {
+        }
+        WalOp::RoutesSync(body) => {
             apply_routes_sync(store, body);
-        }),
-        "/api/v1/profiles/sync" => with::<SyncProfileBody>(request, |body| {
+        }
+        WalOp::ProfilesSync(body) => {
             apply_profiles_sync(store, body);
-        }),
-        "/api/v1/social/sync" => with::<SyncContactsBody>(request, |body| {
+        }
+        WalOp::SocialSync(body) => {
             apply_social_sync(store, body);
-        }),
-        _ => {}
+        }
+        WalOp::Register(_) | WalOp::TokenGrant { .. } => {}
     }
 }
 
@@ -308,15 +301,14 @@ mod tests {
     }
 
     #[test]
-    fn apply_request_routes_by_path() {
+    fn apply_op_dispatches_on_the_op() {
         let mut store = UserStore::default();
         let config = GcaConfig::default();
         let body = SyncContactsBody {
             contacts: vec![contact("p1", 5)],
             first_seq: Some(0),
         };
-        let request = Request::post("/api/v1/social/sync", body);
-        apply_request(&mut store, &config, &request);
+        apply_op(&mut store, &config, &WalOp::SocialSync(Box::new(body)));
         assert_eq!(store.contacts.len(), 1);
         assert_eq!(store.contacts_absorbed, 1);
     }

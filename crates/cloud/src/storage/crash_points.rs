@@ -1,7 +1,7 @@
 //! The WAL crash-point matrix: a multi-user durable run, then every shard
-//! file damaged at every frame boundary and a few bytes either side of it
-//! (a crash mid-append), and separately with one bit flipped inside each
-//! frame (a bad disk). Each arm recovers a fresh engine from the damaged
+//! file (its generation on disk) damaged at every frame boundary and a few
+//! bytes either side of it (a crash mid-append), and separately with one
+//! bit flipped inside each typed frame (a bad disk). Each arm recovers a fresh engine from the damaged
 //! directory and must load exactly the records whose frames lie wholly
 //! before the damage, count the damage under the right `reason`, and
 //! leave the shard so that an append after recovery survives the next
@@ -9,9 +9,11 @@
 //! whole frames of, with every counter at zero, fails the arm whatever
 //! the expected prefix says.
 //!
-//! The snapshot crash windows follow: a process killed mid-write (a
-//! `.tmp` beside generation N) and killed between the rename and the
-//! unlink (generations N and N + 1). Each recovers and must answer every
+//! The shard rewrite's crash windows follow, and then the snapshot's, on
+//! the same rule: a process killed mid-write (a `.tmp` beside generation
+//! N) and killed between the rename and the unlink (generations N and
+//! N + 1). A shard of the older, generation-less format is counted and
+//! never read. Each recovers and must answer every
 //! read with the bytes the dead instance gave, under the tokens its
 //! clients still hold. Then damaged snapshot files: one of the older
 //! JSON format, and a parked user's file with a bit flipped in each
@@ -28,7 +30,7 @@ use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
 
 use super::snapshot::Parked;
 use super::wal::{WalOp, WalRecord, FRAME_HEADER};
-use super::{shard_path, StorageConfig, StorageEngine};
+use super::{parse_shard_name, shard_path, StorageConfig, StorageEngine};
 use crate::api::Request;
 use crate::geolocate::CellDatabase;
 use crate::instance::CloudInstance;
@@ -43,7 +45,7 @@ const DAYS: u64 = 3;
 /// Bytes each side of a frame boundary the truncation arms cut at.
 const NEAR: usize = 3;
 
-/// Indexes of the `(torn_tail, corrupt, legacy_jsonl)` counters.
+/// Indexes of the `(torn_tail, corrupt, legacy)` counters.
 const TORN: usize = 0;
 const CORRUPT: usize = 1;
 
@@ -134,20 +136,36 @@ fn traffic_day(cloud: &CloudInstance, day: u64) -> Vec<String> {
         .collect()
 }
 
-/// One intact shard file: its bytes, and each frame's end offset and
-/// record, in file order.
+/// One intact shard file: its generation, its bytes, and each frame's
+/// end offset and record, in file order.
 struct Shard {
     idx: usize,
+    gen: u64,
     bytes: Vec<u8>,
     frames: Vec<(usize, WalRecord)>,
+}
+
+/// The generations of shard `idx` on disk in `dir`, oldest first.
+fn shard_generations(dir: &Path, idx: usize) -> Vec<u64> {
+    let mut gens: Vec<u64> = fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|entry| parse_shard_name(&entry.unwrap().file_name().to_string_lossy()))
+        .filter(|&(shard, _)| shard == idx)
+        .map(|(_, gen)| gen)
+        .collect();
+    gens.sort_unstable();
+    gens
 }
 
 fn read_shards(dir: &Path) -> Vec<Shard> {
     let mut shards = Vec::new();
     for idx in 0..SHARD_COUNT {
-        let Ok(bytes) = fs::read(shard_path(dir, idx)) else {
+        let gens = shard_generations(dir, idx);
+        let Some(&gen) = gens.last() else {
             continue;
         };
+        assert_eq!(gens.len(), 1, "one generation of shard {idx} on disk");
+        let bytes = fs::read(shard_path(dir, idx, gen)).unwrap();
         let mut frames = Vec::new();
         let mut end = 0;
         while end < bytes.len() {
@@ -156,14 +174,19 @@ fn read_shards(dir: &Path) -> Vec<Shard> {
             frames.push((end, record));
         }
         if !frames.is_empty() {
-            shards.push(Shard { idx, bytes, frames });
+            shards.push(Shard {
+                idx,
+                gen,
+                bytes,
+                frames,
+            });
         }
     }
     shards
 }
 
 /// What one recovery found: the loaded records in (key, seq) order and
-/// the `(torn_tail, corrupt, legacy_jsonl)` counters.
+/// the `(torn_tail, corrupt, legacy)` counters.
 fn recover(dir: &Path) -> (Vec<WalRecord>, [u64; 3]) {
     let obs = Obs::new();
     let engine = StorageEngine::with_config(durable(dir), &obs);
@@ -173,11 +196,7 @@ fn recover(dir: &Path) -> (Vec<WalRecord>, [u64; 3]) {
     let reason = |r: &str| {
         metrics.counter_value(&format!("storage_recovery_errors_total{{reason=\"{r}\"}}"))
     };
-    let counters = [
-        reason("torn_tail"),
-        reason("corrupt"),
-        reason("legacy_jsonl"),
-    ];
+    let counters = [reason("torn_tail"), reason("corrupt"), reason("legacy")];
     (records, counters)
 }
 
@@ -206,7 +225,7 @@ fn run_arm(
     reason: Option<usize>,
 ) {
     let dir = scratch(arm_dir);
-    let path = shard_path(&dir, shard.idx);
+    let path = shard_path(&dir, shard.idx, shard.gen);
     fs::write(&path, damaged).unwrap();
 
     let (loaded, counters) = recover(&dir);
@@ -329,17 +348,35 @@ fn a_bit_flip_in_any_frame_stops_its_shard_there() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A store directory of the old JSONL format is refused loudly: counted,
-/// and not read.
+/// Shards of the older formats are refused loudly: counted, never read
+/// and left on disk. A JSONL shard, and a generation-less `wal-NN.bin` of
+/// frames checked by byte-wise FNV-1a, whose kind-1 bodies were JSON.
 #[test]
-fn a_legacy_jsonl_shard_is_counted_and_not_read() {
+fn older_format_shards_are_counted_and_not_read() {
     let dir = scratch("legacy");
     let line =
         r#"{"key":"imei-0|u0@example.com","kind":"token","seq":1,"token":"t","expires_at_s":9}"#;
     fs::write(dir.join("wal-03.jsonl"), format!("{line}\n")).unwrap();
+    // A token grant in the older binary frame.
+    let mut body = 1u64.to_le_bytes().to_vec();
+    crate::codec::put_str(&mut body, "imei-0|u0@example.com");
+    body.push(0);
+    crate::codec::put_str(&mut body, "t");
+    body.extend_from_slice(&9u64.to_le_bytes());
+    let len = body.len() as u32;
+    let mut frame = [len.to_le_bytes(), (!len).to_le_bytes()].concat();
+    frame.extend_from_slice(&super::fnv1a(&body).to_le_bytes());
+    frame.extend_from_slice(&body);
+    fs::write(dir.join("wal-04.bin"), &frame).unwrap();
+
     let (loaded, counters) = recover(&dir);
     assert!(loaded.is_empty());
-    assert_eq!(counters, [0, 0, 1]);
+    assert_eq!(counters, [0, 0, 2]);
+    assert_eq!(
+        fs::read(dir.join("wal-04.bin")).unwrap(),
+        frame,
+        "left as it was"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -347,7 +384,7 @@ fn a_legacy_jsonl_shard_is_counted_and_not_read() {
 #[test]
 fn an_unreadable_shard_is_counted_corrupt() {
     let dir = scratch("unreadable");
-    fs::create_dir_all(shard_path(&dir, 5)).unwrap();
+    fs::create_dir_all(shard_path(&dir, 5, 1)).unwrap();
     let (loaded, counters) = recover(&dir);
     assert!(loaded.is_empty());
     assert_eq!(counters, [0, 1, 0]);
@@ -435,7 +472,7 @@ fn generations(dir: &Path, user: u32) -> Vec<u64> {
         .unwrap()
         .filter_map(|entry| {
             let name = entry.unwrap().file_name().into_string().unwrap();
-            super::snapshot::parse_file_name(&name)
+            super::parse_generation(&name, super::snapshot::SNAPSHOT_EXT)
                 .filter(|(s, _)| *s == stem)
                 .map(|(_, gen)| gen)
         })
@@ -461,6 +498,77 @@ fn recover_and_compare(dir: &Path, tokens: &[String], before: &[Vec<Vec<u8>>]) -
         );
     }
     recovered
+}
+
+/// A shard rewrite killed mid-write: a `.tmp` of generation N + 1 lies
+/// beside each shard's generation N. Recovery loads N, exactly as it
+/// loads the undamaged directory, and removes the `.tmp`.
+#[test]
+fn a_leftover_shard_tmp_beside_generation_n_recovers_from_n() {
+    let dir = scratch("wal-window-tmp");
+    let (tokens, before) = crash_scene(&dir, &dir.join("aside"));
+    let (intact, _) = recover(&dir);
+    let shards = read_shards(&dir);
+    for shard in &shards {
+        let tmp = shard_path(&dir, shard.idx, shard.gen + 1).with_extension("bin.tmp");
+        fs::write(&tmp, &shard.bytes[..shard.bytes.len() / 2]).unwrap();
+    }
+
+    let (loaded, counters) = recover(&dir);
+    assert_eq!(counters, [0; 3]);
+    assert_eq!(loaded, intact, "generation N is read");
+    for shard in &shards {
+        assert_eq!(shard_generations(&dir, shard.idx), [shard.gen]);
+        let tmp = shard_path(&dir, shard.idx, shard.gen + 1).with_extension("bin.tmp");
+        assert!(!tmp.exists(), "recovery removes the .tmp");
+    }
+    recover_and_compare(&dir, &tokens, &before);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A shard rewrite killed between the rename and the unlink: each shard's
+/// generations N and N + 1 are both on disk, N still holding a record the
+/// rewrite dropped. N + 1 wins, N is removed, and the dropped record is
+/// not read.
+#[test]
+fn shard_generations_n_and_n_plus_1_recover_from_the_newest() {
+    let dir = scratch("wal-window-both");
+    let (tokens, before) = crash_scene(&dir, &dir.join("aside"));
+    let (intact, _) = recover(&dir);
+    let shards = read_shards(&dir);
+    for shard in &shards {
+        let (old, new) = (
+            shard_path(&dir, shard.idx, shard.gen),
+            shard_path(&dir, shard.idx, shard.gen + 1),
+        );
+        fs::rename(&old, &new).unwrap();
+        let dropped = WalRecord {
+            seq: 1_000_000,
+            key: shard.frames[0].1.key.clone(),
+            op: WalOp::TokenGrant {
+                token: "dropped".into(),
+                expires_at: end(),
+            },
+        };
+        fs::write(
+            &old,
+            [shard.bytes.clone(), dropped.to_frame().unwrap()].concat(),
+        )
+        .unwrap();
+    }
+
+    let (loaded, counters) = recover(&dir);
+    assert_eq!(counters, [0; 3]);
+    assert_eq!(loaded, intact, "generation N + 1 is read");
+    for shard in &shards {
+        assert_eq!(
+            shard_generations(&dir, shard.idx),
+            [shard.gen + 1],
+            "generation N removed"
+        );
+    }
+    recover_and_compare(&dir, &tokens, &before);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Killed mid-write: a `.tmp` of generation N + 1 lies beside generation
@@ -617,7 +725,7 @@ fn a_version_1_snapshot_is_counted_and_refused() {
     let check_at = bytes.len() - len_at(16) - len_at(24) - 8;
     assert_eq!(bytes[4..8], 2u32.to_le_bytes(), "written as version 2");
     bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let check = super::snapshot::checksum(0, &bytes[..check_at]);
+    let check = crate::codec::checksum(0, &bytes[..check_at]);
     bytes[check_at..check_at + 8].copy_from_slice(&check.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
 
@@ -657,9 +765,7 @@ fn hydrate(dir: &Path, user: u32) -> (Parked, Parked, u64, u64) {
     let config = GcaConfig::default();
     let mut wal_alone = UserStore::default();
     for record in engine.records_of(&key) {
-        if let (false, WalOp::Request(request)) = (record.is_registration(), &record.op) {
-            super::apply::apply_request(&mut wal_alone, &config, request);
-        }
+        super::apply::apply_op(&mut wal_alone, &config, &record.op);
     }
     let (store, _, _) = engine.hydrate_build(&key, &config);
     (

@@ -13,9 +13,9 @@
 //!   snapshot. Pins held by in-flight [`StoreGuard`]s shield a store from
 //!   eviction, so the cap is soft under extreme concurrent pinning.
 //! * **Durability** (`store_dir`): every successful mutating request is
-//!   appended to a per-shard WAL file of checksummed binary frames
-//!   (`wal-NN.bin`, layout in [`wal`]) before the response is returned to
-//!   the transport, snapshots park on disk instead of RAM, and
+//!   appended, as its typed op, to a per-shard WAL file of checksummed
+//!   frames (`wal-NN.<gen>.bin`, layout in [`wal`]) before the response
+//!   is returned to the transport, snapshots park on disk instead of RAM, and
 //!   [`StorageEngine::load_dir`] + registration replay rebuild the exact
 //!   instance after a crash ([`crate::instance::CloudInstance::recover`]).
 //! * **Compaction** (`snapshot_every_days`): on a sim-day cadence the
@@ -24,8 +24,9 @@
 //!   rebuild the auth registry, which snapshots do not capture), and
 //!   rewrites the shard files that no longer match the log: those a
 //!   compaction (here or at an eviction) dropped a record from, and those
-//!   an append failed to reach. Every other shard file and its appender
-//!   are left alone.
+//!   an append failed to reach, each as its next generation (the rule in
+//!   [`snapshot`]'s docs). Every other shard file and its appender are
+//!   left alone.
 //!
 //! Failed writes are counted, not dropped: `storage_wal_write_errors_total`
 //! and `storage_snapshot_write_errors_total`. So is a parked snapshot that
@@ -33,12 +34,11 @@
 //! format checks at recovery (an older-format JSON snapshot included), or
 //! one hydration finds missing or failing its body checksum:
 //! `storage_snapshot_read_errors_total` (the user then hydrates from the
-//! WAL alone, as a new user would). Recovery reads each shard's
-//! frames in order and stops a shard at its first bad frame, counting
+//! WAL alone, as a new user would). Recovery reads the newest generation
+//! of each shard and stops it at its first bad frame, counting
 //! `storage_recovery_errors_total{reason=…}`: `torn_tail` (the file ends
 //! inside a frame), `corrupt` (a length check, checksum or body fails, or
-//! the file cannot be read) or `legacy_jsonl` (a JSONL shard of the old
-//! format, which is not read).
+//! the file cannot be read) or `legacy` (an older-format shard, not read).
 //!
 //! Lock order, engine-wide: residency mutex → shard `RwLock` → store
 //! mutex → WAL mutex → snapshot-store mutex. [`StoreGuard::drop`]
@@ -58,7 +58,7 @@ pub(crate) mod residency;
 pub(crate) mod snapshot;
 pub(crate) mod wal;
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -79,9 +79,9 @@ use residency::{ResidencyState, Shard};
 use snapshot::{Parked, SnapshotStore};
 use wal::{FrameError, WalLog, WalOp, WalRecord};
 
-/// FNV-1a (64-bit) over `bytes`: the one hash behind WAL shard indexes,
-/// snapshot file names and WAL frame checksums. Deterministic across runs
-/// and platforms.
+/// FNV-1a (64-bit) over `bytes`: the one hash behind WAL shard indexes
+/// and snapshot file names (frames and files are checked by
+/// [`crate::codec::checksum`]). Deterministic across runs and platforms.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &byte in bytes {
@@ -133,8 +133,8 @@ impl Default for StorageConfig {
 
 /// Residency and failure metrics and the span sink, bound at
 /// construction when a config is given (without one, the engine adds
-/// zero metric keys).
-#[derive(Debug)]
+/// zero metric keys: every handle defaults to a no-op).
+#[derive(Debug, Default)]
 struct StorageMetrics {
     evictions: Counter,
     hydrations: Counter,
@@ -150,31 +150,75 @@ struct StorageMetrics {
     /// Shards stopped at a damaged frame, or unreadable
     /// (`reason="corrupt"`).
     recovery_corrupt: Counter,
-    /// Old-format JSONL shard files left unread (`reason="legacy_jsonl"`).
+    /// Older-format shard files left unread (`reason="legacy"`).
     recovery_legacy: Counter,
     spans: Option<Arc<SpanSink>>,
 }
 
-impl Default for StorageMetrics {
-    fn default() -> StorageMetrics {
-        StorageMetrics {
-            evictions: Counter::noop(),
-            hydrations: Counter::noop(),
-            resident: Gauge::noop(),
-            wal_write_errors: Counter::noop(),
-            snapshot_write_errors: Counter::noop(),
-            snapshot_read_errors: Counter::noop(),
-            recovery_torn_tail: Counter::noop(),
-            recovery_corrupt: Counter::noop(),
-            recovery_legacy: Counter::noop(),
-            spans: None,
-        }
+/// `<stem>.<gen>.<ext>`, the name of generation `gen` of a file, or
+/// `<stem>.<ext>` for generation 0 (the name before generations, which
+/// only older-format files carry).
+fn generation_name(stem: &str, gen: u64, ext: &str) -> String {
+    match gen {
+        0 => format!("{stem}.{ext}"),
+        gen => format!("{stem}.{gen}.{ext}"),
     }
 }
 
-/// The path of WAL shard file `idx`.
-fn shard_path(dir: &Path, idx: usize) -> PathBuf {
-    dir.join(format!("wal-{idx:02}.bin"))
+/// Splits a [`generation_name`] into `(stem, generation)`; `None` for any
+/// other spelling (`.0.`, `.05.`, `.+5.` included).
+fn parse_generation<'a>(name: &'a str, ext: &str) -> Option<(&'a str, u64)> {
+    let rest = name.strip_suffix(ext)?.strip_suffix('.')?;
+    let (stem, gen) = match rest.split_once('.') {
+        None => (rest, 0),
+        Some((stem, gen)) => (stem, gen.parse().ok()?),
+    };
+    (generation_name(stem, gen, ext) == name).then_some((stem, gen))
+}
+
+/// The path of generation `gen` of WAL shard file `idx`.
+fn shard_path(dir: &Path, idx: usize, gen: u64) -> PathBuf {
+    dir.join(generation_name(&format!("wal-{idx:02}"), gen, "bin"))
+}
+
+/// The shard a `wal-NN` file stem names.
+fn shard_of(stem: &str) -> Option<usize> {
+    let idx = stem.strip_prefix("wal-")?.parse().ok()?;
+    (idx < SHARD_COUNT && stem == format!("wal-{idx:02}")).then_some(idx)
+}
+
+/// Splits a WAL shard file name into `(shard, generation)`; `None` for
+/// any other file, an older-format `wal-NN.bin` included.
+fn parse_shard_name(name: &str) -> Option<(usize, u64)> {
+    let (stem, gen) = parse_generation(name, "bin").filter(|&(_, gen)| gen > 0)?;
+    Some((shard_of(stem)?, gen))
+}
+
+/// The generation files in `dir`, at crash recovery: every leftover
+/// `.tmp` (a write killed before its rename) is removed, and every file
+/// `parse` names is grouped under its key, newest generation first. Every
+/// other file name goes to `other`.
+fn generations<K: Ord>(
+    dir: &Path,
+    parse: impl Fn(&str) -> Option<(K, u64)>,
+    mut other: impl FnMut(&str),
+) -> BTreeMap<K, Vec<u64>> {
+    let mut found: BTreeMap<K, Vec<u64>> = BTreeMap::new();
+    for entry in fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.ends_with(".tmp") {
+            let _ = fs::remove_file(entry.path());
+        } else if let Some((key, gen)) = parse(&name) {
+            found.entry(key).or_default().push(gen);
+        } else {
+            other(&name);
+        }
+    }
+    for gens in found.values_mut() {
+        gens.sort_unstable_by(|a, b| b.cmp(a));
+    }
+    found
 }
 
 /// Cuts a damaged shard file back to its first `good` bytes (its whole
@@ -197,6 +241,9 @@ struct WalState {
     log: WalLog,
     dir: Option<PathBuf>,
     files: Vec<Option<fs::File>>,
+    /// Per shard: the generation its file is named under (1 until the
+    /// first rewrite).
+    gens: Vec<u64>,
     /// Per shard: its file no longer matches the log (a compaction
     /// dropped a record, or an append or repair failed), so the next
     /// sweep rewrites it.
@@ -227,7 +274,7 @@ impl WalState {
                     None => fs::OpenOptions::new()
                         .create(true)
                         .append(true)
-                        .open(shard_path(dir, idx))?,
+                        .open(shard_path(dir, idx, self.gens[idx]))?,
                 };
                 self.files[idx].insert(file).write_all(&frame)
             });
@@ -246,9 +293,10 @@ impl WalState {
     }
 
     /// Rewrites every stale shard file from the (compacted) in-memory
-    /// log, atomically per file (write-then-rename); the other files keep
-    /// their appenders. Returns the number of failures: records that do
-    /// not frame and shards not replaced (which stay stale).
+    /// log as its next generation (see the module docs); the other files
+    /// keep their appenders. Returns the number of failures: records that
+    /// do not frame and shards not rewritten (which stay stale and keep
+    /// appending to their current generation).
     fn rewrite_files(&mut self) -> u64 {
         let Some(dir) = self.dir.clone() else {
             return 0;
@@ -269,14 +317,18 @@ impl WalState {
             if !self.stale[idx] {
                 continue;
             }
-            let path = shard_path(&dir, idx);
+            let (old, gen) = (self.gens[idx], self.gens[idx] + 1);
+            let path = shard_path(&dir, idx, gen);
             let tmp = path.with_extension("bin.tmp");
-            // Drop the open appender before replacing the file under it.
-            self.files[idx] = None;
             if fs::write(&tmp, content)
                 .and_then(|()| fs::rename(&tmp, &path))
                 .is_ok()
             {
+                // A failed unlink leaves an older generation, which the
+                // next recovery removes.
+                let _ = fs::remove_file(shard_path(&dir, idx, old));
+                self.files[idx] = None;
+                self.gens[idx] = gen;
                 self.stale[idx] = false;
             } else {
                 failures += 1;
@@ -364,7 +416,7 @@ impl StorageEngine {
             snapshot_read_errors: obs.counter("storage_snapshot_read_errors_total", &[]),
             recovery_torn_tail: obs.counter(RECOVERY_ERRORS, &[("reason", "torn_tail")]),
             recovery_corrupt: obs.counter(RECOVERY_ERRORS, &[("reason", "corrupt")]),
-            recovery_legacy: obs.counter(RECOVERY_ERRORS, &[("reason", "legacy_jsonl")]),
+            recovery_legacy: obs.counter(RECOVERY_ERRORS, &[("reason", "legacy")]),
             spans: obs.spans().cloned(),
         };
         StorageEngine::build(Some(config), metrics)
@@ -379,6 +431,7 @@ impl StorageEngine {
                     log: WalLog::default(),
                     dir: dir.clone(),
                     files: (0..SHARD_COUNT).map(|_| None).collect(),
+                    gens: vec![1; SHARD_COUNT],
                     stale: vec![false; SHARD_COUNT],
                 }),
                 snapshots: SnapshotStore::new(dir.as_deref()),
@@ -624,14 +677,9 @@ impl StorageEngine {
         };
         let suffix: Vec<WalRecord> = self.inner.wal.lock().log.suffix(key, watermark);
         let mut replayed = 0;
-        for record in &suffix {
-            if record.is_registration() {
-                continue;
-            }
-            if let WalOp::Request(request) = &record.op {
-                apply::apply_request(&mut store, config, request);
-                replayed += 1;
-            }
+        for record in suffix.iter().filter(|r| !r.is_compaction_exempt()) {
+            apply::apply_op(&mut store, config, &record.op);
+            replayed += 1;
         }
         (store, had_snapshot || replayed > 0, replayed)
     }
@@ -703,7 +751,7 @@ impl StorageEngine {
             if let Some(body) = RegistrationBody::from_payload(&request.body) {
                 let key = identity_key(&body.imei, &body.email);
                 self.bind_key(*user, &key);
-                self.append_durable(&key, WalOp::request(request.clone()));
+                self.append_durable(&key, WalOp::Register(Box::new(body.clone())));
                 self.append_durable(
                     &key,
                     WalOp::TokenGrant {
@@ -726,10 +774,12 @@ impl StorageEngine {
             }
             return;
         }
-        if ingest {
-            if let Some(user) = user {
-                self.append_durable(&self.key_of(user), WalOp::request(request.clone()));
-            }
+        // Cap-only mode logs nothing, so it copies no body.
+        if !ingest || !self.is_durable() {
+            return;
+        }
+        if let (Some(user), Some(op)) = (user, WalOp::of_request(request)) {
+            self.append_durable(&self.key_of(user), op);
         }
     }
 
@@ -741,7 +791,7 @@ impl StorageEngine {
         if wal.dir.is_none() {
             return;
         }
-        let record = wal.log.append(key, op.compacted());
+        let record = wal.log.append(key, op);
         if wal.persist(&record).is_err() {
             self.inner.metrics.wal_write_errors.inc();
         }
@@ -753,12 +803,14 @@ impl StorageEngine {
     /// store directory (crash recovery; call on a fresh, still-empty
     /// engine).
     ///
-    /// Each shard's frames load in order up to its first bad frame, which
+    /// Per shard, the newest generation is read and older ones are
+    /// removed, as is every leftover `.tmp` (a rewrite killed before its
+    /// rename). Its frames load in order up to its first bad frame, which
     /// stops that shard and is counted by reason. A damaged shard is then
     /// cut back to its last whole frame, so appends after recovery start
     /// on a frame boundary; the bytes of a corrupt one are first kept
-    /// aside as `wal-NN.bin.corrupt`. An old-format `wal-NN.jsonl` is
-    /// counted and left unread.
+    /// aside as `<file>.corrupt`. An older-format `wal-NN.bin` or
+    /// `wal-NN.jsonl` is counted and left unread.
     pub(crate) fn load_dir(&self) {
         {
             let mut wal = self.inner.wal.lock();
@@ -766,18 +818,22 @@ impl StorageEngine {
                 return;
             };
             let metrics = &self.inner.metrics;
-            for idx in 0..SHARD_COUNT {
-                if dir.join(format!("wal-{idx:02}.jsonl")).exists() {
+            let shards = generations(&dir, parse_shard_name, |name| {
+                // A generation-less `wal-NN.bin` or a `wal-NN.jsonl`.
+                let stem = name.strip_suffix(".bin").or(name.strip_suffix(".jsonl"));
+                if stem.and_then(shard_of).is_some() {
                     metrics.recovery_legacy.inc();
                 }
-                let path = shard_path(&dir, idx);
-                let bytes = match fs::read(&path) {
-                    Ok(bytes) => bytes,
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-                    Err(_) => {
-                        metrics.recovery_corrupt.inc();
-                        continue;
-                    }
+            });
+            for (idx, gens) in shards {
+                for &old in &gens[1..] {
+                    let _ = fs::remove_file(shard_path(&dir, idx, old));
+                }
+                wal.gens[idx] = gens[0];
+                let path = shard_path(&dir, idx, gens[0]);
+                let Ok(bytes) = fs::read(&path) else {
+                    metrics.recovery_corrupt.inc();
+                    continue;
                 };
                 let (mut good, mut damage) = (0, None);
                 while good < bytes.len() {
@@ -1026,9 +1082,11 @@ mod tests {
             metrics.counter_value("storage_wal_write_errors_total")
         };
         // The user's shard file cannot be opened: a directory sits at its
-        // path.
+        // path, and at its next generation's, which a rewrite renames to.
         let key = identity_key("imei-1", "u1@example.com");
-        fs::create_dir_all(shard_path(&dir, WalState::file_index(&key))).unwrap();
+        for gen in [1, 2] {
+            fs::create_dir_all(shard_path(&dir, WalState::file_index(&key), gen)).unwrap();
+        }
         let registration = Request::post(
             crate::payload::REGISTRATION_PATH,
             RegistrationBody {
@@ -1040,7 +1098,7 @@ mod tests {
         assert!(response.is_success(), "{response:?}");
         assert_eq!(errors(), 2, "the registration and its token grant");
 
-        // The day sweep's rewrite cannot rename over the directory either.
+        // The day sweep's rewrite cannot rename onto the directory either.
         cloud.handle(
             &Request::get("/api/v1/health"),
             SimTime::from_day_time(1, 0, 0, 0),
@@ -1100,9 +1158,10 @@ mod tests {
     }
 
     /// A sweep rewrites only the shard files that no longer match the
-    /// log: one that compacts nothing leaves every file as it was (same
-    /// inode, same length), while a shard an append failed to reach is
-    /// still rewritten.
+    /// log, each as its next generation, unlinking the one before: a sweep
+    /// that compacts nothing leaves every file as it was (same name, inode
+    /// and length), while a shard an append failed to reach is still
+    /// rewritten.
     #[cfg(unix)]
     #[test]
     fn a_sweep_rewrites_only_stale_shards() {
@@ -1148,19 +1207,28 @@ mod tests {
         );
         let response = cloud.handle(&sync.with_token(token.as_str()), SimTime::from_seconds(20));
         assert!(response.is_success(), "{response:?}");
-        let files = || -> Vec<(usize, u64, u64)> {
-            (0..SHARD_COUNT)
-                .filter_map(|idx| {
-                    let meta = fs::metadata(shard_path(&dir, idx)).ok()?;
-                    Some((idx, meta.ino(), meta.len()))
+        // Every shard file on disk as `(shard, generation, inode, length)`.
+        let files = || -> Vec<(usize, u64, u64, u64)> {
+            let mut files: Vec<_> = fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|entry| {
+                    let entry = entry.unwrap();
+                    let (idx, gen) = parse_shard_name(&entry.file_name().to_string_lossy())?;
+                    let meta = entry.metadata().unwrap();
+                    Some((idx, gen, meta.ino(), meta.len()))
                 })
-                .collect()
+                .collect();
+            files.sort_unstable();
+            files
         };
         let appended = files();
+        assert_eq!(appended.len(), 1);
+        assert_eq!(appended[0].1, 1, "appends go to generation 1");
         health(1); // compacts the sync: its shard is rewritten
         let swept = files();
-        assert_eq!(swept.len(), 1);
-        assert!(swept[0].2 < appended[0].2, "the sync record is gone");
+        assert_eq!(swept.len(), 1, "the old generation is unlinked");
+        assert_eq!(swept[0].1, 2, "the rewrite is generation 2");
+        assert!(swept[0].3 < appended[0].3, "the sync record is gone");
         health(2); // compacts nothing
         assert_eq!(files(), swept, "an unchanged shard is not rewritten");
 
@@ -1173,16 +1241,19 @@ mod tests {
             })
             .unwrap();
         let key = identity_key(&format!("imei-{n}"), &format!("u{n}@example.com"));
-        let path = shard_path(&dir, WalState::file_index(&key));
+        let idx = WalState::file_index(&key);
+        let path = shard_path(&dir, idx, 1);
         fs::create_dir_all(&path).unwrap();
         register(n);
         fs::remove_dir_all(&path).unwrap();
         health(3); // compacts nothing, but the shard missed two appends
-        assert_eq!(files()[0], swept[0], "the clean shard is left alone");
-        let bytes = fs::read(&path).expect("the stale shard is rewritten");
+        let after = files();
+        assert!(after.contains(&swept[0]), "the clean shard is left alone");
+        assert_eq!(after.len(), 2);
+        let bytes = fs::read(shard_path(&dir, idx, 2)).expect("the stale shard is rewritten");
         let (first, len) = WalRecord::from_frame(&bytes).unwrap();
         let (second, _) = WalRecord::from_frame(&bytes[len..]).unwrap();
-        assert!(first.is_registration() && first.key == key);
+        assert!(matches!(first.op, WalOp::Register(_)) && first.key == key);
         assert!(matches!(second.op, WalOp::TokenGrant { .. }));
         let _ = fs::remove_dir_all(&dir);
     }

@@ -19,8 +19,9 @@
 //! dictionary and symbols instead of interning the log again, so the
 //! engine section stores neither: the engine's dictionary is the first
 //! cells of the block's, one per dwell entry, and its absorbed symbols
-//! are the block's first `absorbed`. The store bytes follow the WAL
-//! frame and batch codec conventions: integers little-endian, counts
+//! are the block's first `absorbed`. The store bytes follow the
+//! [`crate::codec`] conventions — the WAL's op bodies reuse the place,
+//! route, profile and contact encoders here: integers little-endian, counts
 //! `u64`, strings a `u32` byte length plus UTF-8, `f64` values as
 //! `to_bits` (so `-0.0` and NaN payloads survive bit for bit), times as
 //! seconds, and an `opt(x)` a tag byte, `0` for none or `1` followed by
@@ -66,9 +67,8 @@
 //! ```
 //!
 //! `header_check` covers every header byte before it; `body_check` covers
-//! the store bytes, then the log block. Both are `checksum`, a
-//! four-lane hash that reads eight bytes a step, so a flipped bit always
-//! changes it. The key inside is authoritative (file names are
+//! the store bytes, then the log block. Both are
+//! [`crate::codec::checksum`], which a flipped bit always changes. The key inside is authoritative (file names are
 //! sanitized). A file goes out in one `write_all`.
 //!
 //! * **Recovery** ([`SnapshotStore::load`]) reads only headers. A header
@@ -94,6 +94,8 @@
 //! * killed mid-write: a `.tmp` beside generation N — N is used;
 //! * killed between rename and unlink: generations N and N + 1 — the
 //!   newest wins.
+//!
+//! WAL shard rewrites follow the same rule, as `wal-NN.<gen>.bin`.
 //!
 //! Recovery keeps the newest readable generation per key and removes
 //! older ones and leftover `.tmp` files. A refused file stays on disk,
@@ -125,15 +127,15 @@ use pmware_algorithms::signature::{
 };
 use pmware_geo::{GeoPoint, Meters, Polyline};
 use pmware_world::intern::Interner;
-use pmware_world::{Bssid, CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
+use pmware_world::{Bssid, CellGlobalId, GsmObservation, SimDuration, SimTime};
 
-use super::fnv1a;
-use super::wal::{put_str, take_str};
+use super::{fnv1a, generation_name, parse_generation};
 use crate::analytics::ProfileHistory;
+use crate::codec::{cell_of, checksum, put_cell, put_str, take_str, ByteReader, CELL_BYTES};
 use crate::predict::MarkovPredictor;
 use crate::profile::{ActivitySummary, ContactEntry, MobilityProfile, PlaceEntry, RouteEntry};
 use crate::state::UserStore;
-use crate::wire::{ByteReader, ObservationBatch};
+use crate::wire::ObservationBatch;
 
 /// One parked store: the store bytes and the GCA log block (empty when
 /// the store has no discovery engine).
@@ -169,7 +171,7 @@ impl Parked {
     /// whether the store has a discovery engine, or the engine section
     /// does not fit the log (see [`IncrementalGca::restore`]).
     pub(crate) fn to_store(&self) -> Result<UserStore, String> {
-        let (mut store, engine) = StoreReader::new(&self.store)
+        let (mut store, engine) = ByteReader::new(&self.store)
             .store()
             .map_err(|e| format!("store bytes: {e}"))?;
         store.gca = match (engine, self.log.is_empty()) {
@@ -237,61 +239,15 @@ impl EngineSection {
     }
 }
 
-/// Multiplier of the snapshot checksum (odd, so multiplying by it is a
-/// bijection on `u64`).
-const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
-
-/// Initial states of the checksum's lanes 1–3 (lane 0 starts at the
-/// seed).
-const LANES: [u64; 3] = [
-    0x243f_6a88_85a3_08d3,
-    0x1319_8a2e_0370_7344,
-    0xa409_3822_299f_31d0,
-];
-
-/// One step of one checksum lane: a bijection of the lane for a fixed
-/// word and of the word for a fixed lane.
-fn mix(lane: u64, word: u64) -> u64 {
-    (lane ^ word).wrapping_mul(MIX).rotate_left(31)
-}
-
-/// The snapshot checksum of `bytes`, continuing from `seed`: four
-/// independent lanes each take one little-endian `u64` of every 32-byte
-/// block (the last block zero-padded), then fold, with the length, into
-/// one value. Each step is a bijection of its lane, so a change within
-/// one 8-byte word, a flipped bit included, always changes the result,
-/// and so does a changed seed. It reads eight bytes a step where FNV-1a
-/// reads one, which keeps a check of every hydration cheap.
-pub(super) fn checksum(seed: u64, bytes: &[u8]) -> u64 {
-    let mut lanes = [seed, LANES[0], LANES[1], LANES[2]];
-    let mut step = |block: &[u8; 32]| {
-        let (words, _) = block.as_chunks::<8>();
-        for (lane, word) in lanes.iter_mut().zip(words) {
-            *lane = mix(*lane, u64::from_le_bytes(*word));
-        }
-    };
-    let (blocks, tail) = bytes.as_chunks::<32>();
-    blocks.iter().for_each(&mut step);
-    let mut last = [0; 32];
-    last[..tail.len()].copy_from_slice(tail);
-    step(&last);
-    let folded = lanes
-        .iter()
-        .fold(bytes.len() as u64, |h, &lane| mix(h, lane));
-    folded ^ (folded >> 32)
-}
-
-/// Bytes of one cell: `mcc:u16 mnc:u16 lac:u16 cid:u32`.
-const CELL_BYTES: usize = 10;
 /// The fewest bytes each kind of counted item takes, which bounds a
 /// count by the bytes left before anything is allocated.
-const PLACE_MIN: usize = 4 + 1 + 8 + 8 + 1;
+pub(super) const PLACE_MIN: usize = 4 + 1 + 8 + 8 + 1;
 const VISIT_BYTES: usize = 16;
 const POINT_BYTES: usize = 16;
-const ROUTE_MIN: usize = 4 + 4 + 4 + 1 + 8 + 4 + 8;
+pub(super) const ROUTE_MIN: usize = 4 + 4 + 4 + 1 + 8 + 4 + 8;
 const PROFILE_MIN: usize = 8 + 8 + 8 + 8 + 16;
 const ENTRY_BYTES: usize = 4 + 8 + 8;
-const CONTACT_MIN: usize = 4 + 8 + 8 + 1;
+pub(super) const CONTACT_MIN: usize = 4 + 8 + 8 + 1;
 const MODEL_SOURCE_MIN: usize = 4 + 8;
 const MODEL_EDGE_BYTES: usize = 4 + 4;
 const DWELL_BYTES: usize = 8;
@@ -299,34 +255,31 @@ const EDGE_BYTES: usize = 4 + 4 + 4;
 const RUN_BYTES: usize = 4 + 8 + 8;
 const SEQ_BYTES: usize = 16;
 
-/// Writes a store's bytes (layout in the module docs).
+/// Writes a store's bytes (layout in the module docs), and the WAL's
+/// op bodies.
 #[derive(Default)]
-struct StoreWriter {
-    out: Vec<u8>,
+pub(super) struct StoreWriter {
+    pub(super) out: Vec<u8>,
     /// The offset of every count written, which the hostile-bytes test
     /// overwrites.
     #[cfg(test)]
-    counts: Vec<usize>,
+    pub(super) counts: Vec<usize>,
     /// The offset of the engine section's `absorbed` field, which the
     /// hostile-bytes test reads the section from.
     #[cfg(test)]
-    absorbed_at: usize,
+    pub(super) absorbed_at: usize,
 }
 
 impl StoreWriter {
-    fn u8(&mut self, value: u8) {
+    pub(super) fn u8(&mut self, value: u8) {
         self.out.push(value);
     }
 
-    fn u16(&mut self, value: u16) {
+    pub(super) fn u32(&mut self, value: u32) {
         self.out.extend_from_slice(&value.to_le_bytes());
     }
 
-    fn u32(&mut self, value: u32) {
-        self.out.extend_from_slice(&value.to_le_bytes());
-    }
-
-    fn u64(&mut self, value: u64) {
+    pub(super) fn u64(&mut self, value: u64) {
         self.out.extend_from_slice(&value.to_le_bytes());
     }
 
@@ -334,17 +287,17 @@ impl StoreWriter {
         self.u64(value.to_bits());
     }
 
-    fn time(&mut self, time: SimTime) {
+    pub(super) fn time(&mut self, time: SimTime) {
         self.u64(time.as_seconds());
     }
 
-    fn count(&mut self, count: usize) {
+    pub(super) fn count(&mut self, count: usize) {
         #[cfg(test)]
         self.counts.push(self.out.len());
         self.u64(count as u64);
     }
 
-    fn opt<T>(&mut self, value: Option<T>, write: impl FnOnce(&mut Self, T)) {
+    pub(super) fn opt<T>(&mut self, value: Option<T>, write: impl FnOnce(&mut Self, T)) {
         match value {
             None => self.u8(0),
             Some(value) => {
@@ -355,10 +308,7 @@ impl StoreWriter {
     }
 
     fn cell(&mut self, cell: &CellGlobalId) {
-        self.u16(cell.plmn.mcc);
-        self.u16(cell.plmn.mnc);
-        self.u16(cell.lac.0);
-        self.u32(cell.cell.0);
+        put_cell(&mut self.out, cell);
     }
 
     fn cells<'a>(&mut self, count: usize, cells: impl Iterator<Item = &'a CellGlobalId>) {
@@ -371,7 +321,7 @@ impl StoreWriter {
         self.f64(point.longitude());
     }
 
-    fn place(&mut self, place: &DiscoveredPlace) {
+    pub(super) fn place(&mut self, place: &DiscoveredPlace) {
         self.u32(place.id.0);
         match &place.signature {
             PlaceSignature::Cells(cells) => {
@@ -399,7 +349,7 @@ impl StoreWriter {
         });
     }
 
-    fn route(&mut self, route: &CanonicalRoute) {
+    pub(super) fn route(&mut self, route: &CanonicalRoute) {
         self.u32(route.id.0);
         self.u32(route.from.0);
         self.u32(route.to.0);
@@ -419,14 +369,14 @@ impl StoreWriter {
         route.traversals.iter().for_each(|start| self.time(*start));
     }
 
-    fn contact(&mut self, contact: &ContactEntry) {
+    pub(super) fn contact(&mut self, contact: &ContactEntry) {
         put_str(&mut self.out, &contact.contact);
         self.time(contact.start);
         self.time(contact.end);
         self.opt(contact.place, |out, place| out.u32(place.0));
     }
 
-    fn profile(&mut self, profile: &MobilityProfile) {
+    pub(super) fn profile(&mut self, profile: &MobilityProfile) {
         self.u64(profile.day);
         self.count(profile.places.len());
         for entry in &profile.places {
@@ -531,57 +481,32 @@ impl StoreWriter {
     }
 }
 
-/// Reads a store's bytes back (layout in the module docs).
-struct StoreReader<'a> {
-    input: ByteReader<'a>,
-}
-
-impl<'a> StoreReader<'a> {
-    fn new(bytes: &'a [u8]) -> StoreReader<'a> {
-        StoreReader {
-            input: ByteReader::new(bytes),
-        }
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        self.input.take().map(u8::from_le_bytes)
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        self.input.take().map(u16::from_le_bytes)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        self.input.take().map(u32::from_le_bytes)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.input.take().map(u64::from_le_bytes)
-    }
-
+/// The store codec's decoders (layout in the module docs), which the
+/// WAL's op bodies share.
+impl ByteReader<'_> {
     fn f64(&mut self) -> Result<f64, String> {
         self.u64().map(f64::from_bits)
     }
 
-    fn time(&mut self) -> Result<SimTime, String> {
+    pub(super) fn time(&mut self) -> Result<SimTime, String> {
         self.u64().map(SimTime::from_seconds)
     }
 
-    fn str(&mut self) -> Result<String, String> {
-        take_str(&mut self.input).map(str::to_owned)
+    pub(super) fn str(&mut self) -> Result<String, String> {
+        take_str(self).map(str::to_owned)
     }
 
-    fn place_id(&mut self) -> Result<DiscoveredPlaceId, String> {
+    pub(super) fn place_id(&mut self) -> Result<DiscoveredPlaceId, String> {
         self.u32().map(DiscoveredPlaceId)
     }
 
-    fn list<T>(
+    pub(super) fn list<T>(
         &mut self,
         item_bytes: usize,
         what: &str,
         mut read: impl FnMut(&mut Self) -> Result<T, String>,
     ) -> Result<Vec<T>, String> {
-        let count = self.input.count(item_bytes, what)?;
+        let count = self.count(item_bytes, what)?;
         #[cfg(test)]
         tests::note_room(count * std::mem::size_of::<T>());
         let mut items = Vec::with_capacity(count);
@@ -591,7 +516,7 @@ impl<'a> StoreReader<'a> {
         Ok(items)
     }
 
-    fn opt<T>(
+    pub(super) fn opt<T>(
         &mut self,
         what: &str,
         read: impl FnOnce(&mut Self) -> Result<T, String>,
@@ -604,14 +529,7 @@ impl<'a> StoreReader<'a> {
     }
 
     fn cell(&mut self) -> Result<CellGlobalId, String> {
-        Ok(CellGlobalId {
-            plmn: Plmn {
-                mcc: self.u16()?,
-                mnc: self.u16()?,
-            },
-            lac: Lac(self.u16()?),
-            cell: CellId(self.u32()?),
-        })
+        self.take().map(cell_of)
     }
 
     fn point(&mut self) -> Result<GeoPoint, String> {
@@ -619,7 +537,7 @@ impl<'a> StoreReader<'a> {
         GeoPoint::new(lat, lng).map_err(|e| e.to_string())
     }
 
-    fn place(&mut self) -> Result<DiscoveredPlace, String> {
+    pub(super) fn place(&mut self) -> Result<DiscoveredPlace, String> {
         let id = self.place_id()?;
         let signature = match self.u8()? {
             0 => PlaceSignature::Cells(BTreeSet::from_iter(self.list(
@@ -653,7 +571,7 @@ impl<'a> StoreReader<'a> {
         })
     }
 
-    fn route(&mut self) -> Result<CanonicalRoute, String> {
+    pub(super) fn route(&mut self) -> Result<CanonicalRoute, String> {
         let id = RouteId(self.u32()?);
         let (from, to) = (self.place_id()?, self.place_id()?);
         let geometry = match self.u8()? {
@@ -674,7 +592,7 @@ impl<'a> StoreReader<'a> {
         })
     }
 
-    fn contact(&mut self) -> Result<ContactEntry, String> {
+    pub(super) fn contact(&mut self) -> Result<ContactEntry, String> {
         Ok(ContactEntry {
             contact: self.str()?,
             start: self.time()?,
@@ -683,7 +601,7 @@ impl<'a> StoreReader<'a> {
         })
     }
 
-    fn profile(&mut self) -> Result<MobilityProfile, String> {
+    pub(super) fn profile(&mut self) -> Result<MobilityProfile, String> {
         Ok(MobilityProfile {
             day: self.u64()?,
             places: self.list(ENTRY_BYTES, "profile place", |input| {
@@ -746,11 +664,11 @@ impl<'a> StoreReader<'a> {
     }
 
     fn model(&mut self) -> Result<MarkovPredictor, String> {
-        let sources = self.input.count(MODEL_SOURCE_MIN, "model source")?;
+        let sources = self.count(MODEL_SOURCE_MIN, "model source")?;
         let mut transitions = BTreeMap::new();
         for _ in 0..sources {
             let from = self.place_id()?;
-            let edges = self.input.count(MODEL_EDGE_BYTES, "model edge")?;
+            let edges = self.count(MODEL_EDGE_BYTES, "model edge")?;
             let mut next = BTreeMap::new();
             for _ in 0..edges {
                 next.insert(self.place_id()?, self.u32()?);
@@ -770,7 +688,7 @@ impl<'a> StoreReader<'a> {
         let routes = RouteStore::from_parts(threshold, routes)
             .ok_or_else(|| format!("route match threshold {threshold}"))?;
         let mut history = ProfileHistory::new();
-        for _ in 0..self.input.count(PROFILE_MIN, "profile")? {
+        for _ in 0..self.count(PROFILE_MIN, "profile")? {
             history.upsert(self.profile()?);
         }
         let contacts = self.list(CONTACT_MIN, "contact", Self::contact)?;
@@ -783,7 +701,7 @@ impl<'a> StoreReader<'a> {
             .map(|model| (history.generation(), model));
         let absorbed_upto = self.u64()?;
         let contacts_absorbed = self.u64()?;
-        let seqs = self.input.count(SEQ_BYTES, "profile sequence")?;
+        let seqs = self.count(SEQ_BYTES, "profile sequence")?;
         #[cfg(test)]
         tests::note_room(seqs * std::mem::size_of::<(u64, u64)>());
         let mut profile_seq = HashMap::with_capacity(seqs);
@@ -792,7 +710,7 @@ impl<'a> StoreReader<'a> {
         }
         let places_seq = self.u64()?;
         let routes_seq = self.u64()?;
-        self.input.finish()?;
+        self.finish()?;
         let store = UserStore {
             places,
             routes,
@@ -861,9 +779,7 @@ impl Header {
         if head[..4] != MAGIC || head[4..8] != VERSION.to_le_bytes() {
             return Err("not a snapshot of this format".to_owned());
         }
-        let key_len = ByteReader::new(&head[HEADER_FIXED..])
-            .take()
-            .map(u32::from_le_bytes)?;
+        let key_len = ByteReader::new(&head[HEADER_FIXED..]).u32()?;
         let rest = u64::from(key_len) + 8;
         let read = file
             .take(rest)
@@ -879,8 +795,8 @@ impl Header {
             return Err("header checksum mismatch".to_owned());
         }
         let mut input = ByteReader::new(&covered[8..]);
-        let mut field = || input.take().map(u64::from_le_bytes);
-        let (wal_seq, store_len, log_len, body_check) = (field()?, field()?, field()?, field()?);
+        let (wal_seq, store_len, log_len, body_check) =
+            (input.u64()?, input.u64()?, input.u64()?, input.u64()?);
         let key = take_str(&mut input)?.to_owned();
         Ok(Header {
             key,
@@ -922,7 +838,7 @@ pub(crate) struct SnapshotStore {
 }
 
 /// The extension of snapshot files.
-const SNAPSHOT_EXT: &str = "snap";
+pub(super) const SNAPSHOT_EXT: &str = "snap";
 
 /// A filesystem-safe spelling of an identity key, shared by all its
 /// generations: alphanumerics survive, everything else becomes `_`, and
@@ -936,32 +852,9 @@ pub(super) fn stem_of(key: &str) -> String {
     format!("{safe}-{:016x}", fnv1a(key.as_bytes()))
 }
 
-/// The file name of generation `gen` under `stem`: `<stem>.<gen>.snap`,
-/// or `<stem>.snap` for generation 0 (the name before generations, which
-/// only older-format files carry).
-fn generation_file(stem: &str, gen: u64) -> String {
-    if gen == 0 {
-        format!("{stem}.{SNAPSHOT_EXT}")
-    } else {
-        format!("{stem}.{gen}.{SNAPSHOT_EXT}")
-    }
-}
-
 /// The file name of `key`'s snapshot generation `gen`.
 pub(super) fn file_name_of(key: &str, gen: u64) -> String {
-    generation_file(&stem_of(key), gen)
-}
-
-/// Splits a snapshot file name into `(stem, generation)`; `None` for
-/// any other file.
-pub(super) fn parse_file_name(name: &str) -> Option<(&str, u64)> {
-    let rest = name.strip_suffix(SNAPSHOT_EXT)?.strip_suffix('.')?;
-    let (stem, gen) = match rest.split_once('.') {
-        None => (rest, 0),
-        Some((stem, gen)) => (stem, gen.parse().ok()?),
-    };
-    // Only the spelling `generation_file` writes: not `.0.`, `.05.`, `.+5.`.
-    (generation_file(stem, gen) == name).then_some((stem, gen))
+    generation_name(&stem_of(key), gen, SNAPSHOT_EXT)
 }
 
 /// Writes generation `gen` of `key`'s snapshot — header, store bytes,
@@ -1149,26 +1042,16 @@ impl SnapshotStore {
         let Some(dir) = state.dir.clone() else {
             return 0;
         };
-        let Ok(entries) = fs::read_dir(&dir) else {
-            return 0;
-        };
-        let mut generations: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.ends_with(".tmp") {
-                // A write that never reached its rename.
-                let _ = fs::remove_file(entry.path());
-            } else if let Some((stem, gen)) = parse_file_name(&name) {
-                generations.entry(stem.to_owned()).or_default().push(gen);
-            }
-        }
+        let generations = super::generations(
+            &dir,
+            |name| parse_generation(name, SNAPSHOT_EXT).map(|(stem, gen)| (stem.to_owned(), gen)),
+            |_| {},
+        );
         let mut refused = 0;
-        for (stem, mut gens) in generations {
-            gens.sort_unstable_by(|a, b| b.cmp(a));
+        for (stem, gens) in generations {
             let mut found = false;
             for gen in gens {
-                let path = dir.join(generation_file(&stem, gen));
+                let path = dir.join(generation_name(&stem, gen, SNAPSHOT_EXT));
                 if found {
                     let _ = fs::remove_file(&path);
                     continue;
@@ -1203,7 +1086,7 @@ pub(crate) mod tests {
     use crate::payload::DiscoverBody;
     use crate::storage::apply::apply_discover;
     use pmware_world::tower::NetworkLayer;
-    use pmware_world::GsmObservation;
+    use pmware_world::{CellId, GsmObservation, Lac, Plmn};
     use proptest::prelude::*;
     use std::cell::Cell;
 
@@ -1325,10 +1208,10 @@ pub(crate) mod tests {
     }
 
     /// A splitmix64 stream: every choice a generated store makes.
-    struct Gen(u64);
+    pub(crate) struct Gen(pub(crate) u64);
 
     impl Gen {
-        fn next(&mut self) -> u64 {
+        pub(crate) fn next(&mut self) -> u64 {
             self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = self.0;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1336,7 +1219,7 @@ pub(crate) mod tests {
             z ^ (z >> 31)
         }
 
-        fn pick<T: Clone>(&mut self, from: &[T]) -> T {
+        pub(crate) fn pick<T: Clone>(&mut self, from: &[T]) -> T {
             from[(self.next() % from.len() as u64) as usize].clone()
         }
 
@@ -1349,17 +1232,17 @@ pub(crate) mod tests {
             (0..self.len()).map(|_| item(self)).collect()
         }
 
-        fn u32(&mut self) -> u32 {
+        pub(crate) fn u32(&mut self) -> u32 {
             let random = self.next() as u32;
             self.pick(&[0, 1, u32::MAX, random])
         }
 
-        fn u64(&mut self) -> u64 {
+        pub(crate) fn u64(&mut self) -> u64 {
             let random = self.next();
             self.pick(&[0, 1, u64::MAX, random])
         }
 
-        fn time(&mut self) -> SimTime {
+        pub(crate) fn time(&mut self) -> SimTime {
             SimTime::from_seconds(self.u64())
         }
 
@@ -1392,7 +1275,7 @@ pub(crate) mod tests {
             GeoPoint::new(lat, lng).unwrap()
         }
 
-        fn text(&mut self) -> String {
+        pub(crate) fn text(&mut self) -> String {
             self.pick(&[
                 String::new(),
                 "home".to_owned(),
@@ -1429,7 +1312,7 @@ pub(crate) mod tests {
     /// geometry kind, labels absent, empty and non-ASCII, empty and full
     /// collections, awkward `f64` bits, and an engine, a current memo, a
     /// stale memo or none.
-    fn generated_store(seed: u64) -> UserStore {
+    pub(crate) fn generated_store(seed: u64) -> UserStore {
         let mut g = Gen(seed);
         let places = g.vec(|g| DiscoveredPlace {
             id: DiscoveredPlaceId(g.u32()),
@@ -1873,22 +1756,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// A flip of any one bit changes the checksum, in whole blocks and in
-    /// the zero-padded tail alike, and so does a changed seed or length.
-    #[test]
-    fn checksum_catches_every_single_bit_flip() {
-        let bytes: Vec<u8> = (0..77u8).map(|b| b.wrapping_mul(37)).collect();
-        let intact = checksum(0, &bytes);
-        for bit in 0..bytes.len() * 8 {
-            let mut flipped = bytes.clone();
-            flipped[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(checksum(0, &flipped), intact, "bit {bit}");
-        }
-        assert_ne!(checksum(1, &bytes), intact);
-        assert_ne!(checksum(0, &[bytes.as_slice(), &[0]].concat()), intact);
-        assert_ne!(checksum(0, &[]), checksum(0, &[0]));
-    }
-
     #[test]
     fn file_names_are_safe_and_distinct() {
         let a = file_name_of("350-1|u1@example.com", 1);
@@ -1902,7 +1769,10 @@ pub(crate) mod tests {
         let stem = stem_of("350-1|u1@example.com");
         for gen in [0, 1, 12] {
             let name = file_name_of("350-1|u1@example.com", gen);
-            assert_eq!(parse_file_name(&name), Some((stem.as_str(), gen)));
+            assert_eq!(
+                parse_generation(&name, SNAPSHOT_EXT),
+                Some((stem.as_str(), gen))
+            );
         }
         for other in [
             "x.0.snap",
@@ -1911,7 +1781,7 @@ pub(crate) mod tests {
             "x.y.snap",
             "xsnap",
         ] {
-            assert_eq!(parse_file_name(other), None, "{other}");
+            assert_eq!(parse_generation(other, SNAPSHOT_EXT), None, "{other}");
         }
     }
 

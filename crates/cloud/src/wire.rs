@@ -22,11 +22,11 @@
 //! is spelled on the wire, never what it means.
 //!
 //! The same columns also have a binary spelling,
-//! [`ObservationBatch::to_bytes`]/[`ObservationBatch::from_bytes`]: the
-//! storage engine parks a user's whole GCA observation log in it, so
-//! evicting or hydrating a user moves a flat byte block instead of
-//! megabytes of nested JSON, and the durable WAL frames each sequenced
-//! batched offload in it. All integers are little-endian:
+//! [`ObservationBatch::to_bytes`]/[`ObservationBatch::from_bytes`], in the
+//! shared `codec` module's conventions: the storage engine parks a user's
+//! whole GCA observation log in it, so evicting or hydrating a user moves
+//! a flat byte block instead of megabytes of nested JSON, and the durable
+//! WAL frames every logged discover body in it:
 //!
 //! ```text
 //! u64 cell count C,  C × (u16 mcc, u16 mnc, u16 lac, u32 cid)
@@ -41,11 +41,11 @@
 
 use pmware_world::intern::Interner;
 use pmware_world::tower::NetworkLayer;
-use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
+use pmware_world::{CellGlobalId, GsmObservation, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Bytes of one dictionary entry in the binary spelling.
-const CELL_BYTES: usize = 10;
+use crate::codec::{cell_of, put_cell, ByteReader, CELL_BYTES};
+
 /// Bytes of one observation across the four binary columns.
 const OBSERVATION_BYTES: usize = 8 + 4 + 1 + 8;
 
@@ -108,31 +108,38 @@ impl ObservationBatch {
     /// batch from a confused (or hostile) client must not panic the
     /// server.
     pub fn decode(&self) -> Result<Vec<GsmObservation>, String> {
-        let n = self.dt.len();
         if self.is_ragged() {
             return Err(format!(
                 "ragged batch: dt={} cell={} layer={} rssi={}",
-                n,
+                self.dt.len(),
                 self.cell.len(),
                 self.layer.len(),
                 self.rssi_dbm.len()
             ));
         }
-        let mut observations = Vec::with_capacity(n);
-        let mut t = self.t0;
-        for i in 0..n {
-            t = t.wrapping_add(self.dt[i] as u64);
-            let cell = *self
-                .cells
-                .get(self.cell[i] as usize)
-                .ok_or_else(|| format!("symbol {} outside dictionary", self.cell[i]))?;
-            observations.push(GsmObservation {
-                time: SimTime::from_seconds(t),
-                cell,
-                layer: self.layer[i],
-                rssi_dbm: self.rssi_dbm[i],
-            });
+        // Every symbol is checked once, up front (the first bad one is
+        // reported), so the single zipped pass below cannot fail.
+        let dictionary = self.cells.len();
+        if let Some(symbol) = self.cell.iter().find(|&&s| s as usize >= dictionary) {
+            return Err(format!("symbol {symbol} outside dictionary"));
         }
+        let mut t = self.t0;
+        let observations = self
+            .dt
+            .iter()
+            .zip(&self.cell)
+            .zip(&self.layer)
+            .zip(&self.rssi_dbm)
+            .map(|(((&dt, &symbol), &layer), &rssi_dbm)| {
+                t = t.wrapping_add(dt as u64);
+                GsmObservation {
+                    time: SimTime::from_seconds(t),
+                    cell: self.cells[symbol as usize],
+                    layer,
+                    rssi_dbm,
+                }
+            })
+            .collect();
         Ok(observations)
     }
 
@@ -209,18 +216,8 @@ impl ObservationBatch {
         let (cells, _) = input
             .slice(cell_count * CELL_BYTES)?
             .as_chunks::<CELL_BYTES>();
-        let cells = cells
-            .iter()
-            .map(|&[m0, m1, n0, n1, l0, l1, c0, c1, c2, c3]| CellGlobalId {
-                plmn: Plmn {
-                    mcc: u16::from_le_bytes([m0, m1]),
-                    mnc: u16::from_le_bytes([n0, n1]),
-                },
-                lac: Lac(u16::from_le_bytes([l0, l1])),
-                cell: CellId(u32::from_le_bytes([c0, c1, c2, c3])),
-            })
-            .collect();
-        let t0 = u64::from_le_bytes(input.take()?);
+        let cells = cells.iter().map(|&bytes| cell_of(bytes)).collect();
+        let t0 = input.u64()?;
         let n = input.count(OBSERVATION_BYTES, "observation")?;
         let (dt, _) = input.slice(n * 8)?.as_chunks::<8>();
         let (cell, _) = input.slice(n * 4)?.as_chunks::<4>();
@@ -280,12 +277,7 @@ fn write_block(
     let n = symbols.len();
     let mut out = Vec::with_capacity(24 + cells.len() * CELL_BYTES + n * OBSERVATION_BYTES);
     out.extend_from_slice(&(cells.len() as u64).to_le_bytes());
-    for cell in cells {
-        out.extend_from_slice(&cell.plmn.mcc.to_le_bytes());
-        out.extend_from_slice(&cell.plmn.mnc.to_le_bytes());
-        out.extend_from_slice(&cell.lac.0.to_le_bytes());
-        out.extend_from_slice(&cell.cell.0.to_le_bytes());
-    }
+    cells.iter().for_each(|cell| put_cell(&mut out, cell));
     out.extend_from_slice(&t0.to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     dt.for_each(|dt| out.extend_from_slice(&dt.to_le_bytes()));
@@ -300,75 +292,10 @@ fn write_block(
     out
 }
 
-/// A little-endian cursor over a binary block that never reads past the
-/// end — shared by the batch codec and the WAL frame codec.
-pub(crate) struct ByteReader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> ByteReader<'a> {
-    /// A cursor at the start of `bytes`.
-    pub(crate) fn new(bytes: &'a [u8]) -> ByteReader<'a> {
-        ByteReader { bytes }
-    }
-
-    /// The next `N` bytes.
-    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], String> {
-        let Some((head, rest)) = self.bytes.split_first_chunk::<N>() else {
-            return Err(format!(
-                "truncated: {N} bytes wanted, {} left",
-                self.bytes.len()
-            ));
-        };
-        self.bytes = rest;
-        Ok(*head)
-    }
-
-    /// The next `len` bytes, borrowed.
-    pub(crate) fn slice(&mut self, len: usize) -> Result<&'a [u8], String> {
-        if len > self.bytes.len() {
-            return Err(format!(
-                "truncated: {len} bytes wanted, {} left",
-                self.bytes.len()
-            ));
-        }
-        let (head, rest) = self.bytes.split_at(len);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    /// Everything not yet read.
-    pub(crate) fn rest(self) -> &'a [u8] {
-        self.bytes
-    }
-
-    /// Succeeds only when every byte has been read.
-    pub(crate) fn finish(self) -> Result<(), String> {
-        match self.bytes.len() {
-            0 => Ok(()),
-            left => Err(format!("{left} trailing bytes")),
-        }
-    }
-
-    /// A `u64` item count, accepted only if the remaining bytes can hold
-    /// that many items of `item_bytes` each.
-    pub(crate) fn count(&mut self, item_bytes: usize, what: &str) -> Result<usize, String> {
-        let count = u64::from_le_bytes(self.take()?);
-        let fits = usize::try_from(count)
-            .ok()
-            .filter(|&count| count <= self.bytes.len() / item_bytes);
-        fits.ok_or_else(|| {
-            format!(
-                "{what} count {count} exceeds the {} bytes left",
-                self.bytes.len()
-            )
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmware_world::{CellId, Lac, Plmn};
     use proptest::prelude::*;
 
     fn obs(t: u64, cid: u32, rssi: f64) -> GsmObservation {
