@@ -1,28 +1,29 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-latency bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
+.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
 # formatting check, the chaos gate (fault-injection matrix + soak), the
-# observability gate (byte-identical golden exports + zero-perturbation
-# overhead bench), a tiny-config throughput smoke run that fails if parallel and
-# sequential studies ever diverge, the wire lint that keeps untyped
+# soak smoke runs (a tiny-config throughput run that fails if parallel and
+# sequential studies ever diverge, the zero-perturbation overhead bench,
+# and the storage soak with its built-in capped-below-uncapped
+# assertion), the wire lint that keeps untyped
 # JSON from creeping back onto the hot path, the hash lint that keeps
 # SipHash off the GCA absorb path, the flag-parser lint that keeps
 # every binary on the one parser that refuses unknown flags, the
 # counter lint that keeps registry counters from being set outside
 # checkpoint restore, the
 # dependency lint that fails on a manifest entry no file names, the
-# wall-clock lint that keeps real time out of simulation code, and the
-# latency soak with its
-# built-in shed/convergence gates, and the storage gate (durable
-# crash-recovery goldens, the residency lint, and the RSS/hydration/
-# recovery soak with its built-in capped-below-uncapped assertion), the
-# golden-bench gate (the sim-time BENCH_*.json reports regenerate
+# wall-clock lint that keeps real time out of simulation code, the
+# storage gate (durable crash-recovery goldens and the residency lint),
+# the golden-bench gate (the sim-time BENCH_*.json reports regenerate
 # byte-identical), and the benchmark check (perfbench still builds and
-# its smoke test passes).
-verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage chaos obs test-storage bench-smoke bench-latency bench-storage bench-golden bench-check
+# its smoke test passes). The observability goldens run in `test`.
+# verify leaves the tree as it found it: the machine-timed reports
+# BENCH_obs.json and BENCH_storage.json are regenerated only by `make
+# obs` and `make bench-storage`.
+verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage chaos test-storage bench-smoke bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -63,15 +64,20 @@ bench-check:
 bench-gca:
 	cargo run --release -p pmware-bench --bin gca_scaling
 
-# Tiny-config cohort throughput smoke: one quick pass over the full
-# thread ladder. The binary asserts every timed run equals the
-# sequential reference bit for bit, so this exits nonzero on any
-# parallel-vs-sequential divergence. Runs in a scratch directory so the
-# checked-in BENCH_cohort.json (full-size numbers) is never clobbered.
+# The soak smoke runs, in a scratch directory so the checked-in
+# BENCH_cohort.json, BENCH_obs.json and BENCH_storage.json are never
+# clobbered. A tiny-config cohort throughput pass over the full thread
+# ladder asserts every timed run equals the sequential reference bit for
+# bit; the overhead bench exits nonzero if instrumentation perturbs
+# results; the storage soak exits nonzero if the residency cap leaks or
+# the capped arm's peak RSS reaches the uncapped arm's.
 bench-smoke:
-	cargo build --quiet --release -p pmware-bench --bin cohort_throughput
+	cargo build --quiet --release -p pmware-bench --bin cohort_throughput \
+		--bin obs_overhead --bin storage_soak
 	tmp=$$(mktemp -d) && cd $$tmp && \
 		$(CURDIR)/target/release/cohort_throughput --participants 2 --days 2 --repeats 1 && \
+		$(CURDIR)/target/release/obs_overhead && \
+		$(CURDIR)/target/release/storage_soak && \
 		rm -rf $$tmp
 
 # Per-endpoint cost of the typed in-process path vs the marshalled JSON
@@ -196,24 +202,16 @@ loc:
 		echo "  $${dir%/} $$(find $$dir -name '*.rs' -print0 | xargs -0 cat | wc -l)"; \
 	done
 
-# The wall-clock lint: the request latency model (DESIGN.md §5j) is
-# sim-time only, so no simulation code may read a real clock. The only
-# sanctioned wall-clock readers are the throughput/overhead bench
-# binaries in crates/bench/src/bin, which measure wall time on purpose.
+# The wall-clock lint guards determinism: simulation code runs on sim
+# time only, so the same seed gives the same bytes on any machine, and
+# no simulation code may read a real clock. The only sanctioned
+# wall-clock readers are the throughput/overhead bench binaries in
+# crates/bench/src/bin, which measure wall time on purpose.
 lint-latency:
 	@! grep -rn 'std::time::\(Instant\|SystemTime\)' crates \
 		--include='*.rs' --exclude-dir=bin \
 		|| { echo 'lint-latency: wall-clock time crept into simulation code'; exit 1; }
 	@echo 'lint-latency: ok'
-
-# The latency soak: request quantiles vs a doubling offered-load
-# ladder, max users per instance at a fixed p99 SLO, and the
-# flash-crowd arm (must shed, must converge to the unshedded
-# baseline's exact state); writes BENCH_latency.json in the repo root.
-# Flags: --seed, --reqs, --max-users, --slo-p99-ms, --flash-users,
-# --shed-depth.
-bench-latency:
-	cargo run --release -p pmware-bench --bin latency_soak
 
 # Admission-control study: a throttled cohort with and without the
 # server's retry-after hint against the unthrottled baseline; writes
@@ -222,14 +220,13 @@ bench-latency:
 bench-admission:
 	cargo run --release -p pmware-bench --bin rate_limit_study
 
-# The golden-bench gate: the chaos, latency and admission reports are
-# pure sim-time outputs, so regenerating them must leave the checked-in
-# files byte-identical. A drift fails here instead of dirtying the tree.
+# The golden-bench gate: the chaos and admission reports are pure
+# sim-time outputs, so regenerating them must leave the checked-in files
+# byte-identical. A drift fails here instead of dirtying the tree.
 bench-golden:
 	cargo run --release -p pmware-bench --bin chaos_soak
-	$(MAKE) bench-latency bench-admission
-	git diff --exit-code -- BENCH_chaos.json BENCH_latency.json \
-		BENCH_admission.json
+	$(MAKE) bench-admission
+	git diff --exit-code -- BENCH_chaos.json BENCH_admission.json
 
 # The storage gate: the engine's golden tests — byte-identical durable
 # replay after a crash (users parked at the crash included),
@@ -300,11 +297,9 @@ lint-storage:
 	@echo 'lint-storage: ok'
 
 # The observability gate: golden determinism tests (same seed => byte-
-# identical metrics snapshot and trace JSONL, at any thread count; obs
-# on == obs off to the last bit), the latency-model goldens (the model
-# annotates, never perturbs; span/histogram exports byte-stable), plus
-# the overhead bench, which writes BENCH_obs.json and exits nonzero if
-# instrumentation perturbs results.
+# identical metrics snapshot and span JSONL, at any thread count; obs
+# on == obs off to the last bit), plus the overhead bench, which writes
+# BENCH_obs.json and exits nonzero if instrumentation perturbs results.
 obs:
-	cargo test --release -q -p pmware-bench --test obs_golden --test latency_matrix
+	cargo test --release -q -p pmware-bench --test obs_golden
 	cargo run --release -p pmware-bench --bin obs_overhead

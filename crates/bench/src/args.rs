@@ -217,10 +217,10 @@ mod tests {
 
     #[test]
     fn typed_access_with_defaults() {
-        let args = Args::parse(["--seed", "42", "--slo-p99-ms", "-1"]);
+        let args = Args::parse(["--seed", "42", "--offset", "-1"]);
         assert_eq!(args.get("seed", 0u64).unwrap(), 42);
         assert_eq!(args.get("days", 14u64).unwrap(), 14);
-        assert_eq!(args.value("slo-p99-ms", 1.12f64), -1.0);
+        assert_eq!(args.value("offset", 1.12f64), -1.0);
         let err = Args::parse(["--seed", "forty"])
             .get("seed", 0u64)
             .unwrap_err();

@@ -18,8 +18,7 @@ use crossbeam::channel::Receiver;
 use pmware_algorithms::matching::MatchOutcome;
 use pmware_apps::{AdInventory, LifeLogApp, PlaceAdsApp, UserTasteModel};
 use pmware_cloud::{
-    AdmissionConfig, CellDatabase, CloudEndpoint, CloudInstance, LatencyProfile, SharedCloud,
-    StorageConfig,
+    AdmissionConfig, CellDatabase, CloudEndpoint, CloudInstance, SharedCloud, StorageConfig,
 };
 use pmware_core::registry::PmPlaceId;
 use pmware_core::{score_against_diary, Intent, PmsConfig, PmwareMobileService};
@@ -59,11 +58,6 @@ pub struct StudyConfig {
     /// over a user's token bucket are answered 429 and retried by the
     /// client. `None` (the default) leaves the controller off.
     pub admission: Option<AdmissionConfig>,
-    /// The cloud's sim-time latency model ([`LatencyProfile`]). With no
-    /// shedding threshold, discovery/tagging/energy outcomes are
-    /// unchanged — latency only adds sub-second annotations, histograms,
-    /// and spans on top. `None` (the default) leaves the model off.
-    pub latency: Option<LatencyProfile>,
 }
 
 impl Default for StudyConfig {
@@ -77,7 +71,6 @@ impl Default for StudyConfig {
             obs: Obs::disabled(),
             storage: None,
             admission: None,
-            latency: None,
         }
     }
 }
@@ -203,9 +196,6 @@ pub fn run_study(config: &StudyConfig) -> StudyResults {
     }
     if let Some(admission) = &config.admission {
         instance = instance.with_admission(admission.clone());
-    }
-    if let Some(latency) = &config.latency {
-        instance = instance.with_latency(latency.clone());
     }
     let cloud = SharedCloud::new(instance);
     let population = Population::generate(&world, config.participants, config.seed + 2);

@@ -7,7 +7,7 @@ use std::process::Command;
 
 #[test]
 fn a_bad_flag_exits_2_before_any_work() {
-    let cases: [(&str, &[&str], &str); 28] = [
+    let cases: [(&str, &[&str], &str); 23] = [
         (
             env!("CARGO_BIN_EXE_deployment_study"),
             &[
@@ -104,31 +104,6 @@ fn a_bad_flag_exits_2_before_any_work() {
             env!("CARGO_BIN_EXE_gca_scaling"),
             &["--repeats", "0"],
             "invalid value \"0\" for --repeats (expected a positive whole number)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_latency_soak"),
-            &["--reqs", "0"],
-            "invalid value \"0\" for --reqs (expected a positive whole number)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_latency_soak"),
-            &["--max-users", "0"],
-            "invalid value \"0\" for --max-users (expected a positive whole number)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_latency_soak"),
-            &["--slo-p99-ms", "0"],
-            "invalid value \"0\" for --slo-p99-ms (expected a positive whole number)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_latency_soak"),
-            &["--flash-users", "0"],
-            "invalid value \"0\" for --flash-users (expected a positive whole number)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_latency_soak"),
-            &["--shed-depth", "0"],
-            "invalid value \"0\" for --shed-depth (expected a positive whole number)",
         ),
         (
             env!("CARGO_BIN_EXE_obs_overhead"),

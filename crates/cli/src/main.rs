@@ -7,7 +7,6 @@
 //! pmware study    [--participants N] [--days N] [--seed N] [--region ...]
 //!                 [--threads N] [--quiet]
 //!                 [--admission-burst N] [--admission-refill-s N]
-//!                 [--latency-profile off|calibrated|uniform] [--slo-p99-ms N]
 //!                 [--store-dir DIR] [--resident-cap N] [--snapshot-every-days N]
 //!                 [--metrics-out F] [--spans-out F]
 //! pmware query    [--region ...] [--seed N] [--days N]
@@ -20,13 +19,13 @@
 use std::num::{NonZeroU64, NonZeroUsize};
 use std::process::ExitCode;
 
-use pmware_algorithms::signature::DiscoveredPlaceId;
+use pmware_algorithms::signature::{DiscoveredPlaceId, DiscoveredVisit};
 use pmware_apps::PlaceAdsApp;
 use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig};
 use pmware_cloud::{
-    AdmissionConfig, ArrivalBody, CellDatabase, CloudInstance, LatencyProfile, NextVisitBody,
-    Payload, PlaceOnlyBody, RateBudget, Response, SharedCloud, StorageConfig,
+    AdmissionConfig, ArrivalBody, CellDatabase, CloudInstance, NextVisitBody, Payload,
+    PlaceOnlyBody, RateBudget, Response, SharedCloud, StorageConfig,
 };
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
@@ -67,16 +66,6 @@ One budget applies to every rate class, with one bucket per user and
 class. Admission decisions are deterministic (seeded, sim-time driven);
 clients honor the 429 `retry_after_s` hint, so a throttled study still
 converges to the same final state, just with fewer wasted wire requests.
-
-LATENCY MODEL (study):
-    --latency-profile p     off|calibrated|uniform  (default off)
-    --slo-p99-ms N          p99 target for the slo_report (default 100;
-                            needs --latency-profile)
-`calibrated` draws per-endpoint service times shaped like the paper's
-deployment; `uniform` draws 1±1 ms everywhere. Either adds a shared
-sim-time FIFO ahead of the handlers and prints an SLO report after the
-study. With no shedding threshold the model never changes study
-outcomes — it only annotates them.
 
 STORAGE ENGINE (study):
     --resident-cap N        Max user stores resident in RAM; cold users
@@ -123,8 +112,6 @@ const STUDY_FLAGS: &[&str] = &[
     "threads",
     "admission-burst",
     "admission-refill-s",
-    "latency-profile",
-    "slo-p99-ms",
     "store-dir",
     "resident-cap",
     "snapshot-every-days",
@@ -144,16 +131,14 @@ struct ObsOutputs {
 }
 
 /// Builds the observability sink the `--metrics-out` / `--spans-out`
-/// flags ask for ([`Obs::disabled`] when none is given and
-/// nothing else needs metrics), plus the output paths. `force_metrics`
-/// keeps the registry live even without `--metrics-out` — the latency
-/// model's SLO report reads from it.
-fn obs_from_args(args: &Args, force_metrics: bool) -> (Obs, ObsOutputs) {
+/// flags ask for ([`Obs::disabled`] when none is given), plus the output
+/// paths.
+fn obs_from_args(args: &Args) -> (Obs, ObsOutputs) {
     let outputs = ObsOutputs {
         metrics_out: args.flag("metrics-out").map(str::to_owned),
         spans_out: args.flag("spans-out").map(str::to_owned),
     };
-    let mut obs = if outputs.metrics_out.is_some() || force_metrics {
+    let mut obs = if outputs.metrics_out.is_some() {
         Obs::new()
     } else {
         Obs::disabled()
@@ -289,26 +274,6 @@ fn storage(args: &Args) -> Result<Option<StorageConfig>, String> {
     }))
 }
 
-/// Parses `--latency-profile` into a [`LatencyProfile`] (`None` when
-/// `off`, the default). `--slo-p99-ms` without a profile is a user
-/// error — there would be no latency data to report against it.
-fn latency(args: &Args, seed: u64) -> Result<Option<LatencyProfile>, String> {
-    let profile = match args.flag("latency-profile").unwrap_or("off") {
-        "off" => None,
-        "calibrated" => Some(LatencyProfile::calibrated(seed)),
-        "uniform" => Some(LatencyProfile::uniform(seed, 1_000, 1_000)),
-        other => {
-            return Err(format!(
-                "unknown latency profile {other:?} (off|calibrated|uniform)"
-            ))
-        }
-    };
-    if profile.is_none() && args.has("slo-p99-ms") {
-        return Err("--slo-p99-ms needs --latency-profile calibrated|uniform".into());
-    }
-    Ok(profile)
-}
-
 /// The `--days` value: a positive whole number of days, `default` when
 /// absent. Zero is refused like any other malformed value.
 fn days(args: &Args, default: u64) -> Result<u64, String> {
@@ -369,7 +334,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let days = days(args, 7)?;
     let (world, seed) = build_world(args)?;
     let granularity = granularity(args)?;
-    let (obs, outputs) = obs_from_args(args, false);
+    let (obs, outputs) = obs_from_args(args);
     let population = Population::generate(&world, 1, seed + 1);
     let agent = &population.agents()[0];
     let itinerary = population.itinerary(&world, agent.id(), days);
@@ -433,8 +398,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
 
 fn cmd_study(args: &Args) -> Result<(), String> {
     let seed = args.get("seed", 2014u64).map_err(|e| e.to_string())?;
-    let latency = latency(args, seed)?;
-    let (obs, outputs) = obs_from_args(args, latency.is_some());
+    let (obs, outputs) = obs_from_args(args);
     let config = StudyConfig {
         participants: args
             .get(
@@ -450,7 +414,6 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         obs: obs.clone(),
         storage: storage(args)?,
         admission: admission(args, seed)?,
-        latency,
     };
     if !args.has("quiet") {
         println!(
@@ -459,9 +422,6 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         );
         if config.admission.is_some() {
             println!("admission control: on (per-user token buckets)");
-        }
-        if config.latency.is_some() {
-            println!("latency model: on (sim-time service draws + FIFO queues)");
         }
         if let Some(storage) = &config.storage {
             println!(
@@ -501,33 +461,6 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         results.dislikes(),
         results.like_fraction() * 100.0
     );
-    if config.latency.is_some() {
-        let target_us = args.get("slo-p99-ms", 100u64).map_err(|e| e.to_string())? * 1_000;
-        let report = obs
-            .metrics()
-            .expect("latency model forces a live registry")
-            .snapshot()
-            .merged_histogram("cloud_request_latency_us{")
-            .map(|h| h.slo_report(target_us));
-        match report {
-            Some(report) => println!(
-                "slo_report: p50 {} µs, p99 {} µs, p999 {} µs over {} requests; \
-                 target p99 ≤ {} µs: {} ({:.1}% certifiably within)",
-                report.p50_us,
-                report.p99_us,
-                report.p999_us,
-                report.count,
-                report.target_us,
-                if report.attained {
-                    "attained"
-                } else {
-                    "MISSED"
-                },
-                report.attainment() * 100.0
-            ),
-            None => println!("slo_report: no latency observations recorded"),
-        }
-    }
     write_obs_outputs(&obs, &outputs)?;
     Ok(())
 }
@@ -560,15 +493,12 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let end = SimTime::from_day_time(days, 0, 0, 0);
 
+    // Home is where the nights are spent: the place whose visits cover
+    // the most time between midnight and 06:00.
     let home = pms
         .places()
         .iter()
-        .max_by_key(|p| {
-            p.gca_visits
-                .iter()
-                .filter(|v| v.arrival.hour_of_day() >= 17 || v.arrival.hour_of_day() <= 5)
-                .count()
-        })
+        .max_by_key(|p| p.gca_visits.iter().map(night_seconds).sum::<u64>())
         .ok_or("no places discovered")?
         .id;
     println!("analytics over {days} simulated days (home = {home}):");
@@ -631,6 +561,19 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Seconds of `visit` that fall between midnight and 06:00, summed over
+/// every night it spans.
+fn night_seconds(visit: &DiscoveredVisit) -> u64 {
+    (visit.arrival.day()..=visit.departure.day())
+        .map(|day| {
+            let midnight = SimTime::from_day_time(day, 0, 0, 0);
+            let dawn = SimTime::from_day_time(day, 6, 0, 0);
+            let stay = visit.departure.min(dawn).since(visit.arrival.max(midnight));
+            stay.as_seconds()
+        })
+        .sum()
+}
+
 /// An analytics reply, or `None` when the cloud answered 404: the query
 /// is well formed but its window holds nothing yet.
 fn unless_empty(reply: Result<Response, PmsError>) -> Result<Option<Response>, String> {
@@ -665,28 +608,6 @@ mod tests {
             1
         )
         .is_err());
-    }
-
-    #[test]
-    fn latency_flag_mapping() {
-        // Absent or off: model stays disabled.
-        assert!(latency(&Args::parse(Vec::<String>::new()), 1)
-            .unwrap()
-            .is_none());
-        assert!(latency(&Args::parse(["--latency-profile", "off"]), 1)
-            .unwrap()
-            .is_none());
-        assert!(
-            latency(&Args::parse(["--latency-profile", "calibrated"]), 1)
-                .unwrap()
-                .is_some()
-        );
-        assert!(latency(&Args::parse(["--latency-profile", "uniform"]), 1)
-            .unwrap()
-            .is_some());
-        assert!(latency(&Args::parse(["--latency-profile", "gaussian"]), 1).is_err());
-        // An SLO target with no latency data is a user error.
-        assert!(latency(&Args::parse(["--slo-p99-ms", "50"]), 1).is_err());
     }
 
     #[test]
@@ -726,15 +647,12 @@ mod tests {
 
     #[test]
     fn spans_flag_enables_span_collection() {
-        let (obs, outputs) = obs_from_args(&Args::parse(["--spans-out", "/tmp/s.jsonl"]), false);
+        let (obs, outputs) = obs_from_args(&Args::parse(["--spans-out", "/tmp/s.jsonl"]));
         assert!(obs.spans().is_some());
         assert_eq!(outputs.spans_out.as_deref(), Some("/tmp/s.jsonl"));
-        // Without the flag (and nothing forcing metrics) obs stays off.
-        let (obs, _) = obs_from_args(&Args::parse(Vec::<String>::new()), false);
+        // Without the flag obs stays off.
+        let (obs, _) = obs_from_args(&Args::parse(Vec::<String>::new()));
         assert!(!obs.is_enabled());
-        // The latency model forces a live registry for the SLO report.
-        let (obs, _) = obs_from_args(&Args::parse(Vec::<String>::new()), true);
-        assert!(obs.metrics().is_some());
     }
 
     /// A typo'd or retired flag, or a value flag given without a value, is

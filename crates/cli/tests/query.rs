@@ -7,7 +7,8 @@ use std::process::Command;
 /// no place is known before the first nightly discovery, and the first
 /// day with places ships only once its overnight home stay has closed.
 /// The arrival and next-visit queries answer 404; the command reports
-/// both as empty and exits 0.
+/// both as empty and exits 0. Home is already the place that holds the
+/// nights (`pm-place:0`), not one with five short evening visits.
 #[test]
 fn an_empty_arrival_window_is_reported_and_exits_zero() {
     let output = Command::new(env!("CARGO_BIN_EXE_pmware"))
@@ -20,6 +21,10 @@ fn an_empty_arrival_window_is_reported_and_exits_zero() {
         "exit {:?}\nstdout:\n{stdout}\nstderr:\n{}",
         output.status,
         String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(
+        stdout.contains("analytics over 2 simulated days (home = pm-place:0)"),
+        "{stdout}"
     );
     assert!(
         stdout.contains("evening home arrival : none in the 15-24 h window yet"),

@@ -194,24 +194,12 @@ impl<'de> Deserialize<'de> for Request {
 }
 
 /// A response from the cloud instance.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Response {
     /// HTTP-style status code.
     pub status: u16,
     /// Typed body.
     pub body: Payload,
-    /// Latency annotation `(queue µs, service µs)` stamped by the latency
-    /// queue when the model is enabled. Diagnostics only — not
-    /// wire state, excluded from equality and serialization.
-    latency_us: Option<(u64, u64)>,
-}
-
-/// Wire equality: the latency annotation is ignored (derived diagnostics,
-/// not wire state).
-impl PartialEq for Response {
-    fn eq(&self, other: &Response) -> bool {
-        self.status == other.status && self.body == other.body
-    }
 }
 
 impl Response {
@@ -220,25 +208,12 @@ impl Response {
         Response {
             status,
             body: body.into(),
-            latency_us: None,
         }
     }
 
     /// 200 with a body.
     pub fn ok(body: impl Into<Payload>) -> Response {
         Response::with_status(200, body)
-    }
-
-    /// Stamps the latency annotation (latency queue only).
-    pub fn with_latency(mut self, queue_us: u64, service_us: u64) -> Response {
-        self.latency_us = Some((queue_us, service_us));
-        self
-    }
-
-    /// The latency annotation `(queue µs, service µs)`, when the latency
-    /// model timed this response.
-    pub fn latency_us(&self) -> Option<(u64, u64)> {
-        self.latency_us
     }
 
     /// 400 with an error message.

@@ -2,10 +2,9 @@
 //!
 //! Reaching the handler at all *is* the liveness signal: the route is
 //! public, so a liveness probe needs no user's token, and the request
-//! still takes the full request path (counted, queued) like client
-//! traffic. The body is liveness only: the load facts live in the
-//! metrics registry (`cloud_request_latency_us` histograms,
-//! `cloud_queue_shed_total`, `cloud_store_resident_users`), not in a
+//! still takes the request path (counted) like client traffic. The body
+//! is liveness only: the load facts live in the metrics registry
+//! (`cloud_requests_total`, `cloud_store_resident_users`), not in a
 //! second view here.
 
 use crate::api::{Request, Response};

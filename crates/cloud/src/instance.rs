@@ -10,17 +10,16 @@
 //! [`CloudInstance`] contains no endpoint logic. It is:
 //!
 //! * **state** — a [`CloudCore`] (token store, user shards, cell
-//!   database, GCA config, admission controller, latency model, metrics).
-//!   Its configuration is fixed at construction, like a deployed
-//!   service's;
+//!   database, GCA config, admission controller, metrics). Its
+//!   configuration is fixed at construction, like a deployed service's;
 //! * **the request path** — [`CloudInstance::handle`] resolves the route
-//!   and validates the caller once, runs the gates (request metrics →
-//!   latency queue → admission control → auth → authenticated-request
-//!   count) as plain checks over that one context, and hands the request
+//!   once and, on a route that is not public, validates the caller once,
+//!   runs the gates (request metrics → admission control → auth →
+//!   authenticated-request count) as plain checks, and hands the request
 //!   to the route-table dispatcher ([`crate::router`]);
 //! * **construction and accessors** — builders (`with_obs` first, then
-//!   `with_storage`, `with_admission`, `with_latency`) plus the snapshot
-//!   views tests and benches read.
+//!   `with_storage`, `with_admission`) plus the snapshot views tests and
+//!   benches read.
 //!
 //! Concurrency model: per-user state lives in [`SHARD_COUNT`] lock
 //! shards keyed by `UserId`, the token registry is behind a read-write
@@ -43,9 +42,8 @@ use crate::admission::{Admission, AdmissionConfig, AdmissionControl};
 use crate::api::{Request, Response};
 use crate::auth::{TokenStore, UserId};
 use crate::geolocate::CellDatabase;
-use crate::latency::{LatencyControl, LatencyProfile, QueueOutcome};
 use crate::profile::{ContactEntry, MobilityProfile};
-use crate::router::{self, RateClass, Resolution, Route, RouteAuth};
+use crate::router::{self, Resolution, RouteAuth};
 use crate::state::{CloudCore, CloudMetrics};
 use crate::storage::{StorageConfig, StorageEngine};
 
@@ -128,7 +126,6 @@ impl CloudInstance {
                 gca_config: GcaConfig::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
                 admission: None,
-                latency: None,
                 metrics: CloudMetrics::new(),
             },
         }
@@ -150,15 +147,13 @@ impl CloudInstance {
     /// # Panics
     ///
     /// Panics once the instance has served a request or been given a
-    /// storage engine or a latency model: nothing recorded so far is
-    /// carried over, and those two builders bind their own handles to
-    /// the registry they find.
+    /// storage engine: nothing recorded so far is carried over, and the
+    /// storage builder binds its own handles to the registry it finds.
     pub fn with_obs(mut self, obs: &Obs) -> CloudInstance {
         let core = &mut self.core;
         assert!(
             core.metrics.endpoint_requests.iter().all(|c| c.get() == 0)
-                && !core.storage.is_enabled()
-                && core.latency.is_none(),
+                && !core.storage.is_enabled(),
             "with_obs runs first, on a fresh instance"
         );
         let private = core.metrics.private.clone();
@@ -173,17 +168,6 @@ impl CloudInstance {
     /// request is admitted.
     pub fn with_admission(mut self, config: AdmissionConfig) -> CloudInstance {
         self.core.admission = Some(AdmissionControl::new(config));
-        self
-    }
-
-    /// Runs the sim-time latency model with `profile` for the instance's
-    /// whole lifetime, binding the `cloud_request_latency_us{endpoint,class}`
-    /// histograms and the `cloud_queue_shed_total` counter to the
-    /// instance's registry — call after [`CloudInstance::with_obs`].
-    /// Without it (the default) the instance times nothing and adds none
-    /// of those metric keys.
-    pub fn with_latency(mut self, profile: LatencyProfile) -> CloudInstance {
-        self.core.latency = Some(LatencyControl::new(profile, &self.core.metrics.shared));
         self
     }
 
@@ -278,15 +262,6 @@ impl CloudInstance {
         self.core.storage.hydration_count()
     }
 
-    /// Requests shed by the latency queue so far: the instance's
-    /// `cloud_queue_shed_total` counter (0 without a latency model).
-    pub fn queue_shed_count(&self) -> u64 {
-        self.core
-            .latency
-            .as_ref()
-            .map_or(0, LatencyControl::shed_count)
-    }
-
     /// Number of registered users.
     pub fn user_count(&self) -> usize {
         self.core.tokens.read().user_count()
@@ -349,100 +324,52 @@ impl CloudInstance {
     }
 
     /// Handles one request at simulated instant `now` — the single entry
-    /// point, exactly like an HTTP dispatcher. The route and the caller
-    /// are worked out once; the gates then answer in a fixed order (see
-    /// DESIGN.md §5f):
+    /// point, exactly like an HTTP dispatcher. The route is resolved once
+    /// and counted; a public route then dispatches at once. Elsewhere the
+    /// bearer token is validated once and the gates answer in a fixed
+    /// order (see DESIGN.md §5f):
     ///
     /// 1. the endpoint counter;
-    /// 2. the latency queue: a shed answers 429 before admission can
-    ///    spend a token on a request that was never served;
-    /// 3. admission control, for validated callers on bearer routes;
-    /// 4. auth: 401 before 404/405, so a probe learns nothing;
-    /// 5. the authenticated-request count, then dispatch.
+    /// 2. admission control, for validated callers;
+    /// 3. auth: 401 before 404/405, so a probe learns nothing;
+    /// 4. the authenticated-request count, then dispatch.
     pub fn handle(&self, request: &Request, now: SimTime) -> Response {
         let core = &self.core;
         // Storage-engine clock tick (accessor-path LRU stamps) and the
         // day-cadence compaction hook; one atomic store without a durable
         // storage config.
         core.storage.tick(now);
-        let ctx = RequestContext::new(core, request, now);
-        // Counted above admission and auth: shed and rejected requests
-        // cost the server work too.
-        core.metrics.endpoint_requests[ctx.endpoint].inc();
-        let Some(latency) = &core.latency else {
-            return self.serve(&ctx, request, now);
+        let resolution = router::resolve(request.method, &request.path);
+        // Counted above admission and auth: rejected requests cost the
+        // server work too.
+        core.metrics.endpoint_requests[resolution.endpoint()].inc();
+        let route = match resolution {
+            Resolution::Matched { route, .. } => Some(route),
+            _ => None,
         };
-        match latency.process(ctx.endpoint, ctx.user, now) {
-            QueueOutcome::Timed {
-                queue_us,
-                service_us,
-            } => self
-                .serve(&ctx, request, now)
-                .with_latency(queue_us, service_us),
-            QueueOutcome::Shed { retry_after } => {
-                let class = ctx
-                    .route()
-                    .map_or(RateClass::Query, |route| route.rate_class);
-                AdmissionControl::deny_response(class, retry_after)
-            }
-        }
-    }
-
-    /// The gates below the latency queue, then dispatch.
-    fn serve(&self, ctx: &RequestContext, request: &Request, now: SimTime) -> Response {
-        let core = &self.core;
-        let route = ctx.route();
         if route.is_some_and(|route| route.auth == RouteAuth::Public) {
-            return router::dispatch(core, ctx.resolution, None, request, now);
+            return router::dispatch(core, resolution, None, request, now);
         }
+        let user = request
+            .token
+            .as_deref()
+            .and_then(|token| core.tokens.read().validate(token, now));
         // Admission buckets are keyed by the validated caller, so an
         // invalid or expired token passes through to the 401 below.
-        if let (Some(admission), Some(route), Some(user)) = (&core.admission, route, ctx.user) {
+        if let (Some(admission), Some(route), Some(user)) = (&core.admission, route, user) {
             if let Admission::Deny { retry_after } = admission.admit(user, route.rate_class, now) {
                 core.metrics.admission_denied(route.rate_class).inc();
                 return AdmissionControl::deny_response(route.rate_class, retry_after);
             }
         }
-        let Some(user) = ctx.user else {
+        let Some(user) = user else {
             return Response::unauthorized(match request.token {
                 None => "missing bearer token",
                 Some(_) => "invalid or expired token",
             });
         };
         core.metrics.authenticated_requests.inc();
-        router::dispatch(core, ctx.resolution, Some(user), request, now)
-    }
-}
-
-/// What the gates need to know about one request, worked out once: the
-/// route-table resolution, its endpoint metric index, and the validated
-/// caller (on public routes too, so the latency queue can place a
-/// registration that carries a live token in its user's lane).
-struct RequestContext {
-    resolution: Resolution,
-    endpoint: usize,
-    user: Option<UserId>,
-}
-
-impl RequestContext {
-    fn new(core: &CloudCore, request: &Request, now: SimTime) -> RequestContext {
-        let resolution = router::resolve(request.method, &request.path);
-        let user = request
-            .token
-            .as_deref()
-            .and_then(|token| core.tokens.read().validate(token, now));
-        RequestContext {
-            resolution,
-            endpoint: resolution.endpoint(),
-            user,
-        }
-    }
-
-    fn route(&self) -> Option<&'static Route> {
-        match self.resolution {
-            Resolution::Matched { route, .. } => Some(route),
-            _ => None,
-        }
+        router::dispatch(core, resolution, Some(user), request, now)
     }
 }
 

@@ -30,9 +30,9 @@
 //! the endpoint bodies live in small per-family handler modules; and
 //! [`CloudInstance::handle`] is one straight-line request path: it
 //! resolves the route and validates the caller once, then runs the
-//! cross-cutting checks (request metrics, the [`latency`] queue, the
-//! deterministic [`admission`] controller, token auth) as plain checks
-//! over that context before dispatch.
+//! cross-cutting checks (request metrics, the deterministic
+//! [`admission`] controller, token auth) as plain checks before
+//! dispatch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +45,6 @@ mod codec;
 pub mod geolocate;
 mod handlers;
 pub mod instance;
-pub mod latency;
 pub mod payload;
 pub mod predict;
 pub mod profile;
@@ -60,7 +59,6 @@ pub use api::{Method, Request, Response, SpanCtx};
 pub use auth::{AuthToken, DeviceIdentity, UserId};
 pub use geolocate::CellDatabase;
 pub use instance::{CloudInstance, SharedCloud, SHARD_COUNT};
-pub use latency::{EndpointCost, LatencyProfile, QueueConfig, QueueMode, LATENCY_BOUNDS_US};
 pub use payload::{
     ArrivalBody, DiscoverBody, GeolocateBody, GeolocateSignatureBody, LabelBody, NextVisitBody,
     Payload, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody, SyncContactsBody,

@@ -16,7 +16,6 @@ use crate::admission::AdmissionControl;
 use crate::analytics::ProfileHistory;
 use crate::auth::{TokenStore, UserId};
 use crate::geolocate::CellDatabase;
-use crate::latency::LatencyControl;
 use crate::predict::MarkovPredictor;
 use crate::profile::ContactEntry;
 use crate::router::{ENDPOINT_COUNT, ENDPOINT_LABELS};
@@ -89,10 +88,10 @@ pub(crate) struct CloudMetrics {
     /// Private always-on registry backing `total_requests`.
     pub(crate) private: Obs,
     /// The registry aggregate metrics bind to (the shared study registry
-    /// after `with_obs`, else the private one). Kept so the builders that
-    /// run after `with_obs` — `with_storage` and `with_latency` — bind
-    /// their handles to the same registry; an instance built without them
-    /// adds none of their metric keys.
+    /// after `with_obs`, else the private one). Kept so `with_storage`,
+    /// which runs after `with_obs`, binds its handles to the same
+    /// registry; an instance built without it adds none of its metric
+    /// keys.
     pub(crate) shared: Obs,
     /// Requests that passed auth; requests to the public routes
     /// (registration, health) are never counted.
@@ -172,9 +171,6 @@ pub(crate) struct CloudCore {
     /// Per-user token buckets (see [`crate::admission`]); `None` admits
     /// every request.
     pub(crate) admission: Option<AdmissionControl>,
-    /// The sim-time latency model: per-endpoint service draws, queueing,
-    /// and load shedding (see [`crate::latency`]); `None` times nothing.
-    pub(crate) latency: Option<LatencyControl>,
     pub(crate) metrics: CloudMetrics,
 }
 

@@ -49,9 +49,9 @@
 //! Determinism: without a config, behavior is byte-identical to the
 //! pre-engine cloud. With one, the *final* state is schedule-
 //! independent (hydration restores exactly what eviction parked), while
-//! eviction/hydration *counter values* are deterministic under
-//! single-threaded driving — the same caveat as the shared-queue latency
-//! mode.
+//! eviction/hydration *counter values* are deterministic only under
+//! single-threaded driving: with several threads, which user the LRU
+//! parks depends on how their requests interleave.
 
 pub(crate) mod apply;
 pub(crate) mod residency;

@@ -517,20 +517,15 @@ impl CloudTransport for FaultyCloud {
         // request's route and the status — the full marshalling path the
         // Django service saw, handing the client the same typed replies
         // an undecorated [`SharedCloud`] endpoint returns directly.
-        // The span context and latency annotation are diagnostics, not
-        // wire state: both are copied across the marshalling boundary by
-        // hand, exactly like a tracing header rides outside the body.
+        // The span context is diagnostics, not wire state: it is copied
+        // across the marshalling boundary by hand, exactly like a tracing
+        // header rides outside the body.
         let parsed = Request::from_bytes(request.wire_bytes())
             .expect("request round-trips")
             .with_ctx(request.ctx);
         let response = self.deliver(&parsed, now);
-        let latency = response.latency_us();
-        let wire = Response::from_bytes(parsed.method, &parsed.path, &response.to_bytes())
-            .expect("response round-trips");
-        match latency {
-            Some((queue_us, service_us)) => wire.with_latency(queue_us, service_us),
-            None => wire,
-        }
+        Response::from_bytes(parsed.method, &parsed.path, &response.to_bytes())
+            .expect("response round-trips")
     }
 }
 

@@ -1,15 +1,15 @@
 //! End-to-end endpoint tests through the full request path.
 //!
 //! These exercise every route family via `CloudInstance::handle` — i.e.
-//! the metrics, queue, admission, and auth gates plus the route-table
+//! the metrics, admission, and auth gates plus the route-table
 //! dispatcher — exactly as a client sees the service.
 
 use pmware_algorithms::gca::GcaConfig;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
 use pmware_cloud::profile::{ContactEntry, MobilityProfile, PlaceEntry};
 use pmware_cloud::{
-    AdmissionConfig, CellDatabase, CloudInstance, LatencyProfile, QueueConfig, QueueMode,
-    RateBudget, Request, SharedCloud, UserId,
+    AdmissionConfig, CellDatabase, CloudInstance, RateBudget, Request, SharedCloud, StorageConfig,
+    UserId,
 };
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
@@ -903,11 +903,11 @@ fn batched_discover_edge_cases_yield_400_not_panics() {
 // Gate precedence: which check answers a request first.
 //
 // Every case builds a fresh instance bound to its own registry (with
-// the case's admission and latency config), registers one user, puts it
-// in the state under test, and sends one probe. The probe's status and
-// error text say which gate answered; the counter deltas say which gates
-// it passed on the way (the endpoint counter, the authenticated-request
-// count, admission denials and queue sheds).
+// the case's admission config), registers one user, puts it in the
+// state under test, and sends one probe. The probe's status and error
+// text say which gate answered; the counter deltas say which gates it
+// passed on the way (the endpoint counter, the authenticated-request
+// count and admission denials).
 // ---------------------------------------------------------------------
 
 /// A fresh instance with one registered user (`imei-0`).
@@ -953,22 +953,6 @@ fn budget(cloud: CloudInstance, burst: u32, refill_s: u64) -> CloudInstance {
     ))
 }
 
-/// Admission budget 2, and a latency queue that sheds at depth 1 with a
-/// 5 s service time; see [`hold_lane`].
-fn busy_lane(cloud: CloudInstance) -> CloudInstance {
-    let queue = QueueConfig {
-        mode: QueueMode::PerUser,
-        shed_depth: 1,
-    };
-    budget(cloud, 2, 600).with_latency(LatencyProfile::uniform(3, 5_000_000, 0).with_queue(queue))
-}
-
-/// One admitted request, which holds a [`busy_lane`] user's lane until
-/// `at(5)`.
-fn hold_lane(s: &Scene) {
-    assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
-}
-
 /// What a probe produced and which counters it moved.
 #[derive(Debug, PartialEq)]
 struct GateOutcome {
@@ -981,13 +965,11 @@ struct GateOutcome {
     authenticated: u64,
     /// `admission_denials()` delta.
     denied: u64,
-    /// `queue_shed_count()` delta.
-    shed: u64,
 }
 
 /// The expected outcome, counter deltas in the order
-/// `[endpoint_requests, authenticated, denied, shed]`.
-fn gate(status: u16, error: Option<&str>, deltas: [u64; 4]) -> GateOutcome {
+/// `[endpoint_requests, authenticated, denied]`.
+fn gate(status: u16, error: Option<&str>, deltas: [u64; 3]) -> GateOutcome {
     GateOutcome {
         status,
         error: error.map(str::to_owned),
@@ -995,7 +977,6 @@ fn gate(status: u16, error: Option<&str>, deltas: [u64; 4]) -> GateOutcome {
         endpoint_requests: deltas[0],
         authenticated: deltas[1],
         denied: deltas[2],
-        shed: deltas[3],
     }
 }
 
@@ -1021,7 +1002,6 @@ fn probe(case: &GateCase) -> GateOutcome {
         counted(&s),
         s.cloud.total_requests(),
         s.cloud.admission_denials(),
-        s.cloud.queue_shed_count(),
     );
     let resp = s.cloud.handle(&request, now);
     let body = resp.json();
@@ -1032,7 +1012,6 @@ fn probe(case: &GateCase) -> GateOutcome {
         endpoint_requests: counted(&s) - before.0,
         authenticated: s.cloud.total_requests() - before.1,
         denied: s.cloud.admission_denials() - before.2,
-        shed: s.cloud.queue_shed_count() - before.3,
     }
 }
 
@@ -1046,7 +1025,7 @@ fn gates_answer_in_a_fixed_order() {
             configure: identity,
             arrange: |_| (Request::get("/api/v1/nope"), at(0)),
             endpoint: "other",
-            expect: gate(401, Some("missing bearer token"), [1, 0, 0, 0]),
+            expect: gate(401, Some("missing bearer token"), [1, 0, 0]),
         },
         GateCase {
             name: "expired token on an unrouted path",
@@ -1058,14 +1037,14 @@ fn gates_answer_in_a_fixed_order() {
                 )
             },
             endpoint: "other",
-            expect: gate(401, unauthorized, [1, 0, 0, 0]),
+            expect: gate(401, unauthorized, [1, 0, 0]),
         },
         GateCase {
             name: "valid token on an unrouted path",
             configure: identity,
             arrange: |s| (Request::get("/api/v1/nope").with_token(&s.token), at(0)),
             endpoint: "other",
-            expect: gate(404, Some("no route for /api/v1/nope"), [1, 1, 0, 0]),
+            expect: gate(404, Some("no route for /api/v1/nope"), [1, 1, 0]),
         },
         GateCase {
             name: "wrong method with a valid token",
@@ -1079,34 +1058,8 @@ fn gates_answer_in_a_fixed_order() {
             endpoint: "other",
             expect: GateOutcome {
                 allow: Some(json!(["POST"])),
-                ..gate(405, Some("method not allowed"), [1, 1, 0, 0])
+                ..gate(405, Some("method not allowed"), [1, 1, 0])
             },
-        },
-        GateCase {
-            // The probe is shed by the queue before admission sees it.
-            name: "queue-shed request",
-            configure: busy_lane,
-            arrange: |s| {
-                hold_lane(s);
-                (list_places(&s.token), at(0))
-            },
-            endpoint: "places_list",
-            expect: gate(429, Some("rate limited"), [1, 0, 0, 1]),
-        },
-        GateCase {
-            // A shed, then the lane drains: the shed request took no
-            // admission token, so the second one of the burst is still
-            // there.
-            name: "after a queue shed the admission budget is intact",
-            configure: busy_lane,
-            arrange: |s| {
-                hold_lane(s);
-                let shed = s.cloud.handle(&list_places(&s.token), at(0));
-                assert_eq!(shed.status, 429, "{shed:?}");
-                (list_places(&s.token), at(5))
-            },
-            endpoint: "places_list",
-            expect: gate(200, None, [1, 1, 0, 0]),
         },
         GateCase {
             name: "over budget with a valid token",
@@ -1116,7 +1069,7 @@ fn gates_answer_in_a_fixed_order() {
                 (list_places(&s.token), at(0))
             },
             endpoint: "places_list",
-            expect: gate(429, Some("rate limited"), [1, 0, 1, 0]),
+            expect: gate(429, Some("rate limited"), [1, 0, 1]),
         },
         GateCase {
             // Only validated callers have a bucket: the expired token is
@@ -1128,7 +1081,7 @@ fn gates_answer_in_a_fixed_order() {
                 (list_places(&s.token), at(EXPIRED))
             },
             endpoint: "places_list",
-            expect: gate(401, unauthorized, [1, 0, 0, 0]),
+            expect: gate(401, unauthorized, [1, 0, 0]),
         },
         GateCase {
             // The refresh spends the user's only `auth`-class token; the
@@ -1147,7 +1100,7 @@ fn gates_answer_in_a_fixed_order() {
                 (registration(0).with_token(&token), at(0))
             },
             endpoint: "register",
-            expect: gate(200, None, [1, 0, 0, 0]),
+            expect: gate(200, None, [1, 0, 0]),
         },
     ];
     for case in &cases {
@@ -1155,36 +1108,36 @@ fn gates_answer_in_a_fixed_order() {
     }
 }
 
-/// An instance built without `with_latency` or `with_admission` has no
-/// latency or admission surface at all: no metric keys, no latency
-/// annotation on its replies, and no 429 however fast one user sends.
-/// The health body is liveness only.
+/// An instance built without `with_admission` has no admission surface
+/// at all: no 429 however fast one user sends. The health body is
+/// liveness only.
 #[test]
-fn unconfigured_instance_has_no_latency_or_admission_surface() {
+fn unconfigured_instance_has_no_admission_surface() {
     let obs = Obs::new();
     let c = cloud().with_obs(&obs);
     let token = register(&c, 0, SimTime::EPOCH);
     for _ in 0..100 {
         let resp = c.handle(&list_places(&token), SimTime::EPOCH);
         assert!(resp.is_success(), "{resp:?}");
-        assert_eq!(resp.latency_us(), None);
     }
     let health = c.handle(&Request::get("/api/v1/health"), SimTime::EPOCH);
     assert!(health.is_success(), "{health:?}");
     assert_eq!(health.json().to_string(), r#"{"status":"ok"}"#);
     let json = obs.metrics_json().unwrap();
     assert!(json.contains("cloud_requests_total"), "{json}");
-    assert!(!json.contains("cloud_request_latency_us"), "{json}");
-    assert!(!json.contains("cloud_queue_shed_total"), "{json}");
     assert_eq!(c.admission_denials(), 0);
 }
 
-/// The latency model binds its histograms to the registry it finds, so
-/// binding a registry after it is refused rather than silently split.
+/// The storage engine binds its gauge and counters to the registry it
+/// finds, so binding a registry after it is refused rather than
+/// silently split.
 #[test]
 #[should_panic(expected = "with_obs runs first")]
-fn with_obs_after_with_latency_is_refused() {
+fn with_obs_after_with_storage_is_refused() {
     let _ = cloud()
-        .with_latency(LatencyProfile::uniform(1, 300, 0))
+        .with_storage(StorageConfig {
+            resident_cap: Some(1),
+            ..StorageConfig::default()
+        })
         .with_obs(&Obs::new());
 }

@@ -683,7 +683,7 @@ impl CloudClient {
                 );
             }
             self.metrics.wire_requests.inc();
-            let (response, end_us) = match &span {
+            let response = match &span {
                 Some((sink, trace, root)) => {
                     let attempt_id = sink.alloc(*trace);
                     let tagged = request.clone().with_ctx(SpanCtx {
@@ -691,28 +691,23 @@ impl CloudClient {
                         parent: attempt_id,
                     });
                     let response = self.endpoint.send(&tagged, at);
-                    // The latency model's sub-second cost (queue + service
-                    // µs) shows up only here; the client's sim-seconds
-                    // retry clock never advances from it.
-                    let end_us = at_us
-                        + response
-                            .latency_us()
-                            .map_or(0, |(queue, service)| queue + service);
+                    // A send takes no simulated time: the attempt span
+                    // ends at the instant it started.
                     sink.record(
                         *trace,
                         attempt_id,
                         *root,
                         "attempt",
                         at_us,
-                        end_us,
+                        at_us,
                         &[
                             ("attempt", FieldValue::from(u64::from(attempt))),
                             ("status", FieldValue::from(u64::from(response.status))),
                         ],
                     );
-                    (response, end_us)
+                    response
                 }
-                None => (self.endpoint.send(request, at), at_us),
+                None => self.endpoint.send(request, at),
             };
             if response.status == STATUS_TIMEOUT {
                 self.metrics.timeouts.inc();
@@ -728,7 +723,7 @@ impl CloudClient {
                         0,
                         &op_name,
                         start_us,
-                        end_us,
+                        at_us,
                         &[
                             ("attempts", FieldValue::from(u64::from(attempt + 1))),
                             ("status", FieldValue::from(u64::from(response.status))),
@@ -769,7 +764,7 @@ impl CloudClient {
                     backoff_id,
                     *root,
                     "backoff",
-                    end_us,
+                    at_us,
                     wake_us,
                     &[("wait_s", FieldValue::from(wait.as_seconds()))],
                 );

@@ -58,8 +58,7 @@ pub mod span;
 use std::sync::Arc;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SloReport,
-    SnapshotValue,
+    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, SnapshotValue,
 };
 pub use span::{FieldValue, SpanRecord, SpanSink};
 

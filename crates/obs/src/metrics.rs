@@ -362,89 +362,6 @@ pub struct HistogramSnapshot {
     pub sum: u64,
 }
 
-impl HistogramSnapshot {
-    /// Exact bucket-resolution quantile: the inclusive upper bound of the
-    /// bucket holding the rank-⌈q·count⌉ observation (observations within
-    /// a bucket are indistinguishable, so the bound *is* the tightest
-    /// value the histogram can certify the quantile to be ≤). Overflow
-    /// observations report [`u64::MAX`]; an empty histogram has no
-    /// quantiles at all and answers `None`.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (i, &bucket) in self.buckets.iter().enumerate() {
-            cumulative += bucket;
-            if cumulative >= rank {
-                return Some(self.bounds.get(i).copied().unwrap_or(u64::MAX));
-            }
-        }
-        Some(u64::MAX)
-    }
-
-    /// Observations certifiably ≤ `target`: the sum of buckets whose
-    /// upper bound is ≤ `target`. Bucket-conservative — an observation in
-    /// a bucket straddling the target counts as a miss.
-    pub fn count_within(&self, target: u64) -> u64 {
-        self.bounds
-            .iter()
-            .zip(&self.buckets)
-            .take_while(|(&bound, _)| bound <= target)
-            .map(|(_, &bucket)| bucket)
-            .sum()
-    }
-
-    /// SLO attainment against a latency target (same unit as the
-    /// observations, canonically microseconds).
-    pub fn slo_report(&self, target_us: u64) -> SloReport {
-        let p50_us = self.quantile(0.50).unwrap_or(0);
-        let p99_us = self.quantile(0.99).unwrap_or(0);
-        SloReport {
-            target_us,
-            count: self.count,
-            within: self.count_within(target_us),
-            p50_us,
-            p99_us,
-            p999_us: self.quantile(0.999).unwrap_or(0),
-            attained: p99_us <= target_us,
-        }
-    }
-}
-
-/// A latency histogram summarized against an SLO target — the shape the
-/// `slo_report` surfaces render.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloReport {
-    /// The target the report was evaluated against.
-    pub target_us: u64,
-    /// Total observations.
-    pub count: u64,
-    /// Observations certifiably within the target (bucket-conservative).
-    pub within: u64,
-    /// Median, at bucket resolution (0 when empty).
-    pub p50_us: u64,
-    /// 99th percentile, at bucket resolution (0 when empty).
-    pub p99_us: u64,
-    /// 99.9th percentile, at bucket resolution (0 when empty).
-    pub p999_us: u64,
-    /// Whether the p99 meets the target (vacuously true when empty).
-    pub attained: bool,
-}
-
-impl SloReport {
-    /// Attained fraction in `[0, 1]` (1.0 when empty).
-    pub fn attainment(&self) -> f64 {
-        if self.count == 0 {
-            1.0
-        } else {
-            self.within as f64 / self.count as f64
-        }
-    }
-}
-
 /// One frozen metric value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotValue {
@@ -502,42 +419,6 @@ impl MetricsSnapshot {
     /// Iterates `(key, value)` in canonical (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &SnapshotValue)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Sums every histogram whose canonical key starts with `prefix`
-    /// into one snapshot — e.g. all `cloud_request_latency_us{…}` label
-    /// combinations into an all-endpoints latency distribution. `None`
-    /// when no histogram matches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when matching histograms carry different bucket bounds —
-    /// a prefix that mixes families is a caller bug, not data.
-    pub fn merged_histogram(&self, prefix: &str) -> Option<HistogramSnapshot> {
-        let mut merged: Option<HistogramSnapshot> = None;
-        for (key, value) in self.iter() {
-            if !key.starts_with(prefix) {
-                continue;
-            }
-            let SnapshotValue::Histogram(h) = value else {
-                continue;
-            };
-            match &mut merged {
-                None => merged = Some(h.clone()),
-                Some(m) => {
-                    assert_eq!(
-                        m.bounds, h.bounds,
-                        "histogram prefix {prefix:?} mixes bucket bounds"
-                    );
-                    for (slot, bucket) in m.buckets.iter_mut().zip(&h.buckets) {
-                        *slot += bucket;
-                    }
-                    m.count += h.count;
-                    m.sum += h.sum;
-                }
-            }
-        }
-        merged
     }
 
     /// Deterministic JSON: one key-sorted object whose values are either
@@ -619,31 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_histogram_sums_label_combinations() {
-        let registry = MetricsRegistry::new();
-        let bounds = [10, 100, 1000];
-        registry
-            .histogram("latency_us", &[("endpoint", "a")], &bounds)
-            .observe(5);
-        registry
-            .histogram("latency_us", &[("endpoint", "b")], &bounds)
-            .observe(50);
-        registry
-            .histogram("latency_us", &[("endpoint", "b")], &bounds)
-            .observe(5000);
-        registry.counter("latency_us_shed", &[]).inc();
-        let merged = registry
-            .snapshot()
-            .merged_histogram("latency_us{")
-            .expect("histograms present");
-        assert_eq!(merged.count, 3);
-        assert_eq!(merged.sum, 5055);
-        assert_eq!(merged.buckets, vec![1, 1, 0, 1]);
-        assert_eq!(merged.quantile(0.5), Some(100));
-        assert!(registry.snapshot().merged_histogram("nope").is_none());
-    }
-
-    #[test]
     fn snapshot_is_merge_order_independent() {
         // Two registries fed the same facts from different "thread"
         // interleavings snapshot to the same bytes.
@@ -719,126 +575,5 @@ mod tests {
             "{\"lat_us{endpoint=\\\"sync\\\"}\":{\"bounds\":[100,1000],\
              \"buckets\":[1,1,1],\"count\":3,\"sum\":10749,\"type\":\"histogram\"}}"
         );
-    }
-
-    fn snap(bounds: &[u64], values: &[u64]) -> HistogramSnapshot {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("q", &[], bounds);
-        for &v in values {
-            h.observe(v);
-        }
-        match r.snapshot().get("q") {
-            Some(SnapshotValue::Histogram(hs)) => hs.clone(),
-            other => panic!("expected histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn quantile_of_empty_is_none() {
-        let hs = snap(&[10, 100], &[]);
-        assert_eq!(hs.quantile(0.5), None);
-        assert_eq!(hs.quantile(0.99), None);
-        let report = hs.slo_report(50);
-        assert_eq!(report.p99_us, 0);
-        assert!(report.attained, "an empty histogram misses no target");
-        assert_eq!(report.attainment(), 1.0);
-    }
-
-    #[test]
-    fn quantile_single_bucket() {
-        // Every observation in one bucket: every quantile is its bound.
-        let hs = snap(&[10, 100, 1000], &[20, 30, 40, 50]);
-        assert_eq!(hs.quantile(0.0), Some(100));
-        assert_eq!(hs.quantile(0.5), Some(100));
-        assert_eq!(hs.quantile(0.99), Some(100));
-        assert_eq!(hs.quantile(0.999), Some(100));
-        assert_eq!(hs.quantile(1.0), Some(100));
-    }
-
-    #[test]
-    fn quantile_overflow_bucket_is_max() {
-        let hs = snap(&[10], &[5, 5, 99]);
-        assert_eq!(hs.quantile(0.5), Some(10), "rank 2 of 3 is in bucket 0");
-        assert_eq!(hs.quantile(0.99), Some(u64::MAX), "rank 3 overflowed");
-        assert!(!hs.slo_report(10).attained);
-    }
-
-    #[test]
-    fn quantile_pins_p50_p99_p999() {
-        // 1000 observations: 900 in ≤100, 90 in ≤1000, 9 in ≤10_000, 1
-        // overflow. Ranks: p50→500 (≤100), p99→990 (≤1000), p999→999
-        // (≤10_000).
-        let mut values = Vec::new();
-        values.extend(std::iter::repeat_n(50u64, 900));
-        values.extend(std::iter::repeat_n(500u64, 90));
-        values.extend(std::iter::repeat_n(5_000u64, 9));
-        values.push(99_999);
-        let hs = snap(&[100, 1_000, 10_000], &values);
-        assert_eq!(hs.quantile(0.50), Some(100));
-        assert_eq!(hs.quantile(0.99), Some(1_000));
-        assert_eq!(hs.quantile(0.999), Some(10_000));
-        assert_eq!(hs.quantile(1.0), Some(u64::MAX));
-        let report = hs.slo_report(1_000);
-        assert_eq!(report.within, 990);
-        assert!(report.attained);
-        assert!(!hs.slo_report(100).attained);
-    }
-
-    #[test]
-    fn count_within_is_bucket_conservative() {
-        let hs = snap(&[10, 100], &[5, 50]);
-        // A target between bounds certifies only the ≤10 bucket.
-        assert_eq!(hs.count_within(99), 1);
-        assert_eq!(hs.count_within(100), 2);
-        assert_eq!(hs.count_within(9), 0);
-    }
-}
-
-#[cfg(test)]
-mod quantile_properties {
-    use super::*;
-    use proptest::prelude::*;
-
-    /// The bucket bound the naive oracle puts `value` in.
-    fn bound_of(bounds: &[u64], value: u64) -> u64 {
-        bounds
-            .iter()
-            .copied()
-            .find(|&b| value <= b)
-            .unwrap_or(u64::MAX)
-    }
-
-    proptest! {
-        /// The histogram quantile must equal the bucket bound of the
-        /// naive sorted-vec quantile at the same rank, for any values and
-        /// any (sorted, deduplicated) bounds.
-        #[test]
-        fn quantile_matches_sorted_vec_oracle(
-            mut bounds in prop::collection::vec(1u64..10_000, 1..6),
-            values in prop::collection::vec(0u64..20_000, 1..200),
-            q in 0.0f64..=1.0,
-        ) {
-            bounds.sort_unstable();
-            bounds.dedup();
-            let r = MetricsRegistry::new();
-            let h = r.histogram("p", &[], &bounds);
-            for &v in &values {
-                h.observe(v);
-            }
-            let hs = match r.snapshot().get("p") {
-                Some(SnapshotValue::Histogram(hs)) => hs.clone(),
-                _ => unreachable!(),
-            };
-            let mut sorted = values.clone();
-            sorted.sort_unstable();
-            let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
-            let oracle = sorted[rank - 1];
-            prop_assert_eq!(hs.quantile(q), Some(bound_of(&bounds, oracle)));
-            // And count_within agrees with the oracle exactly at bounds.
-            for &b in &bounds {
-                let naive = sorted.iter().filter(|&&v| v <= b).count() as u64;
-                prop_assert_eq!(hs.count_within(b), naive);
-            }
-        }
     }
 }

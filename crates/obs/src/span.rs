@@ -8,8 +8,7 @@
 //! [`Obs::event`](crate::Obs::event) / [`Obs::span`](crate::Obs::span)
 //! are root spans of that actor's timeline trace
 //! (`SpanSink::trace_id(actor, 0)`). Times are **absolute simulated
-//! microseconds** (`SimTime` seconds × 1 000 000 plus the sub-second
-//! queue/service cost the latency model assigns), never wall time.
+//! microseconds** (`SimTime` seconds × 1 000 000), never wall time.
 //!
 //! # Determinism
 //!
