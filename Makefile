@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
+.PHONY: verify build test clippy fmt chaos paper paper-golden bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -47,6 +47,21 @@ fmt:
 chaos:
 	cargo test --release --test chaos_matrix --test connected_apps
 	cargo run --release -p pmware-bench --bin chaos_soak
+
+# The paper's tables (Figures 1-2, the §1 WiFi numbers, the §4 study,
+# the ablations, the route modes and the detection latency; see
+# EXPERIMENTS.md), each at its defaults, in EXPERIMENTS.md order.
+paper:
+	cargo run --release --quiet -p pmware-bench --bin paper
+
+# Rewrites tests/golden/paper_tables.txt, which the tier-1 test
+# tests/paper_tables.rs compares every table with, from the release
+# `paper` binary. Run it after a change meant to move a table and review
+# the diff; a failed run leaves the file as it was.
+paper-golden:
+	cargo build --release --quiet -p pmware-bench --bin paper
+	./target/release/paper > tests/golden/paper_tables.txt.tmp
+	mv tests/golden/paper_tables.txt.tmp tests/golden/paper_tables.txt
 
 bench:
 	cargo bench -p pmware-bench

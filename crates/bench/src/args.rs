@@ -4,8 +4,9 @@
 //!
 //! Supports `--flag value` and `--flag=value`; everything else is
 //! positional. A bench binary names the flags it accepts in
-//! [`Args::for_binary`], which refuses anything else before the binary
-//! does any work, so a typo never runs a default-sized study in silence.
+//! [`Args::for_binary`] (`paper`, per table, in [`Args::check`]), which
+//! refuses anything else before the binary does any work, so a typo never
+//! runs a default-sized study in silence.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -108,18 +109,22 @@ impl Args {
     /// work.
     pub fn for_binary(accepted: &[&str]) -> Args {
         let args = Args::from_env();
-        if let Err(message) = args.check(accepted) {
+        if let Err(message) = args.check(accepted, 0) {
             exit_usage(&message);
         }
         args
     }
 
     /// Checks that every flag given is in `accepted` and has a value (no
-    /// bench binary takes a switch), and that there are no positionals;
-    /// the error names the first offender.
-    fn check(&self, accepted: &[&str]) -> Result<(), String> {
+    /// bench binary takes a switch), and that there are at most
+    /// `positionals` positionals; the error names the first offender.
+    ///
+    /// # Errors
+    ///
+    /// Returns the message a bench binary prints before exiting 2.
+    pub fn check(&self, accepted: &[&str], positionals: usize) -> Result<(), String> {
         let takes = if accepted.is_empty() {
-            "this binary takes no flags".to_owned()
+            "takes no flags".to_owned()
         } else {
             let names: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
             format!("accepted: {}", names.join(" "))
@@ -128,7 +133,7 @@ impl Args {
             return Err(format!("unknown flag --{flag} ({takes})"));
         }
         self.check_values(&[])?;
-        if let Some(stray) = self.positional(0) {
+        if let Some(stray) = self.positional(positionals) {
             return Err(format!("unexpected argument {stray:?} ({takes})"));
         }
         Ok(())
@@ -276,20 +281,20 @@ mod tests {
     #[test]
     fn check_names_the_offender_and_what_is_accepted() {
         let ok = Args::parse(["--days", "2"]);
-        assert_eq!(ok.check(&["days", "seed"]), Ok(()));
-        let typo = Args::parse(["--dayz", "2"]).check(&["days", "seed"]);
+        assert_eq!(ok.check(&["days", "seed"], 0), Ok(()));
+        let typo = Args::parse(["--dayz", "2"]).check(&["days", "seed"], 0);
         assert_eq!(
             typo,
             Err("unknown flag --dayz (accepted: --days --seed)".to_owned())
         );
-        let flagless = Args::parse(["--seed", "1"]).check(&[]);
+        let flagless = Args::parse(["--seed", "1"]).check(&[], 0);
         assert_eq!(
             flagless,
-            Err("unknown flag --seed (this binary takes no flags)".to_owned())
+            Err("unknown flag --seed (takes no flags)".to_owned())
         );
-        let bare = Args::parse(["--days", "--seed", "1"]).check(&["days", "seed"]);
+        let bare = Args::parse(["--days", "--seed", "1"]).check(&["days", "seed"], 0);
         assert_eq!(bare, Err("--days requires a value".to_owned()));
-        let stray = Args::parse(["7"]).check(&["days"]);
+        let stray = Args::parse(["7"]).check(&["days"], 0);
         assert!(stray.unwrap_err().starts_with("unexpected argument \"7\""));
     }
 
@@ -298,6 +303,6 @@ mod tests {
         let args = Args::parse(Vec::<String>::new());
         assert_eq!(args.positional(0), None);
         assert_eq!(args.get("x", 3u32).unwrap(), 3);
-        assert_eq!(args.check(&[]), Ok(()));
+        assert_eq!(args.check(&[], 0), Ok(()));
     }
 }

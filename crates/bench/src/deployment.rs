@@ -356,8 +356,7 @@ mod tests {
     use super::*;
 
     /// A scaled-down study (4 participants × 4 days) exercising the whole
-    /// pipeline; the full 16 × 14 run lives in the `deployment_study`
-    /// binary.
+    /// pipeline; the full 16 × 14 run is `paper dep`.
     #[test]
     fn small_study_produces_sane_statistics() {
         let config = StudyConfig {

@@ -1,27 +1,31 @@
 //! Experiment harnesses for the PMWare reproduction.
 //!
-//! Each module regenerates one of the paper's quantitative artefacts (see
-//! `DESIGN.md` §4 for the experiment index); the binaries under `src/bin`
-//! print the tables, and the criterion benches under `benches/` measure
-//! micro-performance.
+//! [`paper`] regenerates the paper's quantitative artefacts (see
+//! `DESIGN.md` §4 for the experiment index) and the `paper` binary prints
+//! them; `fig5_map` draws Figure 5b, the other binaries under `src/bin`
+//! run the soaks and throughput studies, and the criterion benches under
+//! `benches/` measure micro-performance.
 //!
-//! | Binary | Paper artefact |
+//! | `paper` table | Paper artefact |
 //! |---|---|
-//! | `fig1_power` | Figure 1 — battery duration per interface × period |
-//! | `fig2_characterization` | Figure 2 — app taxonomy by granularity |
-//! | `deployment_study` | §4 — 16 participants × 2 weeks, all statistics |
-//! | `wifi_coverage` | §1 item 4 — WiFi-covered fraction of a day by region |
-//! | `ablation_triggered` | §2.2.2 — triggered sensing vs alternatives |
-//! | `ablation_redundancy` | §1 item 3 — shared PMS vs isolated pipelines |
+//! | `fig1` | Figure 1 — battery duration per interface × period |
+//! | `fig2` | Figure 2 — app taxonomy by granularity |
+//! | `intro-wifi` | §1 item 4 — WiFi-covered fraction of a day by region |
+//! | `dep` | §4 — 16 participants × 2 weeks, all statistics |
+//! | `abl-trig` | §2.2.2 — triggered sensing vs alternatives |
+//! | `abl-red` | §1 item 3 — shared PMS vs isolated pipelines |
+//! | `abl-gca` | GCA parameter sensitivity |
+//! | `route-acc` | §2.2.2 — the two route-tracking modes |
+//! | `fig1-emp` | Figure 1 cross-check on the simulated phone |
+//! | `det-lat` | §2.4 — arrival/departure detection latency |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
 pub mod deployment;
+pub mod paper;
 pub mod parallel;
-pub mod sensing_modes;
-pub mod wifi_coverage;
 
 use pmware_cloud::{SharedCloud, UserId};
 

@@ -1,16 +1,18 @@
 //! The bench binaries refuse what they do not accept: a typo'd flag or a
 //! malformed value (`--days 0`, `--participants 0`, a zero count such as
-//! `--repeats 0`, `chaos_soak --days 1`) exits 2 naming it, before any
-//! study runs or any file is written.
+//! `--repeats 0`, `chaos_soak --days 1`), and for `paper` an unknown
+//! table, a flag only another table accepts or a stray argument, exits 2
+//! naming it, before any study runs or any file is written.
 
 use std::process::Command;
 
 #[test]
 fn a_bad_flag_exits_2_before_any_work() {
-    let cases: [(&str, &[&str], &str); 23] = [
+    let cases: [(&str, &[&str], &str); 26] = [
         (
-            env!("CARGO_BIN_EXE_deployment_study"),
+            env!("CARGO_BIN_EXE_paper"),
             &[
+                "dep",
                 "--participants",
                 "1",
                 "--days",
@@ -21,8 +23,8 @@ fn a_bad_flag_exits_2_before_any_work() {
             "unknown flag --metrcs-out",
         ),
         (
-            env!("CARGO_BIN_EXE_deployment_study"),
-            &["--days", "0"],
+            env!("CARGO_BIN_EXE_paper"),
+            &["dep", "--days", "0"],
             "invalid value \"0\" for --days",
         ),
         (
@@ -31,8 +33,8 @@ fn a_bad_flag_exits_2_before_any_work() {
             "invalid value \"0\" for --days",
         ),
         (
-            env!("CARGO_BIN_EXE_detection_latency"),
-            &["--days", "0"],
+            env!("CARGO_BIN_EXE_paper"),
+            &["det-lat", "--days", "0"],
             "invalid value \"0\" for --days",
         ),
         (
@@ -41,8 +43,8 @@ fn a_bad_flag_exits_2_before_any_work() {
             "invalid value \"0\" for --days",
         ),
         (
-            env!("CARGO_BIN_EXE_deployment_study"),
-            &["--participants", "0", "--days", "1"],
+            env!("CARGO_BIN_EXE_paper"),
+            &["dep", "--participants", "0", "--days", "1"],
             "invalid value \"0\" for --participants",
         ),
         (
@@ -51,8 +53,8 @@ fn a_bad_flag_exits_2_before_any_work() {
             "invalid value \"0\" for --participants",
         ),
         (
-            env!("CARGO_BIN_EXE_detection_latency"),
-            &["--participants", "0", "--days", "1"],
+            env!("CARGO_BIN_EXE_paper"),
+            &["det-lat", "--participants", "0", "--days", "1"],
             "invalid value \"0\" for --participants",
         ),
         (
@@ -130,6 +132,21 @@ fn a_bad_flag_exits_2_before_any_work() {
             &["--repeats", "0"],
             "invalid value \"0\" for --repeats (expected a positive whole number)",
         ),
+        (
+            env!("CARGO_BIN_EXE_paper"),
+            &["fig9"],
+            "unknown table \"fig9\"",
+        ),
+        (
+            env!("CARGO_BIN_EXE_paper"),
+            &["fig1", "--days", "3"],
+            "fig1: unknown flag --days (takes no flags)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_paper"),
+            &["dep", "fig1"],
+            "dep: unexpected argument \"fig1\"",
+        ),
     ];
     for (exe, args, expected) in cases {
         let out = Command::new(exe)
@@ -148,12 +165,15 @@ fn a_bad_flag_exits_2_before_any_work() {
 
 #[test]
 fn a_flagless_binary_refuses_any_flag() {
-    let out = Command::new(env!("CARGO_BIN_EXE_fig2_characterization"))
-        .args(["--seed", "1"])
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(["fig2", "--seed", "1"])
         .output()
-        .expect("spawn fig2_characterization");
+        .expect("spawn paper");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("this binary takes no flags"), "{stderr}");
+    assert!(
+        stderr.contains("fig2: unknown flag --seed (takes no flags)"),
+        "{stderr}"
+    );
     assert!(out.stdout.is_empty());
 }

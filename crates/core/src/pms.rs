@@ -50,6 +50,21 @@ pub trait PeerProvider {
     fn peers_at(&self, t: SimTime) -> Vec<(String, GeoPoint)>;
 }
 
+/// Main loop tick: one minute, the GSM period.
+const TICK: SimDuration = SimDuration::from_minutes(1);
+/// Hour of day at which the nightly maintenance (GCA offload, syncs) runs.
+const MAINTENANCE_HOUR: u64 = 3;
+/// Signature overlap for registry reconciliation.
+const RECONCILE_OVERLAP: f64 = 0.18;
+/// Refresh the token when within this margin of expiry.
+const TOKEN_REFRESH_MARGIN: SimDuration = SimDuration::from_hours(2);
+/// Movement-detector window (samples).
+const MOVEMENT_WINDOW: usize = 3;
+/// Wire-request cap per maintenance pass: on a bad link the pass stops
+/// spending after this many sends (retries included) and the unfinished
+/// work is retried at the next pass.
+const MAINTENANCE_BUDGET: u32 = 64;
+
 /// PMS configuration.
 #[derive(Debug, Clone)]
 pub struct PmsConfig {
@@ -57,25 +72,10 @@ pub struct PmsConfig {
     pub imei: String,
     /// Account email for registration.
     pub email: String,
-    /// Main loop tick (default one minute, the GSM period).
-    pub tick: SimDuration,
     /// Scheduler periods.
     pub sensing: SensingConfig,
     /// Inference parameters.
     pub inference: InferenceConfig,
-    /// Hour of day at which the nightly maintenance (GCA offload, syncs)
-    /// runs.
-    pub maintenance_hour: u64,
-    /// Signature overlap for registry reconciliation.
-    pub reconcile_overlap: f64,
-    /// Refresh the token when within this margin of expiry.
-    pub token_refresh_margin: SimDuration,
-    /// Movement-detector window (samples).
-    pub movement_window: usize,
-    /// Wire-request cap per maintenance pass: on a bad link the pass
-    /// stops spending after this many sends (retries included) and the
-    /// unfinished work is retried at the next pass.
-    pub maintenance_budget: u32,
 }
 
 impl PmsConfig {
@@ -84,14 +84,8 @@ impl PmsConfig {
         PmsConfig {
             imei: format!("3504{n:011}"),
             email: format!("participant{n}@pmware.study"),
-            tick: SimDuration::from_minutes(1),
             sensing: SensingConfig::default(),
             inference: InferenceConfig::default(),
-            maintenance_hour: 3,
-            reconcile_overlap: 0.18,
-            token_refresh_margin: SimDuration::from_hours(2),
-            movement_window: 3,
-            maintenance_budget: 64,
         }
     }
 }
@@ -314,7 +308,7 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
         let client = CloudClient::register(cloud, &config.imei, &config.email, now)?;
         let imei = config.imei.clone();
         let scheduler = SensingScheduler::new(config.sensing.clone());
-        let movement = MovementDetector::new(config.movement_window);
+        let movement = MovementDetector::new(MOVEMENT_WINDOW);
         let engine = InferenceEngine::new(config.inference.clone());
         Ok(PmwareMobileService {
             config,
@@ -538,7 +532,7 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
         while self.clock < until {
             let t = self.clock;
             self.tick(t)?;
-            self.clock = t + self.config.tick;
+            self.clock = t + TICK;
         }
         Ok(())
     }
@@ -550,10 +544,7 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
         // the token was lost entirely (it expired while the cloud was
         // unreachable), fall back to re-registration, which is idempotent
         // per device identity.
-        match self
-            .client
-            .refresh_if_needed(t, self.config.token_refresh_margin)
-        {
+        match self.client.refresh_if_needed(t, TOKEN_REFRESH_MARGIN) {
             Ok(true) => self.metrics.token_refreshes.inc(),
             Ok(false) => {}
             Err(_) => {
@@ -631,8 +622,8 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
 
         // Nightly maintenance.
         let due = match self.last_maintenance_day {
-            None => t.hour_of_day() >= self.config.maintenance_hour && t.day() > 0,
-            Some(d) => t.day() > d && t.hour_of_day() >= self.config.maintenance_hour,
+            None => t.hour_of_day() >= MAINTENANCE_HOUR && t.day() > 0,
+            Some(d) => t.day() > d && t.hour_of_day() >= MAINTENANCE_HOUR,
         };
         if due {
             self.maintenance(t);
@@ -870,8 +861,7 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
         // A lossy link must not let retries spin unboundedly: the whole
         // pass shares one wire budget, and work cut off by it is simply
         // retried at the next pass (all syncs are at-least-once).
-        self.client
-            .begin_maintenance_pass(self.config.maintenance_budget);
+        self.client.begin_maintenance_pass(MAINTENANCE_BUDGET);
         // Nightly incremental discovery, as the paper describes (§2.3.1):
         // each offload ships only the observations gathered since the last
         // *acknowledged* one, stamped with its stream offset so the cloud
@@ -892,9 +882,7 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
                 self.engine.local_discover()
             }
         };
-        let created = self
-            .registry
-            .reconcile(&places, t, self.config.reconcile_overlap);
+        let created = self.registry.reconcile(&places, t, RECONCILE_OVERLAP);
         // The online tracker recognises every *live* place by its
         // accumulated signature, keyed directly by stable id.
         let known: Vec<DiscoveredPlace> = self

@@ -122,6 +122,6 @@ fn main() {
 
     println!(
         "\nThe full closed-loop version of this comparison (real movement,\n\
-         real discovery quality) is `cargo run --release -p pmware-bench --bin ablation_triggered`."
+         real discovery quality) is `cargo run --release -p pmware-bench --bin paper -- abl-trig`."
     );
 }
