@@ -1,6 +1,6 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos paper paper-golden bench bench-admission bench-check bench-gca bench-golden bench-smoke bench-wire bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
+.PHONY: verify build test clippy fmt chaos paper paper-golden bench bench-check bench-gca bench-golden bench-smoke bench-wire bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
@@ -17,7 +17,7 @@
 # dependency lint that fails on a manifest entry no file names, the
 # wall-clock lint that keeps real time out of simulation code, the
 # storage gate (durable crash-recovery goldens and the residency lint),
-# the golden-bench gate (the sim-time BENCH_*.json reports regenerate
+# the golden-bench gate (the sim-time BENCH_chaos.json report regenerates
 # byte-identical), and the benchmark check (perfbench still builds and
 # its smoke test passes). The observability goldens run in `test`.
 # verify leaves the tree as it found it: the machine-timed reports
@@ -228,20 +228,13 @@ lint-latency:
 		|| { echo 'lint-latency: wall-clock time crept into simulation code'; exit 1; }
 	@echo 'lint-latency: ok'
 
-# Admission-control study: a throttled cohort with and without the
-# server's retry-after hint against the unthrottled baseline; writes
-# BENCH_admission.json in the repo root. Flags: --participants, --days,
-# --seed, --burst, --refill-s.
-bench-admission:
-	cargo run --release -p pmware-bench --bin rate_limit_study
-
-# The golden-bench gate: the chaos and admission reports are pure
-# sim-time outputs, so regenerating them must leave the checked-in files
-# byte-identical. A drift fails here instead of dirtying the tree.
+# The golden-bench gate: the chaos report is a pure sim-time output, so
+# regenerating it must leave the checked-in file byte-identical (tier-1
+# pins the same bytes in tests/chaos_report.rs). A drift fails here
+# instead of dirtying the tree.
 bench-golden:
 	cargo run --release -p pmware-bench --bin chaos_soak
-	$(MAKE) bench-admission
-	git diff --exit-code -- BENCH_chaos.json BENCH_admission.json
+	git diff --exit-code -- BENCH_chaos.json
 
 # The storage gate: the engine's golden tests — byte-identical durable
 # replay after a crash (users parked at the crash included),

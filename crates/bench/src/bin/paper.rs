@@ -2,7 +2,8 @@
 //! table at its defaults when no table is named (`pmware_bench::paper`
 //! lists them and the flags each accepts; EXPERIMENTS.md gives the
 //! measured values). An unknown table, a flag the table does not accept,
-//! a malformed value or a stray argument exits 2 before any work.
+//! a malformed value or a stray argument exits 2 before any work; a
+//! failed write (stdout, or `dep --metrics-out F`) exits 1 naming it.
 
 use std::io::Write;
 
@@ -29,7 +30,7 @@ fn main() {
     }
     let mut out = std::io::stdout().lock();
     if let Err(e) = render(&args, &mut out).and_then(|()| out.flush()) {
-        eprintln!("error: writing the table: {e}");
+        eprintln!("error: {name}: {e}");
         std::process::exit(1);
     }
 }

@@ -17,9 +17,7 @@
 use crossbeam::channel::Receiver;
 use pmware_algorithms::matching::MatchOutcome;
 use pmware_apps::{AdInventory, LifeLogApp, PlaceAdsApp, UserTasteModel};
-use pmware_cloud::{
-    AdmissionConfig, CellDatabase, CloudEndpoint, CloudInstance, SharedCloud, StorageConfig,
-};
+use pmware_cloud::{CellDatabase, CloudEndpoint, CloudInstance, SharedCloud, StorageConfig};
 use pmware_core::registry::PmPlaceId;
 use pmware_core::{score_against_diary, Intent, PmsConfig, PmwareMobileService};
 use pmware_mobility::{AgentProfile, Itinerary, Population};
@@ -54,10 +52,6 @@ pub struct StudyConfig {
     /// bit-identical either way — the engine only changes *where* state
     /// lives.
     pub storage: Option<StorageConfig>,
-    /// Cloud admission-control budgets ([`AdmissionConfig`]): requests
-    /// over a user's token bucket are answered 429 and retried by the
-    /// client. `None` (the default) leaves the controller off.
-    pub admission: Option<AdmissionConfig>,
 }
 
 impl Default for StudyConfig {
@@ -70,7 +64,6 @@ impl Default for StudyConfig {
             threads: 1,
             obs: Obs::disabled(),
             storage: None,
-            admission: None,
         }
     }
 }
@@ -193,9 +186,6 @@ pub fn run_study(config: &StudyConfig) -> StudyResults {
         CloudInstance::new(CellDatabase::from_world(&world), config.seed + 1).with_obs(&config.obs);
     if let Some(storage) = &config.storage {
         instance = instance.with_storage(storage.clone());
-    }
-    if let Some(admission) = &config.admission {
-        instance = instance.with_admission(admission.clone());
     }
     let cloud = SharedCloud::new(instance);
     let population = Population::generate(&world, config.participants, config.seed + 2);

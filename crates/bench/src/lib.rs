@@ -2,9 +2,10 @@
 //!
 //! [`paper`] regenerates the paper's quantitative artefacts (see
 //! `DESIGN.md` §4 for the experiment index) and the `paper` binary prints
-//! them; `fig5_map` draws Figure 5b, the other binaries under `src/bin`
-//! run the soaks and throughput studies, and the criterion benches under
-//! `benches/` measure micro-performance.
+//! them; `fig5_map` draws Figure 5b, [`chaos`] is the `chaos_soak`
+//! report, the other binaries under `src/bin` run the soaks and
+//! throughput studies, and the criterion benches under `benches/`
+//! measure micro-performance.
 //!
 //! | `paper` table | Paper artefact |
 //! |---|---|
@@ -23,22 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod chaos;
 pub mod deployment;
 pub mod paper;
 pub mod parallel;
-
-use pmware_cloud::{SharedCloud, UserId};
-
-/// One user's durable cloud-side state (places, profiles, absorbed
-/// observation count, contacts), canonically serialized: two runs that
-/// left a user in the same state give equal strings. The chaos soak and
-/// the admission study probe convergence with it.
-pub fn cloud_snapshot(cloud: &SharedCloud, user: UserId) -> String {
-    serde_json::to_string(&(
-        cloud.places_of(user),
-        cloud.profiles_of(user),
-        cloud.observation_count(user),
-        cloud.contacts_of(user),
-    ))
-    .expect("snapshot serializes")
-}

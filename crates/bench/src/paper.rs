@@ -324,9 +324,15 @@ fn coverage_fraction(world: &World, agents: usize, days: u64, seed: u64) -> f64 
 /// `--participants`, `--days`; `--threads` fans participants out over
 /// worker threads (0 = one per core) with identical results at any
 /// count; `--metrics-out F` writes the study's metrics snapshot to `F`.
-/// A malformed value exits the process with status 2 before any work.
+/// A malformed value, `--seeds 0` included, exits the process with
+/// status 2 before any work.
+///
+/// # Errors
+///
+/// Fails when `out` refuses a write or the metrics snapshot cannot be
+/// written to `F`; the error then names `F`.
 pub fn dep(args: &Args, out: &mut dyn Write) -> io::Result<()> {
-    let seeds: u64 = args.value("seeds", 1);
+    let seeds = args.value("seeds", NonZeroU64::MIN).get();
     let metrics_out = args.flag("metrics-out");
     let obs = match &metrics_out {
         None => Obs::disabled(),
@@ -425,7 +431,12 @@ pub fn dep(args: &Args, out: &mut dyn Write) -> io::Result<()> {
     // With --seeds > 1 the snapshot accumulates across all runs (one
     // registry serves the whole process).
     if let (Some(path), Some(json)) = (&metrics_out, obs.metrics_json()) {
-        std::fs::write(path, json).expect("write metrics snapshot");
+        std::fs::write(path, json).map_err(|e| {
+            io::Error::new(
+                e.kind(),
+                format!("writing the metrics snapshot to {path}: {e}"),
+            )
+        })?;
         writeln!(out, "\nmetrics snapshot written to {path}")?;
     }
     Ok(())
@@ -494,8 +505,8 @@ pub fn abl_trig(out: &mut dyn Write) -> io::Result<()> {
     }
     writeln!(
         out,
-        "\nPMWare's triggered mode should sit near gsm-only energy while\n\
-         keeping the discovery quality of the continuous strategies."
+        "\nPMWare's triggered mode sits near gsm-only energy, a fraction of\n\
+         the continuous strategies', but here has the lowest correct share."
     )
 }
 
@@ -760,8 +771,9 @@ pub fn abl_gca(out: &mut dyn Write) -> io::Result<()> {
 
     writeln!(
         out,
-        "\nThe defaults (threshold 2, 10 min) sit at the knee: lower\n\
-         thresholds admit travel cells, higher ones miss short stays."
+        "\nHere every threshold above the default 2 has a higher correct\n\
+         share; the default 10 min ties 20 min for the best, shorter stays\n\
+         divide places and longer ones merge them."
     )
 }
 

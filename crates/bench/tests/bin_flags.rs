@@ -1,6 +1,7 @@
 //! The bench binaries refuse what they do not accept: a typo'd flag or a
 //! malformed value (`--days 0`, `--participants 0`, a zero count such as
-//! `--repeats 0`, `chaos_soak --days 1`), and for `paper` an unknown
+//! `--repeats 0`, `paper dep --seeds 0`, `chaos_soak --days 1`), and
+//! for `paper` an unknown
 //! table, a flag only another table accepts or a stray argument, exits 2
 //! naming it, before any study runs or any file is written.
 
@@ -8,7 +9,7 @@ use std::process::Command;
 
 #[test]
 fn a_bad_flag_exits_2_before_any_work() {
-    let cases: [(&str, &[&str], &str); 26] = [
+    let cases: [(&str, &[&str], &str); 24] = [
         (
             env!("CARGO_BIN_EXE_paper"),
             &[
@@ -63,11 +64,6 @@ fn a_bad_flag_exits_2_before_any_work() {
             "invalid value \"0\" for --participants",
         ),
         (
-            env!("CARGO_BIN_EXE_rate_limit_study"),
-            &["--participants", "0", "--days", "1"],
-            "invalid value \"0\" for --participants",
-        ),
-        (
             env!("CARGO_BIN_EXE_fig5_map"),
             &["--participants", "0", "--days", "1"],
             "invalid value \"0\" for --participants",
@@ -78,16 +74,6 @@ fn a_bad_flag_exits_2_before_any_work() {
             "invalid value \"0\" for --days (expected a positive whole number)",
         ),
         (
-            env!("CARGO_BIN_EXE_rate_limit_study"),
-            &["--participants", "1", "--days", "0"],
-            "invalid value \"0\" for --days (expected a positive whole number)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_rate_limit_study"),
-            &["--participants", "1", "--days", "1"],
-            "invalid value \"1\" for --days (expected at least 2)",
-        ),
-        (
             env!("CARGO_BIN_EXE_chaos_soak"),
             &["--days", "0"],
             "invalid value \"0\" for --days (expected a positive whole number)",
@@ -96,6 +82,11 @@ fn a_bad_flag_exits_2_before_any_work() {
             env!("CARGO_BIN_EXE_chaos_soak"),
             &["--days", "1"],
             "invalid value \"1\" for --days (expected at least 2)",
+        ),
+        (
+            env!("CARGO_BIN_EXE_paper"),
+            &["dep", "--seeds", "0"],
+            "invalid value \"0\" for --seeds (expected a positive whole number)",
         ),
         (
             env!("CARGO_BIN_EXE_cohort_throughput"),
@@ -176,4 +167,30 @@ fn a_flagless_binary_refuses_any_flag() {
         "{stderr}"
     );
     assert!(out.stdout.is_empty());
+}
+
+/// A metrics snapshot that cannot be written fails the run with the
+/// error exit and a message naming the path, not a panic.
+#[test]
+fn an_unwritable_metrics_path_exits_1_naming_it() {
+    let path = "/nonexistent-dir/m.json";
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args([
+            "dep",
+            "--participants",
+            "1",
+            "--days",
+            "1",
+            "--metrics-out",
+            path,
+        ])
+        .output()
+        .expect("spawn paper");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("writing the metrics snapshot to {path}")),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

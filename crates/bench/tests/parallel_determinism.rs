@@ -9,14 +9,11 @@
 //! field, including the floating-point energy totals.
 
 use pmware_bench::deployment::{run_study, StudyConfig};
-use pmware_cloud::{
-    AdmissionConfig, CellDatabase, CloudInstance, DiscoverBody, Payload, RateBudget, Request,
-    SharedCloud,
-};
+use pmware_cloud::{CellDatabase, CloudInstance, DiscoverBody, Payload, Request, SharedCloud};
 use pmware_core::CloudClient;
 use pmware_world::builder::RegionProfile;
 use pmware_world::tower::NetworkLayer;
-use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
+use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
 
 fn config(threads: usize) -> StudyConfig {
     StudyConfig {
@@ -74,42 +71,6 @@ fn parallel_run_is_identical_with_observability_attached() {
     let obs = pmware_obs::Obs::new().with_spans();
     let observed = run_study(&StudyConfig { obs, ..config(4) });
     assert_eq!(plain, observed);
-}
-
-/// Admission control rides through `run_study` as a config field: a tight
-/// per-user budget must deny requests (the clients retry them), count the
-/// denials in the metrics export, and still leave results and metrics
-/// byte-identical at 1 and 8 threads.
-#[test]
-fn admission_through_run_study_is_counted_and_thread_deterministic() {
-    let tight = AdmissionConfig::uniform(4242, RateBudget::new(3, SimDuration::from_seconds(60)));
-    let throttled = |threads| {
-        let obs = pmware_obs::Obs::new();
-        let results = run_study(&StudyConfig {
-            participants: 5,
-            seed: 4242,
-            obs: obs.clone(),
-            admission: Some(tight.clone()),
-            ..config(threads)
-        });
-        (results, obs.metrics_json().expect("metrics enabled"))
-    };
-    let (sequential, metrics_1) = throttled(1);
-    let (fanned, metrics_8) = throttled(8);
-    let export: serde_json::Value = serde_json::from_str(&metrics_1).expect("metrics JSON");
-    let denied: u64 = export
-        .as_object()
-        .expect("metrics export is an object")
-        .iter()
-        .filter(|(key, _)| key.starts_with("cloud_admission_denied_total"))
-        .map(|(_, metric)| metric["value"].as_u64().unwrap_or(0))
-        .sum();
-    assert!(denied > 0, "a tight budget denied nothing:\n{metrics_1}");
-    assert_eq!(sequential, fanned, "thread count changed study outcomes");
-    assert_eq!(
-        metrics_1, metrics_8,
-        "metrics JSON differs across thread counts"
-    );
 }
 
 /// The wire-traffic claim behind the batched protocol, measured directly

@@ -6,7 +6,6 @@
 //!                 [--metrics-out F] [--spans-out F]
 //! pmware study    [--participants N] [--days N] [--seed N] [--region ...]
 //!                 [--threads N] [--quiet]
-//!                 [--admission-burst N] [--admission-refill-s N]
 //!                 [--store-dir DIR] [--resident-cap N] [--snapshot-every-days N]
 //!                 [--metrics-out F] [--spans-out F]
 //! pmware query    [--region ...] [--seed N] [--days N]
@@ -24,8 +23,8 @@ use pmware_apps::PlaceAdsApp;
 use pmware_bench::args::Args;
 use pmware_bench::deployment::{run_study, StudyConfig};
 use pmware_cloud::{
-    AdmissionConfig, ArrivalBody, CellDatabase, CloudInstance, NextVisitBody, Payload,
-    PlaceOnlyBody, RateBudget, Response, SharedCloud, StorageConfig,
+    ArrivalBody, CellDatabase, CloudInstance, NextVisitBody, Payload, PlaceOnlyBody, Response,
+    SharedCloud, StorageConfig,
 };
 use pmware_core::intents::IntentFilter;
 use pmware_core::pms::{PmsConfig, PmwareMobileService};
@@ -58,14 +57,6 @@ COMMON FLAGS:
     --threads N             Study worker threads (default 1); results
                             are identical at any count
     --quiet                 Study: skip the configuration banner
-
-RATE LIMITING (study):
-    --admission-burst N     Per-user token-bucket burst; 0 = off (default 0)
-    --admission-refill-s N  Seconds per refilled token     (default 60)
-One budget applies to every rate class, with one bucket per user and
-class. Admission decisions are deterministic (seeded, sim-time driven);
-clients honor the 429 `retry_after_s` hint, so a throttled study still
-converges to the same final state, just with fewer wasted wire requests.
 
 STORAGE ENGINE (study):
     --resident-cap N        Max user stores resident in RAM; cold users
@@ -110,8 +101,6 @@ const STUDY_FLAGS: &[&str] = &[
     "days",
     "participants",
     "threads",
-    "admission-burst",
-    "admission-refill-s",
     "store-dir",
     "resident-cap",
     "snapshot-every-days",
@@ -215,31 +204,6 @@ fn granularity(args: &Args) -> Result<Granularity, String> {
             "unknown granularity {other:?} (area|building|room)"
         )),
     }
-}
-
-/// Parses the `--admission-burst` / `--admission-refill-s` pair into an
-/// [`AdmissionConfig`]. Burst 0 (the default) leaves admission control
-/// off entirely.
-fn admission(args: &Args, seed: u64) -> Result<Option<AdmissionConfig>, String> {
-    let burst = args
-        .get("admission-burst", 0u32)
-        .map_err(|e| e.to_string())?;
-    if burst == 0 {
-        if args.has("admission-refill-s") {
-            return Err("--admission-refill-s needs --admission-burst > 0".into());
-        }
-        return Ok(None);
-    }
-    let refill = args
-        .get("admission-refill-s", 60u64)
-        .map_err(|e| e.to_string())?;
-    if refill == 0 {
-        return Err("--admission-refill-s must be positive".into());
-    }
-    Ok(Some(AdmissionConfig::uniform(
-        seed,
-        RateBudget::new(burst, pmware_world::SimDuration::from_seconds(refill)),
-    )))
 }
 
 /// Parses the `--store-dir` / `--resident-cap` / `--snapshot-every-days`
@@ -413,16 +377,12 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         threads: args.get("threads", 1usize).map_err(|e| e.to_string())?,
         obs: obs.clone(),
         storage: storage(args)?,
-        admission: admission(args, seed)?,
     };
     if !args.has("quiet") {
         println!(
             "running {} participants x {} days (seed {})...",
             config.participants, config.days, config.seed
         );
-        if config.admission.is_some() {
-            println!("admission control: on (per-user token buckets)");
-        }
         if let Some(storage) = &config.storage {
             println!(
                 "storage engine: on (resident cap {}, {})",
@@ -587,28 +547,6 @@ fn unless_empty(reply: Result<Response, PmsError>) -> Result<Option<Response>, S
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn admission_flag_mapping() {
-        // Absent or zero burst: controller stays off.
-        assert!(admission(&Args::parse(Vec::<String>::new()), 1)
-            .unwrap()
-            .is_none());
-        assert!(admission(&Args::parse(["--admission-burst", "0"]), 1)
-            .unwrap()
-            .is_none());
-        // A positive burst turns it on (refill defaults to 60s).
-        assert!(admission(&Args::parse(["--admission-burst", "5"]), 1)
-            .unwrap()
-            .is_some());
-        // A refill without a burst is a user error, not a silent no-op.
-        assert!(admission(&Args::parse(["--admission-refill-s", "10"]), 1).is_err());
-        assert!(admission(
-            &Args::parse(["--admission-burst", "5", "--admission-refill-s", "0"]),
-            1
-        )
-        .is_err());
-    }
 
     #[test]
     fn storage_flag_mapping() {

@@ -270,11 +270,6 @@ impl Response {
         self.body.error_message()
     }
 
-    /// The admission controller's `retry_after_s` hint, if present.
-    pub fn retry_after_s(&self) -> Option<u64> {
-        self.body.retry_after_s()
-    }
-
     /// Serialises the response to wire bytes.
     pub fn to_bytes(&self) -> Arc<[u8]> {
         Arc::from(serde_json::to_vec(self).expect("response is serializable"))

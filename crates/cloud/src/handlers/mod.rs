@@ -1,8 +1,8 @@
 //! Endpoint handlers: one small function per route, over a typed [`Ctx`].
 //!
 //! Each submodule owns one endpoint family of §2.3.3 (plus the analytics
-//! queries of §2.3.2). Handlers contain *only* endpoint logic — admission,
-//! auth, and accounting all happened in
+//! queries of §2.3.2). Handlers contain *only* endpoint logic — auth and
+//! accounting both happened in
 //! `CloudInstance::handle` before dispatch — and are wired to paths
 //! exclusively through the route table in [`crate::router`].
 

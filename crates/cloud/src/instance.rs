@@ -10,15 +10,15 @@
 //! [`CloudInstance`] contains no endpoint logic. It is:
 //!
 //! * **state** — a [`CloudCore`] (token store, user shards, cell
-//!   database, GCA config, admission controller, metrics). Its
+//!   database, GCA config, metrics). Its
 //!   configuration is fixed at construction, like a deployed service's;
 //! * **the request path** — [`CloudInstance::handle`] resolves the route
 //!   once and, on a route that is not public, validates the caller once,
-//!   runs the gates (request metrics → admission control → auth →
-//!   authenticated-request count) as plain checks, and hands the request
+//!   runs the gates (request metrics → auth → authenticated-request
+//!   count) as plain checks, and hands the request
 //!   to the route-table dispatcher ([`crate::router`]);
 //! * **construction and accessors** — builders (`with_obs` first, then
-//!   `with_storage`, `with_admission`) plus the snapshot views tests and
+//!   `with_storage`) plus the snapshot views tests and
 //!   benches read.
 //!
 //! Concurrency model: per-user state lives in [`SHARD_COUNT`] lock
@@ -38,7 +38,6 @@ use pmware_world::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::admission::{Admission, AdmissionConfig, AdmissionControl};
 use crate::api::{Request, Response};
 use crate::auth::{TokenStore, UserId};
 use crate::geolocate::CellDatabase;
@@ -125,14 +124,13 @@ impl CloudInstance {
                 cells,
                 gca_config: GcaConfig::default(),
                 rng: Mutex::new(StdRng::seed_from_u64(seed)),
-                admission: None,
                 metrics: CloudMetrics::new(),
             },
         }
     }
 
     /// Binds the instance's aggregate counters (per-endpoint requests,
-    /// replay counts, analytics cache hits, admission denials) to `obs`.
+    /// replay counts, analytics cache hits) to `obs`.
     /// The authenticated-request count stays private — see
     /// [`crate::state`]. The first builder, on a fresh instance:
     ///
@@ -159,15 +157,6 @@ impl CloudInstance {
         let private = core.metrics.private.clone();
         let obs = obs.clone().metrics_or(&private);
         core.metrics = CloudMetrics::resolve(private, obs);
-        self
-    }
-
-    /// Runs deterministic admission control with `config` for the
-    /// instance's whole lifetime: requests over budget are answered 429
-    /// with a `retry_after_s` hint. Without it (the default) every
-    /// request is admitted.
-    pub fn with_admission(mut self, config: AdmissionConfig) -> CloudInstance {
-        self.core.admission = Some(AdmissionControl::new(config));
         self
     }
 
@@ -277,16 +266,6 @@ impl CloudInstance {
         self.core.metrics.authenticated_requests.get()
     }
 
-    /// Admission-control denials so far, summed over rate classes.
-    pub fn admission_denials(&self) -> u64 {
-        self.core
-            .metrics
-            .admission_denied
-            .iter()
-            .map(|c| c.get())
-            .sum()
-    }
-
     /// Observations held by `user`'s discovery engine. The chaos suite's
     /// duplicate-absorb invariant: this never exceeds the client's own
     /// GSM log length, no matter how often offloads are retried,
@@ -330,9 +309,8 @@ impl CloudInstance {
     /// order (see DESIGN.md §5f):
     ///
     /// 1. the endpoint counter;
-    /// 2. admission control, for validated callers;
-    /// 3. auth: 401 before 404/405, so a probe learns nothing;
-    /// 4. the authenticated-request count, then dispatch.
+    /// 2. auth: 401 before 404/405, so a probe learns nothing;
+    /// 3. the authenticated-request count, then dispatch.
     pub fn handle(&self, request: &Request, now: SimTime) -> Response {
         let core = &self.core;
         // Storage-engine clock tick (accessor-path LRU stamps) and the
@@ -340,28 +318,17 @@ impl CloudInstance {
         // storage config.
         core.storage.tick(now);
         let resolution = router::resolve(request.method, &request.path);
-        // Counted above admission and auth: rejected requests cost the
-        // server work too.
+        // Counted above auth: rejected requests cost the server work too.
         core.metrics.endpoint_requests[resolution.endpoint()].inc();
-        let route = match resolution {
-            Resolution::Matched { route, .. } => Some(route),
-            _ => None,
-        };
-        if route.is_some_and(|route| route.auth == RouteAuth::Public) {
-            return router::dispatch(core, resolution, None, request, now);
+        if let Resolution::Matched { route, .. } = resolution {
+            if route.auth == RouteAuth::Public {
+                return router::dispatch(core, resolution, None, request, now);
+            }
         }
         let user = request
             .token
             .as_deref()
             .and_then(|token| core.tokens.read().validate(token, now));
-        // Admission buckets are keyed by the validated caller, so an
-        // invalid or expired token passes through to the 401 below.
-        if let (Some(admission), Some(route), Some(user)) = (&core.admission, route, user) {
-            if let Admission::Deny { retry_after } = admission.admit(user, route.rate_class, now) {
-                core.metrics.admission_denied(route.rate_class).inc();
-                return AdmissionControl::deny_response(route.rate_class, retry_after);
-            }
-        }
         let Some(user) = user else {
             return Response::unauthorized(match request.token {
                 None => "missing bearer token",

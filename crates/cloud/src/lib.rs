@@ -30,14 +30,12 @@
 //! the endpoint bodies live in small per-family handler modules; and
 //! [`CloudInstance::handle`] is one straight-line request path: it
 //! resolves the route and validates the caller once, then runs the
-//! cross-cutting checks (request metrics, the deterministic
-//! [`admission`] controller, token auth) as plain checks before
-//! dispatch.
+//! cross-cutting checks (request metrics, token auth) as plain checks
+//! before dispatch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod analytics;
 pub mod api;
 pub mod auth;
@@ -54,7 +52,6 @@ mod storage;
 pub mod transport;
 pub mod wire;
 
-pub use admission::{AdmissionConfig, RateBudget, STATUS_RATE_LIMITED};
 pub use api::{Method, Request, Response, SpanCtx};
 pub use auth::{AuthToken, DeviceIdentity, UserId};
 pub use geolocate::CellDatabase;
@@ -65,7 +62,7 @@ pub use payload::{
     SyncPlacesBody, SyncProfileBody, SyncRoutesBody,
 };
 pub use profile::{ActivitySummary, ContactEntry, MobilityProfile, PlaceEntry, RouteEntry};
-pub use router::{RateClass, Route, RouteAuth, ALL_RATE_CLASSES, ENDPOINT_LABELS, ROUTES};
+pub use router::{Route, RouteAuth, ENDPOINT_LABELS, ROUTES};
 pub use storage::StorageConfig;
 pub use transport::{
     CloudEndpoint, CloudTransport, FaultKind, FaultPlan, FaultStats, FaultyCloud, ALL_FAULT_KINDS,

@@ -17,8 +17,7 @@
 //!   a request body reads any body as [`Payload::Empty`]);
 //! * **replies** — [`Payload::reply_from_json`] decodes a 2xx body as the
 //!   route's reply shape, and any other body as
-//!   [`Payload::MethodNotAllowed`] (405), [`Payload::RateLimited`] (429) or
-//!   [`Payload::Error`].
+//!   [`Payload::MethodNotAllowed`] (405) or [`Payload::Error`].
 //!
 //! Both decodes are total: a body that does not decode for its route
 //! becomes [`Payload::Invalid`], which keeps the JSON it arrived as (so
@@ -43,7 +42,7 @@ use serde_json::Value;
 use crate::api::Method;
 use crate::auth::UserId;
 use crate::profile::{ContactEntry, MobilityProfile};
-use crate::router::{resolve, RateClass, Resolution, ALL_RATE_CLASSES};
+use crate::router::{resolve, Resolution};
 use crate::wire::ObservationBatch;
 
 /// `POST /api/v1/registration` body.
@@ -200,8 +199,8 @@ pub struct PlaceOnlyBody {
 ///
 /// One variant per route-table request shape, one per handler response
 /// shape, plus the infrastructure variants ([`Payload::Empty`],
-/// [`Payload::Invalid`], [`Payload::Error`], [`Payload::MethodNotAllowed`],
-/// [`Payload::RateLimited`]). See the module docs for how JSON becomes a
+/// [`Payload::Invalid`], [`Payload::Error`], [`Payload::MethodNotAllowed`]).
+/// See the module docs for how JSON becomes a
 /// payload and how every variant spells itself back.
 #[derive(Debug, Clone)]
 pub enum Payload {
@@ -227,14 +226,6 @@ pub enum Payload {
         /// Methods the path does accept (the HTTP `Allow` header,
         /// carried in the body here).
         allow: Vec<Method>,
-    },
-    /// The 429 admission-control body:
-    /// `{"class": ..., "error": "rate limited", "retry_after_s": ...}`.
-    RateLimited {
-        /// The admission class whose bucket ran dry.
-        class: RateClass,
-        /// Seconds until the bucket refills — the client's retry hint.
-        retry_after_s: u64,
     },
 
     // ---- request bodies (one per POST route) -----------------------------
@@ -491,14 +482,6 @@ wire_spelling! {
             .put("allow", &allow.iter().map(|m| m.as_str()).collect::<Vec<_>>())
             .put("error", &"method not allowed")
             .build(),
-        Payload::RateLimited {
-            class,
-            retry_after_s,
-        } => Obj::new()
-            .put("class", &class.label())
-            .put("error", &"rate limited")
-            .put("retry_after_s", retry_after_s)
-            .build(),
         Payload::Health => Obj::new().put("status", &"ok").build(),
         Payload::Discover(b) => {
             // A batched offload never also spells the plain array —
@@ -566,19 +549,6 @@ fn reply_method_not_allowed(body: &Value) -> Result<Payload, DeError> {
     Ok(Payload::MethodNotAllowed { allow })
 }
 
-/// Decodes the 429 body (`class` carries the rate class's label).
-fn reply_rate_limited(body: &Value) -> Result<Payload, DeError> {
-    let label = field::<String>(body, "reply", "class")?;
-    let class = ALL_RATE_CLASSES
-        .into_iter()
-        .find(|class| class.label() == label)
-        .ok_or_else(|| DeError::custom(format!("unknown rate class {label:?}")))?;
-    Ok(Payload::RateLimited {
-        class,
-        retry_after_s: field(body, "reply", "retry_after_s")?,
-    })
-}
-
 impl Payload {
     /// Decodes a request body arriving at the wire boundary as the
     /// request type of the route `(method, path)` resolves to. Total: a
@@ -595,13 +565,11 @@ impl Payload {
 
     /// Decodes the body of a `status` reply to a request for `(method,
     /// path)`: a 2xx body as the route's reply shape, a 405 as
-    /// [`Payload::MethodNotAllowed`], a 429 as [`Payload::RateLimited`],
-    /// anything else as [`Payload::Error`]. Total, like
-    /// [`Payload::from_json`].
+    /// [`Payload::MethodNotAllowed`], anything else as [`Payload::Error`].
+    /// Total, like [`Payload::from_json`].
     pub fn reply_from_json(method: Method, path: &str, status: u16, body: &Value) -> Payload {
         let decoded = match (status, decoders(method, path)) {
             (405, _) => reply_method_not_allowed(body),
-            (429, _) => reply_rate_limited(body),
             (200..=299, Some((_, reply))) => reply(body),
             (200..=299, None) => Err(DeError::custom(format!("no route for {path}"))),
             _ => field(body, "reply", "error").map(|message| Payload::Error { message }),
@@ -621,15 +589,6 @@ impl Payload {
         match self {
             Payload::Error { message } => Some(message),
             Payload::MethodNotAllowed { .. } => Some("method not allowed"),
-            Payload::RateLimited { .. } => Some("rate limited"),
-            _ => None,
-        }
-    }
-
-    /// The admission controller's `retry_after_s` hint, if present.
-    pub fn retry_after_s(&self) -> Option<u64> {
-        match self {
-            Payload::RateLimited { retry_after_s, .. } => Some(*retry_after_s),
             _ => None,
         }
     }
@@ -762,15 +721,5 @@ mod tests {
             m.to_json(),
             json!({ "error": "method not allowed", "allow": ["GET", "POST"] })
         );
-
-        let r = Payload::RateLimited {
-            class: RateClass::Ingest,
-            retry_after_s: 12,
-        };
-        assert_eq!(
-            r.to_json(),
-            json!({ "error": "rate limited", "class": "ingest", "retry_after_s": 12 })
-        );
-        assert_eq!(r.retry_after_s(), Some(12));
     }
 }

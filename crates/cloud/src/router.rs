@@ -1,12 +1,12 @@
 //! The declarative route table — the single source of truth for dispatch.
 //!
 //! Every endpoint of the cloud instance is one [`Route`] row: method, path
-//! shape, auth requirement, admission-control [`RateClass`], the stable
-//! metric label, the handler function, and the request and reply body
-//! decoders the wire boundary uses. Dispatch, the per-endpoint
+//! shape, auth requirement, whether a success is logged to the durable
+//! WAL, the stable metric label, the handler function, and the request and
+//! reply body decoders the wire boundary uses. Dispatch, the per-endpoint
 //! metric dimension ([`ENDPOINT_LABELS`]), 404-vs-405 semantics, and the
-//! admission controller's class lookup are all derived from this one
-//! table, so adding an endpoint is a single row — there is no second,
+//! WAL's choice of logged requests are all derived from this one table,
+//! so adding an endpoint is a single row — there is no second,
 //! hand-maintained match to drift out of sync (the `endpoint_index`
 //! hazard of earlier revisions).
 
@@ -18,41 +18,6 @@ use crate::payload::{
     NextVisitBody, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody,
     SyncContactsBody, SyncPlacesBody, SyncProfileBody, SyncRoutesBody,
 };
-
-/// Admission-control class of a route: which token bucket a request draws
-/// from when the deterministic admission controller is enabled. Classes
-/// mirror the cost and urgency of the work behind the endpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum RateClass {
-    /// Registration and token refresh — cheap, availability-critical.
-    Auth,
-    /// Bulk ingest: offloads and syncs that move client state up.
-    Ingest,
-    /// Interactive reads: lists, fetches, geolocation.
-    Query,
-    /// Analytics and prediction queries — the expensive tier.
-    Analytics,
-}
-
-/// All rate classes, in a stable order (metric label order).
-pub const ALL_RATE_CLASSES: [RateClass; 4] = [
-    RateClass::Auth,
-    RateClass::Ingest,
-    RateClass::Query,
-    RateClass::Analytics,
-];
-
-impl RateClass {
-    /// Stable lower-case name, used as the `class` metric label.
-    pub fn label(self) -> &'static str {
-        match self {
-            RateClass::Auth => "auth",
-            RateClass::Ingest => "ingest",
-            RateClass::Query => "query",
-            RateClass::Analytics => "analytics",
-        }
-    }
-}
 
 /// Authentication requirement of a route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,8 +56,11 @@ pub struct Route {
     pub path: PathSpec,
     /// Whether a bearer token is required.
     pub auth: RouteAuth,
-    /// Admission-control class.
-    pub rate_class: RateClass,
+    /// Whether a successful request's typed body is appended to the
+    /// durable WAL: the routes that move client state up (offloads,
+    /// syncs and the label). Registration and token refresh log their
+    /// grants on their own (see `StorageEngine::record_success`).
+    pub logged: bool,
     /// Stable endpoint label (the `endpoint` metric dimension).
     pub label: &'static str,
     /// Handler function (see [`crate::handlers`]).
@@ -109,7 +77,7 @@ impl std::fmt::Debug for Route {
             .field("method", &self.method)
             .field("path", &self.path)
             .field("auth", &self.auth)
-            .field("rate_class", &self.rate_class)
+            .field("logged", &self.logged)
             .field("label", &self.label)
             .finish_non_exhaustive()
     }
@@ -121,7 +89,7 @@ const fn route(
     method: Method,
     path: PathSpec,
     auth: RouteAuth,
-    rate_class: RateClass,
+    logged: bool,
     label: &'static str,
     handler: Handler,
     decoders: (Decoder, Decoder),
@@ -130,7 +98,7 @@ const fn route(
         method,
         path,
         auth,
-        rate_class,
+        logged,
         label,
         handler,
         decoders,
@@ -139,8 +107,11 @@ const fn route(
 
 use Method::{Get, Post};
 use PathSpec::{Exact, Prefix};
-use RateClass::{Analytics, Auth, Ingest, Query};
 use RouteAuth::{Bearer, Public};
+
+/// The table's `logged` column.
+const LOGGED: bool = true;
+const UNLOGGED: bool = false;
 
 /// The route table. Ordering is load-bearing twice over: resolution takes
 /// the first match (so exact paths shadow the profiles prefix row), and
@@ -152,7 +123,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/registration"),
         Public,
-        Auth,
+        UNLOGGED,
         "register",
         handlers::registration::register,
         (
@@ -164,7 +135,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/token/refresh"),
         Bearer,
-        Auth,
+        UNLOGGED,
         "token_refresh",
         handlers::registration::token_refresh,
         (payload::decode_none, payload::reply_token_refreshed),
@@ -173,7 +144,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/places/discover"),
         Bearer,
-        Ingest,
+        LOGGED,
         "places_discover",
         handlers::places::discover,
         (payload::decode::<DiscoverBody>, payload::reply_discovered),
@@ -182,7 +153,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/places/sync"),
         Bearer,
-        Ingest,
+        LOGGED,
         "places_sync",
         handlers::places::sync,
         (payload::decode::<SyncPlacesBody>, payload::reply_sync_ack),
@@ -191,7 +162,7 @@ pub const ROUTES: [Route; 21] = [
         Get,
         Exact("/api/v1/places"),
         Bearer,
-        Query,
+        UNLOGGED,
         "places_list",
         handlers::places::list,
         (payload::decode_none, payload::reply_places),
@@ -200,7 +171,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/places/label"),
         Bearer,
-        Ingest,
+        LOGGED,
         "places_label",
         handlers::places::label,
         (payload::decode::<LabelBody>, payload::reply_labelled),
@@ -209,7 +180,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/routes/sync"),
         Bearer,
-        Ingest,
+        LOGGED,
         "routes_sync",
         handlers::routes::sync,
         (payload::decode::<SyncRoutesBody>, payload::reply_sync_ack),
@@ -218,7 +189,7 @@ pub const ROUTES: [Route; 21] = [
         Get,
         Exact("/api/v1/routes"),
         Bearer,
-        Query,
+        UNLOGGED,
         "routes_list",
         handlers::routes::list,
         (payload::decode_none, payload::reply_routes),
@@ -227,7 +198,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/routes/query"),
         Bearer,
-        Query,
+        UNLOGGED,
         "routes_query",
         handlers::routes::query,
         (payload::decode::<RouteQueryBody>, payload::reply_routes),
@@ -236,7 +207,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/profiles/sync"),
         Bearer,
-        Ingest,
+        LOGGED,
         "profiles_sync",
         handlers::profiles::sync,
         (
@@ -248,7 +219,7 @@ pub const ROUTES: [Route; 21] = [
         Get,
         Prefix(handlers::profiles::DAY_PREFIX),
         Bearer,
-        Query,
+        UNLOGGED,
         "profiles_get",
         handlers::profiles::get_day,
         (payload::decode_none, payload::reply_profile_day),
@@ -257,7 +228,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/social/sync"),
         Bearer,
-        Ingest,
+        LOGGED,
         "social_sync",
         handlers::social::sync,
         (
@@ -269,7 +240,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/social/query"),
         Bearer,
-        Query,
+        UNLOGGED,
         "social_query",
         handlers::social::query,
         (payload::decode::<SocialQueryBody>, payload::reply_contacts),
@@ -278,7 +249,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/misc/geolocate"),
         Bearer,
-        Query,
+        UNLOGGED,
         "geolocate",
         handlers::geolocate::by_cell,
         (payload::decode::<GeolocateBody>, payload::reply_position),
@@ -287,7 +258,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/misc/geolocate_signature"),
         Bearer,
-        Query,
+        UNLOGGED,
         "geolocate_signature",
         handlers::geolocate::by_signature,
         (
@@ -299,7 +270,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/analytics/arrival"),
         Bearer,
-        Analytics,
+        UNLOGGED,
         "analytics_arrival",
         handlers::analytics::arrival,
         (payload::decode::<ArrivalBody>, payload::reply_arrival_at),
@@ -308,7 +279,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/analytics/next_visit"),
         Bearer,
-        Analytics,
+        UNLOGGED,
         "analytics_next_visit",
         handlers::analytics::next_visit,
         (payload::decode::<NextVisitBody>, payload::reply_visit_at),
@@ -317,7 +288,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/analytics/frequency"),
         Bearer,
-        Analytics,
+        UNLOGGED,
         "analytics_frequency",
         handlers::analytics::frequency,
         (payload::decode::<PlaceOnlyBody>, payload::reply_frequency),
@@ -326,7 +297,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/analytics/activity"),
         Bearer,
-        Analytics,
+        UNLOGGED,
         "analytics_activity",
         handlers::analytics::activity,
         (payload::decode_none, payload::reply_activity),
@@ -335,7 +306,7 @@ pub const ROUTES: [Route; 21] = [
         Post,
         Exact("/api/v1/analytics/next_place"),
         Bearer,
-        Analytics,
+        UNLOGGED,
         "analytics_next_place",
         handlers::analytics::next_place,
         (payload::decode::<PlaceOnlyBody>, payload::reply_predictions),
@@ -345,7 +316,7 @@ pub const ROUTES: [Route; 21] = [
         Get,
         Exact("/api/v1/health"),
         Public,
-        Query,
+        UNLOGGED,
         "health",
         handlers::health::status,
         (payload::decode_none, payload::reply_health),
@@ -465,12 +436,8 @@ pub(crate) fn dispatch(
             // logged *after* the handler, so a logged record is always a
             // request that actually shaped state. One atomic load while
             // the engine is disabled.
-            core.storage.record_success(
-                request,
-                &response,
-                user,
-                route.rate_class == RateClass::Ingest,
-            );
+            core.storage
+                .record_success(request, &response, user, route.logged);
             response
         }
         Resolution::MethodNotAllowed { allow } => Response::method_not_allowed(allow),

@@ -12,7 +12,6 @@ use pmware_obs::{Counter, Obs};
 use pmware_world::SimTime;
 use rand::rngs::StdRng;
 
-use crate::admission::AdmissionControl;
 use crate::analytics::ProfileHistory;
 use crate::auth::{TokenStore, UserId};
 use crate::geolocate::CellDatabase;
@@ -77,8 +76,7 @@ impl Default for UserStore {
 /// Registry-backed cloud counters.
 ///
 /// Two registries are involved on purpose. Per-**endpoint** requests,
-/// idempotent-replay counts, admission denials, and the analytics cache
-/// hit/miss counters bind to a study-wide shared registry via
+/// idempotent-replay counts, and the analytics cache hit/miss counters bind to a study-wide shared registry via
 /// `CloudInstance::with_obs`. The authenticated-request count behind
 /// `CloudInstance::total_requests` stays in the instance's private
 /// registry always, so binding an instance to a shared registry adds no
@@ -105,10 +103,6 @@ pub(crate) struct CloudMetrics {
     pub(crate) replay_social_sync: Counter,
     pub(crate) cache_hits: Counter,
     pub(crate) cache_misses: Counter,
-    /// Admission-control denials, per rate class (order-independent: each
-    /// user's request stream is sequential, so denial counts do not race
-    /// across thread schedules).
-    pub(crate) admission_denied: Vec<Counter>,
 }
 
 impl CloudMetrics {
@@ -124,10 +118,6 @@ impl CloudMetrics {
             .map(|label| obs.counter("cloud_requests_total", &[("endpoint", label)]))
             .collect();
         debug_assert_eq!(endpoint_requests.len(), ENDPOINT_COUNT);
-        let admission_denied = crate::router::ALL_RATE_CLASSES
-            .iter()
-            .map(|class| obs.counter("cloud_admission_denied_total", &[("class", class.label())]))
-            .collect();
         CloudMetrics {
             shared: obs.clone(),
             authenticated_requests,
@@ -140,18 +130,8 @@ impl CloudMetrics {
             replay_social_sync: obs.counter("cloud_replays_total", &[("endpoint", "social_sync")]),
             cache_hits: obs.counter("cloud_analytics_cache_total", &[("result", "hit")]),
             cache_misses: obs.counter("cloud_analytics_cache_total", &[("result", "miss")]),
-            admission_denied,
             private,
         }
-    }
-
-    /// The admission-denial counter for a rate class.
-    pub(crate) fn admission_denied(&self, class: crate::router::RateClass) -> &Counter {
-        let slot = crate::router::ALL_RATE_CLASSES
-            .iter()
-            .position(|c| *c == class)
-            .expect("known class");
-        &self.admission_denied[slot]
     }
 }
 
@@ -168,9 +148,6 @@ pub(crate) struct CloudCore {
     /// The parameters every user's discovery engine runs under.
     pub(crate) gca_config: GcaConfig,
     pub(crate) rng: Mutex<StdRng>,
-    /// Per-user token buckets (see [`crate::admission`]); `None` admits
-    /// every request.
-    pub(crate) admission: Option<AdmissionControl>,
     pub(crate) metrics: CloudMetrics,
 }
 

@@ -725,14 +725,14 @@ impl StorageEngine {
 
     /// WAL hook, called by the dispatcher after every handled request.
     /// Registration successes bind the user's identity key; in durable
-    /// mode, registrations, token rotations, and `Ingest`-class successes
-    /// are appended to the log.
+    /// mode, registrations, token rotations, and successes on the routes
+    /// the table marks `logged` are appended to the log.
     pub(crate) fn record_success(
         &self,
         request: &Request,
         response: &Response,
         user: Option<UserId>,
-        ingest: bool,
+        logged: bool,
     ) {
         if !self.is_enabled()
             || self.inner.replaying.load(Ordering::SeqCst)
@@ -775,7 +775,7 @@ impl StorageEngine {
             return;
         }
         // Cap-only mode logs nothing, so it copies no body.
-        if !ingest || !self.is_durable() {
+        if !logged || !self.is_durable() {
             return;
         }
         if let (Some(user), Some(op)) = (user, WalOp::of_request(request)) {

@@ -444,7 +444,7 @@ mod tests {
     use crate::codec::take_str;
     use crate::payload::Payload;
     use crate::profile::{ContactEntry, MobilityProfile, PlaceEntry};
-    use crate::router::{PathSpec, RateClass, ROUTES};
+    use crate::router::{PathSpec, ROUTES};
     use crate::storage::snapshot::tests::{generated_store, Gen};
     use pmware_algorithms::route::{CanonicalRoute, RouteGeometry, RouteId};
     use pmware_algorithms::signature::{
@@ -595,8 +595,7 @@ mod tests {
     fn every_logged_record_round_trips_through_its_frame() {
         let requests = logged_requests();
         for route in ROUTES {
-            let logged = route.rate_class == RateClass::Ingest
-                || route.path == PathSpec::Exact(REGISTRATION_PATH);
+            let logged = route.logged || route.path == PathSpec::Exact(REGISTRATION_PATH);
             if let (true, PathSpec::Exact(path)) = (logged, route.path) {
                 assert!(
                     requests.iter().any(|r| r.path == path),

@@ -1,22 +1,18 @@
 //! End-to-end endpoint tests through the full request path.
 //!
 //! These exercise every route family via `CloudInstance::handle` — i.e.
-//! the metrics, admission, and auth gates plus the route-table
+//! the metrics and auth gates plus the route-table
 //! dispatcher — exactly as a client sees the service.
 
 use pmware_algorithms::gca::GcaConfig;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
 use pmware_cloud::profile::{ContactEntry, MobilityProfile, PlaceEntry};
-use pmware_cloud::{
-    AdmissionConfig, CellDatabase, CloudInstance, RateBudget, Request, SharedCloud, StorageConfig,
-    UserId,
-};
+use pmware_cloud::{CellDatabase, CloudInstance, Request, SharedCloud, StorageConfig, UserId};
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
 use serde_json::{json, Value};
-use std::convert::identity;
 
 fn cloud() -> CloudInstance {
     CloudInstance::new(CellDatabase::new(), 42)
@@ -902,12 +898,11 @@ fn batched_discover_edge_cases_yield_400_not_panics() {
 // ---------------------------------------------------------------------
 // Gate precedence: which check answers a request first.
 //
-// Every case builds a fresh instance bound to its own registry (with
-// the case's admission config), registers one user, puts it in the
-// state under test, and sends one probe. The probe's status and error
-// text say which gate answered; the counter deltas say which gates it
-// passed on the way (the endpoint counter, the authenticated-request
-// count and admission denials).
+// Every case builds a fresh instance bound to its own registry,
+// registers one user, puts it in the state under test, and sends one
+// probe. The probe's status and error text say which gate answered; the
+// counter deltas say which gates it passed on the way (the endpoint
+// counter and the authenticated-request count).
 // ---------------------------------------------------------------------
 
 /// A fresh instance with one registered user (`imei-0`).
@@ -917,9 +912,9 @@ struct Scene {
     token: String,
 }
 
-fn scene(configure: fn(CloudInstance) -> CloudInstance) -> Scene {
+fn scene() -> Scene {
     let obs = Obs::new();
-    let cloud = configure(cloud().with_obs(&obs));
+    let cloud = cloud().with_obs(&obs);
     let resp = cloud.handle(&registration(0), SimTime::EPOCH);
     assert!(resp.is_success(), "{resp:?}");
     Scene {
@@ -944,15 +939,6 @@ fn at(seconds: u64) -> SimTime {
     SimTime::EPOCH + SimDuration::from_seconds(seconds)
 }
 
-/// Admission control: `burst` requests per class, one token back every
-/// `refill_s` seconds.
-fn budget(cloud: CloudInstance, burst: u32, refill_s: u64) -> CloudInstance {
-    cloud.with_admission(AdmissionConfig::uniform(
-        7,
-        RateBudget::new(burst, SimDuration::from_seconds(refill_s)),
-    ))
-}
-
 /// What a probe produced and which counters it moved.
 #[derive(Debug, PartialEq)]
 struct GateOutcome {
@@ -963,28 +949,22 @@ struct GateOutcome {
     endpoint_requests: u64,
     /// `total_requests()` delta.
     authenticated: u64,
-    /// `admission_denials()` delta.
-    denied: u64,
 }
 
 /// The expected outcome, counter deltas in the order
-/// `[endpoint_requests, authenticated, denied]`.
-fn gate(status: u16, error: Option<&str>, deltas: [u64; 3]) -> GateOutcome {
+/// `[endpoint_requests, authenticated]`.
+fn gate(status: u16, error: Option<&str>, deltas: [u64; 2]) -> GateOutcome {
     GateOutcome {
         status,
         error: error.map(str::to_owned),
         allow: None,
         endpoint_requests: deltas[0],
         authenticated: deltas[1],
-        denied: deltas[2],
     }
 }
 
 struct GateCase {
     name: &'static str,
-    /// Builds the case's instance on the registry-bound one, before the
-    /// scene registers its user.
-    configure: fn(CloudInstance) -> CloudInstance,
     /// Puts the scene in the state under test; returns the probe and the
     /// instant it is sent at.
     arrange: fn(&Scene) -> (Request, SimTime),
@@ -994,15 +974,11 @@ struct GateCase {
 }
 
 fn probe(case: &GateCase) -> GateOutcome {
-    let s = scene(case.configure);
+    let s = scene();
     let (request, now) = (case.arrange)(&s);
     let key = format!("cloud_requests_total{{endpoint=\"{}\"}}", case.endpoint);
     let counted = |s: &Scene| s.obs.metrics().unwrap().snapshot().counter_value(&key);
-    let before = (
-        counted(&s),
-        s.cloud.total_requests(),
-        s.cloud.admission_denials(),
-    );
+    let before = (counted(&s), s.cloud.total_requests());
     let resp = s.cloud.handle(&request, now);
     let body = resp.json();
     GateOutcome {
@@ -1011,7 +987,6 @@ fn probe(case: &GateCase) -> GateOutcome {
         allow: body.get("allow").cloned(),
         endpoint_requests: counted(&s) - before.0,
         authenticated: s.cloud.total_requests() - before.1,
-        denied: s.cloud.admission_denials() - before.2,
     }
 }
 
@@ -1022,14 +997,12 @@ fn gates_answer_in_a_fixed_order() {
     let cases = vec![
         GateCase {
             name: "missing token on an unrouted path",
-            configure: identity,
             arrange: |_| (Request::get("/api/v1/nope"), at(0)),
             endpoint: "other",
-            expect: gate(401, Some("missing bearer token"), [1, 0, 0]),
+            expect: gate(401, Some("missing bearer token"), [1, 0]),
         },
         GateCase {
             name: "expired token on an unrouted path",
-            configure: identity,
             arrange: |s| {
                 (
                     Request::get("/api/v1/nope").with_token(&s.token),
@@ -1037,18 +1010,16 @@ fn gates_answer_in_a_fixed_order() {
                 )
             },
             endpoint: "other",
-            expect: gate(401, unauthorized, [1, 0, 0]),
+            expect: gate(401, unauthorized, [1, 0]),
         },
         GateCase {
             name: "valid token on an unrouted path",
-            configure: identity,
             arrange: |s| (Request::get("/api/v1/nope").with_token(&s.token), at(0)),
             endpoint: "other",
-            expect: gate(404, Some("no route for /api/v1/nope"), [1, 1, 0]),
+            expect: gate(404, Some("no route for /api/v1/nope"), [1, 1]),
         },
         GateCase {
             name: "wrong method with a valid token",
-            configure: identity,
             arrange: |s| {
                 (
                     Request::get("/api/v1/places/sync").with_token(&s.token),
@@ -1058,49 +1029,22 @@ fn gates_answer_in_a_fixed_order() {
             endpoint: "other",
             expect: GateOutcome {
                 allow: Some(json!(["POST"])),
-                ..gate(405, Some("method not allowed"), [1, 1, 0])
+                ..gate(405, Some("method not allowed"), [1, 1])
             },
         },
         GateCase {
-            name: "over budget with a valid token",
-            configure: |c| budget(c, 1, 600),
-            arrange: |s| {
-                assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
-                (list_places(&s.token), at(0))
-            },
+            name: "expired token on a routed path",
+            arrange: |s| (list_places(&s.token), at(EXPIRED)),
             endpoint: "places_list",
-            expect: gate(429, Some("rate limited"), [1, 0, 1]),
+            expect: gate(401, unauthorized, [1, 0]),
         },
         GateCase {
-            // Only validated callers have a bucket: the expired token is
-            // rejected by auth, not throttled.
-            name: "over budget with an expired token",
-            configure: |c| budget(c, 1, 2 * EXPIRED),
-            arrange: |s| {
-                assert!(s.cloud.handle(&list_places(&s.token), at(0)).is_success());
-                (list_places(&s.token), at(EXPIRED))
-            },
-            endpoint: "places_list",
-            expect: gate(401, unauthorized, [1, 0, 0]),
-        },
-        GateCase {
-            // The refresh spends the user's only `auth`-class token; the
-            // public registration route is never throttled, even when the
-            // caller attaches a valid token.
-            name: "registration while over budget",
-            configure: |c| budget(c, 1, 600),
-            arrange: |s| {
-                let refresh =
-                    Request::post_json("/api/v1/token/refresh", Value::Null).with_token(&s.token);
-                let resp = s.cloud.handle(&refresh, at(0));
-                assert!(resp.is_success(), "{resp:?}");
-                let token = resp.json()["token"].as_str().unwrap().to_owned();
-                let denied = s.cloud.handle(&refresh.with_token(&token), at(0));
-                assert_eq!(denied.status, 429, "{denied:?}");
-                (registration(0).with_token(&token), at(0))
-            },
+            // The public registration route ignores a token the caller
+            // attaches.
+            name: "registration with a valid token attached",
+            arrange: |s| (registration(0).with_token(&s.token), at(0)),
             endpoint: "register",
-            expect: gate(200, None, [1, 0, 0]),
+            expect: gate(200, None, [1, 0]),
         },
     ];
     for case in &cases {
@@ -1108,24 +1052,16 @@ fn gates_answer_in_a_fixed_order() {
     }
 }
 
-/// An instance built without `with_admission` has no admission surface
-/// at all: no 429 however fast one user sends. The health body is
-/// liveness only.
+/// The health body is liveness only.
 #[test]
-fn unconfigured_instance_has_no_admission_surface() {
+fn health_body_is_liveness_only() {
     let obs = Obs::new();
     let c = cloud().with_obs(&obs);
-    let token = register(&c, 0, SimTime::EPOCH);
-    for _ in 0..100 {
-        let resp = c.handle(&list_places(&token), SimTime::EPOCH);
-        assert!(resp.is_success(), "{resp:?}");
-    }
     let health = c.handle(&Request::get("/api/v1/health"), SimTime::EPOCH);
     assert!(health.is_success(), "{health:?}");
     assert_eq!(health.json().to_string(), r#"{"status":"ok"}"#);
     let json = obs.metrics_json().unwrap();
     assert!(json.contains("cloud_requests_total"), "{json}");
-    assert_eq!(c.admission_denials(), 0);
 }
 
 /// The storage engine binds its gauge and counters to the registry it

@@ -186,7 +186,7 @@ proptest! {
     }
 
     /// Every reply the server can send survives the wire: each route's
-    /// success shape and the 400/404/405/429 error shapes, spelled as
+    /// success shape and the 400/404/405 error shapes, spelled as
     /// bytes and decoded back by the route and the status, come back as
     /// the same variant with the same bytes.
     #[test]
@@ -195,7 +195,7 @@ proptest! {
         x in -90.0..90.0f64,
     ) {
         use pmware_cloud::router::ROUTES;
-        use pmware_cloud::{Method, Payload, RateClass, Response};
+        use pmware_cloud::{Method, Response};
 
         for route in ROUTES.iter() {
             let path = sample_path(route);
@@ -204,10 +204,6 @@ proptest! {
                 Response::bad_request(format!("invalid body: {n}")),
                 Response::not_found(format!("no route for {path}")),
                 Response::method_not_allowed(&[Method::Get, Method::Post]),
-                Response::with_status(
-                    429,
-                    Payload::RateLimited { class: RateClass::Ingest, retry_after_s: n },
-                ),
             ];
             for reply in replies {
                 let bytes = reply.to_bytes();

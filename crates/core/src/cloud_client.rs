@@ -25,8 +25,7 @@ use pmware_cloud::wire::ObservationBatch;
 use pmware_cloud::{
     CloudEndpoint, DiscoverBody, GeolocateSignatureBody, LabelBody, MobilityProfile, Payload,
     RegistrationBody, Request, Response, SpanCtx, SyncContactsBody, SyncPlacesBody,
-    SyncProfileBody, SyncRoutesBody, UserId, STATUS_BUDGET_EXHAUSTED, STATUS_RATE_LIMITED,
-    STATUS_TIMEOUT,
+    SyncProfileBody, SyncRoutesBody, UserId, STATUS_BUDGET_EXHAUSTED, STATUS_TIMEOUT,
 };
 use pmware_geo::GeoPoint;
 use pmware_obs::{Counter, FieldValue, Histogram, Obs, SpanSink};
@@ -77,11 +76,10 @@ impl RequestClass {
 }
 
 /// Transport-level failures worth retrying: 5xx (injected errors,
-/// synthetic timeouts) plus 429 (admission control shed the request — it
-/// will be admitted once the token bucket refills). Other 4xx are the
-/// server telling us the request itself is wrong — retrying cannot help.
+/// synthetic timeouts). A 4xx is the server telling us the request itself
+/// is wrong — retrying cannot help.
 fn retryable(status: u16) -> bool {
-    status == STATUS_RATE_LIMITED || (500..=599).contains(&status)
+    (500..=599).contains(&status)
 }
 
 /// Deterministic jitter in `[0, cap]` seconds, derived purely from the
@@ -137,7 +135,6 @@ struct ClientMetrics {
     retries: Counter,
     budget_denied: Counter,
     timeouts: Counter,
-    rate_limited: Counter,
     backoff_seconds: Histogram,
     /// Whether [`CloudClient::set_obs`] has run.
     bound: bool,
@@ -151,7 +148,6 @@ impl ClientMetrics {
             retries: obs.counter("client_retries_total", &labels),
             budget_denied: obs.counter("client_budget_denied_total", &labels),
             timeouts: obs.counter("client_timeouts_total", &labels),
-            rate_limited: obs.counter("client_rate_limited_total", &labels),
             backoff_seconds: obs.histogram("client_backoff_seconds", &labels, &BACKOFF_BOUNDS),
             obs: obs.clone(),
             bound: false,
@@ -171,12 +167,6 @@ pub struct CloudClient {
     sync_seq: u64,
     /// Remaining wire sends in the current maintenance pass, when capped.
     budget: Option<u32>,
-    /// When true (the default), a 429's `retry_after_s` hint schedules the
-    /// retry to exactly when the server says the token bucket refills —
-    /// no jitter needed, buckets are per-user so there is no cross-client
-    /// contention to spread. When false, 429s fall back to the same blind
-    /// exponential backoff as 5xx (the baseline for the rate-limit study).
-    honor_retry_after: bool,
     /// Monotonic logical-operation counter: trace ids are
     /// `SpanSink::trace_id(actor, op_seq)`, a pure function of the
     /// workload. Incremented before use, so sequence 0 stays the actor's
@@ -207,7 +197,6 @@ impl CloudClient {
             token_expires: now,
             sync_seq: 0,
             budget: None,
-            honor_retry_after: true,
             op_seq: 0,
             metrics: ClientMetrics::resolve(&Obs::new()),
         };
@@ -245,7 +234,6 @@ impl CloudClient {
             token_expires: state.token_expires,
             sync_seq: state.sync_seq,
             budget: None,
-            honor_retry_after: true,
             op_seq: state.op_seq,
             metrics: ClientMetrics::resolve(&Obs::new()),
         }
@@ -255,8 +243,8 @@ impl CloudClient {
     /// to `obs`. Call once, right after [`register`](Self::register) or
     /// [`from_state`](Self::from_state); a second call panics, since it
     /// would add the bound totals to themselves. Until then the client counts into
-    /// a private registry; binding *adds* the wire requests, retries and
-    /// 429s recorded there (the registration exchange) to the bound
+    /// a private registry; binding *adds* the wire requests and retries
+    /// recorded there (the registration exchange) to the bound
     /// counters, so a shared counter never goes down. When `obs` has no
     /// registry, only its span sink and actor are taken and the counters
     /// stay private.
@@ -268,7 +256,6 @@ impl CloudClient {
             let unbound = std::mem::replace(&mut self.metrics, ClientMetrics::resolve(obs));
             self.metrics.wire_requests.add(unbound.wire_requests.get());
             self.metrics.retries.add(unbound.retries.get());
-            self.metrics.rate_limited.add(unbound.rate_limited.get());
         }
         self.metrics.bound = true;
     }
@@ -299,18 +286,6 @@ impl CloudClient {
         self.metrics.retries.get()
     }
 
-    /// 429 responses received from the cloud's admission controller.
-    pub fn rate_limited(&self) -> u64 {
-        self.metrics.rate_limited.get()
-    }
-
-    /// Whether 429 `retry_after_s` hints steer the retry schedule
-    /// (default: they do). Disable to fall back to blind exponential
-    /// backoff — useful as the baseline in rate-limit experiments.
-    pub fn set_honor_retry_after(&mut self, honor: bool) {
-        self.honor_retry_after = honor;
-    }
-
     /// Caps the number of wire sends until [`CloudClient::end_maintenance_pass`]:
     /// a maintenance pass on a bad link must not spin through unbounded
     /// retries. Once exhausted, calls fail immediately with a synthetic
@@ -339,7 +314,6 @@ impl CloudClient {
         self.op_seq += fresh.op_seq;
         self.metrics.wire_requests.add(fresh.wire_requests());
         self.metrics.retries.add(fresh.retries());
-        self.metrics.rate_limited.add(fresh.rate_limited());
         self.user = fresh.user;
         self.token = fresh.token;
         self.token_expires = fresh.token_expires;
@@ -712,9 +686,6 @@ impl CloudClient {
             if response.status == STATUS_TIMEOUT {
                 self.metrics.timeouts.inc();
             }
-            if response.status == STATUS_RATE_LIMITED {
-                self.metrics.rate_limited.inc();
-            }
             if !retryable(response.status) || attempt + 1 >= class.max_attempts() {
                 if let Some((sink, trace, root)) = &span {
                     sink.record(
@@ -733,28 +704,11 @@ impl CloudClient {
                 return response;
             }
             self.metrics.retries.inc();
-            // A 429 carries the server's own refill horizon: waiting exactly
-            // that long retries at the first admissible instant, with no
-            // jitter (buckets are per-user, so there is no thundering herd
-            // to spread). A guided wait does not advance the exponential
-            // schedule either — the hint, not the attempt count, paces us.
-            let hinted = if self.honor_retry_after {
-                response.retry_after_s()
-            } else {
-                None
-            };
-            let wait = match hinted {
-                Some(seconds) => SimDuration::from_seconds(seconds.max(1)),
-                None => {
-                    let jitter =
-                        backoff_jitter(&request.path, attempt, at, backoff.as_seconds() / 2);
-                    let wait = backoff + jitter;
-                    backoff = SimDuration::from_seconds(
-                        (backoff.as_seconds() * 2).min(class.max_backoff().as_seconds()),
-                    );
-                    wait
-                }
-            };
+            let wait =
+                backoff + backoff_jitter(&request.path, attempt, at, backoff.as_seconds() / 2);
+            backoff = SimDuration::from_seconds(
+                (backoff.as_seconds() * 2).min(class.max_backoff().as_seconds()),
+            );
             self.metrics.backoff_seconds.observe(wait.as_seconds());
             if let Some((sink, trace, root)) = &span {
                 let wake_us = (at + wait).as_seconds().saturating_mul(1_000_000);
@@ -794,20 +748,11 @@ impl CloudClient {
 mod tests {
     use super::*;
     use pmware_cloud::{
-        AdmissionConfig, CellDatabase, CloudInstance, FaultKind, FaultPlan, FaultyCloud,
-        RateBudget, SharedCloud,
+        CellDatabase, CloudInstance, FaultKind, FaultPlan, FaultyCloud, SharedCloud,
     };
 
     fn cloud() -> SharedCloud {
         SharedCloud::new(CloudInstance::new(CellDatabase::new(), 5))
-    }
-
-    /// A cloud running admission control: `burst` tokens per class, one
-    /// back every `refill`.
-    fn throttled(seed: u64, burst: u32, refill: SimDuration) -> SharedCloud {
-        SharedCloud::new(CloudInstance::new(CellDatabase::new(), 5).with_admission(
-            AdmissionConfig::uniform(seed, RateBudget::new(burst, refill)),
-        ))
     }
 
     #[test]
@@ -983,69 +928,6 @@ mod tests {
         assert_eq!(client.user(), user);
         client.sync_places(&[], late).unwrap();
         assert_eq!(client.state().sync_seq, 2);
-    }
-
-    #[test]
-    fn refresh_under_admission_pressure_converges() {
-        // One Auth token per 30 s; registration is public so the initial
-        // register does not spend it.
-        let cloud = throttled(11, 1, SimDuration::from_seconds(30));
-        let mut client = CloudClient::register(cloud, "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
-        // An enormous margin forces a refresh on every call. The first
-        // takes the only Auth token; the second is denied and converges
-        // via the retry-after hint.
-        let margin = SimDuration::from_days(30);
-        assert!(client.refresh_if_needed(SimTime::EPOCH, margin).unwrap());
-        let expires_before = client.token_expires();
-        assert!(client.refresh_if_needed(SimTime::EPOCH, margin).unwrap());
-        assert!(client.token_expires() >= expires_before);
-        assert!(
-            client.rate_limited() >= 1,
-            "second refresh was throttled first"
-        );
-    }
-
-    /// Run twice: in process, and across the byte boundary of a
-    /// fault-free `FaultyCloud`, whose reply decode must keep the 429's
-    /// `retry_after_s` hint.
-    #[test]
-    fn rate_limit_hint_guides_the_retry_to_the_refill_instant() {
-        // One token, refilling every 10 minutes: far beyond what blind
-        // exponential backoff could ride out within the Sync attempt
-        // budget, but trivial when the hint is honored.
-        let throttled = || throttled(7, 1, SimDuration::from_minutes(10));
-        let endpoints: [CloudEndpoint; 2] = [
-            throttled().into(),
-            FaultyCloud::new(throttled(), FaultPlan::with_rate(0, 0.0)).into(),
-        ];
-        for endpoint in endpoints {
-            let mut client =
-                CloudClient::register(endpoint, "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
-            client.sync_places(&[], SimTime::EPOCH).unwrap();
-            let before = client.wire_requests();
-            client.sync_places(&[], SimTime::EPOCH).unwrap();
-            // Exactly one 429 and one guided retry — no probing in between.
-            assert_eq!(client.wire_requests() - before, 2);
-            assert_eq!(client.rate_limited(), 1);
-        }
-    }
-
-    #[test]
-    fn blind_backoff_exhausts_attempts_against_a_long_refill() {
-        let cloud = throttled(7, 1, SimDuration::from_minutes(10));
-        let mut client = CloudClient::register(cloud, "imei-1", "a@x.com", SimTime::EPOCH).unwrap();
-        client.set_honor_retry_after(false);
-        client.sync_places(&[], SimTime::EPOCH).unwrap();
-        let err = client.sync_places(&[], SimTime::EPOCH).unwrap_err();
-        match err {
-            PmsError::Cloud { status, .. } => {
-                assert_eq!(status, pmware_cloud::STATUS_RATE_LIMITED);
-            }
-            other => panic!("expected rate-limit error, got {other}"),
-        }
-        // All four Sync attempts burned against a bucket that never
-        // refilled within the backoff horizon.
-        assert_eq!(client.rate_limited(), 4);
     }
 
     /// One logical operation through two injected drops produces a full
