@@ -8,8 +8,8 @@
 # soak smoke runs (a tiny-config throughput run that fails if parallel and
 # sequential studies ever diverge, the zero-perturbation overhead bench,
 # and the storage soak with its built-in capped-below-uncapped
-# assertion), the wire lint that keeps untyped
-# JSON from creeping back onto the hot path, the hash lint that keeps
+# assertion), the wire lint that keeps requests and replies typed (no
+# untyped JSON bodies, nothing parsed from JSON), the hash lint that keeps
 # SipHash off the GCA absorb path, the flag-parser lint that keeps
 # every binary on the one parser that refuses unknown flags, the
 # counter lint that keeps registry counters from being set outside
@@ -95,20 +95,30 @@ bench-smoke:
 		$(CURDIR)/target/release/storage_soak && \
 		rm -rf $$tmp
 
-# Per-endpoint cost of the typed in-process path vs the marshalled JSON
-# wire path; writes BENCH_wire.json in the repo root.
+# Per-endpoint cost of the typed request path, the one form a request
+# takes: perfbench's traced cloud_replay, whose cloud.handle_s.<endpoint>
+# and cloud.handle_us_p99.<endpoint> rows time each endpoint's handler.
+# Prints the rows; writes no file.
 bench-wire:
-	cargo run --release -p pmware-bench --bin wire_micro
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+		--workload cloud_replay --seed 1 --seconds 10 --trace 1
 
-# The typed-wire-path regression gate: handlers receive typed Payload
-# bodies, and the client and the CLI build typed payloads, so none of
-# them may mention `json!(` (handlers and CLI: nor `serde_json::Value`).
-# `#[cfg(test)]` code in the client and the CLI is exempt — the lint
-# strips everything from their `mod tests` down. JSON becomes a Payload
-# only at the wire boundary, decoded once by route, so no non-test code
-# in crates/*/src may bring back a second body representation: the
-# `Payload::Json` escape hatch, a `From<Value> for Payload`, or a
-# `.parse::<` on a request or reply body.
+# The typed-request gate. A request and its reply exist only as typed
+# values (Request, Response, Payload); JSON is a rendering of a body for
+# exports, goldens and error text, never parsed back. So:
+# handlers receive typed Payload bodies, and the client and the CLI
+# build typed payloads, so none of them may mention `json!(` (handlers
+# and CLI: nor `serde_json::Value`). `#[cfg(test)]` code in the client
+# and the CLI is exempt — the lint strips everything from their `mod
+# tests` down. No non-test code in crates/*/src may bring back a second
+# body representation: the `Payload::Json` escape hatch, a
+# `From<Value> for Payload`, or a `.parse::<` on a request or reply
+# body. Nor may it parse a request or a reply from JSON: no
+# `post_json(`, `from_json(`, `reply_from_json`, `Request::from_bytes`
+# or `Response::from_bytes`. The one `from_json(` allowed is the phone
+# checkpoint's (`PmsCheckpoint::from_json` in crates/core/src/
+# checkpoint.rs), which restores a phone's state, not a request. In
+# every file, everything from `#[cfg(test)]` down is exempt.
 lint-wire:
 	@! grep -rn 'json!(\|serde_json::Value' crates/cloud/src/handlers/ \
 		|| { echo 'lint-wire: untyped JSON crept back into crates/cloud/src/handlers/'; exit 1; }
@@ -122,6 +132,13 @@ lint-wire:
 			| sed "s|^|$$f:|"; \
 	done | grep . \
 		|| { echo 'lint-wire: a second body representation crept back into crates/*/src'; exit 1; }
+	@! for f in $$(find crates/*/src -name '*.rs'); do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" \
+			| grep -n 'post_json(\|from_json(\|reply_from_json\|Request::from_bytes\|Response::from_bytes' \
+			| sed "s|^|$$f:|"; \
+	done | grep -v '^crates/core/src/checkpoint\.rs:[0-9]*:    pub fn from_json(json: &str)' \
+		| grep -v 'PmsCheckpoint::from_json(' | grep . \
+		|| { echo 'lint-wire: a request or reply is parsed from JSON in crates/*/src'; exit 1; }
 	@echo 'lint-wire: ok'
 
 # The flag-parser lint: every binary reads its command line through

@@ -32,10 +32,11 @@ use std::process::Command;
 use std::time::Instant;
 
 use pmware_bench::args::Args;
-use pmware_cloud::{CellDatabase, CloudInstance, Request, StorageConfig};
+use pmware_cloud::{
+    CellDatabase, CloudInstance, DiscoverBody, RegistrationBody, Request, StorageConfig,
+};
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
-use serde_json::json;
 
 /// Peak RSS (`VmHWM`) in kB from `/proc/self/status`; zero off-Linux.
 fn peak_rss_kb() -> u64 {
@@ -59,9 +60,12 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
     let resp = cloud.handle(
-        &Request::post_json(
+        &Request::post(
             "/api/v1/registration",
-            json!({"imei": format!("imei-{n}"), "email": format!("u{n}@soak")}),
+            RegistrationBody {
+                imei: format!("imei-{n}"),
+                email: format!("u{n}@soak"),
+            },
         ),
         now,
     );
@@ -89,12 +93,13 @@ fn stream(user: u32, round: u64) -> Vec<GsmObservation> {
 /// the soak stay inside the token's 24 h validity window.
 fn touch(cloud: &CloudInstance, token: &str, user: u32, round: u64) {
     let at = SimTime::from_seconds(1_000 + round * 4_000 + u64::from(user));
+    let body = DiscoverBody {
+        observations: stream(user, round),
+        batch: None,
+        start: Some(round * 40),
+    };
     let resp = cloud.handle(
-        &Request::post_json(
-            "/api/v1/places/discover",
-            json!({"observations": stream(user, round), "start": round * 40}),
-        )
-        .with_token(token),
+        &Request::post("/api/v1/places/discover", body).with_token(token),
         at,
     );
     assert!(resp.is_success(), "discover failed: {resp:?}");

@@ -8,6 +8,7 @@
 //! at its defaults byte for byte. Everything here runs on simulated time
 //! under fixed seeds, so a table's bytes depend on nothing but the code.
 
+use std::fs::File;
 use std::io::{self, Write};
 use std::num::{NonZeroU64, NonZeroUsize};
 
@@ -330,11 +331,25 @@ fn coverage_fraction(world: &World, agents: usize, days: u64, seed: u64) -> f64 
 /// # Errors
 ///
 /// Fails when `out` refuses a write or the metrics snapshot cannot be
-/// written to `F`; the error then names `F`.
+/// written to `F`; the error then names `F`. `F` is created before the
+/// first study, so an unwritable path fails before any work.
 pub fn dep(args: &Args, out: &mut dyn Write) -> io::Result<()> {
     let seeds = args.value("seeds", NonZeroU64::MIN).get();
     let metrics_out = args.flag("metrics-out");
-    let obs = match &metrics_out {
+    let snapshot_error = |path: &str, e: io::Error| {
+        io::Error::new(
+            e.kind(),
+            format!("writing the metrics snapshot to {path}: {e}"),
+        )
+    };
+    let metrics_file = match metrics_out {
+        None => None,
+        Some(path) => Some((
+            path,
+            File::create(path).map_err(|e| snapshot_error(path, e))?,
+        )),
+    };
+    let obs = match &metrics_file {
         None => Obs::disabled(),
         Some(_) => Obs::new(),
     };
@@ -430,13 +445,9 @@ pub fn dep(args: &Args, out: &mut dyn Write) -> io::Result<()> {
 
     // With --seeds > 1 the snapshot accumulates across all runs (one
     // registry serves the whole process).
-    if let (Some(path), Some(json)) = (&metrics_out, obs.metrics_json()) {
-        std::fs::write(path, json).map_err(|e| {
-            io::Error::new(
-                e.kind(),
-                format!("writing the metrics snapshot to {path}: {e}"),
-            )
-        })?;
+    if let (Some((path, mut file)), Some(json)) = (metrics_file, obs.metrics_json()) {
+        file.write_all(json.as_bytes())
+            .map_err(|e| snapshot_error(path, e))?;
         writeln!(out, "\nmetrics snapshot written to {path}")?;
     }
     Ok(())

@@ -9,7 +9,7 @@ use std::process::Command;
 
 #[test]
 fn a_bad_flag_exits_2_before_any_work() {
-    let cases: [(&str, &[&str], &str); 24] = [
+    let cases: [(&str, &[&str], &str); 22] = [
         (
             env!("CARGO_BIN_EXE_paper"),
             &[
@@ -114,16 +114,6 @@ fn a_bad_flag_exits_2_before_any_work() {
             "invalid value \"0\" for --rounds (expected a positive whole number)",
         ),
         (
-            env!("CARGO_BIN_EXE_wire_micro"),
-            &["--iters", "0"],
-            "invalid value \"0\" for --iters (expected a positive whole number)",
-        ),
-        (
-            env!("CARGO_BIN_EXE_wire_micro"),
-            &["--repeats", "0"],
-            "invalid value \"0\" for --repeats (expected a positive whole number)",
-        ),
-        (
             env!("CARGO_BIN_EXE_paper"),
             &["fig9"],
             "unknown table \"fig9\"",
@@ -170,7 +160,8 @@ fn a_flagless_binary_refuses_any_flag() {
 }
 
 /// A metrics snapshot that cannot be written fails the run with the
-/// error exit and a message naming the path, not a panic.
+/// error exit and a message naming the path, not a panic, and before
+/// any study runs.
 #[test]
 fn an_unwritable_metrics_path_exits_1_naming_it() {
     let path = "/nonexistent-dir/m.json";
@@ -193,4 +184,8 @@ fn an_unwritable_metrics_path_exits_1_naming_it() {
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "the path is refused before the first study"
+    );
 }

@@ -138,6 +138,17 @@ fn obs_from_args(args: &Args) -> (Obs, ObsOutputs) {
     (obs, outputs)
 }
 
+impl ObsOutputs {
+    /// Creates each requested file, so an unwritable path fails the
+    /// command before any work runs rather than after it.
+    fn create(&self) -> Result<(), String> {
+        for path in [&self.metrics_out, &self.spans_out].into_iter().flatten() {
+            std::fs::File::create(path).map_err(|e| format!("writing {path}: {e}"))?;
+        }
+        Ok(())
+    }
+}
+
 /// Writes the collected snapshot/spans to the requested files.
 fn write_obs_outputs(obs: &Obs, outputs: &ObsOutputs) -> Result<(), String> {
     if let (Some(path), Some(json)) = (outputs.metrics_out.as_deref(), obs.metrics_json()) {
@@ -299,6 +310,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
     let (world, seed) = build_world(args)?;
     let granularity = granularity(args)?;
     let (obs, outputs) = obs_from_args(args);
+    outputs.create()?;
     let population = Population::generate(&world, 1, seed + 1);
     let agent = &population.agents()[0];
     let itinerary = population.itinerary(&world, agent.id(), days);
@@ -378,6 +390,7 @@ fn cmd_study(args: &Args) -> Result<(), String> {
         obs: obs.clone(),
         storage: storage(args)?,
     };
+    outputs.create()?;
     if !args.has("quiet") {
         println!(
             "running {} participants x {} days (seed {})...",

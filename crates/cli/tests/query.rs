@@ -1,5 +1,6 @@
-//! `pmware query` end to end: an analytics window that holds nothing yet
-//! is an empty answer, not a failure.
+//! `pmware` end to end: an analytics window that holds nothing yet is an
+//! empty answer, not a failure (`pmware query`), and an output path that
+//! cannot be written is a failure before any work (`pmware study`).
 
 use std::process::Command;
 
@@ -50,4 +51,31 @@ fn a_filled_arrival_window_reports_its_time() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(output.status.success(), "{stdout}");
     assert!(stdout.contains("evening home arrival : 19:05"), "{stdout}");
+}
+
+/// An unwritable `--spans-out` path exits 1 naming it before the study's
+/// banner, not after the study has run.
+#[test]
+fn an_unwritable_spans_path_exits_1_before_the_banner() {
+    let path = "/nonexistent-dir/s.jsonl";
+    let output = Command::new(env!("CARGO_BIN_EXE_pmware"))
+        .args([
+            "study",
+            "--participants",
+            "1",
+            "--days",
+            "1",
+            "--spans-out",
+            path,
+        ])
+        .output()
+        .expect("pmware runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&format!("writing {path}")), "{stderr}");
+    assert!(
+        output.stdout.is_empty(),
+        "stdout:\n{}",
+        String::from_utf8_lossy(&output.stdout)
+    );
 }

@@ -19,7 +19,7 @@ use pmware_world::SimTime;
 
 use crate::api::{Request, Response};
 use crate::auth::UserId;
-use crate::payload::{Payload, RequestBody};
+use crate::payload::RequestBody;
 use crate::state::CloudCore;
 use crate::storage::StoreGuard;
 
@@ -52,19 +52,17 @@ impl Ctx<'_> {
 pub(crate) type Handler = fn(&Ctx<'_>, &Request) -> Response;
 
 /// Hands `f` the request body as a `&B`, lent straight out of the
-/// [`crate::Payload`] — no serde, no clone. A body that did not decode for
-/// its route at the wire boundary is answered `400 invalid body: …` with
-/// the decode error; an in-process body of another shape names the type
-/// it should have been.
+/// [`crate::Payload`] — no serde, no clone. A body of another shape is
+/// answered `400 invalid body: …` naming the type it should have been.
 pub(crate) fn with_body<B: RequestBody>(
     request: &Request,
     f: impl FnOnce(&B) -> Response,
 ) -> Response {
     let Some(body) = B::from_payload(&request.body) else {
-        return Response::bad_request(match &request.body {
-            Payload::Invalid { error, .. } => format!("invalid body: {error}"),
-            _ => format!("invalid body: expected {}", std::any::type_name::<B>()),
-        });
+        return Response::bad_request(format!(
+            "invalid body: expected {}",
+            std::any::type_name::<B>()
+        ));
     };
     f(body)
 }

@@ -5,9 +5,10 @@
 //! place/route discovery process, as well as performing advanced analytics
 //! and prediction operations"*. The authors ran it as a Django/Apache
 //! service on Windows Azure; here it is an in-process server speaking the
-//! same REST/JSON shape through [`api::Request`]/[`api::Response`] values,
-//! which exercises routing, token auth, and JSON marshalling without a
-//! network.
+//! same REST shape through typed [`api::Request`]/[`api::Response`]
+//! values, which exercises routing and token auth without a network. A
+//! request and its reply exist only in that typed form; JSON is how a body
+//! renders for exports, goldens and error text ([`payload`]).
 //!
 //! The six endpoint families of §2.3.3 are rows of the route table in
 //! [`router`]:

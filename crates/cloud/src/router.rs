@@ -2,10 +2,10 @@
 //!
 //! Every endpoint of the cloud instance is one [`Route`] row: method, path
 //! shape, auth requirement, whether a success is logged to the durable
-//! WAL, the stable metric label, the handler function, and the request and
-//! reply body decoders the wire boundary uses. Dispatch, the per-endpoint
-//! metric dimension ([`ENDPOINT_LABELS`]), 404-vs-405 semantics, and the
-//! WAL's choice of logged requests are all derived from this one table,
+//! WAL, the stable metric label, and the handler function. Dispatch, the
+//! per-endpoint metric dimension ([`ENDPOINT_LABELS`]), 404-vs-405
+//! semantics, and the WAL's choice of logged requests are all derived
+//! from this one table,
 //! so adding an endpoint is a single row — there is no second,
 //! hand-maintained match to drift out of sync (the `endpoint_index`
 //! hazard of earlier revisions).
@@ -13,11 +13,6 @@
 use crate::api::{Method, Request, Response};
 use crate::auth::UserId;
 use crate::handlers::{self, Ctx, Handler};
-use crate::payload::{
-    self, ArrivalBody, Decoder, DiscoverBody, GeolocateBody, GeolocateSignatureBody, LabelBody,
-    NextVisitBody, PlaceOnlyBody, RegistrationBody, RouteQueryBody, SocialQueryBody,
-    SyncContactsBody, SyncPlacesBody, SyncProfileBody, SyncRoutesBody,
-};
 
 /// Authentication requirement of a route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,10 +60,6 @@ pub struct Route {
     pub label: &'static str,
     /// Handler function (see [`crate::handlers`]).
     pub(crate) handler: Handler,
-    /// The wire boundary's request-body and 2xx reply-body decoders (see
-    /// [`crate::payload::Payload::from_json`] and
-    /// [`crate::payload::Payload::reply_from_json`]).
-    pub(crate) decoders: (Decoder, Decoder),
 }
 
 impl std::fmt::Debug for Route {
@@ -83,8 +74,7 @@ impl std::fmt::Debug for Route {
     }
 }
 
-/// Shorthand row constructor, so the table below stays tabular; the last
-/// argument pairs the request and 2xx reply decoders.
+/// Shorthand row constructor, so the table below stays tabular.
 const fn route(
     method: Method,
     path: PathSpec,
@@ -92,7 +82,6 @@ const fn route(
     logged: bool,
     label: &'static str,
     handler: Handler,
-    decoders: (Decoder, Decoder),
 ) -> Route {
     Route {
         method,
@@ -101,7 +90,6 @@ const fn route(
         logged,
         label,
         handler,
-        decoders,
     }
 }
 
@@ -126,10 +114,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "register",
         handlers::registration::register,
-        (
-            payload::decode::<RegistrationBody>,
-            payload::reply_registered,
-        ),
     ),
     route(
         Post,
@@ -138,7 +122,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "token_refresh",
         handlers::registration::token_refresh,
-        (payload::decode_none, payload::reply_token_refreshed),
     ),
     route(
         Post,
@@ -147,7 +130,6 @@ pub const ROUTES: [Route; 21] = [
         LOGGED,
         "places_discover",
         handlers::places::discover,
-        (payload::decode::<DiscoverBody>, payload::reply_discovered),
     ),
     route(
         Post,
@@ -156,7 +138,6 @@ pub const ROUTES: [Route; 21] = [
         LOGGED,
         "places_sync",
         handlers::places::sync,
-        (payload::decode::<SyncPlacesBody>, payload::reply_sync_ack),
     ),
     route(
         Get,
@@ -165,7 +146,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "places_list",
         handlers::places::list,
-        (payload::decode_none, payload::reply_places),
     ),
     route(
         Post,
@@ -174,7 +154,6 @@ pub const ROUTES: [Route; 21] = [
         LOGGED,
         "places_label",
         handlers::places::label,
-        (payload::decode::<LabelBody>, payload::reply_labelled),
     ),
     route(
         Post,
@@ -183,7 +162,6 @@ pub const ROUTES: [Route; 21] = [
         LOGGED,
         "routes_sync",
         handlers::routes::sync,
-        (payload::decode::<SyncRoutesBody>, payload::reply_sync_ack),
     ),
     route(
         Get,
@@ -192,7 +170,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "routes_list",
         handlers::routes::list,
-        (payload::decode_none, payload::reply_routes),
     ),
     route(
         Post,
@@ -201,7 +178,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "routes_query",
         handlers::routes::query,
-        (payload::decode::<RouteQueryBody>, payload::reply_routes),
     ),
     route(
         Post,
@@ -210,10 +186,6 @@ pub const ROUTES: [Route; 21] = [
         LOGGED,
         "profiles_sync",
         handlers::profiles::sync,
-        (
-            payload::decode::<SyncProfileBody>,
-            payload::reply_profile_synced,
-        ),
     ),
     route(
         Get,
@@ -222,7 +194,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "profiles_get",
         handlers::profiles::get_day,
-        (payload::decode_none, payload::reply_profile_day),
     ),
     route(
         Post,
@@ -231,10 +202,6 @@ pub const ROUTES: [Route; 21] = [
         LOGGED,
         "social_sync",
         handlers::social::sync,
-        (
-            payload::decode::<SyncContactsBody>,
-            payload::reply_contacts_ack,
-        ),
     ),
     route(
         Post,
@@ -243,7 +210,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "social_query",
         handlers::social::query,
-        (payload::decode::<SocialQueryBody>, payload::reply_contacts),
     ),
     route(
         Post,
@@ -252,7 +218,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "geolocate",
         handlers::geolocate::by_cell,
-        (payload::decode::<GeolocateBody>, payload::reply_position),
     ),
     route(
         Post,
@@ -261,10 +226,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "geolocate_signature",
         handlers::geolocate::by_signature,
-        (
-            payload::decode::<GeolocateSignatureBody>,
-            payload::reply_position,
-        ),
     ),
     route(
         Post,
@@ -273,7 +234,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "analytics_arrival",
         handlers::analytics::arrival,
-        (payload::decode::<ArrivalBody>, payload::reply_arrival_at),
     ),
     route(
         Post,
@@ -282,7 +242,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "analytics_next_visit",
         handlers::analytics::next_visit,
-        (payload::decode::<NextVisitBody>, payload::reply_visit_at),
     ),
     route(
         Post,
@@ -291,7 +250,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "analytics_frequency",
         handlers::analytics::frequency,
-        (payload::decode::<PlaceOnlyBody>, payload::reply_frequency),
     ),
     route(
         Post,
@@ -300,7 +258,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "analytics_activity",
         handlers::analytics::activity,
-        (payload::decode_none, payload::reply_activity),
     ),
     route(
         Post,
@@ -309,7 +266,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "analytics_next_place",
         handlers::analytics::next_place,
-        (payload::decode::<PlaceOnlyBody>, payload::reply_predictions),
     ),
     // The liveness probe: public, so it needs no user's token.
     route(
@@ -319,7 +275,6 @@ pub const ROUTES: [Route; 21] = [
         UNLOGGED,
         "health",
         handlers::health::status,
-        (payload::decode_none, payload::reply_health),
     ),
 ];
 

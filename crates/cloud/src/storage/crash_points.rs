@@ -31,7 +31,7 @@ use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
 use super::snapshot::Parked;
 use super::wal::{WalOp, WalRecord, FRAME_HEADER};
 use super::{parse_shard_name, shard_path, StorageConfig, StorageEngine};
-use crate::api::Request;
+use crate::api::{Request, Response};
 use crate::geolocate::CellDatabase;
 use crate::instance::CloudInstance;
 use crate::payload::{DiscoverBody, Payload, RegistrationBody, SyncContactsBody};
@@ -402,9 +402,9 @@ fn identity(user: u32) -> String {
     super::identity_key(&format!("imei-{user}"), &format!("u{user}@example.com"))
 }
 
-/// Everything a client can read of its places and contacts, as raw
-/// response bytes.
-fn reads(cloud: &CloudInstance, token: &str) -> Vec<Vec<u8>> {
+/// Everything a client can read of its places and contacts (responses
+/// compare by wire equality).
+fn reads(cloud: &CloudInstance, token: &str) -> Vec<Response> {
     [
         Request::get("/api/v1/places"),
         Request::post(
@@ -416,7 +416,7 @@ fn reads(cloud: &CloudInstance, token: &str) -> Vec<Vec<u8>> {
     .map(|read| {
         let response = cloud.handle(&read.with_token(token), end());
         assert!(response.is_success(), "{response:?}");
-        response.to_bytes().to_vec()
+        response
     })
     .collect()
 }
@@ -426,7 +426,7 @@ fn reads(cloud: &CloudInstance, token: &str) -> Vec<Vec<u8>> {
 /// and reads: at the crash user 0 is resident, with its last parked
 /// generation on disk and one WAL record past it, while users 1 and 2
 /// are parked. Returns the clients' tokens and what each user read.
-fn crash_scene(dir: &Path, aside: &Path) -> (Vec<String>, Vec<Vec<Vec<u8>>>) {
+fn crash_scene(dir: &Path, aside: &Path) -> (Vec<String>, Vec<Vec<Response>>) {
     let cloud = CloudInstance::new(CellDatabase::new(), 7).with_storage(durable(dir));
     let mut tokens = Vec::new();
     for day in 0..DAYS {
@@ -488,13 +488,13 @@ fn generation_path(snapshots: &Path, user: u32, gen: u64) -> PathBuf {
 
 /// Recovers `dir` and checks every user reads back what it read before
 /// the crash, under the token it still holds.
-fn recover_and_compare(dir: &Path, tokens: &[String], before: &[Vec<Vec<u8>>]) -> CloudInstance {
+fn recover_and_compare(dir: &Path, tokens: &[String], before: &[Vec<Response>]) -> CloudInstance {
     let recovered = CloudInstance::recover(CellDatabase::new(), 7, durable(dir), end());
     for (user, token) in tokens.iter().enumerate() {
         assert_eq!(
             reads(&recovered, token),
             before[user],
-            "user {user}: recovered reads must be byte-identical"
+            "user {user}: recovered reads must be wire-identical"
         );
     }
     recovered

@@ -442,7 +442,7 @@ pub(crate) fn replay_session(
 mod tests {
     use super::*;
     use crate::codec::take_str;
-    use crate::payload::Payload;
+    use crate::payload::SocialQueryBody;
     use crate::profile::{ContactEntry, MobilityProfile, PlaceEntry};
     use crate::router::{PathSpec, ROUTES};
     use crate::storage::snapshot::tests::{generated_store, Gen};
@@ -453,7 +453,6 @@ mod tests {
     use pmware_world::tower::NetworkLayer;
     use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn};
     use proptest::prelude::*;
-    use serde_json::json;
 
     /// Op equality is frame equality: two ops are equal when they encode
     /// to the same bytes, which spell every `f64` by its bits.
@@ -488,23 +487,28 @@ mod tests {
         }
     }
 
-    fn sync(places: serde_json::Value) -> WalOp {
-        WalOp::of_request(&Request::post_json("/api/v1/places/sync", places)).unwrap()
-    }
-
-    fn registration(imei: &str) -> WalOp {
-        WalOp::Register(Box::new(RegistrationBody {
-            imei: imei.to_owned(),
-            email: "u1@example.com".to_owned(),
+    fn sync() -> WalOp {
+        WalOp::PlacesSync(Box::new(SyncPlacesBody {
+            places: Vec::new(),
+            seq: None,
         }))
     }
 
+    fn registration_body(imei: &str) -> RegistrationBody {
+        RegistrationBody {
+            imei: imei.to_owned(),
+            email: "u1@example.com".to_owned(),
+        }
+    }
+
+    fn registration(imei: &str) -> WalOp {
+        WalOp::Register(Box::new(registration_body(imei)))
+    }
+
     /// A request on every logged route — the registration and each
-    /// `Ingest` route, the discover body in each of its shapes — as the
-    /// wire decodes it.
+    /// `Ingest` route, the discover body in each of its shapes.
     fn logged_requests() -> Vec<Request> {
         let log: Vec<GsmObservation> = (0..40).map(|m| gsm(m, 1 + (m % 3) as u32)).collect();
-        let batch = ObservationBatch::encode(&log);
         let contact = ContactEntry {
             contact: "peer-7".into(),
             start: SimTime::from_seconds(60),
@@ -535,29 +539,59 @@ mod tests {
             departure: SimTime::from_seconds(900),
         });
         profile.contacts.push(contact.clone());
+        let discover = |observations: &[GsmObservation], batch: bool, start| {
+            let body = DiscoverBody {
+                observations: if batch {
+                    Vec::new()
+                } else {
+                    observations.to_vec()
+                },
+                batch: batch.then(|| ObservationBatch::encode(observations)),
+                start,
+            };
+            Request::post("/api/v1/places/discover", body)
+        };
         [
-            Request::post_json(
-                REGISTRATION_PATH,
-                json!({"imei": "imei-1", "email": "u1@example.com"}),
+            Request::post(REGISTRATION_PATH, registration_body("imei-1")),
+            discover(&log, true, Some(80)),
+            discover(&log, false, Some(40)),
+            discover(&log, true, None),
+            discover(&log, false, None),
+            Request::post(
+                "/api/v1/places/sync",
+                SyncPlacesBody {
+                    places: vec![place],
+                    seq: Some(4),
+                },
             ),
-            Request::post_json(
-                "/api/v1/places/discover",
-                json!({"batch": batch, "start": 80}),
+            Request::post(
+                "/api/v1/places/label",
+                LabelBody {
+                    place: DiscoveredPlaceId(2),
+                    label: "gym".into(),
+                },
             ),
-            Request::post_json(
-                "/api/v1/places/discover",
-                json!({"observations": log, "start": 40}),
+            Request::post(
+                "/api/v1/routes/sync",
+                SyncRoutesBody {
+                    routes: vec![route],
+                    seq: Some(1),
+                },
             ),
-            Request::post_json("/api/v1/places/discover", json!({"batch": batch})),
-            Request::post_json("/api/v1/places/discover", json!({"observations": log})),
-            Request::post_json("/api/v1/places/sync", json!({"places": [place], "seq": 4})),
-            Request::post_json("/api/v1/places/label", json!({"place": 2, "label": "gym"})),
-            Request::post_json("/api/v1/routes/sync", json!({"routes": [route], "seq": 1})),
-            Request::post_json(
+            Request::post(
                 "/api/v1/profiles/sync",
-                json!({"profile": profile, "seq": 2}),
+                SyncProfileBody {
+                    profile,
+                    seq: Some(2),
+                },
             ),
-            Request::post_json("/api/v1/social/sync", json!({"contacts": [contact]})),
+            Request::post(
+                "/api/v1/social/sync",
+                SyncContactsBody {
+                    contacts: vec![contact],
+                    first_seq: None,
+                },
+            ),
         ]
         .into_iter()
         .map(|request| request.with_token("tok-x"))
@@ -603,13 +637,6 @@ mod tests {
                 );
             }
         }
-        for request in &requests {
-            assert!(
-                !matches!(request.body, Payload::Invalid { .. }),
-                "the sample for {} must decode for its route",
-                request.path
-            );
-        }
         for record in logged_records() {
             let frame = record.to_frame().unwrap();
             let (back, len) = WalRecord::from_frame(&frame).unwrap();
@@ -631,7 +658,7 @@ mod tests {
             "registration, discover (four shapes), the places sync, the \
              label, the routes, profiles and social syncs, then the grant"
         );
-        let query = Request::post_json("/api/v1/social/query", json!({"place": null}));
+        let query = Request::post("/api/v1/social/query", SocialQueryBody { place: None });
         assert!(WalOp::of_request(&query).is_none());
     }
 
@@ -922,9 +949,9 @@ mod tests {
     #[test]
     fn append_assigns_per_key_sequences() {
         let mut log = WalLog::default();
-        let a1 = log.append("a", sync(json!({"places": []})));
-        let b1 = log.append("b", sync(json!({"places": []})));
-        let a2 = log.append("a", sync(json!({"places": []})));
+        let a1 = log.append("a", sync());
+        let b1 = log.append("b", sync());
+        let a2 = log.append("a", sync());
         assert_eq!((a1.seq, b1.seq, a2.seq), (1, 1, 2));
         assert_eq!(log.last_seq("a"), 2);
         assert_eq!(log.suffix("a", 1).len(), 1);
@@ -942,8 +969,8 @@ mod tests {
                 expires_at: SimTime::EPOCH,
             },
         );
-        log.append("a", sync(json!({"places": []})));
-        log.append("a", sync(json!({"places": []})));
+        log.append("a", sync());
+        log.append("a", sync());
         log.compact("a", 3);
         let left = log.suffix("a", 0);
         assert_eq!(left.len(), 3, "registration + grant + seq-4 sync survive");
@@ -962,7 +989,7 @@ mod tests {
             expires_at: SimTime::EPOCH,
         };
         log.append("a", grant());
-        log.append("a", sync(json!({"places": []})));
+        log.append("a", sync());
         assert!(log.compact("a", 2), "the request goes");
         assert!(!log.compact("a", 2), "nothing left to drop");
         assert_eq!(log.append("a", grant()).seq, 3);
@@ -985,7 +1012,7 @@ mod tests {
                 expires_at: SimTime::from_seconds(60),
             },
         );
-        log.append("a", sync(json!({"places": []})));
+        log.append("a", sync());
         log.append(
             "a",
             WalOp::TokenGrant {

@@ -29,11 +29,9 @@
 //! * **Duplicate** — the request is delivered to the server twice
 //!   back-to-back; the caller sees the second response.
 //!
-//! The decorator is also where the wire exists: every request crosses it
-//! as JSON bytes decoded back by route, and every reply as bytes decoded
-//! by the request's route and status ([`Response::from_bytes`]), so a
-//! chaos-wrapped client receives the same typed replies as an in-process
-//! one.
+//! Requests and replies cross the decorator as the same typed values an
+//! undecorated [`SharedCloud`] endpoint takes and returns: a fault changes
+//! *whether and when* the server sees a request, never its form.
 //!
 //! A dropped or timed-out request makes the retrying client re-send, so
 //! at-least-once delivery plus server-side deduplication (sequence
@@ -439,9 +437,8 @@ impl FaultyCloud {
         Response::error(STATUS_TIMEOUT, "request timed out")
     }
 
-    /// Decides and applies the fault for one (already marshalled)
-    /// request, delivering whatever reaches the server to the wrapped
-    /// cloud.
+    /// Decides and applies the fault for one request, delivering whatever
+    /// reaches the server to the wrapped cloud.
     fn deliver(&self, request: &Request, now: SimTime) -> Response {
         let mut state = self.state.lock();
         state.metrics.requests.inc();
@@ -509,23 +506,7 @@ impl FaultyCloud {
 
 impl CloudTransport for FaultyCloud {
     fn send(&self, request: &Request, now: SimTime) -> Response {
-        // The fault boundary is where the wire exists: spell the request
-        // as JSON bytes (rendered once and cached on the request, so a
-        // retry schedule re-sends the same encoding), decode them back by
-        // route, apply the fault decision over the wrapped cloud, and
-        // round-trip the response the same way, its body decoded by the
-        // request's route and the status — the full marshalling path the
-        // Django service saw, handing the client the same typed replies
-        // an undecorated [`SharedCloud`] endpoint returns directly.
-        // The span context is diagnostics, not wire state: it is copied
-        // across the marshalling boundary by hand, exactly like a tracing
-        // header rides outside the body.
-        let parsed = Request::from_bytes(request.wire_bytes())
-            .expect("request round-trips")
-            .with_ctx(request.ctx);
-        let response = self.deliver(&parsed, now);
-        Response::from_bytes(parsed.method, &parsed.path, &response.to_bytes())
-            .expect("response round-trips")
+        self.deliver(request, now)
     }
 }
 
@@ -534,7 +515,8 @@ mod tests {
     use super::*;
     use crate::geolocate::CellDatabase;
     use crate::instance::CloudInstance;
-    use serde_json::json;
+    use crate::payload::{RegistrationBody, SyncContactsBody, SyncPlacesBody, SyncProfileBody};
+    use crate::profile::{ContactEntry, MobilityProfile};
 
     fn cloud() -> SharedCloud {
         SharedCloud::new(CloudInstance::new(CellDatabase::new(), 9))
@@ -542,14 +524,21 @@ mod tests {
 
     fn register(endpoint: &CloudEndpoint) -> String {
         let resp = endpoint.send(
-            &Request::post_json(
+            &Request::post(
                 "/api/v1/registration",
-                json!({"imei": "i-1", "email": "a@x.com"}),
+                RegistrationBody {
+                    imei: "i-1".into(),
+                    email: "a@x.com".into(),
+                },
             ),
             SimTime::EPOCH,
         );
         assert!(resp.is_success(), "{resp:?}");
         resp.json()["token"].as_str().unwrap().to_owned()
+    }
+
+    fn places_body(places: Vec<pmware_algorithms::signature::DiscoveredPlace>) -> SyncPlacesBody {
+        SyncPlacesBody { places, seq: None }
     }
 
     #[test]
@@ -611,8 +600,7 @@ mod tests {
         );
         let endpoint: CloudEndpoint = faulty.clone().into();
         let token = register(&endpoint);
-        let sync =
-            Request::post_json("/api/v1/places/sync", json!({"places": []})).with_token(&token);
+        let sync = Request::post("/api/v1/places/sync", places_body(vec![])).with_token(&token);
         let resp = endpoint.send(&sync, SimTime::EPOCH);
         assert_eq!(resp.status, STATUS_TIMEOUT);
         // The second attempt (index 1, unscheduled) goes through.
@@ -637,8 +625,8 @@ mod tests {
             pmware_algorithms::signature::PlaceSignature::WifiAps(Default::default()),
             vec![],
         );
-        let sync = Request::post_json("/api/v1/places/sync", json!({"places": [place]}))
-            .with_token(&token);
+        let sync =
+            Request::post("/api/v1/places/sync", places_body(vec![place])).with_token(&token);
         let resp = endpoint.send(&sync, SimTime::EPOCH);
         assert_eq!(resp.status, STATUS_TIMEOUT, "caller times out");
         // Not delivered yet: the server still has no places.
@@ -665,12 +653,16 @@ mod tests {
         );
         let endpoint: CloudEndpoint = faulty.clone().into();
         let token = register(&endpoint);
-        let profile = |day: u64| crate::profile::MobilityProfile::new(day);
+        let profile = |day: u64| {
+            let body = SyncProfileBody {
+                profile: MobilityProfile::new(day),
+                seq: None,
+            };
+            Request::post("/api/v1/profiles/sync", body).with_token(&token)
+        };
         // Day-0 profile is held; day-1 goes through first, then day-0 lands.
-        let first = Request::post_json("/api/v1/profiles/sync", json!({"profile": profile(0)}))
-            .with_token(&token);
-        let second = Request::post_json("/api/v1/profiles/sync", json!({"profile": profile(1)}))
-            .with_token(&token);
+        let first = profile(0);
+        let second = profile(1);
         assert_eq!(endpoint.send(&first, SimTime::EPOCH).status, STATUS_TIMEOUT);
         assert!(endpoint.send(&second, SimTime::EPOCH).is_success());
         // Both eventually present.
@@ -694,18 +686,21 @@ mod tests {
         );
         let endpoint: CloudEndpoint = faulty.clone().into();
         let token = register(&endpoint);
-        let contact = json!({
-            "contact": "peer-1",
-            "start": 0,
-            "end": 600,
-            "place": null,
-        });
+        let contact = ContactEntry {
+            contact: "peer-1".into(),
+            start: SimTime::EPOCH,
+            end: SimTime::from_seconds(600),
+            place: None,
+        };
         // Legacy body (no first_seq): the server extends blindly, so a
         // duplicated delivery is visible as a doubled store — which is the
         // hazard the sequenced path exists to remove.
+        let body = SyncContactsBody {
+            contacts: vec![contact],
+            first_seq: None,
+        };
         let resp = endpoint.send(
-            &Request::post_json("/api/v1/social/sync", json!({"contacts": [contact]}))
-                .with_token(&token),
+            &Request::post("/api/v1/social/sync", body).with_token(&token),
             SimTime::EPOCH,
         );
         assert!(resp.is_success());
@@ -734,8 +729,7 @@ mod tests {
             );
             assert!(resp.is_success());
         }
-        let sync =
-            Request::post_json("/api/v1/places/sync", json!({"places": []})).with_token(&token);
+        let sync = Request::post("/api/v1/places/sync", places_body(vec![])).with_token(&token);
         assert_eq!(endpoint.send(&sync, SimTime::EPOCH).status, STATUS_TIMEOUT);
         assert_eq!(endpoint.send(&sync, SimTime::EPOCH).status, STATUS_TIMEOUT);
         assert!(endpoint.send(&sync, SimTime::EPOCH).is_success());

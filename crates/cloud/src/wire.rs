@@ -42,7 +42,7 @@
 use pmware_world::intern::Interner;
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, GsmObservation, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::codec::{cell_of, put_cell, ByteReader, CELL_BYTES};
 
@@ -52,7 +52,7 @@ const OBSERVATION_BYTES: usize = 8 + 4 + 1 + 8;
 /// A delta-compressed, dictionary-coded slice of a GSM observation
 /// stream. Produced by [`ObservationBatch::encode`]; the columns are
 /// parallel (all have one entry per observation).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ObservationBatch {
     /// Distinct cells in first-seen order; `cell[i]` indexes this table.
     pub cells: Vec<CellGlobalId>,
@@ -342,16 +342,6 @@ mod tests {
         let log = vec![obs(600, 1, -60.0), obs(60, 2, -61.0), obs(600, 1, -62.0)];
         let batch = ObservationBatch::encode(&log);
         assert_eq!(batch.decode().unwrap(), log);
-    }
-
-    #[test]
-    fn serde_round_trips() {
-        let log = vec![obs(60, 10, -71.5), obs(75, 11, -80.0)];
-        let batch = ObservationBatch::encode(&log);
-        let json = serde_json::to_string(&batch).unwrap();
-        let back: ObservationBatch = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, batch);
-        assert_eq!(back.decode().unwrap(), log);
     }
 
     /// The point of the encoding: a realistic day of samples (one per

@@ -7,7 +7,11 @@
 use pmware_algorithms::gca::GcaConfig;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
 use pmware_cloud::profile::{ContactEntry, MobilityProfile, PlaceEntry};
-use pmware_cloud::{CellDatabase, CloudInstance, Request, SharedCloud, StorageConfig, UserId};
+use pmware_cloud::{
+    ArrivalBody, CellDatabase, CloudInstance, DiscoverBody, GeolocateBody, LabelBody,
+    NextVisitBody, Payload, PlaceOnlyBody, RegistrationBody, Request, SharedCloud, SocialQueryBody,
+    StorageConfig, SyncContactsBody, SyncPlacesBody, SyncProfileBody, UserId,
+};
 use pmware_obs::Obs;
 use pmware_world::builder::{RegionProfile, WorldBuilder};
 use pmware_world::tower::NetworkLayer;
@@ -19,13 +23,49 @@ fn cloud() -> CloudInstance {
 }
 
 fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
-    let req = Request::post_json(
-        "/api/v1/registration",
-        json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
-    );
-    let resp = cloud.handle(&req, now);
+    let resp = cloud.handle(&registration(n), now);
     assert!(resp.is_success(), "{resp:?}");
     resp.json()["token"].as_str().unwrap().to_owned()
+}
+
+fn discover(observations: &[GsmObservation], start: Option<u64>) -> Request {
+    let body = DiscoverBody {
+        observations: observations.to_vec(),
+        batch: None,
+        start,
+    };
+    Request::post("/api/v1/places/discover", body)
+}
+
+fn places_sync(places: Vec<DiscoveredPlace>, seq: Option<u64>) -> Request {
+    Request::post("/api/v1/places/sync", SyncPlacesBody { places, seq })
+}
+
+fn profile_sync(profile: MobilityProfile, seq: Option<u64>) -> Request {
+    Request::post("/api/v1/profiles/sync", SyncProfileBody { profile, seq })
+}
+
+/// A query on an analytics route that takes only a place.
+fn place_query(path: &str, place: u32) -> Request {
+    let body = PlaceOnlyBody {
+        place: DiscoveredPlaceId(place),
+    };
+    Request::post(path, body)
+}
+
+fn label(place: u32, label: &str) -> Request {
+    let body = LabelBody {
+        place: DiscoveredPlaceId(place),
+        label: label.into(),
+    };
+    Request::post("/api/v1/places/label", body)
+}
+
+fn social_query(place: Option<u32>) -> Request {
+    let body = SocialQueryBody {
+        place: place.map(DiscoveredPlaceId),
+    };
+    Request::post("/api/v1/social/query", body)
 }
 
 #[test]
@@ -56,13 +96,17 @@ fn registration_and_auth_flow() {
 #[test]
 fn registration_requires_identity() {
     let c = cloud();
+    let empty = RegistrationBody {
+        imei: String::new(),
+        email: String::new(),
+    };
     let resp = c.handle(
-        &Request::post_json("/api/v1/registration", json!({"imei": "", "email": ""})),
+        &Request::post("/api/v1/registration", empty),
         SimTime::EPOCH,
     );
     assert_eq!(resp.status, 400);
     let resp = c.handle(
-        &Request::post_json("/api/v1/registration", json!({"nope": 1})),
+        &Request::post("/api/v1/registration", Payload::Empty),
         SimTime::EPOCH,
     );
     assert_eq!(resp.status, 400);
@@ -74,7 +118,7 @@ fn token_refresh_rotates() {
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
     let resp = c.handle(
-        &Request::post_json("/api/v1/token/refresh", Value::Null).with_token(&token),
+        &Request::post("/api/v1/token/refresh", Payload::Empty).with_token(&token),
         now + SimDuration::from_hours(20),
     );
     assert!(resp.is_success());
@@ -99,7 +143,7 @@ fn expired_token_refresh_cannot_resurrect() {
     let token = register(&c, 0, now);
     let late = now + SimDuration::from_hours(30);
     let resp = c.handle(
-        &Request::post_json("/api/v1/token/refresh", Value::Null).with_token(&token),
+        &Request::post("/api/v1/token/refresh", Payload::Empty).with_token(&token),
         late,
     );
     assert_eq!(resp.status, 401, "expired token must not refresh: {resp:?}");
@@ -130,14 +174,7 @@ fn gca_offload_discovers_and_stores() {
             rssi_dbm: -70.0,
         })
         .collect();
-    let resp = c.handle(
-        &Request::post_json(
-            "/api/v1/places/discover",
-            json!({ "observations": observations }),
-        )
-        .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&discover(&observations, None).with_token(&token), now);
     assert!(resp.is_success(), "{resp:?}");
     let body = resp.json();
     let places = body["places"].as_array().unwrap();
@@ -167,11 +204,7 @@ fn discover_absorbs_suffixes_without_forgetting_places() {
     let night1: Vec<GsmObservation> = (0..40)
         .map(|m| obs(m, if m % 3 == 1 { 2 } else { 1 }))
         .collect();
-    let resp = c.handle(
-        &Request::post_json("/api/v1/places/discover", json!({ "observations": night1 }))
-            .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&discover(&night1, None).with_token(&token), now);
     assert!(resp.is_success(), "{resp:?}");
     assert_eq!(resp.json()["places"].as_array().unwrap().len(), 1);
     // Night 2 offloads ONLY the new suffix: a stay somewhere else.
@@ -180,11 +213,7 @@ fn discover_absorbs_suffixes_without_forgetting_places() {
     let night2: Vec<GsmObservation> = (100..140)
         .map(|m| obs(m, if m % 3 == 1 { 6 } else { 5 }))
         .collect();
-    let resp = c.handle(
-        &Request::post_json("/api/v1/places/discover", json!({ "observations": night2 }))
-            .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&discover(&night2, None).with_token(&token), now);
     assert!(resp.is_success(), "{resp:?}");
     let body = resp.json();
     let places = body["places"].as_array().unwrap();
@@ -216,8 +245,7 @@ fn discover_rewind_restarts_from_the_new_batch() {
             rssi_dbm: -70.0,
         })
         .collect();
-    let req = Request::post_json("/api/v1/places/discover", json!({ "observations": stream }))
-        .with_token(&token);
+    let req = discover(&stream, None).with_token(&token);
     // Re-sending the same from-zero batch (a client that restarted and
     // re-clusters its full log) must not double-count: the engine
     // restarts from the rewound batch.
@@ -242,17 +270,12 @@ fn next_place_cache_invalidates_on_profile_upsert() {
                 departure: SimTime::from_day_time(day, 9 + 2 * i as u64, 0, 0),
             });
         }
-        let resp = c.handle(
-            &Request::post_json("/api/v1/profiles/sync", json!({ "profile": profile }))
-                .with_token(&token),
-            now,
-        );
+        let resp = c.handle(&profile_sync(profile, None).with_token(&token), now);
         assert!(resp.is_success());
     };
     let next = || {
         let resp = c.handle(
-            &Request::post_json("/api/v1/analytics/next_place", json!({"place": 0}))
-                .with_token(&token),
+            &place_query("/api/v1/analytics/next_place", 0).with_token(&token),
             now,
         );
         assert!(resp.is_success());
@@ -283,25 +306,14 @@ fn place_labelling() {
         PlaceSignature::WifiAps(Default::default()),
         vec![],
     );
-    let resp = c.handle(
-        &Request::post_json("/api/v1/places/sync", json!({ "places": [place] })).with_token(&token),
-        now,
-    );
+    let resp = c.handle(&places_sync(vec![place], None).with_token(&token), now);
     assert!(resp.is_success());
-    let resp = c.handle(
-        &Request::post_json("/api/v1/places/label", json!({"place": 0, "label": "Home"}))
-            .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&label(0, "Home").with_token(&token), now);
     assert!(resp.is_success(), "{resp:?}");
     let resp = c.handle(&Request::get("/api/v1/places").with_token(&token), now);
     assert_eq!(resp.json()["places"][0]["label"], "Home");
     // Unknown place → 404.
-    let resp = c.handle(
-        &Request::post_json("/api/v1/places/label", json!({"place": 9, "label": "X"}))
-            .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&label(9, "X").with_token(&token), now);
     assert_eq!(resp.status, 404);
 }
 
@@ -316,11 +328,7 @@ fn profile_sync_and_fetch() {
         arrival: SimTime::from_day_time(2, 9, 0, 0),
         departure: SimTime::from_day_time(2, 17, 0, 0),
     });
-    let resp = c.handle(
-        &Request::post_json("/api/v1/profiles/sync", json!({ "profile": profile }))
-            .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&profile_sync(profile, None).with_token(&token), now);
     assert!(resp.is_success());
     let resp = c.handle(&Request::get("/api/v1/profiles/2").with_token(&token), now);
     assert!(resp.is_success());
@@ -359,18 +367,17 @@ fn analytics_endpoints_answer_the_papers_queries() {
             arrival: SimTime::from_day_time(day, 18, 0, 0),
             departure: SimTime::from_day_time(day, 23, 0, 0),
         });
-        let resp = c.handle(
-            &Request::post_json("/api/v1/profiles/sync", json!({ "profile": profile }))
-                .with_token(&token),
-            now,
-        );
+        let resp = c.handle(&profile_sync(profile, None).with_token(&token), now);
         assert!(resp.is_success());
     }
     // Query 1: evening home arrival.
     let resp = c.handle(
-        &Request::post_json(
+        &Request::post(
             "/api/v1/analytics/arrival",
-            json!({"place": 0, "window": [15, 24]}),
+            ArrivalBody {
+                place: DiscoveredPlaceId(0),
+                window: Some((15, 24)),
+            },
         )
         .with_token(&token),
         now,
@@ -379,9 +386,12 @@ fn analytics_endpoints_answer_the_papers_queries() {
     assert_eq!(resp.json()["second_of_day"].as_u64().unwrap() / 3_600, 18);
     // Query 2: next visit to place 1.
     let resp = c.handle(
-        &Request::post_json(
+        &Request::post(
             "/api/v1/analytics/next_visit",
-            json!({"place": 1, "now": SimTime::from_day_time(14, 0, 0, 0)}),
+            NextVisitBody {
+                place: DiscoveredPlaceId(1),
+                now: SimTime::from_day_time(14, 0, 0, 0),
+            },
         )
         .with_token(&token),
         now,
@@ -389,14 +399,14 @@ fn analytics_endpoints_answer_the_papers_queries() {
     assert!(resp.is_success(), "{resp:?}");
     // Query 3: frequency.
     let resp = c.handle(
-        &Request::post_json("/api/v1/analytics/frequency", json!({"place": 0})).with_token(&token),
+        &place_query("/api/v1/analytics/frequency", 0).with_token(&token),
         now,
     );
     assert!(resp.is_success());
     assert!((resp.json()["visits_per_week"].as_f64().unwrap() - 7.0).abs() < 1e-9);
     // Markov next place from work is home.
     let resp = c.handle(
-        &Request::post_json("/api/v1/analytics/next_place", json!({"place": 1})).with_token(&token),
+        &place_query("/api/v1/analytics/next_place", 1).with_token(&token),
         now,
     );
     assert!(resp.is_success());
@@ -416,14 +426,14 @@ fn geolocation_endpoint_uses_cell_database() {
     let token = register(&c, 0, now);
     let cell = tower.cell();
     let resp = c.handle(
-        &Request::post_json(
+        &Request::post(
             "/api/v1/misc/geolocate",
-            json!({
-                "mcc": cell.plmn.mcc,
-                "mnc": cell.plmn.mnc,
-                "lac": cell.lac.0,
-                "cid": cell.cell.0,
-            }),
+            GeolocateBody {
+                mcc: cell.plmn.mcc,
+                mnc: cell.plmn.mnc,
+                lac: cell.lac.0,
+                cid: cell.cell.0,
+            },
         )
         .with_token(&token),
         now,
@@ -433,9 +443,14 @@ fn geolocation_endpoint_uses_cell_database() {
     assert!((lat - tower.position().latitude()).abs() < 1e-9);
     // Unknown cell → 404.
     let resp = c.handle(
-        &Request::post_json(
+        &Request::post(
             "/api/v1/misc/geolocate",
-            json!({"mcc": 1, "mnc": 1, "lac": 1, "cid": 1}),
+            GeolocateBody {
+                mcc: 1,
+                mnc: 1,
+                lac: 1,
+                cid: 1,
+            },
         )
         .with_token(&token),
         now,
@@ -463,25 +478,25 @@ fn social_sync_and_query_by_place() {
         },
     ];
     let resp = c.handle(
-        &Request::post_json("/api/v1/social/sync", json!({ "contacts": contacts }))
-            .with_token(&token),
+        &Request::post(
+            "/api/v1/social/sync",
+            SyncContactsBody {
+                contacts,
+                first_seq: None,
+            },
+        )
+        .with_token(&token),
         now,
     );
     assert!(resp.is_success());
     // Targeted query: only workplace contacts (§2.2.2 targeted sensing).
-    let resp = c.handle(
-        &Request::post_json("/api/v1/social/query", json!({"place": 0})).with_token(&token),
-        now,
-    );
+    let resp = c.handle(&social_query(Some(0)).with_token(&token), now);
     let body = resp.json();
     let got = body["contacts"].as_array().unwrap();
     assert_eq!(got.len(), 1);
     assert_eq!(got[0]["contact"], "peer-1");
     // Unfiltered query returns everything.
-    let resp = c.handle(
-        &Request::post_json("/api/v1/social/query", json!({"place": null})).with_token(&token),
-        now,
-    );
+    let resp = c.handle(&social_query(None).with_token(&token), now);
     assert_eq!(resp.json()["contacts"].as_array().unwrap().len(), 2);
 }
 
@@ -505,14 +520,7 @@ fn sequenced_discover_skips_absorbed_prefixes() {
         .map(|m| obs(m, if m % 3 == 1 { 2 } else { 1 }))
         .collect();
     let discover = |observations: &[GsmObservation], start: u64| {
-        c.handle(
-            &Request::post_json(
-                "/api/v1/places/discover",
-                json!({ "observations": observations, "start": start }),
-            )
-            .with_token(&token),
-            now,
-        )
+        c.handle(&discover(observations, Some(start)).with_token(&token), now)
     };
     // First offload absorbs everything.
     let first = discover(&stream, 0);
@@ -551,12 +559,12 @@ fn sequenced_contacts_deduplicate_resent_buffers() {
         place: None,
     };
     let sync = |contacts: &[ContactEntry], first_seq: u64| {
+        let body = SyncContactsBody {
+            contacts: contacts.to_vec(),
+            first_seq: Some(first_seq),
+        };
         c.handle(
-            &Request::post_json(
-                "/api/v1/social/sync",
-                json!({ "contacts": contacts, "first_seq": first_seq }),
-            )
-            .with_token(&token),
+            &Request::post("/api/v1/social/sync", body).with_token(&token),
             now,
         )
     };
@@ -598,11 +606,7 @@ fn stale_profile_and_snapshot_syncs_are_ignored() {
         p
     };
     let sync = |p: &MobilityProfile, seq: u64| {
-        c.handle(
-            &Request::post_json("/api/v1/profiles/sync", json!({ "profile": p, "seq": seq }))
-                .with_token(&token),
-            now,
-        )
+        c.handle(&profile_sync(p.clone(), Some(seq)).with_token(&token), now)
     };
     // Newer version of day 0 lands first (reorder), stale one follows.
     assert_eq!(sync(&profile(0, 2), 5).json()["stale"], false);
@@ -624,20 +628,9 @@ fn stale_profile_and_snapshot_syncs_are_ignored() {
         PlaceSignature::WifiAps(Default::default()),
         vec![],
     );
-    let resp = c.handle(
-        &Request::post_json(
-            "/api/v1/places/sync",
-            json!({ "places": [place], "seq": 7 }),
-        )
-        .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&places_sync(vec![place], Some(7)).with_token(&token), now);
     assert_eq!(resp.json()["stale"], false);
-    let resp = c.handle(
-        &Request::post_json("/api/v1/places/sync", json!({ "places": [], "seq": 6 }))
-            .with_token(&token),
-        now,
-    );
+    let resp = c.handle(&places_sync(vec![], Some(6)).with_token(&token), now);
     assert_eq!(resp.json()["stale"], true);
     let resp = c.handle(&Request::get("/api/v1/places").with_token(&token), now);
     assert_eq!(resp.json()["places"].as_array().unwrap().len(), 1);
@@ -654,10 +647,7 @@ fn users_are_isolated() {
         PlaceSignature::WifiAps(Default::default()),
         vec![],
     );
-    c.handle(
-        &Request::post_json("/api/v1/places/sync", json!({ "places": [place] })).with_token(&t0),
-        now,
-    );
+    c.handle(&places_sync(vec![place], None).with_token(&t0), now);
     let resp = c.handle(&Request::get("/api/v1/places").with_token(&t1), now);
     assert_eq!(resp.json()["places"].as_array().unwrap().len(), 0);
 }
@@ -688,7 +678,7 @@ fn wrong_method_on_known_path_is_405_with_allow() {
     assert_eq!(resp.status, 405, "{resp:?}");
     assert_eq!(resp.json()["allow"], json!(["POST"]));
     let resp = c.handle(
-        &Request::post_json("/api/v1/places", Value::Null).with_token(&token),
+        &Request::post("/api/v1/places", Payload::Empty).with_token(&token),
         now,
     );
     assert_eq!(resp.status, 405, "{resp:?}");
@@ -704,11 +694,17 @@ fn malformed_body_is_400() {
     let c = cloud();
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
+    // A body of another route's type names the type it should have been.
     let resp = c.handle(
-        &Request::post_json("/api/v1/places/sync", json!({"wrong": true})).with_token(&token),
+        &Request::post("/api/v1/places/sync", social_query(None).body).with_token(&token),
         now,
     );
     assert_eq!(resp.status, 400);
+    let message = resp.error_message().unwrap();
+    assert!(
+        message.starts_with("invalid body: expected") && message.ends_with("SyncPlacesBody"),
+        "{message}"
+    );
 }
 
 #[test]
@@ -765,13 +761,11 @@ fn replay_and_cache_metrics_fire() {
     let now = SimTime::EPOCH;
     let token = register(&c, 0, now);
     // Stale places sync (same seq twice) → one replay.
-    let sync = Request::post_json("/api/v1/places/sync", json!({"places": [], "seq": 1}))
-        .with_token(&token);
+    let sync = places_sync(vec![], Some(1)).with_token(&token);
     assert!(c.handle(&sync, now).is_success());
     assert!(c.handle(&sync, now).is_success());
     // next_place: first query trains (miss), second hits the memo.
-    let query =
-        Request::post_json("/api/v1/analytics/next_place", json!({"place": 0})).with_token(&token);
+    let query = place_query("/api/v1/analytics/next_place", 0).with_token(&token);
     assert!(c.handle(&query, now).is_success());
     assert!(c.handle(&query, now).is_success());
     let snap = obs.metrics().unwrap().snapshot();
@@ -803,11 +797,7 @@ fn shared_cloud_serves_threads_concurrently() {
                     PlaceSignature::WifiAps(Default::default()),
                     vec![],
                 );
-                let resp = shared.handle(
-                    &Request::post_json("/api/v1/places/sync", json!({ "places": [place] }))
-                        .with_token(token),
-                    now,
-                );
+                let resp = shared.handle(&places_sync(vec![place], None).with_token(token), now);
                 assert!(resp.is_success());
             });
         }
@@ -845,12 +835,13 @@ fn batched_discover_edge_cases_yield_400_not_panics() {
         rssi_dbm: -70.0,
     };
     let discover = |batch: &ObservationBatch| {
+        let body = DiscoverBody {
+            observations: Vec::new(),
+            batch: Some(batch.clone()),
+            start: Some(0),
+        };
         c.handle(
-            &Request::post_json(
-                "/api/v1/places/discover",
-                json!({"batch": batch, "start": 0}),
-            )
-            .with_token(&token),
+            &Request::post("/api/v1/places/discover", body).with_token(&token),
             now,
         )
     };
@@ -925,10 +916,11 @@ fn scene() -> Scene {
 }
 
 fn registration(n: u32) -> Request {
-    Request::post_json(
-        "/api/v1/registration",
-        json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
-    )
+    let body = RegistrationBody {
+        imei: format!("imei-{n}"),
+        email: format!("u{n}@x.com"),
+    };
+    Request::post("/api/v1/registration", body)
 }
 
 fn list_places(token: &str) -> Request {

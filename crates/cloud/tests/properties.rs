@@ -3,41 +3,19 @@
 
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_cloud::analytics::ProfileHistory;
-use pmware_cloud::{CellDatabase, CloudInstance, MobilityProfile, PlaceEntry, Request};
+use pmware_cloud::router::ROUTES;
+use pmware_cloud::{
+    CellDatabase, CloudInstance, MobilityProfile, PlaceEntry, RegistrationBody, Request,
+};
 use pmware_world::{SimDuration, SimTime};
 use proptest::prelude::*;
-use serde_json::json;
 
-/// Arbitrary JSON values: null / bool / integer / string leaves plus a
-/// nested object-with-array shape. No floats — JSON has no NaN, so a
-/// float that fails to round-trip would indict the generator, not the
-/// wire format.
-fn arb_json() -> impl Strategy<Value = serde_json::Value> {
-    (
-        0u8..5,
-        any::<i64>(),
-        "[a-zA-Z0-9 _./:-]{0,24}",
-        prop::collection::vec(("[a-z_]{1,8}", any::<i64>()), 0..5),
-        prop::collection::vec("[a-zA-Z0-9 ]{0,12}", 0..5),
-    )
-        .prop_map(|(kind, n, s, pairs, items)| match kind {
-            0 => serde_json::Value::Null,
-            1 => serde_json::json!(n % 2 == 0),
-            2 => serde_json::json!(n),
-            3 => serde_json::json!(s),
-            _ => {
-                let object: std::collections::BTreeMap<String, serde_json::Value> = pairs
-                    .into_iter()
-                    .map(|(key, value)| (key, serde_json::json!(value)))
-                    .collect();
-                serde_json::json!({
-                    "meta": object,
-                    "items": items,
-                    "n": n,
-                    "s": s,
-                })
-            }
-        })
+fn registration(imei: &str, email: &str) -> Request {
+    let body = RegistrationBody {
+        imei: imei.into(),
+        email: email.into(),
+    };
+    Request::post("/api/v1/registration", body)
 }
 
 fn history_from(entries: &[(u32, u64, u64, u64)]) -> ProfileHistory {
@@ -136,18 +114,14 @@ proptest! {
     fn arbitrary_paths_never_panic_and_need_auth(
         path_tail in "[a-z/0-9]{0,24}",
         with_token in any::<bool>(),
-        body_num in any::<i64>(),
+        body_row in 0..ROUTES.len(),
     ) {
         let cloud = CloudInstance::new(CellDatabase::new(), 1);
-        let resp = cloud.handle(
-            &Request::post_json(
-                "/api/v1/registration",
-                json!({"imei": "i", "email": "e"}),
-            ),
-            SimTime::EPOCH,
-        );
+        let resp = cloud.handle(&registration("i", "e"), SimTime::EPOCH);
         let token = resp.json()["token"].as_str().unwrap().to_owned();
-        let mut req = Request::post_json(format!("/api/v1/{path_tail}"), json!({"x": body_num}));
+        // Any route's typed body, sent to a hostile path.
+        let body = sample_request_payload(ROUTES[body_row].label);
+        let mut req = Request::post(format!("/api/v1/{path_tail}"), body);
         if with_token {
             req = req.with_token(&token);
         }
@@ -165,60 +139,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn wire_round_trip_any_request(
-        is_get in any::<bool>(),
-        path in "/[a-zA-Z0-9/._-]{0,40}",
-        token in prop::option::of("[A-Za-z0-9-]{1,40}"),
-        body in arb_json(),
-    ) {
-        let mut req = if is_get {
-            Request::get(path)
-        } else {
-            Request::post_json(path, body)
-        };
-        if let Some(t) = token {
-            req = req.with_token(t);
-        }
-        let bytes = req.to_bytes();
-        let back = Request::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back, req);
-    }
-
-    /// Every reply the server can send survives the wire: each route's
-    /// success shape and the 400/404/405 error shapes, spelled as
-    /// bytes and decoded back by the route and the status, come back as
-    /// the same variant with the same bytes.
-    #[test]
-    fn wire_round_trip_every_route_reply(
-        n in 0u64..1_000_000,
-        x in -90.0..90.0f64,
-    ) {
-        use pmware_cloud::router::ROUTES;
-        use pmware_cloud::{Method, Response};
-
-        for route in ROUTES.iter() {
-            let path = sample_path(route);
-            let replies = [
-                Response::ok(sample_reply_payload(route.label, n, x)),
-                Response::bad_request(format!("invalid body: {n}")),
-                Response::not_found(format!("no route for {path}")),
-                Response::method_not_allowed(&[Method::Get, Method::Post]),
-            ];
-            for reply in replies {
-                let bytes = reply.to_bytes();
-                let back = Response::from_bytes(route.method, &path, &bytes).unwrap();
-                prop_assert_eq!(
-                    std::mem::discriminant(&back.body),
-                    std::mem::discriminant(&reply.body),
-                    "{} {}: decoded {:?}", route.label, reply.status, back.body
-                );
-                prop_assert_eq!(&back, &reply);
-                prop_assert_eq!(back.to_bytes(), bytes);
-            }
-        }
-    }
-
     /// Sharding invariant: an arbitrary interleaving of requests from two
     /// users never leaks state across them — each user always reads back
     /// exactly what they wrote, as if they had the server to themselves.
@@ -227,16 +147,16 @@ proptest! {
         ops in prop::collection::vec((any::<bool>(), 0u8..3, 0u32..40), 1..50)
     ) {
         use pmware_algorithms::signature::{DiscoveredPlace, PlaceSignature};
+        use pmware_cloud::{
+            ContactEntry, SocialQueryBody, SyncContactsBody, SyncPlacesBody, SyncProfileBody,
+        };
 
         let cloud = CloudInstance::new(CellDatabase::new(), 9);
         let now = SimTime::EPOCH;
         let mut tokens = Vec::new();
         for n in 0..2 {
             let resp = cloud.handle(
-                &Request::post_json(
-                    "/api/v1/registration",
-                    json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
-                ),
+                &registration(&format!("imei-{n}"), &format!("u{n}@x.com")),
                 now,
             );
             tokens.push(resp.json()["token"].as_str().unwrap().to_owned());
@@ -268,7 +188,7 @@ proptest! {
                         ))
                         .collect();
                     let resp = cloud.handle(
-                        &Request::post_json("/api/v1/places/sync", json!({"places": places}))
+                        &Request::post("/api/v1/places/sync", SyncPlacesBody { places, seq: None })
                             .with_token(token),
                         now,
                     );
@@ -286,7 +206,7 @@ proptest! {
                     });
                     expected_days[u].insert(day, place);
                     let resp = cloud.handle(
-                        &Request::post_json("/api/v1/profiles/sync", json!({"profile": profile}))
+                        &Request::post("/api/v1/profiles/sync", SyncProfileBody { profile, seq: None })
                             .with_token(token),
                         now,
                     );
@@ -295,14 +215,15 @@ proptest! {
                 _ => {
                     let name = format!("peer-{u}-{val}");
                     expected_contacts[u].push(name.clone());
+                    let contact = ContactEntry {
+                        contact: name,
+                        start: SimTime::EPOCH,
+                        end: SimTime::EPOCH,
+                        place: None,
+                    };
+                    let body = SyncContactsBody { contacts: vec![contact], first_seq: None };
                     let resp = cloud.handle(
-                        &Request::post_json("/api/v1/social/sync", json!({"contacts": [{
-                            "contact": name,
-                            "start": SimTime::EPOCH,
-                            "end": SimTime::EPOCH,
-                            "place": null,
-                        }]}))
-                        .with_token(token),
+                        &Request::post("/api/v1/social/sync", body).with_token(token),
                         now,
                     );
                     prop_assert!(resp.is_success());
@@ -333,7 +254,7 @@ proptest! {
             }
             // Contacts accumulate only this user's peers.
             let resp = cloud.handle(
-                &Request::post_json("/api/v1/social/query", json!({"place": null}))
+                &Request::post("/api/v1/social/query", SocialQueryBody { place: None })
                     .with_token(token),
                 now,
             );
@@ -344,241 +265,6 @@ proptest! {
                 .map(|c| c["contact"].as_str().unwrap().to_owned())
                 .collect();
             prop_assert_eq!(&got, &expected_contacts[u], "user {} contacts", u);
-        }
-    }
-}
-
-/// One operation against the cloud, generated so the stream covers every
-/// interesting dispatch outcome: typed-route hits, unknown paths (404),
-/// wrong methods (405 with `allow`), and malformed bodies (400).
-#[derive(Debug, Clone)]
-enum WireOp {
-    Register {
-        imei: String,
-        email: String,
-    },
-    SyncPlaces {
-        ids: Vec<u32>,
-        seq: u64,
-    },
-    Label {
-        place: u32,
-        label: String,
-    },
-    Geolocate {
-        mcc: u16,
-        mnc: u16,
-        lac: u32,
-        cid: u32,
-    },
-    SocialQuery {
-        place: Option<u32>,
-    },
-    UnknownPath {
-        tail: String,
-    },
-    WrongMethod {
-        get_on_post: bool,
-    },
-    Malformed,
-}
-
-fn arb_wire_op() -> impl Strategy<Value = WireOp> {
-    (
-        0u8..8,
-        ("[a-z0-9]{1,12}", "[a-zA-Z ]{0,12}", "[a-z0-9/]{1,20}"),
-        (
-            prop::collection::vec(0u32..16, 0..6),
-            0u64..40,
-            prop::option::of(0u32..16),
-        ),
-        (0u16..999, 0u16..999, 0u32..99, 0u32..99),
-        any::<bool>(),
-    )
-        .prop_map(
-            |(kind, (imei, label, tail), (ids, seq, place), (mcc, mnc, lac, cid), flag)| match kind
-            {
-                0 => WireOp::Register {
-                    email: format!("{imei}@x.com"),
-                    imei,
-                },
-                1 => WireOp::SyncPlaces { ids, seq },
-                2 => WireOp::Label {
-                    place: (seq % 16) as u32,
-                    label,
-                },
-                3 => WireOp::Geolocate { mcc, mnc, lac, cid },
-                4 => WireOp::SocialQuery { place },
-                5 => WireOp::UnknownPath { tail },
-                6 => WireOp::WrongMethod { get_on_post: flag },
-                _ => WireOp::Malformed,
-            },
-        )
-}
-
-fn op_request(op: &WireOp, token: &str) -> Request {
-    use pmware_algorithms::signature::{DiscoveredPlace, PlaceSignature};
-    match op {
-        WireOp::Register { imei, email } => Request::post_json(
-            "/api/v1/registration",
-            json!({"imei": imei, "email": email}),
-        ),
-        WireOp::SyncPlaces { ids, seq } => {
-            let places: Vec<DiscoveredPlace> = ids
-                .iter()
-                .map(|&id| {
-                    DiscoveredPlace::new(
-                        DiscoveredPlaceId(id),
-                        PlaceSignature::WifiAps(Default::default()),
-                        vec![],
-                    )
-                })
-                .collect();
-            Request::post_json("/api/v1/places/sync", json!({"places": places, "seq": seq}))
-                .with_token(token)
-        }
-        WireOp::Label { place, label } => Request::post_json(
-            "/api/v1/places/label",
-            json!({"place": place, "label": label}),
-        )
-        .with_token(token),
-        WireOp::Geolocate { mcc, mnc, lac, cid } => Request::post_json(
-            "/api/v1/misc/geolocate",
-            json!({"mcc": mcc, "mnc": mnc, "lac": lac, "cid": cid}),
-        )
-        .with_token(token),
-        WireOp::SocialQuery { place } => {
-            Request::post_json("/api/v1/social/query", json!({"place": place})).with_token(token)
-        }
-        WireOp::UnknownPath { tail } => Request::get(format!("/api/v1/{tail}")).with_token(token),
-        WireOp::WrongMethod { get_on_post } => {
-            if *get_on_post {
-                // places/sync only accepts POST → 405 with allow: ["POST"].
-                Request::get("/api/v1/places/sync").with_token(token)
-            } else {
-                // places only accepts GET → 405 with allow: ["GET"].
-                Request::post_json("/api/v1/places", serde_json::Value::Null).with_token(token)
-            }
-        }
-        WireOp::Malformed => {
-            Request::post_json("/api/v1/places/sync", json!({"wrong": true})).with_token(token)
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The tentpole's byte-identity contract: the in-process typed path
-    /// and the marshalled wire path (request and response each serialized
-    /// to JSON bytes and re-parsed, as the fault decorator does) must
-    /// produce the same status and byte-identical response bodies for the
-    /// same operation stream — including 404s and 405-with-`allow`.
-    #[test]
-    fn typed_and_marshalled_paths_are_byte_identical(
-        ops in prop::collection::vec(arb_wire_op(), 1..25)
-    ) {
-        let typed = CloudInstance::new(CellDatabase::new(), 77);
-        let wired = CloudInstance::new(CellDatabase::new(), 77);
-        let now = SimTime::EPOCH;
-        let reg = Request::post_json(
-            "/api/v1/registration",
-            json!({"imei": "imei-0", "email": "u0@x.com"}),
-        );
-        let token = typed.handle(&reg, now).json()["token"]
-            .as_str()
-            .unwrap()
-            .to_owned();
-        let wired_token = wired.handle(&reg, now).json()["token"]
-            .as_str()
-            .unwrap()
-            .to_owned();
-        prop_assert_eq!(&token, &wired_token, "seeded registration must agree");
-
-        for op in &ops {
-            let request = op_request(op, &token);
-            // Typed path: the request travels as built, no serde anywhere.
-            let typed_resp = typed.handle(&request, now);
-            // Marshalled path: both directions cross JSON bytes, exactly
-            // what FaultyCloud's wire boundary does.
-            let wire_request = Request::from_bytes(&request.to_bytes()).unwrap();
-            let wired_resp = pmware_cloud::Response::from_bytes(
-                wire_request.method,
-                &wire_request.path,
-                &wired.handle(&wire_request, now).to_bytes(),
-            )
-            .unwrap();
-            prop_assert_eq!(typed_resp.status, wired_resp.status, "status for {:?}", op);
-            prop_assert_eq!(
-                std::mem::discriminant(&typed_resp.body),
-                std::mem::discriminant(&wired_resp.body),
-                "reply variant for {:?}: {:?}",
-                op,
-                wired_resp.body
-            );
-            prop_assert_eq!(
-                typed_resp.to_bytes(),
-                wired_resp.to_bytes(),
-                "body bytes for {:?}",
-                op
-            );
-        }
-    }
-
-    /// Typed request payloads survive their own wire spelling: rendering
-    /// to JSON and re-resolving against the route table reconstructs the
-    /// same typed variant (never `Invalid`), so the server-side
-    /// decode step is lossless for everything the client builds.
-    #[test]
-    fn typed_payloads_round_trip_through_their_wire_spelling(
-        imei in "[a-z0-9]{1,12}",
-        email in "[a-z0-9]{1,8}",
-        place in 0u32..1000,
-        label in "[a-zA-Z ]{0,16}",
-        mcc in 0u16..999,
-        mnc in 0u16..999,
-        lac in 0u16..9999,
-        cid in 0u32..9999,
-        social_place in prop::option::of(0u32..1000),
-    ) {
-        use pmware_cloud::{GeolocateBody, LabelBody, Method, Payload, RegistrationBody,
-            SocialQueryBody};
-        let cases: Vec<(Method, &str, Payload)> = vec![
-            (
-                Method::Post,
-                "/api/v1/registration",
-                RegistrationBody { imei, email }.into(),
-            ),
-            (
-                Method::Post,
-                "/api/v1/places/label",
-                LabelBody { place: DiscoveredPlaceId(place), label }.into(),
-            ),
-            (
-                Method::Post,
-                "/api/v1/misc/geolocate",
-                GeolocateBody { mcc, mnc, lac, cid }.into(),
-            ),
-            (
-                Method::Post,
-                "/api/v1/social/query",
-                SocialQueryBody {
-                    place: social_place.map(DiscoveredPlaceId),
-                }
-                .into(),
-            ),
-        ];
-        for (method, path, payload) in cases {
-            let spelled = payload.to_json();
-            let back = Payload::from_json(method, path, &spelled);
-            prop_assert!(
-                !matches!(back, Payload::Invalid { .. }),
-                "{} must re-resolve typed, got {:?}",
-                path,
-                back
-            );
-            prop_assert_eq!(&back, &payload, "{} round-trip", path);
-            prop_assert_eq!(back.to_json(), spelled, "{} spelling stable", path);
         }
     }
 }
@@ -635,11 +321,23 @@ fn sample_request_payload(label: &str) -> pmware_cloud::Payload {
             to: DiscoveredPlaceId(1),
         }
         .into(),
-        "profiles_sync" => SyncProfileBody {
-            profile: MobilityProfile::new(0),
-            seq: Some(1),
+        // Day 3 (the day `sample_path` fetches): home at 0, then work
+        // at 1, which the analytics queries below read back.
+        "profiles_sync" => {
+            let mut profile = MobilityProfile::new(3);
+            for (place, hour) in [(0, 18), (1, 21)] {
+                profile.places.push(PlaceEntry {
+                    place: DiscoveredPlaceId(place),
+                    arrival: SimTime::from_day_time(3, hour, 0, 0),
+                    departure: SimTime::from_day_time(3, hour + 1, 0, 0),
+                });
+            }
+            SyncProfileBody {
+                profile,
+                seq: Some(1),
+            }
+            .into()
         }
-        .into(),
         "social_sync" => SyncContactsBody {
             contacts: vec![],
             first_seq: Some(0),
@@ -656,7 +354,10 @@ fn sample_request_payload(label: &str) -> pmware_cloud::Payload {
             cid: 2,
         }
         .into(),
-        "geolocate_signature" => GeolocateSignatureBody { cells: vec![] }.into(),
+        "geolocate_signature" => GeolocateSignatureBody {
+            cells: vec![sample_cell()],
+        }
+        .into(),
         "analytics_arrival" => ArrivalBody {
             place: DiscoveredPlaceId(0),
             window: Some((15, 24)),
@@ -675,6 +376,17 @@ fn sample_request_payload(label: &str) -> pmware_cloud::Payload {
     }
 }
 
+/// The one cell the tie test's cell database knows: the `geolocate`
+/// sample's.
+fn sample_cell() -> pmware_world::CellGlobalId {
+    use pmware_world::{CellGlobalId, CellId, Lac, Plmn};
+    CellGlobalId {
+        plmn: Plmn { mcc: 404, mnc: 10 },
+        lac: Lac(1),
+        cell: CellId(2),
+    }
+}
+
 /// A path `route` serves (a prefix route gets a day suffix).
 fn sample_path(route: &pmware_cloud::Route) -> String {
     use pmware_cloud::router::PathSpec;
@@ -685,10 +397,11 @@ fn sample_path(route: &pmware_cloud::Route) -> String {
 }
 
 /// A sample success reply for every route label, exhaustive over the
-/// live table like [`sample_request_payload`]; `n` and `x` vary the
-/// scalars.
-fn sample_reply_payload(label: &str, n: u64, x: f64) -> pmware_cloud::Payload {
+/// live table like [`sample_request_payload`]: the reply variant each
+/// row answers with.
+fn sample_reply_payload(label: &str) -> pmware_cloud::Payload {
     use pmware_cloud::{ContactEntry, Payload, UserId};
+    let (n, x) = (1, 0.5);
     match label {
         "register" => Payload::Registered {
             user: UserId(n as u32),
@@ -755,14 +468,26 @@ fn sample_reply_payload(label: &str, n: u64, x: f64) -> pmware_cloud::Payload {
 }
 
 /// Exhaustiveness tie between the route table and the payload layer:
-/// every route resolves back to its own row, has a typed request payload
-/// whose wire spelling decodes to the same variant (never `Invalid`), and carries a non-empty metric label. New rows fail here
+/// every route resolves back to its own row and carries a unique,
+/// non-empty metric label. Sent in row order to one live instance, each
+/// row's typed sample request is taken by its handler and answered with
+/// the row's reply shape, and on every POST route that takes a body a
+/// body of another type answers `400 invalid body`. New rows fail here
 /// until both sides exist.
 #[test]
 fn route_table_and_payload_layer_are_exhaustively_tied() {
-    use pmware_cloud::router::{resolve, Resolution, ROUTES};
-    use pmware_cloud::Payload;
+    use pmware_cloud::router::{resolve, Resolution};
+    use pmware_cloud::{Method, Payload};
+    use std::mem::discriminant;
 
+    let mut cells = CellDatabase::new();
+    cells.insert(
+        sample_cell(),
+        pmware_geo::GeoPoint::new(28.5, 77.2).unwrap(),
+    );
+    let cloud = CloudInstance::new(cells, 3);
+    let reg = cloud.handle(&registration("i", "e"), SimTime::EPOCH);
+    let mut token = reg.json()["token"].as_str().unwrap().to_owned();
     let mut labels = std::collections::BTreeSet::new();
     for (index, route) in ROUTES.iter().enumerate() {
         let path = sample_path(route);
@@ -784,20 +509,46 @@ fn route_table_and_payload_layer_are_exhaustively_tied() {
         );
 
         let payload = sample_request_payload(route.label);
-        let spelled = payload.to_json();
-        let back = Payload::from_json(route.method, &path, &spelled);
+        let request = match route.method {
+            Method::Get => {
+                assert_eq!(payload, Payload::Empty, "route {}", route.label);
+                Request::get(&path)
+            }
+            Method::Post => Request::post(&path, payload.clone()),
+        };
+        let response = cloud.handle(&request.with_token(&token), SimTime::EPOCH);
         assert!(
-            !matches!(back, Payload::Invalid { .. }),
-            "route {}: canonical body does not decode",
+            response.is_success(),
+            "route {}: its sample request is refused: {response:?}",
             route.label
         );
-        assert_eq!(back, payload, "route {}: lossy decode", route.label);
+        let reply = sample_reply_payload(route.label);
         assert_eq!(
-            back.to_json(),
-            spelled,
-            "route {}: unstable wire spelling",
+            discriminant(&response.body),
+            discriminant(&reply),
+            "route {}: reply shape",
             route.label
         );
+        if let Payload::TokenRefreshed { token: rotated, .. } = &response.body {
+            token = rotated.clone();
+        }
+
+        if route.method == Method::Post && payload != Payload::Empty {
+            let other = if route.label == "register" {
+                "places_label"
+            } else {
+                "register"
+            };
+            let wrong = Request::post(&path, sample_request_payload(other)).with_token(&token);
+            let response = cloud.handle(&wrong, SimTime::EPOCH);
+            assert_eq!(response.status, 400, "route {}: {response:?}", route.label);
+            let message = response.error_message().unwrap();
+            assert!(
+                message.starts_with("invalid body: expected"),
+                "route {}: {message}",
+                route.label
+            );
+        }
     }
     assert_eq!(labels.len(), ROUTES.len());
 }
@@ -806,23 +557,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Fuzzed unrouted traffic pins its error **bytes**, not just the
-    /// status: a 404 is exactly `{"error":"no route for <path>"}` and a
-    /// 405 exactly `{"allow":[...],"error":"method not allowed"}` in the
-    /// canonical envelope — the spellings clients key on.
+    /// status: a 404 body is exactly `{"error":"no route for <path>"}` and
+    /// a 405 body exactly `{"allow":[...],"error":"method not allowed"}`
+    /// — the spellings clients key on.
     #[test]
     fn unrouted_requests_pin_their_error_bytes(
         tail in "[a-z0-9/._-]{0,24}",
         is_get in any::<bool>(),
-        body in arb_json(),
+        body_row in 0..ROUTES.len(),
     ) {
         use pmware_cloud::router::{resolve, Resolution};
         use pmware_cloud::Method;
 
         let cloud = CloudInstance::new(CellDatabase::new(), 5);
-        let reg = cloud.handle(
-            &Request::post_json("/api/v1/registration", json!({"imei": "i", "email": "e"})),
-            SimTime::EPOCH,
-        );
+        let reg = cloud.handle(&registration("i", "e"), SimTime::EPOCH);
         let token = reg.json()["token"].as_str().unwrap().to_owned();
 
         let path = format!("/api/v1/{tail}");
@@ -830,18 +578,17 @@ proptest! {
         let request = if is_get {
             Request::get(&path)
         } else {
-            Request::post_json(&path, body)
+            Request::post(&path, sample_request_payload(ROUTES[body_row].label))
         }
         .with_token(&token);
         let response = cloud.handle(&request, SimTime::EPOCH);
-        let wire = String::from_utf8(response.to_bytes().to_vec()).unwrap();
+        let body = response.json().to_string();
 
         match resolve(method, &path) {
             Resolution::NotFound => {
                 prop_assert_eq!(response.status, 404);
-                let expected =
-                    format!(r#"{{"body":{{"error":"no route for {path}"}},"status":404}}"#);
-                prop_assert_eq!(wire, expected);
+                let expected = format!(r#"{{"error":"no route for {path}"}}"#);
+                prop_assert_eq!(body, expected);
             }
             Resolution::MethodNotAllowed { allow } => {
                 prop_assert_eq!(response.status, 405);
@@ -850,10 +597,9 @@ proptest! {
                     .map(|m| format!("\"{}\"", m.as_str()))
                     .collect::<Vec<_>>()
                     .join(",");
-                let expected = format!(
-                    r#"{{"body":{{"allow":[{allowed}],"error":"method not allowed"}},"status":405}}"#
-                );
-                prop_assert_eq!(wire, expected);
+                let expected =
+                    format!(r#"{{"allow":[{allowed}],"error":"method not allowed"}}"#);
+                prop_assert_eq!(body, expected);
             }
             // The fuzzer occasionally lands on a real route; those are
             // owned by the endpoint tests, not this pin.

@@ -4,20 +4,21 @@
 //!
 //! Everything drives the full middleware stack through
 //! `CloudInstance::handle`, exactly as a client sees the service, so the
-//! engine's promises are checked at the wire: *byte-identical* response
-//! bodies, not merely equivalent in-memory structures.
+//! engine's promises are checked at the wire: *wire-identical* responses
+//! (`Response` equality compares statuses and the bodies' JSON spelling),
+//! not merely equivalent in-memory structures.
 
 use std::path::PathBuf;
 
 use pmware_algorithms::signature::DiscoveredPlaceId;
 use pmware_cloud::{
-    CellDatabase, CloudInstance, ContactEntry, MobilityProfile, PlaceEntry, Request, StorageConfig,
-    UserId,
+    CellDatabase, CloudInstance, ContactEntry, DiscoverBody, MobilityProfile, PlaceEntry,
+    PlaceOnlyBody, RegistrationBody, Request, Response, SocialQueryBody, StorageConfig,
+    SyncContactsBody, SyncProfileBody, UserId,
 };
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
 use proptest::prelude::*;
-use serde_json::json;
 
 /// A fresh per-test scratch directory under the OS temp dir. Process id
 /// keeps parallel `cargo test` invocations apart; the name keeps tests in
@@ -31,9 +32,12 @@ fn scratch_dir(name: &str) -> PathBuf {
 
 fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
     let resp = cloud.handle(
-        &Request::post_json(
+        &Request::post(
             "/api/v1/registration",
-            json!({"imei": format!("imei-{n}"), "email": format!("u{n}@x.com")}),
+            RegistrationBody {
+                imei: format!("imei-{n}"),
+                email: format!("u{n}@x.com"),
+            },
         ),
         now,
     );
@@ -63,19 +67,38 @@ fn day_stream(user: u32, day: u64) -> Vec<GsmObservation> {
         .collect()
 }
 
+/// A sequenced offload of `day_stream(user, day)`.
+fn discover(user: u32, day: u64) -> Request {
+    let body = DiscoverBody {
+        observations: day_stream(user, day),
+        batch: None,
+        start: Some(day * 40),
+    };
+    Request::post("/api/v1/places/discover", body)
+}
+
+/// A profile upsert (no sync sequence).
+fn profile_sync(profile: MobilityProfile) -> Request {
+    Request::post(
+        "/api/v1/profiles/sync",
+        SyncProfileBody { profile, seq: None },
+    )
+}
+
+/// A sequenced contact sync of one entry.
+fn contact_sync(contact: ContactEntry, first_seq: u64) -> Request {
+    let body = SyncContactsBody {
+        contacts: vec![contact],
+        first_seq: Some(first_seq),
+    };
+    Request::post("/api/v1/social/sync", body)
+}
+
 /// One sim-day of mutations for one user: a sequenced GCA offload, a
 /// mobility-profile upsert, and a sequenced contact sync.
 fn mutate_day(cloud: &CloudInstance, token: &str, user: u32, day: u64) {
     let at = SimTime::from_day_time(day, 12, 0, u64::from(user));
-    let stream = day_stream(user, day);
-    let resp = cloud.handle(
-        &Request::post_json(
-            "/api/v1/places/discover",
-            json!({"observations": stream, "start": day * 40}),
-        )
-        .with_token(token),
-        at,
-    );
+    let resp = cloud.handle(&discover(user, day).with_token(token), at);
     assert!(resp.is_success(), "discover u{user} d{day}: {resp:?}");
 
     let mut profile = MobilityProfile::new(day);
@@ -84,10 +107,7 @@ fn mutate_day(cloud: &CloudInstance, token: &str, user: u32, day: u64) {
         arrival: SimTime::from_day_time(day, 9, 0, 0),
         departure: SimTime::from_day_time(day, 17, 0, 0),
     });
-    let resp = cloud.handle(
-        &Request::post_json("/api/v1/profiles/sync", json!({"profile": profile})).with_token(token),
-        at,
-    );
+    let resp = cloud.handle(&profile_sync(profile).with_token(token), at);
     assert!(resp.is_success(), "profile u{user} d{day}: {resp:?}");
 
     let contact = ContactEntry {
@@ -96,37 +116,35 @@ fn mutate_day(cloud: &CloudInstance, token: &str, user: u32, day: u64) {
         end: SimTime::from_day_time(day, 13, 30, 0),
         place: None,
     };
-    let resp = cloud.handle(
-        &Request::post_json(
-            "/api/v1/social/sync",
-            json!({"contacts": [contact], "first_seq": day}),
-        )
-        .with_token(token),
-        at,
-    );
+    let resp = cloud.handle(&contact_sync(contact, day).with_token(token), at);
     assert!(resp.is_success(), "contacts u{user} d{day}: {resp:?}");
 }
 
-/// Every read a client can make of one user's state, as raw response
-/// bytes — the byte-identity yardstick.
-fn read_state(cloud: &CloudInstance, token: &str, days: u64, now: SimTime) -> Vec<Vec<u8>> {
+/// Every read a client can make of one user's state — the wire-identity
+/// yardstick.
+fn read_state(cloud: &CloudInstance, token: &str, days: u64, now: SimTime) -> Vec<Response> {
     let mut out = Vec::new();
     let reads = [
         Request::get("/api/v1/places"),
-        Request::post_json("/api/v1/social/query", json!({"place": null})),
-        Request::post_json("/api/v1/analytics/frequency", json!({"place": 0})),
+        Request::post("/api/v1/social/query", SocialQueryBody { place: None }),
+        Request::post(
+            "/api/v1/analytics/frequency",
+            PlaceOnlyBody {
+                place: DiscoveredPlaceId(0),
+            },
+        ),
     ];
     for read in reads {
         let resp = cloud.handle(&read.with_token(token), now);
         assert!(resp.is_success(), "{resp:?}");
-        out.push(resp.to_bytes().to_vec());
+        out.push(resp);
     }
     for day in 0..days {
         let resp = cloud.handle(
             &Request::get(format!("/api/v1/profiles/{day}")).with_token(token),
             now,
         );
-        out.push(resp.to_bytes().to_vec());
+        out.push(resp);
     }
     out
 }
@@ -167,7 +185,7 @@ fn durable_replay_after_crash_is_byte_identical() {
     );
 
     let end = SimTime::from_day_time(DAYS - 1, 20, 0, 0);
-    let before: Vec<Vec<Vec<u8>>> = tokens
+    let before: Vec<Vec<Response>> = tokens
         .iter()
         .map(|token| read_state(&cloud, token, DAYS, end))
         .collect();
@@ -186,25 +204,19 @@ fn durable_replay_after_crash_is_byte_identical() {
         let after = read_state(&recovered, token, DAYS, end);
         assert_eq!(
             before[user], after,
-            "user {user}: recovered reads must be byte-identical"
+            "user {user}: recovered reads must be wire-identical"
         );
     }
 
     // The recovered instance is live, not a read-only museum: the same
     // session keeps writing where it left off.
-    let resp = recovered.handle(
-        &Request::post_json(
-            "/api/v1/social/sync",
-            json!({"contacts": [ContactEntry {
-                contact: "post-crash".into(),
-                start: end,
-                end,
-                place: None,
-            }], "first_seq": DAYS}),
-        )
-        .with_token(&tokens[0]),
+    let contact = ContactEntry {
+        contact: "post-crash".into(),
+        start: end,
         end,
-    );
+        place: None,
+    };
+    let resp = recovered.handle(&contact_sync(contact, DAYS).with_token(&tokens[0]), end);
     assert!(resp.is_success(), "{resp:?}");
     assert_eq!(resp.json()["acked_upto"], DAYS + 1);
 
@@ -321,10 +333,7 @@ proptest! {
             // Advance sim time per op so LRU stamps differ.
             let at = SimTime::from_seconds(60 + i as u64);
             let request = match op {
-                StoreOp::Discover { day } => Request::post_json(
-                    "/api/v1/places/discover",
-                    json!({"observations": day_stream(user as u32, *day), "start": day * 40}),
-                ),
+                StoreOp::Discover { day } => discover(user as u32, *day),
                 StoreOp::Profile { day, place } => {
                     let mut profile = MobilityProfile::new(*day);
                     profile.places.push(PlaceEntry {
@@ -332,7 +341,7 @@ proptest! {
                         arrival: SimTime::from_day_time(*day, 9, 0, 0),
                         departure: SimTime::from_day_time(*day, 10, 0, 0),
                     });
-                    Request::post_json("/api/v1/profiles/sync", json!({"profile": profile}))
+                    profile_sync(profile)
                 }
                 StoreOp::Contact { n } => {
                     let entry = ContactEntry {
@@ -343,16 +352,13 @@ proptest! {
                     };
                     let seq = contact_seq[user];
                     contact_seq[user] += 1;
-                    Request::post_json(
-                        "/api/v1/social/sync",
-                        json!({"contacts": [entry], "first_seq": seq}),
-                    )
+                    contact_sync(entry, seq)
                 }
             };
             let request = request.with_token(token);
             let a = capped.handle(&request, at);
             let b = plain.handle(&request, at);
-            prop_assert_eq!(a.to_bytes(), b.to_bytes(), "mutation response {} diverged", i);
+            prop_assert_eq!(a, b, "mutation response {} diverged", i);
         }
 
         let end = SimTime::from_seconds(1_000);

@@ -4,16 +4,14 @@
 //! REST API based communication with the cloud instance and inter
 //! application communication between PMS and connected applications."*
 //!
-//! Every call builds a typed [`Payload`] directly — no JSON tree on the
-//! hot path. Against an in-process [`SharedCloud`] the payload travels
-//! typed end-to-end with zero serde work; only the fault-injecting
-//! decorator (the wire boundary) spells it as JSON bytes, and those bytes
-//! are rendered **once** per request and reused across the whole retry
-//! schedule. The client owns the *retry policy*: every request class has
-//! a bounded number of attempts with capped exponential backoff and
-//! deterministic SimTime-derived jitter, so a lossy link is survived
-//! without ever consulting a wall clock (fault runs replay bit-identically
-//! from a seed).
+//! Every call builds a typed [`Payload`] directly, and the request travels
+//! typed end to end with zero serde work, through the fault-injecting
+//! decorator too: a typed request is the only form a request takes. A
+//! retry re-sends the same request value. The client owns the *retry
+//! policy*: every request class has a bounded number of attempts with
+//! capped exponential backoff and deterministic SimTime-derived jitter,
+//! so a lossy link is survived without ever consulting a wall clock
+//! (fault runs replay bit-identically from a seed).
 //!
 //! Mutating endpoints carry idempotency keys (sequence numbers and stream
 //! offsets) so that the retries, duplicates and reorderings a faulty
@@ -598,11 +596,9 @@ impl CloudClient {
     }
 
     /// The retrying send loop. The request travels to the endpoint as a
-    /// typed value; a wire-boundary endpoint (the fault decorator) renders
-    /// its JSON bytes lazily via [`Request::wire_bytes`], and because that
-    /// cache lives on the request, every retry reuses the first encoding —
-    /// a retried request is byte-for-byte identical to its first send, and
-    /// the idempotency keys inside the body are what make retries safe.
+    /// typed value, and every retry re-sends that same value — a retried
+    /// request is identical to its first send, and the idempotency keys
+    /// inside the body are what make retries safe.
     /// Retry waits advance a *virtual* send clock (`now` plus the
     /// accumulated backoff), so the whole schedule is a pure function of
     /// simulated time.
