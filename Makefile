@@ -1,10 +1,11 @@
 # Convenience targets for the PMWare reproduction workspace.
 
-.PHONY: verify build test clippy fmt chaos paper paper-golden bench bench-check bench-gca bench-golden bench-smoke bench-wire bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
+.PHONY: verify build test clippy doc fmt chaos paper paper-golden bench bench-check bench-gca bench-golden bench-smoke bench-wire bench-storage lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage loc obs test-storage
 
 # The full pre-merge gate: release build, the whole test suite, a
 # warning-free clippy pass over every target in the workspace, a
-# formatting check, the chaos gate (fault-injection matrix + soak), the
+# rustdoc pass that fails on any warning (a broken intra-doc link
+# included), a formatting check, the chaos gate (fault-injection matrix + soak), the
 # soak smoke runs (a tiny-config throughput run that fails if parallel and
 # sequential studies ever diverge, the zero-perturbation overhead bench,
 # and the storage soak with its built-in capped-below-uncapped
@@ -23,7 +24,7 @@
 # verify leaves the tree as it found it: the machine-timed reports
 # BENCH_obs.json and BENCH_storage.json are regenerated only by `make
 # obs` and `make bench-storage`.
-verify: build test clippy fmt lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage chaos test-storage bench-smoke bench-golden bench-check
+verify: build test clippy doc fmt lint-args lint-counters lint-deps lint-hash lint-rig lint-wire lint-latency lint-storage chaos test-storage bench-smoke bench-golden bench-check
 
 build:
 	cargo build --release --workspace
@@ -33,6 +34,11 @@ test:
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# The docs gate: every workspace crate's rustdoc builds without a
+# warning, so a link to a private or renamed item fails here.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Formatting is part of the gate: workspace crates only (vendored deps
 # are path dependencies, not workspace members, so fmt never touches
@@ -117,8 +123,11 @@ bench-wire:
 # `post_json(`, `from_json(`, `reply_from_json`, `Request::from_bytes`
 # or `Response::from_bytes`. The one `from_json(` allowed is the phone
 # checkpoint's (`PmsCheckpoint::from_json` in crates/core/src/
-# checkpoint.rs), which restores a phone's state, not a request. In
-# every file, everything from `#[cfg(test)]` down is exempt.
+# checkpoint.rs), which restores a phone's state, not a request. Nor may
+# non-test code in crates/*/src or the examples read a reply field by
+# indexing its JSON rendering (`.json()[`): it matches on the typed
+# Payload instead. In every file, everything from `#[cfg(test)]` down is
+# exempt.
 lint-wire:
 	@! grep -rn 'json!(\|serde_json::Value' crates/cloud/src/handlers/ \
 		|| { echo 'lint-wire: untyped JSON crept back into crates/cloud/src/handlers/'; exit 1; }
@@ -139,6 +148,10 @@ lint-wire:
 	done | grep -v '^crates/core/src/checkpoint\.rs:[0-9]*:    pub fn from_json(json: &str)' \
 		| grep -v 'PmsCheckpoint::from_json(' | grep . \
 		|| { echo 'lint-wire: a request or reply is parsed from JSON in crates/*/src'; exit 1; }
+	@! for f in $$(find crates/*/src examples -name '*.rs'); do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" | grep -n '\.json()\[' | sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-wire: a reply field is read from its JSON rendering; match on the typed Payload'; exit 1; }
 	@echo 'lint-wire: ok'
 
 # The flag-parser lint: every binary reads its command line through

@@ -1,7 +1,7 @@
 //! SCALE-STORAGE: storage-engine soak — capped RSS vs population growth,
 //! hydration latency vs history length, and crash-recovery time.
 //!
-//! Three experiments against a durable cap-K [`StorageEngine`]:
+//! Three experiments against a durable cap-K storage engine:
 //!
 //! * **RSS ladder** — drive populations of K, 2K, 4K, 8K users through a
 //!   cap-K durable instance (round-robin traffic, so every touch beyond
@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use pmware_bench::args::Args;
 use pmware_cloud::{
-    CellDatabase, CloudInstance, DiscoverBody, RegistrationBody, Request, StorageConfig,
+    CellDatabase, CloudInstance, DiscoverBody, Payload, RegistrationBody, Request, StorageConfig,
 };
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimTime};
@@ -69,8 +69,10 @@ fn register(cloud: &CloudInstance, n: u32, now: SimTime) -> String {
         ),
         now,
     );
-    assert!(resp.is_success(), "registration failed: {resp:?}");
-    resp.json()["token"].as_str().expect("token").to_owned()
+    match resp.body {
+        Payload::Registered { token, .. } => token,
+        body => panic!("registration failed: {} {body:?}", resp.status),
+    }
 }
 
 /// A 40-observation two-cell oscillation, distinct per (user, round).

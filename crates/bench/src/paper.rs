@@ -517,7 +517,8 @@ pub fn abl_trig(out: &mut dyn Write) -> io::Result<()> {
     writeln!(
         out,
         "\nPMWare's triggered mode sits near gsm-only energy, a fraction of\n\
-         the continuous strategies', but here has the lowest correct share."
+         the continuous strategies'; here its correct share is below\n\
+         gsm-only's and continuous GPS's."
     )
 }
 
@@ -782,8 +783,9 @@ pub fn abl_gca(out: &mut dyn Write) -> io::Result<()> {
 
     writeln!(
         out,
-        "\nHere every threshold above the default 2 has a higher correct\n\
-         share; the default 10 min ties 20 min for the best, shorter stays\n\
+        "\nHere the default threshold 2 has the highest correct share: 1\n\
+         merges places and higher thresholds divide more of them; the\n\
+         default 10 min ties 20 and 30 min for the best, shorter stays\n\
          divide places and longer ones merge them."
     )
 }

@@ -9,7 +9,9 @@ use std::process::Command;
 /// day with places ships only once its overnight home stay has closed.
 /// The arrival and next-visit queries answer 404; the command reports
 /// both as empty and exits 0. Home is already the place that holds the
-/// nights (`pm-place:0`), not one with five short evening visits.
+/// nights (`pm-place:1`, 170 m from the agent's true home, with every
+/// night second of the two days), not `pm-place:0`, whose two visits
+/// are one evening's.
 #[test]
 fn an_empty_arrival_window_is_reported_and_exits_zero() {
     let output = Command::new(env!("CARGO_BIN_EXE_pmware"))
@@ -24,7 +26,7 @@ fn an_empty_arrival_window_is_reported_and_exits_zero() {
         String::from_utf8_lossy(&output.stderr)
     );
     assert!(
-        stdout.contains("analytics over 2 simulated days (home = pm-place:0)"),
+        stdout.contains("analytics over 2 simulated days (home = pm-place:1)"),
         "{stdout}"
     );
     assert!(

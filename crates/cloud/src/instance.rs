@@ -9,7 +9,7 @@
 //!
 //! [`CloudInstance`] contains no endpoint logic. It is:
 //!
-//! * **state** — a [`CloudCore`] (token store, user shards, cell
+//! * **state** — a `CloudCore` (token store, user shards, cell
 //!   database, GCA config, metrics). Its
 //!   configuration is fixed at construction, like a deployed service's;
 //! * **the request path** — [`CloudInstance::handle`] resolves the route
@@ -57,7 +57,7 @@ pub use crate::state::SHARD_COUNT;
 /// # Examples
 ///
 /// ```
-/// use pmware_cloud::{CellDatabase, CloudInstance, RegistrationBody, Request};
+/// use pmware_cloud::{CellDatabase, CloudInstance, Payload, RegistrationBody, Request};
 /// use pmware_world::SimTime;
 ///
 /// let cloud = CloudInstance::new(CellDatabase::new(), 1);
@@ -70,7 +70,7 @@ pub use crate::state::SHARD_COUNT;
 /// );
 /// let resp = cloud.handle(&req, SimTime::EPOCH);
 /// assert!(resp.is_success());
-/// assert!(resp.json()["token"].is_string());
+/// assert!(matches!(resp.body, Payload::Registered { .. }));
 /// ```
 #[derive(Debug)]
 pub struct CloudInstance {
@@ -131,8 +131,8 @@ impl CloudInstance {
 
     /// Binds the instance's aggregate counters (per-endpoint requests,
     /// replay counts, analytics cache hits) to `obs`.
-    /// The authenticated-request count stays private — see
-    /// [`crate::state`]. The first builder, on a fresh instance:
+    /// The authenticated-request count stays private to the cloud's
+    /// state module. The first builder, on a fresh instance:
     ///
     /// ```
     /// use pmware_cloud::{CellDatabase, CloudInstance, SharedCloud};

@@ -3,7 +3,7 @@
 //! Every stochastic component in the workspace takes a seed; deriving them
 //! ad hoc (`master + 7`, `master * 31 + i`) invites collisions where two
 //! components accidentally share a random stream and become correlated.
-//! [`derive`] hashes a master seed with a stream label into an independent
+//! [`derive()`] hashes a master seed with a stream label into an independent
 //! 64-bit seed (FNV-1a, good enough for stream separation — this is not a
 //! cryptographic domain separator).
 //!

@@ -69,7 +69,7 @@ impl AccessPoint {
 
     /// Probability that a single scan detects this AP from `distance`:
     /// near-certain inside half range, decaying to zero at the
-    /// [detection limit](Self::detection_limit).
+    /// detection limit.
     pub fn detection_probability(&self, distance: Meters) -> f64 {
         let r = self.range.value();
         let limit = self.detection_limit().value();

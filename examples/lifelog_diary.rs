@@ -7,7 +7,7 @@
 //! ```
 
 use pmware::algorithms::signature::DiscoveredPlaceId;
-use pmware::cloud::{ArrivalBody, NextVisitBody, PlaceOnlyBody};
+use pmware::cloud::{ArrivalBody, NextVisitBody, Payload, PlaceOnlyBody, Response};
 use pmware::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,16 +54,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // §2.3.2 analytics — the three example queries, answered by the cloud
     // from the synced mobility profiles.
     let end = SimTime::from_day_time(days, 0, 0, 0);
-    // "Home" is the place where nights are spent; find its stable id from
-    // PMS's registry by night visits.
+    // "Home" is where the user spends the most time (nights included);
+    // find its stable id from PMS's registry by total stay. Counting
+    // evening arrivals instead would favour a place with many short
+    // evening visits.
     let home = pms
         .places()
         .iter()
         .max_by_key(|p| {
             p.gca_visits
                 .iter()
-                .filter(|v| v.arrival.hour_of_day() >= 17 || v.arrival.hour_of_day() <= 5)
-                .count()
+                .map(|v| v.duration().as_seconds())
+                .sum::<u64>()
         })
         .expect("places discovered")
         .id;
@@ -72,20 +74,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let client = pms.cloud_client_mut();
 
     // Query 1: likely time the user reaches home in the evening.
-    let resp = client.call(
+    match client.call(
         "/api/v1/analytics/arrival",
         ArrivalBody {
             place: DiscoveredPlaceId(home.0),
             window: Some((15, 24)),
         },
         end,
-    )?;
-    let s = resp.json()["second_of_day"].as_u64().unwrap_or(0);
-    println!(
-        "1. typical evening home arrival: {:02}:{:02}",
-        s / 3600,
-        (s % 3600) / 60
-    );
+    ) {
+        Ok(Response {
+            body: Payload::ArrivalAt { second_of_day: s },
+            ..
+        }) => println!(
+            "1. typical evening home arrival: {:02}:{:02}",
+            s / 3600,
+            (s % 3600) / 60
+        ),
+        Ok(resp) => return Err(format!("unexpected arrival reply: {}", resp.json()).into()),
+        Err(e) => println!("1. no evening arrival at home yet ({e})"),
+    }
 
     // Query 2: when is the next visit to the most-frequented other place?
     // (Chosen by online-confirmed visits so the cloud's profile history —
@@ -105,10 +112,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         end,
     ) {
-        Ok(resp) => {
-            let next: SimTime = serde_json::from_value(resp.json()["time"].clone())?;
-            println!("2. next predicted visit to place {}: {next}", work.0);
-        }
+        Ok(Response {
+            body: Payload::VisitAt { time },
+            ..
+        }) => println!("2. next predicted visit to place {}: {time}", work.0),
+        Ok(resp) => return Err(format!("unexpected next-visit reply: {}", resp.json()).into()),
         Err(e) => println!("2. no visit pattern for place {} yet ({e})", work.0),
     }
 
@@ -120,12 +128,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         end,
     )?;
-    println!(
-        "3. visit frequency of place {}: {:.1} visits/week ({} total)",
-        work.0,
-        resp.json()["visits_per_week"],
-        resp.json()["visit_count"]
-    );
+    if let Payload::Frequency {
+        visits_per_week,
+        visit_count,
+    } = resp.body
+    {
+        println!(
+            "3. visit frequency of place {}: {visits_per_week:.1} visits/week ({visit_count} total)",
+            work.0
+        );
+    }
 
     // Bonus: the Markov "where next" distribution from home.
     let resp = pms.cloud_client_mut().call(
@@ -135,9 +147,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         end,
     )?;
-    println!(
-        "   after home, the user usually goes to: {}",
-        resp.json()["predictions"]
-    );
+    if let Payload::Predictions { predictions } = resp.body {
+        let next: Vec<String> = predictions
+            .iter()
+            .map(|(place, p)| format!("place {} ({:.0} %)", place.0, 100.0 * p))
+            .collect();
+        println!(
+            "   after home, the user usually goes to: {}",
+            next.join(", ")
+        );
+    }
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! cargo run --release --example social_contacts
 //! ```
 
-use pmware::cloud::SocialQueryBody;
+use pmware::cloud::{Payload, SocialQueryBody};
 use pmware::core::pms::PeerProvider;
 use pmware::prelude::*;
 
@@ -95,10 +95,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SocialQueryBody { place: None },
         end,
     )?;
-    let stored = resp.json()["contacts"]
-        .as_array()
-        .map(Vec::len)
-        .unwrap_or(0);
+    let stored = match resp.body {
+        Payload::Contacts { contacts } => contacts.len(),
+        _ => 0,
+    };
     println!("contacts stored on the cloud instance: {stored}");
 
     let bt_energy = pms.battery().drained_by(Interface::Bluetooth);
