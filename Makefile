@@ -126,8 +126,11 @@ bench-wire:
 # checkpoint.rs), which restores a phone's state, not a request. Nor may
 # non-test code in crates/*/src or the examples read a reply field by
 # indexing its JSON rendering (`.json()[`): it matches on the typed
-# Payload instead. In every file, everything from `#[cfg(test)]` down is
-# exempt.
+# Payload instead. Nor may non-test code in crates/cloud/src outside
+# wire.rs decode a discover batch into observations
+# (`ObservationBatch::decode`, `.decode()`): the server validates a batch
+# and absorbs its coded entries straight from the columns. In every file,
+# everything from `#[cfg(test)]` down is exempt.
 lint-wire:
 	@! grep -rn 'json!(\|serde_json::Value' crates/cloud/src/handlers/ \
 		|| { echo 'lint-wire: untyped JSON crept back into crates/cloud/src/handlers/'; exit 1; }
@@ -152,6 +155,10 @@ lint-wire:
 		sed '/^#\[cfg(test)\]/,$$d' "$$f" | grep -n '\.json()\[' | sed "s|^|$$f:|"; \
 	done | grep . \
 		|| { echo 'lint-wire: a reply field is read from its JSON rendering; match on the typed Payload'; exit 1; }
+	@! for f in $$(find crates/cloud/src -name '*.rs' ! -path crates/cloud/src/wire.rs); do \
+		sed '/^#\[cfg(test)\]/,$$d' "$$f" | grep -n 'ObservationBatch::decode\|\.decode()' | sed "s|^|$$f:|"; \
+	done | grep . \
+		|| { echo 'lint-wire: a discover batch is decoded outside wire.rs; validate it and absorb its entries'; exit 1; }
 	@echo 'lint-wire: ok'
 
 # The flag-parser lint: every binary reads its command line through

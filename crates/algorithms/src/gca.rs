@@ -40,12 +40,21 @@
 //!   discovery* cheap: neither the phone's local fallback nor the cloud
 //!   re-clusters history that has already been processed.
 //!
+//! The engine keeps its observation log in columns ([`LogColumns`]):
+//! time (8 B), cell symbol (4 B), radio layer (1 B) and RSSI (8 B), 21 B
+//! per observation, where a `Vec<GsmObservation>` takes 32 B. Cells are
+//! interned as they are recorded, so a dictionary-coded batch
+//! ([`IncrementalGca::absorb_coded`]) is absorbed without decoding it,
+//! the absorb itself never hashes a cell, and the log reads back through
+//! an [`ObservationLog`] view.
+//!
 //! After discovery, cheap online tracking ([`CellPlaceTracker`])
 //! recognises revisits on the phone.
 
 use std::collections::BTreeSet;
 
 use pmware_world::intern::{FxHashMap, Interner, Symbol};
+use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, GsmObservation, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -84,15 +93,17 @@ impl Default for GcaConfig {
 ///
 /// Internally the graph is keyed by dense interned symbols, not by raw
 /// [`CellGlobalId`]s: the per-observation hot path (dwell accounting,
-/// bounce counting) costs at most one Fx-hashed intern lookup plus `Vec`
-/// indexing. Every public accessor of the graph speaks `CellGlobalId`;
-/// symbols leave only in [`IncrementalGca::export`], beside the
+/// bounce counting) is `Vec` indexing on symbols. Every public accessor
+/// of the graph speaks `CellGlobalId`; symbols leave only in
+/// [`IncrementalGca::export`] and [`IncrementalGca::log`], beside the
 /// dictionary that resolves them. The graph also keeps its symbols sorted
 /// by cell, so the clustering walks edges in ascending cell-pair order and
 /// lists components by root cell without building a cell-keyed map.
 #[derive(Debug, Clone, Default)]
 pub struct MovementGraph {
     /// Cell ↔ symbol table, first-seen order (= stream appearance order).
+    /// An [`IncrementalGca`] interns its recorded but not yet absorbed
+    /// cells here too; the graph's own cells are the first `dwell.len()`.
     cells: Interner<CellGlobalId>,
     /// Every symbol, in ascending cell order.
     by_cell: Vec<Symbol>,
@@ -147,7 +158,7 @@ impl MovementGraph {
     pub fn dwell(&self, cell: CellGlobalId) -> SimDuration {
         self.cells
             .get(&cell)
-            .map(|s| self.dwell[s as usize])
+            .and_then(|s| self.dwell.get(s as usize).copied())
             .unwrap_or(SimDuration::ZERO)
     }
 
@@ -162,12 +173,20 @@ impl MovementGraph {
         let sym = self.cells.intern(&cell);
         let fresh = sym as usize == self.dwell.len();
         if fresh {
-            self.dwell.push(SimDuration::ZERO);
-            let cells = &self.cells;
-            let at = self.by_cell.partition_point(|&s| *cells.resolve(s) < cell);
-            self.by_cell.insert(at, sym);
+            self.admit(sym);
         }
         (sym, fresh)
+    }
+
+    /// Gives the interned symbol `sym`, the next one the graph has not
+    /// met, its dwell slot and its place in cell order.
+    fn admit(&mut self, sym: Symbol) {
+        debug_assert_eq!(sym as usize, self.dwell.len(), "symbols are met in order");
+        self.dwell.push(SimDuration::ZERO);
+        let cells = &self.cells;
+        let cell = *cells.resolve(sym);
+        let at = self.by_cell.partition_point(|&s| *cells.resolve(s) < cell);
+        self.by_cell.insert(at, sym);
     }
 
     /// Accounts dwell for an already-interned cell.
@@ -537,6 +556,141 @@ impl RunScan {
     }
 }
 
+/// One entry of a dictionary-coded observation batch: an observation
+/// whose cell is a symbol into a dictionary the caller holds, as
+/// [`IncrementalGca::absorb_coded`] takes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CodedObservation {
+    /// When the sample was taken.
+    pub time: SimTime,
+    /// The serving cell, as a symbol into the batch's dictionary.
+    pub symbol: Symbol,
+    /// Radio-access layer.
+    pub layer: NetworkLayer,
+    /// Received signal strength.
+    pub rssi_dbm: f64,
+}
+
+/// An observation log in parallel columns, one entry per observation:
+/// the layout an [`IncrementalGca`] keeps its log in (21 B per
+/// observation) and the one [`IncrementalGca::restore`] takes back. The
+/// symbols index a cell dictionary held beside the columns.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LogColumns {
+    /// Each observation's time.
+    pub times: Vec<SimTime>,
+    /// Each observation's cell, as a symbol into the dictionary.
+    pub symbols: Vec<Symbol>,
+    /// Each observation's radio-access layer.
+    pub layers: Vec<NetworkLayer>,
+    /// Each observation's signal strength.
+    pub rssi_dbm: Vec<f64>,
+}
+
+impl LogColumns {
+    /// Number of observations (the length of the time column).
+    pub fn len(&self) -> usize {
+        self.times.len()
+    }
+
+    /// Whether the log holds no observation.
+    pub fn is_empty(&self) -> bool {
+        self.times.is_empty()
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.times.reserve(additional);
+        self.symbols.reserve(additional);
+        self.layers.reserve(additional);
+        self.rssi_dbm.reserve(additional);
+    }
+
+    fn push(&mut self, time: SimTime, symbol: Symbol, layer: NetworkLayer, rssi_dbm: f64) {
+        self.times.push(time);
+        self.symbols.push(symbol);
+        self.layers.push(layer);
+        self.rssi_dbm.push(rssi_dbm);
+    }
+}
+
+/// A borrowed view of an [`IncrementalGca`]'s observation log, or of a
+/// suffix of it: its columns and the engine's cell dictionary, which
+/// covers every recorded cell in first-seen order.
+#[derive(Debug, Clone, Copy)]
+pub struct ObservationLog<'a> {
+    cells: &'a [CellGlobalId],
+    columns: &'a LogColumns,
+    from: usize,
+}
+
+impl<'a> ObservationLog<'a> {
+    /// Number of observations in view.
+    pub fn len(&self) -> usize {
+        self.columns.len() - self.from
+    }
+
+    /// Whether the view holds no observation.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The cell dictionary the symbols index: every cell of the whole
+    /// log, in first-seen order (a suffix view keeps the whole table).
+    pub fn cells(&self) -> &'a [CellGlobalId] {
+        self.cells
+    }
+
+    /// The time column, in recording order (non-decreasing).
+    pub fn times(&self) -> &'a [SimTime] {
+        &self.columns.times[self.from..]
+    }
+
+    /// The cell symbol column, into [`cells`](Self::cells).
+    pub fn symbols(&self) -> &'a [Symbol] {
+        &self.columns.symbols[self.from..]
+    }
+
+    /// The radio-layer column.
+    pub fn layers(&self) -> &'a [NetworkLayer] {
+        &self.columns.layers[self.from..]
+    }
+
+    /// The signal-strength column.
+    pub fn rssi_dbm(&self) -> &'a [f64] {
+        &self.columns.rssi_dbm[self.from..]
+    }
+
+    /// The view from its `from`-th observation on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` exceeds [`len`](Self::len).
+    pub fn suffix(&self, from: usize) -> ObservationLog<'a> {
+        assert!(from <= self.len(), "suffix from {from} of {}", self.len());
+        ObservationLog {
+            from: self.from + from,
+            ..*self
+        }
+    }
+
+    /// The observations in view, rebuilt one by one.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = GsmObservation> + 'a {
+        let cells = self.cells;
+        let columns = self.columns;
+        (self.from..columns.len()).map(move |i| GsmObservation {
+            time: columns.times[i],
+            cell: cells[columns.symbols[i] as usize],
+            layer: columns.layers[i],
+            rssi_dbm: columns.rssi_dbm[i],
+        })
+    }
+
+    /// The observations in view, as a `Vec`.
+    pub fn to_vec(&self) -> Vec<GsmObservation> {
+        self.iter().collect()
+    }
+}
+
 /// Persistent incremental GCA engine (§2.3.1's *nightly incremental
 /// discovery*, done properly): absorb a suffix of new observations in
 /// O(suffix) amortised time, and read back a place set **bit-identical**
@@ -544,11 +698,20 @@ impl RunScan {
 ///
 /// # Design
 ///
-/// Everything runs on dense cell symbols. The movement graph (dwell +
-/// bounce weights) folds a new observation in O(1) using a
-/// two-observation tail window; a sample that repeats one of the last two
-/// cells (a dwell or an oscillation, the common case) reuses that cell's
-/// symbol without hashing at all, and every other lookup is one Fx hash.
+/// Everything runs on dense cell symbols. The log is four parallel
+/// columns ([`LogColumns`]): time (8 B), cell symbol (4 B), radio layer
+/// (1 B) and RSSI (8 B), 21 B per observation against the 32 B of a
+/// `GsmObservation`. Cells are interned into the movement graph's
+/// dictionary as they are recorded, in first-seen order: a sample that
+/// repeats one of the last two cells (a dwell or an oscillation, the
+/// common case) reuses that cell's symbol without hashing, every other
+/// one costs one Fx hash, and a coded batch
+/// ([`absorb_coded`](Self::absorb_coded)) costs one per distinct cell.
+/// The graph's own cells are the dictionary's first `dwell.len()`, those
+/// of the absorbed prefix; a symbol is new to the graph exactly when it
+/// equals that count. The movement graph (dwell + bounce weights) then
+/// folds an observation in O(1) from the symbol and time columns, with a
+/// two-observation tail window and no hashing of cells.
 ///
 /// Visit runs are trickier: the batch algorithm re-scans the stream with
 /// the *final* cluster partition, and bounce weights only ever grow, so a
@@ -603,13 +766,12 @@ pub struct IncrementalGca {
     config: GcaConfig,
     /// The run-break rules, derived from `config` once.
     rules: RunRules,
-    /// Every observation recorded so far, absorbed or not. It is the
-    /// phone's offload buffer, the snapshot payload and the source of the
-    /// partition-change replay.
-    log: Vec<GsmObservation>,
-    /// The interned cell symbol of each absorbed log entry; its length is
-    /// the absorbed prefix of `log`.
-    log_syms: Vec<Symbol>,
+    /// Every observation recorded so far, absorbed or not, its symbols
+    /// into `graph.cells`. It is the phone's offload buffer, the
+    /// snapshot payload and the source of the partition-change replay.
+    log: LogColumns,
+    /// How many log entries have been folded into the graph.
+    absorbed: usize,
     graph: MovementGraph,
     /// Closed runs in chronological order, labelled by the symbol of the
     /// representative (smallest) cell of their component.
@@ -620,8 +782,8 @@ pub struct IncrementalGca {
     scanned_upto: usize,
     /// Cell symbol → union-find root of its component, and cell symbol →
     /// representative symbol, under the partition the scan used. While the
-    /// partition is clean both cover every interned cell; cells first seen
-    /// while dirty stay uncovered until the re-derive.
+    /// partition is clean both cover every absorbed cell; cells first
+    /// absorbed while dirty stay uncovered until the re-derive.
     root_of: Vec<Symbol>,
     rep_of: Vec<Symbol>,
     /// Set when an edge crossed the bounce threshold since the last scan:
@@ -635,8 +797,8 @@ impl IncrementalGca {
         IncrementalGca {
             rules: RunRules::new(&config),
             config,
-            log: Vec::new(),
-            log_syms: Vec::new(),
+            log: LogColumns::default(),
+            absorbed: 0,
             graph: MovementGraph::default(),
             runs: Vec::new(),
             scan: RunScan::default(),
@@ -657,14 +819,18 @@ impl IncrementalGca {
         self.log.len()
     }
 
-    /// The full recorded observation log, in order. A fresh engine fed
-    /// this log in one `absorb` reproduces this engine's client-visible
-    /// state exactly (the split-invariance property). Durable snapshots
-    /// store the log beside the engine's [`export`](Self::export), so a
-    /// hydration [`restore`](Self::restore)s the engine without that
-    /// absorb.
-    pub fn observations(&self) -> &[GsmObservation] {
-        &self.log
+    /// The full recorded observation log, in order, as a column view. A
+    /// fresh engine fed this log in one `absorb` reproduces this engine's
+    /// client-visible state exactly (the split-invariance property).
+    /// Durable snapshots store the log beside the engine's
+    /// [`export`](Self::export), so a hydration
+    /// [`restore`](Self::restore)s the engine without that absorb.
+    pub fn log(&self) -> ObservationLog<'_> {
+        ObservationLog {
+            cells: self.graph.cells.values(),
+            columns: &self.log,
+            from: 0,
+        }
     }
 
     /// Returns `true` when nothing has been recorded yet.
@@ -674,7 +840,7 @@ impl IncrementalGca {
 
     /// Timestamp of the most recently recorded observation, if any.
     pub fn last_time(&self) -> Option<SimTime> {
-        self.log.last().map(|o| o.time)
+        self.log.times.last().copied()
     }
 
     /// The incrementally maintained movement graph of the absorbed
@@ -686,6 +852,8 @@ impl IncrementalGca {
     /// Appends a time-ordered suffix of new observations to the log
     /// without folding it in: the graph and the place view catch up at
     /// the next [`catch_up`](Self::catch_up) or [`absorb`](Self::absorb).
+    /// Each cell is interned into the engine's dictionary as it is
+    /// appended.
     ///
     /// # Panics
     ///
@@ -697,13 +865,32 @@ impl IncrementalGca {
             "suffix must be time-ordered"
         );
         debug_assert!(
-            match (self.log.last(), suffix.first()) {
-                (Some(last), Some(first)) => last.time <= first.time,
+            match (self.last_time(), suffix.first()) {
+                (Some(last), Some(first)) => last <= first.time,
                 _ => true,
             },
             "suffix must not start before already-recorded observations"
         );
-        self.log.extend_from_slice(suffix);
+        self.log.reserve(suffix.len());
+        for obs in suffix {
+            let sym = self.symbol_of(obs.cell);
+            self.log.push(obs.time, sym, obs.layer, obs.rssi_dbm);
+        }
+    }
+
+    /// The symbol of a cell about to be recorded. Most samples repeat one
+    /// of the last two recorded (a dwell or an oscillation): their symbol
+    /// is reused without hashing the cell.
+    fn symbol_of(&mut self, cell: CellGlobalId) -> Symbol {
+        let syms = &self.log.symbols;
+        let n = syms.len();
+        if n >= 1 && *self.graph.cells.resolve(syms[n - 1]) == cell {
+            return syms[n - 1];
+        }
+        if n >= 2 && *self.graph.cells.resolve(syms[n - 2]) == cell {
+            return syms[n - 2];
+        }
+        self.graph.cells.intern(&cell)
     }
 
     /// Folds a time-ordered suffix of new observations into the engine:
@@ -718,39 +905,72 @@ impl IncrementalGca {
         self.catch_up();
     }
 
+    /// Folds a dictionary-coded, time-ordered suffix into the engine,
+    /// exactly as [`absorb`](Self::absorb) folds the observations it
+    /// encodes: each entry's symbol indexes `dictionary`. A per-batch
+    /// table maps each batch symbol to an engine symbol at its first
+    /// entry, so a cell is hashed once per batch, not once per
+    /// observation, and the entries are never decoded into observations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an entry's symbol is outside `dictionary` (validate a
+    /// batch from the wire first), and in debug builds if the entries are
+    /// not time-ordered or start before the last recorded observation.
+    pub fn absorb_coded(
+        &mut self,
+        dictionary: &[CellGlobalId],
+        entries: impl IntoIterator<Item = CodedObservation>,
+    ) {
+        let entries = entries.into_iter();
+        self.log.reserve(entries.size_hint().0);
+        let mut table = vec![Symbol::MAX; dictionary.len()];
+        for entry in entries {
+            debug_assert!(
+                self.last_time().is_none_or(|last| last <= entry.time),
+                "coded entries must be time-ordered and must not start before \
+                 already-recorded observations"
+            );
+            let slot = &mut table[entry.symbol as usize];
+            if *slot == Symbol::MAX {
+                *slot = self.graph.cells.intern(&dictionary[entry.symbol as usize]);
+            }
+            self.log
+                .push(entry.time, *slot, entry.layer, entry.rssi_dbm);
+        }
+        self.catch_up();
+    }
+
     /// Folds every recorded but not yet absorbed observation into the
-    /// graph and the run scan.
+    /// graph and the run scan. It reads the symbol and time columns only,
+    /// and never hashes a cell.
     pub fn catch_up(&mut self) {
-        let from = self.log_syms.len();
-        if from == self.log.len() {
+        let (from, to) = (self.absorbed, self.log.len());
+        if from == to {
             return;
         }
         // The effective weight at which an edge starts to qualify: even a
         // zero threshold needs the edge to exist (weight 1).
         let qualifying = self.config.min_bounce_weight.max(1);
         let max_gap = self.config.max_sample_gap;
-        self.log_syms.reserve(self.log.len() - from);
-        for n in from..self.log.len() {
-            let obs = self.log[n];
-            // Most samples repeat one of the last two cells (a dwell or an
-            // oscillation): reuse its symbol instead of hashing the cell.
-            let (sym, fresh) = if n >= 1 && obs.cell == self.log[n - 1].cell {
-                (self.log_syms[n - 1], false)
-            } else if n >= 2 && obs.cell == self.log[n - 2].cell {
-                (self.log_syms[n - 2], false)
-            } else {
-                self.graph.touch(obs.cell)
-            };
-            if n >= 1 {
-                let prev = self.log[n - 1];
-                let prev_sym = self.log_syms[n - 1];
-                let dt = obs.time.since(prev.time).min(max_gap);
+        let (times, syms) = (&self.log.times, &self.log.symbols);
+        // The tail window: the two entries before the next one.
+        let entry = |n: usize| (times[n], syms[n]);
+        let mut prev = from.checked_sub(1).map(entry);
+        let mut first = from.checked_sub(2).map(entry);
+        for (&time, &sym) in times[from..to].iter().zip(&syms[from..to]) {
+            // Symbols are handed out in first-seen order, so the first
+            // absorbed sighting of a cell carries the next unmet symbol.
+            let fresh = sym as usize == self.graph.dwell.len();
+            if fresh {
+                self.graph.admit(sym);
+            }
+            if let Some((prev_time, prev_sym)) = prev {
+                let dt = time.since(prev_time).min(max_gap);
                 self.graph.note_dwell(prev_sym, dt);
-                if n >= 2 {
-                    let first = self.log[n - 2];
-                    let first_sym = self.log_syms[n - 2];
-                    let adjacent = prev.time.since(first.time) <= max_gap
-                        && obs.time.since(prev.time) <= max_gap;
+                if let Some((first_time, first_sym)) = first {
+                    let adjacent =
+                        prev_time.since(first_time) <= max_gap && time.since(prev_time) <= max_gap;
                     if adjacent
                         && first_sym == sym
                         && first_sym != prev_sym
@@ -768,8 +988,10 @@ impl IncrementalGca {
                 self.root_of.push(sym);
                 self.rep_of.push(sym);
             }
-            self.log_syms.push(sym);
+            first = prev;
+            prev = Some((time, sym));
         }
+        self.absorbed = to;
         self.advance_scan();
     }
 
@@ -794,12 +1016,12 @@ impl IncrementalGca {
             self.rep_of = rep_of;
             self.partition_dirty = false;
         }
-        for i in self.scanned_upto..self.log_syms.len() {
-            let comp = self.rep_of[self.log_syms[i] as usize];
+        for i in self.scanned_upto..self.absorbed {
+            let comp = self.rep_of[self.log.symbols[i] as usize];
             self.scan
-                .step(Some(comp), self.log[i].time, self.rules, &mut self.runs);
+                .step(Some(comp), self.log.times[i], self.rules, &mut self.runs);
         }
-        self.scanned_upto = self.log_syms.len();
+        self.scanned_upto = self.absorbed;
     }
 
     /// The places of the absorbed observations — bit-identical to
@@ -836,9 +1058,9 @@ impl IncrementalGca {
     }
 
     /// The engine in symbol form, for a snapshot: its cell dictionary,
-    /// the absorbed prefix's symbols and the state derived from them.
+    /// the absorbed prefix's length and the state derived from it.
     /// [`restore`](Self::restore) takes these back, with the config and
-    /// the log, into an engine equal to this one.
+    /// the [`log`](Self::log), into an engine equal to this one.
     pub fn export(&self) -> GcaExport<'_> {
         let mut edges: Vec<(Symbol, Symbol, u32)> = self
             .graph
@@ -848,8 +1070,8 @@ impl IncrementalGca {
             .collect();
         edges.sort_unstable();
         GcaExport {
-            cells: self.graph.cells.values(),
-            log_syms: &self.log_syms,
+            cells: &self.graph.cells.values()[..self.graph.dwell.len()],
+            absorbed: self.absorbed,
             state: GcaState {
                 dwell: self.graph.dwell.clone(),
                 edges,
@@ -861,75 +1083,85 @@ impl IncrementalGca {
     }
 
     /// Rebuilds an engine from its [`export`](Self::export), its config
-    /// and its recorded log, without absorbing anything: `log_syms` are
-    /// the symbols of the absorbed prefix of `log`, into the dictionary
-    /// `cells`. The partition (cell order, roots, representatives) is
-    /// recomputed from the cells and edges, which is all it depends on
-    /// once a catch-up has returned.
+    /// and its recorded log, without absorbing anything: `log`'s symbols
+    /// index `cells`, the whole log's dictionary in first-seen order, and
+    /// its first `absorbed` entries are the absorbed prefix. The
+    /// partition (cell order, roots, representatives) is recomputed from
+    /// the cells and edges, which is all it depends on once a catch-up
+    /// has returned.
     ///
     /// # Errors
     ///
     /// Returns a description of the first defect, never panics:
-    /// a repeated dictionary cell, or a dwell count other than the cell
-    /// count; more symbols than log entries; a symbol outside the
-    /// dictionary, naming another cell than its log entry, or first met
-    /// out of dictionary order, or a dictionary cell no symbol names; an
-    /// edge that is not `a < b` within the dictionary, out of `(a, b)`
-    /// order, repeated, or of zero weight; a run labelled outside the
-    /// dictionary or by a cell that is not its component's
-    /// representative; or more foreign samples than the run-gap
-    /// tolerance.
+    /// log columns of different lengths; more absorbed entries than log
+    /// entries; a repeated dictionary cell; a symbol outside the
+    /// dictionary or first met out of dictionary order, or a dictionary
+    /// cell no symbol names; a dwell count other than the absorbed
+    /// prefix's cell count; an edge that is not `a < b` within the
+    /// absorbed cells, out of `(a, b)` order, repeated, or of zero
+    /// weight; a run labelled outside the absorbed cells or by a cell
+    /// that is not its component's representative; or more foreign
+    /// samples than the run-gap tolerance.
     pub fn restore(
         config: GcaConfig,
-        log: Vec<GsmObservation>,
         cells: &[CellGlobalId],
-        log_syms: Vec<Symbol>,
+        log: LogColumns,
+        absorbed: usize,
         state: GcaState,
     ) -> Result<IncrementalGca, String> {
+        let n = log.len();
+        if log.symbols.len() != n || log.layers.len() != n || log.rssi_dbm.len() != n {
+            return Err(format!(
+                "ragged log: times={n} symbols={} layers={} rssi={}",
+                log.symbols.len(),
+                log.layers.len(),
+                log.rssi_dbm.len()
+            ));
+        }
+        if absorbed > n {
+            return Err(format!("{absorbed} absorbed of {n} logged"));
+        }
         let count = cells.len();
-        if state.dwell.len() != count {
-            return Err(format!(
-                "{} dwell entries for {count} cells",
-                state.dwell.len()
-            ));
-        }
-        if log_syms.len() > log.len() {
-            return Err(format!(
-                "{} absorbed symbols for {} log entries",
-                log_syms.len(),
-                log.len()
-            ));
-        }
         let mut interner = Interner::new();
         for (at, cell) in cells.iter().enumerate() {
             if interner.intern(cell) as usize != at {
                 return Err(format!("dictionary cell {at} repeats an earlier one"));
             }
         }
-        // Symbols introduce the cells in dictionary order, as interning
-        // the absorbed prefix did.
+        // Symbols introduce the cells in dictionary order, as recording
+        // the log did; the absorbed prefix introduces the graph's cells.
         let mut met = 0;
-        for (at, (&sym, obs)) in log_syms.iter().zip(&log).enumerate() {
-            let Some(cell) = cells.get(sym as usize) else {
+        let mut graph_cells = 0;
+        for (at, &sym) in log.symbols.iter().enumerate() {
+            if at == absorbed {
+                graph_cells = met;
+            }
+            if sym as usize >= count {
                 return Err(format!("symbol {sym} at {at} outside {count} cells"));
-            };
-            if *cell != obs.cell {
-                return Err(format!("symbol {sym} at {at} names another cell"));
             }
             if sym as usize > met {
                 return Err(format!("symbol {sym} at {at} met before symbol {met}"));
             }
             met = met.max(sym as usize + 1);
         }
+        if absorbed == n {
+            graph_cells = met;
+        }
         if met != count {
-            return Err(format!("{} dictionary cells never absorbed", count - met));
+            return Err(format!("{} dictionary cells never recorded", count - met));
+        }
+        if state.dwell.len() != graph_cells {
+            return Err(format!(
+                "{} dwell entries for {graph_cells} absorbed cells",
+                state.dwell.len()
+            ));
         }
         let mut edges = FxHashMap::default();
         edges.reserve(state.edges.len());
         let mut last = None;
         for &(a, b, weight) in &state.edges {
-            if a >= b || b as usize >= count {
-                return Err(format!("edge ({a}, {b}) is not a < b < {count}"));
+            if a >= b || b as usize >= graph_cells {
+                return Err(format!("edge ({a}, {b}) is not a < b < {graph_cells}"));
             }
             if last >= Some((a, b)) {
                 return Err(format!("edge ({a}, {b}) out of order or repeated"));
@@ -940,7 +1172,7 @@ impl IncrementalGca {
             last = Some((a, b));
             edges.insert((a, b), weight);
         }
-        let mut by_cell: Vec<Symbol> = (0..count as Symbol).collect();
+        let mut by_cell: Vec<Symbol> = (0..graph_cells as Symbol).collect();
         by_cell.sort_unstable_by_key(|&sym| cells[sym as usize]);
         let graph = MovementGraph {
             cells: interner,
@@ -952,8 +1184,8 @@ impl IncrementalGca {
         let rep_of = representatives(&graph.by_cell, &root_of);
         for run in state.runs.iter().chain(&state.open) {
             let label = run.component;
-            if label as usize >= count {
-                return Err(format!("run label {label} outside {count} cells"));
+            if label as usize >= graph_cells {
+                return Err(format!("run label {label} outside {graph_cells} cells"));
             }
             if rep_of[label as usize] != label {
                 return Err(format!("run label {label} is not a representative"));
@@ -968,9 +1200,9 @@ impl IncrementalGca {
         Ok(IncrementalGca {
             rules: RunRules::new(&config),
             config,
-            scanned_upto: log_syms.len(),
             log,
-            log_syms,
+            absorbed,
+            scanned_upto: absorbed,
             graph,
             runs: state.runs,
             scan: RunScan {
@@ -988,11 +1220,12 @@ impl IncrementalGca {
 /// gives it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GcaExport<'a> {
-    /// The cell dictionary: every absorbed cell, in symbol order, which is
-    /// the order the absorbed prefix first met them in.
+    /// The graph's cell dictionary: every absorbed cell, in symbol order,
+    /// which is the order the absorbed prefix first met them in. It is a
+    /// prefix of the log's dictionary.
     pub cells: &'a [CellGlobalId],
-    /// The symbol of each absorbed log entry.
-    pub log_syms: &'a [Symbol],
+    /// How many log entries the engine has absorbed.
+    pub absorbed: usize,
     /// What the engine derived from them.
     pub state: GcaState,
 }

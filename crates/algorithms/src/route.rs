@@ -8,9 +8,10 @@
 //! similarity" (§2.3.1).
 
 use pmware_geo::{Meters, Polyline};
-use pmware_world::{CellGlobalId, GpsFix, GsmObservation, SimTime};
+use pmware_world::{CellGlobalId, GpsFix, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::gca::ObservationLog;
 use crate::signature::DiscoveredPlaceId;
 
 /// Identifier of a canonical route in a [`RouteStore`].
@@ -61,19 +62,22 @@ pub struct RouteObservation {
     pub geometry: RouteGeometry,
 }
 
-/// Extracts the deduplicated cell sequence observed in `(start, end)` —
-/// the low-accuracy route geometry.
-pub fn cell_route(observations: &[GsmObservation], start: SimTime, end: SimTime) -> RouteGeometry {
-    let mut cells: Vec<CellGlobalId> = Vec::new();
-    for obs in observations {
-        if obs.time < start || obs.time > end {
-            continue;
-        }
-        if cells.last() != Some(&obs.cell) {
-            cells.push(obs.cell);
-        }
-    }
-    RouteGeometry::CellSequence(cells)
+/// Extracts the deduplicated cell sequence observed in `[start, end]` —
+/// the low-accuracy route geometry. The log's times are non-decreasing,
+/// so the window is found by binary search, and its dictionary holds
+/// each cell once, so comparing symbols compares cells.
+pub fn cell_route(log: ObservationLog<'_>, start: SimTime, end: SimTime) -> RouteGeometry {
+    let times = log.times();
+    let from = times.partition_point(|&t| t < start);
+    let to = from + times[from..].partition_point(|&t| t <= end);
+    let mut symbols = log.symbols()[from..to].to_vec();
+    symbols.dedup();
+    RouteGeometry::CellSequence(
+        symbols
+            .into_iter()
+            .map(|sym| log.cells()[sym as usize])
+            .collect(),
+    )
 }
 
 /// Extracts a GPS trace polyline for `(start, end)` — the high-accuracy
@@ -272,9 +276,10 @@ impl RouteStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gca::{GcaConfig, IncrementalGca};
     use pmware_geo::GeoPoint;
     use pmware_world::tower::NetworkLayer;
-    use pmware_world::{CellId, Lac, Plmn};
+    use pmware_world::{CellId, GsmObservation, Lac, Plmn};
 
     fn cell(id: u32) -> CellGlobalId {
         CellGlobalId {
@@ -293,6 +298,13 @@ mod tests {
         }
     }
 
+    /// An engine that has recorded `stream`, for its log view.
+    fn recorded(stream: &[GsmObservation]) -> IncrementalGca {
+        let mut engine = IncrementalGca::new(GcaConfig::default());
+        engine.record(stream);
+        engine
+    }
+
     fn p(lat: f64, lng: f64) -> GeoPoint {
         GeoPoint::new(lat, lng).unwrap()
     }
@@ -308,7 +320,7 @@ mod tests {
             obs(5, cell(2)),
         ];
         let geom = cell_route(
-            &stream,
+            recorded(&stream).log(),
             SimTime::from_seconds(0),
             SimTime::from_seconds(360),
         );
@@ -324,7 +336,7 @@ mod tests {
     fn cell_route_windows_by_time() {
         let stream = vec![obs(0, cell(1)), obs(10, cell(2)), obs(20, cell(3))];
         let geom = cell_route(
-            &stream,
+            recorded(&stream).log(),
             SimTime::from_seconds(5 * 60),
             SimTime::from_seconds(15 * 60),
         );

@@ -7,10 +7,15 @@
 //! against a cell-keyed reference kept in this file. An engine restored
 //! from its export continues exactly like the one never interrupted, and
 //! the restore refuses, without panicking, every export it cannot trust.
+//! A dictionary-coded batch absorbed without decoding lands on the same
+//! engine as its observations absorbed one by one.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use pmware_algorithms::gca::{self, GcaConfig, GcaState, IncrementalGca, MovementGraph};
+use pmware_algorithms::gca::{
+    self, CodedObservation, GcaConfig, GcaState, IncrementalGca, LogColumns, MovementGraph,
+    ObservationLog,
+};
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, CellId, GsmObservation, Lac, Plmn, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -388,7 +393,7 @@ fn recorded_observations_wait_for_the_catch_up() {
     engine.record(&stream);
     // The log holds everything; the graph and the places only what was
     // absorbed, which is nothing yet.
-    assert_eq!(engine.observations(), &stream[..]);
+    assert_eq!(engine.log().to_vec(), stream);
     assert_eq!(engine.last_time(), stream.last().map(|o| o.time));
     assert_eq!(engine.places(), gca::discover_places(&[], &config));
     engine.catch_up();
@@ -412,15 +417,25 @@ fn merge_reaching_back_to_a_run_opened_at_the_first_sighting() {
     assert_equivalent_at_splits(&stream, &[19], &GcaConfig::default());
 }
 
+/// The columns of a log view, owned.
+fn columns(log: ObservationLog<'_>) -> LogColumns {
+    LogColumns {
+        times: log.times().to_vec(),
+        symbols: log.symbols().to_vec(),
+        layers: log.layers().to_vec(),
+        rssi_dbm: log.rssi_dbm().to_vec(),
+    }
+}
+
 /// Restores `engine` from its export, config and log, as a snapshot
 /// hydration does.
 fn restored(engine: &IncrementalGca) -> IncrementalGca {
     let export = engine.export();
     IncrementalGca::restore(
         engine.config().clone(),
-        engine.observations().to_vec(),
-        export.cells,
-        export.log_syms.to_vec(),
+        engine.log().cells(),
+        columns(engine.log()),
+        export.absorbed,
         export.state,
     )
     .unwrap()
@@ -452,7 +467,8 @@ proptest! {
             head.record(&stream[split..tail]);
             let mut back = restored(&head);
             prop_assert_eq!(back.export(), head.export());
-            prop_assert_eq!(back.observations(), head.observations());
+            prop_assert_eq!(back.log().to_vec(), head.log().to_vec());
+            prop_assert_eq!(back.log().cells(), head.log().cells());
             back.catch_up();
             back.absorb(&stream[tail..]);
             prop_assert_eq!(back.places(), whole.places());
@@ -465,9 +481,9 @@ proptest! {
 /// time.
 #[derive(Clone)]
 struct Parts {
-    log: Vec<GsmObservation>,
     cells: Vec<CellGlobalId>,
-    log_syms: Vec<u32>,
+    log: LogColumns,
+    absorbed: usize,
     state: GcaState,
 }
 
@@ -487,9 +503,9 @@ fn restore_refuses_every_inconsistent_export() {
     engine.absorb(&stream);
     let export = engine.export();
     let intact = Parts {
-        log: stream.clone(),
-        cells: export.cells.to_vec(),
-        log_syms: export.log_syms.to_vec(),
+        cells: engine.log().cells().to_vec(),
+        log: columns(engine.log()),
+        absorbed: export.absorbed,
         state: export.state.clone(),
     };
     let count = intact.cells.len() as u32;
@@ -500,9 +516,9 @@ fn restore_refuses_every_inconsistent_export() {
     let restore = |parts: Parts| {
         IncrementalGca::restore(
             config.clone(),
-            parts.log,
             &parts.cells,
-            parts.log_syms,
+            parts.log,
+            parts.absorbed,
             parts.state,
         )
     };
@@ -519,18 +535,18 @@ fn restore_refuses_every_inconsistent_export() {
     refuse("dwell entries", &|p| {
         p.state.dwell.truncate(count as usize - 1)
     });
-    refuse("absorbed symbols for", &|p| {
-        p.log.truncate(p.log_syms.len() - 1)
+    refuse("ragged log", &|p| {
+        p.log.layers.pop();
     });
-    refuse("outside", &|p| p.log_syms[5] = count);
-    refuse("names another cell", &|p| p.log_syms[0] = two);
+    refuse("absorbed of", &|p| p.absorbed = p.log.len() + 1);
+    refuse("outside", &|p| p.log.symbols[5] = count);
     refuse("met before symbol", &|p| {
         // The dictionary reversed, every symbol still naming its cell.
         p.cells.reverse();
-        p.log_syms.iter_mut().for_each(|s| *s = count - 1 - *s);
+        p.log.symbols.iter_mut().for_each(|s| *s = count - 1 - *s);
         p.state.dwell.reverse();
     });
-    refuse("never absorbed", &|p| {
+    refuse("never recorded", &|p| {
         p.cells.push(cell(99));
         p.state.dwell.push(SimDuration::ZERO);
     });
@@ -553,4 +569,87 @@ fn restore_refuses_every_inconsistent_export() {
         run.unwrap().component = two;
     });
     refuse("foreign samples", &|p| p.state.foreign = 4);
+}
+
+/// Dictionary-codes `chunk` the way a hostile but valid client might:
+/// the dictionary lists the chunk's cells in reverse first-seen order,
+/// then each of them again, then a cell no entry names; every other
+/// sighting of a cell uses its second symbol.
+fn coded(chunk: &[GsmObservation]) -> (Vec<CellGlobalId>, Vec<CodedObservation>) {
+    let mut distinct: Vec<CellGlobalId> = Vec::new();
+    for o in chunk {
+        if !distinct.contains(&o.cell) {
+            distinct.push(o.cell);
+        }
+    }
+    distinct.reverse();
+    let k = distinct.len() as u32;
+    let mut dictionary = distinct.clone();
+    dictionary.extend_from_slice(&distinct);
+    dictionary.push(cell(9_999));
+    let entries = chunk
+        .iter()
+        .enumerate()
+        .map(|(i, o)| {
+            let first = distinct.iter().position(|&c| c == o.cell).unwrap() as u32;
+            CodedObservation {
+                time: o.time,
+                symbol: if i % 2 == 1 { first + k } else { first },
+                layer: o.layer,
+                rssi_dbm: o.rssi_dbm,
+            }
+        })
+        .collect();
+    (dictionary, entries)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The stream cut into chunks, each fed by one of four routes: record
+    /// only, record then catch up, a plain absorb, or a coded absorb.
+    /// Wherever the engine has caught up its places equal batch discovery
+    /// over the prefix; at the end its places, export and log (columns
+    /// and dictionary) equal those of an engine fed every chunk decoded,
+    /// by plain absorb, and its output equals batch discovery.
+    #[test]
+    fn coded_absorbs_match_batch_and_the_decoded_path(
+        stream in random_graph_stream(),
+        cuts in prop::collection::vec((0usize..400, 0u8..4), 0..8),
+    ) {
+        let config = GcaConfig::default();
+        let mut cuts = cuts;
+        cuts.sort_unstable();
+        cuts.push((stream.len(), 3));
+        let mut engine = IncrementalGca::new(config.clone());
+        let mut decoded = IncrementalGca::new(config.clone());
+        let mut fed = 0;
+        for (cut, route) in cuts {
+            let cut = cut.min(stream.len()).max(fed);
+            let chunk = &stream[fed..cut];
+            match route {
+                0 => engine.record(chunk),
+                1 => {
+                    engine.record(chunk);
+                    engine.catch_up();
+                }
+                2 => engine.absorb(chunk),
+                _ => {
+                    let (dictionary, entries) = coded(chunk);
+                    engine.absorb_coded(&dictionary, entries);
+                }
+            }
+            decoded.absorb(chunk);
+            fed = cut;
+            if route != 0 {
+                prop_assert_eq!(engine.places(), gca::discover_places(&stream[..fed], &config));
+            }
+        }
+        prop_assert_eq!(engine.places(), decoded.places());
+        prop_assert_eq!(engine.export(), decoded.export());
+        prop_assert_eq!(engine.log().cells(), decoded.log().cells());
+        prop_assert_eq!(columns(engine.log()), columns(decoded.log()));
+        prop_assert_eq!(engine.log().to_vec(), stream.clone());
+        prop_assert_eq!(engine.finish(), gca::discover_places(&stream, &config));
+    }
 }

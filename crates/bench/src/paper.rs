@@ -503,7 +503,8 @@ pub fn abl_trig(out: &mut dyn Write) -> io::Result<()> {
         "strategy", "energy (kJ)", "battery (h)", "discovered", "correct"
     )?;
     writeln!(out, "{}", "-".repeat(70))?;
-    for r in &run_triggered_ablation(days, 2014) {
+    let results = run_triggered_ablation(days, 2014);
+    for r in &results {
         writeln!(
             out,
             "{:<18} {:>12.1} {:>15.1} {:>11} {:>8.0}%",
@@ -514,12 +515,80 @@ pub fn abl_trig(out: &mut dyn Write) -> io::Result<()> {
             r.correct_fraction * 100.0
         )?;
     }
-    writeln!(
-        out,
-        "\nPMWare's triggered mode sits near gsm-only energy, a fraction of\n\
-         the continuous strategies'; here its correct share is below\n\
-         gsm-only's and continuous GPS's."
-    )
+    writeln!(out, "\n{}", wrap(&trig_verdict(&results), VERDICT_WIDTH))
+}
+
+/// The width the closing verdicts of the ablation tables wrap at.
+const VERDICT_WIDTH: usize = 64;
+
+/// Greedy word wrap: as many words on a line as fit in `width`.
+fn wrap(text: &str, width: usize) -> String {
+    let mut out = String::new();
+    let mut line = 0;
+    for word in text.split_whitespace() {
+        if line > 0 && line + 1 + word.len() > width {
+            out.push('\n');
+            line = 0;
+        } else if line > 0 {
+            out.push(' ');
+            line += 1;
+        }
+        out.push_str(word);
+        line += word.len();
+    }
+    out
+}
+
+/// `a`, `a and b`, `a, b and c`.
+fn and_list(items: &[String]) -> String {
+    match items {
+        [] => String::new(),
+        [one] => one.clone(),
+        [head @ .., last] => format!("{} and {last}", head.join(", ")),
+    }
+}
+
+/// ABL-TRIG's closing verdict, read off its rows: where PMWare's
+/// triggered mode sits in energy between gsm-only and the continuous
+/// strategies, and which strategies beat its correct share.
+fn trig_verdict(results: &[StrategyResult]) -> String {
+    let row = |label: &str| results.iter().find(|r| r.label == label);
+    let (Some(gsm), Some(triggered)) = (row("gsm-only"), row("pmware-triggered")) else {
+        return String::new();
+    };
+    let continuous = results
+        .iter()
+        .filter(|r| r.label.starts_with("continuous"))
+        .map(|r| r.energy_joules)
+        .fold(f64::INFINITY, f64::min);
+    let energy = if triggered.energy_joules <= 1.5 * gsm.energy_joules
+        && 2.0 * triggered.energy_joules <= continuous
+    {
+        "sits near gsm-only energy, a fraction of the continuous strategies'"
+    } else if triggered.energy_joules < continuous {
+        "costs well above gsm-only energy, below the continuous strategies'"
+    } else {
+        "costs as much energy as a continuous strategy"
+    };
+    let name = |label: &str| match label {
+        "gsm-only" => "gsm-only's".to_owned(),
+        "continuous-wifi" => "continuous WiFi's".to_owned(),
+        "continuous-gps" => "continuous GPS's".to_owned(),
+        other => format!("{other}'s"),
+    };
+    // Compared as the table prints them, in whole percent.
+    let percent = |r: &StrategyResult| (r.correct_fraction * 100.0).round();
+    let better: Vec<String> = results
+        .iter()
+        .filter(|r| percent(r) > percent(triggered))
+        .map(|r| name(r.label))
+        .collect();
+    let accuracy = if better.is_empty() {
+        "its correct share is the highest".to_owned()
+    } else {
+        format!("its correct share is below {}", and_list(&better))
+    };
+    format!("PMWare's triggered mode {energy}; here {accuracy}.")
 }
 
 /// The ABL-TRIG sensing strategies: label, the place demand of the one
@@ -759,12 +828,15 @@ pub fn abl_gca(out: &mut dyn Write) -> io::Result<()> {
         "{:>10} {:>11} {:>9} {:>8} {:>8} {:>9}",
         "threshold", "discovered", "correct", "merged", "divided", "no-match"
     )?;
+    let mut thresholds = Vec::new();
     for threshold in [1u32, 2, 3, 5, 8] {
         let config = GcaConfig {
             min_bounce_weight: threshold,
             ..GcaConfig::default()
         };
-        abl_gca_row(out, &format!("{threshold}"), &stream, &truth, &config)?;
+        let label = format!("{threshold}");
+        let row = abl_gca_row(out, &label, &stream, &truth, &config)?;
+        thresholds.push((u64::from(threshold), row));
     }
 
     writeln!(out, "\n— minimum stay (threshold = 2) —")?;
@@ -773,32 +845,161 @@ pub fn abl_gca(out: &mut dyn Write) -> io::Result<()> {
         "{:>10} {:>11} {:>9} {:>8} {:>8} {:>9}",
         "min stay", "discovered", "correct", "merged", "divided", "no-match"
     )?;
+    let mut stays = Vec::new();
     for minutes in [5u64, 10, 20, 30, 60] {
         let config = GcaConfig {
             min_stay: SimDuration::from_minutes(minutes),
             ..GcaConfig::default()
         };
-        abl_gca_row(out, &format!("{minutes} min"), &stream, &truth, &config)?;
+        let row = abl_gca_row(out, &format!("{minutes} min"), &stream, &truth, &config)?;
+        stays.push((minutes, row));
     }
 
+    let defaults = GcaConfig::default();
+    let threshold = SweepVerdict::of(&thresholds, u64::from(defaults.min_bounce_weight));
+    let stay = SweepVerdict::of(&stays, defaults.min_stay.as_seconds() / 60);
     writeln!(
         out,
-        "\nHere the default threshold 2 has the highest correct share: 1\n\
-         merges places and higher thresholds divide more of them; the\n\
-         default 10 min ties 20 and 30 min for the best, shorter stays\n\
-         divide places and longer ones merge them."
+        "\n{}",
+        wrap(&gca_verdict(&threshold, &stay), VERDICT_WIDTH)
     )
 }
 
+/// One ABL-GCA row's shares, in whole percent as the table prints them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SweepShares {
+    correct: f64,
+    merged: f64,
+    divided: f64,
+}
+
+/// How the rows on one side of a sweep's default fare against it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SideVerdict {
+    /// No row on that side has a lower correct share than the default.
+    AsGood,
+    /// Its worse rows merge more places than the default does.
+    Merge,
+    /// Its worse rows divide more places than the default does.
+    Divide,
+}
+
+impl SideVerdict {
+    /// The predicate for a subject of one row (`singular`) or several,
+    /// `object` naming the places.
+    fn predicate(self, singular: bool, object: &str) -> String {
+        let s = if singular { "s" } else { "" };
+        match self {
+            SideVerdict::AsGood if singular => "does as well".to_owned(),
+            SideVerdict::AsGood => "do as well".to_owned(),
+            SideVerdict::Merge => format!("merge{s} {object}"),
+            SideVerdict::Divide => format!("divide{s} {object}"),
+        }
+    }
+}
+
+/// A parameter sweep's verdict: where its default ranks by correct
+/// share, and how the values below and above it fail.
+#[derive(Debug, Clone, PartialEq)]
+struct SweepVerdict {
+    default: u64,
+    /// The values with the highest correct share.
+    best: Vec<u64>,
+    /// The values below the default, and their verdict.
+    lower: (Vec<u64>, SideVerdict),
+    /// The values above the default, and their verdict.
+    higher: (Vec<u64>, SideVerdict),
+}
+
+impl SweepVerdict {
+    /// Reads the verdict off `(value, shares)` rows in ascending value
+    /// order, `default` among the values.
+    fn of(rows: &[(u64, SweepShares)], default: u64) -> SweepVerdict {
+        let top = rows.iter().map(|(_, r)| r.correct).fold(0.0, f64::max);
+        let (_, base) = *rows
+            .iter()
+            .find(|(value, _)| *value == default)
+            .expect("the default is one of the swept values");
+        let side = |keep: &dyn Fn(u64) -> bool| {
+            let side: Vec<&(u64, SweepShares)> = rows.iter().filter(|(v, _)| keep(*v)).collect();
+            let worse = side.iter().filter(|(_, r)| r.correct < base.correct);
+            let (merged, divided) = worse.fold((0.0, 0.0), |(m, d), (_, r)| {
+                (m + r.merged - base.merged, d + r.divided - base.divided)
+            });
+            let verdict = if side.iter().all(|(_, r)| r.correct >= base.correct) {
+                SideVerdict::AsGood
+            } else if merged >= divided {
+                SideVerdict::Merge
+            } else {
+                SideVerdict::Divide
+            };
+            (side.iter().map(|(v, _)| *v).collect(), verdict)
+        };
+        SweepVerdict {
+            default,
+            best: rows
+                .iter()
+                .filter(|(_, r)| r.correct == top)
+                .map(|(v, _)| *v)
+                .collect(),
+            lower: side(&|v| v < default),
+            higher: side(&|v| v > default),
+        }
+    }
+
+    /// Where the default ranks: "has {best}", "ties … for {best}" or
+    /// "trails …", values spelled with `unit`.
+    fn rank(&self, best: &str, unit: &str) -> String {
+        let others: Vec<String> = self
+            .best
+            .iter()
+            .filter(|&&v| v != self.default)
+            .map(u64::to_string)
+            .collect();
+        if !self.best.contains(&self.default) {
+            format!("trails {}{unit}", and_list(&others))
+        } else if others.is_empty() {
+            format!("has {best}")
+        } else {
+            format!("ties {}{unit} for {best}", and_list(&others))
+        }
+    }
+}
+
+/// ABL-GCA's closing verdict, read off its two sweeps.
+fn gca_verdict(threshold: &SweepVerdict, stay: &SweepVerdict) -> String {
+    let (lower, lower_verdict) = &threshold.lower;
+    let lower_values: Vec<String> = lower.iter().map(u64::to_string).collect();
+    format!(
+        "Here the default threshold {} {}: {} {} and higher thresholds {}; \
+         the default {} min {}, shorter stays {} and longer ones {}.",
+        threshold.default,
+        threshold.rank("the highest correct share", ""),
+        and_list(&lower_values),
+        lower_verdict.predicate(lower.len() == 1, "places"),
+        threshold.higher.1.predicate(false, "more of them"),
+        stay.default,
+        stay.rank("the best", " min"),
+        stay.lower.1.predicate(false, "places"),
+        stay.higher.1.predicate(false, "them"),
+    )
+}
+
+/// Prints one ABL-GCA row and returns its shares.
 fn abl_gca_row(
     out: &mut dyn Write,
     label: &str,
     stream: &[GsmObservation],
     truth: &[GroundTruthVisit],
     config: &GcaConfig,
-) -> io::Result<()> {
+) -> io::Result<SweepShares> {
     let discovered = gca::discover_places(stream, config);
     let report = classify_places(&discovered.places, truth, DIARY_MIN_SHARE);
+    let shares = SweepShares {
+        correct: (report.correct_fraction() * 100.0).round(),
+        merged: (report.merged_fraction() * 100.0).round(),
+        divided: (report.divided_fraction() * 100.0).round(),
+    };
     writeln!(
         out,
         "{label:>10} {:>11} {:>8.0}% {:>7.0}% {:>7.0}% {:>9}",
@@ -807,7 +1008,8 @@ fn abl_gca_row(
         report.merged_fraction() * 100.0,
         report.divided_fraction() * 100.0,
         report.no_match,
-    )
+    )?;
+    Ok(shares)
 }
 
 /// ROUTE-ACC: the two route-tracking modes of §2.2.2.
@@ -1085,5 +1287,115 @@ mod tests {
         assert!(india > 0.30 && india < 0.85, "india {india:.2}");
         assert!(europe > 0.75, "europe {europe:.2}");
         assert!(europe > india + 0.15);
+    }
+
+    fn strategy(label: &'static str, energy_kj: f64, correct: f64) -> StrategyResult {
+        StrategyResult {
+            label,
+            energy_joules: energy_kj * 1_000.0,
+            battery_hours: 0.0,
+            discovered: 6,
+            correct_fraction: correct,
+        }
+    }
+
+    /// The ABL-TRIG verdict follows its rows: the table's ordering, then
+    /// one in which triggered sensing costs more than continuous WiFi and
+    /// has the best correct share.
+    #[test]
+    fn trig_verdict_is_read_off_the_rows() {
+        let golden = [
+            strategy("gsm-only", 26.4, 1.0),
+            strategy("pmware-triggered", 33.6, 0.83),
+            strategy("continuous-wifi", 86.9, 0.80),
+            strategy("continuous-gps", 278.4, 1.0),
+        ];
+        assert_eq!(
+            wrap(&trig_verdict(&golden), VERDICT_WIDTH),
+            "PMWare's triggered mode sits near gsm-only energy, a fraction of\n\
+             the continuous strategies'; here its correct share is below\n\
+             gsm-only's and continuous GPS's."
+        );
+        let flipped = [
+            strategy("gsm-only", 26.4, 0.5),
+            strategy("pmware-triggered", 90.0, 0.9),
+            strategy("continuous-wifi", 86.9, 0.8),
+            strategy("continuous-gps", 278.4, 0.9),
+        ];
+        assert_eq!(
+            trig_verdict(&flipped),
+            "PMWare's triggered mode costs as much energy as a continuous \
+             strategy; here its correct share is the highest."
+        );
+    }
+
+    fn shares(correct: f64, merged: f64, divided: f64) -> SweepShares {
+        SweepShares {
+            correct,
+            merged,
+            divided,
+        }
+    }
+
+    /// The ABL-GCA verdict follows its rows: the table's sweeps, then
+    /// sweeps in which the default loses its lead and the failure modes
+    /// on either side swap.
+    #[test]
+    fn gca_verdict_is_read_off_the_rows() {
+        let threshold = SweepVerdict::of(
+            &[
+                (1, shares(25.0, 75.0, 0.0)),
+                (2, shares(86.0, 14.0, 0.0)),
+                (3, shares(67.0, 22.0, 11.0)),
+                (5, shares(43.0, 14.0, 43.0)),
+                (8, shares(43.0, 14.0, 43.0)),
+            ],
+            2,
+        );
+        let stay = SweepVerdict::of(
+            &[
+                (5, shares(62.0, 12.0, 25.0)),
+                (10, shares(86.0, 14.0, 0.0)),
+                (20, shares(86.0, 14.0, 0.0)),
+                (30, shares(86.0, 14.0, 0.0)),
+                (60, shares(75.0, 25.0, 0.0)),
+            ],
+            10,
+        );
+        assert_eq!(
+            wrap(&gca_verdict(&threshold, &stay), VERDICT_WIDTH),
+            "Here the default threshold 2 has the highest correct share: 1\n\
+             merges places and higher thresholds divide more of them; the\n\
+             default 10 min ties 20 and 30 min for the best, shorter stays\n\
+             divide places and longer ones merge them."
+        );
+
+        let threshold = SweepVerdict::of(
+            &[
+                (1, shares(25.0, 0.0, 75.0)),
+                (2, shares(70.0, 14.0, 0.0)),
+                (3, shares(86.0, 14.0, 0.0)),
+                (5, shares(43.0, 57.0, 0.0)),
+            ],
+            2,
+        );
+        let stay = SweepVerdict::of(
+            &[
+                (5, shares(90.0, 10.0, 0.0)),
+                (10, shares(86.0, 14.0, 0.0)),
+                (60, shares(86.0, 14.0, 0.0)),
+            ],
+            10,
+        );
+        assert_eq!(threshold.best, vec![3]);
+        assert_eq!(threshold.lower, (vec![1], SideVerdict::Divide));
+        assert_eq!(threshold.higher, (vec![3, 5], SideVerdict::Merge));
+        assert_eq!(stay.higher, (vec![60], SideVerdict::AsGood));
+        assert_eq!(
+            gca_verdict(&threshold, &stay),
+            "Here the default threshold 2 trails 3: 1 divides places and \
+             higher thresholds merge more of them; the default 10 min trails \
+             5 min, shorter stays do as well and longer ones do as well."
+        );
     }
 }

@@ -9,6 +9,7 @@
 //! field, including the floating-point energy totals.
 
 use pmware_bench::deployment::{run_study, StudyConfig};
+use pmware_cloud::wire::ObservationBatch;
 use pmware_cloud::{CellDatabase, CloudInstance, DiscoverBody, Payload, Request, SharedCloud};
 use pmware_core::CloudClient;
 use pmware_world::builder::RegionProfile;
@@ -109,7 +110,7 @@ fn batched_offload_coalesces_backlog_into_one_request() {
     for day in 0..6 {
         let chunk = &log[day * day_len..(day + 1) * day_len];
         per_day
-            .discover_places(chunk, (day * day_len) as u64, now)
+            .discover_places(ObservationBatch::encode(chunk), (day * day_len) as u64, now)
             .expect("per-day offload");
     }
     let per_day_requests = per_day.wire_requests() - before;
@@ -120,7 +121,7 @@ fn batched_offload_coalesces_backlog_into_one_request() {
         CloudClient::register(cloud.clone(), "imei-all", "all@x.y", now).expect("register");
     let before = coalesced.wire_requests();
     let places = coalesced
-        .discover_places(&log, 0, now)
+        .discover_places(ObservationBatch::encode(&log), 0, now)
         .expect("coalesced offload");
     let coalesced_requests = coalesced.wire_requests() - before;
     assert_eq!(coalesced_requests, 1);

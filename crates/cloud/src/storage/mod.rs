@@ -1054,8 +1054,8 @@ mod tests {
         let store = guard.lock();
         assert_same_state(&store, &expected);
         assert_eq!(
-            store.gca.as_ref().unwrap().observations(),
-            expected.gca.as_ref().unwrap().observations()
+            store.gca.as_ref().unwrap().log().to_vec(),
+            expected.gca.as_ref().unwrap().log().to_vec()
         );
         drop(store);
         let _ = fs::remove_file(&snapshots);

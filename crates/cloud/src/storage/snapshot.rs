@@ -15,11 +15,16 @@
 //! every field but the GCA observation log, and the log, which dominates
 //! a long-lived user's state, as the binary column block of
 //! [`ObservationBatch::to_bytes`] (empty when the store has no discovery
-//! engine). Parking writes that block under the engine's own cell
-//! dictionary and symbols instead of interning the log again, so the
-//! engine section stores neither: the engine's dictionary is the first
-//! cells of the block's, one per dwell entry, and its absorbed symbols
-//! are the block's first `absorbed`. The store bytes follow the
+//! engine). The engine keeps its log in the same columns (time, cell
+//! symbol, layer, RSSI; [`pmware_algorithms::gca::LogColumns`]) under a
+//! dictionary of every recorded cell in first-seen order, which is the
+//! block's own, so parking writes the block straight from the columns
+//! (`ObservationBatch::log_bytes`: times become deltas, symbols stay)
+//! and hydration hands the block's columns back to the restore without
+//! decoding an observation. The engine section therefore stores neither
+//! dictionary nor symbols: the engine's graph cells are the block's
+//! first cells, one per dwell entry, and its absorbed entries the
+//! block's first `absorbed`. The store bytes follow the
 //! [`crate::codec`] conventions — the WAL's op bodies reuse the place,
 //! route, profile and contact encoders here: integers little-endian, counts
 //! `u64`, strings a `u32` byte length plus UTF-8, `f64` values as
@@ -126,8 +131,7 @@ use pmware_algorithms::signature::{
     DiscoveredPlace, DiscoveredPlaceId, DiscoveredVisit, PlaceSignature,
 };
 use pmware_geo::{GeoPoint, Meters, Polyline};
-use pmware_world::intern::Interner;
-use pmware_world::{Bssid, CellGlobalId, GsmObservation, SimDuration, SimTime};
+use pmware_world::{Bssid, CellGlobalId, SimDuration, SimTime};
 
 use super::{fnv1a, generation_name, parse_generation};
 use crate::analytics::ProfileHistory;
@@ -152,8 +156,8 @@ impl Parked {
         let engine = store.gca.as_ref().map(|engine| (engine, engine.export()));
         let mut out = StoreWriter::default();
         out.store(store, engine.as_ref());
-        let log = engine.map_or_else(Vec::new, |(engine, export)| {
-            log_block(engine.observations(), &export)
+        let log = engine.map_or_else(Vec::new, |(engine, _)| {
+            ObservationBatch::log_bytes(engine.log())
         });
         Parked {
             store: out.out,
@@ -189,28 +193,9 @@ impl Parked {
     }
 }
 
-/// The log block of an engine whose log is `log`: the binary column
-/// spelling under the engine's own dictionary and symbols. A recorded but
-/// unabsorbed tail continues the dictionary with its new cells, so the
-/// bytes are those of `ObservationBatch::encode(log).to_bytes()`, without
-/// interning the absorbed prefix again.
-fn log_block(log: &[GsmObservation], export: &GcaExport) -> Vec<u8> {
-    let tail = &log[export.log_syms.len()..];
-    if tail.is_empty() {
-        return ObservationBatch::bytes_with_dictionary(log, export.cells, export.log_syms);
-    }
-    let mut cells = Interner::new();
-    for cell in export.cells {
-        cells.intern(cell);
-    }
-    let mut symbols = export.log_syms.to_vec();
-    symbols.extend(tail.iter().map(|obs| cells.intern(&obs.cell)));
-    ObservationBatch::bytes_with_dictionary(log, cells.values(), &symbols)
-}
-
 /// A parked engine section, decoded: everything
-/// [`IncrementalGca::restore`] takes but the log and the dictionary, which
-/// the log block holds.
+/// [`IncrementalGca::restore`] takes but the log and its dictionary,
+/// which the log block holds.
 struct EngineSection {
     config: GcaConfig,
     /// How many log entries the engine had absorbed.
@@ -219,23 +204,13 @@ struct EngineSection {
 }
 
 impl EngineSection {
-    /// Restores the engine over the log block `log`: the dictionary's
-    /// first cells are the engine's, and the first `absorbed` symbols its
-    /// absorbed prefix's.
+    /// Restores the engine over the log block `log`, straight from its
+    /// columns: the block's dictionary and symbols are the engine's own.
     fn restore(self, log: &[u8]) -> Result<IncrementalGca, String> {
-        let batch = ObservationBatch::from_bytes(log)?;
-        let observations = batch.decode()?;
-        let cells = batch
-            .cells
-            .get(..self.state.dwell.len())
-            .ok_or("engine cells beyond the log's dictionary")?;
-        let mut symbols = batch.cell;
+        let (cells, columns) = ObservationBatch::from_bytes(log)?.into_columns();
         let absorbed = usize::try_from(self.absorbed)
-            .ok()
-            .filter(|&absorbed| absorbed <= symbols.len())
-            .ok_or_else(|| format!("{} absorbed of {} logged", self.absorbed, symbols.len()))?;
-        symbols.truncate(absorbed);
-        IncrementalGca::restore(self.config, observations, cells, symbols, self.state)
+            .map_err(|_| format!("{} absorbed of {} logged", self.absorbed, columns.len()))?;
+        IncrementalGca::restore(self.config, &cells, columns, absorbed, self.state)
     }
 }
 
@@ -416,7 +391,7 @@ impl StoreWriter {
         {
             self.absorbed_at = self.out.len();
         }
-        self.u64(export.log_syms.len() as u64);
+        self.u64(export.absorbed as u64);
         let state = &export.state;
         self.count(state.dwell.len());
         state
@@ -1182,7 +1157,7 @@ pub(crate) mod tests {
                 .map(|o| (o.time, o.cell, o.layer, o.rssi_dbm.to_bits()))
                 .collect::<Vec<_>>()
         };
-        assert_eq!(bits(back.observations()), bits(engine.observations()));
+        assert_eq!(bits(&back.log().to_vec()), bits(&engine.log().to_vec()));
         assert_eq!(back.places().places, engine.places().places);
         assert_same_state(&rebuilt, &store);
     }
@@ -1470,7 +1445,7 @@ pub(crate) mod tests {
             let log = |s: &UserStore| {
                 s.gca.as_ref().map(|engine| {
                     engine
-                        .observations()
+                        .log()
                         .iter()
                         .map(|o| (o.time, o.cell, o.layer, o.rssi_dbm.to_bits()))
                         .collect::<Vec<_>>()
@@ -1502,10 +1477,10 @@ pub(crate) mod tests {
     }
 
     proptest! {
-        /// The log block parking writes from the engine's own dictionary
-        /// and symbols is byte for byte the batch spelling of the log, a
-        /// recorded but unabsorbed tail included, whose new cells continue
-        /// the dictionary. A store parked with such a tail hydrates to an
+        /// The log block parking writes from the engine's column log is
+        /// byte for byte the batch spelling of the log, a recorded but
+        /// unabsorbed tail included, whose new cells continue the
+        /// dictionary. A store parked with such a tail hydrates to an
         /// engine equal to the parked one, which parks to the same bytes.
         #[test]
         fn the_log_block_is_the_batch_spelling(seed in any::<u64>(), absorbed in 0.0..1.0f64) {
@@ -1522,7 +1497,7 @@ pub(crate) mod tests {
             engine.absorb(&log[..cut]);
             engine.record(&log[cut..]);
             prop_assert_eq!(
-                log_block(&log, &engine.export()),
+                ObservationBatch::log_bytes(engine.log()),
                 ObservationBatch::encode(&log).to_bytes()
             );
 
@@ -1534,7 +1509,8 @@ pub(crate) mod tests {
             let back = parked.to_store().unwrap();
             let (engine, restored) = (store.gca.as_ref().unwrap(), back.gca.as_ref().unwrap());
             prop_assert_eq!(restored.export(), engine.export());
-            prop_assert_eq!(restored.observations(), engine.observations());
+            prop_assert_eq!(restored.log().to_vec(), engine.log().to_vec());
+            prop_assert_eq!(restored.log().cells(), engine.log().cells());
             prop_assert_eq!(Parked::of(&back), parked);
         }
     }

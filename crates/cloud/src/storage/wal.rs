@@ -198,10 +198,12 @@ impl WalOp {
             })),
             KIND_DISCOVER => {
                 let (start, batched) = (input.opt("sequence", ByteReader::u64)?, input.u8()?);
-                let batch = ObservationBatch::from_bytes(input.rest())?;
                 let (observations, batch) = match batched {
-                    0 => (batch.decode()?, None),
-                    1 => (Vec::new(), Some(batch)),
+                    0 => (ObservationBatch::plain_from_bytes(input.rest())?, None),
+                    1 => (
+                        Vec::new(),
+                        Some(ObservationBatch::from_bytes(input.rest())?),
+                    ),
                     tag => return Err(format!("discover batched tag {tag}")),
                 };
                 WalOp::Discover(Box::new(DiscoverBody {
@@ -864,7 +866,7 @@ mod tests {
         let log = store
             .gca
             .as_ref()
-            .map_or_else(Vec::new, |engine| engine.observations().to_vec());
+            .map_or_else(Vec::new, |engine| engine.log().to_vec());
         let mut ops = vec![
             WalOp::TokenGrant {
                 token: g.text(),

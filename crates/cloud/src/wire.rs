@@ -15,11 +15,15 @@
 //!   predecessor, which JSON renders in a couple of digits instead of ten.
 //!
 //! Decoding is exact: [`ObservationBatch::decode`] reconstructs the very
-//! `Vec<GsmObservation>` that was encoded, field for field, so a cloud
-//! absorbing a batched offload reaches a state byte-identical to one fed
-//! the plain array. The `start` idempotency key and the server-side
-//! watermark seams are untouched — batching only changes how the suffix
-//! is spelled on the wire, never what it means.
+//! `Vec<GsmObservation>` that was encoded, field for field. The cloud
+//! never needs it: it checks a batch with [`ObservationBatch::validate`]
+//! and absorbs [`ObservationBatch::entries`] straight from the columns
+//! ([`absorb_coded`]), which reaches a state byte-identical to one fed
+//! the plain array. The phone encodes straight
+//! from its engine's column log ([`ObservationBatch::encode_log`]),
+//! remapping symbols instead of hashing cells. The `start` idempotency
+//! key and the server-side watermark seams are untouched — batching only
+//! changes how the suffix is spelled on the wire, never what it means.
 //!
 //! The same columns also have a binary spelling,
 //! [`ObservationBatch::to_bytes`]/[`ObservationBatch::from_bytes`], in the
@@ -38,7 +42,10 @@
 //! The RSSI column stores `f64::to_bits`, so `-0.0` and NaN payloads
 //! survive bit for bit. Decoding checks every count against the bytes
 //! that remain before it allocates, and rejects trailing bytes.
+//!
+//! [`absorb_coded`]: pmware_algorithms::gca::IncrementalGca::absorb_coded
 
+use pmware_algorithms::gca::{CodedObservation, LogColumns, ObservationLog};
 use pmware_world::intern::Interner;
 use pmware_world::tower::NetworkLayer;
 use pmware_world::{CellGlobalId, GsmObservation, SimTime};
@@ -99,15 +106,36 @@ impl ObservationBatch {
         }
     }
 
-    /// Reconstructs the encoded observations exactly.
+    /// Encodes a log view (a whole engine log or a suffix of it) to the
+    /// batch [`ObservationBatch::encode`] gives for its observations,
+    /// without hashing a cell: each engine symbol is remapped once to its
+    /// batch symbol, in the view's first-seen order.
+    pub fn encode_log(log: ObservationLog<'_>) -> ObservationBatch {
+        let (cells, batch_symbol) = batch_dictionary(&log);
+        let (t0, dt) = deltas(log.times());
+        ObservationBatch {
+            cells,
+            t0,
+            dt: dt.collect(),
+            cell: log
+                .symbols()
+                .iter()
+                .map(|&sym| batch_symbol[sym as usize])
+                .collect(),
+            layer: log.layers().to_vec(),
+            rssi_dbm: log.rssi_dbm().to_vec(),
+        }
+    }
+
+    /// Checks what [`ObservationBatch::decode`] checks, without decoding.
     ///
     /// # Errors
     ///
     /// Returns a description of the malformed column when the parallel
-    /// arrays disagree in length or a symbol escapes the dictionary — a
-    /// batch from a confused (or hostile) client must not panic the
-    /// server.
-    pub fn decode(&self) -> Result<Vec<GsmObservation>, String> {
+    /// arrays disagree in length or a symbol escapes the dictionary (the
+    /// first such symbol) — a batch from a confused (or hostile) client
+    /// must not panic the server.
+    pub fn validate(&self) -> Result<(), String> {
         if self.is_ragged() {
             return Err(format!(
                 "ragged batch: dt={} cell={} layer={} rssi={}",
@@ -117,30 +145,70 @@ impl ObservationBatch {
                 self.rssi_dbm.len()
             ));
         }
-        // Every symbol is checked once, up front (the first bad one is
-        // reported), so the single zipped pass below cannot fail.
         let dictionary = self.cells.len();
         if let Some(symbol) = self.cell.iter().find(|&&s| s as usize >= dictionary) {
             return Err(format!("symbol {symbol} outside dictionary"));
         }
+        Ok(())
+    }
+
+    /// The batch's entries in order, each symbol still into
+    /// [`cells`](Self::cells), times accumulated from `t0` with wrapping
+    /// arithmetic. On a ragged batch it stops at the shortest column;
+    /// [`validate`](Self::validate) first.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = CodedObservation> + '_ {
         let mut t = self.t0;
-        let observations = self
-            .dt
+        self.dt
             .iter()
             .zip(&self.cell)
             .zip(&self.layer)
             .zip(&self.rssi_dbm)
-            .map(|(((&dt, &symbol), &layer), &rssi_dbm)| {
+            .map(move |(((&dt, &symbol), &layer), &rssi_dbm)| {
                 t = t.wrapping_add(dt as u64);
-                GsmObservation {
+                CodedObservation {
                     time: SimTime::from_seconds(t),
-                    cell: self.cells[symbol as usize],
+                    symbol,
                     layer,
                     rssi_dbm,
                 }
             })
-            .collect();
-        Ok(observations)
+    }
+
+    /// Reconstructs the encoded observations exactly.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`ObservationBatch::validate`] returns for a ragged
+    /// batch or a symbol outside the dictionary.
+    pub fn decode(&self) -> Result<Vec<GsmObservation>, String> {
+        self.validate()?;
+        Ok(self
+            .entries()
+            .map(|entry| GsmObservation {
+                time: entry.time,
+                cell: self.cells[entry.symbol as usize],
+                layer: entry.layer,
+                rssi_dbm: entry.rssi_dbm,
+            })
+            .collect())
+    }
+
+    /// The batch as a dictionary and log columns, for
+    /// [`IncrementalGca::restore`], times accumulated as in
+    /// [`ObservationBatch::entries`]. Nothing is checked: the restore
+    /// checks the symbols, and a batch from
+    /// [`ObservationBatch::from_bytes`] is never ragged.
+    ///
+    /// [`IncrementalGca::restore`]: pmware_algorithms::gca::IncrementalGca::restore
+    pub(crate) fn into_columns(self) -> (Vec<CellGlobalId>, LogColumns) {
+        let times = self.entries().map(|entry| entry.time).collect();
+        let columns = LogColumns {
+            times,
+            symbols: self.cell,
+            layers: self.layer,
+            rssi_dbm: self.rssi_dbm,
+        };
+        (self.cells, columns)
     }
 
     /// The binary spelling (layout in the module docs). Exact: decoding
@@ -156,49 +224,41 @@ impl ObservationBatch {
         write_block(
             &self.cells,
             self.t0,
-            &self.cell,
+            self.len(),
             self.dt.iter().copied(),
+            self.cell.iter().copied(),
             self.layer.iter().copied(),
             self.rssi_dbm.iter().copied(),
         )
     }
 
-    /// The binary spelling of `observations` under a dictionary the
-    /// caller already holds: `cells`, and each observation's symbol into
-    /// it in `symbols`. Nothing is interned. When `cells` lists the
-    /// observations' distinct cells in first-seen order, as a GCA
-    /// engine's dictionary does, the bytes are those of
-    /// `ObservationBatch::encode(observations).to_bytes()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `symbols` and `observations` differ in length.
-    pub(crate) fn bytes_with_dictionary(
-        observations: &[GsmObservation],
-        cells: &[CellGlobalId],
-        symbols: &[u32],
-    ) -> Vec<u8> {
-        assert_eq!(
-            symbols.len(),
-            observations.len(),
-            "one symbol per observation"
-        );
-        let t0 = observations.first().map_or(0, |obs| obs.time.as_seconds());
-        let mut prev = t0;
-        let dt = observations.iter().map(|obs| {
-            let t = obs.time.as_seconds();
-            let dt = t.wrapping_sub(prev) as i64;
-            prev = t;
-            dt
-        });
+    /// The binary spelling of a log view: the bytes of
+    /// `ObservationBatch::encode_log(log).to_bytes()`, written straight
+    /// from the view's columns.
+    pub(crate) fn log_bytes(log: ObservationLog<'_>) -> Vec<u8> {
+        let (cells, batch_symbol) = batch_dictionary(&log);
+        let (t0, dt) = deltas(log.times());
         write_block(
-            cells,
+            &cells,
             t0,
-            symbols,
+            log.len(),
             dt,
-            observations.iter().map(|obs| obs.layer),
-            observations.iter().map(|obs| obs.rssi_dbm),
+            log.symbols().iter().map(|&sym| batch_symbol[sym as usize]),
+            log.layers().iter().copied(),
+            log.rssi_dbm().iter().copied(),
         )
+    }
+
+    /// Parses the binary spelling of a plain observation array (its
+    /// `ObservationBatch::encode(..).to_bytes()`, which is how the
+    /// durable WAL logs a plain-array discover body) back to the array.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`ObservationBatch::from_bytes`] or
+    /// [`ObservationBatch::decode`] returns.
+    pub(crate) fn plain_from_bytes(bytes: &[u8]) -> Result<Vec<GsmObservation>, String> {
+        ObservationBatch::from_bytes(bytes)?.decode()
     }
 
     /// Parses the binary spelling.
@@ -264,26 +324,55 @@ impl ObservationBatch {
     }
 }
 
-/// Writes the binary spelling (layout in the module docs) of `symbols.len()`
+/// A log view's batch dictionary: its distinct cells in first-seen
+/// order, and the batch symbol of each engine symbol the view names
+/// (`u32::MAX` for the others).
+fn batch_dictionary(log: &ObservationLog<'_>) -> (Vec<CellGlobalId>, Vec<u32>) {
+    let mut batch_symbol = vec![u32::MAX; log.cells().len()];
+    let mut cells = Vec::new();
+    for &sym in log.symbols() {
+        let slot = &mut batch_symbol[sym as usize];
+        if *slot == u32::MAX {
+            *slot = cells.len() as u32;
+            cells.push(log.cells()[sym as usize]);
+        }
+    }
+    (cells, batch_symbol)
+}
+
+/// The first time in seconds (zero for no times) and each time's signed
+/// delta from its predecessor (the first is zero), as the batch columns
+/// spell them.
+fn deltas(times: &[SimTime]) -> (u64, impl Iterator<Item = i64> + '_) {
+    let t0 = times.first().map_or(0, |t| t.as_seconds());
+    let mut prev = t0;
+    let dt = times.iter().map(move |t| {
+        let t = t.as_seconds();
+        let dt = t.wrapping_sub(prev) as i64;
+        prev = t;
+        dt
+    });
+    (t0, dt)
+}
+
+/// Writes the binary spelling (layout in the module docs) of `n`
 /// observations given column by column.
 fn write_block(
     cells: &[CellGlobalId],
     t0: u64,
-    symbols: &[u32],
+    n: usize,
     dt: impl Iterator<Item = i64>,
+    symbols: impl Iterator<Item = u32>,
     layer: impl Iterator<Item = NetworkLayer>,
     rssi_dbm: impl Iterator<Item = f64>,
 ) -> Vec<u8> {
-    let n = symbols.len();
     let mut out = Vec::with_capacity(24 + cells.len() * CELL_BYTES + n * OBSERVATION_BYTES);
     out.extend_from_slice(&(cells.len() as u64).to_le_bytes());
     cells.iter().for_each(|cell| put_cell(&mut out, cell));
     out.extend_from_slice(&t0.to_le_bytes());
     out.extend_from_slice(&(n as u64).to_le_bytes());
     dt.for_each(|dt| out.extend_from_slice(&dt.to_le_bytes()));
-    for symbol in symbols {
-        out.extend_from_slice(&symbol.to_le_bytes());
-    }
+    symbols.for_each(|symbol| out.extend_from_slice(&symbol.to_le_bytes()));
     out.extend(layer.map(|layer| match layer {
         NetworkLayer::G2 => 0u8,
         NetworkLayer::G3 => 1u8,
@@ -295,6 +384,7 @@ fn write_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmware_algorithms::gca::{GcaConfig, IncrementalGca};
     use pmware_world::{CellId, Lac, Plmn};
     use proptest::prelude::*;
 
@@ -494,6 +584,25 @@ mod tests {
             let mut padded = bytes.clone();
             padded.resize(bytes.len() + pad, 0);
             prop_assert!(ObservationBatch::from_bytes(&padded).is_err());
+        }
+
+        /// Encoding an engine's column log, whole or from any offset,
+        /// gives the bytes encoding its observations gives, both through
+        /// a batch and written straight from the columns.
+        #[test]
+        fn encoding_a_log_view_equals_encoding_its_observations(
+            log in arbitrary_log(),
+            cut in 0.0..1.0f64,
+        ) {
+            let mut log = log;
+            log.sort_by_key(|obs| obs.time);
+            let mut engine = IncrementalGca::new(GcaConfig::default());
+            engine.record(&log);
+            let from = (log.len() as f64 * cut) as usize;
+            let view = engine.log().suffix(from);
+            let expected = ObservationBatch::encode(&log[from..]).to_bytes();
+            prop_assert_eq!(ObservationBatch::encode_log(view).to_bytes(), expected.clone());
+            prop_assert_eq!(ObservationBatch::log_bytes(view), expected);
         }
 
         /// Random bytes are rejected without panicking.

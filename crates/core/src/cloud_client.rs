@@ -27,7 +27,7 @@ use pmware_cloud::{
 };
 use pmware_geo::GeoPoint;
 use pmware_obs::{Counter, FieldValue, Histogram, Obs, SpanSink};
-use pmware_world::{CellGlobalId, GsmObservation, SimDuration, SimTime};
+use pmware_world::{CellGlobalId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PmsError;
@@ -351,23 +351,23 @@ impl CloudClient {
 
     /// Offloads GCA place discovery to the cloud (§2.3.1) and returns the
     /// discovered places. The suffix ships as one delta-compressed,
-    /// dictionary-coded [`ObservationBatch`]. `start` is the offset of
-    /// `observations[0]` in the device's full GSM log — the idempotency
-    /// key that lets the server skip already-absorbed prefixes when a
-    /// retried or duplicated offload re-delivers them.
+    /// dictionary-coded [`ObservationBatch`]. `start` is the offset of the
+    /// batch's first observation in the device's full GSM log — the
+    /// idempotency key that lets the server skip already-absorbed
+    /// prefixes when a retried or duplicated offload re-delivers them.
     ///
     /// # Errors
     ///
     /// Returns [`PmsError::Cloud`] / [`PmsError::Decode`] on failure.
     pub fn discover_places(
         &mut self,
-        observations: &[GsmObservation],
+        batch: ObservationBatch,
         start: u64,
         now: SimTime,
     ) -> Result<Vec<DiscoveredPlace>, PmsError> {
         let body = DiscoverBody {
             observations: Vec::new(),
-            batch: Some(ObservationBatch::encode(observations)),
+            batch: Some(batch),
             start: Some(start),
         };
         let request = Request::post("/api/v1/places/discover", body).with_token(&self.token);

@@ -14,7 +14,7 @@
 //! last fallback.
 
 use pmware_algorithms::gca::{
-    CellPlaceTracker, GcaConfig, IncrementalGca, PlaceEvent, TrackerSnapshot,
+    CellPlaceTracker, GcaConfig, IncrementalGca, ObservationLog, PlaceEvent, TrackerSnapshot,
 };
 use pmware_algorithms::sensloc::{SensLocConfig, SensLocDetector, WifiPlaceEvent};
 use pmware_algorithms::signature::DiscoveredPlace;
@@ -91,9 +91,9 @@ impl InferenceEngine {
     }
 
     /// The full GSM log (what gets offloaded to the cloud): the
-    /// incremental GCA engine's own observation log, the one copy kept.
-    pub fn gsm_log(&self) -> &[GsmObservation] {
-        self.gca.observations()
+    /// incremental GCA engine's own column log, the one copy kept.
+    pub fn gsm_log(&self) -> ObservationLog<'_> {
+        self.gca.log()
     }
 
     /// The full GPS log.

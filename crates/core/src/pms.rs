@@ -19,6 +19,7 @@ use pmware_algorithms::gca::PlaceEvent;
 use pmware_algorithms::route::{cell_route, gps_route, RouteObservation, RouteStore};
 use pmware_algorithms::sensloc::WifiPlaceEvent;
 use pmware_algorithms::signature::{DiscoveredPlace, DiscoveredPlaceId, PlaceSignature};
+use pmware_cloud::wire::ObservationBatch;
 use pmware_cloud::CloudEndpoint;
 use pmware_device::{Device, EnergyModel, MovementDetector, PositionProvider};
 use pmware_geo::GeoPoint;
@@ -990,13 +991,14 @@ impl<'w, P: PositionProvider> PmwareMobileService<'w, P> {
     /// budget re-sends the same suffix at the next pass.
     fn offload_suffix(&mut self, t: SimTime) -> Result<Vec<DiscoveredPlace>, PmsError> {
         let log = self.engine.gsm_log();
-        let suffix = &log[self.offloaded_upto..];
+        let suffix = log.suffix(self.offloaded_upto);
         self.metrics
             .gca_batch_observations
             .observe(suffix.len() as u64);
+        let batch = ObservationBatch::encode_log(suffix);
         let places = self
             .client
-            .discover_places(suffix, self.offloaded_upto as u64, t)?;
+            .discover_places(batch, self.offloaded_upto as u64, t)?;
         self.offloaded_upto = log.len();
         Ok(places)
     }

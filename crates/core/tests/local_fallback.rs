@@ -40,7 +40,7 @@ fn fallback_from_day_three_equals_eager_absorb() {
             assert_eq!(local, eager.discovered_places(), "day {day}");
             assert_eq!(
                 local,
-                gca::discover_places(phone.gsm_log(), &config.gca).places,
+                gca::discover_places(&phone.gsm_log().to_vec(), &config.gca).places,
                 "day {day}"
             );
             fallbacks += 1;

@@ -8,6 +8,7 @@
 
 use pmware::algorithms::signature::DiscoveredPlaceId;
 use pmware::cloud::{ArrivalBody, NextVisitBody, Payload, PlaceOnlyBody, Response};
+use pmware::core::registry::PmPlaceId;
 use pmware::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // Tags decided in the app flow back into PMWare (§2.2.5) and are
         // synced to the cloud at the next maintenance pass.
         for (place, label) in lifelog.take_pending_labels() {
-            pms.label_place(pmware::core::registry::PmPlaceId(place), label);
+            pms.label_place(PmPlaceId(place), label);
         }
     }
 
@@ -94,16 +95,54 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Err(e) => println!("1. no evening arrival at home yet ({e})"),
     }
 
-    // Query 2: when is the next visit to the most-frequented other place?
-    // (Chosen by online-confirmed visits so the cloud's profile history —
-    // which the predictor reads — actually contains it.)
-    let work = pms
+    // Queries 2 and 3 read the cloud's profile history, which holds a
+    // place's visits only from day profiles that have shipped — a day's
+    // profile ships at the first nightly pass after it, or later while a
+    // stay that began that day is still open; the last days ship only
+    // when the service finishes — and never holds the visits GCA found before the place was
+    // discovered (the phone announces those in PLACE_NEW, so the diary
+    // above counts them). So the place queried is the other place with
+    // the most visits in the cloud's own history.
+    let others: Vec<(PmPlaceId, u32)> = pms
         .places()
         .iter()
         .filter(|p| p.id != home)
-        .max_by_key(|p| p.visit_count)
-        .expect("multiple places")
-        .id;
+        .map(|p| (p.id, p.visit_count))
+        .collect();
+    let mut cloud_visits = |place: PmPlaceId| -> Result<usize, Box<dyn std::error::Error>> {
+        let resp = pms.cloud_client_mut().call(
+            "/api/v1/analytics/frequency",
+            PlaceOnlyBody {
+                place: DiscoveredPlaceId(place.0),
+            },
+            end,
+        )?;
+        match resp.body {
+            Payload::Frequency { visit_count, .. } => Ok(visit_count),
+            _ => Err(format!("unexpected frequency reply: {}", resp.json()).into()),
+        }
+    };
+    let mut work = None;
+    for &(id, _) in &others {
+        let visits = cloud_visits(id)?;
+        if work.is_none_or(|(_, best)| visits > best) {
+            work = Some((id, visits));
+        }
+    }
+    let (work, _) = work.expect("multiple places");
+    // The phone's own pick, by online-confirmed visits, may not have
+    // reached the cloud yet.
+    if let Some(&(phone_pick, phone_visits)) = others.iter().max_by_key(|(_, n)| *n) {
+        if phone_pick != work && cloud_visits(phone_pick)? == 0 {
+            println!(
+                "   (place {} has {phone_visits} online visits on the phone, none in the \
+                 cloud's history yet: their days' profiles have not shipped)",
+                phone_pick.0
+            );
+        }
+    }
+
+    // Query 2: when is the next visit to that place?
     match pms.cloud_client_mut().call(
         "/api/v1/analytics/next_visit",
         NextVisitBody {

@@ -17,6 +17,7 @@
 
 use std::collections::BTreeMap;
 
+use pmware::cloud::wire::ObservationBatch;
 use pmware::cloud::{
     ContactEntry, FaultStats, Payload, PlaceOnlyBody, StorageConfig, ALL_FAULT_KINDS,
 };
@@ -805,7 +806,7 @@ proptest! {
                 }
             }
             if client
-                .discover_places(&log[offloaded..], offloaded as u64, now)
+                .discover_places(ObservationBatch::encode(&log[offloaded..]), offloaded as u64, now)
                 .is_ok()
             {
                 offloaded = log.len();
@@ -821,7 +822,7 @@ proptest! {
             prop_assert_eq!(acked as usize, all.len());
         }
         client
-            .discover_places(&log[offloaded..], offloaded as u64, heal)
+            .discover_places(ObservationBatch::encode(&log[offloaded..]), offloaded as u64, heal)
             .expect("clean offload");
 
         prop_assert_eq!(cloud.contacts_of(user), all);
